@@ -286,10 +286,8 @@ def _cmd_queue_sim(args) -> tuple[list[str], list[dict]]:
 
 def _cmd_omega(args) -> tuple[list[str], list[dict]]:
     service = queue.parse_service(args.service)
-    rows = [
-        {"i": i, "omega_i": queue.omega(i, args.N, service)}
-        for i in range(1, args.N + 1)
-    ]
+    omegas = queue.omega_vector(args.N, service)
+    rows = [{"i": i, "omega_i": float(w)} for i, w in enumerate(omegas, start=1)]
     return ["i", "omega_i"], rows
 
 

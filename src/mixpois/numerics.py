@@ -1,5 +1,5 @@
-"""Numerical kernel: log-space special functions, adaptive quadrature and
-safeguarded root finding.
+"""Numerical kernel: log-space special functions, adaptive and fixed-node
+quadrature, and safeguarded root finding.
 
 Everything here is built from elementary functions only, so results are
 bit-stable across platforms.  All functions are pure.
@@ -7,9 +7,12 @@ bit-stable across platforms.  All functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -20,6 +23,7 @@ __all__ = [
     "log_binomial",
     "regularized_lower_gamma",
     "integrate",
+    "gauss_legendre",
     "find_root_increasing",
 ]
 
@@ -269,6 +273,56 @@ def integrate(f: Callable[[float], float], interval: Interval, spec: QuadratureS
             f, lo, hi, whole, tol_panel, spec.noise_floor_rel, 0, spec.max_depth
         )
     return result
+
+
+def _legendre(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Legendre polynomial of the given order and its derivative at x, |x| < 1."""
+    p_prev, p = np.ones_like(x), x
+    for n in range(2, order + 1):
+        p_prev, p = p, ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre_reference(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence, started from the
+    asymptotic node locations; computed once per order.
+    """
+    x = np.cos(math.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(order, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    else:
+        raise ConvergenceError(f"Gauss-Legendre nodes of order {order} did not converge")
+    _, dp = _legendre(order, x)
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
+def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule with ``order``
+    nodes on each panel between consecutive ``edges``.
+
+    The rule integrates polynomials of degree below ``2 * order`` exactly on
+    every panel and never samples a panel edge, so an integrand may jump or
+    lose smoothness at one.  ``weights @ f(nodes)`` is the integral of f.
+    """
+    if not (isinstance(order, int) and order >= 1):
+        raise DomainError(f"quadrature order must be a positive integer, got {order}")
+    edges = np.asarray(edges, dtype=np.float64)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.isfinite(edges))
+            and np.all(np.diff(edges) > 0.0)):
+        raise DomainError("panel edges must be finite and strictly increasing, at least two")
+    ref_nodes, ref_weights = _gauss_legendre_reference(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * ref_nodes).ravel(), (half * ref_weights).ravel()
 
 
 def find_root_increasing(

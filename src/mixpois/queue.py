@@ -8,14 +8,15 @@ arrival is still in service at the observation epoch.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HypothesisWarning, MgfDomainError, ParseError, RarityError
-from .numerics import Interval, QuadratureSpec, find_root_increasing, integrate
+from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, ParseError, RarityError
+from .numerics import Interval, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count, exact_count, poisson_rate
 from .rates import RateDistribution
 from .sampling import DEFAULT_OP_BUDGET, EstimatorResult, StreamPartition, _check_budget, _run_chunked
@@ -34,11 +35,22 @@ __all__ = [
     "mc_Q",
     "theta_star_queue",
     "queue_approx",
+    "approx_at_tilt",
     "log_asym_Q",
     "load_and_variance",
 ]
 
-_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
+# The occupancy integrals over the unit interval use one composite
+# Gauss-Legendre rule per service law: _UNIFORM_PANELS equal panels, split at
+# the law's kinks, with the first panel graded geometrically (ratio 1/2) toward
+# x = 0 down to _GRADING_FLOOR times the service mean.  Each result is checked
+# against the rule of half the order on the same panels.
+_UNIFORM_PANELS = 16
+_ORDER = 20
+_GRADING_FLOOR = 1e-12
+_REL_TOL = 1e-10
+# largest tilt whose factors e^theta and e^(2 theta) stay finite
+_THETA_MAX = 350.0
 
 
 class ServiceTime:
@@ -47,15 +59,15 @@ class ServiceTime:
     twice_differentiable_on_01: bool = True
 
     def __init__(self, mean: float):
-        if not mean > 0.0:
-            raise DomainError(f"service mean must be positive, got {mean}")
+        if not (mean > 0.0 and math.isfinite(mean)):
+            raise DomainError(f"service mean must be positive and finite, got {mean}")
         self.mean = float(mean)
 
-    def sf(self, x: float) -> float:
-        """Complementary distribution function at x >= 0."""
+    def sf(self, x):
+        """Complementary distribution function at x >= 0 (a float or an array)."""
         raise NotImplementedError
 
-    def sf_complement(self, x: float) -> float:
+    def sf_complement(self, x):
         """1 - sf(x), computed without cancellation for small x."""
         raise NotImplementedError
 
@@ -92,11 +104,11 @@ class ServiceTime:
 class ExpService(ServiceTime):
     """Exponential service times."""
 
-    def sf(self, x: float) -> float:
-        return math.exp(-x / self.mean)
+    def sf(self, x):
+        return np.exp(-x / self.mean)
 
-    def sf_complement(self, x: float) -> float:
-        return -math.expm1(-x / self.mean)
+    def sf_complement(self, x):
+        return -np.expm1(-x / self.mean)
 
     def sf_integral(self, u: float, v: float) -> float:
         E = self.mean
@@ -118,11 +130,11 @@ class DetService(ServiceTime):
 
     twice_differentiable_on_01 = False
 
-    def sf(self, x: float) -> float:
-        return 1.0 if x < self.mean else 0.0
+    def sf(self, x):
+        return np.where(x < self.mean, 1.0, 0.0)
 
-    def sf_complement(self, x: float) -> float:
-        return 0.0 if x < self.mean else 1.0
+    def sf_complement(self, x):
+        return np.where(x < self.mean, 0.0, 1.0)
 
     def sf_integral(self, u: float, v: float) -> float:
         return max(0.0, min(v, self.mean) - min(u, self.mean))
@@ -144,10 +156,10 @@ class DetService(ServiceTime):
 class Pareto2Service(ServiceTime):
     """Pareto service times with tail exponent 2 (finite mean, infinite variance)."""
 
-    def sf(self, x: float) -> float:
+    def sf(self, x):
         return (1.0 + x / self.mean) ** -2
 
-    def sf_complement(self, x: float) -> float:
+    def sf_complement(self, x):
         t = x / self.mean
         return t * (2.0 + t) / (1.0 + t) ** 2
 
@@ -199,6 +211,9 @@ def omega(i: int, N: int, service: ServiceTime) -> float:
 
 
 def omega_vector(N: int, service: ServiceTime) -> np.ndarray:
+    """Retention probabilities omega_i(N) of slots i = 1..N."""
+    if not (isinstance(N, int) and N >= 1):
+        raise DomainError(f"slot count must be a positive integer, got {N}")
     return np.array([omega(i, N, service) for i in range(1, N + 1)])
 
 
@@ -207,25 +222,79 @@ def mean_load(dist: RateDistribution, service: ServiceTime) -> float:
     return dist.mean * service.sf_integral(0.0, 1.0)
 
 
-def _quad_spec(service: ServiceTime) -> QuadratureSpec:
-    return QuadratureSpec(
-        breakpoints=service.breakpoints_in_unit,
-        abs_tol=_QUAD.abs_tol,
-        rel_tol=_QUAD.rel_tol,
-    )
+class _Rule:
+    """Composite Gauss-Legendre rule on the unit interval with the service
+    law's complementary cdf evaluated at its nodes."""
+
+    def __init__(self, service: ServiceTime, edges: list[float], order: int):
+        nodes, self.weights = gauss_legendre(edges, order)
+        self.sf = service.sf(nodes)
+        self.sf_complement = service.sf_complement(nodes)
+
+    def integrals(self, dist: RateDistribution, tau: float) -> tuple[float, float, float]:
+        with np.errstate(over="ignore"):  # an overflow shows as an infinite integral
+            k0, k1, k2 = dist.damped_cgf(tau, self.sf, self.sf_complement)
+            w, sf = self.weights, self.sf
+            return (
+                float(np.sum(w * k0)),
+                float(np.sum(w * k1 * sf)),
+                float(np.sum(w * k2 * sf * sf)),
+            )
+
+
+def _panel_edges(service: ServiceTime) -> list[float]:
+    first = 1.0 / _UNIFORM_PANELS
+    depth = max(0, math.ceil(math.log2(first / (_GRADING_FLOOR * service.mean))))
+    uniform = [k * first for k in range(_UNIFORM_PANELS + 1)]
+    graded = [first * 0.5**j for j in range(1, depth + 1)]
+    return sorted({*uniform, *graded, *service.breakpoints_in_unit})
+
+
+@functools.lru_cache(maxsize=32)
+def _rules(service: ServiceTime) -> tuple[_Rule, _Rule]:
+    """The rule of a service law and its half-order check rule, built once."""
+    edges = _panel_edges(service)
+    return _Rule(service, edges, _ORDER), _Rule(service, edges, _ORDER // 2)
+
+
+def _integrals(
+    dist: RateDistribution, service: ServiceTime, tau: float, checked: bool = False
+) -> tuple[float, float, float]:
+    """Integrals over [0, 1] of CGF(tau sf), CGF'(tau sf) sf and CGF''(tau sf) sf^2.
+
+    With ``checked``, each must agree with the half-order rule to a relative
+    _REL_TOL, or ConvergenceError is raised.
+    """
+    rule, check_rule = _rules(service)
+    values = rule.integrals(dist, tau)
+    if checked:
+        for value, estimate in zip(values, check_rule.integrals(dist, tau)):
+            if not abs(value - estimate) <= _REL_TOL * abs(value):
+                raise ConvergenceError(
+                    f"occupancy quadrature for {dist} and {service.label()} at "
+                    f"tau={tau:.12g}: rules of order {_ORDER} and {_ORDER // 2} give "
+                    f"{value!r} and {estimate!r}"
+                )
+    return values
 
 
 def _tilt_cap_exp(dist: RateDistribution) -> float:
     """Upper limit for theta when the tilt enters through e^theta - 1.
 
-    The margin keeps the integrand's boundary layer at the MGF wall wide
-    enough for the quadrature to resolve; it costs only a logarithmic sliver
-    of the reachable occupancy range.
+    The margin keeps the tilt a gap of 1e-9 * max(1, sup) inside the MGF
+    domain, at a logarithmic sliver of the reachable occupancy range.  At the
+    cap the integrands have a boundary layer at x = 0 about 1e-9 service means
+    wide, which the panels graded down to _GRADING_FLOOR service means resolve.
     """
     sup = dist.mgf_domain_sup
     if math.isinf(sup):
         return math.inf
     return math.log1p(sup - 1e-9 * max(1.0, sup))
+
+
+def _check_level(a: float) -> None:
+    if not math.isfinite(a):
+        raise DomainError(f"occupancy level must be finite, got {a}")
 
 
 def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> float:
@@ -235,36 +304,33 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
     increasing in t; requires a above the mean load and a tilt within the
     MGF domain.
     """
+    _check_level(a)
     load = mean_load(dist, service)
     if not a > load:
         raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
-    spec = _quad_spec(service)
-    unit = Interval(0.0, 1.0)
 
     def g(theta: float) -> float:
-        tau = math.expm1(theta)
-        e_t = math.exp(theta)
-        val = integrate(
-            lambda x: dist.cgf_d1_tilted(tau, service.sf(x), service.sf_complement(x))
-            * service.sf(x)
-            * e_t,
-            unit,
-            spec,
-        )
-        return val - a
+        return math.exp(theta) * _integrals(dist, service, math.expm1(theta))[1] - a
 
     cap = _tilt_cap_exp(dist)
     try:
-        return find_root_increasing(
-            g, Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0, hi_limit=cap
+        theta = find_root_increasing(
+            g, Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0,
+            hi_limit=min(cap, _THETA_MAX),
         )
     except DomainError:
-        reachable = g(cap) + a if math.isfinite(cap) else math.inf
+        if math.isinf(cap):
+            raise DomainError(
+                f"occupancy level a={a} needs a tilt above {_THETA_MAX:g}, beyond "
+                "double precision"
+            ) from None
         raise MgfDomainError(
             f"occupancy level a={a} is unreachable: tilts are confined to "
             f"(0, {cap:.6g}] by the MGF domain, which only reaches mean occupancy "
-            f"{reachable:.6g}"
+            f"{g(cap) + a:.6g}"
         ) from None
+    _integrals(dist, service, math.expm1(theta), checked=True)
+    return theta
 
 
 @dataclass(frozen=True)
@@ -292,48 +358,57 @@ class QueueApprox:
         return math.exp(self.log_Q_check)
 
 
-def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: float) -> QueueApprox:
-    """Sharp approximation of the occupancy point and tail probabilities."""
-    if not N > 0.0:
-        raise DomainError(f"N must be positive, got {N}")
-    theta = theta_star_queue(dist, service, a)
-    tau = math.expm1(theta)
-    spec = _quad_spec(service)
-    unit = Interval(0.0, 1.0)
-    integral_cgf = integrate(
-        lambda x: dist.cgf_tilted(tau, service.sf(x), service.sf_complement(x)), unit, spec
-    )
-    e2t = math.exp(2.0 * theta)
-    sigma2 = a + integrate(
-        lambda x: dist.cgf_d2_tilted(tau, service.sf(x), service.sf_complement(x))
-        * service.sf(x) ** 2
-        * e2t,
-        unit,
-        spec,
-    )
+def approx_at_tilt(
+    dist: RateDistribution,
+    service: ServiceTime,
+    N: float,
+    theta: float,
+    a: float | None = None,
+    checked: bool = False,
+) -> tuple[float, QueueApprox]:
+    """Occupancy level and sharp approximation at the tilt theta.
+
+    The level is the mean occupancy a(theta) = e^theta int CGF'(tau sf) sf
+    under the tilt, unless ``a``, a level theta was solved for, is given.  No
+    HypothesisWarning is issued.  With ``checked``, the quadrature is checked
+    and a non-finite log-probability raises ConvergenceError.
+    """
+    integral_cgf, slope, curvature = _integrals(dist, service, math.expm1(theta), checked)
+    if a is None:
+        a = math.exp(theta) * slope
+    sigma2 = a + curvature * math.exp(2.0 * theta)
     log_q = (
         -theta * N * a
         + N * integral_cgf
         - 0.5 * math.log(2.0 * math.pi * N)
         - 0.5 * math.log(sigma2)
     )
-    log_Q = log_q - math.log(-math.expm1(-theta))
-    violated = not service.twice_differentiable_on_01
-    if violated:
+    if checked and not math.isfinite(log_q):
+        raise ConvergenceError(f"the sharp approximation at N={N}, a={a} overflows")
+    return a, QueueApprox(
+        theta_star=theta,
+        sigma2=sigma2,
+        log_q_check=log_q,
+        log_Q_check=log_q - math.log(-math.expm1(-theta)),
+        integral_cgf=integral_cgf,
+        hypothesis_violated=not service.twice_differentiable_on_01,
+    )
+
+
+def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: float) -> QueueApprox:
+    """Sharp approximation of the occupancy point and tail probabilities."""
+    if not (N > 0.0 and math.isfinite(N)):
+        raise DomainError(f"N must be positive and finite, got {N}")
+    theta = theta_star_queue(dist, service, a)
+    _, approx = approx_at_tilt(dist, service, N, theta, a=a, checked=True)
+    if approx.hypothesis_violated:
         warnings.warn(
             f"{service.label()}: the sharp occupancy formula assumes a twice "
             "differentiable complementary cdf; value computed anyway",
             HypothesisWarning,
             stacklevel=2,
         )
-    return QueueApprox(
-        theta_star=theta,
-        sigma2=sigma2,
-        log_q_check=log_q,
-        log_Q_check=log_Q,
-        integral_cgf=integral_cgf,
-        hypothesis_violated=violated,
-    )
+    return approx
 
 
 def mc_Q(
@@ -368,21 +443,17 @@ def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: fl
     """Decay rate of the occupancy tail for any alpha > 0."""
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
+    _check_level(a)
     load = mean_load(dist, service)
     if not a > load:
         raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
-    spec = _quad_spec(service)
-    unit = Interval(0.0, 1.0)
 
     if alpha > 1.0:
         return DecayRate(rate=poisson_rate(a, load).rate, gamma=1.0)
 
     if alpha == 1.0:
         theta = theta_star_queue(dist, service, a)
-        tau = math.expm1(theta)
-        integral = integrate(
-            lambda x: dist.cgf_tilted(tau, service.sf(x), service.sf_complement(x)), unit, spec
-        )
+        integral = _integrals(dist, service, math.expm1(theta), checked=True)[0]
         return DecayRate(rate=theta * a - integral, gamma=1.0)
 
     # linear tilt: sup_t {t a - int CGF(t sf(x)) dx}
@@ -390,13 +461,7 @@ def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: fl
     cap = math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
 
     def g(theta: float) -> float:
-        val = integrate(
-            lambda x: dist.cgf_d1_tilted(theta, service.sf(x), service.sf_complement(x))
-            * service.sf(x),
-            unit,
-            spec,
-        )
-        return val - a
+        return _integrals(dist, service, theta)[1] - a
 
     try:
         theta = find_root_increasing(
@@ -406,9 +471,7 @@ def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: fl
         raise MgfDomainError(
             f"occupancy level a={a} is unreachable by linear tilts within (0, {cap:.6g})"
         ) from None
-    integral = integrate(
-        lambda x: dist.cgf_tilted(theta, service.sf(x), service.sf_complement(x)), unit, spec
-    )
+    integral = _integrals(dist, service, theta, checked=True)[0]
     return DecayRate(rate=theta * a - integral, gamma=alpha)
 
 

@@ -73,18 +73,17 @@ class RateDistribution:
     def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    # CGF evaluation at the damped tilt tau * sf.  The split argument lets
-    # finite-MGF kinds compute the distance to their wall without
-    # cancellation: lam - tau*sf = (lam - tau) + tau*(1 - sf), a sum of
-    # nonnegative terms when 0 <= tau < lam.  Other kinds simply multiply.
-    def cgf_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return self.cgf(tau * sf_value)
+    def damped_cgf(
+        self, tau: float, sf: np.ndarray, sf_complement: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CGF and its first two derivatives at the damped tilts tau * sf.
 
-    def cgf_d1_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return self.cgf_d1(tau * sf_value)
-
-    def cgf_d2_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return self.cgf_d2(tau * sf_value)
+        ``sf_complement`` is 1 - sf, computed by the caller without
+        cancellation.  It lets finite-MGF kinds compute the distance to
+        their wall as lam - tau*sf = (lam - tau) + tau*(1 - sf), a sum of
+        nonnegative terms when 0 <= tau < lam; other kinds ignore it.
+        """
+        raise NotImplementedError
 
     # range of means reachable by exponential tilting (open interval)
     def _tilt_range(self) -> tuple[float, float]:
@@ -95,6 +94,14 @@ class RateDistribution:
 
     def label(self) -> str:
         raise NotImplementedError
+
+
+def _gamma_damped_cgf(dist, beta: float, tau: float, sf_complement: np.ndarray):
+    """Damped CGF triple of a gamma law with shape beta and rate dist.lam."""
+    gap = (dist.lam - tau) + tau * sf_complement
+    if not np.all(gap > 0.0):
+        raise DomainError(f"tilt {tau} reaches the MGF wall of {dist}")
+    return beta * (math.log(dist.lam) - np.log(gap)), beta / gap, beta / gap**2
 
 
 @dataclass(frozen=True)
@@ -148,20 +155,8 @@ class Exponential(RateDistribution):
             first_deriv_of_I=theta,
         )
 
-    def _wall_gap(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        gap = (self.lam - tau) + tau * sf_complement
-        if gap <= 0.0:
-            raise DomainError(f"tilt {tau} * {sf_value} reaches the MGF wall of {self}")
-        return gap
-
-    def cgf_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return math.log(self.lam) - math.log(self._wall_gap(tau, sf_value, sf_complement))
-
-    def cgf_d1_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return 1.0 / self._wall_gap(tau, sf_value, sf_complement)
-
-    def cgf_d2_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return 1.0 / self._wall_gap(tau, sf_value, sf_complement) ** 2
+    def damped_cgf(self, tau, sf, sf_complement):
+        return _gamma_damped_cgf(self, 1.0, tau, sf_complement)
 
     def label(self) -> str:
         return f"exp:{self.lam:g}"
@@ -219,20 +214,8 @@ class GammaRate(RateDistribution):
             first_deriv_of_I=theta,
         )
 
-    def _wall_gap(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        gap = (self.lam - tau) + tau * sf_complement
-        if gap <= 0.0:
-            raise DomainError(f"tilt {tau} * {sf_value} reaches the MGF wall of {self}")
-        return gap
-
-    def cgf_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return self.beta * (math.log(self.lam) - math.log(self._wall_gap(tau, sf_value, sf_complement)))
-
-    def cgf_d1_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return self.beta / self._wall_gap(tau, sf_value, sf_complement)
-
-    def cgf_d2_tilted(self, tau: float, sf_value: float, sf_complement: float) -> float:
-        return self.beta / self._wall_gap(tau, sf_value, sf_complement) ** 2
+    def damped_cgf(self, tau, sf, sf_complement):
+        return _gamma_damped_cgf(self, self.beta, tau, sf_complement)
 
     def label(self) -> str:
         return f"gamma:{self.beta:g},{self.lam:g}"
@@ -265,6 +248,11 @@ class PoissonRate(RateDistribution):
 
     def cgf_d2(self, theta: float) -> float:
         return self.lam * math.exp(theta)
+
+    def damped_cgf(self, tau, sf, sf_complement):
+        u = tau * sf
+        d1 = self.lam * np.exp(u)
+        return self.lam * np.expm1(u), d1, d1
 
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         return stream.poisson(self.lam, size=n).astype(np.float64)
@@ -336,6 +324,19 @@ class TwoPoint(RateDistribution):
         w1, w2 = math.exp(b1), math.exp(b2)
         return w1 * w2 * (self.lam2 - self.lam1) ** 2 / (w1 + w2) ** 2
 
+    def damped_cgf(self, tau, sf, sf_complement):
+        u = tau * sf
+        a1 = math.log(self.p) + u * self.lam1
+        a2 = math.log1p(-self.p) + u * self.lam2
+        m = np.maximum(a1, a2)
+        w1, w2 = np.exp(a1 - m), np.exp(a2 - m)
+        total = w1 + w2
+        return (
+            m + np.log(total),
+            (self.lam1 * w1 + self.lam2 * w2) / total,
+            w1 * w2 * (self.lam2 - self.lam1) ** 2 / total**2,
+        )
+
     def _twisted_p(self, theta: float) -> float:
         b1, b2, _ = self._log_weights(theta)
         w1, w2 = math.exp(b1), math.exp(b2)
@@ -387,6 +388,10 @@ class DeterministicRate(RateDistribution):
 
     def cgf_d2(self, theta: float) -> float:
         return 0.0
+
+    def damped_cgf(self, tau, sf, sf_complement):
+        u = tau * sf
+        return self.lam * u, np.full_like(u, self.lam), np.zeros_like(u)
 
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.lam, dtype=np.float64)

@@ -6,8 +6,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, MgfDomainError
-from .queue import ServiceTime, load_and_variance, mc_Q, mean_load, queue_approx
+from .errors import ConvergenceError, DomainError, MgfDomainError, MixPoisError
+from .queue import (
+    _THETA_MAX,
+    ServiceTime,
+    _tilt_cap_exp,
+    approx_at_tilt,
+    load_and_variance,
+    mc_Q,
+    mean_load,
+    theta_star_queue,
+)
 from .rates import RateDistribution
 from .sampling import EstimatorResult, StreamPartition
 
@@ -29,14 +38,6 @@ class StaffingResult:
     verification: EstimatorResult | None = None
 
 
-def _Q_check(dist, service, N, a) -> float:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # deterministic-service hypothesis flag
-        return queue_approx(dist, service, N, a).Q_check
-
-
 def solve_staffing(
     dist: RateDistribution,
     service: ServiceTime,
@@ -48,9 +49,11 @@ def solve_staffing(
 ) -> StaffingResult:
     """Smallest a with the occupancy-tail approximation at most eps.
 
-    Bisection on a runs until |Q(a) - eps| < tol; the returned level is then
-    re-evaluated at the two bracketing integer server counts.  With
-    ``verify_runs`` > 0 a crude Monte Carlo audit of the solution is attached.
+    The approximation decreases along the tilt theta, and the level a(theta)
+    it belongs to is one integral, so bisection runs on theta until
+    |Q - eps| < tol; the level found is then re-evaluated at the two
+    bracketing integer server counts.  With ``verify_runs`` > 0 a crude Monte
+    Carlo audit of the solution is attached.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target epsilon must be in (0, 1), got {eps}")
@@ -62,42 +65,46 @@ def solve_staffing(
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
 
-    lo = mean_load(dist, service) * (1.0 + 1e-6)
-    if _Q_check(dist, service, N, lo) < eps:
-        raise DomainError(
-            f"epsilon={eps} is met already at the rarity boundary a={lo:.6g}; "
-            "no dimensioning needed"
-        )
-    hi = lo
-    for _ in range(80):
-        hi *= 2.0
-        try:
-            if _Q_check(dist, service, N, hi) < eps:
-                break
-        except MgfDomainError:
+    def Q(theta: float) -> float:
+        return approx_at_tilt(dist, service, N, theta)[1].Q_check
+
+    lo, hi = 0.0, _tilt_cap_exp(dist)
+    if math.isfinite(hi):
+        if Q(hi) > eps:
             raise MgfDomainError(
                 f"epsilon={eps} is unreachable: the approximation cannot be pushed "
                 f"below it within the MGF domain of {dist}"
-            ) from None
+            )
     else:
-        raise ConvergenceError("no upper bracket found for the staffing level")
+        # Q falls to 0 as theta grows; an overflow (NaN) also lies above the root
+        hi = 1.0
+        while Q(hi) >= eps:
+            if hi >= _THETA_MAX:
+                raise ConvergenceError("no upper bracket found for the staffing tilt")
+            lo, hi = hi, min(2.0 * hi, _THETA_MAX)
 
-    a = 0.5 * (lo + hi)
     for _ in range(200):
-        a = 0.5 * (lo + hi)
-        q = _Q_check(dist, service, N, a)
+        theta = 0.5 * (lo + hi)
+        q = Q(theta)
         if abs(q - eps) < tol:
             break
         if q > eps:
-            lo = a
+            lo = theta
         else:
-            hi = a
+            hi = theta
     else:
         raise ConvergenceError(
             f"staffing bisection did not reach |Q - eps| < {tol} "
-            f"(bracket [{lo}, {hi}])"
+            f"(tilt bracket [{lo}, {hi}])"
         )
 
+    a, _ = approx_at_tilt(dist, service, N, theta, checked=True)
+    boundary = mean_load(dist, service) * (1.0 + 1e-6)
+    if a < boundary:
+        raise DomainError(
+            f"epsilon={eps} is met already at the rarity boundary a={boundary:.6g}; "
+            "no dimensioning needed"
+        )
     servers_floor = math.floor(N * a)
     servers_ceil = math.ceil(N * a)
     loads = load_and_variance(dist, service, N)
@@ -110,13 +117,19 @@ def solve_staffing(
         a_eps=a,
         servers_floor=servers_floor,
         servers_ceil=servers_ceil,
-        Q_at_floor=_Q_check(dist, service, N, servers_floor / N),
-        Q_at_ceil=_Q_check(dist, service, N, servers_ceil / N),
+        Q_at_floor=_Q_at_servers(dist, service, N, servers_floor),
+        Q_at_ceil=_Q_at_servers(dist, service, N, servers_ceil),
         M1=loads.M1,
         M_inf=loads.M_inf,
         epsilon=eps,
         verification=verification,
     )
+
+
+def _Q_at_servers(dist, service, N: int, servers: int) -> float:
+    a = servers / N
+    theta = theta_star_queue(dist, service, a)
+    return approx_at_tilt(dist, service, N, theta, a=a, checked=True)[1].Q_check
 
 
 @dataclass(frozen=True)
@@ -149,6 +162,6 @@ def staffing_table(
                     partition=StreamPartition(base_seed),
                 )
                 rows.append(StaffingRow(service, eps, result, None))
-            except Exception as exc:  # per-row error column instead of abort
+            except MixPoisError as exc:  # per-row error column instead of abort
                 rows.append(StaffingRow(service, eps, None, f"{type(exc).__name__}: {exc}"))
     return rows

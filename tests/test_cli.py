@@ -125,6 +125,16 @@ class TestQueueCommands:
         assert float(row["log_Q"]) == pytest.approx(math.log(1e-3), rel=1e-3)
         assert float(row["sigma2"]) > float(row["a"])
 
+    @pytest.mark.parametrize("N,a", [("100", "inf"), ("inf", "1.3"), ("nan", "1.3")])
+    def test_queue_approx_non_finite_input_exits_2(self, capsys, N, a):
+        code, out, err = run_cli(
+            ["queue-approx", "--dist", "pois:2", "--service", "exp:0.5", "--N", N, "--a", a],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_queue_sim(self, capsys):
         code, out, _ = run_cli(
             ["queue-sim", "--dist", "pois:2", "--service", "exp:0.5", "--N", "50",
@@ -141,6 +151,13 @@ class TestQueueCommands:
         assert len(rows) == 10
         assert float(rows[0]["omega_i"]) == pytest.approx(1.0)
         assert float(rows[-1]["omega_i"]) == 0.0
+
+    @pytest.mark.parametrize("N", ["0", "-3"])
+    def test_omega_needs_a_slot(self, capsys, N):
+        code, out, err = run_cli(["omega", "--service", "exp:0.5", "--N", N], capsys)
+        assert code == 2
+        assert out == ""
+        assert "slot count" in err
 
 
 class TestStaff:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from mixpois.numerics import (
     Interval,
     QuadratureSpec,
     find_root_increasing,
+    gauss_legendre,
     integrate,
     log_binomial,
     log_gamma,
@@ -103,6 +105,42 @@ class TestRegularizedLowerGamma:
             regularized_lower_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             regularized_lower_gamma(1.0, -1.0)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("order", [1, 2, 5, 10, 20, 40])
+    def test_reference_rule_matches_numpy(self, order):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = gauss_legendre([-1.0, 1.0], order)
+        ref_nodes, ref_weights = leggauss(order)
+        assert np.max(np.abs(nodes - ref_nodes)) < 1e-15
+        assert np.max(np.abs(weights - ref_weights)) < 1e-14
+
+    @pytest.mark.parametrize("order", [3, 10, 20])
+    def test_composite_rule_is_exact_for_its_degree(self, order):
+        edges = [0.0, 1e-6, 0.3, 0.5, 1.0]
+        nodes, weights = gauss_legendre(edges, order)
+        assert nodes.size == weights.size == 4 * order
+        assert np.all((nodes > 0.0) & (nodes < 1.0))
+        degree = 2 * order - 1
+        assert np.sum(weights * nodes**degree) == pytest.approx(1.0 / (degree + 1), rel=1e-13)
+
+    def test_jump_at_an_edge_is_exact(self):
+        nodes, weights = gauss_legendre([0.0, 0.5, 1.0], 4)
+        assert np.sum(weights * np.where(nodes < 0.5, 1.0, 0.0)) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("edges,order", [
+        ([0.0, 1.0], 0),
+        ([0.0, 1.0], 2.0),
+        ([0.0], 4),
+        ([0.0, 0.5, 0.5, 1.0], 4),
+        ([1.0, 0.0], 4),
+        ([0.0, math.inf], 4),
+    ])
+    def test_validation(self, edges, order):
+        with pytest.raises(DomainError):
+            gauss_legendre(edges, order)
 
 
 class TestIntegrate:

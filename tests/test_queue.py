@@ -1,10 +1,20 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from mixpois.errors import DomainError, HypothesisWarning, MgfDomainError, ParseError, RarityError
+from mixpois import queue
+from mixpois.errors import (
+    ConvergenceError,
+    DomainError,
+    HypothesisWarning,
+    MgfDomainError,
+    ParseError,
+    RarityError,
+)
 from mixpois.numerics import Interval, QuadratureSpec, integrate
 from mixpois.poisson_ldp import ceil_count, compound_z, poisson_rate, psi_exact
 from mixpois.queue import (
@@ -21,7 +31,7 @@ from mixpois.queue import (
     queue_approx,
     theta_star_queue,
 )
-from mixpois.rates import DeterministicRate, Exponential, PoissonRate
+from mixpois.rates import DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint
 from mixpois.sampling import Z_95, StreamPartition
 from mixpois.tail_asymptotics import approx_intermediate
 
@@ -64,7 +74,8 @@ class TestServiceLaws:
         assert parse_service("exp:0.5") == ExpService(0.5)
         assert parse_service("det:1") == DetService(1.0)
         assert parse_service("pareto:0.05") == Pareto2Service(0.05)
-        for bad in ("exp", "exp:", "exp:0", "norm:1", "det:-1", "exp :1"):
+        for bad in ("exp", "exp:", "exp:0", "norm:1", "det:-1", "exp :1",
+                    "exp:inf", "pareto:inf", "det:nan"):
             with pytest.raises(ParseError):
                 parse_service(bad)
 
@@ -134,6 +145,11 @@ class TestThetaStar:
         with pytest.raises(MgfDomainError):
             theta_star_queue(Exponential(2.5), ExpService(0.5), 500.0)
 
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level_rejected(self, a):
+        with pytest.raises(DomainError, match="finite"):
+            theta_star_queue(POIS2, ExpService(0.5), a)
+
 
 class TestQueueApprox:
     def test_flat_service_matches_compound_route(self):
@@ -161,6 +177,12 @@ class TestQueueApprox:
         assert qa.log_Q_check - qa.log_q_check == pytest.approx(
             -math.log(-math.expm1(-qa.theta_star)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("N,a", [(math.inf, 1.3), (math.nan, 1.3), (100.0, math.inf),
+                                     (100.0, math.nan)])
+    def test_non_finite_inputs_rejected(self, N, a):
+        with pytest.raises(DomainError, match="finite"):
+            queue_approx(POIS2, ExpService(0.5), N, a)
 
     def test_hypothesis_flag(self):
         with pytest.warns(HypothesisWarning):
@@ -195,6 +217,79 @@ class TestQueueApprox:
         assert logs == sorted(logs)
         assert all(l < 0.0 for l in logs)
         assert thetas[-1] < 0.2
+
+
+RATE_LAWS = [Exponential(2.5), GammaRate(2.0, 1.5), POIS2, TwoPoint(0.75, 1.0, 5.0),
+             DeterministicRate(2.0)]
+
+
+class TestOccupancyQuadrature:
+    """The fixed Gauss-Legendre rule behind the occupancy integrals."""
+
+    @pytest.mark.parametrize("dist,beta", [(Exponential(2.5), 1.0), (GammaRate(2.0, 1.5), 2.0),
+                                           (Exponential(0.5), 1.0)])
+    @pytest.mark.parametrize("E", [0.05, 0.5, 1.0])
+    def test_closed_form_at_the_wall(self, dist, beta, E):
+        # int_0^1 beta e^{-x/E} / (lam - tau e^{-x/E}) dx
+        #   = (beta E / tau) ln((lam - tau e^{-1/E}) / (lam - tau))
+        lam, service = dist.lam, ExpService(E)
+        taus = [lam * (1.0 - r) for r in (1e-3, 1e-6, 1e-9)]
+        taus.append(math.expm1(queue._tilt_cap_exp(dist)))
+        for tau in taus:
+            gap = lam - tau  # exact: tau is within a factor 2 of lam
+            exact = beta * E / tau * (math.log(gap - tau * math.expm1(-1.0 / E)) - math.log(gap))
+            _, slope, _ = queue._integrals(dist, service, tau, checked=True)
+            assert slope == pytest.approx(exact, rel=1e-12), gap / lam
+
+    @pytest.mark.parametrize("dist", RATE_LAWS, ids=lambda d: d.label())
+    @pytest.mark.parametrize("service", [ExpService(0.5), DetService(0.5), Pareto2Service(0.05)],
+                             ids=lambda s: s.label())
+    def test_matches_adaptive_quadrature_away_from_the_wall(self, dist, service):
+        theta = theta_star_queue(dist, service, 1.5 * mean_load(dist, service))
+        tau = math.expm1(theta)
+        if math.isfinite(dist.mgf_domain_sup):
+            assert (dist.mgf_domain_sup - tau) / dist.mgf_domain_sup >= 0.1
+        spec = QuadratureSpec(breakpoints=service.breakpoints_in_unit, abs_tol=1e-16,
+                              rel_tol=1e-12)
+
+        def reference(f):
+            return integrate(lambda x: f(float(service.sf(x))), Interval(0.0, 1.0), spec)
+
+        expected = (
+            reference(lambda s: dist.cgf(tau * s)),
+            reference(lambda s: dist.cgf_d1(tau * s) * s),
+            reference(lambda s: dist.cgf_d2(tau * s) * s * s),
+        )
+        got = queue._integrals(dist, service, tau, checked=True)
+        for value, ref in zip(got, expected):
+            assert value == pytest.approx(ref, rel=1e-10)
+
+    def test_disagreeing_check_rule_raises(self, monkeypatch):
+        service = ExpService(0.5)
+        rule, _ = queue._rules(service)
+        crude = queue._Rule(service, [0.0, 1.0], 2)
+        monkeypatch.setattr(queue, "_rules", lambda s: (rule, crude))
+        with pytest.raises(ConvergenceError, match="order"):
+            queue_approx(POIS2, service, 100.0, 1.3)
+
+    def test_rules_built_on_first_use_only(self):
+        # parsing specifications must not build quadrature rules, and no
+        # numpy submodule that `import numpy` leaves unloaded (numpy.polynomial,
+        # numpy.ma) may be loaded: each adds set-up time and memory
+        code = (
+            "import sys\n"
+            "from mixpois import cli, queue, rates\n"
+            "cli.build_parser()\n"
+            "queue.parse_service('exp:0.5'); rates.parse_rate('pois:2')\n"
+            "assert queue._rules.cache_info().currsize == 0\n"
+            "assert 'numpy.polynomial' not in sys.modules\n"
+            "queue.queue_approx(rates.PoissonRate(2.0), queue.ExpService(0.5), 100.0, 1.3)\n"
+            "assert queue._rules.cache_info().currsize == 1\n"
+            "assert 'numpy.polynomial' not in sys.modules\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMcQ:

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import pytest
 
-from mixpois.errors import DomainError
-from mixpois.queue import DetService, ExpService, Pareto2Service
-from mixpois.rates import Exponential, PoissonRate
+from mixpois.errors import DomainError, HypothesisWarning
+from mixpois.queue import DetService, ExpService, Pareto2Service, queue_approx
+from mixpois.rates import DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint
 from mixpois.staffing import solve_staffing, staffing_table
 
 POIS2 = PoissonRate(2.0)
@@ -50,6 +51,29 @@ class TestSolveStaffing:
             solve_staffing(POIS2, ExpService(0.5), 100, 1e-3, tol=-1.0)
         with pytest.raises(DomainError):
             solve_staffing(POIS2, ExpService(0.5), 0, 1e-3)
+        for N, eps in ((math.inf, 1e-3), (100, math.nan), (100, math.inf)):
+            with pytest.raises(DomainError):
+                solve_staffing(POIS2, ExpService(0.5), N, eps)
+
+    @pytest.mark.parametrize("dist,service", [
+        (Exponential(2.5), ExpService(0.5)),
+        (GammaRate(2.0, 1.5), Pareto2Service(0.5)),
+        (POIS2, DetService(0.5)),
+        (TwoPoint(0.75, 1.0, 5.0), ExpService(0.05)),
+        (DeterministicRate(2.0), Pareto2Service(1.0)),
+    ], ids=lambda x: x.label())
+    def test_level_round_trip(self, dist, service):
+        # the level returned meets the termination band when fed back
+        eps, tol = 1e-3, 1e-9
+        r = solve_staffing(dist, service, 100, eps, tol=tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HypothesisWarning)
+            assert abs(queue_approx(dist, service, 100.0, r.a_eps).Q_check - eps) < tol
+
+    def test_no_hypothesis_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HypothesisWarning)
+            solve_staffing(POIS2, DetService(0.5), 100, 1e-3)
 
     def test_verification_attached(self):
         r = solve_staffing(POIS2, ExpService(0.5), 100, 1e-3, verify_runs=200_000)
@@ -82,6 +106,15 @@ class TestStaffingTable:
         # of exponential rates
         rows = staffing_table(Exponential(2.5), [ExpService(0.5)], 1, [1e-12], tol=1e-14)
         assert rows[0].error is not None and "MgfDomainError" in rows[0].error
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only package errors become row errors
+        def broken(self, tau, sf, sf_complement):
+            raise TypeError("broken integrand")
+
+        monkeypatch.setattr(PoissonRate, "damped_cgf", broken)
+        with pytest.raises(TypeError, match="broken integrand"):
+            staffing_table(POIS2, [ExpService(0.5)], 100, [1e-3])
 
     def test_empty_lists_rejected(self):
         with pytest.raises(DomainError):
