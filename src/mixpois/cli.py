@@ -14,8 +14,8 @@ import math
 import sys
 
 from . import gamma_exact, queue, sampling, staffing, tail_asymptotics
-from .errors import ConvergenceError
-from .rates import Exponential, GammaRate, parse_rate
+from .errors import ConvergenceError, ParseError
+from .rates import GammaRate, parse_rate
 from .sampling import StreamPartition
 
 __all__ = ["main", "build_parser"]
@@ -43,6 +43,21 @@ def _write_rows(args, fieldnames: list[str], rows: list[dict]) -> None:
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def _finite_float(text: str) -> float:
+    """The argparse type of every float option: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    return [_finite_float(part) for part in text.split(",")]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -75,9 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True,
                    help="rate law: exp:<lam> | gamma:<beta>,<lam> | pois:<lam> | "
                         "twopoint:<p>,<lam1>,<lam2> | det:<lam>")
-    p.add_argument("--alpha", type=float, required=True, help="resampling exponent, > 0")
-    p.add_argument("--a", type=float, required=True, help="overflow level, above the mean rate")
-    p.add_argument("--N", type=float, required=True, help="scale parameter, > 0")
+    p.add_argument("--alpha", type=_finite_float, required=True, help="resampling exponent, > 0")
+    p.add_argument("--a", type=_finite_float, required=True,
+                   help="overflow level, above the mean rate")
+    p.add_argument("--N", type=_finite_float, required=True, help="scale parameter, > 0")
     p.add_argument("--quantity", choices=("p", "P"), default="P",
                    help="point probability (p) or tail (P); default P")
     _add_common(p)
@@ -91,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(beta = 1) and a > 1/lam; it is left empty otherwise.",
     )
     p.add_argument("--dist", required=True, help="exp:<lam> or gamma:<beta>,<lam>")
-    p.add_argument("--alpha", type=float, required=True, help="resampling exponent, > 0")
-    p.add_argument("--a", type=float, required=True, help="level with N*a integer")
-    p.add_argument("--N", type=float, required=True, help="scale parameter, > 0")
+    p.add_argument("--alpha", type=_finite_float, required=True, help="resampling exponent, > 0")
+    p.add_argument("--a", type=_finite_float, required=True, help="level with N*a integer")
+    p.add_argument("--N", type=_finite_float, required=True, help="scale parameter, > 0")
     _add_common(p)
     p.set_defaults(handler=_cmd_exact_gamma)
 
@@ -107,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--method", choices=("mc", "is-fast", "is-slow"), required=True)
     p.add_argument("--dist", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--N", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
+    p.add_argument("--N", type=_finite_float, required=True)
     p.add_argument("--runs", type=int, required=True, help="Monte Carlo runs, >= 1")
     p.add_argument("--quantity", choices=("p", "P"), default="P",
                    help="is-fast only: point (p) or tail (P); default P")
@@ -126,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dist", required=True)
     p.add_argument("--service", required=True, help="exp:<E> | det:<E> | pareto:<E>")
-    p.add_argument("--N", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--N", type=_finite_float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_queue_approx)
 
@@ -140,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True)
     p.add_argument("--service", required=True)
     p.add_argument("--N", type=int, required=True, help="slot count, positive integer")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
     p.add_argument("--runs", type=int, required=True)
     _add_seeding(p)
     _add_common(p)
@@ -168,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--service", required=True,
                    help="service law or comma-separated list of them")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--eps", required=True, help="target level(s) in (0,1), comma-separated")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--eps", type=_finite_floats, required=True,
+                   help="target level(s) in (0,1), comma-separated")
+    p.add_argument("--tol", type=_finite_float, default=1e-9,
                    help="bisection tolerance on |Q - eps| (default 1e-9)")
     p.add_argument("--verify-runs", type=int, default=0,
                    help="crude MC audit runs at the solution (default 0 = off)")
@@ -211,17 +228,16 @@ def _cmd_approx(args) -> tuple[list[str], list[dict]]:
 
 def _cmd_exact_gamma(args) -> tuple[list[str], list[dict]]:
     dist = parse_rate(args.dist)
-    if not isinstance(dist, (Exponential, GammaRate)):
-        raise ValueError("--dist: exact-gamma needs an exp:<lam> or gamma:<beta>,<lam> rate law")
-    beta = dist.beta if isinstance(dist, GammaRate) else 1.0
-    case = gamma_exact.GammaCase(beta=beta, lam=dist.lam, alpha=args.alpha, a=args.a, N=args.N)
+    if not isinstance(dist, GammaRate):
+        raise ParseError("--dist: exact-gamma needs an exp:<lam> or gamma:<beta>,<lam> rate law")
+    case = gamma_exact.GammaCase(beta=dist.beta, lam=dist.lam, alpha=args.alpha, a=args.a, N=args.N)
     log_p = gamma_exact.log_p_exact(case)
     row = {
         "N": args.N, "alpha": args.alpha, "a": args.a,
         "p_exact": math.exp(log_p), "p_asym": None, "ratio": None,
         "log_p_exact": log_p, "log_p_asym": None,
     }
-    if beta == 1.0 and args.a > 1.0 / dist.lam:
+    if dist.beta == 1.0 and args.a > 1.0 / dist.lam:
         if args.alpha > 1.0:
             asym = gamma_exact.p_asym_fast(case)
         elif args.alpha < 1.0:
@@ -294,10 +310,9 @@ def _cmd_omega(args) -> tuple[list[str], list[dict]]:
 def _cmd_staff(args) -> tuple[list[str], list[dict]]:
     dist = parse_rate(args.dist)
     services = [queue.parse_service(s) for s in args.service.split(",")]
-    eps_list = [float(e) for e in args.eps.split(",")]
     rows_out = []
     table = staffing.staffing_table(
-        dist, services, args.N, eps_list, tol=args.tol,
+        dist, services, args.N, args.eps, tol=args.tol,
         verify_runs=args.verify_runs, base_seed=args.seed,
     )
     if all(row.error is not None for row in table):
@@ -371,7 +386,10 @@ def _cmd_repro(args) -> tuple[list[str], list[dict]]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     try:
         fields, rows = args.handler(args)
         _write_rows(args, fields, rows)

@@ -145,7 +145,7 @@ def compound_z(dist: RateDistribution, a: float) -> CompoundZ:
     u_max = math.inf if math.isinf(sup) else 1.0 + sup - 1e-12 * max(1.0, abs(sup))
 
     def g(u: float) -> float:
-        return u * dist.cgf_d1(u - 1.0) - a
+        return u * float(dist.cgf(u - 1.0)[1]) - a
 
     # g(1) = mean - a < 0, so the root lies in (1, u_max)
     hint_hi = 2.0 if math.isinf(u_max) else 1.0 + 0.5 * (u_max - 1.0)
@@ -157,6 +157,7 @@ def compound_z(dist: RateDistribution, a: float) -> CompoundZ:
         hi_limit=u_max,
     )
     theta = math.log(u)
-    rate = theta * a - dist.cgf(u - 1.0)
-    variance = a + u * u * dist.cgf_d2(u - 1.0)
+    k0, _, k2 = dist.cgf(u - 1.0)
+    rate = theta * a - float(k0)
+    variance = a + u * u * float(k2)
     return CompoundZ(dist=dist, a=a, rate=rate, theta_star=theta, variance_at_tilt=variance)

@@ -233,7 +233,7 @@ class _Rule:
 
     def integrals(self, dist: RateDistribution, tau: float) -> tuple[float, float, float]:
         with np.errstate(over="ignore"):  # an overflow shows as an infinite integral
-            k0, k1, k2 = dist.damped_cgf(tau, self.sf, self.sf_complement)
+            k0, k1, k2 = dist.cgf(tau, self.sf, self.sf_complement)
             w, sf = self.weights, self.sf
             return (
                 float(np.sum(w * k0)),

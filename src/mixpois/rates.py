@@ -1,14 +1,17 @@
 """Arrival-rate distributions and their large-deviations machinery.
 
-Each distribution knows its cumulant generating function (CGF) with two
-derivatives, the supremum of the MGF domain, the supremum of its support,
-how to sample itself, and how to sample its exponentially twisted version.
+Each distribution knows the supremum of its MGF domain and of its support,
+how to sample itself and its exponentially twisted version, and its
+cumulant generating function (CGF) through one method, ``cgf``: it returns
+the CGF and its first two derivatives at a scalar tilt or at an array of
+damped tilts.  Exponential rates are the gamma law of shape 1, built by
+``Exponential(lam)``.  Constructors reject non-finite parameters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +37,14 @@ class RateDistribution:
 
     lattice: bool = False
 
+    def _check_finite(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"{field.name} of {type(self).__name__} must be finite, got {value}"
+                )
+
     @property
     def mean(self) -> float:
         raise NotImplementedError
@@ -52,37 +63,22 @@ class RateDistribution:
         """Supremum of the support (b+)."""
         return math.inf
 
-    def _check_theta(self, theta: float) -> None:
-        if theta >= self.mgf_domain_sup:
-            raise DomainError(
-                f"theta={theta} is outside the MGF domain (sup {self.mgf_domain_sup}) of {self}"
-            )
+    def cgf(self, tau, sf=1.0, sf_complement=0.0):
+        """CGF and its first two derivatives (k, k', k'') at the tilts tau * sf.
 
-    def cgf(self, theta: float) -> float:
-        raise NotImplementedError
-
-    def cgf_d1(self, theta: float) -> float:
-        raise NotImplementedError
-
-    def cgf_d2(self, theta: float) -> float:
+        ``tau`` and ``sf`` are scalars or numpy arrays; a scalar call gives
+        scalars (take them with ``float``).  ``sf_complement`` must be 1 - sf,
+        computed by the caller without cancellation.  It lets finite-MGF kinds
+        compute the distance to their wall as lam - tau*sf = (lam - tau) +
+        tau*(1 - sf), a sum of nonnegative terms when 0 <= tau < lam; other
+        kinds ignore it.
+        """
         raise NotImplementedError
 
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
     def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def damped_cgf(
-        self, tau: float, sf: np.ndarray, sf_complement: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CGF and its first two derivatives at the damped tilts tau * sf.
-
-        ``sf_complement`` is 1 - sf, computed by the caller without
-        cancellation.  It lets finite-MGF kinds compute the distance to
-        their wall as lam - tau*sf = (lam - tau) + tau*(1 - sf), a sum of
-        nonnegative terms when 0 <= tau < lam; other kinds ignore it.
-        """
         raise NotImplementedError
 
     # range of means reachable by exponential tilting (open interval)
@@ -96,72 +92,6 @@ class RateDistribution:
         raise NotImplementedError
 
 
-def _gamma_damped_cgf(dist, beta: float, tau: float, sf_complement: np.ndarray):
-    """Damped CGF triple of a gamma law with shape beta and rate dist.lam."""
-    gap = (dist.lam - tau) + tau * sf_complement
-    if not np.all(gap > 0.0):
-        raise DomainError(f"tilt {tau} reaches the MGF wall of {dist}")
-    return beta * (math.log(dist.lam) - np.log(gap)), beta / gap, beta / gap**2
-
-
-@dataclass(frozen=True)
-class Exponential(RateDistribution):
-    """Exponential with rate lam (mean 1/lam)."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise DomainError(f"exponential rate must be positive, got {self.lam}")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.lam
-
-    @property
-    def variance(self) -> float:
-        return 1.0 / self.lam**2
-
-    @property
-    def mgf_domain_sup(self) -> float:
-        return self.lam
-
-    def cgf(self, theta: float) -> float:
-        self._check_theta(theta)
-        return -math.log1p(-theta / self.lam)
-
-    def cgf_d1(self, theta: float) -> float:
-        self._check_theta(theta)
-        return 1.0 / (self.lam - theta)
-
-    def cgf_d2(self, theta: float) -> float:
-        self._check_theta(theta)
-        return 1.0 / (self.lam - theta) ** 2
-
-    def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
-        return stream.exponential(1.0 / self.lam, size=n)
-
-    def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
-        self._check_theta(theta)
-        return stream.exponential(1.0 / (self.lam - theta), size=n)
-
-    def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
-        theta = self.lam - 1.0 / a
-        return RateFunctionPoint(
-            a=a,
-            value=self.lam * a - 1.0 - math.log(self.lam * a),
-            theta_star=theta,
-            second_deriv=a * a,
-            first_deriv_of_I=theta,
-        )
-
-    def damped_cgf(self, tau, sf, sf_complement):
-        return _gamma_damped_cgf(self, 1.0, tau, sf_complement)
-
-    def label(self) -> str:
-        return f"exp:{self.lam:g}"
-
-
 @dataclass(frozen=True)
 class GammaRate(RateDistribution):
     """Gamma with shape beta and rate lam (mean beta/lam)."""
@@ -170,6 +100,7 @@ class GammaRate(RateDistribution):
     lam: float
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if not (self.beta > 0.0 and self.lam > 0.0):
             raise DomainError(f"gamma parameters must be positive, got beta={self.beta}, lam={self.lam}")
 
@@ -185,23 +116,19 @@ class GammaRate(RateDistribution):
     def mgf_domain_sup(self) -> float:
         return self.lam
 
-    def cgf(self, theta: float) -> float:
-        self._check_theta(theta)
-        return -self.beta * math.log1p(-theta / self.lam)
-
-    def cgf_d1(self, theta: float) -> float:
-        self._check_theta(theta)
-        return self.beta / (self.lam - theta)
-
-    def cgf_d2(self, theta: float) -> float:
-        self._check_theta(theta)
-        return self.beta / (self.lam - theta) ** 2
+    def cgf(self, tau, sf=1.0, sf_complement=0.0):
+        gap = (self.lam - tau) + tau * sf_complement
+        if not np.all(gap > 0.0):
+            raise DomainError(f"tilt {tau} reaches the MGF wall of {self}")
+        # log1p keeps full relative accuracy as the tilt goes to zero
+        return self.beta * np.log1p(tau * sf / gap), self.beta / gap, self.beta / gap**2
 
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         return stream.gamma(self.beta, 1.0 / self.lam, size=n)
 
     def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
-        self._check_theta(theta)
+        if not theta < self.lam:
+            raise DomainError(f"theta={theta} is outside the MGF domain (sup {self.lam}) of {self}")
         return stream.gamma(self.beta, 1.0 / (self.lam - theta), size=n)
 
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
@@ -214,11 +141,15 @@ class GammaRate(RateDistribution):
             first_deriv_of_I=theta,
         )
 
-    def damped_cgf(self, tau, sf, sf_complement):
-        return _gamma_damped_cgf(self, self.beta, tau, sf_complement)
-
     def label(self) -> str:
+        if self.beta == 1.0:
+            return f"exp:{self.lam:g}"
         return f"gamma:{self.beta:g},{self.lam:g}"
+
+
+def Exponential(lam: float) -> GammaRate:
+    """Exponential with rate lam (mean 1/lam): the gamma law of shape 1."""
+    return GammaRate(1.0, lam)
 
 
 @dataclass(frozen=True)
@@ -229,6 +160,7 @@ class PoissonRate(RateDistribution):
     lattice = True
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if not self.lam > 0.0:
             raise DomainError(f"poisson mean must be positive, got {self.lam}")
 
@@ -240,16 +172,7 @@ class PoissonRate(RateDistribution):
     def variance(self) -> float:
         return self.lam
 
-    def cgf(self, theta: float) -> float:
-        return self.lam * math.expm1(theta)
-
-    def cgf_d1(self, theta: float) -> float:
-        return self.lam * math.exp(theta)
-
-    def cgf_d2(self, theta: float) -> float:
-        return self.lam * math.exp(theta)
-
-    def damped_cgf(self, tau, sf, sf_complement):
+    def cgf(self, tau, sf=1.0, sf_complement=0.0):
         u = tau * sf
         d1 = self.lam * np.exp(u)
         return self.lam * np.expm1(u), d1, d1
@@ -284,6 +207,7 @@ class TwoPoint(RateDistribution):
     lattice = True
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if not (0.0 < self.p < 1.0):
             raise DomainError(f"two-point weight must satisfy 0 < p < 1, got {self.p}")
         if not (0.0 < self.lam1 < self.lam2):
@@ -303,33 +227,16 @@ class TwoPoint(RateDistribution):
     def support_sup(self) -> float:
         return self.lam2
 
-    def _log_weights(self, theta: float) -> tuple[float, float, float]:
+    def _log_weights(self, theta):
         """Shifted log weights (w1, w2, shift) with max(w1, w2) = 0."""
         a1 = math.log(self.p) + theta * self.lam1
         a2 = math.log1p(-self.p) + theta * self.lam2
-        m = max(a1, a2)
+        m = np.maximum(a1, a2)
         return a1 - m, a2 - m, m
 
-    def cgf(self, theta: float) -> float:
-        b1, b2, m = self._log_weights(theta)
-        return m + math.log(math.exp(b1) + math.exp(b2))
-
-    def cgf_d1(self, theta: float) -> float:
-        b1, b2, _ = self._log_weights(theta)
-        w1, w2 = math.exp(b1), math.exp(b2)
-        return (self.lam1 * w1 + self.lam2 * w2) / (w1 + w2)
-
-    def cgf_d2(self, theta: float) -> float:
-        b1, b2, _ = self._log_weights(theta)
-        w1, w2 = math.exp(b1), math.exp(b2)
-        return w1 * w2 * (self.lam2 - self.lam1) ** 2 / (w1 + w2) ** 2
-
-    def damped_cgf(self, tau, sf, sf_complement):
-        u = tau * sf
-        a1 = math.log(self.p) + u * self.lam1
-        a2 = math.log1p(-self.p) + u * self.lam2
-        m = np.maximum(a1, a2)
-        w1, w2 = np.exp(a1 - m), np.exp(a2 - m)
+    def cgf(self, tau, sf=1.0, sf_complement=0.0):
+        b1, b2, m = self._log_weights(tau * sf)
+        w1, w2 = np.exp(b1), np.exp(b2)
         total = w1 + w2
         return (
             m + np.log(total),
@@ -365,6 +272,7 @@ class DeterministicRate(RateDistribution):
     lattice = True
 
     def __post_init__(self) -> None:
+        self._check_finite()
         if not self.lam > 0.0:
             raise DomainError(f"deterministic rate must be positive, got {self.lam}")
 
@@ -380,16 +288,7 @@ class DeterministicRate(RateDistribution):
     def support_sup(self) -> float:
         return self.lam
 
-    def cgf(self, theta: float) -> float:
-        return self.lam * theta
-
-    def cgf_d1(self, theta: float) -> float:
-        return self.lam
-
-    def cgf_d2(self, theta: float) -> float:
-        return 0.0
-
-    def damped_cgf(self, tau, sf, sf_complement):
+    def cgf(self, tau, sf=1.0, sf_complement=0.0):
         u = tau * sf
         return self.lam * u, np.full_like(u, self.lam), np.zeros_like(u)
 
@@ -457,16 +356,17 @@ def rate_function(dist: RateDistribution, a: float, method: str = "auto") -> Rat
     sup = dist.mgf_domain_sup
     hi_limit = math.inf if math.isinf(sup) else sup - 1e-12 * max(1.0, abs(sup))
     theta = find_root_increasing(
-        lambda t: dist.cgf_d1(t) - a,
+        lambda t: float(dist.cgf(t)[1]) - a,
         Interval(-1.0, min(1.0, hi_limit)),
         tol=1e-13,
         hi_limit=hi_limit,
     )
+    k0, _, k2 = dist.cgf(theta)
     return RateFunctionPoint(
         a=a,
-        value=theta * a - dist.cgf(theta),
+        value=theta * a - float(k0),
         theta_star=theta,
-        second_deriv=dist.cgf_d2(theta),
+        second_deriv=float(k2),
         first_deriv_of_I=theta,
     )
 

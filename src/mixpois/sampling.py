@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from .poisson_ldp import ceil_count, exact_count
-from .rates import Exponential, GammaRate, RateDistribution, rate_function
+from .rates import GammaRate, RateDistribution, rate_function
 
 __all__ = [
     "Z_95",
@@ -160,14 +160,13 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     """Sampler of the pooled rate sum over the N^alpha slots.
 
     Returns (draw(rng, m) -> pooled sums, slot_divisor, scalars_per_run).
-    Exponential/gamma kinds pool into a single gamma draw with real shape;
-    other kinds draw round(N^alpha) i.i.d. slots.
+    Gamma kinds (exponential included) pool into a single gamma draw with
+    real shape; other kinds draw round(N^alpha) i.i.d. slots.
     """
     n_alpha = math.exp(alpha * math.log(N))
-    if isinstance(dist, (Exponential, GammaRate)):
-        beta = dist.beta if isinstance(dist, GammaRate) else 1.0
+    if isinstance(dist, GammaRate):
         lam = dist.lam if theta is None else dist.lam - theta
-        shape = n_alpha * beta
+        shape = n_alpha * dist.beta
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             return rng.gamma(shape, 1.0 / lam, size=m)
@@ -333,7 +332,7 @@ def is_slow(
             f"twist target a={a} is not below the support supremum {dist.support_sup}"
         )
     theta_a = rate_function(dist, a).theta_star
-    cgf_at_twist = dist.cgf(theta_a)
+    cgf_at_twist = float(dist.cgf(theta_a)[0])
     draw, divisor, scalars, slot_count = _slot_sampler(dist, alpha, N, theta=theta_a)
     _check_budget(runs, scalars + 1, op_budget)
     k = ceil_count(N * a)

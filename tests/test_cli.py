@@ -77,6 +77,7 @@ class TestExactGamma:
             capsys,
         )
         assert code == 2
+        assert err.startswith("error: --dist: exact-gamma needs")
 
     def test_general_shape_leaves_series_blank(self, capsys):
         code, out, _ = run_cli(
@@ -110,6 +111,36 @@ class TestSimulate:
         is_ = parse_csv(out_is)[0]
         joint = math.hypot(float(mc["ci_halfwidth"]), float(is_["ci_halfwidth"]))
         assert abs(float(mc["estimate"]) - float(is_["estimate"])) < 3.0 * joint
+
+
+NON_FINITE_INPUTS = {
+    "approx alpha": ["approx", "--dist", "exp:2.5", "--alpha", "nan", "--a", "1", "--N", "40"],
+    "approx N": ["approx", "--dist", "exp:2.5", "--alpha", "5", "--a", "1", "--N", "nan"],
+    "approx a": ["approx", "--dist", "exp:2.5", "--alpha", "5", "--a", "inf", "--N", "40"],
+    "approx rate law": ["approx", "--dist", "exp:inf", "--alpha", "5", "--a", "1", "--N", "40"],
+    "exact-gamma alpha": ["exact-gamma", "--dist", "exp:2.5", "--alpha", "inf", "--a", "1",
+                          "--N", "40"],
+    "simulate N": ["simulate", "--method", "is-slow", "--dist", "exp:2.5", "--alpha", "0.5",
+                   "--a", "2", "--N", "inf", "--runs", "10"],
+    "simulate alpha": ["simulate", "--method", "mc", "--dist", "exp:2.5", "--alpha", "nan",
+                       "--a", "2", "--N", "8", "--runs", "10"],
+    "simulate rate law": ["simulate", "--method", "mc", "--dist", "twopoint:0.5,1,inf",
+                          "--alpha", "0.5", "--a", "2", "--N", "8", "--runs", "10"],
+    "queue-sim a": ["queue-sim", "--dist", "pois:2", "--service", "exp:0.5", "--N", "10",
+                    "--a", "nan", "--runs", "10"],
+    "staff eps": ["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100",
+                  "--eps", "1e-3,nan"],
+    "staff tol": ["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100",
+                  "--eps", "1e-3", "--tol", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("error", "usage:"))
 
 
 class TestQueueCommands:

@@ -12,7 +12,7 @@ from mixpois.poisson_ldp import (
     poisson_rate,
     psi_exact,
 )
-from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint
+from mixpois.rates import DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint
 
 
 def poisson_tail_by_summation(mean: float, k: int) -> float:
@@ -118,6 +118,19 @@ class TestCompoundZ:
         assert math.exp(z.theta_star) == pytest.approx(a * (1.0 + lam) / (1.0 + a), rel=1e-11)
         assert z.variance_at_tilt == pytest.approx(a * (1.0 + a), rel=1e-10)
 
+    @pytest.mark.parametrize("dist", [Exponential(2.5), GammaRate(2.0, 1.0)],
+                             ids=lambda d: d.label())
+    @pytest.mark.parametrize("excess", [1e-1, 1e-3, 1e-5])
+    def test_gamma_closed_form_near_zero_tilt(self, dist, excess):
+        # u* = a(lam + 1)/(a + beta), rate = a log u* + beta log1p(-(u* - 1)/lam);
+        # the rate is O(excess^2), so the CGF must keep its relative accuracy
+        # as the tilt goes to zero
+        beta, lam = dist.beta, dist.lam
+        a = dist.mean + excess
+        u = a * (lam + 1.0) / (a + beta)
+        rate = a * math.log(u) + beta * math.log1p(-(u - 1.0) / lam)
+        assert compound_z(dist, a).rate == pytest.approx(rate, rel=1e-9, abs=0.0)
+
     def test_deterministic_reduces_to_poisson(self):
         z = compound_z(DeterministicRate(1.0), 2.0)
         p = poisson_rate(2.0, 1.0)
@@ -136,7 +149,7 @@ class TestCompoundZ:
     )
     def test_duality(self, dist, a):
         z = compound_z(dist, a)
-        assert z.theta_star * a - dist.cgf(math.expm1(z.theta_star)) - z.rate == pytest.approx(
+        assert z.theta_star * a - dist.cgf(math.expm1(z.theta_star))[0] - z.rate == pytest.approx(
             0.0, abs=1e-10
         )
         assert z.variance_at_tilt > 0.0

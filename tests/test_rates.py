@@ -74,40 +74,53 @@ class TestConstruction:
 class TestCgf:
     @pytest.mark.parametrize("dist", ALL_KINDS)
     def test_normalization(self, dist):
-        assert dist.cgf(0.0) == pytest.approx(0.0, abs=1e-14)
-        assert dist.cgf_d1(0.0) == pytest.approx(dist.mean, rel=1e-13)
-        assert dist.cgf_d2(0.0) == pytest.approx(dist.variance, rel=1e-12, abs=1e-13)
+        k0, k1, k2 = dist.cgf(0.0)
+        assert k0 == pytest.approx(0.0, abs=1e-14)
+        assert k1 == pytest.approx(dist.mean, rel=1e-13)
+        assert k2 == pytest.approx(dist.variance, rel=1e-12, abs=1e-13)
 
     def test_exponential_values(self):
         # d/dt of -log(1 - t/lam) is 1/(lam - t)
-        e = Exponential(2.0)
-        assert e.cgf(1.0) == pytest.approx(math.log(2.0), abs=1e-13)
-        assert e.cgf_d1(1.0) == pytest.approx(1.0, abs=1e-13)
-        assert e.cgf_d2(1.0) == pytest.approx(1.0, abs=1e-13)
+        k0, k1, k2 = Exponential(2.0).cgf(1.0)
+        assert k0 == pytest.approx(math.log(2.0), abs=1e-13)
+        assert k1 == pytest.approx(1.0, abs=1e-13)
+        assert k2 == pytest.approx(1.0, abs=1e-13)
 
     def test_two_point_mean(self):
-        assert TwoPoint(0.75, 1.0, 5.0).cgf_d1(0.0) == pytest.approx(2.0)
+        assert TwoPoint(0.75, 1.0, 5.0).cgf(0.0)[1] == pytest.approx(2.0)
 
     def test_two_point_overflow_safe(self):
         tp = TwoPoint(0.75, 1.0, 5.0)
         # at a huge tilt the high state dominates; values must stay finite
-        assert tp.cgf_d1(300.0) == pytest.approx(5.0)
-        assert tp.cgf(300.0) == pytest.approx(300.0 * 5.0 + math.log(0.25), rel=1e-12)
+        k0, k1, _ = tp.cgf(300.0)
+        assert k1 == pytest.approx(5.0)
+        assert k0 == pytest.approx(300.0 * 5.0 + math.log(0.25), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             Exponential(2.0).cgf(2.0)
         with pytest.raises(DomainError):
-            GammaRate(1.0, 2.0).cgf_d1(3.0)
+            GammaRate(1.0, 2.0).cgf(3.0)
+        with pytest.raises(DomainError):
+            Exponential(2.0).sample_twisted(2.0, rng(), 10)
 
     @pytest.mark.parametrize("dist", ALL_KINDS[:4])
     def test_derivatives_by_finite_differences(self, dist):
         h = 1e-6
-        for t in (-0.5, 0.0, 0.7):
-            d1 = (dist.cgf(t + h) - dist.cgf(t - h)) / (2.0 * h)
-            d2 = (dist.cgf(t + h) - 2.0 * dist.cgf(t) + dist.cgf(t - h)) / h**2
-            assert dist.cgf_d1(t) == pytest.approx(d1, rel=1e-7, abs=1e-7)
-            assert dist.cgf_d2(t) == pytest.approx(d2, rel=1e-3, abs=1e-3)
+        ts = (-0.5, 0.0, 0.7)
+        k0 = lambda u: dist.cgf(u)[0]
+        for t in ts:
+            d1 = (k0(t + h) - k0(t - h)) / (2.0 * h)
+            d2 = (k0(t + h) - 2.0 * k0(t) + k0(t - h)) / h**2
+            _, k1, k2 = dist.cgf(t)
+            assert k1 == pytest.approx(d1, rel=1e-7, abs=1e-7)
+            assert k2 == pytest.approx(d2, rel=1e-3, abs=1e-3)
+        # one array call at the damped tilts 1 * sf gives the scalar calls' values
+        sf = np.array(ts)
+        damped = dist.cgf(1.0, sf, 1.0 - sf)
+        for i, t in enumerate(ts):
+            for got, want in zip(damped, dist.cgf(t)):
+                assert got[i] == pytest.approx(float(want), rel=1e-14, abs=1e-15)
 
 
 class TestRateFunction:
@@ -157,7 +170,7 @@ class TestRateFunction:
             if abs(a - dist.mean) > 1e-3:
                 assert point.value > 0.0
             # Legendre duality
-            assert dist.cgf(point.theta_star) + point.value == pytest.approx(
+            assert dist.cgf(point.theta_star)[0] + point.value == pytest.approx(
                 point.theta_star * a, abs=1e-10
             )
             assert point.first_deriv_of_I == point.theta_star
@@ -250,8 +263,19 @@ class TestSampling:
     def test_twist_consistency(self, dist, theta):
         n = 10**6
         x = dist.sample_twisted(theta, rng(11), n)
-        se = math.sqrt(dist.cgf_d2(theta) / n)
-        assert abs(x.mean() - dist.cgf_d1(theta)) < 4.0 * se
+        _, mean, variance = dist.cgf(theta)
+        se = math.sqrt(variance / n)
+        assert abs(x.mean() - mean) < 4.0 * se
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5, 3.7])
+    def test_exponential_draws_are_numpy_exponential_draws(self, lam):
+        # numpy's shape-1 gamma sampler reads the stream exactly as its
+        # exponential sampler does, so seeded exp: Monte Carlo is unchanged
+        dist = Exponential(lam)
+        assert np.array_equal(dist.sample(rng(13), 1000), rng(13).exponential(1.0 / lam, 1000))
+        theta = 0.4 * lam
+        assert np.array_equal(dist.sample_twisted(theta, rng(13), 1000),
+                              rng(13).exponential(1.0 / (lam - theta), 1000))
 
     def test_twisted_exponential_mean_two(self):
         # tilt moving the mean to 2: theta = lam - 1/a = 0.5
@@ -279,6 +303,10 @@ class TestParse:
         assert dist == expected
         assert parse_rate(dist.label()) == expected
 
+    def test_exponential_is_shape_one_gamma(self):
+        assert parse_rate("exp:2.5") == parse_rate("gamma:1,2.5") == GammaRate(1.0, 2.5)
+        assert GammaRate(1.0, 2.5).label() == "exp:2.5"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -292,6 +320,12 @@ class TestParse:
             "gamma:2",
             "exp:-1",
             "pois:abc",
+            "exp:inf",
+            "pois:inf",
+            "det:inf",
+            "gamma:inf,1",
+            "gamma:1,inf",
+            "twopoint:0.5,1,inf",
         ],
     )
     def test_rejects(self, text):

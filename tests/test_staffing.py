@@ -109,10 +109,10 @@ class TestStaffingTable:
 
     def test_programming_errors_propagate(self, monkeypatch):
         # only package errors become row errors
-        def broken(self, tau, sf, sf_complement):
+        def broken(self, tau, sf=1.0, sf_complement=0.0):
             raise TypeError("broken integrand")
 
-        monkeypatch.setattr(PoissonRate, "damped_cgf", broken)
+        monkeypatch.setattr(PoissonRate, "cgf", broken)
         with pytest.raises(TypeError, match="broken integrand"):
             staffing_table(POIS2, [ExpService(0.5)], 100, [1e-3])
 
