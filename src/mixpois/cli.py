@@ -138,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharp infinite-server occupancy tail approximation",
         description="Requires a above the mean load (mean rate times the "
         "integrated complementary service cdf) and, for rate laws with a "
-        "finite MGF domain, a reachable tilt.",
+        "finite MGF domain, a reachable tilt.  Levels where the approximation "
+        "exceeds 1 are rejected.",
     )
     p.add_argument("--dist", required=True)
     p.add_argument("--service", required=True, help="exp:<E> | det:<E> | pareto:<E>")
@@ -252,16 +253,12 @@ def _cmd_exact_gamma(args) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_simulate(args) -> tuple[list[str], list[dict]]:
-    dist = parse_rate(args.dist)
-    partition = StreamPartition(args.seed, args.shards)
-    if args.method == "mc":
-        result = sampling.mc_P(dist, args.alpha, args.a, args.N, args.runs, partition)
-    elif args.method == "is-fast":
-        quantity = "point" if args.quantity == "p" else "tail"
-        result = sampling.is_fast(dist, args.alpha, args.a, args.N, args.runs, partition,
-                                  quantity=quantity)
-    else:
-        result = sampling.is_slow(dist, args.alpha, args.a, args.N, args.runs, partition)
+    config = sampling.EstimatorConfig(
+        args.method, parse_rate(args.dist), args.alpha, args.a, args.runs,
+        quantity="point" if args.quantity == "p" else "tail",
+        base_seed=args.seed, shards=args.shards,
+    )
+    result = config.run(args.N)
     fields = ["method", "N", "alpha", "a", "estimate", "log_estimate",
               "ci_halfwidth", "runs", "seed"]
     row = {

@@ -19,7 +19,7 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count, exact_count, poisson_rate
 from .rates import RateDistribution
-from .sampling import DEFAULT_OP_BUDGET, EstimatorResult, StreamPartition, _check_budget, _run_chunked
+from .sampling import DEFAULT_OP_BUDGET, EstimatorResult, StreamPartition, _run_chunked
 from .tail_asymptotics import DecayRate
 
 __all__ = [
@@ -53,15 +53,17 @@ _REL_TOL = 1e-10
 _THETA_MAX = 350.0
 
 
+@dataclass(frozen=True)
 class ServiceTime:
     """Service-time law described through its complementary cdf."""
 
-    twice_differentiable_on_01: bool = True
+    mean: float
+    twice_differentiable_on_01 = True
 
-    def __init__(self, mean: float):
-        if not (mean > 0.0 and math.isfinite(mean)):
-            raise DomainError(f"service mean must be positive and finite, got {mean}")
-        self.mean = float(mean)
+    def __post_init__(self) -> None:
+        if not (self.mean > 0.0 and math.isfinite(self.mean)):
+            raise DomainError(f"service mean must be positive and finite, got {self.mean}")
+        object.__setattr__(self, "mean", float(self.mean))
 
     def sf(self, x):
         """Complementary distribution function at x >= 0 (a float or an array)."""
@@ -73,10 +75,6 @@ class ServiceTime:
 
     def sf_integral(self, u: float, v: float) -> float:
         """Exact integral of sf over [u, v]."""
-        raise NotImplementedError
-
-    def sf_sq_integral(self, u: float, v: float) -> float:
-        """Exact integral of sf^2 over [u, v]."""
         raise NotImplementedError
 
     def sf_sq_integral_total(self) -> float:
@@ -91,15 +89,6 @@ class ServiceTime:
     def label(self) -> str:
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(mean={self.mean})"
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.mean == other.mean
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.mean))
-
 
 class ExpService(ServiceTime):
     """Exponential service times."""
@@ -113,10 +102,6 @@ class ExpService(ServiceTime):
     def sf_integral(self, u: float, v: float) -> float:
         E = self.mean
         return E * (math.exp(-u / E) - math.exp(-v / E))
-
-    def sf_sq_integral(self, u: float, v: float) -> float:
-        E = self.mean
-        return 0.5 * E * (math.exp(-2.0 * u / E) - math.exp(-2.0 * v / E))
 
     def sf_sq_integral_total(self) -> float:
         return 0.5 * self.mean
@@ -138,9 +123,6 @@ class DetService(ServiceTime):
 
     def sf_integral(self, u: float, v: float) -> float:
         return max(0.0, min(v, self.mean) - min(u, self.mean))
-
-    def sf_sq_integral(self, u: float, v: float) -> float:
-        return self.sf_integral(u, v)
 
     def sf_sq_integral_total(self) -> float:
         return self.mean
@@ -166,10 +148,6 @@ class Pareto2Service(ServiceTime):
     def sf_integral(self, u: float, v: float) -> float:
         E = self.mean
         return E * ((1.0 + u / E) ** -1 - (1.0 + v / E) ** -1)
-
-    def sf_sq_integral(self, u: float, v: float) -> float:
-        E = self.mean
-        return E / 3.0 * ((1.0 + u / E) ** -3 - (1.0 + v / E) ** -3)
 
     def sf_sq_integral_total(self) -> float:
         return self.mean / 3.0
@@ -278,23 +256,31 @@ def _integrals(
     return values
 
 
+def _tilt_cap(dist: RateDistribution) -> float:
+    """Upper limit for a linear tilt: a gap of 1e-9 * max(1, sup) inside the
+    MGF domain, at a logarithmic sliver of the reachable occupancy range."""
+    sup = dist.mgf_domain_sup
+    return math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
+
+
 def _tilt_cap_exp(dist: RateDistribution) -> float:
     """Upper limit for theta when the tilt enters through e^theta - 1.
 
-    The margin keeps the tilt a gap of 1e-9 * max(1, sup) inside the MGF
-    domain, at a logarithmic sliver of the reachable occupancy range.  At the
-    cap the integrands have a boundary layer at x = 0 about 1e-9 service means
-    wide, which the panels graded down to _GRADING_FLOOR service means resolve.
+    At the cap the integrands have a boundary layer at x = 0 about 1e-9
+    service means wide, which the panels graded down to _GRADING_FLOOR service
+    means resolve.
     """
-    sup = dist.mgf_domain_sup
-    if math.isinf(sup):
-        return math.inf
-    return math.log1p(sup - 1e-9 * max(1.0, sup))
+    return math.log1p(_tilt_cap(dist))
 
 
-def _check_level(a: float) -> None:
+def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> float:
+    """The mean load, after checking that the level a is finite and above it."""
     if not math.isfinite(a):
         raise DomainError(f"occupancy level must be finite, got {a}")
+    load = mean_load(dist, service)
+    if not a > load:
+        raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
+    return load
 
 
 def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> float:
@@ -304,10 +290,7 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
     increasing in t; requires a above the mean load and a tilt within the
     MGF domain.
     """
-    _check_level(a)
-    load = mean_load(dist, service)
-    if not a > load:
-        raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
+    _check_rare(dist, service, a)
 
     def g(theta: float) -> float:
         return math.exp(theta) * _integrals(dist, service, math.expm1(theta))[1] - a
@@ -396,11 +379,20 @@ def approx_at_tilt(
 
 
 def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: float) -> QueueApprox:
-    """Sharp approximation of the occupancy point and tail probabilities."""
+    """Sharp approximation of the occupancy point and tail probabilities.
+
+    Raises RarityError where the tail approximation exceeds 1, which happens
+    at levels just above the mean load or at small N.
+    """
     if not (N > 0.0 and math.isfinite(N)):
         raise DomainError(f"N must be positive and finite, got {N}")
     theta = theta_star_queue(dist, service, a)
     _, approx = approx_at_tilt(dist, service, N, theta, a=a, checked=True)
+    if approx.log_Q_check > 0.0:
+        raise RarityError(
+            f"the sharp approximation at a={a}, N={N} gives log Q = "
+            f"{approx.log_Q_check:.6g} > 0, so the level is not rare enough for it"
+        )
     if approx.hypothesis_violated:
         warnings.warn(
             f"{service.label()}: the sharp occupancy formula assumes a twice "
@@ -424,29 +416,27 @@ def mc_Q(
     """Crude Monte Carlo for the occupancy tail (or point mass) at level N*a."""
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
-    _check_budget(runs, N + 1, op_budget)
-    omegas = omega_vector(N, service)
     k = exact_count(N * a) if point else ceil_count(N * a)
+    omegas = None
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
+        nonlocal omegas
+        if omegas is None:  # built on the first chunk, after the budget check
+            omegas = omega_vector(N, service)
         x = dist.sample(rng, m * N).reshape(m, N)
         lam = x @ omegas
         z = rng.poisson(lam)
         hit = (z == k) if point else (z >= k)
         return hit.astype(np.float64)
 
-    weights.scalars_per_run = N + 1
-    return _run_chunked(partition, runs, weights)
+    return _run_chunked(partition, runs, N + 1, op_budget, weights)
 
 
 def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: float) -> DecayRate:
     """Decay rate of the occupancy tail for any alpha > 0."""
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    _check_level(a)
-    load = mean_load(dist, service)
-    if not a > load:
-        raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
+    load = _check_rare(dist, service, a)
 
     if alpha > 1.0:
         return DecayRate(rate=poisson_rate(a, load).rate, gamma=1.0)
@@ -457,8 +447,7 @@ def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: fl
         return DecayRate(rate=theta * a - integral, gamma=1.0)
 
     # linear tilt: sup_t {t a - int CGF(t sf(x)) dx}
-    sup = dist.mgf_domain_sup
-    cap = math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
+    cap = _tilt_cap(dist)
 
     def g(theta: float) -> float:
         return _integrals(dist, service, theta)[1] - a

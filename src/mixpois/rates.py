@@ -63,15 +63,15 @@ class RateDistribution:
         """Supremum of the support (b+)."""
         return math.inf
 
-    def cgf(self, tau, sf=1.0, sf_complement=0.0):
+    def cgf(self, tau, sf=1.0, sf_complement=None):
         """CGF and its first two derivatives (k, k', k'') at the tilts tau * sf.
 
         ``tau`` and ``sf`` are scalars or numpy arrays; a scalar call gives
-        scalars (take them with ``float``).  ``sf_complement`` must be 1 - sf,
-        computed by the caller without cancellation.  It lets finite-MGF kinds
-        compute the distance to their wall as lam - tau*sf = (lam - tau) +
-        tau*(1 - sf), a sum of nonnegative terms when 0 <= tau < lam; other
-        kinds ignore it.
+        scalars (take them with ``float``).  ``sf_complement`` is 1 - sf, by
+        default computed as such; callers with sf near 1 pass it computed
+        without cancellation.  It lets finite-MGF kinds compute the distance to
+        their wall as lam - tau*sf = (lam - tau) + tau*(1 - sf), a sum of
+        nonnegative terms when 0 <= tau < lam; other kinds ignore it.
         """
         raise NotImplementedError
 
@@ -116,7 +116,9 @@ class GammaRate(RateDistribution):
     def mgf_domain_sup(self) -> float:
         return self.lam
 
-    def cgf(self, tau, sf=1.0, sf_complement=0.0):
+    def cgf(self, tau, sf=1.0, sf_complement=None):
+        if sf_complement is None:
+            sf_complement = 1.0 - sf
         gap = (self.lam - tau) + tau * sf_complement
         if not np.all(gap > 0.0):
             raise DomainError(f"tilt {tau} reaches the MGF wall of {self}")
@@ -172,7 +174,7 @@ class PoissonRate(RateDistribution):
     def variance(self) -> float:
         return self.lam
 
-    def cgf(self, tau, sf=1.0, sf_complement=0.0):
+    def cgf(self, tau, sf=1.0, sf_complement=None):
         u = tau * sf
         d1 = self.lam * np.exp(u)
         return self.lam * np.expm1(u), d1, d1
@@ -234,7 +236,7 @@ class TwoPoint(RateDistribution):
         m = np.maximum(a1, a2)
         return a1 - m, a2 - m, m
 
-    def cgf(self, tau, sf=1.0, sf_complement=0.0):
+    def cgf(self, tau, sf=1.0, sf_complement=None):
         b1, b2, m = self._log_weights(tau * sf)
         w1, w2 = np.exp(b1), np.exp(b2)
         total = w1 + w2
@@ -288,7 +290,7 @@ class DeterministicRate(RateDistribution):
     def support_sup(self) -> float:
         return self.lam
 
-    def cgf(self, tau, sf=1.0, sf_complement=0.0):
+    def cgf(self, tau, sf=1.0, sf_complement=None):
         u = tau * sf
         return self.lam * u, np.full_like(u, self.lam), np.zeros_like(u)
 

@@ -8,6 +8,7 @@ a valid configuration can never produce a non-finite weight.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -123,10 +124,21 @@ def pool_results(results: list[EstimatorResult]) -> EstimatorResult:
     return _finalize(n, sum_w, sum_w2, results[0].base_seed)
 
 
-def _run_chunked(partition: StreamPartition, runs: int, weights_fn) -> EstimatorResult:
-    """Drive ``weights_fn(rng, m) -> m weights`` over shards and chunks."""
+def _run_chunked(
+    partition: StreamPartition, runs: int, scalars_per_run: int, op_budget: int, weights
+) -> EstimatorResult:
+    """The estimator driver: checks the draw budget, then runs
+    ``weights(rng, m) -> m per-run weights`` over the shards in chunks of
+    about _CHUNK_SCALARS scalar draws."""
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
+    total = runs * scalars_per_run
+    if total > op_budget:
+        raise BudgetError(
+            f"{runs} runs x {scalars_per_run} draws/run = {total} scalar draws "
+            f"exceed the operation budget {op_budget}; raise op_budget to allow this"
+        )
+    rows = max(1, _CHUNK_SCALARS // scalars_per_run)
     shard_results = []
     for shard_index, shard_runs in partition.layout(runs):
         rng = partition.generator(shard_index)
@@ -134,8 +146,8 @@ def _run_chunked(partition: StreamPartition, runs: int, weights_fn) -> Estimator
         sum_w = 0.0
         sum_w2 = 0.0
         while done < shard_runs:
-            m = min(_chunk_rows(weights_fn), shard_runs - done)
-            w = weights_fn(rng, m)
+            m = min(rows, shard_runs - done)
+            w = weights(rng, m)
             sum_w += float(w.sum())
             sum_w2 += float((w * w).sum())
             done += m
@@ -143,25 +155,12 @@ def _run_chunked(partition: StreamPartition, runs: int, weights_fn) -> Estimator
     return pool_results(shard_results)
 
 
-def _chunk_rows(weights_fn) -> int:
-    return max(1, _CHUNK_SCALARS // max(1, getattr(weights_fn, "scalars_per_run", 1)))
-
-
-def _check_budget(runs: int, scalars_per_run: int, op_budget: int) -> None:
-    total = runs * scalars_per_run
-    if total > op_budget:
-        raise BudgetError(
-            f"{runs} runs x {scalars_per_run} draws/run = {total} scalar draws "
-            f"exceed the operation budget {op_budget}; raise op_budget to allow this"
-        )
-
-
 def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float | None = None):
     """Sampler of the pooled rate sum over the N^alpha slots.
 
-    Returns (draw(rng, m) -> pooled sums, slot_divisor, scalars_per_run).
+    Returns (draw(rng, m) -> pooled sums, slot_count, scalars_per_run).
     Gamma kinds (exponential included) pool into a single gamma draw with
-    real shape; other kinds draw round(N^alpha) i.i.d. slots.
+    real shape N^alpha * beta; other kinds draw round(N^alpha) i.i.d. slots.
     """
     n_alpha = math.exp(alpha * math.log(N))
     if isinstance(dist, GammaRate):
@@ -171,7 +170,7 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             return rng.gamma(shape, 1.0 / lam, size=m)
 
-        return draw, n_alpha, 1, n_alpha
+        return draw, n_alpha, 1
 
     slots = max(1, round(n_alpha))
 
@@ -182,7 +181,7 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
             x = dist.sample_twisted(theta, rng, m * slots)
         return x.reshape(m, slots).sum(axis=1)
 
-    return draw, float(slots), slots, float(slots)
+    return draw, float(slots), slots
 
 
 def mc_P(
@@ -197,17 +196,15 @@ def mc_P(
     """Crude Monte Carlo for the overflow probability P(count >= N*a)."""
     if alpha <= 0.0 or N <= 0.0 or a < 0.0:
         raise DomainError(f"invalid parameters alpha={alpha}, a={a}, N={N}")
-    draw, divisor, scalars, _ = _slot_sampler(dist, alpha, N)
-    _check_budget(runs, scalars + 1, op_budget)
+    draw, slot_count, scalars = _slot_sampler(dist, alpha, N)
     k = ceil_count(N * a)
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         pooled = draw(rng, m)
-        z = rng.poisson(N * pooled / divisor)
+        z = rng.poisson(N * pooled / slot_count)
         return (z >= k).astype(np.float64)
 
-    weights.scalars_per_run = scalars + 1
-    return _run_chunked(partition, runs, weights)
+    return _run_chunked(partition, runs, scalars + 1, op_budget, weights)
 
 
 def is_fast(
@@ -225,8 +222,11 @@ def is_fast(
 
     The Poisson count is proposed with mean N*a and reweighted by the pmf
     ratio against the actually drawn pooled rate; ``quantity`` selects the
-    point mass ("point"), the tail ("tail"), or the tail assembled from a sum
-    of point estimates up to count K ("tail_by_sum").
+    point mass ("point"), the tail ("tail"), or the tail assembled from the
+    point masses at counts k0..K ("tail_by_sum").  There each run draws one
+    pooled rate and one count per level j, proposed with mean j, and its
+    weight is the sum over the levels, so the reported variance includes
+    their covariance.
     """
     if quantity not in ("point", "tail", "tail_by_sum"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -240,67 +240,33 @@ def is_fast(
     if a < dist.mean:
         raise DomainError(f"target a={a} is below the mean {dist.mean}")
 
-    draw, divisor, scalars, _ = _slot_sampler(dist, alpha, N)
-
+    draw, slot_count, scalars = _slot_sampler(dist, alpha, N)
     if quantity == "tail_by_sum":
         if K is None:
             raise DomainError("tail_by_sum needs the cutoff count K")
         k0 = ceil_count(N * a)
         if K < k0:
             raise DomainError(f"cutoff K={K} is below the threshold count {k0}")
-        _check_budget(runs * (K - k0 + 1), scalars + 1, op_budget)
-        levels = [
-            _point_level(dist, draw, divisor, scalars, N, j, runs, partition)
-            for j in range(k0, K + 1)
-        ]
-        n = levels[0].runs
-        est = sum(r.estimate for r in levels)
-        var = sum(r.sample_variance for r in levels)
-        second = sum(r.second_moment for r in levels)
-        return EstimatorResult(
-            estimate=est,
-            sample_variance=var,
-            runs=n,
-            ci_halfwidth_95=Z_95 * math.sqrt(var / n),
-            second_moment=second,
-            base_seed=partition.base_seed,
-            _sum_w=est * n,
-            _sum_w2=second * n,
-        )
-
-    _check_budget(runs, scalars + 1, op_budget)
-    if quantity == "point":
-        k = exact_count(N * a)
+        counts = range(k0, K + 1)
+        levels = [j / N for j in counts]
     else:
-        k = ceil_count(N * a)
-    proposal_mean = N * a
+        counts = [exact_count(N * a) if quantity == "point" else ceil_count(N * a)]
+        levels = [a]
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        xbar = draw(rng, m) / divisor
-        z = rng.poisson(proposal_mean, size=m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = z * np.log(xbar / a) + N * (a - xbar)
-        logw = np.where(xbar > 0.0, logw, -np.inf)  # empty pooled rate: no mass at z >= 1
-        hit = (z == k) if quantity == "point" else (z >= k)
-        return np.exp(logw) * hit
+        xbar = draw(rng, m) / slot_count
 
-    weights.scalars_per_run = scalars + 1
-    return _run_chunked(partition, runs, weights)
+        def at_level(level: float, count: int) -> np.ndarray:
+            z = rng.poisson(N * level, size=m)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logw = z * np.log(xbar / level) + N * (level - xbar)
+            logw = np.where(xbar > 0.0, logw, -np.inf)  # empty pooled rate: no mass at z >= 1
+            hit = (z >= count) if quantity == "tail" else (z == count)
+            return np.exp(logw) * hit
 
+        return functools.reduce(np.add, map(at_level, levels, counts))
 
-def _point_level(dist, draw, divisor, scalars, N, j, runs, partition) -> EstimatorResult:
-    """One point-probability estimate at count j with proposal mean j."""
-
-    def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        xbar = draw(rng, m) / divisor
-        z = rng.poisson(float(j), size=m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = z * np.log(N * xbar / j) + (j - N * xbar)
-        logw = np.where(xbar > 0.0, logw, -np.inf)
-        return np.exp(logw) * (z == j)
-
-    weights.scalars_per_run = scalars + 1
-    return _run_chunked(partition, runs, weights)
+    return _run_chunked(partition, runs, scalars + len(levels), op_budget, weights)
 
 
 def is_slow(
@@ -333,23 +299,21 @@ def is_slow(
         )
     theta_a = rate_function(dist, a).theta_star
     cgf_at_twist = float(dist.cgf(theta_a)[0])
-    draw, divisor, scalars, slot_count = _slot_sampler(dist, alpha, N, theta=theta_a)
-    _check_budget(runs, scalars + 1, op_budget)
+    draw, slot_count, scalars = _slot_sampler(dist, alpha, N, theta=theta_a)
     k = ceil_count(N * a)
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         pooled = draw(rng, m)
-        z = rng.poisson(N * pooled / divisor)
+        z = rng.poisson(N * pooled / slot_count)
         log_l = slot_count * cgf_at_twist - theta_a * pooled
         return np.exp(log_l) * (z >= k)
 
-    weights.scalars_per_run = scalars + 1
-    return _run_chunked(partition, runs, weights)
+    return _run_chunked(partition, runs, scalars + 1, op_budget, weights)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Estimator selection for the efficiency diagnostic."""
+    """Estimator selection for the efficiency diagnostic and ``mixpois simulate``."""
 
     method: str  # "mc" | "is-fast" | "is-slow"
     dist: RateDistribution

@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -156,6 +158,18 @@ class TestQueueCommands:
         assert float(row["log_Q"]) == pytest.approx(math.log(1e-3), rel=1e-3)
         assert float(row["sigma2"]) > float(row["a"])
 
+    @pytest.mark.parametrize("N,a", [("100", "0.87"), ("0.5", "1.3")])
+    def test_queue_approx_above_one_exits_2(self, capsys, N, a):
+        # just above the mean load 0.8647, or at a tiny N, the formula exceeds 1
+        code, out, err = run_cli(
+            ["queue-approx", "--dist", "pois:2", "--service", "exp:0.5", "--N", N, "--a", a],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: the sharp approximation at a={float(a)}, N={float(N)}")
+        assert "log Q = " in err and "> 0" in err
+
     @pytest.mark.parametrize("N,a", [("100", "inf"), ("inf", "1.3"), ("nan", "1.3")])
     def test_queue_approx_non_finite_input_exits_2(self, capsys, N, a):
         code, out, err = run_cli(
@@ -279,3 +293,16 @@ class TestOutputFormat:
             )
             assert proc.returncode == 0
             assert b"--help" in proc.stdout
+
+
+# stdout and exit status of a fixed set of commands: all three simulate
+# methods, sharded and point variants, queue-sim, a verified staff row and
+# omega.  A refactoring leaves them byte-identical; a change of results
+# re-records the file and says why.
+STDOUT_PIN = json.loads((pathlib.Path(__file__).parent / "cli_stdout_pin.json").read_text())
+
+
+@pytest.mark.parametrize("pinned", STDOUT_PIN, ids=[p["argv"] for p in STDOUT_PIN])
+def test_stdout_pin(capsys, pinned):
+    code, out, _ = run_cli(pinned["argv"].split(), capsys)
+    assert (code, out) == (pinned["exit"], pinned["stdout"])

@@ -57,8 +57,6 @@ class TestServiceLaws:
         spec = QuadratureSpec(breakpoints=service.breakpoints_in_unit)
         quad = integrate(service.sf, Interval(0.0, 1.0), spec)
         assert service.sf_integral(0.0, 1.0) == pytest.approx(quad, abs=1e-11)
-        quad_sq = integrate(lambda x: service.sf(x) ** 2, Interval(0.0, 1.0), spec)
-        assert service.sf_sq_integral(0.0, 1.0) == pytest.approx(quad_sq, abs=1e-11)
 
     def test_sq_totals(self):
         assert ExpService(0.7).sf_sq_integral_total() == pytest.approx(0.35, abs=1e-12)

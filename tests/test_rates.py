@@ -86,6 +86,12 @@ class TestCgf:
         assert k1 == pytest.approx(1.0, abs=1e-13)
         assert k2 == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("dist", ALL_KINDS + [GammaRate(1.0, 2.0)])
+    def test_default_complement_follows_sf(self, dist):
+        # without sf_complement, the damped tilt 1 * 0.5 is the scalar tilt 0.5
+        for got, want in zip(dist.cgf(1.0, 0.5), dist.cgf(0.5)):
+            assert float(got) == pytest.approx(float(want), rel=1e-14, abs=1e-15)
+
     def test_two_point_mean(self):
         assert TwoPoint(0.75, 1.0, 5.0).cgf(0.0)[1] == pytest.approx(2.0)
 

@@ -58,8 +58,11 @@ class TestReproducibility:
         r2 = mc_P(partition=StreamPartition(7, 3), **kwargs)
         assert r1 == r2
 
-    def test_shard_merge_equals_full_run(self):
-        kwargs = dict(dist=EXP25, alpha=1.2, a=1.0, N=10.0, runs=50_001)
+    @pytest.mark.parametrize("options", [dict(quantity="tail"),
+                                         dict(quantity="tail_by_sum", K=70)],
+                             ids=["tail", "tail_by_sum"])
+    def test_shard_merge_equals_full_run(self, options):
+        kwargs = dict(dist=EXP25, alpha=1.2, a=1.0, N=10.0, runs=50_001, **options)
         full = is_fast(partition=StreamPartition(7, 3), **kwargs)
         parts = [is_fast(partition=StreamPartition(7, 3, s), **kwargs) for s in range(3)]
         assert pool_results(parts) == full
@@ -127,6 +130,26 @@ class TestFastEstimator:
         exact = P_exact(GammaCase(1.0, 2.5, 1.2, 1.0, 10.0))
         r = is_fast(EXP25, 1.2, 1.0, 10.0, 10**5, PART, quantity="tail_by_sum", K=70)
         assert joint_dev(r, exact) < 4.0
+
+    def test_tail_by_sum_ci_covers_level_covariance(self):
+        # the levels share each run's pooled rate, so the spread of the shard
+        # estimates must match the reported standard errors
+        shards, runs = 200, 1000
+        estimates, reported = [], []
+        for s in range(shards):
+            r = is_fast(EXP25, 2.0, 1.0, 10.0, shards * runs, StreamPartition(2026, shards, s),
+                        quantity="tail_by_sum", K=40)
+            estimates.append(r.estimate)
+            reported.append(r.ci_halfwidth_95 / Z_95)
+        ratio = np.std(estimates, ddof=1) / np.median(reported)
+        assert 0.85 <= ratio <= 1.15
+
+    def test_tail_by_sum_budget_counts_one_draw_per_level(self):
+        # 1 pooled gamma draw and 31 counts (levels 10..40) per run
+        is_fast(EXP25, 2.0, 1.0, 10.0, 100, PART, quantity="tail_by_sum", K=40, op_budget=3200)
+        with pytest.raises(BudgetError):
+            is_fast(EXP25, 2.0, 1.0, 10.0, 100, PART, quantity="tail_by_sum", K=40,
+                    op_budget=3199)
 
     def test_validation(self):
         with pytest.raises(DomainError):
