@@ -15,7 +15,7 @@ import sys
 
 from . import gamma_exact, queue, sampling, staffing, tail_asymptotics
 from .errors import ConvergenceError, ParseError
-from .rates import GammaRate, parse_rate
+from .rates import GammaRate, parse_rate, spec_label
 from .sampling import StreamPartition
 
 __all__ = ["main", "build_parser"]
@@ -33,16 +33,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(args, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_rows(args, rows: list[dict]) -> None:
+    """The rows as CSV, under a header of the first row's keys."""
     out = sys.stdout if args.output is None else open(args.output, "w", newline="")
     try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def _exp(x: float) -> float:
+    """e^x, infinite beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _finite_float(text: str) -> float:
@@ -212,22 +221,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_approx(args) -> tuple[list[str], list[dict]]:
+def _cmd_approx(args) -> list[dict]:
     dist = parse_rate(args.dist)
     tail, point = tail_asymptotics.approx_auto(dist, args.alpha, args.a, args.N)
     chosen = point if args.quantity == "p" else tail
-    fields = ["dist", "alpha", "a", "N", "quantity", "regime", "validity",
-              "gamma_exponent", "log_value", "value"]
-    row = {
+    return [{
         "dist": args.dist, "alpha": args.alpha, "a": args.a, "N": args.N,
         "quantity": args.quantity, "regime": chosen.regime, "validity": chosen.validity,
         "gamma_exponent": chosen.gamma_exponent,
         "log_value": chosen.log_value, "value": chosen.value,
-    }
-    return fields, [row]
+    }]
 
 
-def _cmd_exact_gamma(args) -> tuple[list[str], list[dict]]:
+def _cmd_exact_gamma(args) -> list[dict]:
     dist = parse_rate(args.dist)
     if not isinstance(dist, GammaRate):
         raise ParseError("--dist: exact-gamma needs an exp:<lam> or gamma:<beta>,<lam> rate law")
@@ -235,7 +241,7 @@ def _cmd_exact_gamma(args) -> tuple[list[str], list[dict]]:
     log_p = gamma_exact.log_p_exact(case)
     row = {
         "N": args.N, "alpha": args.alpha, "a": args.a,
-        "p_exact": math.exp(log_p), "p_asym": None, "ratio": None,
+        "p_exact": _exp(log_p), "p_asym": None, "ratio": None,
         "log_p_exact": log_p, "log_p_asym": None,
     }
     if dist.beta == 1.0 and args.a > 1.0 / dist.lam:
@@ -247,64 +253,56 @@ def _cmd_exact_gamma(args) -> tuple[list[str], list[dict]]:
             asym = gamma_exact.p_asym_intermediate(case)
         row["p_asym"] = asym.value
         row["log_p_asym"] = asym.log_value
-        row["ratio"] = math.exp(asym.log_value - log_p)
-    fields = ["N", "alpha", "a", "p_exact", "p_asym", "ratio", "log_p_exact", "log_p_asym"]
-    return fields, [row]
+        row["ratio"] = _exp(asym.log_value - log_p)
+    return [row]
 
 
-def _cmd_simulate(args) -> tuple[list[str], list[dict]]:
+def _estimate_row(head: dict, result: sampling.EstimatorResult, seed: int) -> dict:
+    """The columns ``head`` followed by a Monte Carlo estimate's columns."""
+    return {
+        **head,
+        "estimate": result.estimate,
+        "log_estimate": math.log(result.estimate) if result.estimate > 0.0 else None,
+        "ci_halfwidth": result.ci_halfwidth_95, "runs": result.runs, "seed": seed,
+    }
+
+
+def _cmd_simulate(args) -> list[dict]:
     config = sampling.EstimatorConfig(
         args.method, parse_rate(args.dist), args.alpha, args.a, args.runs,
         quantity="point" if args.quantity == "p" else "tail",
         base_seed=args.seed, shards=args.shards,
     )
-    result = config.run(args.N)
-    fields = ["method", "N", "alpha", "a", "estimate", "log_estimate",
-              "ci_halfwidth", "runs", "seed"]
-    row = {
-        "method": args.method, "N": args.N, "alpha": args.alpha, "a": args.a,
-        "estimate": result.estimate,
-        "log_estimate": math.log(result.estimate) if result.estimate > 0.0 else None,
-        "ci_halfwidth": result.ci_halfwidth_95, "runs": result.runs, "seed": args.seed,
-    }
-    return fields, [row]
+    head = {"method": args.method, "N": args.N, "alpha": args.alpha, "a": args.a}
+    return [_estimate_row(head, config.run(args.N), args.seed)]
 
 
-def _cmd_queue_approx(args) -> tuple[list[str], list[dict]]:
+def _cmd_queue_approx(args) -> list[dict]:
     dist = parse_rate(args.dist)
     service = queue.parse_service(args.service)
     approx = queue.queue_approx(dist, service, args.N, args.a)
-    fields = ["N", "a", "theta_star", "sigma2", "log_q", "log_Q", "Q"]
-    row = {
+    return [{
         "N": args.N, "a": args.a, "theta_star": approx.theta_star,
         "sigma2": approx.sigma2, "log_q": approx.log_q_check,
         "log_Q": approx.log_Q_check, "Q": approx.Q_check,
-    }
-    return fields, [row]
+    }]
 
 
-def _cmd_queue_sim(args) -> tuple[list[str], list[dict]]:
+def _cmd_queue_sim(args) -> list[dict]:
     dist = parse_rate(args.dist)
     service = queue.parse_service(args.service)
     partition = StreamPartition(args.seed, args.shards)
     result = queue.mc_Q(dist, service, args.N, args.a, args.runs, partition)
-    fields = ["method", "N", "a", "estimate", "log_estimate", "ci_halfwidth", "runs", "seed"]
-    row = {
-        "method": "mc", "N": args.N, "a": args.a, "estimate": result.estimate,
-        "log_estimate": math.log(result.estimate) if result.estimate > 0.0 else None,
-        "ci_halfwidth": result.ci_halfwidth_95, "runs": result.runs, "seed": args.seed,
-    }
-    return fields, [row]
+    return [_estimate_row({"method": "mc", "N": args.N, "a": args.a}, result, args.seed)]
 
 
-def _cmd_omega(args) -> tuple[list[str], list[dict]]:
+def _cmd_omega(args) -> list[dict]:
     service = queue.parse_service(args.service)
     omegas = queue.omega_vector(args.N, service)
-    rows = [{"i": i, "omega_i": float(w)} for i, w in enumerate(omegas, start=1)]
-    return ["i", "omega_i"], rows
+    return [{"i": i, "omega_i": float(w)} for i, w in enumerate(omegas, start=1)]
 
 
-def _cmd_staff(args) -> tuple[list[str], list[dict]]:
+def _cmd_staff(args) -> list[dict]:
     dist = parse_rate(args.dist)
     services = [queue.parse_service(s) for s in args.service.split(",")]
     rows_out = []
@@ -322,7 +320,7 @@ def _cmd_staff(args) -> tuple[list[str], list[dict]]:
     for row in table:
         r = row.result
         rows_out.append({
-            "service": row.service.label(), "E": row.service.mean, "eps": row.epsilon,
+            "service": spec_label(row.service), "E": row.service.mean, "eps": row.epsilon,
             "a_eps": r.a_eps if r else None,
             "servers_floor": r.servers_floor if r else None,
             "servers_ceil": r.servers_ceil if r else None,
@@ -336,16 +334,13 @@ def _cmd_staff(args) -> tuple[list[str], list[dict]]:
                                   if r and r.verification else None),
             "error": row.error,
         })
-    fields = ["service", "E", "eps", "a_eps", "servers_floor", "servers_ceil", "M1",
-              "M_inf", "Q_floor_over_eps", "Q_ceil_over_eps", "Q_hat_over_eps",
-              "Q_hat_ci_over_eps", "error"]
-    return fields, rows_out
+    return rows_out
 
 
 _TABLE_SERVICES = "exp:0.05,exp:0.5,exp:1,det:0.05,det:0.5,det:1,pareto:0.05,pareto:0.5,pareto:1"
 
 
-def _cmd_repro(args) -> tuple[list[str], list[dict]]:
+def _cmd_repro(args) -> list[dict]:
     runs = args.runs
     seed = args.seed
     rows = []
@@ -378,7 +373,7 @@ def _cmd_repro(args) -> tuple[list[str], list[dict]]:
     if args.target in ("table2", "all"):
         emit("table2", f"mixpois staff --dist twopoint:0.75,1,5 --service {_TABLE_SERVICES} "
                        f"--N 100 --eps 1e-3,1e-4 --verify-runs {runs} --seed {seed}")
-    return ["target", "command"], rows
+    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -388,8 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
     try:
-        fields, rows = args.handler(args)
-        _write_rows(args, fields, rows)
+        _write_rows(args, args.handler(args))
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+# the tail sum stops once its remainder bound is below this fraction of it
+_TAIL_REL_TOL = 1e-14
+_MAX_TERMS = 10_000  # correction terms a series may take; alpha within 1e-4 of 1 needs more
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class GammaCase:
     """One evaluation instance: slot shape beta, rate lam, exponent alpha,
     target level a and scale N.  N^alpha*beta is the pooled gamma shape and
     need not be an integer; N*a must be a nonnegative integer for point
-    probabilities."""
+    probabilities.  Both must be finite."""
 
     beta: float
     lam: float
@@ -56,10 +59,19 @@ class GammaCase:
             raise DomainError("beta and lam must be positive")
         if not self.alpha > 0.0:
             raise DomainError("alpha must be positive")
-        if self.a < 0.0:
+        if not self.a >= 0.0:
             raise DomainError("a must be nonnegative")
         if not self.N > 0.0:
             raise DomainError("N must be positive")
+        try:
+            finite = math.isfinite(self.shape) and math.isfinite(self.N * self.a)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(
+                f"the pooled shape N^alpha*beta and the count N*a must be finite, "
+                f"got alpha={self.alpha}, N={self.N}, beta={self.beta}, a={self.a}"
+            )
 
     @property
     def shape(self) -> float:
@@ -89,7 +101,10 @@ def _log_pmf(case: GammaCase, k: int) -> float:
     """log of the negative binomial pmf at count k (pooled shape may be real)."""
     r = case.shape
     log_q, log_1mq = case._log_q()
-    return log_gamma(k + r) - log_gamma(k + 1.0) - log_gamma(r) + k * log_q + r * log_1mq
+    value = log_gamma(k + r) - log_gamma(k + 1.0) - log_gamma(r) + k * log_q + r * log_1mq
+    if not math.isfinite(value):
+        raise ConvergenceError(f"the negative binomial log-pmf at k={k:.6g} is {value} for {case}")
+    return value
 
 
 def log_p_exact(case: GammaCase) -> float:
@@ -102,12 +117,12 @@ def p_exact(case: GammaCase) -> float:
     return math.exp(log_p_exact(case))
 
 
-def log_P_exact(case: GammaCase, rel_tol: float = 1e-14) -> float:
+def log_P_exact(case: GammaCase) -> float:
     """log of the exact tail P(count >= N*a), summed in log space.
 
     Terms are accumulated upward from N*a; once past the mode, the remaining
     tail is geometrically dominated by the running term ratio and summation
-    stops when that bound drops below ``rel_tol`` of the partial sum.
+    stops when that bound drops below _TAIL_REL_TOL of the partial sum.
     """
     k0 = case.count
     if k0 == 0:
@@ -124,7 +139,7 @@ def log_P_exact(case: GammaCase, rel_tol: float = 1e-14) -> float:
         ratio_sup = max(ratio, q)  # term ratios approach q monotonically
         if ratio_sup < 1.0:
             log_remainder_bound = log_term + math.log(ratio_sup) - math.log1p(-ratio_sup)
-            if log_remainder_bound < log_sum + math.log(rel_tol):
+            if log_remainder_bound < log_sum + math.log(_TAIL_REL_TOL):
                 return log_sum
         k += 1
         log_term += log_q + math.log((k - 1.0 + r) / k)
@@ -132,13 +147,15 @@ def log_P_exact(case: GammaCase, rel_tol: float = 1e-14) -> float:
     raise ConvergenceError(f"tail summation did not terminate for {case}")
 
 
-def P_exact(case: GammaCase, rel_tol: float = 1e-14) -> float:
+def P_exact(case: GammaCase) -> float:
     """Exact tail probability P(count >= N*a)."""
-    return math.exp(log_P_exact(case, rel_tol))
+    return math.exp(log_P_exact(case))
 
 
 def _truncation_index(x: float) -> int:
     """floor(x), warning when x sits numerically on an integer boundary."""
+    if not x <= _MAX_TERMS:
+        raise ConvergenceError(f"the series needs {x:.6g} correction terms, more than {_MAX_TERMS}")
     if abs(x - round(x)) < _BOUNDARY_TOL:
         warnings.warn(
             f"series truncation index {x} lies on a jump boundary; "
@@ -158,14 +175,17 @@ def fast_series_coefficients(case: GammaCase) -> SeriesCoefficients:
     lam, a = case.lam, case.a
     order = _truncation_index(1.0 / (case.alpha - 1.0))
     values = [-a * math.log(lam * a) + a - 1.0 / lam]
-    for k in range(1, order + 1):
-        values.append(
-            (-1.0) ** k
-            * (
-                lam ** (-k) * (a / k - (1.0 / lam) / (k + 1.0))
-                - a ** (k + 1) * (1.0 / k - 1.0 / (k + 1.0))
+    try:
+        for k in range(1, order + 1):
+            values.append(
+                (-1.0) ** k
+                * (
+                    lam ** (-k) * (a / k - (1.0 / lam) / (k + 1.0))
+                    - a ** (k + 1) * (1.0 / k - 1.0 / (k + 1.0))
+                )
             )
-        )
+    except OverflowError:
+        raise ConvergenceError(f"fast series coefficient {k} overflows for {case}") from None
     return SeriesCoefficients(order=order, values=tuple(values))
 
 
@@ -178,14 +198,17 @@ def slow_series_coefficients(case: GammaCase) -> SeriesCoefficients:
     lam, a = case.lam, case.a
     order = _truncation_index(case.alpha / (1.0 - case.alpha))
     values = [math.log(lam * a) + 1.0 - lam * a]
-    for k in range(1, order + 1):
-        values.append(
-            (-1.0) ** k
-            * (
-                lam**k * (1.0 / k - a * lam / (k + 1.0))
-                - a ** (-k) * (1.0 / k - 1.0 / (k + 1.0))
+    try:
+        for k in range(1, order + 1):
+            values.append(
+                (-1.0) ** k
+                * (
+                    lam**k * (1.0 / k - a * lam / (k + 1.0))
+                    - a ** (-k) * (1.0 / k - 1.0 / (k + 1.0))
+                )
             )
-        )
+    except OverflowError:
+        raise ConvergenceError(f"slow series coefficient {k} overflows for {case}") from None
     return SeriesCoefficients(order=order, values=tuple(values))
 
 

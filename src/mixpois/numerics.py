@@ -20,7 +20,6 @@ __all__ = [
     "Interval",
     "QuadratureSpec",
     "log_gamma",
-    "log_binomial",
     "regularized_lower_gamma",
     "integrate",
     "gauss_legendre",
@@ -28,6 +27,7 @@ __all__ = [
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
+_MAX_EXPANSIONS = 200  # bracket doublings allowed in each direction of a root search
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
 # reconstructed gamma is below 1e-13 over the positive reals.
@@ -105,22 +105,6 @@ def log_gamma(x: float) -> float:
         acc += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def log_binomial(n: float, k: float) -> float:
-    """log of the (generalized) binomial coefficient C(n, k), 0 <= k <= n.
-
-    Evaluated on the canonical smaller index so that the k <-> n-k symmetry
-    holds exactly whenever n - k is representable.
-    """
-    if k < 0.0 or n < 0.0:
-        raise DomainError(f"log_binomial requires nonnegative arguments, got n={n}, k={k}")
-    if k > n:
-        raise DomainError(f"log_binomial requires k <= n, got n={n}, k={k}")
-    if k == 0.0 or k == n:
-        return 0.0
-    small = min(k, n - k)
-    return log_gamma(n + 1.0) - (log_gamma(small + 1.0) + log_gamma(n - small + 1.0))
 
 
 def _lower_gamma_series(s: float, x: float, eps: float = 1e-16) -> float:
@@ -331,14 +315,13 @@ def find_root_increasing(
     tol: float = 1e-12,
     lo_limit: float = -math.inf,
     hi_limit: float = math.inf,
-    max_expansions: int = 200,
 ) -> float:
     """Root of a continuous strictly increasing function.
 
-    The hint bracket is expanded by doubling (never past ``lo_limit`` /
-    ``hi_limit``) until the sign changes, then a bisection/secant hybrid
-    narrows it until ``|g(root)| <= tol`` or the bracket width drops below
-    ``tol``.
+    The hint bracket is expanded by doubling, at most _MAX_EXPANSIONS times
+    and never past ``lo_limit`` / ``hi_limit``, until the sign changes, then
+    a bisection/secant hybrid narrows it until ``|g(root)| <= tol`` or the
+    bracket width drops below ``tol``.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
@@ -348,7 +331,7 @@ def find_root_increasing(
     glo, ghi = g(lo), g(hi)
 
     step = max(hi - lo, 1e-12)
-    for _ in range(max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         if glo <= 0.0:
             break
         if lo <= lo_limit:
@@ -361,7 +344,7 @@ def find_root_increasing(
         raise ConvergenceError("bracket expansion cap reached while moving down")
 
     step = max(hi - lo, 1e-12)
-    for _ in range(max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         if ghi >= 0.0:
             break
         if hi >= hi_limit:

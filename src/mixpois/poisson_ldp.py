@@ -36,8 +36,8 @@ def ceil_count(n_times_a: float) -> int:
     This is the shared convention for turning a real threshold N*a into the
     integer count defining the event {count >= N*a}.
     """
-    if n_times_a < 0.0:
-        raise DomainError(f"count threshold must be nonnegative, got {n_times_a}")
+    if not 0.0 <= n_times_a < math.inf:
+        raise DomainError(f"count threshold must be finite and nonnegative, got {n_times_a}")
     nearest = round(n_times_a)
     if abs(n_times_a - nearest) <= _INT_TOL:
         return int(nearest)
@@ -46,6 +46,8 @@ def ceil_count(n_times_a: float) -> int:
 
 def exact_count(n_times_a: float) -> int:
     """Integer value of N*a, erroring when it is fractional beyond 1e-9."""
+    if not math.isfinite(n_times_a):
+        raise DomainError(f"count must be finite, got N*a = {n_times_a}")
     nearest = round(n_times_a)
     if abs(n_times_a - nearest) > _INT_TOL:
         raise DomainError(

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, ParseError, RarityError
+from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count, exact_count, poisson_rate
-from .rates import RateDistribution
+from .rates import RateDistribution, parse_spec, spec_label
 from .sampling import DEFAULT_OP_BUDGET, EstimatorResult, StreamPartition, _run_chunked
 from .tail_asymptotics import DecayRate
 
@@ -86,12 +87,11 @@ class ServiceTime:
         """Kink locations of sf strictly inside (0, 1)."""
         return ()
 
-    def label(self) -> str:
-        raise NotImplementedError
-
 
 class ExpService(ServiceTime):
     """Exponential service times."""
+
+    kind = "exp"
 
     def sf(self, x):
         return np.exp(-x / self.mean)
@@ -106,13 +106,11 @@ class ExpService(ServiceTime):
     def sf_sq_integral_total(self) -> float:
         return 0.5 * self.mean
 
-    def label(self) -> str:
-        return f"exp:{self.mean:g}"
-
 
 class DetService(ServiceTime):
     """Deterministic service times; the complementary cdf is an indicator."""
 
+    kind = "det"
     twice_differentiable_on_01 = False
 
     def sf(self, x):
@@ -131,12 +129,11 @@ class DetService(ServiceTime):
     def breakpoints_in_unit(self) -> tuple[float, ...]:
         return (self.mean,) if 0.0 < self.mean < 1.0 else ()
 
-    def label(self) -> str:
-        return f"det:{self.mean:g}"
-
 
 class Pareto2Service(ServiceTime):
     """Pareto service times with tail exponent 2 (finite mean, infinite variance)."""
+
+    kind = "pareto"
 
     def sf(self, x):
         return (1.0 + x / self.mean) ** -2
@@ -152,31 +149,13 @@ class Pareto2Service(ServiceTime):
     def sf_sq_integral_total(self) -> float:
         return self.mean / 3.0
 
-    def label(self) -> str:
-        return f"pareto:{self.mean:g}"
+
+_SERVICE_KINDS = {"exp": (ExpService, 1), "det": (DetService, 1), "pareto": (Pareto2Service, 1)}
 
 
 def parse_service(text: str) -> ServiceTime:
     """Parse a service specification: ``exp:<E>``, ``det:<E>`` or ``pareto:<E>``."""
-    if any(ch.isspace() for ch in text):
-        raise ParseError(f"service specification must not contain whitespace: {text!r}")
-    kind, sep, arg = text.partition(":")
-    if not sep:
-        raise ParseError(f"missing ':' in service specification {text!r}")
-    try:
-        mean = float(arg)
-    except ValueError:
-        raise ParseError(f"malformed service mean {arg!r}") from None
-    try:
-        if kind == "exp":
-            return ExpService(mean)
-        if kind == "det":
-            return DetService(mean)
-        if kind == "pareto":
-            return Pareto2Service(mean)
-    except DomainError as exc:
-        raise ParseError(f"invalid parameters in {text!r}: {exc}") from None
-    raise ParseError(f"unknown service kind {kind!r} (expected exp, det or pareto)")
+    return parse_spec(text, _SERVICE_KINDS, "service")
 
 
 def omega(i: int, N: int, service: ServiceTime) -> float:
@@ -222,7 +201,9 @@ class _Rule:
 
 def _panel_edges(service: ServiceTime) -> list[float]:
     first = 1.0 / _UNIFORM_PANELS
-    depth = max(0, math.ceil(math.log2(first / (_GRADING_FLOOR * service.mean))))
+    # the grading stops at the smallest normal float for tiny service means
+    floor = max(_GRADING_FLOOR * service.mean, sys.float_info.min)
+    depth = max(0, math.ceil(math.log2(first / floor)))
     uniform = [k * first for k in range(_UNIFORM_PANELS + 1)]
     graded = [first * 0.5**j for j in range(1, depth + 1)]
     return sorted({*uniform, *graded, *service.breakpoints_in_unit})
@@ -249,7 +230,7 @@ def _integrals(
         for value, estimate in zip(values, check_rule.integrals(dist, tau)):
             if not abs(value - estimate) <= _REL_TOL * abs(value):
                 raise ConvergenceError(
-                    f"occupancy quadrature for {dist} and {service.label()} at "
+                    f"occupancy quadrature for {dist} and {spec_label(service)} at "
                     f"tau={tau:.12g}: rules of order {_ORDER} and {_ORDER // 2} give "
                     f"{value!r} and {estimate!r}"
                 )
@@ -395,7 +376,7 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
         )
     if approx.hypothesis_violated:
         warnings.warn(
-            f"{service.label()}: the sharp occupancy formula assumes a twice "
+            f"{spec_label(service)}: the sharp occupancy formula assumes a twice "
             "differentiable complementary cdf; value computed anyway",
             HypothesisWarning,
             stacklevel=2,

@@ -1,11 +1,15 @@
 """Arrival-rate distributions and their large-deviations machinery.
 
-Each distribution knows the supremum of its MGF domain and of its support,
-how to sample itself and its exponentially twisted version, and its
-cumulant generating function (CGF) through one method, ``cgf``: it returns
+Each distribution knows the supremum of its MGF domain and the bounds of its
+support, how to sample itself and its exponentially twisted version, its
+cumulant generating function (CGF) through one method, ``cgf``, which returns
 the CGF and its first two derivatives at a scalar tilt or at an array of
-damped tilts.  Exponential rates are the gamma law of shape 1, built by
-``Exponential(lam)``.  Constructors reject non-finite parameters.
+damped tilts, and its rate function where that has a closed form.
+Exponential rates are the gamma law of shape 1, built by ``Exponential(lam)``.
+Constructors reject non-finite parameters.
+
+Laws are written ``<kind>:<p1>,...,<pn>``, read by ``parse_spec`` against a
+family's ``{kind: (constructor, arity)}`` table and written by ``spec_label``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleTargetError, LatticeError, ParseError
+from .errors import ConvergenceError, DomainError, InfeasibleTargetError, LatticeError, ParseError
 from .numerics import Interval, find_root_increasing
 
 __all__ = [
@@ -28,6 +32,8 @@ __all__ = [
     "RateFunctionPoint",
     "rate_function",
     "bahadur_rao_constant",
+    "parse_spec",
+    "spec_label",
     "parse_rate",
 ]
 
@@ -59,6 +65,11 @@ class RateDistribution:
         return math.inf
 
     @property
+    def support_inf(self) -> float:
+        """Infimum of the support."""
+        return 0.0
+
+    @property
     def support_sup(self) -> float:
         """Supremum of the support (b+)."""
         return math.inf
@@ -81,15 +92,13 @@ class RateDistribution:
     def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    # range of means reachable by exponential tilting (open interval)
-    def _tilt_range(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint | None":
+        """The rate function at a reachable a in closed form, or None."""
         return None
 
     def label(self) -> str:
-        raise NotImplementedError
+        """The specification text of the law (see ``spec_label``)."""
+        return spec_label(self)
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,7 @@ class GammaRate(RateDistribution):
 
     beta: float
     lam: float
+    kind = "gamma"
 
     def __post_init__(self) -> None:
         self._check_finite()
@@ -110,7 +120,7 @@ class GammaRate(RateDistribution):
 
     @property
     def variance(self) -> float:
-        return self.beta / self.lam**2
+        return self.beta / (self.lam * self.lam)
 
     @property
     def mgf_domain_sup(self) -> float:
@@ -122,8 +132,9 @@ class GammaRate(RateDistribution):
         gap = (self.lam - tau) + tau * sf_complement
         if not np.all(gap > 0.0):
             raise DomainError(f"tilt {tau} reaches the MGF wall of {self}")
-        # log1p keeps full relative accuracy as the tilt goes to zero
-        return self.beta * np.log1p(tau * sf / gap), self.beta / gap, self.beta / gap**2
+        # log1p keeps full relative accuracy as the tilt goes to zero; np.square
+        # makes an underflowing scalar gap^2 give inf rather than raise
+        return self.beta * np.log1p(tau * sf / gap), self.beta / gap, self.beta / np.square(gap)
 
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         return stream.gamma(self.beta, 1.0 / self.lam, size=n)
@@ -140,13 +151,7 @@ class GammaRate(RateDistribution):
             value=self.lam * a - self.beta - self.beta * math.log(self.lam * a / self.beta),
             theta_star=theta,
             second_deriv=a * a / self.beta,
-            first_deriv_of_I=theta,
         )
-
-    def label(self) -> str:
-        if self.beta == 1.0:
-            return f"exp:{self.lam:g}"
-        return f"gamma:{self.beta:g},{self.lam:g}"
 
 
 def Exponential(lam: float) -> GammaRate:
@@ -159,6 +164,7 @@ class PoissonRate(RateDistribution):
     """Poisson-distributed arrival rate with mean lam."""
 
     lam: float
+    kind = "pois"
     lattice = True
 
     def __post_init__(self) -> None:
@@ -192,11 +198,7 @@ class PoissonRate(RateDistribution):
             value=a * math.log(a / self.lam) - a + self.lam,
             theta_star=theta,
             second_deriv=a,
-            first_deriv_of_I=theta,
         )
-
-    def label(self) -> str:
-        return f"pois:{self.lam:g}"
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,7 @@ class TwoPoint(RateDistribution):
     p: float
     lam1: float
     lam2: float
+    kind = "twopoint"
     lattice = True
 
     def __post_init__(self) -> None:
@@ -223,7 +226,12 @@ class TwoPoint(RateDistribution):
 
     @property
     def variance(self) -> float:
-        return self.p * (1.0 - self.p) * (self.lam2 - self.lam1) ** 2
+        spread = self.lam2 - self.lam1
+        return self.p * (1.0 - self.p) * (spread * spread)
+
+    @property
+    def support_inf(self) -> float:
+        return self.lam1
 
     @property
     def support_sup(self) -> float:
@@ -243,7 +251,7 @@ class TwoPoint(RateDistribution):
         return (
             m + np.log(total),
             (self.lam1 * w1 + self.lam2 * w2) / total,
-            w1 * w2 * (self.lam2 - self.lam1) ** 2 / total**2,
+            w1 * w2 * ((self.lam2 - self.lam1) * (self.lam2 - self.lam1)) / (total * total),
         )
 
     def _twisted_p(self, theta: float) -> float:
@@ -259,11 +267,15 @@ class TwoPoint(RateDistribution):
         u = stream.random(n)
         return np.where(u < self._twisted_p(theta), self.lam1, self.lam2)
 
-    def _tilt_range(self) -> tuple[float, float]:
-        return (self.lam1, self.lam2)
-
-    def label(self) -> str:
-        return f"twopoint:{self.p:g},{self.lam1:g},{self.lam2:g}"
+    def _closed_rate_function(self, a: float) -> "RateFunctionPoint | None":
+        # the endpoints are atoms, reached by an infinite tilt
+        if a == self.lam1:
+            return RateFunctionPoint(a=a, value=-math.log(self.p), theta_star=-math.inf,
+                                     second_deriv=0.0)
+        if a == self.lam2:
+            return RateFunctionPoint(a=a, value=-math.log1p(-self.p), theta_star=math.inf,
+                                     second_deriv=0.0)
+        return None
 
 
 @dataclass(frozen=True)
@@ -271,6 +283,7 @@ class DeterministicRate(RateDistribution):
     """Point mass at lam."""
 
     lam: float
+    kind = "det"
     lattice = True
 
     def __post_init__(self) -> None:
@@ -287,6 +300,10 @@ class DeterministicRate(RateDistribution):
         return 0.0
 
     @property
+    def support_inf(self) -> float:
+        return self.lam
+
+    @property
     def support_sup(self) -> float:
         return self.lam
 
@@ -300,61 +317,41 @@ class DeterministicRate(RateDistribution):
     def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
         return self.sample(stream, n)
 
-    def _tilt_range(self) -> tuple[float, float]:
-        return (self.lam, self.lam)
-
-    def label(self) -> str:
-        return f"det:{self.lam:g}"
+    def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
+        return RateFunctionPoint(a=a, value=0.0, theta_star=0.0, second_deriv=0.0)
 
 
 @dataclass(frozen=True)
 class RateFunctionPoint:
-    """Legendre transform of the CGF evaluated at target mean ``a``."""
+    """Legendre transform of the CGF evaluated at target mean ``a``; its
+    derivative there is ``theta_star``."""
 
     a: float
     value: float
     theta_star: float
     second_deriv: float
-    first_deriv_of_I: float
 
 
-def rate_function(dist: RateDistribution, a: float, method: str = "auto") -> RateFunctionPoint:
+def rate_function(dist: RateDistribution, a: float) -> RateFunctionPoint:
     """Rate function I_X(a) = sup_theta {theta*a - CGF(theta)} with optimizer.
 
-    ``method`` selects between the closed form (where one exists) and the
-    numeric solve of CGF'(theta) = a; "auto" prefers the closed form.
+    The reachable means are those strictly inside the support, plus a
+    positive finite support bound, which is an atom of every law here; the
+    law's closed form is used where it has one, else CGF'(theta) = a is
+    solved numerically.
     """
-    if method not in ("auto", "closed", "numeric"):
-        raise DomainError(f"unknown rate_function method {method!r}")
-    if isinstance(dist, DeterministicRate):
-        if a != dist.lam:
-            raise InfeasibleTargetError(
-                f"deterministic rate {dist.lam} cannot reach target mean {a}"
-            )
-        return RateFunctionPoint(a=a, value=0.0, theta_star=0.0, second_deriv=0.0, first_deriv_of_I=0.0)
-
-    lo, hi = dist._tilt_range()
-    if isinstance(dist, TwoPoint):
-        if a == dist.lam1:
-            t = -math.inf
-            return RateFunctionPoint(a=a, value=-math.log(dist.p), theta_star=t,
-                                     second_deriv=0.0, first_deriv_of_I=t)
-        if a == dist.lam2:
-            t = math.inf
-            return RateFunctionPoint(a=a, value=-math.log1p(-dist.p), theta_star=t,
-                                     second_deriv=0.0, first_deriv_of_I=t)
-    if not (lo < a < hi):
+    lo, hi = dist.support_inf, dist.support_sup
+    if not (lo < a < hi or (a in (lo, hi) and 0.0 < a < math.inf)):
         raise InfeasibleTargetError(
             f"target mean {a} is outside the reachable range ({lo}, {hi}) of {dist}"
         )
+    closed = dist._closed_rate_function(a)
+    return closed if closed is not None else _numeric_rate_function(dist, a)
 
-    if method in ("auto", "closed"):
-        closed = dist._closed_rate_function(a)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise DomainError(f"{dist} has no closed-form rate function")
 
+def _numeric_rate_function(dist: RateDistribution, a: float) -> RateFunctionPoint:
+    """The rate function at a mean a strictly inside the support, by solving
+    CGF'(theta) = a."""
     sup = dist.mgf_domain_sup
     hi_limit = math.inf if math.isinf(sup) else sup - 1e-12 * max(1.0, abs(sup))
     theta = find_root_increasing(
@@ -364,13 +361,8 @@ def rate_function(dist: RateDistribution, a: float, method: str = "auto") -> Rat
         hi_limit=hi_limit,
     )
     k0, _, k2 = dist.cgf(theta)
-    return RateFunctionPoint(
-        a=a,
-        value=theta * a - float(k0),
-        theta_star=theta,
-        second_deriv=float(k2),
-        first_deriv_of_I=theta,
-    )
+    return RateFunctionPoint(a=a, value=theta * a - float(k0), theta_star=theta,
+                             second_deriv=float(k2))
 
 
 def bahadur_rao_constant(dist: RateDistribution, a: float) -> float:
@@ -384,22 +376,53 @@ def bahadur_rao_constant(dist: RateDistribution, a: float) -> float:
     if not a > dist.mean:
         raise DomainError(f"prefactor requires a > mean, got a={a}, mean={dist.mean}")
     point = rate_function(dist, a)
-    return 1.0 / (point.theta_star * math.sqrt(2.0 * math.pi * point.second_deriv))
+    scale = point.theta_star * math.sqrt(2.0 * math.pi * point.second_deriv)
+    if not scale > 0.0:  # theta* or CGF'' underflowed
+        raise ConvergenceError(f"the prefactor of {dist} at a={a} divides by {scale}")
+    return 1.0 / scale
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ParseError(f"{what} expects {n} comma-separated numbers, got {text!r}")
-    out = []
-    for part in parts:
-        if part != part.strip() or not part:
-            raise ParseError(f"malformed number {part!r} in {what} specification")
-        try:
-            out.append(float(part))
-        except ValueError:
-            raise ParseError(f"malformed number {part!r} in {what} specification") from None
-    return out
+def parse_spec(text: str, kinds: dict, what: str):
+    """Parse ``<kind>:<p1>,...,<pn>`` against a ``{kind: (constructor, arity)}``
+    table; ``what`` names the law family in error messages."""
+    if any(ch.isspace() for ch in text):
+        raise ParseError(f"{what} specification must not contain whitespace: {text!r}")
+    kind, sep, args = text.partition(":")
+    if not sep:
+        raise ParseError(f"missing ':' in {what} specification {text!r}")
+    if kind not in kinds:
+        raise ParseError(f"unknown {what} kind {kind!r} (expected {', '.join(kinds)})")
+    constructor, arity = kinds[kind]
+    parts = args.split(",")
+    if len(parts) != arity:
+        raise ParseError(f"{kind} expects {arity} comma-separated numbers, got {args!r}")
+    try:
+        values = [float(part) for part in parts]
+    except ValueError:
+        raise ParseError(f"malformed number in {what} specification {text!r}") from None
+    try:
+        return constructor(*values)
+    except DomainError as exc:
+        raise ParseError(f"invalid parameters in {text!r}: {exc}") from None
+
+
+def spec_label(law) -> str:
+    """The text ``parse_spec`` reads back as ``law``: its kind and its fields,
+    each printed with 6 significant digits.  A gamma law of shape 1 prints as
+    ``exp:<lam>``."""
+    kind, values = law.kind, [getattr(law, field.name) for field in fields(law)]
+    if kind == "gamma" and values[0] == 1.0:
+        kind, values = "exp", values[1:]
+    return f"{kind}:" + ",".join(f"{value:g}" for value in values)
+
+
+_RATE_KINDS = {
+    "exp": (Exponential, 1),
+    "gamma": (GammaRate, 2),
+    "pois": (PoissonRate, 1),
+    "twopoint": (TwoPoint, 3),
+    "det": (DeterministicRate, 1),
+}
 
 
 def parse_rate(text: str) -> RateDistribution:
@@ -408,22 +431,4 @@ def parse_rate(text: str) -> RateDistribution:
     Grammar: ``exp:<lam>``, ``gamma:<beta>,<lam>``, ``pois:<lam>``,
     ``twopoint:<p>,<lam1>,<lam2>``, ``det:<lam>``.
     """
-    if any(ch.isspace() for ch in text):
-        raise ParseError(f"rate specification must not contain whitespace: {text!r}")
-    kind, sep, args = text.partition(":")
-    if not sep:
-        raise ParseError(f"missing ':' in rate specification {text!r}")
-    try:
-        if kind == "exp":
-            return Exponential(*_parse_floats(args, 1, "exp"))
-        if kind == "gamma":
-            return GammaRate(*_parse_floats(args, 2, "gamma"))
-        if kind == "pois":
-            return PoissonRate(*_parse_floats(args, 1, "pois"))
-        if kind == "twopoint":
-            return TwoPoint(*_parse_floats(args, 3, "twopoint"))
-        if kind == "det":
-            return DeterministicRate(*_parse_floats(args, 1, "det"))
-    except DomainError as exc:
-        raise ParseError(f"invalid parameters in {text!r}: {exc}") from None
-    raise ParseError(f"unknown rate kind {kind!r} (expected exp, gamma, pois, twopoint or det)")
+    return parse_spec(text, _RATE_KINDS, "rate")

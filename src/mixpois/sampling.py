@@ -161,7 +161,10 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     Returns (draw(rng, m) -> pooled sums, slot_count, scalars_per_run).
     Gamma kinds (exponential included) pool into a single gamma draw with
     real shape N^alpha * beta; other kinds draw round(N^alpha) i.i.d. slots.
+    Every estimator checks alpha and N here.
     """
+    if not (alpha > 0.0 and N > 0.0):
+        raise DomainError(f"alpha and N must be positive, got alpha={alpha}, N={N}")
     n_alpha = math.exp(alpha * math.log(N))
     if isinstance(dist, GammaRate):
         lam = dist.lam if theta is None else dist.lam - theta
@@ -194,8 +197,6 @@ def mc_P(
     op_budget: int = DEFAULT_OP_BUDGET,
 ) -> EstimatorResult:
     """Crude Monte Carlo for the overflow probability P(count >= N*a)."""
-    if alpha <= 0.0 or N <= 0.0 or a < 0.0:
-        raise DomainError(f"invalid parameters alpha={alpha}, a={a}, N={N}")
     draw, slot_count, scalars = _slot_sampler(dist, alpha, N)
     k = ceil_count(N * a)
 
@@ -325,6 +326,8 @@ class EstimatorConfig:
     shards: int = 1
 
     def run(self, N: float) -> EstimatorResult:
+        if self.quantity != "tail" and self.method != "is-fast":
+            raise DomainError(f"{self.method} estimates only the tail, not the {self.quantity}")
         partition = StreamPartition(self.base_seed, self.shards)
         if self.method == "mc":
             return mc_P(self.dist, self.alpha, self.a, N, self.runs, partition)

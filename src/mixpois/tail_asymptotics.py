@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleTargetError, RegimeError
+from .errors import ConvergenceError, DomainError, InfeasibleTargetError, RegimeError
 from .poisson_ldp import compound_z, poisson_rate
 from .rates import RateDistribution, bahadur_rao_constant, rate_function
 
@@ -46,7 +46,8 @@ class AsymptoticValue:
 
     ``value`` materializes exp(log_value) and silently underflows to 0.0
     below the double-precision range; ``gamma_exponent`` is the speed of the
-    leading exponential decay, min(alpha, 1).
+    leading exponential decay, min(alpha, 1).  A NaN or +inf log value is a
+    numerical failure and raises ConvergenceError.
     """
 
     log_value: float
@@ -55,6 +56,8 @@ class AsymptoticValue:
     gamma_exponent: float
 
     def __post_init__(self) -> None:
+        if not self.log_value < math.inf:
+            raise ConvergenceError(f"the {self.regime} approximation evaluates to log {self.log_value}")
         if self.regime not in REGIMES:
             raise DomainError(f"unknown regime tag {self.regime!r}")
         if self.validity not in VALIDITIES:
@@ -158,7 +161,7 @@ def approx_slow_case1(
     log_P = -n_alpha * point.value + math.log(constant) - 0.5 * alpha * math.log(N)
     log_p = (
         -n_alpha * point.value
-        + math.log(constant * point.first_deriv_of_I)
+        + math.log(constant * point.theta_star)
         - (1.0 - 0.5 * alpha) * math.log(N)
     )
     regime = "SlowIExact" if alpha < 1.0 / 3.0 else "SlowILowerBound"
@@ -230,6 +233,8 @@ def approx_auto(
     """
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
+    if not N > 0.0:
+        raise DomainError(f"N must be positive, got {N}")
     _check_rare(dist, a)
     if alpha > 2.0:
         return approx_fast(dist, alpha, a, N)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,8 +6,11 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixpois.cli import build_parser, main
 
@@ -113,6 +117,130 @@ class TestSimulate:
         is_ = parse_csv(out_is)[0]
         joint = math.hypot(float(mc["ci_halfwidth"]), float(is_["ci_halfwidth"]))
         assert abs(float(mc["estimate"]) - float(is_["estimate"])) < 3.0 * joint
+
+
+# inputs the CLI used to accept, or to fail on without naming the problem
+REJECTED_INPUTS = {
+    "is-slow alpha": (["simulate", "--method", "is-slow", "--dist", "exp:1", "--alpha", "-0.5",
+                       "--a", "2", "--N", "5", "--runs", "10"], 2, "alpha and N must be positive"),
+    "is-fast N": (["simulate", "--method", "is-fast", "--dist", "exp:1", "--alpha", "2",
+                   "--a", "2", "--N", "-1", "--runs", "10"], 2, "alpha and N must be positive"),
+    "mc point": (["simulate", "--method", "mc", "--dist", "exp:1", "--alpha", "2", "--a", "2",
+                  "--N", "4", "--runs", "1000", "--quantity", "p"], 2, "only the tail"),
+    "is-slow point": (["simulate", "--method", "is-slow", "--dist", "exp:1", "--alpha", "0.5",
+                       "--a", "2", "--N", "4", "--runs", "1000", "--quantity", "p"], 2,
+                      "only the tail"),
+    "approx N negative": (["approx", "--dist", "exp:2.5", "--alpha", "0.7", "--a", "1",
+                           "--N", "-4"], 2, "N must be positive"),
+    "approx N zero": (["approx", "--dist", "exp:2.5", "--alpha", "5", "--a", "1", "--N", "0"], 2,
+                      "N must be positive"),
+    "approx N zero det": (["approx", "--dist", "det:2", "--alpha", "1.5", "--a", "1e308",
+                           "--N", "0"], 2, "N must be positive"),
+    "exact-gamma shape": (["exact-gamma", "--dist", "exp:2.5", "--alpha", "3", "--a", "5",
+                           "--N", "1e308"], 2, "must be finite"),
+    "exact-gamma log-pmf": (["exact-gamma", "--dist", "gamma:2,1", "--alpha", "1", "--a", "1e300",
+                             "--N", "1e8"], 3, "log-pmf"),
+    "exact-gamma series": (["exact-gamma", "--dist", "exp:1", "--alpha", "1.4",
+                            "--a", "1.3407807929942597e+154", "--N", "1"], 3, "overflows"),
+    "simulate infinite count": (["simulate", "--method", "mc", "--dist", "det:1", "--alpha", "1",
+                                 "--a", "8.98846567431158e+307", "--N", "2", "--runs", "1"], 2,
+                                "must be finite"),
+    "approx compound overflow": (["approx", "--dist", "exp:1e200", "--alpha", "1", "--a", "1",
+                                  "--N", "1"], 3, "evaluates to log nan"),
+    "approx prefactor underflow": (["approx", "--dist", "gamma:1.570442563591821e-298,2",
+                                    "--alpha", "0.25", "--a", "1.570442563591821e-298",
+                                    "--N", "1"], 3, "prefactor"),
+    "queue-approx two-point spread": (["queue-approx", "--dist",
+                                       "twopoint:0.5,1,1.3407807929942597e+154", "--service",
+                                       "det:0.5", "--N", "1", "--a", "3.35195198248565e+153"], 2,
+                                      "needs a tilt above"),
+    "queue-approx tiny service mean": (["queue-approx", "--dist", "det:1",
+                                        "--service", "det:5e-324", "--N", "1", "--a", "1"], 2,
+                                       "needs a tilt above"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,status,message", REJECTED_INPUTS.values(),
+                         ids=REJECTED_INPUTS.keys())
+def test_rejected_input_is_named(capsys, argv, status, message):
+    code, out, err = run_cli(argv, capsys)
+    assert code == status
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+FINITE = st.one_of(st.floats(0.01, 100.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _spec(kinds):
+    """Specification text of a law of one of ``kinds`` ({kind: arity}) with
+    finite parameters, valid or not."""
+    return st.sampled_from(sorted(kinds.items())).flatmap(
+        lambda kind: st.lists(FINITE, min_size=kind[1], max_size=kind[1]).map(
+            lambda values: f"{kind[0]}:" + ",".join(map(repr, values))))
+
+
+RATE_SPECS = _spec({"exp": 1, "gamma": 2, "pois": 1, "twopoint": 3, "det": 1})
+GAMMA_SPECS = _spec({"exp": 1, "gamma": 2})
+SERVICE_SPECS = _spec({"exp": 1, "det": 1, "pareto": 1})
+# N * a is an integer for exact-gamma's point probability; draw such pairs too
+N_AND_A = st.one_of(
+    st.tuples(FINITE, FINITE),
+    st.integers(1, 10**6).flatmap(lambda n: st.tuples(
+        st.just(float(n)), st.integers(0, 10**7).map(lambda k: k / n))),
+)
+
+
+def _assert_contract(argv):
+    # options are passed as --name=value, so that argparse takes a negative
+    # number in exponent notation as a value rather than as an option
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert "nan" not in out.getvalue()
+
+
+class TestErrorContractProperty:
+    """Any finite input exits 0, 2 or 3, raises nothing and prints no NaN.
+
+    Derandomized: every run checks the same cases, so a result depends on the
+    code alone; to search wider, raise max_examples or turn derandomize off.
+    """
+
+    @given(dist=RATE_SPECS, alpha=FINITE, n_and_a=N_AND_A, quantity=st.sampled_from("pP"))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_approx(self, dist, alpha, n_and_a, quantity):
+        N, a = n_and_a
+        _assert_contract(["approx", f"--dist={dist}", f"--alpha={alpha!r}", f"--a={a!r}",
+                          f"--N={N!r}", f"--quantity={quantity}"])
+
+    @given(dist=GAMMA_SPECS, alpha=FINITE, n_and_a=N_AND_A)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exact_gamma(self, dist, alpha, n_and_a):
+        N, a = n_and_a
+        _assert_contract(["exact-gamma", f"--dist={dist}", f"--alpha={alpha!r}", f"--a={a!r}",
+                          f"--N={N!r}"])
+
+    @given(dist=RATE_SPECS, service=SERVICE_SPECS, N=FINITE, a=FINITE)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_queue_approx(self, dist, service, N, a):
+        _assert_contract(["queue-approx", f"--dist={dist}", f"--service={service}",
+                          f"--N={N!r}", f"--a={a!r}"])
+
+    # N^alpha slots are drawn per run; |N| <= 50 and |alpha| <= 2.5 keep that
+    # below 2e4, so a case never allocates much memory
+    @given(method=st.sampled_from(["mc", "is-fast", "is-slow"]), dist=RATE_SPECS,
+           alpha=st.floats(-2.5, 2.5), a=FINITE, N=st.floats(-50.0, 50.0),
+           runs=st.integers(1, 20), quantity=st.sampled_from("pP"))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_simulate(self, method, dist, alpha, a, N, runs, quantity):
+        _assert_contract(["simulate", f"--method={method}", f"--dist={dist}",
+                          f"--alpha={alpha!r}", f"--a={a!r}", f"--N={N!r}", f"--runs={runs}",
+                          f"--quantity={quantity}"])
 
 
 NON_FINITE_INPUTS = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpois.errors import DomainError, RegimeError, TruncationBoundaryWarning
+from mixpois.errors import ConvergenceError, DomainError, RegimeError, TruncationBoundaryWarning
 from mixpois.gamma_exact import (
     GammaCase,
     P_exact,
@@ -39,6 +39,16 @@ class TestExactPoint:
         total = sum(p_exact(case(beta=1.0, lam=1.3, alpha=0.7, a=k / 3.0, N=3.0)) for k in range(400))
         assert total == pytest.approx(1.0, abs=1e-10)
         assert P_exact(c0) == 1.0
+
+    @pytest.mark.parametrize("alpha,a,N", [(3.0, 5.0, 1e308), (1.0, 1e300, 1e10)])
+    def test_non_finite_shape_or_count_rejected(self, alpha, a, N):
+        with pytest.raises(DomainError, match="must be finite"):
+            case(alpha=alpha, a=a, N=N)
+
+    def test_non_finite_log_probability_raises(self):
+        # log_gamma(k + r) overflows at k = 1e308, and the difference is NaN
+        with pytest.raises(ConvergenceError):
+            log_p_exact(case(beta=2.0, alpha=1.0, a=1e300, N=1e8))
 
     def test_fractional_count_rejected(self):
         with pytest.raises(DomainError):
@@ -150,6 +160,17 @@ class TestSeriesCoefficients:
 
 
 class TestSeriesValues:
+    @pytest.mark.parametrize("series,alpha", [(p_asym_fast, 1.0 + 1e-6), (p_asym_slow, 1.0 - 1e-6)])
+    def test_too_many_terms_raise(self, series, alpha):
+        # a million correction terms: refused instead of summed
+        with pytest.raises(ConvergenceError, match="correction terms"):
+            series(case(lam=1.0, alpha=alpha, a=2.0, N=10.0))
+
+    def test_overflowing_coefficient_raises(self):
+        # a^(k+1) leaves the float range at k = 1
+        with pytest.raises(ConvergenceError, match="overflows"):
+            p_asym_fast(case(lam=1.0, alpha=1.4, a=1.3407807929942597e154, N=1.0))
+
     def test_fast_alpha_above_two_matches_plain_formula(self):
         c = case(lam=2.5, alpha=5.0, a=1.0, N=40.0)
         series = p_asym_fast(c)

@@ -12,7 +12,6 @@ from mixpois.numerics import (
     find_root_increasing,
     gauss_legendre,
     integrate,
-    log_binomial,
     log_gamma,
     regularized_lower_gamma,
 )
@@ -41,35 +40,6 @@ class TestLogGamma:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             log_gamma(x)
-
-
-class TestLogBinomial:
-    def test_choose_zero(self):
-        assert log_binomial(5.0, 0.0) == 0.0
-
-    def test_small(self):
-        assert log_binomial(5.0, 2.0) == pytest.approx(math.log(10.0), abs=1e-13)
-
-    def test_big_integer_oracle(self):
-        assert log_binomial(52.0, 26.0) == pytest.approx(math.log(math.comb(52, 26)), rel=1e-11)
-
-    @given(
-        n_ticks=st.integers(min_value=1, max_value=2**30),
-        k_frac=st.integers(min_value=0, max_value=2**20),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_symmetry_exact(self, n_ticks, k_frac):
-        # dyadic arguments, so n - k is exact and the symmetry is bitwise
-        n = n_ticks / 1024.0
-        k = n * (k_frac / 2.0**20)
-        k = math.floor(k * 1024.0) / 1024.0
-        assert log_binomial(n, k) == log_binomial(n, n - k)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_binomial(3.0, 4.0)
-        with pytest.raises(DomainError):
-            log_binomial(-1.0, 0.0)
 
 
 class TestRegularizedLowerGamma:

@@ -34,6 +34,12 @@ class TestCountConventions:
         with pytest.raises(DomainError):
             exact_count(4.3)
 
+    @pytest.mark.parametrize("count", [ceil_count, exact_count])
+    @pytest.mark.parametrize("n_times_a", [math.inf, math.nan, -1.0])
+    def test_rejects_non_finite_and_negative(self, count, n_times_a):
+        with pytest.raises(DomainError):
+            count(n_times_a)
+
 
 class TestPoissonRatePoint:
     def test_no_deviation(self):

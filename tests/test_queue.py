@@ -31,7 +31,14 @@ from mixpois.queue import (
     queue_approx,
     theta_star_queue,
 )
-from mixpois.rates import DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint
+from mixpois.rates import (
+    DeterministicRate,
+    Exponential,
+    GammaRate,
+    PoissonRate,
+    TwoPoint,
+    spec_label,
+)
 from mixpois.sampling import Z_95, StreamPartition
 from mixpois.tail_asymptotics import approx_intermediate
 
@@ -72,7 +79,7 @@ class TestServiceLaws:
         assert parse_service("exp:0.5") == ExpService(0.5)
         assert parse_service("det:1") == DetService(1.0)
         assert parse_service("pareto:0.05") == Pareto2Service(0.05)
-        for bad in ("exp", "exp:", "exp:0", "norm:1", "det:-1", "exp :1",
+        for bad in ("exp", "exp:", "exp:0", "exp:1,2", "norm:1", "det:-1", "exp :1",
                     "exp:inf", "pareto:inf", "det:nan"):
             with pytest.raises(ParseError):
                 parse_service(bad)
@@ -239,9 +246,9 @@ class TestOccupancyQuadrature:
             _, slope, _ = queue._integrals(dist, service, tau, checked=True)
             assert slope == pytest.approx(exact, rel=1e-12), gap / lam
 
-    @pytest.mark.parametrize("dist", RATE_LAWS, ids=lambda d: d.label())
+    @pytest.mark.parametrize("dist", RATE_LAWS, ids=spec_label)
     @pytest.mark.parametrize("service", [ExpService(0.5), DetService(0.5), Pareto2Service(0.05)],
-                             ids=lambda s: s.label())
+                             ids=spec_label)
     def test_matches_adaptive_quadrature_away_from_the_wall(self, dist, service):
         theta = theta_star_queue(dist, service, 1.5 * mean_load(dist, service))
         tau = math.expm1(theta)

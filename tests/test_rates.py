@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixpois.errors import DomainError, InfeasibleTargetError, LatticeError, ParseError
 from mixpois.rates import (
@@ -10,11 +12,18 @@ from mixpois.rates import (
     GammaRate,
     PoissonRate,
     TwoPoint,
+    _numeric_rate_function,
     bahadur_rao_constant,
     parse_rate,
     rate_function,
+    spec_label,
 )
+from mixpois.queue import DetService, ExpService, Pareto2Service, parse_service
 from mixpois.sampling import StreamPartition
+
+# positive numbers of at most 6 significant digits, the precision of spec_label
+SIX_DIGITS = st.builds(lambda m, e: float(f"{m}e{e}"),
+                       st.integers(1, 999_999), st.integers(-40, 40))
 
 ALL_KINDS = [
     Exponential(2.5),
@@ -37,6 +46,14 @@ class TestConstruction:
         assert TwoPoint(0.75, 1.0, 5.0).mean == pytest.approx(2.0)
         assert DeterministicRate(1.5).mean == 1.5
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_squares_leave_the_float_range_without_raising(self):
+        assert GammaRate(1.0, 1e200).variance == 0.0
+        assert TwoPoint(0.5, 1.0, 1e200).variance == math.inf
+        assert math.isinf(float(TwoPoint(0.5, 1.0, 1e200).cgf(1e-200)[2]))
+        # CGF'' = beta / gap^2 with gap = 2.5e-275, whose square underflows
+        assert math.isinf(float(GammaRate(5e-275, 5e-275).cgf(2.5e-275)[2]))
+
     def test_mgf_domain(self):
         assert Exponential(2.5).mgf_domain_sup == 2.5
         assert GammaRate(1.0, 3.0).mgf_domain_sup == 3.0
@@ -47,6 +64,12 @@ class TestConstruction:
         assert math.isinf(Exponential(1.0).support_sup)
         assert TwoPoint(0.5, 1.0, 2.0).support_sup == 2.0
         assert DeterministicRate(3.0).support_sup == 3.0
+
+    def test_support_inf(self):
+        assert Exponential(1.0).support_inf == 0.0
+        assert PoissonRate(1.0).support_inf == 0.0
+        assert TwoPoint(0.5, 1.0, 2.0).support_inf == 1.0
+        assert DeterministicRate(3.0).support_inf == 3.0
 
     def test_lattice_flags(self):
         assert not Exponential(1.0).lattice
@@ -157,14 +180,14 @@ class TestRateFunction:
     )
     def test_numeric_matches_auto(self, dist, targets):
         for a in targets:
-            auto = rate_function(dist, a, "auto")
-            numeric = rate_function(dist, a, "numeric")
+            auto = rate_function(dist, a)
+            numeric = _numeric_rate_function(dist, a)
             assert numeric.theta_star == pytest.approx(auto.theta_star, abs=1e-10)
             assert numeric.value == pytest.approx(auto.value, abs=1e-10)
 
     @pytest.mark.parametrize("dist", ALL_KINDS[:4])
     def test_nonneg_convex_and_duality(self, dist):
-        lo, hi = dist._tilt_range()
+        lo, hi = dist.support_inf, dist.support_sup
         lo = max(lo, 1e-3)
         hi = min(hi, 5.0 * dist.mean)
         grid = [lo + (hi - lo) * i / 40.0 for i in range(1, 40)]
@@ -179,7 +202,6 @@ class TestRateFunction:
             assert dist.cgf(point.theta_star)[0] + point.value == pytest.approx(
                 point.theta_star * a, abs=1e-10
             )
-            assert point.first_deriv_of_I == point.theta_star
         second_diffs = [values[i - 1] - 2 * values[i] + values[i + 1] for i in range(1, len(values) - 1)]
         assert min(second_diffs) >= -1e-9
 
@@ -199,6 +221,13 @@ class TestRateFunction:
             rate_function(Exponential(1.0), -0.5)
         with pytest.raises(InfeasibleTargetError):
             rate_function(DeterministicRate(2.0), 3.0)
+        # the range check runs before the closed forms, which take log(a)
+        with pytest.raises(InfeasibleTargetError):
+            rate_function(PoissonRate(2.0), 0.0)
+        with pytest.raises(InfeasibleTargetError):
+            rate_function(GammaRate(2.0, 1.0), 0.0)
+        with pytest.raises(InfeasibleTargetError):
+            rate_function(TwoPoint(0.75, 1.0, 5.0), 0.5)
 
     def test_deterministic_at_mean(self):
         point = rate_function(DeterministicRate(2.0), 2.0)
@@ -308,6 +337,24 @@ class TestParse:
         dist = parse_rate(text)
         assert dist == expected
         assert parse_rate(dist.label()) == expected
+
+    @given(st.one_of(
+        st.builds(GammaRate, SIX_DIGITS, SIX_DIGITS),
+        st.builds(PoissonRate, SIX_DIGITS),
+        st.builds(DeterministicRate, SIX_DIGITS),
+        st.builds(lambda p, levels: TwoPoint(p, *sorted(levels)),
+                  st.integers(1, 999_999).map(lambda m: float(f"{m}e-6")),
+                  st.sets(SIX_DIGITS, min_size=2, max_size=2)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_label_round_trip_property(self, dist):
+        assert parse_rate(spec_label(dist)) == dist
+
+    @given(st.sampled_from([ExpService, DetService, Pareto2Service]), SIX_DIGITS)
+    @settings(max_examples=100, deadline=None)
+    def test_service_label_round_trip_property(self, kind, mean):
+        service = kind(mean)
+        assert parse_service(spec_label(service)) == service
 
     def test_exponential_is_shape_one_gamma(self):
         assert parse_rate("exp:2.5") == parse_rate("gamma:1,2.5") == GammaRate(1.0, 2.5)

@@ -106,6 +106,21 @@ class TestCrudeMonteCarlo:
             mc_P(TwoPoint(0.75, 1.0, 5.0), 2.0, 3.0, 1000.0, 10**6, PART, op_budget=10**6)
 
 
+@pytest.mark.filterwarnings("ignore::mixpois.errors.RegimeWarning")
+@pytest.mark.parametrize("estimator", [mc_P, is_fast, is_slow])
+@pytest.mark.parametrize("alpha,N", [(-0.5, 5.0), (0.0, 5.0), (0.5, -1.0), (2.0, 0.0)])
+def test_estimators_reject_nonpositive_alpha_and_N(estimator, alpha, N):
+    with pytest.raises(DomainError, match="alpha and N must be positive"):
+        estimator(Exponential(1.0), alpha, 2.0, N, 10, PART)
+
+
+@pytest.mark.parametrize("method", ["mc", "is-slow"])
+def test_point_quantity_is_fast_only(method):
+    config = EstimatorConfig(method, Exponential(1.0), 0.5, 2.0, 10, quantity="point")
+    with pytest.raises(DomainError, match="only the tail"):
+        config.run(4.0)
+
+
 class TestFastEstimator:
     def test_unit_weights_without_mixing(self):
         # point estimate at the deterministic rate itself: weights are all one

@@ -5,7 +5,14 @@ import pytest
 
 from mixpois.errors import DomainError, HypothesisWarning
 from mixpois.queue import DetService, ExpService, Pareto2Service, queue_approx
-from mixpois.rates import DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint
+from mixpois.rates import (
+    DeterministicRate,
+    Exponential,
+    GammaRate,
+    PoissonRate,
+    TwoPoint,
+    spec_label,
+)
 from mixpois.staffing import solve_staffing, staffing_table
 
 POIS2 = PoissonRate(2.0)
@@ -61,7 +68,7 @@ class TestSolveStaffing:
         (POIS2, DetService(0.5)),
         (TwoPoint(0.75, 1.0, 5.0), ExpService(0.05)),
         (DeterministicRate(2.0), Pareto2Service(1.0)),
-    ], ids=lambda x: x.label())
+    ], ids=spec_label)
     def test_level_round_trip(self, dist, service):
         # the level returned meets the termination band when fed back
         eps, tol = 1e-3, 1e-9

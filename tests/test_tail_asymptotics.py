@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from mixpois.errors import DomainError, InfeasibleTargetError, LatticeError, RegimeError
+from mixpois.errors import (
+    ConvergenceError,
+    DomainError,
+    InfeasibleTargetError,
+    LatticeError,
+    RegimeError,
+)
 from mixpois.poisson_ldp import compound_z, poisson_rate
 from mixpois.rates import (
     DeterministicRate,
@@ -206,6 +212,11 @@ class TestApproxAuto:
         assert (log_only.regime, log_only.validity) == ("LogOnly", "OutsideProvenRange")
         assert approx_auto(EXP25, 2.0, 1.0, 40.0)[0].regime == "LogOnly"
 
+    @pytest.mark.parametrize("alpha,N", [(0.7, -4.0), (5.0, 0.0), (1.5, 0.0)])
+    def test_rejects_nonpositive_N(self, alpha, N):
+        with pytest.raises(DomainError, match="N must be positive"):
+            approx_auto(EXP25, alpha, 1.0, N)
+
     def test_bounded_support_needs_explicit_constants(self):
         with pytest.raises(InfeasibleTargetError, match="approx_slow_case2"):
             approx_auto(TwoPoint(0.75, 1.0, 5.0), 0.3, 6.0, 40.0)
@@ -221,3 +232,9 @@ class TestApproxAuto:
         assert tail.value == pytest.approx(math.exp(tail.log_value))
         deep = AsymptoticValue(-800.0, "LogOnly", "Valid", 1.0)
         assert deep.value == 0.0  # underflow materializes as zero
+        assert AsymptoticValue(-math.inf, "LogOnly", "Valid", 1.0).value == 0.0
+
+    @pytest.mark.parametrize("log_value", [math.nan, math.inf])
+    def test_nan_or_infinite_value_is_a_numerical_failure(self, log_value):
+        with pytest.raises(ConvergenceError):
+            AsymptoticValue(log_value, "LogOnly", "Valid", 1.0)
