@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import gamma_exact, queue, sampling, staffing, tail_asymptotics
-from .errors import ConvergenceError, ParseError
+from .errors import ConvergenceError, MixPoisError, ParseError
 from .rates import GammaRate, parse_rate, spec_label
 from .sampling import StreamPartition
 
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "queue-sim",
         help="crude Monte Carlo for the infinite-server occupancy tail",
         description="Draws N slot rates per run; the budget guard rejects "
-        "runs * (N + 1) above 4e9 scalar draws.",
+        "runs * (N + 1) above 4e9 scalar draws, and N + 1 above 4e6.",
     )
     p.add_argument("--dist", required=True)
     p.add_argument("--service", required=True)
@@ -306,34 +306,35 @@ def _cmd_staff(args) -> list[dict]:
     dist = parse_rate(args.dist)
     services = [queue.parse_service(s) for s in args.service.split(",")]
     rows_out = []
-    table = staffing.staffing_table(
-        dist, services, args.N, args.eps, tol=args.tol,
-        verify_runs=args.verify_runs, base_seed=args.seed,
-    )
-    if all(row.error is not None for row in table):
-        # batch rows report errors in-band, but a fully failed invocation
-        # surfaces the first failure through the exit status
-        first = table[0].error
-        if first.startswith("ConvergenceError"):
-            raise ConvergenceError(first)
-        raise ValueError(first)
-    for row in table:
-        r = row.result
-        rows_out.append({
-            "service": spec_label(row.service), "E": row.service.mean, "eps": row.epsilon,
-            "a_eps": r.a_eps if r else None,
-            "servers_floor": r.servers_floor if r else None,
-            "servers_ceil": r.servers_ceil if r else None,
-            "M1": r.M1 if r else None,
-            "M_inf": r.M_inf if r else None,
-            "Q_floor_over_eps": r.Q_at_floor / row.epsilon if r else None,
-            "Q_ceil_over_eps": r.Q_at_ceil / row.epsilon if r else None,
-            "Q_hat_over_eps": (r.verification.estimate / row.epsilon
-                               if r and r.verification else None),
-            "Q_hat_ci_over_eps": (r.verification.ci_halfwidth_95 / row.epsilon
-                                  if r and r.verification else None),
-            "error": row.error,
-        })
+    errors = []
+    for service in services:
+        for eps in args.eps:
+            r = audit = error = None
+            try:
+                r = staffing.solve_staffing(dist, service, args.N, eps, args.tol)
+                if args.verify_runs > 0:
+                    audit = queue.mc_Q(dist, service, args.N, r.a_eps, args.verify_runs,
+                                       StreamPartition(args.seed))
+            except MixPoisError as exc:  # per-row error column instead of abort
+                errors.append(exc)
+                r = None
+                error = f"{type(exc).__name__}: {exc}"
+            rows_out.append({
+                "service": spec_label(service), "E": service.mean, "eps": eps,
+                "a_eps": r.a_eps if r else None,
+                "servers_floor": r.servers_floor if r else None,
+                "servers_ceil": r.servers_ceil if r else None,
+                "M1": r.M1 if r else None,
+                "M_inf": r.M_inf if r else None,
+                "Q_floor_over_eps": r.Q_at_floor / eps if r else None,
+                "Q_ceil_over_eps": r.Q_at_ceil / eps if r else None,
+                "Q_hat_over_eps": audit.estimate / eps if audit else None,
+                "Q_hat_ci_over_eps": audit.ci_halfwidth_95 / eps if audit else None,
+                "error": error,
+            })
+    if len(errors) == len(rows_out):
+        # a fully failed invocation surfaces its first failure through the exit status
+        raise errors[0]
     return rows_out
 
 

@@ -310,12 +310,7 @@ class QueueApprox:
     sigma2: float
     log_q_check: float
     log_Q_check: float
-    integral_cgf: float
     hypothesis_violated: bool
-
-    @property
-    def q_check(self) -> float:
-        return math.exp(self.log_q_check)
 
     @property
     def Q_check(self) -> float:
@@ -354,7 +349,6 @@ def approx_at_tilt(
         sigma2=sigma2,
         log_q_check=log_q,
         log_Q_check=log_q - math.log(-math.expm1(-theta)),
-        integral_cgf=integral_cgf,
         hypothesis_violated=not service.twice_differentiable_on_01,
     )
 

@@ -63,13 +63,14 @@ class StreamPartition:
         return np.random.Generator(np.random.Philox(key=key))
 
     def layout(self, runs: int) -> list[tuple[int, int]]:
-        """(shard_index, runs) pairs; earlier shards absorb the remainder."""
-        base, extra = divmod(runs, self.shard_count)
-        full = [(s, base + (1 if s < extra else 0)) for s in range(self.shard_count)]
+        """(shard_index, runs) pairs of the shards that get runs, the first
+        min(shard_count, runs); earlier shards absorb the remainder."""
         if self.shard_index is None:
-            return [(s, r) for s, r in full if r > 0]
-        s = self.shard_index
-        return [(s, full[s][1])] if full[s][1] > 0 else []
+            shards = range(min(self.shard_count, runs))
+        else:
+            shards = [self.shard_index] if self.shard_index < runs else []
+        base, extra = divmod(runs, self.shard_count)
+        return [(s, base + (1 if s < extra else 0)) for s in shards]
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,9 @@ def pool_results(results: list[EstimatorResult]) -> EstimatorResult:
 def _run_chunked(
     partition: StreamPartition, runs: int, scalars_per_run: int, op_budget: int, weights
 ) -> EstimatorResult:
-    """The estimator driver: checks the draw budget, then runs
-    ``weights(rng, m) -> m per-run weights`` over the shards in chunks of
-    about _CHUNK_SCALARS scalar draws."""
+    """The estimator driver: checks the draw budget and that one run fits in
+    a chunk, then runs ``weights(rng, m) -> m per-run weights`` over the
+    shards in chunks of at most _CHUNK_SCALARS scalar draws."""
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
     total = runs * scalars_per_run
@@ -138,7 +139,12 @@ def _run_chunked(
             f"{runs} runs x {scalars_per_run} draws/run = {total} scalar draws "
             f"exceed the operation budget {op_budget}; raise op_budget to allow this"
         )
-    rows = max(1, _CHUNK_SCALARS // scalars_per_run)
+    if scalars_per_run > _CHUNK_SCALARS:
+        raise BudgetError(
+            f"one run draws {scalars_per_run} scalars, above the per-run cap of "
+            f"{_CHUNK_SCALARS}"
+        )
+    rows = _CHUNK_SCALARS // scalars_per_run
     shard_results = []
     for shard_index, shard_runs in partition.layout(runs):
         rng = partition.generator(shard_index)
@@ -161,11 +167,16 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     Returns (draw(rng, m) -> pooled sums, slot_count, scalars_per_run).
     Gamma kinds (exponential included) pool into a single gamma draw with
     real shape N^alpha * beta; other kinds draw round(N^alpha) i.i.d. slots.
-    Every estimator checks alpha and N here.
+    Every estimator checks alpha and N, and that N^alpha is a float, here.
     """
     if not (alpha > 0.0 and N > 0.0):
         raise DomainError(f"alpha and N must be positive, got alpha={alpha}, N={N}")
-    n_alpha = math.exp(alpha * math.log(N))
+    try:
+        n_alpha = math.exp(alpha * math.log(N))
+    except OverflowError:
+        n_alpha = math.inf
+    if n_alpha == math.inf:
+        raise DomainError(f"N^alpha exceeds the float range at alpha={alpha}, N={N}")
     if isinstance(dist, GammaRate):
         lam = dist.lam if theta is None else dist.lam - theta
         shape = n_alpha * dist.beta

@@ -6,21 +6,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, MgfDomainError, MixPoisError
+from .errors import ConvergenceError, DomainError, MgfDomainError
 from .queue import (
     _THETA_MAX,
     ServiceTime,
     _tilt_cap_exp,
     approx_at_tilt,
     load_and_variance,
-    mc_Q,
     mean_load,
     theta_star_queue,
 )
 from .rates import RateDistribution
-from .sampling import EstimatorResult, StreamPartition
 
-__all__ = ["StaffingResult", "StaffingRow", "solve_staffing", "staffing_table"]
+__all__ = ["StaffingResult", "solve_staffing"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class StaffingResult:
     M1: float
     M_inf: float
     epsilon: float
-    verification: EstimatorResult | None = None
 
 
 def solve_staffing(
@@ -44,16 +41,13 @@ def solve_staffing(
     N: int,
     eps: float,
     tol: float = 1e-9,
-    verify_runs: int = 0,
-    partition: StreamPartition | None = None,
 ) -> StaffingResult:
     """Smallest a with the occupancy-tail approximation at most eps.
 
     The approximation decreases along the tilt theta, and the level a(theta)
     it belongs to is one integral, so bisection runs on theta until
     |Q - eps| < tol; the level found is then re-evaluated at the two
-    bracketing integer server counts.  With ``verify_runs`` > 0 a crude Monte
-    Carlo audit of the solution is attached.
+    bracketing integer server counts.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target epsilon must be in (0, 1), got {eps}")
@@ -108,11 +102,6 @@ def solve_staffing(
     servers_floor = math.floor(N * a)
     servers_ceil = math.ceil(N * a)
     loads = load_and_variance(dist, service, N)
-    verification = None
-    if verify_runs > 0:
-        verification = mc_Q(
-            dist, service, N, a, verify_runs, partition or StreamPartition(0)
-        )
     return StaffingResult(
         a_eps=a,
         servers_floor=servers_floor,
@@ -122,7 +111,6 @@ def solve_staffing(
         M1=loads.M1,
         M_inf=loads.M_inf,
         epsilon=eps,
-        verification=verification,
     )
 
 
@@ -130,38 +118,3 @@ def _Q_at_servers(dist, service, N: int, servers: int) -> float:
     a = servers / N
     theta = theta_star_queue(dist, service, a)
     return approx_at_tilt(dist, service, N, theta, a=a, checked=True)[1].Q_check
-
-
-@dataclass(frozen=True)
-class StaffingRow:
-    service: ServiceTime
-    epsilon: float
-    result: StaffingResult | None
-    error: str | None
-
-
-def staffing_table(
-    dist: RateDistribution,
-    services: list[ServiceTime],
-    N: int,
-    eps_list: list[float],
-    tol: float = 1e-9,
-    verify_runs: int = 0,
-    base_seed: int = 0,
-) -> list[StaffingRow]:
-    """One staffing row per (service, epsilon) pair; failures become row errors."""
-    if not services or not eps_list:
-        raise DomainError("services and eps_list must be nonempty")
-    rows = []
-    for service in services:
-        for eps in eps_list:
-            try:
-                result = solve_staffing(
-                    dist, service, N, eps, tol=tol,
-                    verify_runs=verify_runs,
-                    partition=StreamPartition(base_seed),
-                )
-                rows.append(StaffingRow(service, eps, result, None))
-            except MixPoisError as exc:  # per-row error column instead of abort
-                rows.append(StaffingRow(service, eps, None, f"{type(exc).__name__}: {exc}"))
-    return rows

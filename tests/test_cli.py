@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixpois.cli import build_parser, main
+from mixpois.rates import PoissonRate
 
 
 def run_cli(args, capsys):
@@ -157,6 +158,15 @@ REJECTED_INPUTS = {
     "queue-approx tiny service mean": (["queue-approx", "--dist", "det:1",
                                         "--service", "det:5e-324", "--N", "1", "--a", "1"], 2,
                                        "needs a tilt above"),
+    "simulate run above a chunk": (["simulate", "--method", "mc", "--dist", "pois:1",
+                                    "--alpha", "2", "--a", "2", "--N", "60000", "--runs", "1"], 2,
+                                   "per-run cap"),
+    "queue-sim run above a chunk": (["queue-sim", "--dist", "pois:1", "--service", "exp:1",
+                                     "--N", "1000000000", "--a", "2", "--runs", "1"], 2,
+                                    "per-run cap"),
+    "simulate N^alpha overflow": (["simulate", "--method", "mc", "--dist", "exp:1", "--alpha",
+                                   "400", "--a", "2", "--N", "10", "--runs", "1"], 2,
+                                  "exceeds the float range"),
 }
 
 
@@ -231,10 +241,10 @@ class TestErrorContractProperty:
         _assert_contract(["queue-approx", f"--dist={dist}", f"--service={service}",
                           f"--N={N!r}", f"--a={a!r}"])
 
-    # N^alpha slots are drawn per run; |N| <= 50 and |alpha| <= 2.5 keep that
-    # below 2e4, so a case never allocates much memory
+    # N^alpha slots are drawn per run, and the driver refuses a run of more
+    # than one chunk (4e6 scalar draws), so a case never allocates much memory
     @given(method=st.sampled_from(["mc", "is-fast", "is-slow"]), dist=RATE_SPECS,
-           alpha=st.floats(-2.5, 2.5), a=FINITE, N=st.floats(-50.0, 50.0),
+           alpha=FINITE, a=FINITE, N=st.floats(-50.0, 50.0),
            runs=st.integers(1, 20), quantity=st.sampled_from("pP"))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_simulate(self, method, dist, alpha, a, N, runs, quantity):
@@ -358,6 +368,18 @@ class TestStaff:
         good = [r for r in rows if r["error"] == ""]
         bad = [r for r in rows if r["error"] != ""]
         assert len(good) == 2 and len(bad) == 2
+        assert all(r["error"].startswith("DomainError: tol must lie in (0, eps)") for r in bad)
+
+    def test_grid_has_no_error_rows(self, capsys):
+        code, out, _ = run_cli(
+            ["staff", "--dist", "pois:2", "--service", "exp:0.5,det:0.5,pareto:0.5",
+             "--N", "100", "--eps", "1e-3,1e-4"],
+            capsys,
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 6
+        assert all(r["error"] == "" and float(r["a_eps"]) > 0.0 for r in rows)
 
     def test_nonconvergence_exit_code(self, capsys):
         # an empty termination band can never be met
@@ -367,7 +389,38 @@ class TestStaff:
             capsys,
         )
         assert code == 3
-        assert "error:" in err
+        assert err.startswith("error: staffing bisection")
+        assert err.count("error:") == 1
+
+    def test_fully_failed_names_its_error_once(self, capsys):
+        # at N = 1 the approximation cannot reach 1e-12 within the MGF domain
+        # of exponential rates
+        code, out, err = run_cli(
+            ["staff", "--dist", "exp:2.5", "--service", "exp:0.5", "--N", "1",
+             "--eps", "1e-12", "--tol", "1e-14"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: occupancy level")
+        assert "MgfDomainError:" not in err and err.count("error:") == 1
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only package errors become row errors
+        def broken(self, tau, sf=1.0, sf_complement=0.0):
+            raise TypeError("broken integrand")
+
+        monkeypatch.setattr(PoissonRate, "cgf", broken)
+        with pytest.raises(TypeError, match="broken integrand"):
+            main(["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100",
+                  "--eps", "1e-3"])
+
+
+def test_shards_without_runs_are_skipped(capsys):
+    argv = ["simulate", "--method", "is-fast", "--dist", "exp:1", "--alpha", "2", "--a", "2",
+            "--N", "8", "--runs", "1"]
+    code, out, _ = run_cli([*argv, "--shards", "100000000"], capsys)
+    assert (code, out) == run_cli([*argv, "--shards", "1"], capsys)[:2]
 
 
 class TestRepro:

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from mixpois.errors import DomainError, HypothesisWarning
-from mixpois.queue import DetService, ExpService, Pareto2Service, queue_approx
+from mixpois.queue import DetService, ExpService, Pareto2Service, mc_Q, queue_approx
 from mixpois.rates import (
     DeterministicRate,
     Exponential,
@@ -13,7 +13,8 @@ from mixpois.rates import (
     TwoPoint,
     spec_label,
 )
-from mixpois.staffing import solve_staffing, staffing_table
+from mixpois.sampling import StreamPartition
+from mixpois.staffing import solve_staffing
 
 POIS2 = PoissonRate(2.0)
 
@@ -82,49 +83,9 @@ class TestSolveStaffing:
             warnings.simplefilter("error", HypothesisWarning)
             solve_staffing(POIS2, DetService(0.5), 100, 1e-3)
 
-    def test_verification_attached(self):
-        r = solve_staffing(POIS2, ExpService(0.5), 100, 1e-3, verify_runs=200_000)
-        assert r.verification is not None
-        assert r.verification.runs == 200_000
+    def test_mc_audit_at_solved_level(self):
+        r = solve_staffing(POIS2, ExpService(0.5), 100, 1e-3)
+        audit = mc_Q(POIS2, ExpService(0.5), 100, r.a_eps, 200_000, StreamPartition(0))
+        assert audit.runs == 200_000
         # the audit should land in the right ballpark of the target
-        assert 0.3 * r.epsilon < r.verification.estimate < 3.0 * r.epsilon
-
-
-class TestStaffingTable:
-    def test_full_grid_shape(self):
-        import warnings
-
-        services = [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = staffing_table(POIS2, services, 100, [1e-3, 1e-4])
-        assert len(rows) == 6
-        assert all(row.error is None for row in rows)
-        assert all(row.result.a_eps > 0 for row in rows)
-
-    def test_error_rows_do_not_abort(self):
-        # a target below the bisection band is rejected per row, others proceed
-        rows = staffing_table(POIS2, [ExpService(0.5)], 100, [1e-12, 1e-1])
-        assert rows[0].error is not None and "DomainError" in rows[0].error
-        assert rows[1].error is None
-
-    def test_mgf_exhaustion_row(self):
-        # at N = 1 the approximation cannot reach 1e-12 within the MGF domain
-        # of exponential rates
-        rows = staffing_table(Exponential(2.5), [ExpService(0.5)], 1, [1e-12], tol=1e-14)
-        assert rows[0].error is not None and "MgfDomainError" in rows[0].error
-
-    def test_programming_errors_propagate(self, monkeypatch):
-        # only package errors become row errors
-        def broken(self, tau, sf=1.0, sf_complement=0.0):
-            raise TypeError("broken integrand")
-
-        monkeypatch.setattr(PoissonRate, "cgf", broken)
-        with pytest.raises(TypeError, match="broken integrand"):
-            staffing_table(POIS2, [ExpService(0.5)], 100, [1e-3])
-
-    def test_empty_lists_rejected(self):
-        with pytest.raises(DomainError):
-            staffing_table(POIS2, [], 100, [1e-3])
-        with pytest.raises(DomainError):
-            staffing_table(POIS2, [ExpService(0.5)], 100, [])
+        assert 0.3 * r.epsilon < audit.estimate < 3.0 * r.epsilon
