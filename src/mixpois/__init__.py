@@ -16,7 +16,6 @@ from .rates import (
     parse_rate,
 )
 from .queue import DetService, ExpService, Pareto2Service, parse_service
-from .sampling import StreamPartition
 
 __version__ = "0.1.0"
 
@@ -40,6 +39,5 @@ __all__ = [
     "DetService",
     "Pareto2Service",
     "parse_service",
-    "StreamPartition",
     "__version__",
 ]

@@ -14,9 +14,9 @@ import math
 import sys
 
 from . import gamma_exact, queue, sampling, staffing, tail_asymptotics
-from .errors import ConvergenceError, MixPoisError, ParseError
+from .errors import ConvergenceError, DomainError, MixPoisError, ParseError
+from .numerics import exp_or_inf
 from .rates import GammaRate, parse_rate, spec_label
-from .sampling import StreamPartition
 
 __all__ = ["main", "build_parser"]
 
@@ -46,14 +46,6 @@ def _write_rows(args, rows: list[dict]) -> None:
             out.close()
 
 
-def _exp(x: float) -> float:
-    """e^x, infinite beyond the float range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _finite_float(text: str) -> float:
     """The argparse type of every float option: a finite number."""
     try:
@@ -74,10 +66,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_seeding(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed, 64-bit unsigned (default 0)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="independent sub-streams merged deterministically (default 1)")
+    parser.add_argument("--seed", type=int, default=0, help="seed in [0, 2^64) (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Methods: mc (crude), is-fast (Poisson-count proposal; "
         "quantity p needs integer N*a), is-slow (twisted rates; needs "
         "mean < a < support supremum).  Estimates are reproducible for a "
-        "fixed seed and shard count.",
+        "fixed seed.",
     )
     p.add_argument("--method", choices=("mc", "is-fast", "is-slow"), required=True)
     p.add_argument("--dist", required=True)
@@ -214,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--runs", type=int, default=1_000_000,
                    help="Monte Carlo budget used in the emitted commands (default 1e6)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_seeding(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_repro)
 
@@ -241,7 +230,7 @@ def _cmd_exact_gamma(args) -> list[dict]:
     log_p = gamma_exact.log_p_exact(case)
     row = {
         "N": args.N, "alpha": args.alpha, "a": args.a,
-        "p_exact": _exp(log_p), "p_asym": None, "ratio": None,
+        "p_exact": exp_or_inf(log_p), "p_asym": None, "ratio": None,
         "log_p_exact": log_p, "log_p_asym": None,
     }
     if dist.beta == 1.0 and args.a > 1.0 / dist.lam:
@@ -253,7 +242,7 @@ def _cmd_exact_gamma(args) -> list[dict]:
             asym = gamma_exact.p_asym_intermediate(case)
         row["p_asym"] = asym.value
         row["log_p_asym"] = asym.log_value
-        row["ratio"] = _exp(asym.log_value - log_p)
+        row["ratio"] = exp_or_inf(asym.log_value - log_p)
     return [row]
 
 
@@ -271,7 +260,7 @@ def _cmd_simulate(args) -> list[dict]:
     config = sampling.EstimatorConfig(
         args.method, parse_rate(args.dist), args.alpha, args.a, args.runs,
         quantity="point" if args.quantity == "p" else "tail",
-        base_seed=args.seed, shards=args.shards,
+        seed=args.seed,
     )
     head = {"method": args.method, "N": args.N, "alpha": args.alpha, "a": args.a}
     return [_estimate_row(head, config.run(args.N), args.seed)]
@@ -291,8 +280,7 @@ def _cmd_queue_approx(args) -> list[dict]:
 def _cmd_queue_sim(args) -> list[dict]:
     dist = parse_rate(args.dist)
     service = queue.parse_service(args.service)
-    partition = StreamPartition(args.seed, args.shards)
-    result = queue.mc_Q(dist, service, args.N, args.a, args.runs, partition)
+    result = queue.mc_Q(dist, service, args.N, args.a, args.runs, args.seed)
     return [_estimate_row({"method": "mc", "N": args.N, "a": args.a}, result, args.seed)]
 
 
@@ -302,7 +290,15 @@ def _cmd_omega(args) -> list[dict]:
     return [{"i": i, "omega_i": float(w)} for i, w in enumerate(omegas, start=1)]
 
 
+def _check_runs(option: str, runs: int, least: int, seed: int) -> None:
+    """Refuse a run count below ``least`` or a seed out of range before any work."""
+    if runs < least:
+        raise DomainError(f"{option} must be >= {least}, got {runs}")
+    sampling.stream(seed)  # raises DomainError for a seed outside [0, 2^64)
+
+
 def _cmd_staff(args) -> list[dict]:
+    _check_runs("--verify-runs", args.verify_runs, 0, args.seed)
     dist = parse_rate(args.dist)
     services = [queue.parse_service(s) for s in args.service.split(",")]
     rows_out = []
@@ -314,7 +310,7 @@ def _cmd_staff(args) -> list[dict]:
                 r = staffing.solve_staffing(dist, service, args.N, eps, args.tol)
                 if args.verify_runs > 0:
                     audit = queue.mc_Q(dist, service, args.N, r.a_eps, args.verify_runs,
-                                       StreamPartition(args.seed))
+                                       args.seed)
             except MixPoisError as exc:  # per-row error column instead of abort
                 errors.append(exc)
                 r = None
@@ -342,6 +338,7 @@ _TABLE_SERVICES = "exp:0.05,exp:0.5,exp:1,det:0.05,det:0.5,det:1,pareto:0.05,par
 
 
 def _cmd_repro(args) -> list[dict]:
+    _check_runs("--runs", args.runs, 1, args.seed)
     runs = args.runs
     seed = args.seed
     rows = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError, TruncationBoundaryWarning
-from .numerics import log_gamma
+from .numerics import exp_or_inf, log_gamma
 from .poisson_ldp import exact_count
 from .tail_asymptotics import AsymptoticValue
 
@@ -39,6 +39,7 @@ _BOUNDARY_TOL = 1e-9
 # the tail sum stops once its remainder bound is below this fraction of it
 _TAIL_REL_TOL = 1e-14
 _MAX_TERMS = 10_000  # correction terms a series may take; alpha within 1e-4 of 1 needs more
+_MAX_RISING_TERMS = 1_000_000  # largest count whose log rising factorial is summed termwise
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,7 @@ class GammaCase:
             raise DomainError("a must be nonnegative")
         if not self.N > 0.0:
             raise DomainError("N must be positive")
-        try:
-            finite = math.isfinite(self.shape) and math.isfinite(self.N * self.a)
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not (math.isfinite(self.shape) and math.isfinite(self.N * self.a)):
             raise DomainError(
                 f"the pooled shape N^alpha*beta and the count N*a must be finite, "
                 f"got alpha={self.alpha}, N={self.N}, beta={self.beta}, a={self.a}"
@@ -76,17 +73,18 @@ class GammaCase:
     @property
     def shape(self) -> float:
         """Pooled gamma shape N^alpha * beta."""
-        return math.exp(self.alpha * math.log(self.N)) * self.beta
+        return exp_or_inf(self.alpha * math.log(self.N)) * self.beta
 
     @property
     def count(self) -> int:
         return exact_count(self.N * self.a)
 
     def _log_q(self) -> tuple[float, float]:
-        """(log q, log(1-q)) for the success odds q = N^(1-a)/(lam + N^(1-a))."""
-        t = (1.0 - self.alpha) * math.log(self.N)
-        denom = np.logaddexp(math.log(self.lam), t)
-        return t - float(denom), math.log(self.lam) - float(denom)
+        """(log q, log(1-q)) for the success odds q = N^(1-a)/(lam + N^(1-a)),
+        with log(1-q) = -log1p(N^(1-a)/lam) taken without overflow."""
+        x = (1.0 - self.alpha) * math.log(self.N) - math.log(self.lam)
+        log_1mq = -float(np.logaddexp(0.0, x))
+        return x + log_1mq, log_1mq
 
 
 @dataclass(frozen=True)
@@ -98,10 +96,19 @@ class SeriesCoefficients:
 
 
 def _log_pmf(case: GammaCase, k: int) -> float:
-    """log of the negative binomial pmf at count k (pooled shape may be real)."""
+    """log of the negative binomial pmf at count k (pooled shape may be real).
+
+    Where k <= r the difference log Gamma(k + r) - log Gamma(r) would cancel
+    and lose a few ulps of r log r, so up to _MAX_RISING_TERMS counts it is
+    summed as k log r + sum_{j<k} log1p(j/r).
+    """
     r = case.shape
     log_q, log_1mq = case._log_q()
-    value = log_gamma(k + r) - log_gamma(k + 1.0) - log_gamma(r) + k * log_q + r * log_1mq
+    if k <= min(r, _MAX_RISING_TERMS):
+        log_rising = k * math.log(r) + float(np.log1p(np.arange(k) / r).sum())
+    else:
+        log_rising = log_gamma(k + r) - log_gamma(r)
+    value = log_rising - log_gamma(k + 1.0) + k * log_q + r * log_1mq
     if not math.isfinite(value):
         raise ConvergenceError(f"the negative binomial log-pmf at k={k:.6g} is {value} for {case}")
     return value

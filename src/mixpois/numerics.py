@@ -19,6 +19,7 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "Interval",
     "QuadratureSpec",
+    "exp_or_inf",
     "log_gamma",
     "regularized_lower_gamma",
     "integrate",
@@ -90,6 +91,14 @@ class QuadratureSpec:
             raise DomainError("max_depth must be a positive integer")
         pts = tuple(sorted(float(b) for b in self.breakpoints))
         object.__setattr__(self, "breakpoints", pts)
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x, infinite beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def log_gamma(x: float) -> float:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
-from .numerics import Interval, find_root_increasing, gauss_legendre
+from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count, exact_count, poisson_rate
 from .rates import RateDistribution, parse_spec, spec_label
-from .sampling import DEFAULT_OP_BUDGET, EstimatorResult, StreamPartition, _run_chunked
+from .sampling import DEFAULT_OP_BUDGET, EstimatorResult, _count_mean, _run_chunked
 from .tail_asymptotics import DecayRate
 
 __all__ = [
@@ -314,7 +314,7 @@ class QueueApprox:
 
     @property
     def Q_check(self) -> float:
-        return math.exp(self.log_Q_check)
+        return exp_or_inf(self.log_Q_check)
 
 
 def approx_at_tilt(
@@ -335,7 +335,7 @@ def approx_at_tilt(
     integral_cgf, slope, curvature = _integrals(dist, service, math.expm1(theta), checked)
     if a is None:
         a = math.exp(theta) * slope
-    sigma2 = a + curvature * math.exp(2.0 * theta)
+    sigma2 = a + curvature * exp_or_inf(2.0 * theta)
     log_q = (
         -theta * N * a
         + N * integral_cgf
@@ -384,7 +384,7 @@ def mc_Q(
     N: int,
     a: float,
     runs: int,
-    partition: StreamPartition,
+    seed: int,
     point: bool = False,
     op_budget: int = DEFAULT_OP_BUDGET,
 ) -> EstimatorResult:
@@ -400,11 +400,11 @@ def mc_Q(
             omegas = omega_vector(N, service)
         x = dist.sample(rng, m * N).reshape(m, N)
         lam = x @ omegas
-        z = rng.poisson(lam)
+        z = rng.poisson(_count_mean(lam))
         hit = (z == k) if point else (z >= k)
         return hit.astype(np.float64)
 
-    return _run_chunked(partition, runs, N + 1, op_budget, weights)
+    return _run_chunked(seed, runs, N + 1, op_budget, weights)
 
 
 def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: float) -> DecayRate:

@@ -1,9 +1,10 @@
 """Monte Carlo estimators: crude, and the two importance-sampling schemes.
 
-Streams are counter-based (Philox keyed on (base_seed, shard_index)), so
-shard independence is structural and results are reproducible bit-for-bit
-for a fixed seed and shard layout.  All weights are handled in log space;
-a valid configuration can never produce a non-finite weight.
+Each estimator call draws from one counter-based stream, Philox keyed on
+(seed, 0), so results are reproducible bit-for-bit for a fixed seed and the
+streams of distinct seeds are independent by construction.  All weights are
+handled in log space; a valid configuration can never produce a non-finite
+weight.
 """
 
 from __future__ import annotations
@@ -11,21 +12,21 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
+from .numerics import exp_or_inf
 from .poisson_ldp import ceil_count, exact_count
 from .rates import GammaRate, RateDistribution, rate_function
 
 __all__ = [
     "Z_95",
     "DEFAULT_OP_BUDGET",
-    "StreamPartition",
+    "stream",
     "EstimatorResult",
     "EstimatorConfig",
-    "pool_results",
     "mc_P",
     "is_fast",
     "is_slow",
@@ -35,69 +36,34 @@ __all__ = [
 Z_95 = 1.959964  # standard normal 97.5% quantile, fixed CI level
 DEFAULT_OP_BUDGET = 4_000_000_000  # scalar draws allowed per estimator call
 _CHUNK_SCALARS = 4_000_000
+_POISSON_MEAN_MAX = 9.2e18  # numpy's Poisson sampler refuses means above about 9.22e18
 
 
-@dataclass(frozen=True)
-class StreamPartition:
-    """Addresses the random streams of one estimator invocation.
-
-    Shard ``i`` draws from Philox keyed on (base_seed, i); with
-    ``shard_index`` set, only that single shard of the layout is executed
-    (used to run shards separately and merge them later).
-    """
-
-    base_seed: int
-    shard_count: int = 1
-    shard_index: int | None = None
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.base_seed < 2**64):
-            raise DomainError("base_seed must fit in 64 unsigned bits")
-        if self.shard_count < 1:
-            raise DomainError("shard_count must be positive")
-        if self.shard_index is not None and not (0 <= self.shard_index < self.shard_count):
-            raise DomainError("shard_index out of range")
-
-    def generator(self, shard_index: int) -> np.random.Generator:
-        key = np.array([self.base_seed, shard_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-    def layout(self, runs: int) -> list[tuple[int, int]]:
-        """(shard_index, runs) pairs of the shards that get runs, the first
-        min(shard_count, runs); earlier shards absorb the remainder."""
-        if self.shard_index is None:
-            shards = range(min(self.shard_count, runs))
-        else:
-            shards = [self.shard_index] if self.shard_index < runs else []
-        base, extra = divmod(runs, self.shard_count)
-        return [(s, base + (1 if s < extra else 0)) for s in shards]
+def stream(seed: int) -> np.random.Generator:
+    """The random stream of one estimator call: Philox keyed on (seed, 0)."""
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Point estimate with sampling noise summary.
-
-    ``second_moment`` is the mean of the squared per-run weights; the private
-    running sums make pooling of separately executed shards exact.
-    """
+    """Point estimate with sampling noise summary; ``second_moment`` is the
+    mean of the squared per-run weights."""
 
     estimate: float
     sample_variance: float
     runs: int
     ci_halfwidth_95: float
     second_moment: float
-    base_seed: int
-    _sum_w: float = field(default=0.0, repr=False)
-    _sum_w2: float = field(default=0.0, repr=False)
 
     @property
     def relative_ci(self) -> float:
         return self.ci_halfwidth_95 / self.estimate if self.estimate > 0.0 else math.inf
 
 
-def _finalize(n: int, sum_w: float, sum_w2: float, base_seed: int) -> EstimatorResult:
+def _finalize(n: int, sum_w: float, sum_w2: float) -> EstimatorResult:
     mean = sum_w / n
-    second = sum_w2 / n
     var = (sum_w2 - n * mean * mean) / (n - 1) if n > 1 else 0.0
     var = max(var, 0.0)
     return EstimatorResult(
@@ -105,32 +71,15 @@ def _finalize(n: int, sum_w: float, sum_w2: float, base_seed: int) -> EstimatorR
         sample_variance=var,
         runs=n,
         ci_halfwidth_95=Z_95 * math.sqrt(var / n),
-        second_moment=second,
-        base_seed=base_seed,
-        _sum_w=sum_w,
-        _sum_w2=sum_w2,
+        second_moment=sum_w2 / n,
     )
 
 
-def pool_results(results: list[EstimatorResult]) -> EstimatorResult:
-    """Merge shard results (fixed order) into one pooled estimate."""
-    if not results:
-        raise DomainError("nothing to pool")
-    n = sum(r.runs for r in results)
-    sum_w = 0.0
-    sum_w2 = 0.0
-    for r in results:
-        sum_w += r._sum_w
-        sum_w2 += r._sum_w2
-    return _finalize(n, sum_w, sum_w2, results[0].base_seed)
-
-
-def _run_chunked(
-    partition: StreamPartition, runs: int, scalars_per_run: int, op_budget: int, weights
-) -> EstimatorResult:
+def _run_chunked(seed: int, runs: int, scalars_per_run: int, op_budget: int,
+                 weights) -> EstimatorResult:
     """The estimator driver: checks the draw budget and that one run fits in
-    a chunk, then runs ``weights(rng, m) -> m per-run weights`` over the
-    shards in chunks of at most _CHUNK_SCALARS scalar draws."""
+    a chunk, then runs ``weights(rng, m) -> m per-run weights`` on the stream
+    of ``seed`` in chunks of at most _CHUNK_SCALARS scalar draws."""
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
     total = runs * scalars_per_run
@@ -144,21 +93,22 @@ def _run_chunked(
             f"one run draws {scalars_per_run} scalars, above the per-run cap of "
             f"{_CHUNK_SCALARS}"
         )
+    rng = stream(seed)
     rows = _CHUNK_SCALARS // scalars_per_run
-    shard_results = []
-    for shard_index, shard_runs in partition.layout(runs):
-        rng = partition.generator(shard_index)
-        done = 0
-        sum_w = 0.0
-        sum_w2 = 0.0
-        while done < shard_runs:
-            m = min(rows, shard_runs - done)
-            w = weights(rng, m)
-            sum_w += float(w.sum())
-            sum_w2 += float((w * w).sum())
-            done += m
-        shard_results.append(_finalize(shard_runs, sum_w, sum_w2, partition.base_seed))
-    return pool_results(shard_results)
+    sum_w = sum_w2 = 0.0
+    for done in range(0, runs, rows):
+        w = weights(rng, min(rows, runs - done))
+        sum_w += float(w.sum())
+        sum_w2 += float((w * w).sum())
+    return _finalize(runs, sum_w, sum_w2)
+
+
+def _count_mean(mean):
+    """``mean``, refused if numpy's Poisson sampler cannot draw from it."""
+    if not np.all(mean <= _POISSON_MEAN_MAX):
+        raise DomainError(f"a Poisson count mean of {np.max(mean):.6g} exceeds the "
+                          f"sampler's limit of {_POISSON_MEAN_MAX:.3g}")
+    return mean
 
 
 def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float | None = None):
@@ -167,19 +117,20 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     Returns (draw(rng, m) -> pooled sums, slot_count, scalars_per_run).
     Gamma kinds (exponential included) pool into a single gamma draw with
     real shape N^alpha * beta; other kinds draw round(N^alpha) i.i.d. slots.
-    Every estimator checks alpha and N, and that N^alpha is a float, here.
+    Every estimator checks alpha and N, and that N^alpha and the pooled
+    gamma shape are floats, here.
     """
     if not (alpha > 0.0 and N > 0.0):
         raise DomainError(f"alpha and N must be positive, got alpha={alpha}, N={N}")
-    try:
-        n_alpha = math.exp(alpha * math.log(N))
-    except OverflowError:
-        n_alpha = math.inf
+    n_alpha = exp_or_inf(alpha * math.log(N))
     if n_alpha == math.inf:
         raise DomainError(f"N^alpha exceeds the float range at alpha={alpha}, N={N}")
     if isinstance(dist, GammaRate):
         lam = dist.lam if theta is None else dist.lam - theta
         shape = n_alpha * dist.beta
+        if shape == math.inf:
+            raise DomainError(f"the pooled gamma shape N^alpha*beta exceeds the float range "
+                              f"at alpha={alpha}, N={N}, beta={dist.beta}")
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             return rng.gamma(shape, 1.0 / lam, size=m)
@@ -204,7 +155,7 @@ def mc_P(
     a: float,
     N: float,
     runs: int,
-    partition: StreamPartition,
+    seed: int,
     op_budget: int = DEFAULT_OP_BUDGET,
 ) -> EstimatorResult:
     """Crude Monte Carlo for the overflow probability P(count >= N*a)."""
@@ -213,10 +164,10 @@ def mc_P(
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         pooled = draw(rng, m)
-        z = rng.poisson(N * pooled / slot_count)
+        z = rng.poisson(_count_mean(N * pooled / slot_count))
         return (z >= k).astype(np.float64)
 
-    return _run_chunked(partition, runs, scalars + 1, op_budget, weights)
+    return _run_chunked(seed, runs, scalars + 1, op_budget, weights)
 
 
 def is_fast(
@@ -225,7 +176,7 @@ def is_fast(
     a: float,
     N: float,
     runs: int,
-    partition: StreamPartition,
+    seed: int,
     quantity: str = "tail",
     K: int | None = None,
     op_budget: int = DEFAULT_OP_BUDGET,
@@ -264,6 +215,7 @@ def is_fast(
     else:
         counts = [exact_count(N * a) if quantity == "point" else ceil_count(N * a)]
         levels = [a]
+    _count_mean(N * levels[-1])  # the largest proposal mean, checked before any draw
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         xbar = draw(rng, m) / slot_count
@@ -278,7 +230,7 @@ def is_fast(
 
         return functools.reduce(np.add, map(at_level, levels, counts))
 
-    return _run_chunked(partition, runs, scalars + len(levels), op_budget, weights)
+    return _run_chunked(seed, runs, scalars + len(levels), op_budget, weights)
 
 
 def is_slow(
@@ -287,7 +239,7 @@ def is_slow(
     a: float,
     N: float,
     runs: int,
-    partition: StreamPartition,
+    seed: int,
     op_budget: int = DEFAULT_OP_BUDGET,
 ) -> EstimatorResult:
     """Importance sampling tuned for slow resampling.
@@ -316,11 +268,11 @@ def is_slow(
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         pooled = draw(rng, m)
-        z = rng.poisson(N * pooled / slot_count)
+        z = rng.poisson(_count_mean(N * pooled / slot_count))
         log_l = slot_count * cgf_at_twist - theta_a * pooled
         return np.exp(log_l) * (z >= k)
 
-    return _run_chunked(partition, runs, scalars + 1, op_budget, weights)
+    return _run_chunked(seed, runs, scalars + 1, op_budget, weights)
 
 
 @dataclass(frozen=True)
@@ -333,20 +285,18 @@ class EstimatorConfig:
     a: float
     runs: int
     quantity: str = "tail"
-    base_seed: int = 0
-    shards: int = 1
+    seed: int = 0
 
     def run(self, N: float) -> EstimatorResult:
         if self.quantity != "tail" and self.method != "is-fast":
             raise DomainError(f"{self.method} estimates only the tail, not the {self.quantity}")
-        partition = StreamPartition(self.base_seed, self.shards)
         if self.method == "mc":
-            return mc_P(self.dist, self.alpha, self.a, N, self.runs, partition)
+            return mc_P(self.dist, self.alpha, self.a, N, self.runs, self.seed)
         if self.method == "is-fast":
-            return is_fast(self.dist, self.alpha, self.a, N, self.runs, partition,
+            return is_fast(self.dist, self.alpha, self.a, N, self.runs, self.seed,
                            quantity=self.quantity)
         if self.method == "is-slow":
-            return is_slow(self.dist, self.alpha, self.a, N, self.runs, partition)
+            return is_slow(self.dist, self.alpha, self.a, N, self.runs, self.seed)
         raise DomainError(f"unknown method {self.method!r}")
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, InfeasibleTargetError, RegimeError
+from .numerics import exp_or_inf
 from .poisson_ldp import compound_z, poisson_rate
 from .rates import RateDistribution, bahadur_rao_constant, rate_function
 
@@ -65,10 +66,7 @@ class AsymptoticValue:
 
     @property
     def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
+        return exp_or_inf(self.log_value)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import pytest
 
 from mixpois import gamma_exact, numerics, poisson_ldp, queue, sampling, staffing, tail_asymptotics
 from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint
-from mixpois.sampling import Z_95, EstimatorConfig, StreamPartition, efficiency_diagnostic
+from mixpois.sampling import Z_95, EstimatorConfig, efficiency_diagnostic
 
 SEED = 20250809
 
@@ -243,7 +243,7 @@ class TestCriterion3:
     def test_mc_audit_at_desk_scale(self, dist, a_ref, audit_ref, acceptance_log):
         eps = 1e-3
         runs = 10**7
-        result = queue.mc_Q(dist, queue.ExpService(0.5), 100, a_ref, runs, StreamPartition(SEED))
+        result = queue.mc_Q(dist, queue.ExpService(0.5), 100, a_ref, runs, SEED)
         q_over_eps = result.estimate / eps
         desk_se = result.ci_halfwidth_95 / Z_95 / eps
         dev = abs(q_over_eps - audit_ref)
@@ -299,10 +299,10 @@ def _compare_grid(dist, lam, alpha, a, grid, is_method, runs=10**6):
         warnings.simplefilter("ignore")
         for N in grid:
             if is_method == "is-fast":
-                is_res = sampling.is_fast(dist, alpha, a, N, runs, StreamPartition(SEED))
+                is_res = sampling.is_fast(dist, alpha, a, N, runs, SEED)
             else:
-                is_res = sampling.is_slow(dist, alpha, a, N, runs, StreamPartition(SEED))
-            mc_res = sampling.mc_P(dist, alpha, a, N, runs, StreamPartition(SEED + 1))
+                is_res = sampling.is_slow(dist, alpha, a, N, runs, SEED)
+            mc_res = sampling.mc_P(dist, alpha, a, N, runs, SEED + 1)
             rows.append((N, _exact_P(lam, alpha, a, N), is_res, mc_res))
     return rows
 
@@ -334,7 +334,7 @@ class TestCriterion5:
         span, overlaps, is_growth, mc_growth = _check_regime(rows, 10**6)
         diag = efficiency_diagnostic(
             EstimatorConfig("is-fast", Exponential(1.0), 2.0, 2.0, 10**6,
-                            quantity="point", base_seed=SEED),
+                            quantity="point", seed=SEED),
             grid,
         )
         acceptance_log(
@@ -352,7 +352,7 @@ class TestCriterion5:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             diag = efficiency_diagnostic(
-                EstimatorConfig("is-slow", Exponential(2.5), 0.5, 2.0, 10**6, base_seed=SEED),
+                EstimatorConfig("is-slow", Exponential(2.5), 0.5, 2.0, 10**6, seed=SEED),
                 [49.0, 100.0, 225.0, 400.0, 900.0],
             )
         increasing = [r.ratio for r in diag.rows] == sorted(r.ratio for r in diag.rows)

@@ -167,6 +167,37 @@ REJECTED_INPUTS = {
     "simulate N^alpha overflow": (["simulate", "--method", "mc", "--dist", "exp:1", "--alpha",
                                    "400", "--a", "2", "--N", "10", "--runs", "1"], 2,
                                   "exceeds the float range"),
+    "simulate pooled gamma shape": (["simulate", "--method", "mc", "--dist", "gamma:1e10,1",
+                                     "--alpha", "300", "--a", "2", "--N", "10", "--runs", "1"],
+                                    2, "pooled gamma shape"),
+    "is-fast count mean": (["simulate", "--method", "is-fast", "--dist", "exp:1e-20",
+                            "--alpha", "2", "--a", "1e21", "--N", "10", "--runs", "1"], 2,
+                           "Poisson count mean"),
+    "queue-sim count mean": (["queue-sim", "--dist", "exp:1e-20", "--service", "exp:1",
+                              "--N", "10", "--a", "1e21", "--runs", "1"], 2,
+                             "Poisson count mean"),
+    "staff negative verify runs": (["staff", "--dist", "pois:2", "--service", "exp:0.5",
+                                    "--N", "100", "--eps", "1e-3", "--verify-runs", "-5"], 2,
+                                   "--verify-runs must be >= 0"),
+    "repro negative runs": (["repro", "--runs", "-3"], 2, "--runs must be >= 1"),
+    "simulate negative seed": (["simulate", "--method", "mc", "--dist", "exp:1", "--alpha", "2",
+                                "--a", "2", "--N", "4", "--runs", "10", "--seed", "-1"], 2,
+                               "seed must lie in [0, 2^64)"),
+    "queue-sim seed above 64 bits": (["queue-sim", "--dist", "pois:2", "--service", "exp:0.5",
+                                      "--N", "10", "--a", "1", "--runs", "10",
+                                      "--seed", str(2**64)], 2, "seed must lie in [0, 2^64)"),
+    "staff negative seed": (["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100",
+                             "--eps", "1e-3", "--seed", "-1"], 2, "seed must lie in [0, 2^64)"),
+    "repro seed above 64 bits": (["repro", "--seed", str(2**64)], 2,
+                                 "seed must lie in [0, 2^64)"),
+    # Q above the float range and the tilted variance e^(2 theta) beyond it
+    # raised OverflowError inside the staffing bisection
+    "staff Q above the float range": (["staff", "--dist", "gamma:3.4676934119325283e+50,1",
+                                       "--service", "det:1", "--N", "1", "--eps", "0.5",
+                                       "--tol", "1e-6"], 3, "staffing bisection"),
+    "staff tilt above 354": (["staff", "--dist", "exp:1.6190082276456837e+191", "--service",
+                              "det:93.95691743698264", "--N", "50", "--eps", "0.18",
+                              "--tol", "3.8e-07"], 3, "staffing bisection"),
 }
 
 
@@ -191,6 +222,7 @@ def _spec(kinds):
             lambda values: f"{kind[0]}:" + ",".join(map(repr, values))))
 
 
+SEEDS = st.one_of(st.integers(0, 10), st.integers(-2**65, 2**65))
 RATE_SPECS = _spec({"exp": 1, "gamma": 2, "pois": 1, "twopoint": 3, "det": 1})
 GAMMA_SPECS = _spec({"exp": 1, "gamma": 2})
 SERVICE_SPECS = _spec({"exp": 1, "det": 1, "pareto": 1})
@@ -251,6 +283,27 @@ class TestErrorContractProperty:
         _assert_contract(["simulate", f"--method={method}", f"--dist={dist}",
                           f"--alpha={alpha!r}", f"--a={a!r}", f"--N={N!r}", f"--runs={runs}",
                           f"--quantity={quantity}"])
+
+    # N slot rates are drawn per run: at most 30 slots and 20 runs
+    @given(dist=RATE_SPECS, service=SERVICE_SPECS, N=st.integers(-2, 30), a=FINITE,
+           runs=st.integers(-2, 20), seed=SEEDS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_queue_sim(self, dist, service, N, a, runs, seed):
+        _assert_contract(["queue-sim", f"--dist={dist}", f"--service={service}", f"--N={N}",
+                          f"--a={a!r}", f"--runs={runs}", f"--seed={seed}"])
+
+    # at most 50 slots, two services, two levels and 20 audit runs per row;
+    # eps and tol are drawn in range part of the time, so that rows get solved
+    @given(dist=RATE_SPECS, services=st.lists(SERVICE_SPECS, min_size=1, max_size=2),
+           N=st.integers(-2, 50),
+           eps=st.lists(st.one_of(st.floats(1e-12, 0.5), FINITE), min_size=1, max_size=2),
+           tol=st.one_of(st.floats(1e-15, 1e-6), FINITE), verify_runs=st.integers(-2, 20),
+           seed=SEEDS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_staff(self, dist, services, N, eps, tol, verify_runs, seed):
+        _assert_contract(["staff", f"--dist={dist}", f"--service={','.join(services)}",
+                          f"--N={N}", f"--eps={','.join(map(repr, eps))}", f"--tol={tol!r}",
+                          f"--verify-runs={verify_runs}", f"--seed={seed}"])
 
 
 NON_FINITE_INPUTS = {
@@ -405,6 +458,18 @@ class TestStaff:
         assert err.startswith("error: occupancy level")
         assert "MgfDomainError:" not in err and err.count("error:") == 1
 
+    @pytest.mark.parametrize("option", [["--verify-runs", "-5"], ["--seed", "-1"]],
+                             ids=["verify-runs", "seed"])
+    def test_audit_options_checked_before_any_row(self, monkeypatch, capsys, option):
+        def unreachable(*args):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr("mixpois.staffing.solve_staffing", unreachable)
+        code, out, err = run_cli(["staff", "--dist", "pois:2", "--service", "exp:0.5",
+                                  "--N", "100", "--eps", "1e-3", *option], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("error:") == 1
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only package errors become row errors
         def broken(self, tau, sf=1.0, sf_complement=0.0):
@@ -416,11 +481,17 @@ class TestStaff:
                   "--eps", "1e-3"])
 
 
-def test_shards_without_runs_are_skipped(capsys):
-    argv = ["simulate", "--method", "is-fast", "--dist", "exp:1", "--alpha", "2", "--a", "2",
-            "--N", "8", "--runs", "1"]
-    code, out, _ = run_cli([*argv, "--shards", "100000000"], capsys)
-    assert (code, out) == run_cli([*argv, "--shards", "1"], capsys)[:2]
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--method", "mc", "--dist", "exp:1", "--alpha", "2", "--a", "2", "--N", "4",
+     "--runs", "10"],
+    ["queue-sim", "--dist", "pois:2", "--service", "exp:0.5", "--N", "10", "--a", "1",
+     "--runs", "10"],
+    ["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100", "--eps", "1e-3"],
+], ids=["simulate", "queue-sim", "staff"])
+def test_shards_option_is_gone(capsys, argv):
+    code, out, err = run_cli([*argv, "--shards", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "unrecognized arguments: --shards 3" in err
 
 
 class TestRepro:
@@ -477,8 +548,8 @@ class TestOutputFormat:
 
 
 # stdout and exit status of a fixed set of commands: all three simulate
-# methods, sharded and point variants, queue-sim, a verified staff row and
-# omega.  A refactoring leaves them byte-identical; a change of results
+# methods on gamma-pooled and per-slot rate laws, the point variant,
+# queue-sim, a verified staff row and omega.  A refactoring leaves them byte-identical; a change of results
 # re-records the file and says why.
 STDOUT_PIN = json.loads((pathlib.Path(__file__).parent / "cli_stdout_pin.json").read_text())
 

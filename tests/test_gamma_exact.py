@@ -19,7 +19,7 @@ from mixpois.gamma_exact import (
     slow_series_coefficients,
 )
 from mixpois.rates import Exponential
-from mixpois.sampling import StreamPartition
+from mixpois.sampling import stream
 from mixpois.tail_asymptotics import approx_fast, approx_intermediate, approx_slow_case1
 
 
@@ -54,6 +54,17 @@ class TestExactPoint:
         with pytest.raises(DomainError):
             p_exact(case(a=0.77, N=10.0))
 
+    # mpmath at 60 digits with the package's shape r = exp(alpha log N): at
+    # these pooled shapes (5.05e17 and 1e12) log Gamma(k + r) - log Gamma(r)
+    # and r log(1 - q) cancel unless summed termwise and taken by log1p
+    @pytest.mark.parametrize("lam,alpha,a,N,reference", [
+        (1.0, 17.0, 1.72727272727, 11.0, -4.77987400403042),
+        (2.5, 4.0, 1.0, 1000.0, -320.663631200682),
+    ])
+    def test_large_pooled_shape(self, lam, alpha, a, N, reference):
+        assert log_p_exact(case(lam=lam, alpha=alpha, a=a, N=N)) == pytest.approx(reference,
+                                                                                   abs=1e-9)
+
     def test_non_integer_pooled_shape(self):
         # N^alpha need not be an integer; compare against a fine mixture sum
         c = case(beta=1.0, lam=2.0, alpha=0.5, a=1.0, N=8.0)
@@ -63,7 +74,7 @@ class TestExactPoint:
         # gamma-mixed Poisson sampling in the distribution bulk
         beta, lam, alpha, a, N = 1.0, 1.0, 1.0, 1.0, 4.0
         runs = 10**7
-        rng = StreamPartition(99).generator(0)
+        rng = stream(99)
         pooled = rng.gamma(N**alpha * beta, 1.0 / lam, size=runs)
         z = rng.poisson(N ** (1.0 - alpha) * pooled)
         k = round(N * a)

@@ -39,7 +39,7 @@ from mixpois.rates import (
     TwoPoint,
     spec_label,
 )
-from mixpois.sampling import Z_95, StreamPartition
+from mixpois.sampling import Z_95
 from mixpois.tail_asymptotics import approx_intermediate
 
 POIS2 = PoissonRate(2.0)
@@ -299,25 +299,25 @@ class TestOccupancyQuadrature:
 
 class TestMcQ:
     def test_certain(self):
-        r = mc_Q(POIS2, ExpService(0.5), 10, 0.0, 1000, StreamPartition(0))
+        r = mc_Q(POIS2, ExpService(0.5), 10, 0.0, 1000, 0)
         assert r.estimate == 1.0
 
     def test_deterministic_rate_reduces_to_poisson_tail(self):
         # without rate mixing the occupancy is exactly Poisson
         service = ExpService(0.5)
         N, a = 50, 0.8
-        r = mc_Q(DeterministicRate(2.0), service, N, a, 4 * 10**5, StreamPartition(3))
+        r = mc_Q(DeterministicRate(2.0), service, N, a, 4 * 10**5, 3)
         mean = 2.0 * omega_vector(N, service).sum()
         exact = psi_exact(1.0, float(ceil_count(N * a)), mean)
         assert abs(r.estimate - exact) < 4.0 * (r.ci_halfwidth_95 / Z_95)
 
     def test_point_variant(self):
-        r = mc_Q(POIS2, ExpService(0.5), 20, 1.0, 10**5, StreamPartition(4), point=True)
+        r = mc_Q(POIS2, ExpService(0.5), 20, 1.0, 10**5, 4, point=True)
         assert 0.0 < r.estimate < 1.0
 
     def test_requires_integer_slots(self):
         with pytest.raises(DomainError):
-            mc_Q(POIS2, ExpService(0.5), 10.5, 1.0, 100, StreamPartition(0))
+            mc_Q(POIS2, ExpService(0.5), 10.5, 1.0, 100, 0)
 
 
 class TestLogAsymQ:

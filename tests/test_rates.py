@@ -19,7 +19,7 @@ from mixpois.rates import (
     spec_label,
 )
 from mixpois.queue import DetService, ExpService, Pareto2Service, parse_service
-from mixpois.sampling import StreamPartition
+from mixpois.sampling import stream
 
 # positive numbers of at most 6 significant digits, the precision of spec_label
 SIX_DIGITS = st.builds(lambda m, e: float(f"{m}e{e}"),
@@ -35,7 +35,7 @@ ALL_KINDS = [
 
 
 def rng(seed=0):
-    return StreamPartition(seed).generator(0)
+    return stream(seed)
 
 
 class TestConstruction:

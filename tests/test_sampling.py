@@ -12,16 +12,15 @@ from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint,
 from mixpois.sampling import (
     Z_95,
     EstimatorConfig,
-    StreamPartition,
     efficiency_diagnostic,
     is_fast,
     is_slow,
     mc_P,
-    pool_results,
+    stream,
 )
 
 EXP25 = Exponential(2.5)
-PART = StreamPartition(314)
+PART = 314
 
 
 def joint_dev(result, exact):
@@ -31,22 +30,12 @@ def joint_dev(result, exact):
 class TestStreams:
     def test_validation(self):
         with pytest.raises(DomainError):
-            StreamPartition(-1)
-        with pytest.raises(DomainError):
-            StreamPartition(0, 0)
-        with pytest.raises(DomainError):
-            StreamPartition(0, 2, 5)
-
-    def test_layout(self):
-        assert StreamPartition(0, 3).layout(10) == [(0, 4), (1, 3), (2, 3)]
-        assert StreamPartition(0, 3, 1).layout(10) == [(1, 3)]
-        assert StreamPartition(0, 4).layout(3) == [(0, 1), (1, 1), (2, 1)]
+            stream(-1)
 
     def test_counter_based_independence(self):
-        p = StreamPartition(123, 2)
-        a = p.generator(0).random(8)
-        b = p.generator(1).random(8)
-        a2 = p.generator(0).random(8)
+        a = stream(123).random(8)
+        b = stream(124).random(8)
+        a2 = stream(123).random(8)
         assert np.array_equal(a, a2)
         assert not np.array_equal(a, b)
 
@@ -54,25 +43,9 @@ class TestStreams:
 class TestReproducibility:
     def test_bit_identical_rerun(self):
         kwargs = dict(dist=EXP25, alpha=1.2, a=1.0, N=10.0, runs=40_000)
-        r1 = mc_P(partition=StreamPartition(7, 3), **kwargs)
-        r2 = mc_P(partition=StreamPartition(7, 3), **kwargs)
+        r1 = mc_P(seed=7, **kwargs)
+        r2 = mc_P(seed=7, **kwargs)
         assert r1 == r2
-
-    @pytest.mark.parametrize("options", [dict(quantity="tail"),
-                                         dict(quantity="tail_by_sum", K=70)],
-                             ids=["tail", "tail_by_sum"])
-    def test_shard_merge_equals_full_run(self, options):
-        kwargs = dict(dist=EXP25, alpha=1.2, a=1.0, N=10.0, runs=50_001, **options)
-        full = is_fast(partition=StreamPartition(7, 3), **kwargs)
-        parts = [is_fast(partition=StreamPartition(7, 3, s), **kwargs) for s in range(3)]
-        assert pool_results(parts) == full
-
-    def test_changing_shards_changes_stream_not_contract(self):
-        kwargs = dict(dist=EXP25, alpha=1.2, a=1.0, N=10.0, runs=40_000)
-        one = mc_P(partition=StreamPartition(7, 1), **kwargs)
-        three = mc_P(partition=StreamPartition(7, 3), **kwargs)
-        assert one.runs == three.runs
-        assert one.estimate != three.estimate  # different streams
 
 
 class TestEstimatorResult:
@@ -81,7 +54,6 @@ class TestEstimatorResult:
         assert r.ci_halfwidth_95 == pytest.approx(Z_95 * math.sqrt(r.sample_variance / r.runs), rel=1e-12)
         assert r.second_moment >= r.estimate**2
         assert r.runs == 30_000
-        assert r.base_seed == 314
 
     def test_certain_event(self):
         r = mc_P(EXP25, 1.0, 0.0, 10.0, 1000, PART)
@@ -147,13 +119,12 @@ class TestFastEstimator:
         assert joint_dev(r, exact) < 4.0
 
     def test_tail_by_sum_ci_covers_level_covariance(self):
-        # the levels share each run's pooled rate, so the spread of the shard
-        # estimates must match the reported standard errors
-        shards, runs = 200, 1000
+        # the levels share each run's pooled rate, so the spread of the
+        # replicate estimates must match the reported standard errors
+        replicates, runs = 200, 1000
         estimates, reported = [], []
-        for s in range(shards):
-            r = is_fast(EXP25, 2.0, 1.0, 10.0, shards * runs, StreamPartition(2026, shards, s),
-                        quantity="tail_by_sum", K=40)
+        for s in range(replicates):
+            r = is_fast(EXP25, 2.0, 1.0, 10.0, runs, 2026 + s, quantity="tail_by_sum", K=40)
             estimates.append(r.estimate)
             reported.append(r.ci_halfwidth_95 / Z_95)
         ratio = np.std(estimates, ddof=1) / np.median(reported)
@@ -195,7 +166,7 @@ class TestSlowEstimator:
         exact_rate = PoissonRate(2.0)
         with pytest.warns(RegimeWarning):
             r = is_slow(exact_rate, 1.0, 3.0, 9.0, 2 * 10**5, PART)
-        crude = mc_P(exact_rate, 1.0, 3.0, 9.0, 2 * 10**5, StreamPartition(77))
+        crude = mc_P(exact_rate, 1.0, 3.0, 9.0, 2 * 10**5, 77)
         joint = math.hypot(r.ci_halfwidth_95, crude.ci_halfwidth_95)
         assert abs(r.estimate - crude.estimate) < 2.5 * joint
 
@@ -215,21 +186,21 @@ class TestRepeatedSeedCoverage:
         "runner,exact",
         [
             (
-                lambda seed: mc_P(EXP25, 1.0, 1.0, 10.0, 10**5, StreamPartition(seed)),
+                lambda seed: mc_P(EXP25, 1.0, 1.0, 10.0, 10**5, seed),
                 P_exact(GammaCase(1.0, 2.5, 1.0, 1.0, 10.0)),
             ),
             (
-                lambda seed: is_fast(EXP25, 1.2, 1.0, 10.0, 10**5, StreamPartition(seed),
+                lambda seed: is_fast(EXP25, 1.2, 1.0, 10.0, 10**5, seed,
                                      quantity="tail"),
                 P_exact(GammaCase(1.0, 2.5, 1.2, 1.0, 10.0)),
             ),
             (
-                lambda seed: is_fast(EXP25, 1.2, 1.0, 10.0, 10**5, StreamPartition(seed),
+                lambda seed: is_fast(EXP25, 1.2, 1.0, 10.0, 10**5, seed,
                                      quantity="point"),
                 p_exact(GammaCase(1.0, 2.5, 1.2, 1.0, 10.0)),
             ),
             (
-                lambda seed: is_slow(EXP25, 0.5, 2.0, 25.0, 10**5, StreamPartition(seed)),
+                lambda seed: is_slow(EXP25, 0.5, 2.0, 25.0, 10**5, seed),
                 P_exact(GammaCase(1.0, 2.5, 0.5, 2.0, 25.0)),
             ),
         ],
@@ -256,8 +227,8 @@ class TestWeightFiniteness:
         a = a_mult / lam
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
-            fast = is_fast(dist, alpha, a, float(N), 2000, StreamPartition(seed))
-            slow = is_slow(dist, alpha, a, float(N), 2000, StreamPartition(seed))
+            fast = is_fast(dist, alpha, a, float(N), 2000, seed)
+            slow = is_slow(dist, alpha, a, float(N), 2000, seed)
         for r in (fast, slow):
             assert math.isfinite(r.estimate)
             assert math.isfinite(r.second_moment)
@@ -271,7 +242,7 @@ class TestWeightFiniteness:
     def test_poisson_rate_zero_pooled_rate(self, lam, a_mult, seed):
         # Poisson rates can draw an all-zero pooled rate; weights must stay finite
         dist = PoissonRate(lam)
-        r = is_fast(dist, 2.0, lam * a_mult, 3.0, 2000, StreamPartition(seed))
+        r = is_fast(dist, 2.0, lam * a_mult, 3.0, 2000, seed)
         assert math.isfinite(r.estimate)
 
 
@@ -284,14 +255,14 @@ class TestEfficiencyDiagnostic:
             efficiency_diagnostic(cfg, [1.0, 3.0, 2.0])
 
     def test_crude_indicator_ratio_is_half(self):
-        cfg = EstimatorConfig("mc", EXP25, 0.5, 1.0, 50_000, base_seed=5)
+        cfg = EstimatorConfig("mc", EXP25, 0.5, 1.0, 50_000, seed=5)
         diag = efficiency_diagnostic(cfg, [1.0, 2.0, 4.0])
         for row in diag.rows:
             assert row.ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic_rate_ratio_approaches_one(self):
         cfg = EstimatorConfig(
-            "is-fast", DeterministicRate(1.0), 2.0, 2.0, 10**5, quantity="point", base_seed=5
+            "is-fast", DeterministicRate(1.0), 2.0, 2.0, 10**5, quantity="point", seed=5
         )
         diag = efficiency_diagnostic(cfg, [4.0, 16.0, 64.0])
         ratios = [row.ratio for row in diag.rows]

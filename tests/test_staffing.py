@@ -13,7 +13,6 @@ from mixpois.rates import (
     TwoPoint,
     spec_label,
 )
-from mixpois.sampling import StreamPartition
 from mixpois.staffing import solve_staffing
 
 POIS2 = PoissonRate(2.0)
@@ -85,7 +84,7 @@ class TestSolveStaffing:
 
     def test_mc_audit_at_solved_level(self):
         r = solve_staffing(POIS2, ExpService(0.5), 100, 1e-3)
-        audit = mc_Q(POIS2, ExpService(0.5), 100, r.a_eps, 200_000, StreamPartition(0))
+        audit = mc_Q(POIS2, ExpService(0.5), 100, r.a_eps, 200_000, 0)
         assert audit.runs == 200_000
         # the audit should land in the right ballpark of the target
         assert 0.3 * r.epsilon < audit.estimate < 3.0 * r.epsilon
