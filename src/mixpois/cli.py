@@ -257,13 +257,17 @@ def _estimate_row(head: dict, result: sampling.EstimatorResult, seed: int) -> di
 
 
 def _cmd_simulate(args) -> list[dict]:
-    config = sampling.EstimatorConfig(
-        args.method, parse_rate(args.dist), args.alpha, args.a, args.runs,
-        quantity="point" if args.quantity == "p" else "tail",
-        seed=args.seed,
-    )
+    dist = parse_rate(args.dist)
+    if args.quantity == "p" and args.method != "is-fast":
+        raise DomainError(f"{args.method} estimates only the tail, not the point")
+    if args.method == "is-fast":
+        result = sampling.is_fast(dist, args.alpha, args.a, args.N, args.runs, args.seed,
+                                  quantity="point" if args.quantity == "p" else "tail")
+    else:
+        estimator = sampling.mc_P if args.method == "mc" else sampling.is_slow
+        result = estimator(dist, args.alpha, args.a, args.N, args.runs, args.seed)
     head = {"method": args.method, "N": args.N, "alpha": args.alpha, "a": args.a}
-    return [_estimate_row(head, config.run(args.N), args.seed)]
+    return [_estimate_row(head, result, args.seed)]
 
 
 def _cmd_queue_approx(args) -> list[dict]:

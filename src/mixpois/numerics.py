@@ -107,7 +107,10 @@ def log_gamma(x: float) -> float:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
         # reflection keeps full accuracy near zero
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+        reflected = math.pi / math.sin(math.pi * x)
+        if reflected == math.inf:  # subnormal x, where log Gamma(x) is -log x to the last bit
+            return -math.log(x)
+        return math.log(reflected) - log_gamma(1.0 - x)
     z = x - 1.0
     acc = _LANCZOS_COEF[0]
     for i in range(1, 9):

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
-from .poisson_ldp import ceil_count, exact_count, poisson_rate
+from .poisson_ldp import ceil_count, poisson_rate
 from .rates import RateDistribution, parse_spec, spec_label
-from .sampling import DEFAULT_OP_BUDGET, EstimatorResult, _count_mean, _run_chunked
+from .sampling import EstimatorResult, _count_mean, _run_chunked
 from .tail_asymptotics import DecayRate
 
 __all__ = [
@@ -378,20 +378,12 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     return approx
 
 
-def mc_Q(
-    dist: RateDistribution,
-    service: ServiceTime,
-    N: int,
-    a: float,
-    runs: int,
-    seed: int,
-    point: bool = False,
-    op_budget: int = DEFAULT_OP_BUDGET,
-) -> EstimatorResult:
-    """Crude Monte Carlo for the occupancy tail (or point mass) at level N*a."""
+def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
+         seed: int) -> EstimatorResult:
+    """Crude Monte Carlo for the occupancy tail at level N*a."""
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
-    k = exact_count(N * a) if point else ceil_count(N * a)
+    k = ceil_count(N * a)
     omegas = None
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -401,10 +393,9 @@ def mc_Q(
         x = dist.sample(rng, m * N).reshape(m, N)
         lam = x @ omegas
         z = rng.poisson(_count_mean(lam))
-        hit = (z == k) if point else (z >= k)
-        return hit.astype(np.float64)
+        return (z >= k).astype(np.float64)
 
-    return _run_chunked(seed, runs, N + 1, op_budget, weights)
+    return _run_chunked(seed, runs, N + 1, weights)
 
 
 def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: float) -> DecayRate:
@@ -443,7 +434,7 @@ def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: fl
 class LoadVariance:
     """Mean and variance decomposition of the occupancy."""
 
-    M1: float                  # transient mean at the observation epoch
+    M1: float                  # transient mean, N * mean rate * int_0^1 sf = mean rate * sum omega_i
     M_inf: float               # stationary mean, N * mean rate * mean service
     var_total: float
     var_overdispersion: float  # N * Var(rate) * int_0^inf sf^2
@@ -454,12 +445,11 @@ def load_and_variance(dist: RateDistribution, service: ServiceTime, N: int) -> L
     """Occupancy mean and stationary variance split into its two sources."""
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
-    m1 = dist.mean * float(omega_vector(N, service).sum())
     m_inf = N * dist.mean * service.mean
     var_over = N * dist.variance * service.sf_sq_integral_total()
     var_pois = N * dist.mean * service.mean
     return LoadVariance(
-        M1=m1,
+        M1=N * mean_load(dist, service),
         M_inf=m_inf,
         var_total=var_over + var_pois,
         var_overdispersion=var_over,

@@ -13,6 +13,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,10 +24,8 @@ from .rates import GammaRate, RateDistribution, rate_function
 
 __all__ = [
     "Z_95",
-    "DEFAULT_OP_BUDGET",
     "stream",
     "EstimatorResult",
-    "EstimatorConfig",
     "mc_P",
     "is_fast",
     "is_slow",
@@ -34,7 +33,7 @@ __all__ = [
 ]
 
 Z_95 = 1.959964  # standard normal 97.5% quantile, fixed CI level
-DEFAULT_OP_BUDGET = 4_000_000_000  # scalar draws allowed per estimator call
+_OP_BUDGET = 4_000_000_000  # scalar draws allowed per estimator call
 _CHUNK_SCALARS = 4_000_000
 _POISSON_MEAN_MAX = 9.2e18  # numpy's Poisson sampler refuses means above about 9.22e18
 
@@ -75,18 +74,17 @@ def _finalize(n: int, sum_w: float, sum_w2: float) -> EstimatorResult:
     )
 
 
-def _run_chunked(seed: int, runs: int, scalars_per_run: int, op_budget: int,
-                 weights) -> EstimatorResult:
+def _run_chunked(seed: int, runs: int, scalars_per_run: int, weights) -> EstimatorResult:
     """The estimator driver: checks the draw budget and that one run fits in
     a chunk, then runs ``weights(rng, m) -> m per-run weights`` on the stream
     of ``seed`` in chunks of at most _CHUNK_SCALARS scalar draws."""
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
     total = runs * scalars_per_run
-    if total > op_budget:
+    if total > _OP_BUDGET:
         raise BudgetError(
             f"{runs} runs x {scalars_per_run} draws/run = {total} scalar draws "
-            f"exceed the operation budget {op_budget}; raise op_budget to allow this"
+            f"exceed the operation budget {_OP_BUDGET}"
         )
     if scalars_per_run > _CHUNK_SCALARS:
         raise BudgetError(
@@ -149,25 +147,30 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     return draw, float(slots), slots
 
 
-def mc_P(
-    dist: RateDistribution,
-    alpha: float,
-    a: float,
-    N: float,
-    runs: int,
-    seed: int,
-    op_budget: int = DEFAULT_OP_BUDGET,
-) -> EstimatorResult:
-    """Crude Monte Carlo for the overflow probability P(count >= N*a)."""
-    draw, slot_count, scalars = _slot_sampler(dist, alpha, N)
+def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
+                  seed: int, theta: float | None) -> EstimatorResult:
+    """The overflow probability P(count >= N*a) with the slot rates drawn
+    exponentially twisted by ``theta`` and each run weighed by its likelihood
+    ratio times the overflow indicator.  Crude Monte Carlo is the untilted
+    case, ``theta=None``, where every run weighs its indicator alone."""
+    cgf_at_twist = None if theta is None else float(dist.cgf(theta)[0])
+    draw, slot_count, scalars = _slot_sampler(dist, alpha, N, theta=theta)
     k = ceil_count(N * a)
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         pooled = draw(rng, m)
-        z = rng.poisson(_count_mean(N * pooled / slot_count))
-        return (z >= k).astype(np.float64)
+        hit = rng.poisson(_count_mean(N * pooled / slot_count)) >= k
+        if theta is None:
+            return hit.astype(np.float64)
+        return np.exp(slot_count * cgf_at_twist - theta * pooled) * hit
 
-    return _run_chunked(seed, runs, scalars + 1, op_budget, weights)
+    return _run_chunked(seed, runs, scalars + 1, weights)
+
+
+def mc_P(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
+         seed: int) -> EstimatorResult:
+    """Crude Monte Carlo for the overflow probability P(count >= N*a)."""
+    return _tail_at_tilt(dist, alpha, a, N, runs, seed, None)
 
 
 def is_fast(
@@ -179,7 +182,6 @@ def is_fast(
     seed: int,
     quantity: str = "tail",
     K: int | None = None,
-    op_budget: int = DEFAULT_OP_BUDGET,
 ) -> EstimatorResult:
     """Importance sampling tuned for fast resampling.
 
@@ -230,18 +232,11 @@ def is_fast(
 
         return functools.reduce(np.add, map(at_level, levels, counts))
 
-    return _run_chunked(seed, runs, scalars + len(levels), op_budget, weights)
+    return _run_chunked(seed, runs, scalars + len(levels), weights)
 
 
-def is_slow(
-    dist: RateDistribution,
-    alpha: float,
-    a: float,
-    N: float,
-    runs: int,
-    seed: int,
-    op_budget: int = DEFAULT_OP_BUDGET,
-) -> EstimatorResult:
+def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
+            seed: int) -> EstimatorResult:
     """Importance sampling tuned for slow resampling.
 
     The slot rates are drawn exponentially twisted so their mean becomes a;
@@ -261,43 +256,7 @@ def is_slow(
         raise InfeasibleTargetError(
             f"twist target a={a} is not below the support supremum {dist.support_sup}"
         )
-    theta_a = rate_function(dist, a).theta_star
-    cgf_at_twist = float(dist.cgf(theta_a)[0])
-    draw, slot_count, scalars = _slot_sampler(dist, alpha, N, theta=theta_a)
-    k = ceil_count(N * a)
-
-    def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        pooled = draw(rng, m)
-        z = rng.poisson(_count_mean(N * pooled / slot_count))
-        log_l = slot_count * cgf_at_twist - theta_a * pooled
-        return np.exp(log_l) * (z >= k)
-
-    return _run_chunked(seed, runs, scalars + 1, op_budget, weights)
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Estimator selection for the efficiency diagnostic and ``mixpois simulate``."""
-
-    method: str  # "mc" | "is-fast" | "is-slow"
-    dist: RateDistribution
-    alpha: float
-    a: float
-    runs: int
-    quantity: str = "tail"
-    seed: int = 0
-
-    def run(self, N: float) -> EstimatorResult:
-        if self.quantity != "tail" and self.method != "is-fast":
-            raise DomainError(f"{self.method} estimates only the tail, not the {self.quantity}")
-        if self.method == "mc":
-            return mc_P(self.dist, self.alpha, self.a, N, self.runs, self.seed)
-        if self.method == "is-fast":
-            return is_fast(self.dist, self.alpha, self.a, N, self.runs, self.seed,
-                           quantity=self.quantity)
-        if self.method == "is-slow":
-            return is_slow(self.dist, self.alpha, self.a, N, self.runs, self.seed)
-        raise DomainError(f"unknown method {self.method!r}")
+    return _tail_at_tilt(dist, alpha, a, N, runs, seed, rate_function(dist, a).theta_star)
 
 
 @dataclass(frozen=True)
@@ -315,8 +274,10 @@ class EfficiencyDiagnostic:
     passed: bool
 
 
-def efficiency_diagnostic(config: EstimatorConfig, N_grid: list[float]) -> EfficiencyDiagnostic:
-    """Empirical second-moment decay check along an increasing N grid.
+def efficiency_diagnostic(estimate: Callable[[float], EstimatorResult], alpha: float,
+                          N_grid: list[float]) -> EfficiencyDiagnostic:
+    """Empirical second-moment decay check of ``estimate(N)`` along an
+    increasing N grid, at resampling exponent ``alpha``.
 
     An asymptotically efficient estimator has its second moment decaying at
     twice the rate of the probability itself, so the ratio of the two log
@@ -325,10 +286,10 @@ def efficiency_diagnostic(config: EstimatorConfig, N_grid: list[float]) -> Effic
     """
     if len(N_grid) < 3 or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise DomainError("N_grid must be increasing with at least 3 points")
-    gamma = min(config.alpha, 1.0)
+    gamma = min(alpha, 1.0)
     rows = []
     for N in N_grid:
-        res = config.run(N)
+        res = estimate(N)
         scale = N**gamma
         if res.estimate > 0.0 and res.second_moment > 0.0:
             m2_rate = math.log(res.second_moment) / scale

@@ -18,7 +18,7 @@ import pytest
 
 from mixpois import gamma_exact, numerics, poisson_ldp, queue, sampling, staffing, tail_asymptotics
 from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint
-from mixpois.sampling import Z_95, EstimatorConfig, efficiency_diagnostic
+from mixpois.sampling import Z_95, efficiency_diagnostic
 
 SEED = 20250809
 
@@ -333,9 +333,9 @@ class TestCriterion5:
         rows = _compare_grid(Exponential(1.0), 1.0, 2.0, 2.0, grid, "is-fast")
         span, overlaps, is_growth, mc_growth = _check_regime(rows, 10**6)
         diag = efficiency_diagnostic(
-            EstimatorConfig("is-fast", Exponential(1.0), 2.0, 2.0, 10**6,
-                            quantity="point", seed=SEED),
-            grid,
+            lambda N: sampling.is_fast(Exponential(1.0), 2.0, 2.0, N, 10**6, SEED,
+                                      quantity="point"),
+            2.0, grid,
         )
         acceptance_log(
             "criterion 5 (fast)",
@@ -352,8 +352,8 @@ class TestCriterion5:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             diag = efficiency_diagnostic(
-                EstimatorConfig("is-slow", Exponential(2.5), 0.5, 2.0, 10**6, seed=SEED),
-                [49.0, 100.0, 225.0, 400.0, 900.0],
+                lambda N: sampling.is_slow(Exponential(2.5), 0.5, 2.0, N, 10**6, SEED),
+                0.5, [49.0, 100.0, 225.0, 400.0, 900.0],
             )
         increasing = [r.ratio for r in diag.rows] == sorted(r.ratio for r in diag.rows)
         acceptance_log(

@@ -95,6 +95,26 @@ class TestExactGamma:
         assert row["p_asym"] == ""
         assert float(row["p_exact"]) > 0.0
 
+    def test_subnormal_pooled_shape(self, capsys):
+        # log Gamma of the pooled shape 1.5e-323 is finite; mpmath -746.5195134630611
+        code, out, _ = run_cli(
+            ["exact-gamma", "--dist", "gamma:5e-324,1", "--alpha", "1", "--a", "1", "--N", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert parse_csv(out)[0]["log_p_exact"] == "-746.519513463"
+
+    def test_count_above_termwise_range(self, capsys):
+        # count 3e6 below the pooled shape 8e18: mpmath -216403.700324417889
+        code, out, _ = run_cli(
+            ["exact-gamma", "--dist", "exp:1", "--alpha", "3", "--a", "1.5", "--N", "2e6"],
+            capsys,
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["log_p_exact"] == "-216403.700324"
+        assert float(row["ratio"]) == pytest.approx(1.0, abs=1e-6)
+
 
 class TestSimulate:
     def test_deterministic_output(self, capsys):

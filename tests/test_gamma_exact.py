@@ -65,6 +65,17 @@ class TestExactPoint:
         assert log_p_exact(case(lam=lam, alpha=alpha, a=a, N=N)) == pytest.approx(reference,
                                                                                    abs=1e-9)
 
+    # mpmath at 60 digits with the package's shape r: counts above 1e6 and
+    # below the pooled shape (8e18 and 1e12), where log Gamma(k + r) -
+    # log Gamma(r) cancels to noise and Stirling's series takes its place
+    @pytest.mark.parametrize("alpha,a,N,reference", [
+        (3.0, 1.5, 2e6, -216403.700324417889),
+        (2.0, 2.0, 1e6, -386302.034389002394),
+    ])
+    def test_count_above_termwise_range_below_shape(self, alpha, a, N, reference):
+        assert log_p_exact(case(lam=1.0, alpha=alpha, a=a, N=N)) == pytest.approx(reference,
+                                                                                   rel=1e-12)
+
     def test_non_integer_pooled_shape(self):
         # N^alpha need not be an integer; compare against a fine mixture sum
         c = case(beta=1.0, lam=2.0, alpha=0.5, a=1.0, N=8.0)

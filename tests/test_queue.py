@@ -311,10 +311,6 @@ class TestMcQ:
         exact = psi_exact(1.0, float(ceil_count(N * a)), mean)
         assert abs(r.estimate - exact) < 4.0 * (r.ci_halfwidth_95 / Z_95)
 
-    def test_point_variant(self):
-        r = mc_Q(POIS2, ExpService(0.5), 20, 1.0, 10**5, 4, point=True)
-        assert 0.0 < r.estimate < 1.0
-
     def test_requires_integer_slots(self):
         with pytest.raises(DomainError):
             mc_Q(POIS2, ExpService(0.5), 10.5, 1.0, 100, 0)
@@ -380,3 +376,10 @@ class TestLoadVariance:
         # stationary mean depends on the service law only through its mean
         for service in SERVICES:
             assert load_and_variance(POIS2, service, 100).M_inf == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("N", [1, 7, 100, 1000])
+    def test_transient_mean_is_the_summed_retention(self, N):
+        # sum_i omega_i telescopes to N * int_0^1 sf, so M1 needs no loop over slots
+        for service in SERVICES:
+            lv = load_and_variance(POIS2, service, N)
+            assert lv.M1 == pytest.approx(2.0 * omega_vector(N, service).sum(), rel=1e-13)

@@ -11,7 +11,6 @@ from mixpois.poisson_ldp import pmf_exact
 from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint, rate_function
 from mixpois.sampling import (
     Z_95,
-    EstimatorConfig,
     efficiency_diagnostic,
     is_fast,
     is_slow,
@@ -75,7 +74,7 @@ class TestCrudeMonteCarlo:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            mc_P(TwoPoint(0.75, 1.0, 5.0), 2.0, 3.0, 1000.0, 10**6, PART, op_budget=10**6)
+            mc_P(TwoPoint(0.75, 1.0, 5.0), 2.0, 3.0, 1000.0, 10**6, PART)
 
 
 @pytest.mark.filterwarnings("ignore::mixpois.errors.RegimeWarning")
@@ -84,13 +83,6 @@ class TestCrudeMonteCarlo:
 def test_estimators_reject_nonpositive_alpha_and_N(estimator, alpha, N):
     with pytest.raises(DomainError, match="alpha and N must be positive"):
         estimator(Exponential(1.0), alpha, 2.0, N, 10, PART)
-
-
-@pytest.mark.parametrize("method", ["mc", "is-slow"])
-def test_point_quantity_is_fast_only(method):
-    config = EstimatorConfig(method, Exponential(1.0), 0.5, 2.0, 10, quantity="point")
-    with pytest.raises(DomainError, match="only the tail"):
-        config.run(4.0)
 
 
 class TestFastEstimator:
@@ -131,11 +123,10 @@ class TestFastEstimator:
         assert 0.85 <= ratio <= 1.15
 
     def test_tail_by_sum_budget_counts_one_draw_per_level(self):
-        # 1 pooled gamma draw and 31 counts (levels 10..40) per run
-        is_fast(EXP25, 2.0, 1.0, 10.0, 100, PART, quantity="tail_by_sum", K=40, op_budget=3200)
-        with pytest.raises(BudgetError):
-            is_fast(EXP25, 2.0, 1.0, 10.0, 100, PART, quantity="tail_by_sum", K=40,
-                    op_budget=3199)
+        # 1 pooled gamma draw and 31 counts (levels 10..40) per run: one run
+        # more than 4e9 / 32 exceeds the budget, refused before any draw
+        with pytest.raises(BudgetError, match="125000001 runs x 32 draws/run"):
+            is_fast(EXP25, 2.0, 1.0, 10.0, 125_000_001, PART, quantity="tail_by_sum", K=40)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -248,28 +239,25 @@ class TestWeightFiniteness:
 
 class TestEfficiencyDiagnostic:
     def test_grid_validation(self):
-        cfg = EstimatorConfig("mc", EXP25, 1.0, 1.0, 1000)
+        def estimate(N):
+            return mc_P(EXP25, 1.0, 1.0, N, 1000, 0)
+
         with pytest.raises(DomainError):
-            efficiency_diagnostic(cfg, [1.0, 2.0])
+            efficiency_diagnostic(estimate, 1.0, [1.0, 2.0])
         with pytest.raises(DomainError):
-            efficiency_diagnostic(cfg, [1.0, 3.0, 2.0])
+            efficiency_diagnostic(estimate, 1.0, [1.0, 3.0, 2.0])
 
     def test_crude_indicator_ratio_is_half(self):
-        cfg = EstimatorConfig("mc", EXP25, 0.5, 1.0, 50_000, seed=5)
-        diag = efficiency_diagnostic(cfg, [1.0, 2.0, 4.0])
+        diag = efficiency_diagnostic(lambda N: mc_P(EXP25, 0.5, 1.0, N, 50_000, 5), 0.5,
+                                     [1.0, 2.0, 4.0])
         for row in diag.rows:
             assert row.ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic_rate_ratio_approaches_one(self):
-        cfg = EstimatorConfig(
-            "is-fast", DeterministicRate(1.0), 2.0, 2.0, 10**5, quantity="point", seed=5
+        diag = efficiency_diagnostic(
+            lambda N: is_fast(DeterministicRate(1.0), 2.0, 2.0, N, 10**5, 5, quantity="point"),
+            2.0, [4.0, 16.0, 64.0],
         )
-        diag = efficiency_diagnostic(cfg, [4.0, 16.0, 64.0])
         ratios = [row.ratio for row in diag.rows]
         assert ratios == sorted(ratios)
         assert ratios[-1] > 0.9
-
-    def test_unknown_method(self):
-        cfg = EstimatorConfig("bogus", EXP25, 1.0, 1.0, 10)
-        with pytest.raises(DomainError):
-            cfg.run(4.0)
