@@ -9,7 +9,9 @@ success, 2 on validation errors, 3 on numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import math
 import sys
 
@@ -33,17 +35,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(args, rows: list[dict]) -> None:
+def _write_rows(out, rows: list[dict]) -> None:
     """The rows as CSV, under a header of the first row's keys."""
-    out = sys.stdout if args.output is None else open(args.output, "w", newline="")
-    try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
 def _finite_float(text: str) -> float:
@@ -69,7 +66,12 @@ def _add_seeding(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed in [0, 2^64) (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves no state in it, and the handlers reach the
+    package through module attributes.  ``build_parser.__wrapped__()``
+    builds a fresh one."""
     parser = argparse.ArgumentParser(
         prog="mixpois",
         description="Overflow probabilities of mixed Poisson counts with "
@@ -379,19 +381,26 @@ def _cmd_repro(args) -> list[dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; may be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
-    try:
-        _write_rows(args, args.handler(args))
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    try:  # before any row is computed, so an unwritable path costs nothing
+        out = (contextlib.nullcontext(sys.stdout) if args.output is None
+               else open(args.output, "w", newline=""))
+    except OSError as exc:
+        print(f"error: cannot write --output {args.output}: {exc.strerror}", file=sys.stderr)
         return 2
+    with out as stream:
+        try:
+            _write_rows(stream, args.handler(args))
+        except ConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -38,6 +38,8 @@ __all__ = [
 _BOUNDARY_TOL = 1e-9
 # the tail sum stops once its remainder bound is below this fraction of it
 _TAIL_REL_TOL = 1e-14
+_MAX_TAIL_TERMS = 50_000_000  # counts the tail sum may test before giving up
+_FIRST_CHUNK, _LAST_CHUNK = 64, 2**16  # counts per numpy chunk of the tail sum
 _MAX_TERMS = 10_000  # correction terms a series may take; alpha within 1e-4 of 1 needs more
 _MAX_RISING_TERMS = 1_000_000  # largest count whose log rising factorial is summed termwise
 
@@ -135,6 +137,16 @@ def log_P_exact(case: GammaCase) -> float:
     Terms are accumulated upward from N*a; once past the mode, the remaining
     tail is geometrically dominated by the running term ratio and summation
     stops when that bound drops below _TAIL_REL_TOL of the partial sum.
+
+    The terms come in numpy chunks of 64 doubling to 2^16 counts, with the
+    operations of a term-by-term loop in the same order: each log term ratio
+    is taken by math.log, the terms by a cumulative sum seeded with the
+    running term and the partial sums by logaddexp seeded with the running
+    sum.  numpy's own log may differ from math.log in the last bit, so it
+    only screens the stopping test; every count it cannot rule out is
+    decided with math.log as the loop decides it, and the sum returned is
+    the one at the first count where the test holds, bit for bit the
+    term-by-term result.
     """
     k0 = case.count
     if k0 == 0:
@@ -142,20 +154,33 @@ def log_P_exact(case: GammaCase) -> float:
     r = case.shape
     log_q, _ = case._log_q()
     q = math.exp(log_q)
+    log_tol = math.log(_TAIL_REL_TOL)
 
     log_term = _log_pmf(case, k0)
     log_sum = log_term
     k = k0
-    for _ in range(50_000_000):
-        ratio = q * (k + r) / (k + 1.0)
-        ratio_sup = max(ratio, q)  # term ratios approach q monotonically
-        if ratio_sup < 1.0:
-            log_remainder_bound = log_term + math.log(ratio_sup) - math.log1p(-ratio_sup)
-            if log_remainder_bound < log_sum + math.log(_TAIL_REL_TOL):
+    size = _FIRST_CHUNK
+    while k < k0 + _MAX_TAIL_TERMS:
+        size = min(size, k0 + _MAX_TAIL_TERMS - k)
+        ks = np.arange(k, k + size + 1, dtype=float)  # tests ks[:-1], ends at ks[-1]
+        log_ratios = np.fromiter(map(math.log, ((ks[1:] - 1.0 + r) / ks[1:]).tolist()),
+                                 float, size)
+        terms = np.cumsum(np.concatenate(([log_term], log_q + log_ratios)))
+        sums = np.logaddexp.accumulate(np.concatenate(([log_sum], terms[1:])))
+        # term ratios approach q monotonically
+        ratio_sup = np.maximum(q * (ks[:-1] + r) / (ks[:-1] + 1.0), q)
+        live = np.flatnonzero(ratio_sup < 1.0)
+        log_rs, log_1mrs = np.log(ratio_sup[live]), np.log1p(-ratio_sup[live])
+        margin = terms[live] + log_rs - log_1mrs - (sums[live] + log_tol)
+        slack = 1e-12 * (np.abs(terms[live]) + np.abs(log_rs) + np.abs(log_1mrs)
+                         + np.abs(sums[live]) + 1.0)
+        for i in live[margin < slack]:
+            log_term, log_sum, rs = float(terms[i]), float(sums[i]), float(ratio_sup[i])
+            if log_term + math.log(rs) - math.log1p(-rs) < log_sum + log_tol:
                 return log_sum
-        k += 1
-        log_term += log_q + math.log((k - 1.0 + r) / k)
-        log_sum = float(np.logaddexp(log_sum, log_term))
+        k += size
+        log_term, log_sum = float(terms[-1]), float(sums[-1])
+        size = min(2 * size, _LAST_CHUNK)
     raise ConvergenceError(f"tail summation did not terminate for {case}")
 
 

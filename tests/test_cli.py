@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixpois import cli
 from mixpois.cli import build_parser, main
 from mixpois.rates import PoissonRate
 
@@ -218,6 +219,12 @@ REJECTED_INPUTS = {
     "staff tilt above 354": (["staff", "--dist", "exp:1.6190082276456837e+191", "--service",
                               "det:93.95691743698264", "--N", "50", "--eps", "0.18",
                               "--tol", "3.8e-07"], 3, "staffing bisection"),
+    # an unwritable --output raised a traceback once every row was computed
+    "output in a missing directory": (["approx", "--dist", "exp:2.5", "--alpha", "5", "--a", "3",
+                                       "--N", "100", "--output", "/nonexistent/x.csv"], 2,
+                                      "cannot write --output /nonexistent/x.csv"),
+    "output is a directory": (["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100",
+                               "--eps", "1e-3", "--output", "."], 2, "cannot write --output ."),
 }
 
 
@@ -525,6 +532,46 @@ class TestRepro:
             tokens = row["command"].split()
             assert tokens[0] == "mixpois"
             parser.parse_args(tokens[1:])  # must not raise
+
+
+COMMANDS = ("approx", "exact-gamma", "simulate", "queue-approx", "queue-sim", "omega", "staff",
+            "repro")
+
+
+class TestParserReuse:
+    """main reuses one parser; it must behave as a freshly built one."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+        assert build_parser.__wrapped__() is not build_parser()
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS],
+                             ids=["top"] + list(COMMANDS))
+    def test_help_bytes(self, capsys, argv):
+        code, reused, _ = run_cli(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            build_parser.__wrapped__().parse_args(argv)
+        assert (code, reused) == (exc.value.code, capsys.readouterr().out)
+        assert code == 0 and reused.startswith("usage: mixpois")
+
+    def test_same_namespace(self, capsys):
+        _, out, _ = run_cli(["repro", "--target", "all"], capsys)
+        argvs = [row["command"].split()[1:] for row in parse_csv(out)]
+        argvs += [pinned["argv"].split() for pinned in STDOUT_PIN]
+        assert len(argvs) == 44 + len(STDOUT_PIN)
+        for argv in argvs:
+            assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+
+    def test_usage_error_and_help_leave_no_trace(self, capsys, monkeypatch):
+        staff = ["staff", "--dist", "pois:2", "--service", "exp:0.5,det:0.5", "--N", "100",
+                 "--eps", "1e-3,1e-4"]
+        assert run_cli(["staff", "--dist", "pois:2", "--N", "x"], capsys)[0] == 2
+        assert run_cli(["staff", "--help"], capsys)[0] == 0
+        reused = run_cli(staff, capsys)
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = run_cli(staff, capsys)
+        assert reused == fresh
+        assert reused[0] == 0 and len(parse_csv(reused[1])) == 4
 
 
 class TestOutputFormat:

@@ -9,6 +9,7 @@ from mixpois.errors import ConvergenceError, DomainError, RegimeError, Truncatio
 from mixpois.gamma_exact import (
     GammaCase,
     P_exact,
+    _log_pmf,
     fast_series_coefficients,
     log_P_exact,
     log_p_exact,
@@ -118,6 +119,67 @@ class TestExactTail:
         c = case(beta=1.0, lam=2.0, alpha=0.8, a=2.0, N=5.0)
         brute = sum(p_exact(case(beta=1.0, lam=2.0, alpha=0.8, a=k / 5.0, N=5.0)) for k in range(10, 600))
         assert P_exact(c) == pytest.approx(brute, rel=1e-12)
+
+
+def _term_by_term_tail(c):
+    """(log P, index of the stopping count past N*a) from the one-term-per-
+    iteration loop that log_P_exact's numpy chunks replace."""
+    k0 = c.count
+    if k0 == 0:
+        return 0.0, 0
+    r = c.shape
+    log_q, _ = c._log_q()
+    q = math.exp(log_q)
+    log_term = _log_pmf(c, k0)
+    log_sum = log_term
+    k = k0
+    while True:
+        ratio_sup = max(q * (k + r) / (k + 1.0), q)
+        if ratio_sup < 1.0:
+            log_remainder_bound = log_term + math.log(ratio_sup) - math.log1p(-ratio_sup)
+            if log_remainder_bound < log_sum + math.log(1e-14):
+                return log_sum, k - k0
+        k += 1
+        log_term += log_q + math.log((k - 1.0 + r) / k)
+        log_sum = float(np.logaddexp(log_sum, log_term))
+
+
+class TestChunkedTail:
+    # chunks test 64, 128, 256, ... counts, so the stops at 63/64 and
+    # 191/192 sit on either side of a chunk boundary
+    @pytest.mark.parametrize("kwargs,stop", [
+        (dict(a=0.0, N=10.0), 0),
+        (dict(lam=1e15, N=10.0), 0),
+        (dict(lam=1.068197, N=10.0), 63),
+        (dict(lam=1.047372, N=10.0), 64),
+        (dict(lam=1.028018, N=10.0), 65),
+        (dict(lam=0.310617, N=10.0), 191),
+        (dict(lam=0.309011, N=10.0), 192),
+        (dict(lam=0.0008, N=10.0), 69772),  # past one 2^16-count chunk
+        (dict(lam=2.5, N=1e16), 64),  # counts above 2^53
+        (dict(beta=2.0, lam=1.5, a=3.0, N=5.0), None),
+        # P near 1: numpy's log of the term ratios moves these in the last bit
+        (dict(lam=0.5, alpha=1.5, a=0.5, N=10.0), 81),
+        (dict(lam=0.5, alpha=1.5, a=1.0, N=10.0), 76),
+        # the benchmark's tails
+        (dict(lam=2.5, alpha=0.5, N=1e2), None),
+        (dict(lam=2.5, alpha=0.5, N=1e3), None),
+        (dict(lam=2.5, alpha=0.5, N=1e4), 2043),
+        (dict(lam=2.5, N=1e2), None),
+        (dict(lam=2.5, N=1e3), None),
+    ])
+    def test_same_bits_as_term_by_term(self, kwargs, stop):
+        c = case(**kwargs)
+        reference, index = _term_by_term_tail(c)
+        assert stop is None or index == stop
+        assert log_P_exact(c) == reference
+
+    def test_term_cap(self, monkeypatch):
+        monkeypatch.setattr("mixpois.gamma_exact._MAX_TAIL_TERMS", 200)
+        assert log_P_exact(case(lam=0.309011, N=10.0)) == _term_by_term_tail(
+            case(lam=0.309011, N=10.0))[0]
+        with pytest.raises(ConvergenceError, match="did not terminate"):
+            log_P_exact(case(lam=0.0008, N=10.0))
 
 
 class TestSeriesCoefficients:

@@ -3,7 +3,6 @@ import subprocess
 import sys
 import warnings
 
-import numpy as np
 import pytest
 
 from mixpois import queue
@@ -328,22 +327,35 @@ class TestLogAsymQ:
         decay = log_asym_Q(Exponential(2.5), DetService(1.0), 1.0, 1.0)
         assert decay.rate == pytest.approx(compound_z(Exponential(2.5), 1.0).rate, abs=1e-10)
 
-    def test_slow_matches_grid_search(self):
-        dist, service, a = Exponential(2.5), ExpService(0.5), 1.0
-        decay = log_asym_Q(dist, service, 0.5, a)
-        spec = QuadratureSpec(breakpoints=service.breakpoints_in_unit)
+    def test_slow_matches_closed_form(self):
+        # exp:2.5 rates and exp:0.5 service: the objective theta a - int_0^1
+        # -log(1 - theta e^(-x/E)/lam) dx is theta a - E [Li2(theta/lam) -
+        # Li2(theta e^(-1/E)/lam)]; mpmath at 40 digits puts its supremum
+        # at theta = 2.484976437267654 with value 1.750601849089648641910
+        lam, E, a = 2.5, 0.5, 1.0
+        supremum = 1.750601849089648641910
+
+        def dilog(z):
+            if z > 0.5:
+                return math.pi**2 / 6.0 - math.log(z) * math.log1p(-z) - dilog(1.0 - z)
+            return math.fsum(z**k / k**2 for k in range(1, 60))
 
         def objective(theta):
-            # the exponential CGF -log(1 - t/lam) in closed form
-            integral = integrate(lambda x: -math.log1p(-theta * service.sf(x) / dist.lam),
-                                 Interval(0.0, 1.0), spec)
-            return theta * a - integral
+            return theta * a - E * (dilog(theta / lam) - dilog(theta * math.exp(-1.0 / E) / lam))
 
-        # the optimum sits well inside the MGF domain; stop the scan a hair
-        # before the wall where the integrand loses precision
-        thetas = np.linspace(1e-4, 2.5 - 1e-3, 40_000)
-        best = max(objective(float(t)) for t in thetas)
-        assert decay.rate == pytest.approx(best, abs=1e-6)
+        def slope(theta):
+            return a - E / theta * (math.log1p(-theta * math.exp(-1.0 / E) / lam)
+                                    - math.log1p(-theta / lam))
+
+        lo, hi = 1e-9, lam * (1.0 - 1e-15)  # the objective is concave on (0, lam)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+        assert lo == pytest.approx(2.484976437267654, abs=1e-12)
+        assert objective(lo) == pytest.approx(supremum, abs=1e-12)
+
+        decay = log_asym_Q(Exponential(lam), ExpService(E), 0.5, a)
+        assert decay.rate == pytest.approx(supremum, abs=1e-12)
         assert decay.gamma == 0.5
 
     def test_rarity(self):
