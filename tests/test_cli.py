@@ -605,8 +605,7 @@ class TestOutputFormat:
         assert proc.returncode == 2
 
     def test_help_exists_for_every_subcommand(self):
-        for cmd in ("approx", "exact-gamma", "simulate", "queue-approx", "queue-sim",
-                    "omega", "staff", "repro"):
+        for cmd in COMMANDS:
             proc = subprocess.run(
                 [sys.executable, "-m", "mixpois.cli", cmd, "--help"], capture_output=True
             )
