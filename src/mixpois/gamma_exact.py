@@ -134,19 +134,12 @@ def p_exact(case: GammaCase) -> float:
 def log_P_exact(case: GammaCase) -> float:
     """log of the exact tail P(count >= N*a), summed in log space.
 
-    Terms are accumulated upward from N*a; once past the mode, the remaining
-    tail is geometrically dominated by the running term ratio and summation
-    stops when that bound drops below _TAIL_REL_TOL of the partial sum.
-
-    The terms come in numpy chunks of 64 doubling to 2^16 counts, with the
-    operations of a term-by-term loop in the same order: each log term ratio
-    is taken by math.log, the terms by a cumulative sum seeded with the
-    running term and the partial sums by logaddexp seeded with the running
-    sum.  numpy's own log may differ from math.log in the last bit, so it
-    only screens the stopping test; every count it cannot rule out is
-    decided with math.log as the loop decides it, and the sum returned is
-    the one at the first count where the test holds, bit for bit the
-    term-by-term result.
+    Terms are accumulated upward from N*a in numpy chunks of 64 counts
+    doubling to 2^16; once past the mode, the remaining tail is geometrically
+    dominated by the running term ratio, and the partial sum is returned at
+    the first count where that bound drops below _TAIL_REL_TOL of it.  When
+    the tail holds nearly all the mass the sum can round above 1, so it is
+    capped at log 1 = 0.
     """
     k0 = case.count
     if k0 == 0:
@@ -163,21 +156,20 @@ def log_P_exact(case: GammaCase) -> float:
     while k < k0 + _MAX_TAIL_TERMS:
         size = min(size, k0 + _MAX_TAIL_TERMS - k)
         ks = np.arange(k, k + size + 1, dtype=float)  # tests ks[:-1], ends at ks[-1]
-        log_ratios = np.fromiter(map(math.log, ((ks[1:] - 1.0 + r) / ks[1:]).tolist()),
-                                 float, size)
+        log_ratios = np.log((ks[1:] - 1.0 + r) / ks[1:])
         terms = np.cumsum(np.concatenate(([log_term], log_q + log_ratios)))
         sums = np.logaddexp.accumulate(np.concatenate(([log_sum], terms[1:])))
         # term ratios approach q monotonically
         ratio_sup = np.maximum(q * (ks[:-1] + r) / (ks[:-1] + 1.0), q)
         live = np.flatnonzero(ratio_sup < 1.0)
-        log_rs, log_1mrs = np.log(ratio_sup[live]), np.log1p(-ratio_sup[live])
-        margin = terms[live] + log_rs - log_1mrs - (sums[live] + log_tol)
-        slack = 1e-12 * (np.abs(terms[live]) + np.abs(log_rs) + np.abs(log_1mrs)
-                         + np.abs(sums[live]) + 1.0)
-        for i in live[margin < slack]:
-            log_term, log_sum, rs = float(terms[i]), float(sums[i]), float(ratio_sup[i])
-            if log_term + math.log(rs) - math.log1p(-rs) < log_sum + log_tol:
-                return log_sum
+        log_bound = terms[live] + np.log(ratio_sup[live]) - np.log1p(-ratio_sup[live])
+        stops = live[log_bound < sums[live] + log_tol]
+        if stops.size:
+            return min(float(sums[stops[0]]), 0.0)
+        if terms[-1] == log_term:
+            raise ConvergenceError(
+                f"tail terms stopped changing at count {k + size:.6g}: their log "
+                f"increments are below its rounding, for {case}")
         k += size
         log_term, log_sum = float(terms[-1]), float(sums[-1])
         size = min(2 * size, _LAST_CHUNK)

@@ -31,7 +31,6 @@ __all__ = [
     "QueueApprox",
     "LoadVariance",
     "parse_service",
-    "omega",
     "omega_vector",
     "mc_Q",
     "theta_star_queue",
@@ -74,8 +73,9 @@ class ServiceTime:
         """1 - sf(x), computed without cancellation for small x."""
         raise NotImplementedError
 
-    def sf_integral(self, u: float, v: float) -> float:
-        """Exact integral of sf over [u, v]."""
+    def sf_integral(self, u, h):
+        """Exact integral of sf over [u, u + h], in a closed form without
+        cancellation (u a float or an array)."""
         raise NotImplementedError
 
     def sf_sq_integral_total(self) -> float:
@@ -99,9 +99,9 @@ class ExpService(ServiceTime):
     def sf_complement(self, x):
         return -np.expm1(-x / self.mean)
 
-    def sf_integral(self, u: float, v: float) -> float:
+    def sf_integral(self, u, h):
         E = self.mean
-        return E * (math.exp(-u / E) - math.exp(-v / E))
+        return E * np.exp(-u / E) * -np.expm1(-h / E)
 
     def sf_sq_integral_total(self) -> float:
         return 0.5 * self.mean
@@ -119,8 +119,8 @@ class DetService(ServiceTime):
     def sf_complement(self, x):
         return np.where(x < self.mean, 0.0, 1.0)
 
-    def sf_integral(self, u: float, v: float) -> float:
-        return max(0.0, min(v, self.mean) - min(u, self.mean))
+    def sf_integral(self, u, h):
+        return np.clip(self.mean - u, 0.0, h)
 
     def sf_sq_integral_total(self) -> float:
         return self.mean
@@ -142,9 +142,9 @@ class Pareto2Service(ServiceTime):
         t = x / self.mean
         return t * (2.0 + t) / (1.0 + t) ** 2
 
-    def sf_integral(self, u: float, v: float) -> float:
+    def sf_integral(self, u, h):
         E = self.mean
-        return E * ((1.0 + u / E) ** -1 - (1.0 + v / E) ** -1)
+        return h / ((1.0 + u / E) * (1.0 + (u + h) / E))
 
     def sf_sq_integral_total(self) -> float:
         return self.mean / 3.0
@@ -158,25 +158,17 @@ def parse_service(text: str) -> ServiceTime:
     return parse_spec(text, _SERVICE_KINDS, "service")
 
 
-def omega(i: int, N: int, service: ServiceTime) -> float:
-    """Retention probability of slot i among N: N * int_{(i-1)/N}^{i/N} sf."""
-    if not (isinstance(i, int) and isinstance(N, int)):
-        raise DomainError("slot index and slot count must be integers")
-    if not (1 <= i <= N):
-        raise DomainError(f"slot index must satisfy 1 <= i <= N, got i={i}, N={N}")
-    return N * service.sf_integral((i - 1) / N, i / N)
-
-
 def omega_vector(N: int, service: ServiceTime) -> np.ndarray:
-    """Retention probabilities omega_i(N) of slots i = 1..N."""
+    """Retention probabilities omega_i(N) = N * int_{(i-1)/N}^{i/N} sf of
+    slots i = 1..N."""
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"slot count must be a positive integer, got {N}")
-    return np.array([omega(i, N, service) for i in range(1, N + 1)])
+    return N * service.sf_integral(np.arange(N) / N, 1.0 / N)
 
 
 def mean_load(dist: RateDistribution, service: ServiceTime) -> float:
     """Scaled mean occupancy at the observation epoch: mean rate times int sf."""
-    return dist.mean * service.sf_integral(0.0, 1.0)
+    return dist.mean * float(service.sf_integral(0.0, 1.0))
 
 
 class _Rule:

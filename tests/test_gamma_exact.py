@@ -122,8 +122,8 @@ class TestExactTail:
 
 
 def _term_by_term_tail(c):
-    """(log P, index of the stopping count past N*a) from the one-term-per-
-    iteration loop that log_P_exact's numpy chunks replace."""
+    """(log P, index of the stopping count past N*a) from a one-term-per-
+    iteration loop under log_P_exact's stopping rule, with math.log."""
     k0 = c.count
     if k0 == 0:
         return 0.0, 0
@@ -158,7 +158,7 @@ class TestChunkedTail:
         (dict(lam=0.0008, N=10.0), 69772),  # past one 2^16-count chunk
         (dict(lam=2.5, N=1e16), 64),  # counts above 2^53
         (dict(beta=2.0, lam=1.5, a=3.0, N=5.0), None),
-        # P near 1: numpy's log of the term ratios moves these in the last bit
+        # P near 1: numpy's log of the term ratios moves these in the last bits
         (dict(lam=0.5, alpha=1.5, a=0.5, N=10.0), 81),
         (dict(lam=0.5, alpha=1.5, a=1.0, N=10.0), 76),
         # the benchmark's tails
@@ -168,11 +168,11 @@ class TestChunkedTail:
         (dict(lam=2.5, N=1e2), None),
         (dict(lam=2.5, N=1e3), None),
     ])
-    def test_same_bits_as_term_by_term(self, kwargs, stop):
+    def test_matches_term_by_term(self, kwargs, stop):
         c = case(**kwargs)
         reference, index = _term_by_term_tail(c)
         assert stop is None or index == stop
-        assert log_P_exact(c) == reference
+        assert abs(log_P_exact(c) - min(reference, 0.0)) <= 1e-14 * max(1.0, abs(reference))
 
     def test_term_cap(self, monkeypatch):
         monkeypatch.setattr("mixpois.gamma_exact._MAX_TAIL_TERMS", 200)
@@ -180,6 +180,20 @@ class TestChunkedTail:
             case(lam=0.309011, N=10.0))[0]
         with pytest.raises(ConvergenceError, match="did not terminate"):
             log_P_exact(case(lam=0.0008, N=10.0))
+
+    # the upward sum rounds above 1 here: log P is +1.99e-13 and +3.1e-12 uncapped
+    @pytest.mark.parametrize("c", [case(beta=2.0, lam=0.1, alpha=1.0, a=0.5, N=50.0),
+                                   case(lam=0.0008, N=10.0)])
+    def test_never_above_one(self, c):
+        assert _term_by_term_tail(c)[0] > 0.0
+        assert log_P_exact(c) == 0.0
+        assert P_exact(c) == 1.0
+
+    def test_stalled_terms_raise_at_once(self):
+        # at |log term| near 2e16 every log increment is below the rounding,
+        # so the terms never shrink; the first chunk shows it
+        with pytest.raises(ConvergenceError, match="stopped changing at count 1e\\+17"):
+            log_P_exact(case(lam=2.5, N=1e17))
 
 
 class TestSeriesCoefficients:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from mixpois import queue
@@ -24,7 +25,6 @@ from mixpois.queue import (
     log_asym_Q,
     mc_Q,
     mean_load,
-    omega,
     omega_vector,
     parse_service,
     queue_approx,
@@ -86,13 +86,40 @@ class TestServiceLaws:
 
 class TestOmega:
     def test_deterministic_full_retention(self):
-        for i in range(1, 11):
-            assert omega(i, 10, DetService(1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert omega_vector(10, DetService(1.0)) == pytest.approx([1.0] * 10, abs=1e-15)
 
     def test_deterministic_half(self):
-        values = [omega(i, 100, DetService(0.5)) for i in range(1, 101)]
+        values = omega_vector(100, DetService(0.5))
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in values[:50])
         assert all(v == 0.0 for v in values[50:])
+
+    # omega_i(10^6) for service mean 0.5 at slots i, from 50-digit mpmath of
+    # N * int_{(i-1)/N}^{i/N} sf; the difference of sf antiderivatives lost
+    # up to 3e-10 of these to cancellation
+    PINNED_1E6 = {
+        ExpService(0.5): {1: 0.9999990000006666663333, 500_000: 0.3678798090511287461213,
+                          1_000_000: 0.1353354185719861520740},
+        Pareto2Service(0.5): {1: 0.9999980000039999920000, 500_000: 0.2500002500002500002500,
+                              1_000_000: 0.1111111851852345679342},
+        DetService(0.5): {1: 1.0, 499_999: 1.0, 500_001: 0.0, 1_000_000: 0.0},
+    }
+
+    @pytest.mark.parametrize("service", list(PINNED_1E6))
+    def test_pinned_at_a_million_slots(self, service):
+        values = omega_vector(10**6, service)
+        for i, exact in self.PINNED_1E6[service].items():
+            assert values[i - 1] == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_deterministic_cutoff_slot(self):
+        # the cutoff 0.5 falls in slot 500000 of 10^6, whose left end
+        # 499999/10^6 rounds by 2.7e-17, which is 2.7e-11 of the slot width
+        assert omega_vector(10**6, DetService(0.5))[499_999] == pytest.approx(1.0, rel=1e-10)
+
+    def test_array_matches_floats(self):
+        u = [0.0, 0.25, 0.5, 0.75]
+        for service in SERVICES:
+            values = service.sf_integral(np.array(u), 0.25)
+            assert list(values) == [service.sf_integral(x, 0.25) for x in u]
 
     def test_exponential_sum(self):
         total = omega_vector(100, ExpService(0.5)).sum() / 100.0
@@ -114,13 +141,10 @@ class TestOmega:
         sums = {"det": det.sum(), "exp": exp_.sum(), "pareto": par.sum()}
         assert sums["pareto"] == min(sums.values())
 
-    def test_index_errors(self):
-        with pytest.raises(DomainError):
-            omega(0, 10, ExpService(1.0))
-        with pytest.raises(DomainError):
-            omega(11, 10, ExpService(1.0))
-        with pytest.raises(DomainError):
-            omega(1.5, 10, ExpService(1.0))
+    def test_slot_count_errors(self):
+        for N in (0, -1, 1.5):
+            with pytest.raises(DomainError):
+                omega_vector(N, ExpService(1.0))
 
 
 class TestThetaStar:
