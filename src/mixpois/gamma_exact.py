@@ -132,18 +132,32 @@ def p_exact(case: GammaCase) -> float:
 
 
 def log_P_exact(case: GammaCase) -> float:
-    """log of the exact tail P(count >= N*a), summed in log space.
+    """log of the exact tail P(count >= N*a).
 
-    Terms are accumulated upward from N*a in numpy chunks of 64 counts
-    doubling to 2^16; once past the mode, the remaining tail is geometrically
-    dominated by the running term ratio, and the partial sum is returned at
-    the first count where that bound drops below _TAIL_REL_TOL of it.  When
-    the tail holds nearly all the mass the sum can round above 1, so it is
-    capped at log 1 = 0.
+    Below the mean count the pmf is summed downward from N*a - 1, and while
+    that sum is below 1/2 the tail is log1p of minus it: an upward sum over
+    the body of the law would round log P off zero by far more than the
+    short sum below the count.  Otherwise the tail is summed upward from N*a.
     """
     k0 = case.count
     if k0 == 0:
         return 0.0
+    if k0 < case.N * case.beta / case.lam:
+        log_below = _log_pmf_sum(case, k0 - 1, -1)
+        if log_below < -math.log(2.0):
+            return math.log1p(-math.exp(log_below))
+    return _log_pmf_sum(case, k0, 1)
+
+
+def _log_pmf_sum(case: GammaCase, k0: int, step: int) -> float:
+    """log of the pmf summed from count k0 upward (step 1) or down to 0
+    (step -1), in log space.
+
+    Terms are accumulated in numpy chunks of 64 counts doubling to 2^16;
+    once the running term ratio bounds every later one below 1, the rest of
+    the sum is geometrically dominated, and the partial sum is returned at
+    the first count where that bound drops below _TAIL_REL_TOL of it.
+    """
     r = case.shape
     log_q, _ = case._log_q()
     q = math.exp(log_q)
@@ -153,24 +167,33 @@ def log_P_exact(case: GammaCase) -> float:
     log_sum = log_term
     k = k0
     size = _FIRST_CHUNK
-    while k < k0 + _MAX_TAIL_TERMS:
-        size = min(size, k0 + _MAX_TAIL_TERMS - k)
-        ks = np.arange(k, k + size + 1, dtype=float)  # tests ks[:-1], ends at ks[-1]
-        log_ratios = np.log((ks[1:] - 1.0 + r) / ks[1:])
-        terms = np.cumsum(np.concatenate(([log_term], log_q + log_ratios)))
+    while abs(k - k0) < _MAX_TAIL_TERMS:
+        size = min(size, _MAX_TAIL_TERMS - abs(k - k0))
+        if step > 0:
+            ks = np.arange(k, k + size + 1, dtype=float)  # tests ks[:-1], ends at ks[-1]
+            log_ratios = log_q + np.log((ks[1:] - 1.0 + r) / ks[1:])
+            # term ratios approach q monotonically
+            ratio_sup = np.maximum(q * (ks[:-1] + r) / (ks[:-1] + 1.0), q)
+        else:
+            size = min(size, k)
+            ks = np.arange(k, k - size - 1, -1, dtype=float)
+            log_ratios = np.log(ks[:-1] / (ks[1:] + r)) - log_q
+            # the ratio at count 1 is the largest below this count when r < 1
+            ratio_sup = np.maximum(ks[:-1] / ((ks[1:] + r) * q), 1.0 / (r * q))
+        terms = np.cumsum(np.concatenate(([log_term], log_ratios)))
         sums = np.logaddexp.accumulate(np.concatenate(([log_sum], terms[1:])))
-        # term ratios approach q monotonically
-        ratio_sup = np.maximum(q * (ks[:-1] + r) / (ks[:-1] + 1.0), q)
         live = np.flatnonzero(ratio_sup < 1.0)
         log_bound = terms[live] + np.log(ratio_sup[live]) - np.log1p(-ratio_sup[live])
         stops = live[log_bound < sums[live] + log_tol]
         if stops.size:
-            return min(float(sums[stops[0]]), 0.0)
+            return float(sums[stops[0]])
+        if ks[-1] == 0.0:
+            return float(sums[-1])
         if terms[-1] == log_term:
             raise ConvergenceError(
-                f"tail terms stopped changing at count {k + size:.6g}: their log "
+                f"tail terms stopped changing at count {k + step * size:.6g}: their log "
                 f"increments are below its rounding, for {case}")
-        k += size
+        k += step * size
         log_term, log_sum = float(terms[-1]), float(sums[-1])
         size = min(2 * size, _LAST_CHUNK)
     raise ConvergenceError(f"tail summation did not terminate for {case}")

@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count, poisson_rate
 from .rates import RateDistribution, parse_spec, spec_label
-from .sampling import EstimatorResult, _count_mean, _run_chunked
+from .sampling import EstimatorResult, _count_mean, _run_chunked, _slot_reduce
 from .tail_asymptotics import DecayRate
 
 __all__ = [
@@ -163,7 +163,10 @@ def omega_vector(N: int, service: ServiceTime) -> np.ndarray:
     slots i = 1..N."""
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"slot count must be a positive integer, got {N}")
-    return N * service.sf_integral(np.arange(N) / N, 1.0 / N)
+    i = np.arange(N)
+    if isinstance(service, DetService):  # in slot units, exact when N*E is
+        return np.clip(N * service.mean - i, 0.0, 1.0)
+    return N * service.sf_integral(i / N, 1.0 / N)
 
 
 def mean_load(dist: RateDistribution, service: ServiceTime) -> float:
@@ -382,8 +385,7 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
         nonlocal omegas
         if omegas is None:  # built on the first chunk, after the budget check
             omegas = omega_vector(N, service)
-        x = dist.sample(rng, m * N).reshape(m, N)
-        lam = x @ omegas
+        lam = _slot_reduce(dist.sample, rng, m, N, lambda x: x @ omegas)
         z = rng.poisson(_count_mean(lam))
         return (z >= k).astype(np.float64)
 

@@ -35,6 +35,11 @@ __all__ = [
 Z_95 = 1.959964  # standard normal 97.5% quantile, fixed CI level
 _OP_BUDGET = 4_000_000_000  # scalar draws allowed per estimator call
 _CHUNK_SCALARS = 4_000_000
+# slot draws per block: 125 KiB of float64 stays in cache and under malloc's
+# 128 KiB mmap threshold, so the blocks reuse heap memory; 1 MiB blocks were
+# returned to the system and faulted in afresh, and the fig 4 cells took 13
+# times the page faults of whole chunks
+_BLOCK_SCALARS = 16_000
 _POISSON_MEAN_MAX = 9.2e18  # numpy's Poisson sampler refuses means above about 9.22e18
 
 
@@ -101,6 +106,25 @@ def _run_chunked(seed: int, runs: int, scalars_per_run: int, weights) -> Estimat
     return _finalize(runs, sum_w, sum_w2)
 
 
+def _slot_reduce(sample, rng: np.random.Generator, m: int, width: int, reduce) -> np.ndarray:
+    """m per-run values, each ``reduce`` of the run's row of ``width`` slot
+    draws from ``sample(rng, n)``.
+
+    The rows are drawn and reduced in blocks of a multiple of 64 rows, about
+    _BLOCK_SCALARS draws, so no chunk-sized array of draws is ever held.  The
+    stream hands out the same draws as one call of m * width would, and
+    whole multiples of 64 rows keep the BLAS product's grouping of rows, so
+    each value is the one a single-threaded product over the whole chunk
+    gives, to the bit.
+    """
+    out = np.empty(m)
+    rows = max(1, _BLOCK_SCALARS // (64 * width)) * 64
+    for lo in range(0, m, rows):
+        n = min(rows, m - lo)
+        out[lo:lo + n] = reduce(sample(rng, n * width).reshape(n, width))
+    return out
+
+
 def _count_mean(mean):
     """``mean``, refused if numpy's Poisson sampler cannot draw from it."""
     if not np.all(mean <= _POISSON_MEAN_MAX):
@@ -136,13 +160,10 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
         return draw, n_alpha, 1
 
     slots = max(1, round(n_alpha))
+    sample = dist.sample if theta is None else functools.partial(dist.sample_twisted, theta)
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        if theta is None:
-            x = dist.sample(rng, m * slots)
-        else:
-            x = dist.sample_twisted(theta, rng, m * slots)
-        return x.reshape(m, slots).sum(axis=1)
+        return _slot_reduce(sample, rng, m, slots, lambda x: x.sum(axis=1))
 
     return draw, float(slots), slots
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,6 +16,16 @@ from hypothesis import strategies as st
 from mixpois import cli
 from mixpois.cli import build_parser, main
 from mixpois.rates import PoissonRate
+
+
+# a child interpreter does not see pytest's pythonpath setting, so it gets
+# the source directory on PYTHONPATH
+_SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parent.parent / "src")]
+        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])),
+}
 
 
 def run_cli(args, capsys):
@@ -600,14 +611,15 @@ class TestOutputFormat:
         proc = subprocess.run(
             [sys.executable, "-m", "mixpois.cli", "omega", "--service", "exp:1",
              "--N", "3", "--bogus", "1"],
-            capture_output=True,
+            capture_output=True, env=_SUBPROCESS_ENV,
         )
         assert proc.returncode == 2
 
     def test_help_exists_for_every_subcommand(self):
         for cmd in COMMANDS:
             proc = subprocess.run(
-                [sys.executable, "-m", "mixpois.cli", cmd, "--help"], capture_output=True
+                [sys.executable, "-m", "mixpois.cli", cmd, "--help"], capture_output=True,
+                env=_SUBPROCESS_ENV,
             )
             assert proc.returncode == 0
             assert b"--help" in proc.stdout

@@ -10,6 +10,7 @@ from mixpois.gamma_exact import (
     GammaCase,
     P_exact,
     _log_pmf,
+    _log_pmf_sum,
     fast_series_coefficients,
     log_P_exact,
     log_p_exact,
@@ -169,25 +170,53 @@ class TestChunkedTail:
         (dict(lam=2.5, N=1e3), None),
     ])
     def test_matches_term_by_term(self, kwargs, stop):
+        # the upward chunked sum, which log_P_exact takes at and above the mean
         c = case(**kwargs)
         reference, index = _term_by_term_tail(c)
         assert stop is None or index == stop
-        assert abs(log_P_exact(c) - min(reference, 0.0)) <= 1e-14 * max(1.0, abs(reference))
+        upward = _log_pmf_sum(c, c.count, 1) if c.count else 0.0
+        assert abs(upward - reference) <= 1e-14 * max(1.0, abs(reference))
 
     def test_term_cap(self, monkeypatch):
         monkeypatch.setattr("mixpois.gamma_exact._MAX_TAIL_TERMS", 200)
-        assert log_P_exact(case(lam=0.309011, N=10.0)) == _term_by_term_tail(
+        assert _log_pmf_sum(case(lam=0.309011, N=10.0), 10, 1) == _term_by_term_tail(
             case(lam=0.309011, N=10.0))[0]
         with pytest.raises(ConvergenceError, match="did not terminate"):
-            log_P_exact(case(lam=0.0008, N=10.0))
+            _log_pmf_sum(case(lam=0.0008, N=10.0), 10, 1)
 
-    # the upward sum rounds above 1 here: log P is +1.99e-13 and +3.1e-12 uncapped
+    # the upward sum rounds above 1 here, to log P = +1.99e-13 and +3.1e-12;
+    # below the mean log_P_exact takes 1 minus the sum below the count
     @pytest.mark.parametrize("c", [case(beta=2.0, lam=0.1, alpha=1.0, a=0.5, N=50.0),
                                    case(lam=0.0008, N=10.0)])
     def test_never_above_one(self, c):
         assert _term_by_term_tail(c)[0] > 0.0
-        assert log_P_exact(c) == 0.0
+        below = math.fsum(math.exp(_log_pmf(c, j)) for j in range(c.count))
+        assert log_P_exact(c) == pytest.approx(-below, rel=1e-12)
         assert P_exact(c) == 1.0
+
+    def test_far_below_the_mean(self):
+        # the upward sum took 1.57e7 counts and drifted to log P = -3.8095e-10;
+        # 40-digit mpmath gives -9.9e-1475, which rounds to -0.0
+        c = GammaCase(1.7528195114853455, 0.003136249572842862, 0.8315686640754378,
+                      4.301622831561276, 1787.0)
+        assert log_P_exact(c) == 0.0
+
+    def test_below_the_mean_pinned(self):
+        # 1 - sum_{j<70} of the negative binomial pmf at shape 15, 50-digit mpmath
+        c = case(beta=1.5, lam=2.0, alpha=0.5, a=0.7, N=100.0)
+        assert c.count < c.N * c.beta / c.lam
+        assert P_exact(c) == pytest.approx(
+            0.57073051710287369169164702356412533507032946431994, rel=1e-12)
+
+    # downward from below the mode, through chunk boundaries; at shape 0.5 the
+    # terms grow toward count 0 and the whole sum is taken
+    @pytest.mark.parametrize("c", [case(beta=0.5, lam=0.001, alpha=1.0, a=30.0, N=10.0),
+                                   case(beta=0.5, lam=0.001, alpha=1.0, a=200.0, N=1.0),
+                                   case(beta=3.0, lam=0.02, alpha=0.5, a=9.0, N=100.0)])
+    def test_downward_sum_matches_brute_sum(self, c):
+        below = math.fsum(math.exp(_log_pmf(c, j)) for j in range(c.count))
+        assert math.exp(_log_pmf_sum(c, c.count - 1, -1)) == pytest.approx(below, rel=1e-12)
+        assert log_P_exact(c) == pytest.approx(math.log1p(-below), rel=1e-12)
 
     def test_stalled_terms_raise_at_once(self):
         # at |log term| near 2e16 every log increment is below the rounding,

@@ -111,9 +111,11 @@ class TestOmega:
             assert values[i - 1] == pytest.approx(exact, rel=1e-15, abs=0.0)
 
     def test_deterministic_cutoff_slot(self):
-        # the cutoff 0.5 falls in slot 500000 of 10^6, whose left end
-        # 499999/10^6 rounds by 2.7e-17, which is 2.7e-11 of the slot width
-        assert omega_vector(10**6, DetService(0.5))[499_999] == pytest.approx(1.0, rel=1e-10)
+        # the cutoff 0.5 ends slot 500000 of 10^6, whose left end 499999/10^6
+        # rounds by 2.7e-17; in slot units N*E - (i - 1) carries no rounding
+        values = omega_vector(10**6, DetService(0.5))
+        assert values[499_999] == 1.0
+        assert math.fsum(values) == 10**6 * 0.5
 
     def test_array_matches_floats(self):
         u = [0.0, 0.25, 0.5, 0.75]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 from mixpois.errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from mixpois.gamma_exact import GammaCase, P_exact, p_exact
 from mixpois.poisson_ldp import pmf_exact
-from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint, rate_function
+from mixpois.queue import DetService, ExpService, mc_Q, mean_load
+from mixpois.rates import (DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint,
+                           rate_function)
 from mixpois.sampling import (
+    _CHUNK_SCALARS,
     Z_95,
+    _slot_reduce,
     efficiency_diagnostic,
     is_fast,
     is_slow,
@@ -261,3 +266,76 @@ class TestEfficiencyDiagnostic:
         ratios = [row.ratio for row in diag.rows]
         assert ratios == sorted(ratios)
         assert ratios[-1] > 0.9
+
+
+def _whole_chunk(sample, rng, m, width, reduce):
+    """Reference for _slot_reduce: all m * width slot draws of the chunk at
+    once, reduced in one call."""
+    return reduce(sample(rng, m * width).reshape(m, width))
+
+
+def _chunk_rows(width):
+    return _CHUNK_SCALARS // (width + 1)
+
+
+class TestSlotBlocks:
+    """Drawing and reducing the slot rates block by block gives the results
+    of the whole chunk, bit for bit."""
+
+    @pytest.fixture
+    def whole_chunk(self, monkeypatch):
+        def use():
+            monkeypatch.setattr("mixpois.sampling._slot_reduce", _whole_chunk)
+            monkeypatch.setattr("mixpois.queue._slot_reduce", _whole_chunk)
+        return use
+
+    @pytest.mark.parametrize("width", [1, 10, 37, 1000, 2049, 10**5])
+    def test_sums_and_stream_match(self, width):
+        m = min(_chunk_rows(width), 5000)
+        block, whole = stream(4), stream(4)
+        got = _slot_reduce(PoissonRate(2.0).sample, block, m, width, lambda x: x.sum(axis=1))
+        ref = _whole_chunk(PoissonRate(2.0).sample, whole, m, width, lambda x: x.sum(axis=1))
+        assert np.array_equal(got, ref)
+        assert block.random() == whole.random()  # the same draws were consumed
+
+    # runs past one chunk, whose first and last chunks end in partial blocks
+    @pytest.mark.parametrize("dist", [PoissonRate(2.0), TwoPoint(0.75, 1.0, 5.0),
+                                      DeterministicRate(2.0), GammaRate(2.0, 1.0)],
+                             ids=["pois", "twopoint", "det", "gamma"])
+    @pytest.mark.parametrize("N", [1, 37, 100, 1000])
+    def test_mc_Q(self, whole_chunk, dist, N):
+        service = ExpService(0.5)
+        runs = _chunk_rows(N) + 1000 + N
+        a = 1.05 * mean_load(dist, service)
+        got = mc_Q(dist, service, N, a, runs, 11)
+        whole_chunk()
+        assert got == mc_Q(dist, service, N, a, runs, 11)
+        assert 0.0 < got.estimate < 1.0
+
+    @pytest.mark.parametrize("estimator,dist,alpha,a,N", [
+        (mc_P, PoissonRate(2.0), 1.0, 2.05, 1.0),
+        (mc_P, TwoPoint(0.75, 1.0, 5.0), 0.5, 2.0, 100.0),
+        (mc_P, PoissonRate(2.0), 1.0, 2.05, 37.0),
+        (mc_P, DeterministicRate(2.0), 0.5, 2.2, 9.0),
+        (is_slow, PoissonRate(2.0), 0.5, 3.0, 100.0),
+        (is_slow, TwoPoint(0.75, 1.0, 5.0), 1.0, 2.2, 3000.0),
+        (is_fast, PoissonRate(2.0), 2.0, 3.0, 4.0),
+    ])
+    @pytest.mark.filterwarnings("ignore::mixpois.errors.RegimeWarning")
+    def test_per_slot_estimators(self, whole_chunk, estimator, dist, alpha, a, N):
+        slots = max(1, round(N**alpha))
+        runs = _chunk_rows(slots) + 1000 + slots
+        got = estimator(dist, alpha, a, N, runs, 5)
+        whole_chunk()
+        assert got == estimator(dist, alpha, a, N, runs, 5)
+        assert got.estimate > 0.0
+
+    def test_mc_Q_peak_memory(self):
+        # the whole 4e6-scalar chunk peaked at 63 MB
+        tracemalloc.start()
+        try:
+            mc_Q(PoissonRate(0.1), ExpService(1.0), 100, 0.16, 40000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
