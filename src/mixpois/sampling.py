@@ -110,8 +110,9 @@ def _slot_reduce(sample, rng: np.random.Generator, m: int, width: int, reduce) -
     """m per-run values, each ``reduce`` of the run's row of ``width`` slot
     draws from ``sample(rng, n)``.
 
-    The rows are drawn and reduced in blocks of a multiple of 64 rows, about
-    _BLOCK_SCALARS draws, so no chunk-sized array of draws is ever held.  The
+    The rows are drawn and reduced in blocks of a multiple of 64 rows, at
+    most _BLOCK_SCALARS draws unless 64 rows hold more, so no chunk-sized
+    array of draws is ever held.  The
     stream hands out the same draws as one call of m * width would, and
     whole multiples of 64 rows keep the BLAS product's grouping of rows, so
     each value is the one a single-threaded product over the whole chunk

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mixpois.errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from mixpois.gamma_exact import GammaCase, P_exact, p_exact
 from mixpois.poisson_ldp import pmf_exact
-from mixpois.queue import DetService, ExpService, mc_Q, mean_load
+from mixpois.queue import ExpService, mc_Q, mean_load
 from mixpois.rates import (DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint,
                            rate_function)
 from mixpois.sampling import (
@@ -274,6 +274,14 @@ def _whole_chunk(sample, rng, m, width, reduce):
     return reduce(sample(rng, m * width).reshape(m, width))
 
 
+def _whole_chunk_result(monkeypatch, estimate):
+    """``estimate()`` with every chunk's slot draws drawn and reduced whole."""
+    with monkeypatch.context() as patch:
+        patch.setattr("mixpois.sampling._slot_reduce", _whole_chunk)
+        patch.setattr("mixpois.queue._slot_reduce", _whole_chunk)
+        return estimate()
+
+
 def _chunk_rows(width):
     return _CHUNK_SCALARS // (width + 1)
 
@@ -281,13 +289,6 @@ def _chunk_rows(width):
 class TestSlotBlocks:
     """Drawing and reducing the slot rates block by block gives the results
     of the whole chunk, bit for bit."""
-
-    @pytest.fixture
-    def whole_chunk(self, monkeypatch):
-        def use():
-            monkeypatch.setattr("mixpois.sampling._slot_reduce", _whole_chunk)
-            monkeypatch.setattr("mixpois.queue._slot_reduce", _whole_chunk)
-        return use
 
     @pytest.mark.parametrize("width", [1, 10, 37, 1000, 2049, 10**5])
     def test_sums_and_stream_match(self, width):
@@ -303,13 +304,12 @@ class TestSlotBlocks:
                                       DeterministicRate(2.0), GammaRate(2.0, 1.0)],
                              ids=["pois", "twopoint", "det", "gamma"])
     @pytest.mark.parametrize("N", [1, 37, 100, 1000])
-    def test_mc_Q(self, whole_chunk, dist, N):
+    def test_mc_Q(self, monkeypatch, dist, N):
         service = ExpService(0.5)
         runs = _chunk_rows(N) + 1000 + N
         a = 1.05 * mean_load(dist, service)
         got = mc_Q(dist, service, N, a, runs, 11)
-        whole_chunk()
-        assert got == mc_Q(dist, service, N, a, runs, 11)
+        assert got == _whole_chunk_result(monkeypatch, lambda: mc_Q(dist, service, N, a, runs, 11))
         assert 0.0 < got.estimate < 1.0
 
     @pytest.mark.parametrize("estimator,dist,alpha,a,N", [
@@ -322,12 +322,11 @@ class TestSlotBlocks:
         (is_fast, PoissonRate(2.0), 2.0, 3.0, 4.0),
     ])
     @pytest.mark.filterwarnings("ignore::mixpois.errors.RegimeWarning")
-    def test_per_slot_estimators(self, whole_chunk, estimator, dist, alpha, a, N):
+    def test_per_slot_estimators(self, monkeypatch, estimator, dist, alpha, a, N):
         slots = max(1, round(N**alpha))
         runs = _chunk_rows(slots) + 1000 + slots
         got = estimator(dist, alpha, a, N, runs, 5)
-        whole_chunk()
-        assert got == estimator(dist, alpha, a, N, runs, 5)
+        assert got == _whole_chunk_result(monkeypatch, lambda: estimator(dist, alpha, a, N, runs, 5))
         assert got.estimate > 0.0
 
     def test_mc_Q_peak_memory(self):
