@@ -20,12 +20,8 @@ from mixpois.rates import PoissonRate
 
 # a child interpreter does not see pytest's pythonpath setting, so it gets
 # the source directory on PYTHONPATH
-_SUBPROCESS_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        [str(pathlib.Path(__file__).resolve().parent.parent / "src")]
-        + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])),
-}
+_SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(pathlib.Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, capsys):
