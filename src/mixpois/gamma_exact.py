@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError, TruncationBoundaryWarning
 from .numerics import exp_or_inf, log_gamma
-from .poisson_ldp import exact_count
+from .poisson_ldp import ceil_count, exact_count
 from .tail_asymptotics import AsymptoticValue
 
 __all__ = [
@@ -49,7 +49,7 @@ class GammaCase:
     """One evaluation instance: slot shape beta, rate lam, exponent alpha,
     target level a and scale N.  N^alpha*beta is the pooled gamma shape and
     need not be an integer; N*a must be a nonnegative integer for point
-    probabilities.  Both must be finite."""
+    probabilities, and the tail rounds it up.  Both must be finite."""
 
     beta: float
     lam: float
@@ -138,8 +138,9 @@ def log_P_exact(case: GammaCase) -> float:
     that sum is below 1/2 the tail is log1p of minus it: an upward sum over
     the body of the law would round log P off zero by far more than the
     short sum below the count.  Otherwise the tail is summed upward from N*a.
+    A fractional N*a is rounded up, since the event is {count >= N*a}.
     """
-    k0 = case.count
+    k0 = ceil_count(case.N * case.a)
     if k0 == 0:
         return 0.0
     if k0 < case.N * case.beta / case.lam:

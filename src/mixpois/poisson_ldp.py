@@ -1,8 +1,8 @@
 """Large-deviations objects for the Poisson layer.
 
-Covers the conditional rate function of a Poisson count around a fixed rate,
-its lattice sharp-asymptotics prefactor, exact Poisson tails (the oracle
-used throughout the tests), and the compound variable Pois(X) that drives
+Covers the count conventions for a real threshold N*a, the conditional rate
+function of a Poisson count around a fixed rate with its lattice
+sharp-asymptotics prefactor, and the compound variable Pois(X) that drives
 the balanced resampling regime.
 """
 
@@ -12,16 +12,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleTargetError
-from .numerics import Interval, find_root_increasing, log_gamma, regularized_lower_gamma
+from .numerics import Interval, find_root_increasing
 from .rates import RateDistribution
 
 __all__ = [
     "PoissonLDP",
     "CompoundZ",
     "poisson_rate",
-    "psi_exact",
-    "pmf_exact",
-    "log_pmf_poisson",
     "ceil_count",
     "exact_count",
     "compound_z",
@@ -84,42 +81,6 @@ def poisson_rate(a: float, x: float) -> PoissonLDP:
     if a > x:
         prefactor = 1.0 / (-math.expm1(-theta)) / math.sqrt(2.0 * math.pi * a)
     return PoissonLDP(a=a, x=x, rate=max(rate, 0.0), theta_star=theta, prefactor=prefactor)
-
-
-def log_pmf_poisson(mean: float, k: int) -> float:
-    """log P(Pois(mean) = k), with the mean = 0 point mass handled."""
-    if mean < 0.0 or k < 0:
-        raise DomainError(f"invalid Poisson pmf arguments mean={mean}, k={k}")
-    if mean == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    return k * math.log(mean) - mean - log_gamma(k + 1.0)
-
-
-def psi_exact(N: float, a: float, x: float) -> float:
-    """Exact tail P(Pois(N*x) >= ceil(N*a)).
-
-    Evaluated through the regularized incomplete gamma identity
-    P(Pois(m) >= k) = P(k, m); linear-space output, so values below roughly
-    1e-300 underflow to zero (the asymptotic modules cover that range).
-    """
-    if N <= 0.0:
-        raise DomainError(f"N must be positive, got {N}")
-    if x < 0.0:
-        raise DomainError(f"rate x must be nonnegative, got {x}")
-    k = ceil_count(N * a)
-    if k == 0:
-        return 1.0
-    return regularized_lower_gamma(float(k), N * x)
-
-
-def pmf_exact(N: float, a: float, x: float) -> float:
-    """Exact point mass P(Pois(N*x) = N*a) for integer N*a."""
-    if N <= 0.0:
-        raise DomainError(f"N must be positive, got {N}")
-    if x < 0.0:
-        raise DomainError(f"rate x must be nonnegative, got {x}")
-    k = exact_count(N * a)
-    return math.exp(log_pmf_poisson(N * x, k))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ sharp approximations of the occupancy tail, and crude simulation.
 
 Time is normalized so the observation epoch is 1 and arrivals in slot i of N
 get thinned by the retention probability omega_i(N), the chance that such an
-arrival is still in service at the observation epoch.
+arrival is still in service at the observation epoch.  The logarithmic
+asymptotics of the occupancy tail live beside their tests
+(tests/test_queue.py); no entry point reports them.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
-from .poisson_ldp import ceil_count, poisson_rate
+from .poisson_ldp import ceil_count
 from .rates import RateDistribution, parse_spec, spec_label
 from .sampling import EstimatorResult, _count_mean, _run_chunked, _slot_reduce
-from .tail_asymptotics import DecayRate
 
 __all__ = [
     "ServiceTime",
@@ -36,7 +37,6 @@ __all__ = [
     "theta_star_queue",
     "queue_approx",
     "approx_at_tilt",
-    "log_asym_Q",
     "load_and_variance",
 ]
 
@@ -232,31 +232,26 @@ def _integrals(
     return values
 
 
-def _tilt_cap(dist: RateDistribution) -> float:
-    """Upper limit for a linear tilt: a gap of 1e-9 * max(1, sup) inside the
-    MGF domain, at a logarithmic sliver of the reachable occupancy range."""
-    sup = dist.mgf_domain_sup
-    return math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
-
-
 def _tilt_cap_exp(dist: RateDistribution) -> float:
-    """Upper limit for theta when the tilt enters through e^theta - 1.
+    """Upper limit for theta when the tilt enters through e^theta - 1: the
+    linear tilt e^theta - 1 stays a gap of 1e-9 * max(1, sup) inside the MGF
+    domain, at a logarithmic sliver of the reachable occupancy range.
 
     At the cap the integrands have a boundary layer at x = 0 about 1e-9
     service means wide, which the panels graded down to _GRADING_FLOOR service
     means resolve.
     """
-    return math.log1p(_tilt_cap(dist))
+    sup = dist.mgf_domain_sup
+    return math.inf if math.isinf(sup) else math.log1p(sup - 1e-9 * max(1.0, sup))
 
 
-def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> float:
-    """The mean load, after checking that the level a is finite and above it."""
+def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> None:
+    """Check that the occupancy level a is finite and above the mean load."""
     if not math.isfinite(a):
         raise DomainError(f"occupancy level must be finite, got {a}")
     load = mean_load(dist, service)
     if not a > load:
         raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
-    return load
 
 
 def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> float:
@@ -390,38 +385,6 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
         return (z >= k).astype(np.float64)
 
     return _run_chunked(seed, runs, N + 1, weights)
-
-
-def log_asym_Q(dist: RateDistribution, service: ServiceTime, alpha: float, a: float) -> DecayRate:
-    """Decay rate of the occupancy tail for any alpha > 0."""
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    load = _check_rare(dist, service, a)
-
-    if alpha > 1.0:
-        return DecayRate(rate=poisson_rate(a, load).rate, gamma=1.0)
-
-    if alpha == 1.0:
-        theta = theta_star_queue(dist, service, a)
-        integral = _integrals(dist, service, math.expm1(theta), checked=True)[0]
-        return DecayRate(rate=theta * a - integral, gamma=1.0)
-
-    # linear tilt: sup_t {t a - int CGF(t sf(x)) dx}
-    cap = _tilt_cap(dist)
-
-    def g(theta: float) -> float:
-        return _integrals(dist, service, theta)[1] - a
-
-    try:
-        theta = find_root_increasing(
-            g, Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0, hi_limit=cap
-        )
-    except DomainError:
-        raise MgfDomainError(
-            f"occupancy level a={a} is unreachable by linear tilts within (0, {cap:.6g})"
-        ) from None
-    integral = _integrals(dist, service, theta, checked=True)[0]
-    return DecayRate(rate=theta * a - integral, gamma=alpha)
 
 
 @dataclass(frozen=True)

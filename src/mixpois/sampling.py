@@ -13,7 +13,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "mc_P",
     "is_fast",
     "is_slow",
-    "efficiency_diagnostic",
 ]
 
 Z_95 = 1.959964  # standard normal 97.5% quantile, fixed CI level
@@ -279,50 +277,3 @@ def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
             f"twist target a={a} is not below the support supremum {dist.support_sup}"
         )
     return _tail_at_tilt(dist, alpha, a, N, runs, seed, rate_function(dist, a).theta_star)
-
-
-@dataclass(frozen=True)
-class EfficiencyRow:
-    N: float
-    second_moment_rate: float  # log E[w^2 1] / N^gamma
-    estimate_rate: float       # 2 log estimate / N^gamma
-    ratio: float               # first over second; -> 1 for efficient schemes
-
-
-@dataclass(frozen=True)
-class EfficiencyDiagnostic:
-    rows: tuple[EfficiencyRow, ...]
-    final_ratio: float
-    passed: bool
-
-
-def efficiency_diagnostic(estimate: Callable[[float], EstimatorResult], alpha: float,
-                          N_grid: list[float]) -> EfficiencyDiagnostic:
-    """Empirical second-moment decay check of ``estimate(N)`` along an
-    increasing N grid, at resampling exponent ``alpha``.
-
-    An asymptotically efficient estimator has its second moment decaying at
-    twice the rate of the probability itself, so the ratio of the two log
-    columns approaches 1 from below; the diagnostic passes when the final
-    grid point reaches 0.9.
-    """
-    if len(N_grid) < 3 or any(b <= a for a, b in zip(N_grid, N_grid[1:])):
-        raise DomainError("N_grid must be increasing with at least 3 points")
-    gamma = min(alpha, 1.0)
-    rows = []
-    for N in N_grid:
-        res = estimate(N)
-        scale = N**gamma
-        if res.estimate > 0.0 and res.second_moment > 0.0:
-            m2_rate = math.log(res.second_moment) / scale
-            est_rate = 2.0 * math.log(res.estimate) / scale
-            ratio = m2_rate / est_rate
-        else:
-            m2_rate = est_rate = ratio = math.nan
-        rows.append(EfficiencyRow(N, m2_rate, est_rate, ratio))
-    final_ratio = rows[-1].ratio
-    return EfficiencyDiagnostic(
-        rows=tuple(rows),
-        final_ratio=final_ratio,
-        passed=bool(final_ratio >= 0.9),
-    )

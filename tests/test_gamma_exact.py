@@ -116,6 +116,10 @@ class TestExactTail:
         c_next = case(**{**kwargs, "a": kwargs["a"] + 1.0 / kwargs["N"]})
         assert P_exact(c) - P_exact(c_next) == pytest.approx(p_exact(c), rel=1e-13)
 
+    def test_fractional_count_rounds_up(self):
+        # {count >= 10.5} is {count >= 11}
+        assert P_exact(case(lam=2.5, a=1.05, N=10.0)) == P_exact(case(lam=2.5, a=1.1, N=10.0))
+
     def test_against_brute_sum(self):
         c = case(beta=1.0, lam=2.0, alpha=0.8, a=2.0, N=5.0)
         brute = sum(p_exact(case(beta=1.0, lam=2.0, alpha=0.8, a=k / 5.0, N=5.0)) for k in range(10, 600))

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mixpois.errors import ConvergenceError, DomainError
 from mixpois.numerics import (
@@ -13,7 +11,6 @@ from mixpois.numerics import (
     gauss_legendre,
     integrate,
     log_gamma,
-    regularized_lower_gamma,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -45,41 +42,6 @@ class TestLogGamma:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             log_gamma(x)
-
-
-class TestRegularizedLowerGamma:
-    def test_zero_mass(self):
-        assert regularized_lower_gamma(1.0, 0.0) == 0.0
-
-    def test_exponential_cdf(self):
-        assert regularized_lower_gamma(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-13)
-
-    def test_poisson_sum_identity(self):
-        # P(3, 2) = 1 - e^{-2}(1 + 2 + 2)
-        assert regularized_lower_gamma(3.0, 2.0) == pytest.approx(1.0 - 5.0 * math.exp(-2.0), abs=1e-13)
-
-    def test_erlang_oracle(self):
-        # P(s, x) for integer s equals 1 - e^{-x} sum_{j<s} x^j/j!
-        for s in (2, 5, 17, 40):
-            for x in (0.3, 4.0, 17.0, 60.0):
-                expected = 1.0 - math.exp(-x) * sum(x**j / math.factorial(j) for j in range(s))
-                assert regularized_lower_gamma(float(s), x) == pytest.approx(expected, abs=1e-13)
-
-    @given(s=st.floats(min_value=0.01, max_value=500.0))
-    @settings(max_examples=80, deadline=None)
-    def test_monotone_with_unit_limits(self, s):
-        xs = [0.0, 0.5 * s, s, 2.0 * s + 1.0, 4.0 * s + 50.0, 8.0 * s + 200.0]
-        values = [regularized_lower_gamma(s, x) for x in xs]
-        assert values[0] == 0.0
-        assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
-        assert all(0.0 <= v <= 1.0 for v in values)
-        assert values[-1] > 0.999
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            regularized_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            regularized_lower_gamma(1.0, -1.0)
 
 
 class TestGaussLegendre:

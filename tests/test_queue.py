@@ -15,14 +15,13 @@ from mixpois.errors import (
     ParseError,
     RarityError,
 )
-from mixpois.numerics import Interval, QuadratureSpec, integrate
-from mixpois.poisson_ldp import ceil_count, compound_z, poisson_rate, psi_exact
+from mixpois.numerics import Interval, QuadratureSpec, find_root_increasing, integrate
+from mixpois.poisson_ldp import ceil_count, compound_z, poisson_rate
 from mixpois.queue import (
     DetService,
     ExpService,
     Pareto2Service,
     load_and_variance,
-    log_asym_Q,
     mc_Q,
     mean_load,
     omega_vector,
@@ -39,7 +38,8 @@ from mixpois.rates import (
     spec_label,
 )
 from mixpois.sampling import Z_95
-from mixpois.tail_asymptotics import approx_intermediate
+from mixpois.tail_asymptotics import DecayRate, approx_intermediate
+from reference import poisson_tail
 
 POIS2 = PoissonRate(2.0)
 SERVICES = [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)]
@@ -333,12 +333,31 @@ class TestMcQ:
         N, a = 50, 0.8
         r = mc_Q(DeterministicRate(2.0), service, N, a, 4 * 10**5, 3)
         mean = 2.0 * omega_vector(N, service).sum()
-        exact = psi_exact(1.0, float(ceil_count(N * a)), mean)
+        exact = poisson_tail(mean, ceil_count(N * a))
         assert abs(r.estimate - exact) < 4.0 * (r.ci_halfwidth_95 / Z_95)
 
     def test_requires_integer_slots(self):
         with pytest.raises(DomainError):
             mc_Q(POIS2, ExpService(0.5), 10.5, 1.0, 100, 0)
+
+
+def log_asym_Q(dist, service, alpha, a):
+    """The paper's decay rate of the occupancy tail for any alpha > 0."""
+    queue._check_rare(dist, service, a)
+    if alpha > 1.0:
+        return DecayRate(rate=poisson_rate(a, mean_load(dist, service)).rate, gamma=1.0)
+    if alpha == 1.0:
+        theta = theta_star_queue(dist, service, a)
+        integral = queue._integrals(dist, service, math.expm1(theta), checked=True)[0]
+        return DecayRate(rate=theta * a - integral, gamma=1.0)
+    # linear tilt: sup_t {t a - int CGF(t sf(x)) dx}
+    sup = dist.mgf_domain_sup
+    cap = math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
+    theta = find_root_increasing(lambda t: queue._integrals(dist, service, t)[1] - a,
+                                 Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0,
+                                 hi_limit=cap)
+    integral = queue._integrals(dist, service, theta, checked=True)[0]
+    return DecayRate(rate=theta * a - integral, gamma=alpha)
 
 
 class TestLogAsymQ:
