@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "staff",
         help="dimensioning: smallest capacity meeting an overflow target",
-        description="Bisects the sharp occupancy approximation to "
+        description="Solves the sharp occupancy approximation for eps to "
         "|Q - eps| < tol (default 1e-9).  --service and --eps accept "
         "comma-separated lists; failures are reported per row.  With "
         "--verify-runs > 0 each solution is audited by crude Monte Carlo.",
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_finite_floats, required=True,
                    help="target level(s) in (0,1), comma-separated")
     p.add_argument("--tol", type=_finite_float, default=1e-9,
-                   help="bisection tolerance on |Q - eps| (default 1e-9)")
+                   help="termination band on |Q - eps| (default 1e-9)")
     p.add_argument("--verify-runs", type=int, default=0,
                    help="crude MC audit runs at the solution (default 0 = off)")
     _add_seeding(p)

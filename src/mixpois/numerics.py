@@ -269,25 +269,31 @@ def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def find_root_increasing(
-    g: Callable[[float], float],
+    g: Callable[[float], tuple[float, float]],
     bracket_hint: Interval,
     tol: float = 1e-12,
     lo_limit: float = -math.inf,
     hi_limit: float = math.inf,
 ) -> float:
-    """Root of a continuous strictly increasing function.
+    """Root of a continuous strictly increasing function; ``g(x)`` returns
+    its value and its slope at x.
 
     The hint bracket is expanded by doubling, at most _MAX_EXPANSIONS times
-    and never past ``lo_limit`` / ``hi_limit``, until the sign changes, then
-    a bisection/secant hybrid narrows it until ``|g(root)| <= tol`` or the
-    bracket width drops below ``tol``.
+    and never past ``lo_limit`` / ``hi_limit``, until the sign changes.  Then
+    each step is a Newton step, the first from the bracket end where |g| is
+    smaller and the others from the latest iterate, if it lands strictly
+    inside the bracket, and a bisection otherwise (so a zero, negative,
+    infinite or NaN slope bisects), until ``|g(root)| <= tol`` or the bracket
+    width drops below ``tol``.  The slope only steers the steps: an
+    approximate one slows convergence but cannot move the root.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     lo, hi = bracket_hint.lo, bracket_hint.hi
     if lo == hi:
         hi = lo + max(1.0, abs(lo)) * 1e-3
-    glo, ghi = g(lo), g(hi)
+    glo, slo = g(lo)
+    ghi, shi = g(hi)
 
     step = max(hi - lo, 1e-12)
     for _ in range(_MAX_EXPANSIONS):
@@ -295,9 +301,9 @@ def find_root_increasing(
             break
         if lo <= lo_limit:
             raise DomainError(f"no sign change: g({lo}) = {glo} > 0 at the domain boundary")
-        hi, ghi = lo, glo
+        hi, ghi, shi = lo, glo, slo
         lo = max(lo_limit, lo - step)
-        glo = g(lo)
+        glo, slo = g(lo)
         step *= 2.0
     else:
         raise ConvergenceError("bracket expansion cap reached while moving down")
@@ -308,9 +314,9 @@ def find_root_increasing(
             break
         if hi >= hi_limit:
             raise DomainError(f"no sign change: g({hi}) = {ghi} < 0 at the domain boundary")
-        lo, glo = hi, ghi
+        lo, glo, slo = hi, ghi, shi
         hi = min(hi_limit, hi + step)
-        ghi = g(hi)
+        ghi, shi = g(hi)
         step *= 2.0
     else:
         raise ConvergenceError("bracket expansion cap reached while moving up")
@@ -320,22 +326,18 @@ def find_root_increasing(
     if ghi == 0.0:
         return hi
 
-    x = 0.5 * (lo + hi)
-    for it in range(800):
-        # secant through the bracket endpoints, alternating with bisection so
-        # the bracket provably shrinks even when g is very flat or very steep
-        denom = ghi - glo
-        if it % 2 == 0 and denom > 0.0:
-            x = lo - glo * (hi - lo) / denom
-        else:
+    # starting from the smaller |g| keeps the first step away from a pole of
+    # g just beyond the bracket, where Newton steps only creep
+    x, gx, slope = (lo, glo, slo) if -glo < ghi else (hi, ghi, shi)
+    for _ in range(800):
+        x = x - gx / slope if slope > 0.0 else math.nan
+        if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        if not (lo < x < hi):
-            x = 0.5 * (lo + hi)
-        gx = g(x)
+        gx, slope = g(x)
         if abs(gx) <= tol or (hi - lo) <= tol:
             return x
         if gx < 0.0:
-            lo, glo = x, gx
+            lo = x
         else:
-            hi, ghi = x, gx
+            hi = x
     raise ConvergenceError(f"root refinement stalled on [{lo}, {hi}]")

@@ -107,8 +107,9 @@ def compound_z(dist: RateDistribution, a: float) -> CompoundZ:
     sup = dist.mgf_domain_sup
     u_max = math.inf if math.isinf(sup) else 1.0 + sup - 1e-12 * max(1.0, abs(sup))
 
-    def g(u: float) -> float:
-        return u * float(dist.cgf(u - 1.0)[1]) - a
+    def g(u: float) -> tuple[float, float]:
+        _, k1, k2 = dist.cgf(u - 1.0)
+        return u * float(k1) - a, float(k1) + u * float(k2)
 
     # g(1) = mean - a < 0, so the root lies in (1, u_max)
     hint_hi = 2.0 if math.isinf(u_max) else 1.0 + 0.5 * (u_max - 1.0)

@@ -258,18 +258,20 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
     """Tilt making the expected occupancy equal a.
 
     Solves int_0^1 CGF'(sf(x) (e^t - 1)) sf(x) e^t dx = a, which is strictly
-    increasing in t; requires a above the mean load and a tilt within the
-    MGF domain.
+    increasing in t with slope sigma^2 of approx_at_tilt; requires a above
+    the mean load and a tilt within the MGF domain.
     """
     _check_rare(dist, service, a)
 
-    def g(theta: float) -> float:
-        return math.exp(theta) * _integrals(dist, service, math.expm1(theta))[1] - a
+    def g(theta: float) -> tuple[float, float]:
+        _, slope, curvature = _integrals(dist, service, math.expm1(theta))
+        level = math.exp(theta) * slope
+        return level - a, level + curvature * exp_or_inf(2.0 * theta)
 
     cap = _tilt_cap_exp(dist)
     try:
         theta = find_root_increasing(
-            g, Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0,
+            g, Interval(0.0, min(1.0, 0.5 * cap)), tol=1e-12, lo_limit=0.0,
             hi_limit=min(cap, _THETA_MAX),
         )
     except DomainError:
@@ -281,7 +283,7 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
         raise MgfDomainError(
             f"occupancy level a={a} is unreachable: tilts are confined to "
             f"(0, {cap:.6g}] by the MGF domain, which only reaches mean occupancy "
-            f"{g(cap) + a:.6g}"
+            f"{g(cap)[0] + a:.6g}"
         ) from None
     _integrals(dist, service, math.expm1(theta), checked=True)
     return theta

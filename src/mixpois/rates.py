@@ -354,8 +354,13 @@ def _numeric_rate_function(dist: RateDistribution, a: float) -> RateFunctionPoin
     CGF'(theta) = a."""
     sup = dist.mgf_domain_sup
     hi_limit = math.inf if math.isinf(sup) else sup - 1e-12 * max(1.0, abs(sup))
+
+    def g(t: float) -> tuple[float, float]:
+        _, k1, k2 = dist.cgf(t)
+        return float(k1) - a, float(k2)
+
     theta = find_root_increasing(
-        lambda t: float(dist.cgf(t)[1]) - a,
+        g,
         Interval(-1.0, min(1.0, hi_limit)),
         tol=1e-13,
         hi_limit=hi_limit,

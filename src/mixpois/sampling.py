@@ -59,10 +59,6 @@ class EstimatorResult:
     ci_halfwidth_95: float
     second_moment: float
 
-    @property
-    def relative_ci(self) -> float:
-        return self.ci_halfwidth_95 / self.estimate if self.estimate > 0.0 else math.inf
-
 
 def _finalize(n: int, sum_w: float, sum_w2: float) -> EstimatorResult:
     mean = sum_w / n

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, MgfDomainError
+from .numerics import Interval, find_root_increasing
 from .queue import (
     _THETA_MAX,
     ServiceTime,
@@ -45,9 +46,9 @@ def solve_staffing(
     """Smallest a with the occupancy-tail approximation at most eps.
 
     The approximation decreases along the tilt theta, and the level a(theta)
-    it belongs to is one integral, so bisection runs on theta until
-    |Q - eps| < tol; the level found is then re-evaluated at the two
-    bracketing integer server counts.
+    it belongs to is one integral, so log eps - log Q(theta) = 0 is solved
+    by Newton steps in log theta until |Q - eps| < tol; the level found is
+    then re-evaluated at the two bracketing integer server counts.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target epsilon must be in (0, 1), got {eps}")
@@ -59,40 +60,52 @@ def solve_staffing(
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
 
-    def Q(theta: float) -> float:
-        return approx_at_tilt(dist, service, N, theta)[1].Q_check
+    # |log Q - log eps| below half of log1p(tol / eps) keeps Q within tol of
+    # eps.  The root finder stops at |g| <= 1e-12 or at a bracket narrower
+    # than that, so g measures log Q in units of that band over 1e12: the
+    # value stop is the band, and the bracket stop a log-theta width of 1e-12
+    log_eps = math.log(eps)
+    scale = 1e-12 / (0.5 * math.log1p(tol / eps))
+    previous = []  # theta and log sigma^2 of the last evaluation
 
-    lo, hi = 0.0, _tilt_cap_exp(dist)
-    if math.isfinite(hi):
-        if Q(hi) > eps:
-            raise MgfDomainError(
-                f"epsilon={eps} is unreachable: the approximation cannot be pushed "
-                f"below it within the MGF domain of {dist}"
-            )
-    else:
-        # Q falls to 0 as theta grows; an overflow (NaN) also lies above the root
-        hi = 1.0
-        while Q(hi) >= eps:
-            if hi >= _THETA_MAX:
-                raise ConvergenceError("no upper bracket found for the staffing tilt")
-            lo, hi = hi, min(2.0 * hi, _THETA_MAX)
+    def g(u: float) -> tuple[float, float]:
+        # d log Q / d theta = -theta N sigma^2 - 1/(e^theta - 1) - (log sigma^2)'/2;
+        # the last term needs a third CGF derivative, so it is taken from the
+        # previous evaluation as a difference quotient
+        theta = math.exp(u)
+        approx = approx_at_tilt(dist, service, N, theta)[1]
+        log_sigma2 = math.log(approx.sigma2)
+        slope = theta * N * approx.sigma2 + 1.0 / math.expm1(theta)
+        if previous and previous[0] != theta:
+            slope += 0.5 * (log_sigma2 - previous[1]) / (theta - previous[0])
+        previous[:] = theta, log_sigma2
+        if math.isnan(approx.log_Q_check):  # the integrals overflow only above the root
+            return math.inf, math.nan
+        return (log_eps - approx.log_Q_check) * scale, theta * slope * scale
 
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        q = Q(theta)
-        if abs(q - eps) < tol:
-            break
-        if q > eps:
-            lo = theta
-        else:
-            hi = theta
-    else:
-        raise ConvergenceError(
-            f"staffing bisection did not reach |Q - eps| < {tol} "
-            f"(tilt bracket [{lo}, {hi}])"
+    # log theta keeps theta = 0, where Q is infinite, outside every bracket
+    cap = _tilt_cap_exp(dist)
+    top = math.log(min(1.0, 0.5 * cap))
+    try:
+        u = find_root_increasing(
+            g, Interval(top - 3.0, top), tol=1e-12, hi_limit=math.log(min(cap, _THETA_MAX))
         )
+    except DomainError:
+        if cap > _THETA_MAX:
+            raise ConvergenceError(
+                f"staffing tilt search found no upper bracket below theta={_THETA_MAX:g}"
+            ) from None
+        raise MgfDomainError(
+            f"epsilon={eps} is unreachable: the approximation cannot be pushed "
+            f"below it within the MGF domain of {dist}"
+        ) from None
 
-    a, _ = approx_at_tilt(dist, service, N, theta, checked=True)
+    a, approx = approx_at_tilt(dist, service, N, math.exp(u), checked=True)
+    if not abs(approx.Q_check - eps) < tol:
+        raise ConvergenceError(
+            f"staffing tilt search stopped at theta={math.exp(u)!r} with "
+            f"|Q - eps| = {abs(approx.Q_check - eps):.3e}, not below {tol}"
+        )
     boundary = mean_load(dist, service) * (1.0 + 1e-6)
     if a < boundary:
         raise DomainError(

@@ -1,4 +1,12 @@
+import os
+import pathlib
+
 import pytest
+
+# a child interpreter does not see pytest's pythonpath setting, so it gets
+# the source directory on PYTHONPATH
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(pathlib.Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 _ACCEPTANCE_LINES: dict[str, str] = {}
 

@@ -31,3 +31,8 @@ def efficiency_ratios(estimate, N_grid) -> list[float]:
     a crude indicator estimator stays at 1/2.
     """
     return [math.log(r.second_moment) / (2.0 * math.log(r.estimate)) for r in map(estimate, N_grid)]
+
+
+def relative_ci(result) -> float:
+    """95% confidence half-width over the estimate, infinite without hits."""
+    return result.ci_halfwidth_95 / result.estimate if result.estimate > 0.0 else math.inf

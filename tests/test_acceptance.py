@@ -19,7 +19,7 @@ import pytest
 from mixpois import gamma_exact, numerics, poisson_ldp, queue, sampling, staffing, tail_asymptotics
 from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint
 from mixpois.sampling import Z_95
-from reference import efficiency_ratios, poisson_tail
+from reference import efficiency_ratios, poisson_tail, relative_ci
 
 SEED = 20250809
 
@@ -157,6 +157,23 @@ class TestCriterion1:
         )
         assert max(a_devs.values()) <= A_TOL
         assert max(pair_devs.values()) <= PAIR_TOL
+
+
+TABLE_ROWS = [("table1", key) for key in TABLE1] + [("table2", key) for key in TABLE2]
+
+
+@pytest.mark.parametrize("table,key", TABLE_ROWS,
+                         ids=[f"{t}-{k[0]}-E{k[1]}-eps{k[2]:g}" for t, k in TABLE_ROWS])
+def test_level_round_trip(request, table, key):
+    # each solved level, fed back to queue_approx, meets the termination band
+    # of solve_staffing's default tol
+    dist = POIS2 if table == "table1" else TWOPOINT
+    kind, E, eps = key
+    r = request.getfixturevalue(f"{table}_results")[key]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = queue.queue_approx(dist, SERVICES[kind](E), 100.0, r.a_eps).Q_check
+    assert abs(q - eps) < 1e-9
 
 
 class TestCriterion2:
@@ -320,10 +337,10 @@ def _check_regime(rows, runs):
             overlap_checked += 1
     assert overlap_checked >= 1
 
-    is_growth = rows[-1][2].relative_ci / rows[0][2].relative_ci
+    is_growth = relative_ci(rows[-1][2]) / relative_ci(rows[0][2])
     assert is_growth <= 3.0, f"IS relative CI grew {is_growth:.2f}x"
     mc_with_hits = [r for r in rows if r[3].estimate > 0.0]
-    mc_growth = mc_with_hits[-1][3].relative_ci / rows[0][3].relative_ci
+    mc_growth = relative_ci(mc_with_hits[-1][3]) / relative_ci(rows[0][3])
     assert mc_growth >= 10.0, f"MC relative CI grew only {mc_growth:.2f}x"
     return span, overlap_checked, is_growth, mc_growth
 

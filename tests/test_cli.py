@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -13,15 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SUBPROCESS_ENV
 from mixpois import cli
 from mixpois.cli import build_parser, main
 from mixpois.rates import PoissonRate
-
-
-# a child interpreter does not see pytest's pythonpath setting, so it gets
-# the source directory on PYTHONPATH
-_SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-    str(pathlib.Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, capsys):
@@ -219,13 +213,13 @@ REJECTED_INPUTS = {
     "repro seed above 64 bits": (["repro", "--seed", str(2**64)], 2,
                                  "seed must lie in [0, 2^64)"),
     # Q above the float range and the tilted variance e^(2 theta) beyond it
-    # raised OverflowError inside the staffing bisection
+    # raised OverflowError inside the staffing tilt search
     "staff Q above the float range": (["staff", "--dist", "gamma:3.4676934119325283e+50,1",
                                        "--service", "det:1", "--N", "1", "--eps", "0.5",
-                                       "--tol", "1e-6"], 3, "staffing bisection"),
+                                       "--tol", "1e-6"], 3, "staffing tilt search"),
     "staff tilt above 354": (["staff", "--dist", "exp:1.6190082276456837e+191", "--service",
                               "det:93.95691743698264", "--N", "50", "--eps", "0.18",
-                              "--tol", "3.8e-07"], 3, "staffing bisection"),
+                              "--tol", "3.8e-07"], 3, "staffing tilt search"),
     # an unwritable --output raised a traceback once every row was computed
     "output in a missing directory": (["approx", "--dist", "exp:2.5", "--alpha", "5", "--a", "3",
                                        "--N", "100", "--output", "/nonexistent/x.csv"], 2,
@@ -476,7 +470,7 @@ class TestStaff:
             capsys,
         )
         assert code == 3
-        assert err.startswith("error: staffing bisection")
+        assert err.startswith("error: staffing tilt search")
         assert err.count("error:") == 1
 
     def test_fully_failed_names_its_error_once(self, capsys):
@@ -607,7 +601,7 @@ class TestOutputFormat:
         proc = subprocess.run(
             [sys.executable, "-m", "mixpois.cli", "omega", "--service", "exp:1",
              "--N", "3", "--bogus", "1"],
-            capture_output=True, env=_SUBPROCESS_ENV,
+            capture_output=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 2
 
@@ -615,7 +609,7 @@ class TestOutputFormat:
         for cmd in COMMANDS:
             proc = subprocess.run(
                 [sys.executable, "-m", "mixpois.cli", cmd, "--help"], capture_output=True,
-                env=_SUBPROCESS_ENV,
+                env=SUBPROCESS_ENV,
             )
             assert proc.returncode == 0
             assert b"--help" in proc.stdout

@@ -122,41 +122,106 @@ class TestIntegrate:
             Interval(0.0, math.inf)
 
 
+def _with_slope(f, df):
+    """g(x) = (f(x), f'(x)), the form find_root_increasing evaluates."""
+    return lambda x: (f(x), df(x))
+
+
+LINEAR = _with_slope(lambda x: x - 1.0, lambda x: 1.0)
+EXPONENTIAL = _with_slope(lambda x: math.exp(x) - 3.0, math.exp)
+CUBIC = _with_slope(lambda x: x**3 - 2.0, lambda x: 3.0 * x * x)
+ARCTAN = _with_slope(lambda x: math.atan(x) - 1.0, lambda x: 1.0 / (1.0 + x * x))
+
+
+def _counted(g):
+    """g with a list of the points it was evaluated at."""
+    points = []
+
+    def counted(x):
+        points.append(x)
+        return g(x)
+
+    return counted, points
+
+
 class TestFindRootIncreasing:
     def test_linear(self):
-        assert find_root_increasing(lambda x: x - 1.0, Interval(0.0, 2.0)) == pytest.approx(1.0, abs=1e-11)
+        assert find_root_increasing(LINEAR, Interval(0.0, 2.0)) == pytest.approx(1.0, abs=1e-11)
 
     def test_exponential(self):
-        root = find_root_increasing(lambda x: math.exp(x) - 3.0, Interval(0.0, 1.0))
+        root = find_root_increasing(EXPONENTIAL, Interval(0.0, 1.0))
         assert root == pytest.approx(math.log(3.0), abs=1e-11)
 
     def test_expansion_required(self):
-        root = find_root_increasing(lambda x: x**3 - 2.0, Interval(0.0, 1.0))
+        root = find_root_increasing(CUBIC, Interval(0.0, 1.0))
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-11)
 
     def test_downward_expansion(self):
-        root = find_root_increasing(lambda x: x + 10.0, Interval(0.0, 1.0))
+        g, points = _counted(_with_slope(lambda x: x + 10.0, lambda x: 1.0))
+        root = find_root_increasing(g, Interval(0.0, 1.0))
         assert root == pytest.approx(-10.0, abs=1e-9)
+        assert min(points) < -10.0
+
+    def test_upward_expansion(self):
+        g, points = _counted(_with_slope(lambda x: x - 10.0, lambda x: 1.0))
+        root = find_root_increasing(g, Interval(0.0, 1.0))
+        assert root == pytest.approx(10.0, abs=1e-9)
+        assert max(points) > 10.0
 
     @pytest.mark.parametrize(
         "g,analytic",
         [
-            (lambda x: x - 1.0, 1.0),
-            (lambda x: math.exp(x) - 3.0, math.log(3.0)),
-            (lambda x: x**3 - 2.0, 2.0 ** (1.0 / 3.0)),
-            (lambda x: math.atan(x) - 1.0, math.tan(1.0)),
+            (LINEAR, 1.0),
+            (EXPONENTIAL, math.log(3.0)),
+            (CUBIC, 2.0 ** (1.0 / 3.0)),
+            (ARCTAN, math.tan(1.0)),
         ],
     )
     def test_final_bracket_property(self, g, analytic):
         tol = 1e-12
         root = find_root_increasing(g, Interval(0.0, 1.0), tol=tol)
         w = 4.0 * max(tol, abs(root) * 1e-12)
-        assert g(root - w) <= tol
-        assert g(root + w) >= -tol
+        assert g(root - w)[0] <= tol
+        assert g(root + w)[0] >= -tol
         assert root == pytest.approx(analytic, abs=1e-9)
+
+    def test_quadratic_convergence(self):
+        # two bracket ends, then Newton steps whose residuals square
+        g, points = _counted(EXPONENTIAL)
+        root = find_root_increasing(g, Interval(0.0, 2.0), tol=1e-13)
+        assert abs(root - math.log(3.0)) <= 1e-13
+        assert len(points) <= 8
+        residuals = [abs(g(x)[0]) for x in points[2:]]
+        for before, after in zip(residuals, residuals[1:]):
+            if after > 1e-13:
+                assert after <= 2.0 * before**2
+
+    @pytest.mark.parametrize("bad_slope", [0.0, math.inf, math.nan, -1.0])
+    def test_unusable_slope_bisects(self, bad_slope):
+        g, points = _counted(_with_slope(lambda x: x - 0.3, lambda x: bad_slope))
+        root = find_root_increasing(g, Interval(0.0, 1.0), tol=1e-12)
+        assert root == pytest.approx(0.3, abs=1e-12)
+        # every step halves the bracket: 0.5, 0.25, 0.375, ...
+        assert points[2:5] == [0.5, 0.25, 0.375]
+
+    def test_newton_step_outside_bracket_bisects(self):
+        # a slope ten times too small sends every Newton step out of [lo, hi]
+        g, points = _counted(_with_slope(lambda x: x - 0.3, lambda x: 0.1))
+        root = find_root_increasing(g, Interval(0.0, 1.0), tol=1e-12)
+        assert root == pytest.approx(0.3, abs=1e-12)
+        assert points[2] == 0.5
 
     def test_domain_boundary_error(self):
         with pytest.raises(DomainError):
-            find_root_increasing(lambda x: x - 10.0, Interval(0.0, 1.0), hi_limit=5.0)
+            find_root_increasing(_with_slope(lambda x: x - 10.0, lambda x: 1.0),
+                                 Interval(0.0, 1.0), hi_limit=5.0)
         with pytest.raises(DomainError):
-            find_root_increasing(lambda x: x + 10.0, Interval(0.0, 1.0), lo_limit=-5.0)
+            find_root_increasing(_with_slope(lambda x: x + 10.0, lambda x: 1.0),
+                                 Interval(0.0, 1.0), lo_limit=-5.0)
+
+    def test_stall_raises(self):
+        # a step function is never within tol of zero, and once its bracket
+        # holds two adjacent floats it cannot narrow below tol = 1e-300
+        step = _with_slope(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, lambda x: 1.0)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            find_root_increasing(step, Interval(0.0, 1.0), tol=1e-300)

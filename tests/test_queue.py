@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import SUBPROCESS_ENV
 from mixpois import queue
 from mixpois.errors import (
     ConvergenceError,
@@ -318,7 +319,8 @@ class TestOccupancyQuadrature:
             "assert 'numpy.polynomial' not in sys.modules\n"
             "assert 'numpy.ma' not in sys.modules\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=SUBPROCESS_ENV)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -353,8 +355,12 @@ def log_asym_Q(dist, service, alpha, a):
     # linear tilt: sup_t {t a - int CGF(t sf(x)) dx}
     sup = dist.mgf_domain_sup
     cap = math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
-    theta = find_root_increasing(lambda t: queue._integrals(dist, service, t)[1] - a,
-                                 Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0,
+
+    def level(t):
+        _, slope, curvature = queue._integrals(dist, service, t)
+        return slope - a, curvature
+
+    theta = find_root_increasing(level, Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0,
                                  hi_limit=cap)
     integral = queue._integrals(dist, service, theta, checked=True)[0]
     return DecayRate(rate=theta * a - integral, gamma=alpha)

@@ -3,19 +3,24 @@ import warnings
 
 import pytest
 
+from mixpois import queue
 from mixpois.errors import DomainError, HypothesisWarning
-from mixpois.queue import DetService, ExpService, Pareto2Service, mc_Q, queue_approx
+from mixpois.queue import DetService, ExpService, Pareto2Service, mc_Q, parse_service, queue_approx
 from mixpois.rates import (
     DeterministicRate,
     Exponential,
     GammaRate,
     PoissonRate,
     TwoPoint,
+    parse_rate,
     spec_label,
 )
 from mixpois.staffing import solve_staffing
 
 POIS2 = PoissonRate(2.0)
+# the staff-tables benchmark grid: N = 100 and service mean 0.5 throughout
+BENCH_ROWS = [(rate, f"{kind}:0.5", eps) for rate in ("pois:2", "twopoint:0.75,1,5", "exp:0.5")
+              for kind in ("exp", "det", "pareto") for eps in (1e-3, 1e-4)]
 
 
 class TestSolveStaffing:
@@ -76,6 +81,21 @@ class TestSolveStaffing:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisWarning)
             assert abs(queue_approx(dist, service, 100.0, r.a_eps).Q_check - eps) < tol
+
+    @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
+    def test_quadrature_calls_per_solve(self, monkeypatch, rate, service, eps):
+        # the tilt search, the level check and the two server-count solves
+        # together evaluate the occupancy integrals at most 30 times
+        calls = []
+        integrals = queue._integrals
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrals(*args, **kwargs)
+
+        monkeypatch.setattr(queue, "_integrals", counted)
+        solve_staffing(parse_rate(rate), parse_service(service), 100, eps)
+        assert len(calls) <= 30
 
     def test_no_hypothesis_warning(self):
         with warnings.catch_warnings():
