@@ -74,16 +74,17 @@ def solve_staffing(
         # previous evaluation as a difference quotient
         theta = math.exp(u)
         approx = approx_at_tilt(dist, service, N, theta)[1]
+        if math.isnan(approx.log_Q_check):  # the integrals overflow only above the root
+            return math.inf, math.nan
         log_sigma2 = math.log(approx.sigma2)
         slope = theta * N * approx.sigma2 + 1.0 / math.expm1(theta)
         if previous and previous[0] != theta:
             slope += 0.5 * (log_sigma2 - previous[1]) / (theta - previous[0])
         previous[:] = theta, log_sigma2
-        if math.isnan(approx.log_Q_check):  # the integrals overflow only above the root
-            return math.inf, math.nan
         return (log_eps - approx.log_Q_check) * scale, theta * slope * scale
 
-    # log theta keeps theta = 0, where Q is infinite, outside every bracket
+    # log theta keeps theta = 0, where Q is infinite, outside every bracket;
+    # the hint spans a factor e^3 in theta up to min(1, half the MGF wall)
     cap = _tilt_cap_exp(dist)
     top = math.log(min(1.0, 0.5 * cap))
     try:
