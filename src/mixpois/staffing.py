@@ -101,10 +101,11 @@ def solve_staffing(
             f"below it within the MGF domain of {dist}"
         ) from None
 
-    a, approx = approx_at_tilt(dist, service, N, math.exp(u), checked=True)
+    theta = math.exp(u)
+    a, approx = approx_at_tilt(dist, service, N, theta, checked=True)
     if not abs(approx.Q_check - eps) < tol:
         raise ConvergenceError(
-            f"staffing tilt search stopped at theta={math.exp(u)!r} with "
+            f"staffing tilt search stopped at theta={theta!r} with "
             f"|Q - eps| = {abs(approx.Q_check - eps):.3e}, not below {tol}"
         )
     boundary = mean_load(dist, service) * (1.0 + 1e-6)
