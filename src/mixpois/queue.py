@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count
-from .rates import RateDistribution, parse_spec, spec_label
-from .sampling import EstimatorResult, _count_mean, _run_chunked, _slot_reduce
+from .rates import PoissonRate, RateDistribution, parse_spec, spec_label
+from .sampling import EstimatorResult, _by_blocks, _count_mean, _run_chunked, _slot_reduce
 
 __all__ = [
     "ServiceTime",
@@ -51,6 +51,12 @@ _GRADING_FLOOR = 1e-12
 _REL_TOL = 1e-10
 # largest tilt whose factors e^theta and e^(2 theta) stay finite
 _THETA_MAX = 350.0
+# numpy draws a Poisson variate of mean below 10 by multiplying about mean + 1
+# uniforms, and one of larger mean by rejection in a near-constant time, so
+# mc_Q places Pois(N lam) arrivals on the slots, at about one uniform each,
+# only where the Poisson slot rates have a mean lam below 10: above it placing
+# the arrivals measured slower than drawing the slot rates
+_ARRIVALS_BELOW = 10.0
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,7 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
             hi_limit=min(cap, _THETA_MAX),
         )
     except DomainError:
-        if math.isinf(cap):
+        if cap > _THETA_MAX:
             raise DomainError(
                 f"occupancy level a={a} needs a tilt above {_THETA_MAX:g}, beyond "
                 "double precision"
@@ -372,21 +378,40 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
 
 def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
          seed: int) -> EstimatorResult:
-    """Crude Monte Carlo for the occupancy tail at level N*a."""
+    """Crude Monte Carlo for the occupancy tail at level N*a.
+
+    Each run draws the occupancy count with mean sum_i omega_i X_i over its N
+    slot rates X_i.  Poisson rates of mean below _ARRIVALS_BELOW are drawn as
+    Pois(N lam) arrivals placed uniformly on the N slots, whose slot counts
+    are i.i.d. Pois(lam), and the sum is taken over the arrivals.
+    """
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
     k = ceil_count(N * a)
+    # expected arrivals per run, rounded up, on the arrival path, else 0
+    arrivals = (math.ceil(N * dist.lam)
+                if isinstance(dist, PoissonRate) and dist.lam < _ARRIVALS_BELOW else 0)
     omegas = None
+
+    def placed(rng: np.random.Generator, n: int) -> np.ndarray:
+        counts = rng.poisson(N * dist.lam, size=n)
+        slots = rng.integers(0, N, size=counts.sum())
+        return np.bincount(np.repeat(np.arange(n), counts), weights=omegas[slots], minlength=n)
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         nonlocal omegas
         if omegas is None:  # built on the first chunk, after the budget check
             omegas = omega_vector(N, service)
-        lam = _slot_reduce(dist.sample, rng, m, N, lambda x: x @ omegas)
+        if arrivals:
+            lam = _by_blocks(rng, m, arrivals, placed)
+        else:
+            lam = _slot_reduce(dist.sample, rng, m, N, lambda x: (x * omegas).sum(axis=1))
         z = rng.poisson(_count_mean(lam))
         return (z >= k).astype(np.float64)
 
-    return _run_chunked(seed, runs, N + 1, weights)
+    # a run draws its arrival count, its arrivals and its occupancy count, or
+    # its N slot rates and its occupancy count
+    return _run_chunked(seed, runs, arrivals + 2 if arrivals else N + 1, weights)
 
 
 @dataclass(frozen=True)

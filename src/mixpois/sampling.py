@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from .numerics import exp_or_inf
 from .poisson_ldp import ceil_count, exact_count
-from .rates import GammaRate, RateDistribution, rate_function
+from .rates import GammaRate, PoissonRate, RateDistribution, rate_function
 
 __all__ = [
     "Z_95",
@@ -33,10 +33,10 @@ __all__ = [
 Z_95 = 1.959964  # standard normal 97.5% quantile, fixed CI level
 _OP_BUDGET = 4_000_000_000  # scalar draws allowed per estimator call
 _CHUNK_SCALARS = 4_000_000
-# slot draws per block: 125 KiB of float64 stays in cache and under malloc's
-# 128 KiB mmap threshold, so the blocks reuse heap memory; 1 MiB blocks were
-# returned to the system and faulted in afresh, and the fig 4 cells took 13
-# times the page faults of whole chunks
+# slot draws, or expected arrivals, per block: 125 KiB of float64 stays in
+# cache and under malloc's 128 KiB mmap threshold, so the blocks reuse heap
+# memory; 1 MiB blocks were returned to the system and faulted in afresh, and
+# the fig 4 cells took 13 times the page faults of whole chunks
 _BLOCK_SCALARS = 16_000
 _POISSON_MEAN_MAX = 9.2e18  # numpy's Poisson sampler refuses means above about 9.22e18
 
@@ -100,24 +100,29 @@ def _run_chunked(seed: int, runs: int, scalars_per_run: int, weights) -> Estimat
     return _finalize(runs, sum_w, sum_w2)
 
 
-def _slot_reduce(sample, rng: np.random.Generator, m: int, width: int, reduce) -> np.ndarray:
-    """m per-run values, each ``reduce`` of the run's row of ``width`` slot
-    draws from ``sample(rng, n)``.
-
-    The rows are drawn and reduced in blocks of a multiple of 64 rows, at
-    most _BLOCK_SCALARS draws unless 64 rows hold more, so no chunk-sized
-    array of draws is ever held.  The
-    stream hands out the same draws as one call of m * width would, and
-    whole multiples of 64 rows keep the BLAS product's grouping of rows, so
-    each value is the one a single-threaded product over the whole chunk
-    gives, to the bit.
-    """
+def _by_blocks(rng: np.random.Generator, m: int, width: int, block) -> np.ndarray:
+    """m per-run values, filled by ``block(rng, n) -> n values`` on blocks of
+    runs of ``width`` draws (or expected arrivals) each, at most
+    _BLOCK_SCALARS unless one run holds more, so no chunk-sized array of
+    draws is ever held."""
     out = np.empty(m)
-    rows = max(1, _BLOCK_SCALARS // (64 * width)) * 64
+    rows = max(1, _BLOCK_SCALARS // width)
     for lo in range(0, m, rows):
         n = min(rows, m - lo)
-        out[lo:lo + n] = reduce(sample(rng, n * width).reshape(n, width))
+        out[lo:lo + n] = block(rng, n)
     return out
+
+
+def _slot_reduce(sample, rng: np.random.Generator, m: int, width: int, reduce) -> np.ndarray:
+    """m per-run values, each ``reduce`` of the run's row of ``width`` slot
+    draws from ``sample(rng, n)``, drawn and reduced block by block.
+
+    The stream hands out the same draws as one call of m * width would, and
+    ``reduce`` works row by row, so each value is the one a reduction over
+    the whole chunk gives, to the bit.
+    """
+    return _by_blocks(rng, m, width,
+                      lambda rng, n: reduce(sample(rng, n * width).reshape(n, width)))
 
 
 def _count_mean(mean):
@@ -129,13 +134,16 @@ def _count_mean(mean):
 
 
 def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float | None = None):
-    """Sampler of the pooled rate sum over the N^alpha slots.
+    """Sampler of the pooled rate sum over the N^alpha slots, twisted by
+    ``theta`` if given.
 
     Returns (draw(rng, m) -> pooled sums, slot_count, scalars_per_run).
     Gamma kinds (exponential included) pool into a single gamma draw with
-    real shape N^alpha * beta; other kinds draw round(N^alpha) i.i.d. slots.
-    Every estimator checks alpha and N, and that N^alpha and the pooled
-    gamma shape are floats, here.
+    real shape N^alpha * beta, and Poisson rates into a single Poisson draw
+    with mean round(N^alpha) * lam * e^theta, since a sum of i.i.d. Poisson
+    variables is Poisson; other kinds draw round(N^alpha) i.i.d. slots.
+    Every estimator checks alpha and N, that N^alpha and the pooled gamma
+    shape are floats and that numpy can draw the pooled Poisson mean, here.
     """
     if not (alpha > 0.0 and N > 0.0):
         raise DomainError(f"alpha and N must be positive, got alpha={alpha}, N={N}")
@@ -155,6 +163,14 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
         return draw, n_alpha, 1
 
     slots = max(1, round(n_alpha))
+    if isinstance(dist, PoissonRate):
+        mean = _count_mean(slots * (dist.lam if theta is None else dist.lam * math.exp(theta)))
+
+        def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+            return rng.poisson(mean, size=m).astype(np.float64)
+
+        return draw, float(slots), 1
+
     sample = dist.sample if theta is None else functools.partial(dist.sample_twisted, theta)
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:

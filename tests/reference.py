@@ -5,6 +5,8 @@ No entry point of the package needs these, so they live beside the tests.
 
 import math
 
+import numpy as np
+
 
 def poisson_log_pmf(mean: float, k: int) -> float:
     """log P(Pois(mean) = k) for mean > 0."""
@@ -21,6 +23,41 @@ def poisson_tail(mean: float, k: int) -> float:
         log_terms.append(log_terms[-1] + math.log(mean / j))
         top = max(top, log_terms[-1])
     return math.exp(top) * math.fsum(math.exp(t - top) for t in log_terms)
+
+
+def pooled_poisson_tail(lam: float, slots: int, N: float, k: int) -> float:
+    """P(count >= k) where the count is Pois(N S / slots) given the pooled
+    rate S ~ Pois(slots * lam): the Poisson tails mixed over S, which has no
+    mass at S = 0 for k >= 1."""
+    mean = slots * lam
+    js = range(1, math.ceil(mean + 40.0 * math.sqrt(mean) + 40.0))
+    return math.fsum(math.exp(poisson_log_pmf(mean, j)) * poisson_tail(N * j / slots, k)
+                     for j in js)
+
+
+def occupancy_pmf(lam: float, omegas) -> np.ndarray:
+    """pmf of the occupancy sum_i Pois(omega_i X_i) with X_i i.i.d. Pois(lam).
+
+    Each term has the Neyman type A law, the Poisson pmfs of mean omega_i x
+    mixed over x ~ Pois(lam); the terms are convolved.  The counts run 40
+    standard deviations past the mean, and the pmf must hold all but 1e-12
+    of its mass there.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    sd = math.sqrt(lam * float(np.sum(omegas + omegas**2)))
+    size = math.ceil(lam * float(omegas.sum()) + 40.0 * sd + 40.0)
+    x = np.arange(1, math.ceil(lam + 40.0 * math.sqrt(lam) + 40.0))
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, max(size, x.size + 1))))))
+    p_x = np.exp(x * math.log(lam) - lam - log_factorial[x])
+    y = np.arange(size)
+    pmf = np.array([1.0])
+    for omega in omegas:
+        mean = omega * x[:, None]
+        term = p_x @ np.exp(y * np.log(mean) - mean - log_factorial[y])
+        term[0] += math.exp(-lam)  # x = 0: no arrivals in the slot
+        pmf = np.convolve(pmf, term)[:size]
+    assert abs(math.fsum(pmf) - 1.0) < 1e-12
+    return pmf
 
 
 def efficiency_ratios(estimate, N_grid) -> list[float]:

@@ -180,9 +180,17 @@ REJECTED_INPUTS = {
     "queue-approx tiny service mean": (["queue-approx", "--dist", "det:1",
                                         "--service", "det:5e-324", "--N", "1", "--a", "1"], 2,
                                        "needs a tilt above"),
-    "simulate run above a chunk": (["simulate", "--method", "mc", "--dist", "pois:1",
+    # the MGF wall of these rates lies at a tilt of 460.5, beyond the reach of
+    # double precision, and the error blamed the MGF domain
+    "queue-approx wall beyond the tilt limit": (["queue-approx", "--dist", "exp:1e200",
+                                                 "--service", "exp:1", "--N", "50",
+                                                 "--a", "1e160"], 2, "needs a tilt above"),
+    "simulate run above a chunk": (["simulate", "--method", "mc", "--dist", "twopoint:0.75,1,5",
                                     "--alpha", "2", "--a", "2", "--N", "60000", "--runs", "1"], 2,
                                    "per-run cap"),
+    "simulate pooled Poisson mean": (["simulate", "--method", "mc", "--dist", "pois:1e10",
+                                      "--alpha", "9", "--a", "2", "--N", "100", "--runs", "1"],
+                                     2, "Poisson count mean"),
     "queue-sim run above a chunk": (["queue-sim", "--dist", "pois:1", "--service", "exp:1",
                                      "--N", "1000000000", "--a", "2", "--runs", "1"], 2,
                                     "per-run cap"),

@@ -40,7 +40,7 @@ from mixpois.rates import (
 )
 from mixpois.sampling import Z_95
 from mixpois.tail_asymptotics import DecayRate, approx_intermediate
-from reference import poisson_tail
+from reference import occupancy_pmf, poisson_tail
 
 POIS2 = PoissonRate(2.0)
 SERVICES = [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)]
@@ -175,6 +175,12 @@ class TestThetaStar:
         # exponential rates cap the reachable occupancy
         with pytest.raises(MgfDomainError):
             theta_star_queue(Exponential(2.5), ExpService(0.5), 500.0)
+
+    def test_tilt_limit_below_a_far_wall(self):
+        # the MGF wall lies at a tilt of 460.5; the search stops at 350 first
+        with pytest.raises(DomainError, match="needs a tilt above 350") as raised:
+            theta_star_queue(Exponential(1e200), ExpService(1.0), 1e160)
+        assert not isinstance(raised.value, MgfDomainError)
 
     @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
     def test_non_finite_level_rejected(self, a):
@@ -341,6 +347,21 @@ class TestMcQ:
     def test_requires_integer_slots(self):
         with pytest.raises(DomainError):
             mc_Q(POIS2, ExpService(0.5), 10.5, 1.0, 100, 0)
+
+    # Poisson rates of mean below 10 place Pois(N lam) arrivals on the slots,
+    # the others draw one rate per slot
+    @pytest.mark.parametrize("lam", [0.1, 2.0, 9.5, 12.0])
+    def test_poisson_rates_match_neyman_type_a_oracle(self, lam):
+        service, N = ExpService(0.5), 10
+        pmf = occupancy_pmf(lam, omega_vector(N, service))
+        tails = np.cumsum(pmf[::-1])[::-1]
+        k = int(np.argmax(tails < 0.05))  # the first count with a tail below 5%
+        exact = math.fsum(pmf[k:])
+        covered = 0
+        for seed in range(1000, 1020):
+            r = mc_Q(PoissonRate(lam), service, N, k / N, 20_000, seed)
+            covered += abs(r.estimate - exact) <= 4.0 * (r.ci_halfwidth_95 / Z_95)
+        assert covered >= 19  # 95% of 20 independently seeded repetitions
 
 
 def log_asym_Q(dist, service, alpha, a):

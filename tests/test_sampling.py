@@ -20,7 +20,7 @@ from mixpois.sampling import (
     mc_P,
     stream,
 )
-from reference import efficiency_ratios, poisson_log_pmf
+from reference import efficiency_ratios, poisson_log_pmf, pooled_poisson_tail
 
 EXP25 = Exponential(2.5)
 PART = 314
@@ -198,8 +198,17 @@ class TestRepeatedSeedCoverage:
                 lambda seed: is_slow(EXP25, 0.5, 2.0, 25.0, 10**5, seed),
                 P_exact(GammaCase(1.0, 2.5, 0.5, 2.0, 25.0)),
             ),
+            # Poisson rates pooled into one Poisson draw over round(100^0.5) slots
+            (
+                lambda seed: mc_P(PoissonRate(2.0), 0.5, 3.0, 100.0, 10**5, seed),
+                pooled_poisson_tail(2.0, 10, 100.0, 300),
+            ),
+            (
+                lambda seed: is_slow(PoissonRate(2.0), 0.5, 3.0, 100.0, 10**5, seed),
+                pooled_poisson_tail(2.0, 10, 100.0, 300),
+            ),
         ],
-        ids=["mc", "is-fast-tail", "is-fast-point", "is-slow"],
+        ids=["mc", "is-fast-tail", "is-fast-point", "is-slow", "mc-pois", "is-slow-pois"],
     )
     def test_within_four_se_across_twenty_seeds(self, runner, exact):
         covered = sum(1 for seed in range(1000, 1020) if joint_dev(runner(seed), exact) <= 4.0)
@@ -283,15 +292,18 @@ class TestSlotBlocks:
     def test_sums_and_stream_match(self, width):
         m = min(_chunk_rows(width), 5000)
         block, whole = stream(4), stream(4)
-        got = _slot_reduce(PoissonRate(2.0).sample, block, m, width, lambda x: x.sum(axis=1))
-        ref = _whole_chunk(PoissonRate(2.0).sample, whole, m, width, lambda x: x.sum(axis=1))
+        sample = TwoPoint(0.75, 1.0, 5.0).sample
+        weights = np.linspace(0.1, 1.0, width)  # as mc_Q weighs slots by retention
+        got = _slot_reduce(sample, block, m, width, lambda x: (x * weights).sum(axis=1))
+        ref = _whole_chunk(sample, whole, m, width, lambda x: (x * weights).sum(axis=1))
         assert np.array_equal(got, ref)
         assert block.random() == whole.random()  # the same draws were consumed
 
-    # runs past one chunk, whose first and last chunks end in partial blocks
-    @pytest.mark.parametrize("dist", [PoissonRate(2.0), TwoPoint(0.75, 1.0, 5.0),
+    # runs past one chunk, whose first and last chunks end in partial blocks;
+    # Poisson rates of mean below 10 place arrivals instead of slot rates
+    @pytest.mark.parametrize("dist", [PoissonRate(12.0), TwoPoint(0.75, 1.0, 5.0),
                                       DeterministicRate(2.0), GammaRate(2.0, 1.0)],
-                             ids=["pois", "twopoint", "det", "gamma"])
+                             ids=["pois-12", "twopoint", "det", "gamma"])
     @pytest.mark.parametrize("N", [1, 37, 100, 1000])
     def test_mc_Q(self, monkeypatch, dist, N):
         service = ExpService(0.5)
@@ -302,13 +314,13 @@ class TestSlotBlocks:
         assert 0.0 < got.estimate < 1.0
 
     @pytest.mark.parametrize("estimator,dist,alpha,a,N", [
-        (mc_P, PoissonRate(2.0), 1.0, 2.05, 1.0),
+        (mc_P, DeterministicRate(2.0), 1.0, 2.05, 1.0),
         (mc_P, TwoPoint(0.75, 1.0, 5.0), 0.5, 2.0, 100.0),
-        (mc_P, PoissonRate(2.0), 1.0, 2.05, 37.0),
+        (mc_P, TwoPoint(0.75, 1.0, 5.0), 1.0, 2.05, 37.0),
         (mc_P, DeterministicRate(2.0), 0.5, 2.2, 9.0),
-        (is_slow, PoissonRate(2.0), 0.5, 3.0, 100.0),
+        (is_slow, TwoPoint(0.75, 1.0, 5.0), 0.5, 3.0, 100.0),
         (is_slow, TwoPoint(0.75, 1.0, 5.0), 1.0, 2.2, 3000.0),
-        (is_fast, PoissonRate(2.0), 2.0, 3.0, 4.0),
+        (is_fast, TwoPoint(0.75, 1.0, 5.0), 2.0, 3.0, 4.0),
     ])
     @pytest.mark.filterwarnings("ignore::mixpois.errors.RegimeWarning")
     def test_per_slot_estimators(self, monkeypatch, estimator, dist, alpha, a, N):
@@ -318,11 +330,14 @@ class TestSlotBlocks:
         assert got == _whole_chunk_result(monkeypatch, lambda: estimator(dist, alpha, a, N, runs, 5))
         assert got.estimate > 0.0
 
-    def test_mc_Q_peak_memory(self):
-        # the whole 4e6-scalar chunk peaked at 63 MB
+    # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
+    # of mean 0.1 place their arrivals, two-point rates draw slot rates
+    @pytest.mark.parametrize("dist,a", [(PoissonRate(0.1), 0.16), (TwoPoint(0.75, 1.0, 5.0), 1.4)],
+                             ids=["pois-arrivals", "twopoint"])
+    def test_mc_Q_peak_memory(self, dist, a):
         tracemalloc.start()
         try:
-            mc_Q(PoissonRate(0.1), ExpService(1.0), 100, 0.16, 40000, 3)
+            mc_Q(dist, ExpService(1.0), 100, a, 40000, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
