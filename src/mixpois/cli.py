@@ -151,10 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "queue-sim",
         help="crude Monte Carlo for the infinite-server occupancy tail",
-        description="Draws N slot rates per run, or for Poisson rates of mean "
-        "lam < 10 about N*lam arrivals placed on the slots; the budget guard "
-        "rejects runs * (N + 1), or runs * (ceil(N*lam) + 2), above 4e9 scalar "
-        "draws, and one run's draws above 4e6.",
+        description="Draws N slot rates per run; the budget guard rejects "
+        "runs * (N + 1) above 4e9 scalar draws, and N + 1 above 4e6.",
     )
     p.add_argument("--dist", required=True)
     p.add_argument("--service", required=True)

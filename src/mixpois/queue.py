@@ -388,7 +388,8 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
     k = ceil_count(N * a)
-    # expected arrivals per run, rounded up, on the arrival path, else 0
+    # expected arrivals per run, rounded up, the block width of the arrival
+    # path, else 0
     arrivals = (math.ceil(N * dist.lam)
                 if isinstance(dist, PoissonRate) and dist.lam < _ARRIVALS_BELOW else 0)
     omegas = None
@@ -409,9 +410,9 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
         z = rng.poisson(_count_mean(lam))
         return (z >= k).astype(np.float64)
 
-    # a run draws its arrival count, its arrivals and its occupancy count, or
-    # its N slot rates and its occupancy count
-    return _run_chunked(seed, runs, arrivals + 2 if arrivals else N + 1, weights)
+    # N + 1 per run on both paths: the per-run cap then bounds N, and with it
+    # the retention vector, whatever the arrival rate
+    return _run_chunked(seed, runs, N + 1, weights)
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,9 @@ REJECTED_INPUTS = {
     "queue-sim run above a chunk": (["queue-sim", "--dist", "pois:1", "--service", "exp:1",
                                      "--N", "1000000000", "--a", "2", "--runs", "1"], 2,
                                     "per-run cap"),
+    "queue-sim arrivals above a chunk": (["queue-sim", "--dist", "pois:0.001", "--service",
+                                          "exp:1", "--N", "1000000000", "--a", "2", "--runs",
+                                          "1"], 2, "per-run cap"),
     "simulate N^alpha overflow": (["simulate", "--method", "mc", "--dist", "exp:1", "--alpha",
                                    "400", "--a", "2", "--N", "10", "--runs", "1"], 2,
                                   "exceeds the float range"),
