@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count
 from .rates import PoissonRate, RateDistribution, parse_spec, spec_label
-from .sampling import EstimatorResult, _by_blocks, _count_mean, _run_chunked, _slot_reduce
+from .sampling import EstimatorResult, _by_blocks, _run_chunked, _slot_reduce
 
 __all__ = [
     "ServiceTime",
@@ -54,8 +54,9 @@ _THETA_MAX = 350.0
 # numpy draws a Poisson variate of mean below 10 by multiplying about mean + 1
 # uniforms, and one of larger mean by rejection in a near-constant time, so
 # mc_Q places Pois(N lam) arrivals on the slots, at about one uniform each,
-# only where the Poisson slot rates have a mean lam below 10: above it placing
-# the arrivals measured slower than drawing the slot rates
+# where the Poisson slot rates have a mean lam below 10; placing the arrivals
+# measured faster up to lam = 12 and slower from lam = 15 on (N = 10 to 1000),
+# so the cutoff stays where numpy's sampler switches
 _ARRIVALS_BELOW = 10.0
 
 
@@ -376,14 +377,28 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     return approx
 
 
+def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-run sums of ``values``, which hold ``counts[j]`` values of run j
+    after those of the runs before it."""
+    # the trailing 0.0 makes each run start a valid index, also that of the
+    # empty runs after the last value
+    sums = np.add.reduceat(np.append(values, 0.0), np.cumsum(counts) - counts)
+    return np.where(counts > 0, sums, 0.0)
+
+
 def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
          seed: int) -> EstimatorResult:
     """Crude Monte Carlo for the occupancy tail at level N*a.
 
-    Each run draws the occupancy count with mean sum_i omega_i X_i over its N
-    slot rates X_i.  Poisson rates of mean below _ARRIVALS_BELOW are drawn as
-    Pois(N lam) arrivals placed uniformly on the N slots, whose slot counts
-    are i.i.d. Pois(lam), and the sum is taken over the arrivals.
+    Each run draws the rate sum Lambda = sum_i omega_i X_i over its N slot
+    rates X_i, and hits when its occupancy, a Pois(Lambda) count, reaches
+    k = ceil(N a): the hit is drawn as G <= Lambda with G ~ Gamma(k, 1), the
+    k-th epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k) =
+    P(G <= Lambda).
+    Poisson rates of mean below _ARRIVALS_BELOW are drawn as Pois(N lam)
+    arrivals placed uniformly on the N slots, whose slot counts are i.i.d.
+    Pois(lam), and each run's sum is the segment sum of its arrivals'
+    retention probabilities.
     """
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
@@ -392,12 +407,13 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
     # path, else 0
     arrivals = (math.ceil(N * dist.lam)
                 if isinstance(dist, PoissonRate) and dist.lam < _ARRIVALS_BELOW else 0)
+    slot_dtype = np.int16 if N <= 2**15 else np.int64  # int16 indices draw cheaper
     omegas = None
 
     def placed(rng: np.random.Generator, n: int) -> np.ndarray:
         counts = rng.poisson(N * dist.lam, size=n)
-        slots = rng.integers(0, N, size=counts.sum())
-        return np.bincount(np.repeat(np.arange(n), counts), weights=omegas[slots], minlength=n)
+        slots = rng.integers(0, N, size=counts.sum(), dtype=slot_dtype)
+        return _run_sums(omegas.take(slots), counts)
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         nonlocal omegas
@@ -407,8 +423,7 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
             lam = _by_blocks(rng, m, arrivals, placed)
         else:
             lam = _slot_reduce(dist.sample, rng, m, N, lambda x: (x * omegas).sum(axis=1))
-        z = rng.poisson(_count_mean(lam))
-        return (z >= k).astype(np.float64)
+        return (rng.standard_gamma(k, size=m) <= lam).astype(np.float64)
 
     # N + 1 per run on both paths: the per-run cap then bounds N, and with it
     # the retention vector, whatever the arrival rate

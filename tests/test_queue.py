@@ -38,7 +38,7 @@ from mixpois.rates import (
     TwoPoint,
     spec_label,
 )
-from mixpois.sampling import Z_95
+from mixpois.sampling import Z_95, stream
 from mixpois.tail_asymptotics import DecayRate, approx_intermediate
 from reference import occupancy_pmf, poisson_tail
 
@@ -362,6 +362,53 @@ class TestMcQ:
             r = mc_Q(PoissonRate(lam), service, N, k / N, 20_000, seed)
             covered += abs(r.estimate - exact) <= 4.0 * (r.ci_halfwidth_95 / Z_95)
         assert covered >= 19  # 95% of 20 independently seeded repetitions
+
+    # the 20 repetitions above pooled into one estimate of 4e5 runs, which
+    # shows a bias too small for any single repetition to show
+    @pytest.mark.parametrize("lam", [0.1, 2.0, 9.5, 12.0])
+    def test_poisson_rates_pooled_over_seeds_match_neyman_type_a_oracle(self, lam):
+        service, N = ExpService(0.5), 10
+        pmf = occupancy_pmf(lam, omega_vector(N, service))
+        tails = np.cumsum(pmf[::-1])[::-1]
+        k = int(np.argmax(tails < 0.05))
+        exact = math.fsum(pmf[k:])
+        results = [mc_Q(PoissonRate(lam), service, N, k / N, 20_000, seed)
+                   for seed in range(1000, 1020)]
+        pooled = math.fsum(r.estimate for r in results) / len(results)
+        pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
+        assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
+
+    # counts of arrivals per run, with the empty runs first, in the middle,
+    # last, everywhere and nowhere, and a block of runs that ends in empty
+    # runs after a run of three
+    @pytest.mark.parametrize("counts", [
+        [0, 0, 3, 1, 2], [2, 0, 0, 5, 0, 1], [4, 1, 3, 0, 0], [0, 0, 0, 0], [1, 2, 3], [0], [7],
+        np.r_[np.random.default_rng(6).poisson(0.7, size=5000), 3, np.zeros(40, dtype=int)],
+    ])
+    def test_run_sums_match_the_labelled_bincount(self, counts):
+        counts = np.asarray(counts)
+        values = np.random.default_rng(5).random(counts.sum())
+        reference = np.bincount(np.repeat(np.arange(counts.size), counts), weights=values,
+                                minlength=counts.size)
+        sums = queue._run_sums(values, counts)
+        assert sums.shape == reference.shape
+        np.testing.assert_allclose(sums, reference, rtol=1e-13, atol=0.0)
+
+    # mc_Q hits where the k-th epoch of a unit-rate Poisson process falls by
+    # the run's rate sum mu: P(Gamma(k, 1) <= mu) = P(Pois(mu) >= k)
+    @pytest.mark.parametrize("k,mu", [
+        (0, 0.0), (0, 2.5), (1, 0.0), (1, 0.7), (20, 0.0), (20, 16.0), (20, 23.0),
+        (127, 0.0), (127, 112.0), (127, 131.0),
+    ])
+    def test_kth_epoch_hit_frequency_is_the_poisson_tail(self, k, mu):
+        draws = 10**6
+        hits = np.count_nonzero(stream(k).standard_gamma(k, size=draws) <= mu)
+        if k == 0:
+            exact = 1.0
+        else:
+            exact = poisson_tail(mu, k) if mu > 0.0 else 0.0
+        se = math.sqrt(exact * (1.0 - exact) / draws)
+        assert abs(hits / draws - exact) <= 4.0 * se
 
 
 def log_asym_Q(dist, service, alpha, a):
