@@ -300,7 +300,7 @@ def _check_runs(option: str, runs: int, least: int, seed: int) -> None:
     """Refuse a run count below ``least`` or a seed out of range before any work."""
     if runs < least:
         raise DomainError(f"{option} must be >= {least}, got {runs}")
-    sampling.stream(seed)  # raises DomainError for a seed outside [0, 2^64)
+    sampling.check_seed(seed)
 
 
 def _cmd_staff(args) -> list[dict]:

@@ -183,21 +183,27 @@ def mean_load(dist: RateDistribution, service: ServiceTime) -> float:
 
 class _Rule:
     """Composite Gauss-Legendre rule on the unit interval with the service
-    law's complementary cdf evaluated at its nodes."""
+    law's complementary cdf evaluated at its nodes.
+
+    The weights come pre-multiplied by 1, sf and sf^2, the factors of the
+    three integrands, so each integral is one product and one pairwise sum
+    (np.add.reduce, no BLAS: the rounding never depends on the BLAS build).
+    """
 
     def __init__(self, service: ServiceTime, edges: list[float], order: int):
-        nodes, self.weights = gauss_legendre(edges, order)
+        nodes, weights = gauss_legendre(edges, order)
         self.sf = service.sf(nodes)
         self.sf_complement = service.sf_complement(nodes)
+        self.weighted = (weights, weights * self.sf, weights * self.sf * self.sf)
 
     def integrals(self, dist: RateDistribution, tau: float) -> tuple[float, float, float]:
         with np.errstate(over="ignore"):  # an overflow shows as an infinite integral
             k0, k1, k2 = dist.cgf(tau, self.sf, self.sf_complement)
-            w, sf = self.weights, self.sf
+            w0, w1, w2 = self.weighted
             return (
-                float(np.sum(w * k0)),
-                float(np.sum(w * k1 * sf)),
-                float(np.sum(w * k2 * sf * sf)),
+                float(np.add.reduce(w0 * k0)),
+                float(np.add.reduce(w1 * k1)),
+                float(np.add.reduce(w2 * k2)),
             )
 
 
@@ -252,6 +258,11 @@ def _tilt_cap_exp(dist: RateDistribution) -> float:
     return math.inf if math.isinf(sup) else math.log1p(sup - 1e-9 * max(1.0, sup))
 
 
+def _cold_hint(dist: RateDistribution) -> Interval:
+    """Tilt bracket of a search with no better guess: [0, min(1, cap / 2)]."""
+    return Interval(0.0, min(1.0, 0.5 * _tilt_cap_exp(dist)))
+
+
 def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> None:
     """Check that the occupancy level a is finite and above the mean load."""
     if not math.isfinite(a):
@@ -261,13 +272,12 @@ def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> None:
         raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
 
 
-def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> float:
-    """Tilt making the expected occupancy equal a.
-
-    Solves int_0^1 CGF'(sf(x) (e^t - 1)) sf(x) e^t dx = a, which is strictly
-    increasing in t with slope sigma^2 of approx_at_tilt; requires a above
-    the mean load and a tilt within the MGF domain.
-    """
+def _solve_tilt(
+    dist: RateDistribution, service: ServiceTime, a: float, hint: Interval
+) -> tuple[float, tuple[float, float, float]]:
+    """theta_star_queue searched from the bracket ``hint``, which must lie in
+    [0, min(cap, _THETA_MAX)], returned with the checked integrals at the
+    tilt (see _integrals)."""
     _check_rare(dist, service, a)
 
     def g(theta: float) -> tuple[float, float]:
@@ -278,8 +288,7 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
     cap = _tilt_cap_exp(dist)
     try:
         theta = find_root_increasing(
-            g, Interval(0.0, min(1.0, 0.5 * cap)), tol=1e-12, lo_limit=0.0,
-            hi_limit=min(cap, _THETA_MAX),
+            g, hint, tol=1e-12, lo_limit=0.0, hi_limit=min(cap, _THETA_MAX)
         )
     except DomainError:
         if cap > _THETA_MAX:
@@ -292,8 +301,17 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
             f"(0, {cap:.6g}] by the MGF domain, which only reaches mean occupancy "
             f"{g(cap)[0] + a:.6g}"
         ) from None
-    _integrals(dist, service, math.expm1(theta), checked=True)
-    return theta
+    return theta, _integrals(dist, service, math.expm1(theta), checked=True)
+
+
+def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> float:
+    """Tilt making the expected occupancy equal a.
+
+    Solves int_0^1 CGF'(sf(x) (e^t - 1)) sf(x) e^t dx = a, which is strictly
+    increasing in t with slope sigma^2 of approx_at_tilt; requires a above
+    the mean load and a tilt within the MGF domain.
+    """
+    return _solve_tilt(dist, service, a, _cold_hint(dist))[0]
 
 
 @dataclass(frozen=True)
@@ -331,7 +349,20 @@ def approx_at_tilt(
     HypothesisWarning is issued.  With ``checked``, the quadrature is checked
     and a non-finite log-probability raises ConvergenceError.
     """
-    integral_cgf, slope, curvature = _integrals(dist, service, math.expm1(theta), checked)
+    integrals = _integrals(dist, service, math.expm1(theta), checked)
+    return _approx_from(service, N, theta, a, integrals, checked)
+
+
+def _approx_from(
+    service: ServiceTime,
+    N: float,
+    theta: float,
+    a: float | None,
+    integrals: tuple[float, float, float],
+    checked: bool,
+) -> tuple[float, QueueApprox]:
+    """approx_at_tilt from the integrals at theta."""
+    integral_cgf, slope, curvature = integrals
     if a is None:
         a = math.exp(theta) * slope
     sigma2 = a + curvature * exp_or_inf(2.0 * theta)
@@ -360,8 +391,8 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     """
     if not (N > 0.0 and math.isfinite(N)):
         raise DomainError(f"N must be positive and finite, got {N}")
-    theta = theta_star_queue(dist, service, a)
-    _, approx = approx_at_tilt(dist, service, N, theta, a=a, checked=True)
+    theta, integrals = _solve_tilt(dist, service, a, _cold_hint(dist))
+    _, approx = _approx_from(service, N, theta, a, integrals, checked=True)
     if approx.log_Q_check > 0.0:
         raise RarityError(
             f"the sharp approximation at a={a}, N={N} gives log Q = "

@@ -23,6 +23,7 @@ from .rates import GammaRate, PoissonRate, RateDistribution, rate_function
 
 __all__ = [
     "Z_95",
+    "check_seed",
     "stream",
     "EstimatorResult",
     "mc_P",
@@ -41,10 +42,15 @@ _BLOCK_SCALARS = 16_000
 _POISSON_MEAN_MAX = 9.2e18  # numpy's Poisson sampler refuses means above about 9.22e18
 
 
-def stream(seed: int) -> np.random.Generator:
-    """The random stream of one estimator call: Philox keyed on (seed, 0)."""
+def check_seed(seed: int) -> None:
+    """Refuse a seed that cannot key a stream, one outside [0, 2^64)."""
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+
+
+def stream(seed: int) -> np.random.Generator:
+    """The random stream of one estimator call: Philox keyed on (seed, 0)."""
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 

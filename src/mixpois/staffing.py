@@ -11,11 +11,13 @@ from .numerics import Interval, find_root_increasing
 from .queue import (
     _THETA_MAX,
     ServiceTime,
+    _approx_from,
+    _cold_hint,
+    _solve_tilt,
     _tilt_cap_exp,
     approx_at_tilt,
     load_and_variance,
     mean_load,
-    theta_star_queue,
 )
 from .rates import RateDistribution
 
@@ -48,7 +50,8 @@ def solve_staffing(
     The approximation decreases along the tilt theta, and the level a(theta)
     it belongs to is one integral, so log eps - log Q(theta) = 0 is solved
     by Newton steps in log theta until |Q - eps| < tol; the level found is
-    then re-evaluated at the two bracketing integer server counts.
+    then re-evaluated at the two bracketing integer server counts, each
+    tilt searched from a Newton step off the staffing tilt.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target epsilon must be in (0, 1), got {eps}")
@@ -121,15 +124,29 @@ def solve_staffing(
         a_eps=a,
         servers_floor=servers_floor,
         servers_ceil=servers_ceil,
-        Q_at_floor=_Q_at_servers(dist, service, N, servers_floor),
-        Q_at_ceil=_Q_at_servers(dist, service, N, servers_ceil),
+        Q_at_floor=_Q_at_servers(dist, service, N, servers_floor, theta, approx.sigma2, a),
+        Q_at_ceil=_Q_at_servers(dist, service, N, servers_ceil, theta, approx.sigma2, a),
         M1=loads.M1,
         M_inf=loads.M_inf,
         epsilon=eps,
     )
 
 
-def _Q_at_servers(dist, service, N: int, servers: int) -> float:
+def _Q_at_servers(dist, service, N: int, servers: int, theta_eps: float, sigma2_eps: float,
+                  a_eps: float) -> float:
+    """Q at the level a = servers / N, within 1/N of the staffing level a_eps.
+
+    The tilt is searched from theta0 +- w: theta0 is the Newton step from the
+    staffing tilt theta_eps (da/dtheta = sigma^2) and w half its length plus
+    1e-9.
+    """
     a = servers / N
-    theta = theta_star_queue(dist, service, a)
-    return approx_at_tilt(dist, service, N, theta, a=a, checked=True)[1].Q_check
+    theta0 = theta_eps + (a - a_eps) / sigma2_eps
+    w = 0.5 * abs(theta0 - theta_eps) + 1e-9
+    # the search must stay below the MGF wall, where the CGF itself raises
+    top = min(_tilt_cap_exp(dist), _THETA_MAX)
+    lo, hi = (min(max(t, 0.0), top) for t in (theta0 - w, theta0 + w))
+    # a prediction wholly below 0 or past the wall predicts nothing
+    hint = Interval(lo, hi) if lo < hi else _cold_hint(dist)
+    theta, integrals = _solve_tilt(dist, service, a, hint)
+    return _approx_from(service, N, theta, a, integrals, checked=True)[1].Q_check

@@ -540,6 +540,23 @@ def test_shards_option_is_gone(capsys, argv):
     assert err.startswith("usage:") and "unrecognized arguments: --shards 3" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["repro"],
+    ["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100", "--eps", "1e-3",
+     "--verify-runs", "0"],
+], ids=["repro", "staff"])
+def test_seed_range_checked_without_a_stream(capsys, monkeypatch, argv):
+    # the range check alone refuses the seed; no Philox stream is built for it
+    def no_stream(seed):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(cli.sampling, "stream", no_stream)
+    assert run_cli([*argv, "--seed", str(2**64 - 1)], capsys)[0] == 0
+    code, out, err = run_cli([*argv, "--seed", str(2**64)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: seed must lie in [0, 2^64), got {2**64}\n"
+
+
 class TestRepro:
     def test_emitted_commands_parse(self, capsys):
         code, out, _ = run_cli(["repro", "--target", "all", "--runs", "1000"], capsys)

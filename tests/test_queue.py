@@ -227,6 +227,19 @@ class TestQueueApprox:
         assert qa.hypothesis_violated
         assert not queue_approx(POIS2, ExpService(0.5), 100.0, 1.3).hypothesis_violated
 
+    def test_one_checked_quadrature_pair(self, monkeypatch):
+        # the tilt solve checks the integrals at its root and hands them on
+        flags = []
+        integrals = queue._integrals
+
+        def spy(dist, service, tau, checked=False):
+            flags.append(checked)
+            return integrals(dist, service, tau, checked)
+
+        monkeypatch.setattr(queue, "_integrals", spy)
+        queue_approx(POIS2, ExpService(0.5), 100.0, 1.3)
+        assert flags.count(True) == 1 and len(flags) > 1
+
     @pytest.mark.parametrize("service", [ExpService(0.5), Pareto2Service(0.5)])
     def test_sigma_matches_tilted_cgf_curvature(self, service):
         # finite-difference second derivative of the integrated CGF at the tilt

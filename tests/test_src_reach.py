@@ -20,6 +20,7 @@ ALLOWED = {
     "integrate",          # the tests' reference integrator; bench/tracing.py binds it by name
     "approx_slow_case2",  # the paper's bounded-support formula
     "p_exact",            # twin of P_exact, the point probability
+    "theta_star_queue",   # the public tilt solve; bench/tracing.py binds it by name
 }
 
 

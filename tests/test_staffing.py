@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from mixpois import queue
-from mixpois.errors import DomainError, HypothesisWarning
+from mixpois.errors import DomainError, HypothesisWarning, MgfDomainError
 from mixpois.queue import DetService, ExpService, Pareto2Service, mc_Q, parse_service, queue_approx
 from mixpois.rates import (
     DeterministicRate,
@@ -84,8 +84,9 @@ class TestSolveStaffing:
 
     @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
     def test_quadrature_calls_per_solve(self, monkeypatch, rate, service, eps):
-        # the tilt search, the level check and the two server-count solves
-        # together evaluate the occupancy integrals at most 30 times
+        # the tilt search, the level check and the two warm-started
+        # server-count solves together evaluate the occupancy integrals at
+        # most 22 times
         calls = []
         integrals = queue._integrals
 
@@ -95,7 +96,54 @@ class TestSolveStaffing:
 
         monkeypatch.setattr(queue, "_integrals", counted)
         solve_staffing(parse_rate(rate), parse_service(service), 100, eps)
-        assert len(calls) <= 30
+        assert len(calls) <= 22
+
+    @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
+    def test_server_counts_match_cold_solves(self, rate, service, eps):
+        # the warm-started server-count solves agree with queue_approx, which
+        # searches each tilt from the cold bracket
+        dist, service = parse_rate(rate), parse_service(service)
+        r = solve_staffing(dist, service, 100, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HypothesisWarning)
+            for servers, Q in ((r.servers_floor, r.Q_at_floor), (r.servers_ceil, r.Q_at_ceil)):
+                assert Q == pytest.approx(
+                    queue_approx(dist, service, 100, servers / 100).Q_check, rel=1e-10)
+
+    @pytest.mark.parametrize("service,N,level", [
+        (Pareto2Service(0.5), 2, 13.0),
+        (ExpService(0.05), 1, 2.64),
+    ], ids=["straddling-the-wall", "wholly-past-the-wall"])
+    def test_server_count_prediction_past_the_wall(self, service, N, level):
+        # exponential rates near the level the MGF domain reaches: the Newton
+        # prediction for the upper server count lies past the wall, so its
+        # bracket is clipped there, or replaced by the cold bracket where
+        # nothing of it is left.  So close to the wall sigma^2 is large (7e7
+        # at the upper count of the first case), and the root finder's 1e-12
+        # bracket leaves Q settled only to about 1e-5, where the warm and the
+        # cold search stop at different points
+        dist = Exponential(0.5)
+        eps = queue_approx(dist, service, N, level).Q_check
+        r = solve_staffing(dist, service, N, eps, eps * 1e-3)
+        theta = queue.theta_star_queue(dist, service, r.a_eps)
+        sigma2 = queue.approx_at_tilt(dist, service, N, theta)[1].sigma2
+        prediction = theta + 1.5 * (r.servers_ceil / N - r.a_eps) / sigma2 + 1e-9
+        assert prediction > queue._tilt_cap_exp(dist)
+        for servers, Q in ((r.servers_floor, r.Q_at_floor), (r.servers_ceil, r.Q_at_ceil)):
+            assert Q == pytest.approx(queue_approx(dist, service, N, servers / N).Q_check,
+                                      rel=1e-4)
+
+    def test_unreachable_server_count_same_error_as_cold(self):
+        # the upper server count of this row lies beyond the level the MGF
+        # domain reaches (15.54): the clipped warm search raises what a cold
+        # theta_star_queue raises, with the same message
+        dist, service = Exponential(0.5), Pareto2Service(0.5)
+        eps = queue_approx(dist, service, 1, 15.5).Q_check
+        with pytest.raises(MgfDomainError) as cold:
+            queue.theta_star_queue(dist, service, 16.0)
+        with pytest.raises(MgfDomainError) as warm:
+            solve_staffing(dist, service, 1, eps, eps * 1e-3)
+        assert str(warm.value) == str(cold.value)
 
     def test_no_hypothesis_warning(self):
         with warnings.catch_warnings():
