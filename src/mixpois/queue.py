@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count
 from .rates import PoissonRate, RateDistribution, parse_spec, spec_label
-from .sampling import EstimatorResult, _by_blocks, _run_chunked, _slot_reduce
+from .sampling import EstimatorResult, _by_blocks, _count_mean, _run_chunked, _slot_reduce
 
 __all__ = [
     "ServiceTime",
@@ -51,13 +51,6 @@ _GRADING_FLOOR = 1e-12
 _REL_TOL = 1e-10
 # largest tilt whose factors e^theta and e^(2 theta) stay finite
 _THETA_MAX = 350.0
-# numpy draws a Poisson variate of mean below 10 by multiplying about mean + 1
-# uniforms, and one of larger mean by rejection in a near-constant time, so
-# mc_Q places Pois(N lam) arrivals on the slots, at about one uniform each,
-# where the Poisson slot rates have a mean lam below 10; placing the arrivals
-# measured faster up to lam = 12 and slower from lam = 15 on (N = 10 to 1000),
-# so the cutoff stays where numpy's sampler switches
-_ARRIVALS_BELOW = 10.0
 
 
 @dataclass(frozen=True)
@@ -408,56 +401,83 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     return approx
 
 
-def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-run sums of ``values``, which hold ``counts[j]`` values of run j
-    after those of the runs before it."""
-    # the trailing 0.0 makes each run start a valid index, also that of the
-    # empty runs after the last value
-    sums = np.add.reduceat(np.append(values, 0.0), np.cumsum(counts) - counts)
-    return np.where(counts > 0, sums, 0.0)
+def _mark_means(lam: float, omegas: np.ndarray) -> np.ndarray:
+    """Mean counts mu_y, y = 0..Y, of the slot-rate units that add y occupants.
+
+    With X_i ~ Pois(lam) units in slot i, each adding Pois(omega_i) occupants,
+    the counts of units by mark y are independent Poisson counts of means
+    mu_y = lam sum_i e^-omega_i omega_i^y / y! (the marking theorem).  The
+    table ends at the first Y >= 1 with N lam / (Y + 1)! < 2^-53, which bounds
+    the mean count of the units that add more, since omega_i <= 1.
+    """
+    term = np.exp(-omegas)
+    means = [lam * np.add.reduce(term)]
+    bound = lam  # lam / (y + 1)!, against 2^-53 / N
+    while len(means) < 2 or bound >= 2.0**-53 / omegas.size:
+        term = term * omegas / len(means)
+        means.append(lam * np.add.reduce(term))
+        bound /= len(means)
+    return np.array(means)
+
+
+def _marked_occupancy(lam: float, omegas: np.ndarray):
+    """Sampler ``draw(rng, m) -> m occupancies`` for Poisson slot rates.
+
+    Each run draws the counts of units that add y = 1..y0 occupants, and one
+    pooled count of those that add more, whose marks follow by inverse cdf
+    over the rest of the table; y0 is the smallest mark beyond which fewer
+    than one unit is expected per run.
+    """
+    means = _mark_means(lam, omegas)
+    beyond = np.append(np.cumsum(means[:0:-1])[::-1], 0.0)  # [y]: mean units marked above y
+    y0 = 1 + int(np.argmax(beyond[1:] < 1.0))
+    count_means = _count_mean(np.append(means[1:y0 + 1], beyond[y0]))
+    marks = np.append(np.arange(1, y0 + 1), 0)
+    tail_cdf = np.cumsum(means[y0 + 1:])
+
+    def block(rng: np.random.Generator, n: int) -> np.ndarray:
+        counts = rng.poisson(count_means, size=(n, y0 + 1))
+        occupancy = counts @ marks
+        pooled = counts[:, y0]
+        if total := int(pooled.sum()):
+            at = np.searchsorted(tail_cdf, rng.random(total) * tail_cdf[-1], side="right")
+            tail = y0 + 1 + np.minimum(at, tail_cdf.size - 1)
+            occupancy = occupancy + np.bincount(np.repeat(np.arange(n), pooled), tail, n)
+        return occupancy
+
+    return lambda rng, m: _by_blocks(rng, m, y0 + 2, block)
 
 
 def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
          seed: int) -> EstimatorResult:
     """Crude Monte Carlo for the occupancy tail at level N*a.
 
-    Each run draws the rate sum Lambda = sum_i omega_i X_i over its N slot
-    rates X_i, and hits when its occupancy, a Pois(Lambda) count, reaches
-    k = ceil(N a): the hit is drawn as G <= Lambda with G ~ Gamma(k, 1), the
-    k-th epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k) =
+    A run hits when its occupancy reaches k = ceil(N a).  Poisson slot rates
+    draw the occupancy itself, from the counts of units marked by the
+    occupants they add (_marked_occupancy).  Other rates draw the rate sum
+    Lambda = sum_i omega_i X_i over the N slot rates X_i, and the hit of the
+    Pois(Lambda) occupancy as G <= Lambda with G ~ Gamma(k, 1), the k-th
+    epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k) =
     P(G <= Lambda).
-    Poisson rates of mean below _ARRIVALS_BELOW are drawn as Pois(N lam)
-    arrivals placed uniformly on the N slots, whose slot counts are i.i.d.
-    Pois(lam), and each run's sum is the segment sum of its arrivals'
-    retention probabilities.
     """
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
     k = ceil_count(N * a)
-    # expected arrivals per run, rounded up, the block width of the arrival
-    # path, else 0
-    arrivals = (math.ceil(N * dist.lam)
-                if isinstance(dist, PoissonRate) and dist.lam < _ARRIVALS_BELOW else 0)
-    slot_dtype = np.int16 if N <= 2**15 else np.int64  # int16 indices draw cheaper
-    omegas = None
-
-    def placed(rng: np.random.Generator, n: int) -> np.ndarray:
-        counts = rng.poisson(N * dist.lam, size=n)
-        slots = rng.integers(0, N, size=counts.sum(), dtype=slot_dtype)
-        return _run_sums(omegas.take(slots), counts)
+    omegas = occupancy = None
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        nonlocal omegas
+        nonlocal omegas, occupancy
         if omegas is None:  # built on the first chunk, after the budget check
             omegas = omega_vector(N, service)
-        if arrivals:
-            lam = _by_blocks(rng, m, arrivals, placed)
-        else:
-            lam = _slot_reduce(dist.sample, rng, m, N, lambda x: (x * omegas).sum(axis=1))
+            if isinstance(dist, PoissonRate):
+                occupancy = _marked_occupancy(dist.lam, omegas)
+        if occupancy is not None:
+            return (occupancy(rng, m) >= k).astype(np.float64)
+        lam = _slot_reduce(dist.sample, rng, m, N, lambda x: (x * omegas).sum(axis=1))
         return (rng.standard_gamma(k, size=m) <= lam).astype(np.float64)
 
-    # N + 1 per run on both paths: the per-run cap then bounds N, and with it
-    # the retention vector, whatever the arrival rate
+    # N + 1 per run for every law: the per-run cap then bounds N, and with it
+    # the retention vector, whatever the rates
     return _run_chunked(seed, runs, N + 1, weights)
 
 

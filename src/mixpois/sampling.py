@@ -34,7 +34,7 @@ __all__ = [
 Z_95 = 1.959964  # standard normal 97.5% quantile, fixed CI level
 _OP_BUDGET = 4_000_000_000  # scalar draws allowed per estimator call
 _CHUNK_SCALARS = 4_000_000
-# slot draws, or expected arrivals, per block: 125 KiB of float64 stays in
+# slot draws, or marked counts, per block: 125 KiB of float64 stays in
 # cache and under malloc's 128 KiB mmap threshold, so the blocks reuse heap
 # memory; 1 MiB blocks were returned to the system and faulted in afresh, and
 # the fig 4 cells took 13 times the page faults of whole chunks
@@ -108,9 +108,8 @@ def _run_chunked(seed: int, runs: int, scalars_per_run: int, weights) -> Estimat
 
 def _by_blocks(rng: np.random.Generator, m: int, width: int, block) -> np.ndarray:
     """m per-run values, filled by ``block(rng, n) -> n values`` on blocks of
-    runs of ``width`` draws (or expected arrivals) each, at most
-    _BLOCK_SCALARS unless one run holds more, so no chunk-sized array of
-    draws is ever held."""
+    runs of ``width`` draws each, at most _BLOCK_SCALARS unless one run holds
+    more, so no chunk-sized array of draws is ever held."""
     out = np.empty(m)
     rows = max(1, _BLOCK_SCALARS // width)
     for lo in range(0, m, rows):

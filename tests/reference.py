@@ -41,9 +41,11 @@ def occupancy_pmf(lam: float, omegas) -> np.ndarray:
     Each term has the Neyman type A law, the Poisson pmfs of mean omega_i x
     mixed over x ~ Pois(lam); the terms are convolved.  The counts run 40
     standard deviations past the mean, and the pmf must hold all but 1e-12
-    of its mass there.
+    of its mass there.  Slots of zero retention add a point mass at 0 and are
+    left out.
     """
     omegas = np.asarray(omegas, dtype=float)
+    omegas = omegas[omegas > 0.0]
     sd = math.sqrt(lam * float(np.sum(omegas + omegas**2)))
     size = math.ceil(lam * float(omegas.sum()) + 40.0 * sd + 40.0)
     x = np.arange(1, math.ceil(lam + 40.0 * math.sqrt(lam) + 40.0))

@@ -197,6 +197,10 @@ REJECTED_INPUTS = {
     "queue-sim arrivals above a chunk": (["queue-sim", "--dist", "pois:0.001", "--service",
                                           "exp:1", "--N", "1000000000", "--a", "2", "--runs",
                                           "1"], 2, "per-run cap"),
+    # numpy refused the mean with a bare "lam value too large"
+    "queue-sim Poisson mean": (["queue-sim", "--dist", "pois:1e19", "--service", "exp:1",
+                                "--N", "10", "--a", "1e20", "--runs", "1"], 2,
+                               "Poisson count mean"),
     "simulate N^alpha overflow": (["simulate", "--method", "mc", "--dist", "exp:1", "--alpha",
                                    "400", "--a", "2", "--N", "10", "--runs", "1"], 2,
                                   "exceeds the float range"),

@@ -344,6 +344,14 @@ class TestOccupancyQuadrature:
 
 
 class TestMcQ:
+    # Poisson rates draw the occupancy from counts of marked units, at any
+    # mean; the deterministic service leaves half the slots without retention
+    ORACLE_CASES = [pytest.param(lam, service, id=f"{lam}-{spec_label(service)}")
+                    for lam, service in [(0.1, ExpService(0.5)), (2.0, ExpService(0.5)),
+                                         (9.5, ExpService(0.5)), (12.0, ExpService(0.5)),
+                                         (20.0, ExpService(0.5)), (2.0, DetService(0.5)),
+                                         (2.0, Pareto2Service(0.5))]]
+
     def test_certain(self):
         r = mc_Q(POIS2, ExpService(0.5), 10, 0.0, 1000, 0)
         assert r.estimate == 1.0
@@ -361,11 +369,9 @@ class TestMcQ:
         with pytest.raises(DomainError):
             mc_Q(POIS2, ExpService(0.5), 10.5, 1.0, 100, 0)
 
-    # Poisson rates of mean below 10 place Pois(N lam) arrivals on the slots,
-    # the others draw one rate per slot
-    @pytest.mark.parametrize("lam", [0.1, 2.0, 9.5, 12.0])
-    def test_poisson_rates_match_neyman_type_a_oracle(self, lam):
-        service, N = ExpService(0.5), 10
+    @pytest.mark.parametrize("lam,service", ORACLE_CASES)
+    def test_poisson_rates_match_neyman_type_a_oracle(self, lam, service):
+        N = 10
         pmf = occupancy_pmf(lam, omega_vector(N, service))
         tails = np.cumsum(pmf[::-1])[::-1]
         k = int(np.argmax(tails < 0.05))  # the first count with a tail below 5%
@@ -378,9 +384,9 @@ class TestMcQ:
 
     # the 20 repetitions above pooled into one estimate of 4e5 runs, which
     # shows a bias too small for any single repetition to show
-    @pytest.mark.parametrize("lam", [0.1, 2.0, 9.5, 12.0])
-    def test_poisson_rates_pooled_over_seeds_match_neyman_type_a_oracle(self, lam):
-        service, N = ExpService(0.5), 10
+    @pytest.mark.parametrize("lam,service", ORACLE_CASES)
+    def test_poisson_rates_pooled_over_seeds_match_neyman_type_a_oracle(self, lam, service):
+        N = 10
         pmf = occupancy_pmf(lam, omega_vector(N, service))
         tails = np.cumsum(pmf[::-1])[::-1]
         k = int(np.argmax(tails < 0.05))
@@ -391,21 +397,20 @@ class TestMcQ:
         pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
         assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
 
-    # counts of arrivals per run, with the empty runs first, in the middle,
-    # last, everywhere and nowhere, and a block of runs that ends in empty
-    # runs after a run of three
-    @pytest.mark.parametrize("counts", [
-        [0, 0, 3, 1, 2], [2, 0, 0, 5, 0, 1], [4, 1, 3, 0, 0], [0, 0, 0, 0], [1, 2, 3], [0], [7],
-        np.r_[np.random.default_rng(6).poisson(0.7, size=5000), 3, np.zeros(40, dtype=int)],
-    ])
-    def test_run_sums_match_the_labelled_bincount(self, counts):
-        counts = np.asarray(counts)
-        values = np.random.default_rng(5).random(counts.sum())
-        reference = np.bincount(np.repeat(np.arange(counts.size), counts), weights=values,
-                                minlength=counts.size)
-        sums = queue._run_sums(values, counts)
-        assert sums.shape == reference.shape
-        np.testing.assert_allclose(sums, reference, rtol=1e-13, atol=0.0)
+    # the marks y of the slot-rate units: their mean counts add up to the
+    # units that add any occupant and, weighed by y, to the mean load, and
+    # the table ends where fewer than 2^-53 units are expected to add more
+    @pytest.mark.parametrize("service", SERVICES, ids=spec_label)
+    @pytest.mark.parametrize("N", [1, 100, 1000])
+    @pytest.mark.parametrize("lam", [0.1, 2.0, 20.0])
+    def test_mark_table(self, lam, N, service):
+        omegas = omega_vector(N, service)
+        means = queue._mark_means(lam, omegas)
+        Y = means.size - 1
+        marking = N * lam * -np.expm1(-omegas).mean()
+        assert math.fsum(means[1:]) == pytest.approx(marking, rel=1e-12)
+        assert math.fsum(np.arange(Y + 1) * means) == pytest.approx(lam * omegas.sum(), rel=1e-12)
+        assert N * lam / math.factorial(Y + 1) < 2.0**-53
 
     # mc_Q hits where the k-th epoch of a unit-rate Poisson process falls by
     # the run's rate sum mu: P(Gamma(k, 1) <= mu) = P(Pois(mu) >= k)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from mixpois.errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from mixpois.gamma_exact import GammaCase, P_exact, p_exact
-from mixpois.queue import ExpService, mc_Q, mean_load
+from mixpois.poisson_ldp import ceil_count
+from mixpois.queue import ExpService, mc_Q, mean_load, omega_vector
 from mixpois.rates import (DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint,
                            rate_function)
 from mixpois.sampling import (
@@ -20,7 +21,7 @@ from mixpois.sampling import (
     mc_P,
     stream,
 )
-from reference import efficiency_ratios, poisson_log_pmf, pooled_poisson_tail
+from reference import efficiency_ratios, occupancy_pmf, poisson_log_pmf, pooled_poisson_tail
 
 EXP25 = Exponential(2.5)
 PART = 314
@@ -300,10 +301,10 @@ class TestSlotBlocks:
         assert block.random() == whole.random()  # the same draws were consumed
 
     # runs past one chunk, whose first and last chunks end in partial blocks;
-    # Poisson rates of mean below 10 place arrivals instead of slot rates
-    @pytest.mark.parametrize("dist", [PoissonRate(12.0), TwoPoint(0.75, 1.0, 5.0),
-                                      DeterministicRate(2.0), GammaRate(2.0, 1.0)],
-                             ids=["pois-12", "twopoint", "det", "gamma"])
+    # Poisson rates draw marked counts instead of slot rates (below)
+    @pytest.mark.parametrize("dist", [TwoPoint(0.75, 1.0, 5.0), DeterministicRate(2.0),
+                                      GammaRate(2.0, 1.0)],
+                             ids=["twopoint", "det", "gamma"])
     @pytest.mark.parametrize("N", [1, 37, 100, 1000])
     def test_mc_Q(self, monkeypatch, dist, N):
         service = ExpService(0.5)
@@ -312,6 +313,17 @@ class TestSlotBlocks:
         got = mc_Q(dist, service, N, a, runs, 11)
         assert got == _whole_chunk_result(monkeypatch, lambda: mc_Q(dist, service, N, a, runs, 11))
         assert 0.0 < got.estimate < 1.0
+
+    # Poisson rates over runs past one chunk, against the exact occupancy tail
+    @pytest.mark.parametrize("N", [1, 37, 100])
+    def test_mc_Q_poisson_rates(self, N):
+        service = ExpService(0.5)
+        runs = _chunk_rows(N) + 1000 + N
+        omegas = omega_vector(N, service)
+        k = ceil_count(1.05 * N * mean_load(PoissonRate(12.0), service))
+        exact = math.fsum(occupancy_pmf(12.0, omegas)[k:])
+        got = mc_Q(PoissonRate(12.0), service, N, k / N, runs, 11)
+        assert abs(got.estimate - exact) <= 4.0 * got.ci_halfwidth_95 / Z_95
 
     @pytest.mark.parametrize("estimator,dist,alpha,a,N", [
         (mc_P, DeterministicRate(2.0), 1.0, 2.05, 1.0),
@@ -331,9 +343,9 @@ class TestSlotBlocks:
         assert got.estimate > 0.0
 
     # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
-    # of mean 0.1 place their arrivals, two-point rates draw slot rates
+    # draw marked counts, two-point rates draw slot rates
     @pytest.mark.parametrize("dist,a", [(PoissonRate(0.1), 0.16), (TwoPoint(0.75, 1.0, 5.0), 1.4)],
-                             ids=["pois-arrivals", "twopoint"])
+                             ids=["pois", "twopoint"])
     def test_mc_Q_peak_memory(self, dist, a):
         tracemalloc.start()
         try:
