@@ -1,10 +1,11 @@
 """Arrival-rate distributions and their large-deviations machinery.
 
 Each distribution knows the supremum of its MGF domain and the bounds of its
-support, how to sample itself and its exponentially twisted version, its
-cumulant generating function (CGF) through one method, ``cgf``, which returns
-the CGF and its first two derivatives at a scalar tilt or at an array of
-damped tilts, and its rate function where that has a closed form.
+support, its cumulant generating function (CGF) through one method, ``cgf``,
+which returns the CGF and its first two derivatives at a scalar tilt or at an
+array of damped tilts, and its rate function where that has a closed form.
+The gamma, two-point and deterministic laws sample slot rates for the
+occupancy simulation; the overflow estimators draw slot sums pooled.
 Exponential rates are the gamma law of shape 1, built by ``Exponential(lam)``.
 Constructors reject non-finite parameters.
 
@@ -89,9 +90,6 @@ class RateDistribution:
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
-
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint | None":
         """The rate function at a reachable a in closed form, or None."""
         return None
@@ -139,11 +137,6 @@ class GammaRate(RateDistribution):
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         return stream.gamma(self.beta, 1.0 / self.lam, size=n)
 
-    def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
-        if not theta < self.lam:
-            raise DomainError(f"theta={theta} is outside the MGF domain (sup {self.lam}) of {self}")
-        return stream.gamma(self.beta, 1.0 / (self.lam - theta), size=n)
-
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
         theta = self.lam - self.beta / a
         return RateFunctionPoint(
@@ -184,12 +177,6 @@ class PoissonRate(RateDistribution):
         u = tau * sf
         d1 = self.lam * np.exp(u)
         return self.lam * np.expm1(u), d1, d1
-
-    def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
-        return stream.poisson(self.lam, size=n).astype(np.float64)
-
-    def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
-        return stream.poisson(self.lam * math.exp(theta), size=n).astype(np.float64)
 
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
         theta = math.log(a / self.lam)
@@ -254,18 +241,15 @@ class TwoPoint(RateDistribution):
             w1 * w2 * ((self.lam2 - self.lam1) * (self.lam2 - self.lam1)) / (total * total),
         )
 
-    def _twisted_p(self, theta: float) -> float:
+    def _twisted_q(self, theta: float) -> float:
+        """Probability of lam2 under the tilt theta, formed without 1 - p."""
         b1, b2, _ = self._log_weights(theta)
         w1, w2 = math.exp(b1), math.exp(b2)
-        return w1 / (w1 + w2)
+        return w2 / (w1 + w2)
 
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         u = stream.random(n)
         return np.where(u < self.p, self.lam1, self.lam2)
-
-    def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
-        u = stream.random(n)
-        return np.where(u < self._twisted_p(theta), self.lam1, self.lam2)
 
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint | None":
         # the endpoints are atoms, reached by an infinite tilt
@@ -313,9 +297,6 @@ class DeterministicRate(RateDistribution):
 
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.lam, dtype=np.float64)
-
-    def sample_twisted(self, theta: float, stream: np.random.Generator, n: int) -> np.ndarray:
-        return self.sample(stream, n)
 
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
         return RateFunctionPoint(a=a, value=0.0, theta_star=0.0, second_deriv=0.0)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from .numerics import exp_or_inf
 from .poisson_ldp import ceil_count, exact_count
-from .rates import GammaRate, PoissonRate, RateDistribution, rate_function
+from .rates import GammaRate, PoissonRate, RateDistribution, TwoPoint, rate_function
 
 __all__ = [
     "Z_95",
@@ -40,6 +40,7 @@ _CHUNK_SCALARS = 4_000_000
 # the fig 4 cells took 13 times the page faults of whole chunks
 _BLOCK_SCALARS = 16_000
 _POISSON_MEAN_MAX = 9.2e18  # numpy's Poisson sampler refuses means above about 9.22e18
+_BINOMIAL_COUNT_MAX = 2**63 - 1  # numpy's binomial sampler takes counts up to the int64 range
 
 
 def check_seed(seed: int) -> None:
@@ -139,16 +140,18 @@ def _count_mean(mean):
 
 
 def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float | None = None):
-    """Sampler of the pooled rate sum over the N^alpha slots, twisted by
-    ``theta`` if given.
+    """Sampler of the rate sum over the N^alpha slots, one pooled draw per
+    run, twisted by ``theta`` if given.
 
-    Returns (draw(rng, m) -> pooled sums, slot_count, scalars_per_run).
-    Gamma kinds (exponential included) pool into a single gamma draw with
-    real shape N^alpha * beta, and Poisson rates into a single Poisson draw
-    with mean round(N^alpha) * lam * e^theta, since a sum of i.i.d. Poisson
-    variables is Poisson; other kinds draw round(N^alpha) i.i.d. slots.
+    Returns (draw(rng, m) -> pooled sums, slot_count).  Gamma kinds
+    (exponential included) draw one gamma of real shape N^alpha * beta.  The
+    other kinds sum n = round(N^alpha) slots: Poisson rates as one Poisson
+    draw of mean n * lam * e^theta, two-point rates as n * lam1 plus
+    (lam2 - lam1) times a Bin(n, q) count of slots at lam2, q their twisted
+    weight, and deterministic rates as n * lam, with no draw.
     Every estimator checks alpha and N, that N^alpha and the pooled gamma
-    shape are floats and that numpy can draw the pooled Poisson mean, here.
+    shape are floats and that numpy can draw the pooled Poisson mean and the
+    binomial count, here.
     """
     if not (alpha > 0.0 and N > 0.0):
         raise DomainError(f"alpha and N must be positive, got alpha={alpha}, N={N}")
@@ -165,7 +168,7 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             return rng.gamma(shape, 1.0 / lam, size=m)
 
-        return draw, n_alpha, 1
+        return draw, n_alpha
 
     slots = max(1, round(n_alpha))
     if isinstance(dist, PoissonRate):
@@ -174,24 +177,34 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             return rng.poisson(mean, size=m).astype(np.float64)
 
-        return draw, float(slots), 1
+    elif isinstance(dist, TwoPoint):
+        if slots > _BINOMIAL_COUNT_MAX:
+            raise DomainError(f"N^alpha = {n_alpha:.6g} two-point slots exceed the binomial "
+                              f"sampler's limit of 2^63 - 1")
+        low, spread = slots * dist.lam1, dist.lam2 - dist.lam1
+        q = 1.0 - dist.p if theta is None else dist._twisted_q(theta)
 
-    sample = dist.sample if theta is None else functools.partial(dist.sample_twisted, theta)
+        def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+            return low + spread * rng.binomial(slots, q, size=m)
 
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        return _slot_reduce(sample, rng, m, slots, lambda x: x.sum(axis=1))
+    else:  # deterministic rates
+        total = slots * dist.lam
 
-    return draw, float(slots), slots
+        def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+            return np.full(m, total)
+
+    return draw, float(slots)
 
 
 def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
                   seed: int, theta: float | None) -> EstimatorResult:
-    """The overflow probability P(count >= N*a) with the slot rates drawn
-    exponentially twisted by ``theta`` and each run weighed by its likelihood
-    ratio times the overflow indicator.  Crude Monte Carlo is the untilted
-    case, ``theta=None``, where every run weighs its indicator alone."""
+    """The overflow probability P(count >= N*a) with the slot rates
+    exponentially twisted by ``theta``: each run draws their pooled sum S and
+    the count, and weighs the overflow indicator by the likelihood ratio
+    exp(slot_count * CGF(theta) - theta * S).  Crude Monte Carlo is the
+    untilted case, ``theta=None``, where every run weighs its indicator alone."""
     cgf_at_twist = None if theta is None else float(dist.cgf(theta)[0])
-    draw, slot_count, scalars = _slot_sampler(dist, alpha, N, theta=theta)
+    draw, slot_count = _slot_sampler(dist, alpha, N, theta=theta)
     k = ceil_count(N * a)
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -201,7 +214,7 @@ def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs
             return hit.astype(np.float64)
         return np.exp(slot_count * cgf_at_twist - theta * pooled) * hit
 
-    return _run_chunked(seed, runs, scalars + 1, weights)
+    return _run_chunked(seed, runs, 2, weights)
 
 
 def mc_P(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
@@ -242,7 +255,7 @@ def is_fast(
     if a < dist.mean:
         raise DomainError(f"target a={a} is below the mean {dist.mean}")
 
-    draw, slot_count, scalars = _slot_sampler(dist, alpha, N)
+    draw, slot_count = _slot_sampler(dist, alpha, N)
     if quantity == "tail_by_sum":
         if K is None:
             raise DomainError("tail_by_sum needs the cutoff count K")
@@ -269,16 +282,17 @@ def is_fast(
 
         return functools.reduce(np.add, map(at_level, levels, counts))
 
-    return _run_chunked(seed, runs, scalars + len(levels), weights)
+    return _run_chunked(seed, runs, 1 + len(levels), weights)
 
 
 def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
             seed: int) -> EstimatorResult:
     """Importance sampling tuned for slow resampling.
 
-    The slot rates are drawn exponentially twisted so their mean becomes a;
-    each run is reweighted by the product likelihood ratio and scored on the
-    overflow indicator.
+    The slot rates are exponentially twisted so their mean becomes a; each
+    run draws their pooled sum under the twist, is reweighted by the product
+    likelihood ratio, a function of that sum, and is scored on the overflow
+    indicator.
     """
     if alpha >= 1.0:
         warnings.warn(

@@ -35,6 +35,16 @@ def pooled_poisson_tail(lam: float, slots: int, N: float, k: int) -> float:
                      for j in js)
 
 
+def pooled_twopoint_tail(p: float, lam1: float, lam2: float, slots: int, N: float,
+                         k: int) -> float:
+    """P(count >= k) where the count is Pois(N S / slots) given the pooled
+    rate S = slots * lam1 + (lam2 - lam1) * J over the J ~ Bin(slots, 1 - p)
+    slots at lam2: the Poisson tails mixed over J."""
+    return math.fsum(math.comb(slots, j) * p ** (slots - j) * (1.0 - p) ** j
+                     * poisson_tail(N * (slots * lam1 + (lam2 - lam1) * j) / slots, k)
+                     for j in range(slots + 1))
+
+
 def occupancy_pmf(lam: float, omegas) -> np.ndarray:
     """pmf of the occupancy sum_i Pois(omega_i X_i) with X_i i.i.d. Pois(lam).
 

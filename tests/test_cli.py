@@ -185,9 +185,11 @@ REJECTED_INPUTS = {
     "queue-approx wall beyond the tilt limit": (["queue-approx", "--dist", "exp:1e200",
                                                  "--service", "exp:1", "--N", "50",
                                                  "--a", "1e160"], 2, "needs a tilt above"),
-    "simulate run above a chunk": (["simulate", "--method", "mc", "--dist", "twopoint:0.75,1,5",
-                                    "--alpha", "2", "--a", "2", "--N", "60000", "--runs", "1"], 2,
-                                   "per-run cap"),
+    # numpy's binomial sampler raised a bare OverflowError above 2^63 - 1 slots
+    "simulate two-point slots above the binomial limit": (
+        ["simulate", "--method", "mc", "--dist", "twopoint:0.75,1,5", "--alpha", "30",
+         "--a", "3", "--N", "100", "--runs", "1"], 2,
+        "N^alpha = 1e+60 two-point slots exceed the binomial sampler's limit"),
     "simulate pooled Poisson mean": (["simulate", "--method", "mc", "--dist", "pois:1e10",
                                       "--alpha", "9", "--a", "2", "--N", "100", "--runs", "1"],
                                      2, "Poisson count mean"),
@@ -249,6 +251,14 @@ def test_rejected_input_is_named(capsys, argv, status, message):
     assert code == status
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_two_point_slots_pool_into_one_draw(capsys):
+    # 3.6e9 two-point slots per run are one binomial count, not a run above a chunk
+    code, out, err = run_cli(["simulate", "--method", "mc", "--dist", "twopoint:0.75,1,5",
+                              "--alpha", "2", "--a", "2", "--N", "60000", "--runs", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert len(parse_csv(out)) == 1
 
 
 def test_occupancy_count_has_no_poisson_mean_limit(capsys):
@@ -323,8 +333,8 @@ class TestErrorContractProperty:
         _assert_contract(["queue-approx", f"--dist={dist}", f"--service={service}",
                           f"--N={N!r}", f"--a={a!r}"])
 
-    # N^alpha slots are drawn per run, and the driver refuses a run of more
-    # than one chunk (4e6 scalar draws), so a case never allocates much memory
+    # each of at most 20 runs draws one pooled slot sum and one count, so a
+    # case never allocates much memory
     @given(method=st.sampled_from(["mc", "is-fast", "is-slow"]), dist=RATE_SPECS,
            alpha=FINITE, a=FINITE, N=st.floats(-50.0, 50.0),
            runs=st.integers(1, 20), quantity=st.sampled_from("pP"))
@@ -655,7 +665,7 @@ class TestOutputFormat:
 
 
 # stdout and exit status of a fixed set of commands: all three simulate
-# methods on gamma-pooled and per-slot rate laws, the point variant,
+# methods on the pooled slot sums of each rate law, the point variant,
 # queue-sim, a verified staff row and omega.  A refactoring leaves them byte-identical; a change of results
 # re-records the file and says why.
 STDOUT_PIN = json.loads((pathlib.Path(__file__).parent / "cli_stdout_pin.json").read_text())

@@ -19,7 +19,7 @@ from mixpois.rates import (
     spec_label,
 )
 from mixpois.queue import DetService, ExpService, Pareto2Service, parse_service
-from mixpois.sampling import stream
+from mixpois.sampling import _slot_sampler, stream
 
 # positive numbers of at most 6 significant digits, the precision of spec_label
 SIX_DIGITS = st.builds(lambda m, e: float(f"{m}e{e}"),
@@ -130,8 +130,6 @@ class TestCgf:
             Exponential(2.0).cgf(2.0)
         with pytest.raises(DomainError):
             GammaRate(1.0, 2.0).cgf(3.0)
-        with pytest.raises(DomainError):
-            Exponential(2.0).sample_twisted(2.0, rng(), 10)
 
     @pytest.mark.parametrize("dist", ALL_KINDS[:4])
     def test_derivatives_by_finite_differences(self, dist):
@@ -280,46 +278,33 @@ class TestSampling:
         x = g.sample(rng(3), 10**6)
         assert abs(x.mean() - 0.5) < 4.0 * math.sqrt(g.variance / 10**6)
 
-    @pytest.mark.parametrize("dist", ALL_KINDS)
-    def test_zero_twist_is_identical(self, dist):
-        a = dist.sample(rng(7), 1000)
-        b = dist.sample_twisted(0.0, rng(7), 1000)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize(
-        "dist,theta",
-        [
-            (Exponential(1.0), 0.5),
-            (GammaRate(2.0, 2.0), 0.8),
-            (PoissonRate(2.0), math.log(1.5)),
-            (TwoPoint(0.75, 1.0, 5.0), 0.4),
-        ],
-    )
-    def test_twist_consistency(self, dist, theta):
-        n = 10**6
-        x = dist.sample_twisted(theta, rng(11), n)
-        _, mean, variance = dist.cgf(theta)
-        se = math.sqrt(variance / n)
-        assert abs(x.mean() - mean) < 4.0 * se
-
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5, 3.7])
     def test_exponential_draws_are_numpy_exponential_draws(self, lam):
         # numpy's shape-1 gamma sampler reads the stream exactly as its
         # exponential sampler does, so seeded exp: Monte Carlo is unchanged
         dist = Exponential(lam)
         assert np.array_equal(dist.sample(rng(13), 1000), rng(13).exponential(1.0 / lam, 1000))
-        theta = 0.4 * lam
-        assert np.array_equal(dist.sample_twisted(theta, rng(13), 1000),
-                              rng(13).exponential(1.0 / (lam - theta), 1000))
 
-    def test_twisted_exponential_mean_two(self):
-        # tilt moving the mean to 2: theta = lam - 1/a = 0.5
-        x = Exponential(1.0).sample_twisted(0.5, rng(5), 10**6)
-        assert abs(x.mean() - 2.0) < 7e-3
-
-    def test_twisted_poisson_mean(self):
-        x = PoissonRate(2.0).sample_twisted(math.log(1.5), rng(6), 10**6)
-        assert abs(x.mean() - 3.0) < 4.0 * math.sqrt(3.0 / 10**6)
+    @pytest.mark.parametrize("dist,theta", [
+        (Exponential(2.5), 1.0),
+        (GammaRate(2.0, 2.0), 0.8),
+        (PoissonRate(2.0), math.log(1.5)),
+        (TwoPoint(0.75, 1.0, 5.0), 0.4),
+        (DeterministicRate(2.0), 0.5),
+    ], ids=["exp", "gamma", "pois", "twopoint", "det"])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+    def test_pooled_slot_sum_mean(self, dist, theta, twisted):
+        # the pooled sum of the 10 slot rates at N = 100, alpha = 0.5, over
+        # its slot count, has the mean CGF'(theta) and variance CGF''(theta)/10
+        theta = theta if twisted else None
+        draw, slot_count = _slot_sampler(dist, 0.5, 100.0, theta=theta)
+        n = 10**5
+        x = draw(rng(11), n) / slot_count
+        _, mean, variance = (float(v) for v in dist.cgf(0.0 if theta is None else theta))
+        if variance == 0.0:
+            assert np.all(x == mean)
+        else:
+            assert abs(x.mean() - mean) < 4.0 * math.sqrt(variance / slot_count / n)
 
 
 class TestParse:

@@ -21,9 +21,11 @@ from mixpois.sampling import (
     mc_P,
     stream,
 )
-from reference import efficiency_ratios, occupancy_pmf, poisson_log_pmf, pooled_poisson_tail
+from reference import (efficiency_ratios, occupancy_pmf, poisson_log_pmf, poisson_tail,
+                       pooled_poisson_tail, pooled_twopoint_tail)
 
 EXP25 = Exponential(2.5)
+TP = TwoPoint(0.75, 1.0, 5.0)
 PART = 314
 
 
@@ -78,8 +80,10 @@ class TestCrudeMonteCarlo:
         assert 0.0 < r.estimate < 1.0
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            mc_P(TwoPoint(0.75, 1.0, 5.0), 2.0, 3.0, 1000.0, 10**6, PART)
+        # one pooled slot sum and one count per run, whatever the law: one run
+        # more than 4e9 / 2 exceeds the budget, refused before any draw
+        with pytest.raises(BudgetError, match="2000000001 runs x 2 draws/run"):
+            mc_P(TwoPoint(0.75, 1.0, 5.0), 2.0, 3.0, 1000.0, 2_000_000_001, PART)
 
 
 @pytest.mark.filterwarnings("ignore::mixpois.errors.RegimeWarning")
@@ -216,6 +220,36 @@ class TestRepeatedSeedCoverage:
         assert covered >= 19  # 95% of 20 independently seeded repetitions
 
 
+class TestPooledSlotSums:
+    """Two-point slot sums drawn as one binomial count, twisted or not, and
+    deterministic ones formed without a draw, against the exact tails."""
+
+    def test_two_point_reference(self):
+        assert pooled_twopoint_tail(0.75, 1.0, 5.0, 10, 100.0, 300) == pytest.approx(
+            0.050361, abs=5e-7)
+
+    @pytest.mark.parametrize("runner,exact", [
+        (lambda seed: mc_P(TP, 0.5, 3.0, 100.0, 10**5, seed),
+         pooled_twopoint_tail(0.75, 1.0, 5.0, 10, 100.0, 300)),
+        (lambda seed: is_slow(TP, 0.5, 3.0, 100.0, 10**5, seed),
+         pooled_twopoint_tail(0.75, 1.0, 5.0, 10, 100.0, 300)),
+        (lambda seed: is_fast(TP, 2.0, 3.0, 4.0, 10**5, seed),
+         pooled_twopoint_tail(0.75, 1.0, 5.0, 16, 4.0, 12)),
+        (lambda seed: mc_P(TP, 1.0, 2.05, 37.0, 10**5, seed),
+         pooled_twopoint_tail(0.75, 1.0, 5.0, 37, 37.0, 76)),
+        (lambda seed: mc_P(DeterministicRate(2.0), 0.5, 3.0, 9.0, 10**5, seed),
+         poisson_tail(18.0, 27)),
+        (lambda seed: mc_P(DeterministicRate(2.0), 1.0, 2.05, 1.0, 10**5, seed),
+         poisson_tail(2.0, 3)),
+    ], ids=["mc-twopoint", "is-slow-twopoint", "is-fast-twopoint", "mc-twopoint-37-slots",
+            "mc-det", "mc-det-1-slot"])
+    def test_within_four_se_pooled_over_twenty_seeds(self, runner, exact):
+        results = [runner(seed) for seed in range(1000, 1020)]
+        estimate = math.fsum(r.estimate for r in results) / len(results)
+        se = math.sqrt(math.fsum(r.sample_variance / r.runs for r in results)) / len(results)
+        assert abs(estimate - exact) <= 4.0 * se
+
+
 class TestWeightFiniteness:
     @given(
         lam=st.floats(min_value=0.3, max_value=4.0),
@@ -276,7 +310,6 @@ def _whole_chunk(sample, rng, m, width, reduce):
 def _whole_chunk_result(monkeypatch, estimate):
     """``estimate()`` with every chunk's slot draws drawn and reduced whole."""
     with monkeypatch.context() as patch:
-        patch.setattr("mixpois.sampling._slot_reduce", _whole_chunk)
         patch.setattr("mixpois.queue._slot_reduce", _whole_chunk)
         return estimate()
 
@@ -324,23 +357,6 @@ class TestSlotBlocks:
         exact = math.fsum(occupancy_pmf(12.0, omegas)[k:])
         got = mc_Q(PoissonRate(12.0), service, N, k / N, runs, 11)
         assert abs(got.estimate - exact) <= 4.0 * got.ci_halfwidth_95 / Z_95
-
-    @pytest.mark.parametrize("estimator,dist,alpha,a,N", [
-        (mc_P, DeterministicRate(2.0), 1.0, 2.05, 1.0),
-        (mc_P, TwoPoint(0.75, 1.0, 5.0), 0.5, 2.0, 100.0),
-        (mc_P, TwoPoint(0.75, 1.0, 5.0), 1.0, 2.05, 37.0),
-        (mc_P, DeterministicRate(2.0), 0.5, 2.2, 9.0),
-        (is_slow, TwoPoint(0.75, 1.0, 5.0), 0.5, 3.0, 100.0),
-        (is_slow, TwoPoint(0.75, 1.0, 5.0), 1.0, 2.2, 3000.0),
-        (is_fast, TwoPoint(0.75, 1.0, 5.0), 2.0, 3.0, 4.0),
-    ])
-    @pytest.mark.filterwarnings("ignore::mixpois.errors.RegimeWarning")
-    def test_per_slot_estimators(self, monkeypatch, estimator, dist, alpha, a, N):
-        slots = max(1, round(N**alpha))
-        runs = _chunk_rows(slots) + 1000 + slots
-        got = estimator(dist, alpha, a, N, runs, 5)
-        assert got == _whole_chunk_result(monkeypatch, lambda: estimator(dist, alpha, a, N, runs, 5))
-        assert got.estimate > 0.0
 
     # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
     # draw marked counts, two-point rates draw slot rates
