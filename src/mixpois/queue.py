@@ -175,29 +175,34 @@ def mean_load(dist: RateDistribution, service: ServiceTime) -> float:
 
 
 class _Rule:
-    """Composite Gauss-Legendre rule on the unit interval with the service
-    law's complementary cdf evaluated at its nodes.
+    """Nodes of a count whose CGF is sum_j w_j CGF(tau c_j): the weights w_j,
+    the retentions c_j = sf_j and their complements 1 - sf_j, as arrays, or as
+    scalars for one node.
 
     The weights come pre-multiplied by 1, sf and sf^2, the factors of the
     three integrands, so each integral is one product and one pairwise sum
     (np.add.reduce, no BLAS: the rounding never depends on the BLAS build).
     """
 
-    def __init__(self, service: ServiceTime, edges: list[float], order: int):
-        nodes, weights = gauss_legendre(edges, order)
-        self.sf = service.sf(nodes)
-        self.sf_complement = service.sf_complement(nodes)
-        self.weighted = (weights, weights * self.sf, weights * self.sf * self.sf)
+    def __init__(self, weights, sf, sf_complement):
+        self.sf = sf
+        self.sf_complement = sf_complement
+        self.weighted = (weights, weights * sf, weights * sf * sf)
 
     def integrals(self, dist: RateDistribution, tau: float) -> tuple[float, float, float]:
         with np.errstate(over="ignore"):  # an overflow shows as an infinite integral
             k0, k1, k2 = dist.cgf(tau, self.sf, self.sf_complement)
             w0, w1, w2 = self.weighted
             return (
-                float(np.add.reduce(w0 * k0)),
-                float(np.add.reduce(w1 * k1)),
-                float(np.add.reduce(w2 * k2)),
+                float(np.add.reduce(w0 * k0, axis=None)),
+                float(np.add.reduce(w1 * k1, axis=None)),
+                float(np.add.reduce(w2 * k2, axis=None)),
             )
+
+
+# The compound count Pois(X) of the balanced overflow regime: the occupancy of
+# one node at full retention.  The rule is exact, so it has no check rule.
+_UNIT_RULES = (_Rule(1.0, 1.0, 0.0), None)
 
 
 def _panel_edges(service: ServiceTime) -> list[float]:
@@ -212,28 +217,31 @@ def _panel_edges(service: ServiceTime) -> list[float]:
 
 @functools.lru_cache(maxsize=32)
 def _rules(service: ServiceTime) -> tuple[_Rule, _Rule]:
-    """The rule of a service law and its half-order check rule, built once."""
+    """The composite Gauss-Legendre rule of a service law on the unit interval,
+    with its complementary cdf at the nodes, and the half-order check rule,
+    built once."""
     edges = _panel_edges(service)
-    return _Rule(service, edges, _ORDER), _Rule(service, edges, _ORDER // 2)
+    node_sets = (gauss_legendre(edges, order) for order in (_ORDER, _ORDER // 2))
+    return tuple(_Rule(w, service.sf(x), service.sf_complement(x)) for x, w in node_sets)
 
 
 def _integrals(
-    dist: RateDistribution, service: ServiceTime, tau: float, checked: bool = False
+    dist: RateDistribution, rules: tuple[_Rule, _Rule | None], tau: float, checked: bool = False
 ) -> tuple[float, float, float]:
-    """Integrals over [0, 1] of CGF(tau sf), CGF'(tau sf) sf and CGF''(tau sf) sf^2.
+    """Sums over the nodes of CGF(tau sf), CGF'(tau sf) sf and CGF''(tau sf) sf^2
+    under the rule of ``rules``: for a service law's rules, integrals over [0, 1].
 
-    With ``checked``, each must agree with the half-order rule to a relative
-    _REL_TOL, or ConvergenceError is raised.
+    With ``checked``, each must agree with the check rule to a relative
+    _REL_TOL, or ConvergenceError is raised; an exact rule has no check rule.
     """
-    rule, check_rule = _rules(service)
+    rule, check_rule = rules
     values = rule.integrals(dist, tau)
-    if checked:
+    if checked and check_rule is not None:
         for value, estimate in zip(values, check_rule.integrals(dist, tau)):
             if not abs(value - estimate) <= _REL_TOL * abs(value):
                 raise ConvergenceError(
-                    f"occupancy quadrature for {dist} and {spec_label(service)} at "
-                    f"tau={tau:.12g}: rules of order {_ORDER} and {_ORDER // 2} give "
-                    f"{value!r} and {estimate!r}"
+                    f"occupancy quadrature for {dist} at tau={tau:.12g}: rules of order "
+                    f"{_ORDER} and {_ORDER // 2} give {value!r} and {estimate!r}"
                 )
     return values
 
@@ -241,14 +249,17 @@ def _integrals(
 def _tilt_cap_exp(dist: RateDistribution) -> float:
     """Upper limit for theta when the tilt enters through e^theta - 1: the
     linear tilt e^theta - 1 stays a gap of 1e-9 * max(1, sup) inside the MGF
-    domain, at a logarithmic sliver of the reachable occupancy range.
+    domain, at a logarithmic sliver of the reachable occupancy range, and
+    theta stays at most _THETA_MAX.
 
     At the cap the integrands have a boundary layer at x = 0 about 1e-9
     service means wide, which the panels graded down to _GRADING_FLOOR service
     means resolve.
     """
     sup = dist.mgf_domain_sup
-    return math.inf if math.isinf(sup) else math.log1p(sup - 1e-9 * max(1.0, sup))
+    if math.isinf(sup):
+        return _THETA_MAX
+    return min(math.log1p(sup - 1e-9 * max(1.0, sup)), _THETA_MAX)
 
 
 def _cold_hint(dist: RateDistribution) -> Interval:
@@ -266,25 +277,22 @@ def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> None:
 
 
 def _solve_tilt(
-    dist: RateDistribution, service: ServiceTime, a: float, hint: Interval
+    dist: RateDistribution, rules: tuple[_Rule, _Rule | None], a: float, hint: Interval
 ) -> tuple[float, tuple[float, float, float]]:
-    """theta_star_queue searched from the bracket ``hint``, which must lie in
-    [0, min(cap, _THETA_MAX)], returned with the checked integrals at the
-    tilt (see _integrals)."""
-    _check_rare(dist, service, a)
+    """theta_star_queue under ``rules``, for a level a above the mean, searched
+    from the bracket ``hint`` in [0, _tilt_cap_exp(dist)] and returned with
+    the checked integrals at the tilt (see _integrals)."""
 
     def g(theta: float) -> tuple[float, float]:
-        _, slope, curvature = _integrals(dist, service, math.expm1(theta))
+        _, slope, curvature = _integrals(dist, rules, math.expm1(theta))
         level = math.exp(theta) * slope
         return level - a, level + curvature * exp_or_inf(2.0 * theta)
 
     cap = _tilt_cap_exp(dist)
     try:
-        theta = find_root_increasing(
-            g, hint, tol=1e-12, lo_limit=0.0, hi_limit=min(cap, _THETA_MAX)
-        )
+        theta = find_root_increasing(g, hint, tol=1e-12, lo_limit=0.0, hi_limit=cap)
     except DomainError:
-        if cap > _THETA_MAX:
+        if cap == _THETA_MAX:
             raise DomainError(
                 f"occupancy level a={a} needs a tilt above {_THETA_MAX:g}, beyond "
                 "double precision"
@@ -294,7 +302,7 @@ def _solve_tilt(
             f"(0, {cap:.6g}] by the MGF domain, which only reaches mean occupancy "
             f"{g(cap)[0] + a:.6g}"
         ) from None
-    return theta, _integrals(dist, service, math.expm1(theta), checked=True)
+    return theta, _integrals(dist, rules, math.expm1(theta), checked=True)
 
 
 def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> float:
@@ -304,7 +312,8 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
     increasing in t with slope sigma^2 of approx_at_tilt; requires a above
     the mean load and a tilt within the MGF domain.
     """
-    return _solve_tilt(dist, service, a, _cold_hint(dist))[0]
+    _check_rare(dist, service, a)
+    return _solve_tilt(dist, _rules(service), a, _cold_hint(dist))[0]
 
 
 @dataclass(frozen=True)
@@ -327,6 +336,12 @@ class QueueApprox:
         return exp_or_inf(self.log_Q_check)
 
 
+def _check_scale(N: float) -> None:
+    """Check that the scale N of a sharp approximation is positive and finite."""
+    if not (N > 0.0 and math.isfinite(N)):
+        raise DomainError(f"N must be positive and finite, got {N}")
+
+
 def approx_at_tilt(
     dist: RateDistribution,
     service: ServiceTime,
@@ -342,19 +357,20 @@ def approx_at_tilt(
     HypothesisWarning is issued.  With ``checked``, the quadrature is checked
     and a non-finite log-probability raises ConvergenceError.
     """
-    integrals = _integrals(dist, service, math.expm1(theta), checked)
-    return _approx_from(service, N, theta, a, integrals, checked)
+    _check_scale(N)
+    integrals = _integrals(dist, _rules(service), math.expm1(theta), checked)
+    return _approx_from(N, theta, a, integrals, checked, not service.twice_differentiable_on_01)
 
 
 def _approx_from(
-    service: ServiceTime,
     N: float,
     theta: float,
     a: float | None,
     integrals: tuple[float, float, float],
     checked: bool,
+    hypothesis_violated: bool,
 ) -> tuple[float, QueueApprox]:
-    """approx_at_tilt from the integrals at theta."""
+    """approx_at_tilt from the integrals at theta, under any rule."""
     integral_cgf, slope, curvature = integrals
     if a is None:
         a = math.exp(theta) * slope
@@ -372,7 +388,7 @@ def _approx_from(
         sigma2=sigma2,
         log_q_check=log_q,
         log_Q_check=log_q - math.log(-math.expm1(-theta)),
-        hypothesis_violated=not service.twice_differentiable_on_01,
+        hypothesis_violated=hypothesis_violated,
     )
 
 
@@ -382,10 +398,10 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     Raises RarityError where the tail approximation exceeds 1, which happens
     at levels just above the mean load or at small N.
     """
-    if not (N > 0.0 and math.isfinite(N)):
-        raise DomainError(f"N must be positive and finite, got {N}")
-    theta, integrals = _solve_tilt(dist, service, a, _cold_hint(dist))
-    _, approx = _approx_from(service, N, theta, a, integrals, checked=True)
+    _check_scale(N)
+    _check_rare(dist, service, a)
+    theta, integrals = _solve_tilt(dist, _rules(service), a, _cold_hint(dist))
+    _, approx = _approx_from(N, theta, a, integrals, True, not service.twice_differentiable_on_01)
     if approx.log_Q_check > 0.0:
         raise RarityError(
             f"the sharp approximation at a={a}, N={N} gives log Q = "

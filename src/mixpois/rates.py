@@ -3,7 +3,7 @@
 Each distribution knows the supremum of its MGF domain and the bounds of its
 support, its cumulant generating function (CGF) through one method, ``cgf``,
 which returns the CGF and its first two derivatives at a scalar tilt or at an
-array of damped tilts, and its rate function where that has a closed form.
+array of damped tilts, and its rate function in closed form.
 The gamma, two-point and deterministic laws sample slot rates for the
 occupancy simulation; the overflow estimators draw slot sums pooled.
 Exponential rates are the gamma law of shape 1, built by ``Exponential(lam)``.
@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleTargetError, LatticeError, ParseError
-from .numerics import Interval, find_root_increasing
 
 __all__ = [
     "RateDistribution",
@@ -90,9 +89,9 @@ class RateDistribution:
     def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _closed_rate_function(self, a: float) -> "RateFunctionPoint | None":
-        """The rate function at a reachable a in closed form, or None."""
-        return None
+    def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
+        """The rate function at a reachable a in closed form."""
+        raise NotImplementedError
 
     def label(self) -> str:
         """The specification text of the law (see ``spec_label``)."""
@@ -251,7 +250,7 @@ class TwoPoint(RateDistribution):
         u = stream.random(n)
         return np.where(u < self.p, self.lam1, self.lam2)
 
-    def _closed_rate_function(self, a: float) -> "RateFunctionPoint | None":
+    def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
         # the endpoints are atoms, reached by an infinite tilt
         if a == self.lam1:
             return RateFunctionPoint(a=a, value=-math.log(self.p), theta_star=-math.inf,
@@ -259,7 +258,17 @@ class TwoPoint(RateDistribution):
         if a == self.lam2:
             return RateFunctionPoint(a=a, value=-math.log1p(-self.p), theta_star=math.inf,
                                      second_deriv=0.0)
-        return None
+        # inside, the relative entropy of the tilted weight q of lam2 to 1 - p
+        spread = self.lam2 - self.lam1
+        q, q_complement = (a - self.lam1) / spread, (self.lam2 - a) / spread
+        log_p, log_complement_p = math.log(self.p), math.log1p(-self.p)
+        return RateFunctionPoint(
+            a=a,
+            value=q * (math.log(q) - log_complement_p)
+            + q_complement * (math.log(q_complement) - log_p),
+            theta_star=(math.log(q / q_complement) + log_p - log_complement_p) / spread,
+            second_deriv=q * q_complement * (spread * spread),
+        )
 
 
 @dataclass(frozen=True)
@@ -317,38 +326,14 @@ def rate_function(dist: RateDistribution, a: float) -> RateFunctionPoint:
     """Rate function I_X(a) = sup_theta {theta*a - CGF(theta)} with optimizer.
 
     The reachable means are those strictly inside the support, plus a
-    positive finite support bound, which is an atom of every law here; the
-    law's closed form is used where it has one, else CGF'(theta) = a is
-    solved numerically.
+    positive finite support bound, which is an atom of every law here.
     """
     lo, hi = dist.support_inf, dist.support_sup
     if not (lo < a < hi or (a in (lo, hi) and 0.0 < a < math.inf)):
         raise InfeasibleTargetError(
             f"target mean {a} is outside the reachable range ({lo}, {hi}) of {dist}"
         )
-    closed = dist._closed_rate_function(a)
-    return closed if closed is not None else _numeric_rate_function(dist, a)
-
-
-def _numeric_rate_function(dist: RateDistribution, a: float) -> RateFunctionPoint:
-    """The rate function at a mean a strictly inside the support, by solving
-    CGF'(theta) = a."""
-    sup = dist.mgf_domain_sup
-    hi_limit = math.inf if math.isinf(sup) else sup - 1e-12 * max(1.0, abs(sup))
-
-    def g(t: float) -> tuple[float, float]:
-        _, k1, k2 = dist.cgf(t)
-        return float(k1) - a, float(k2)
-
-    theta = find_root_increasing(
-        g,
-        Interval(-1.0, min(1.0, hi_limit)),
-        tol=1e-13,
-        hi_limit=hi_limit,
-    )
-    k0, _, k2 = dist.cgf(theta)
-    return RateFunctionPoint(a=a, value=theta * a - float(k0), theta_star=theta,
-                             second_deriv=float(k2))
+    return dist._closed_rate_function(a)
 
 
 def bahadur_rao_constant(dist: RateDistribution, a: float) -> float:

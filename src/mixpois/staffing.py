@@ -12,7 +12,9 @@ from .queue import (
     _THETA_MAX,
     ServiceTime,
     _approx_from,
+    _check_rare,
     _cold_hint,
+    _rules,
     _solve_tilt,
     _tilt_cap_exp,
     approx_at_tilt,
@@ -91,11 +93,9 @@ def solve_staffing(
     cap = _tilt_cap_exp(dist)
     top = math.log(min(1.0, 0.5 * cap))
     try:
-        u = find_root_increasing(
-            g, Interval(top - 3.0, top), tol=1e-12, hi_limit=math.log(min(cap, _THETA_MAX))
-        )
+        u = find_root_increasing(g, Interval(top - 3.0, top), tol=1e-12, hi_limit=math.log(cap))
     except DomainError:
-        if cap > _THETA_MAX:
+        if cap == _THETA_MAX:
             raise ConvergenceError(
                 f"staffing tilt search found no upper bracket below theta={_THETA_MAX:g}"
             ) from None
@@ -141,12 +141,14 @@ def _Q_at_servers(dist, service, N: int, servers: int, theta_eps: float, sigma2_
     1e-9.
     """
     a = servers / N
+    _check_rare(dist, service, a)
     theta0 = theta_eps + (a - a_eps) / sigma2_eps
     w = 0.5 * abs(theta0 - theta_eps) + 1e-9
     # the search must stay below the MGF wall, where the CGF itself raises
-    top = min(_tilt_cap_exp(dist), _THETA_MAX)
+    top = _tilt_cap_exp(dist)
     lo, hi = (min(max(t, 0.0), top) for t in (theta0 - w, theta0 + w))
     # a prediction wholly below 0 or past the wall predicts nothing
     hint = Interval(lo, hi) if lo < hi else _cold_hint(dist)
-    theta, integrals = _solve_tilt(dist, service, a, hint)
-    return _approx_from(service, N, theta, a, integrals, checked=True)[1].Q_check
+    theta, integrals = _solve_tilt(dist, _rules(service), a, hint)
+    violated = not service.twice_differentiable_on_01
+    return _approx_from(N, theta, a, integrals, True, violated)[1].Q_check

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, InfeasibleTargetError, RegimeError
 from .numerics import exp_or_inf
-from .poisson_ldp import compound_z, poisson_rate
+from .poisson_ldp import poisson_rate
+from .queue import _UNIT_RULES, _approx_from, _check_scale, _cold_hint, _solve_tilt
 from .rates import RateDistribution, bahadur_rao_constant, rate_function
 
 __all__ = [
@@ -78,6 +79,7 @@ class DecayRate:
 
     def at(self, N: float, validity: str = "Valid") -> AsymptoticValue:
         """Materialize the rate-only approximation exp(-N^gamma * rate)."""
+        _check_scale(N)
         return AsymptoticValue(
             log_value=-(N**self.gamma) * self.rate,
             regime="LogOnly",
@@ -106,7 +108,8 @@ def log_asym_P(dist: RateDistribution, alpha: float, a: float) -> DecayRate:
     if alpha > 1.0:
         return DecayRate(rate=poisson_rate(a, dist.mean).rate, gamma=1.0)
     if alpha == 1.0:
-        return DecayRate(rate=compound_z(dist, a).rate, gamma=1.0)
+        theta, (cgf, _, _) = _solve_tilt(dist, _UNIT_RULES, a, _cold_hint(dist))
+        return DecayRate(rate=theta * a - cgf, gamma=1.0)
     if not dist.support_sup > a:
         raise InfeasibleTargetError(
             f"slow-regime rate needs support above a={a}; {dist} is bounded by "
@@ -125,6 +128,7 @@ def approx_fast(
     """
     if alpha <= 2.0:
         raise RegimeError(f"fast approximation needs alpha > 2, got {alpha}")
+    _check_scale(N)
     _check_rare(dist, a)
     ldp = poisson_rate(a, dist.mean)
     log_P = -N * ldp.rate + math.log(ldp.prefactor) - 0.5 * math.log(N)
@@ -148,6 +152,7 @@ def approx_slow_case1(
     """
     if not alpha < 0.5:
         raise RegimeError(f"slow case-I approximation needs alpha < 1/2, got {alpha}")
+    _check_scale(N)
     _check_rare(dist, a)
     if not dist.support_sup > a:
         raise InfeasibleTargetError(
@@ -187,6 +192,7 @@ def approx_slow_case2(
     """
     if not alpha < 1.0:
         raise RegimeError(f"slow case-II approximation needs alpha < 1, got {alpha}")
+    _check_scale(N)
     for name, val in (("I_at_b", I_at_b), ("Iprime_at_b", Iprime_at_b), ("C_X_at_b", C_X_at_b)):
         if not (math.isfinite(val) and val > 0.0):
             raise DomainError(f"case II requires finite positive {name}, got {val}")
@@ -212,12 +218,13 @@ def approx_intermediate(
     dist: RateDistribution, a: float, N: float
 ) -> tuple[AsymptoticValue, AsymptoticValue]:
     """Sharp approximation in the balanced regime via the compound count."""
-    z = compound_z(dist, a)
-    log_p = -N * z.rate - 0.5 * math.log(2.0 * math.pi * N * z.variance_at_tilt)
-    log_P = log_p - math.log(-math.expm1(-z.theta_star))
+    _check_scale(N)
+    _check_rare(dist, a)
+    theta, integrals = _solve_tilt(dist, _UNIT_RULES, a, _cold_hint(dist))
+    approx = _approx_from(N, theta, a, integrals, checked=False, hypothesis_violated=False)[1]
     return (
-        AsymptoticValue(log_P, "Intermediate", "Valid", 1.0),
-        AsymptoticValue(log_p, "Intermediate", "Valid", 1.0),
+        AsymptoticValue(approx.log_Q_check, "Intermediate", "Valid", 1.0),
+        AsymptoticValue(approx.log_q_check, "Intermediate", "Valid", 1.0),
     )
 
 
@@ -231,8 +238,7 @@ def approx_auto(
     """
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if not N > 0.0:
-        raise DomainError(f"N must be positive, got {N}")
+    _check_scale(N)
     _check_rare(dist, a)
     if alpha > 2.0:
         return approx_fast(dist, alpha, a, N)

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 
+from mixpois.numerics import Interval, find_root_increasing
+from mixpois.rates import RateFunctionPoint
+
 
 def poisson_log_pmf(mean: float, k: int) -> float:
     """log P(Pois(mean) = k) for mean > 0."""
@@ -43,6 +46,24 @@ def pooled_twopoint_tail(p: float, lam1: float, lam2: float, slots: int, N: floa
     return math.fsum(math.comb(slots, j) * p ** (slots - j) * (1.0 - p) ** j
                      * poisson_tail(N * (slots * lam1 + (lam2 - lam1) * j) / slots, k)
                      for j in range(slots + 1))
+
+
+def numeric_rate_function(dist, a: float) -> RateFunctionPoint:
+    """The rate function of a rate law at a mean a strictly inside its
+    support, by solving CGF'(theta) = a: an independent check of the closed
+    forms."""
+    sup = dist.mgf_domain_sup
+    hi_limit = math.inf if math.isinf(sup) else sup - 1e-12 * max(1.0, abs(sup))
+
+    def g(t: float) -> tuple[float, float]:
+        _, k1, k2 = dist.cgf(t)
+        return float(k1) - a, float(k2)
+
+    theta = find_root_increasing(g, Interval(-1.0, min(1.0, hi_limit)), tol=1e-13,
+                                 hi_limit=hi_limit)
+    k0, _, k2 = dist.cgf(theta)
+    return RateFunctionPoint(a=a, value=theta * a - float(k0), theta_star=theta,
+                             second_deriv=float(k2))
 
 
 def occupancy_pmf(lam: float, omegas) -> np.ndarray:

@@ -386,60 +386,54 @@ class TestCriterion5:
         assert passed
 
 
-def _mixed_pmf_quadrature(r, lam, scale, k):
-    """One mixed-Poisson pmf term by quadrature of the pooled-rate density
-    against the Poisson pmf; independent of the closed negative-binomial
-    route (it never forms a binomial coefficient)."""
-    const = r * math.log(lam) - numerics.log_gamma(r) + k * math.log(scale) - numerics.log_gamma(k + 1.0)
-    c = r + k
+# composite Gauss-Legendre rule on [0, 1] for the oracle's integrals
+_ORACLE_NODES, _ORACLE_WEIGHTS = numerics.gauss_legendre(np.linspace(0.0, 1.0, 33), 20)
+
+
+def _mixed_pmf_quadrature(r, lam, scale, ks):
+    """Mixed-Poisson pmf terms at the counts ``ks`` by quadrature of the
+    pooled-rate density against the Poisson pmf; independent of the closed
+    negative-binomial route (it never forms a binomial coefficient).
+
+    With c = r + k, rate = lam + scale and the pooled rate s = (c / rate) e^x,
+    a term is exp(const + c log(c / rate) - c) times the integral over the
+    real line of exp(c (x + 1 - e^x)), which peaks at x = 0 with height 1;
+    the rule covers the range where that integrand exceeds about e^-45.
+    """
+    ks = np.asarray(ks, dtype=np.float64)
+    c = r + ks
     rate = lam + scale
-    if c < 1.5:
-        # no interior peak: substitute w = (rate*s)^c to bound the integrand
-        def f(w):
-            return math.exp(-(w ** (1.0 / c))) / c
-
-        integral = numerics.integrate(
-            f, numerics.Interval(0.0, 80.0**c),
-            numerics.QuadratureSpec(abs_tol=1e-16, rel_tol=3e-12, max_depth=60),
-        )
-        return math.exp(const - c * math.log(rate)) * integral
-    shape = c - 1.0
-    s_peak = shape / rate
-    g_peak = shape * math.log(s_peak) - rate * s_peak
-    resid = shape - rate * s_peak
-    u_half = 42.0 / math.sqrt(shape) + 1e-3
-    u_lo = max(-0.999999999999, -u_half)
-
-    def f(u):
-        return math.exp(shape * (math.log1p(u) - u) + resid * u)
-
-    integral = numerics.integrate(
-        f, numerics.Interval(u_lo, u_half),
-        numerics.QuadratureSpec(abs_tol=1e-15, rel_tol=3e-12, max_depth=60),
-    )
-    return math.exp(const + g_peak) * integral * s_peak
+    lo = -(45.0 / c + 10.0 / np.sqrt(c))
+    hi = np.log1p(45.0 / c) + 10.0 / np.sqrt(c)
+    x = lo[:, None] + (hi - lo)[:, None] * _ORACLE_NODES
+    integral = (hi - lo) * (np.exp(c[:, None] * (x - np.expm1(x))) @ _ORACLE_WEIGHTS)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in ks])
+    const = r * math.log(lam) - math.lgamma(r) + ks * math.log(scale) - log_factorial
+    return np.exp(const + c * np.log(c / rate) - c) * integral
 
 
 def _oracle_point(beta, lam, alpha, a, N):
     r = math.exp(alpha * math.log(N)) * beta
-    return _mixed_pmf_quadrature(r, lam, N ** (1.0 - alpha), round(N * a))
+    return float(_mixed_pmf_quadrature(r, lam, N ** (1.0 - alpha), [round(N * a)])[0])
 
 
 def _oracle_tail(beta, lam, alpha, a, N):
+    """The pmf terms summed upward from k0 = N a, in blocks of 64 counts,
+    until past the mean count a term falls below 1e-13 of the sum."""
     r = math.exp(alpha * math.log(N)) * beta
     scale = N ** (1.0 - alpha)
     k0 = round(N * a)
     mean_count = scale * r / lam
     total = 0.0
-    k = k0
-    while True:
-        term = _mixed_pmf_quadrature(r, lam, scale, k)
-        total += term
-        if k > mean_count and term < 1e-13 * total:
-            return total
-        k += 1
-        if k > k0 + 5000:
-            raise RuntimeError("oracle tail sum did not terminate")
+    for start in range(k0, k0 + 5001, 64):
+        ks = np.arange(start, start + 64)
+        terms = _mixed_pmf_quadrature(r, lam, scale, ks)
+        sums = total + np.cumsum(terms)
+        done = np.flatnonzero((ks > mean_count) & (terms < 1e-13 * sums))
+        if done.size:
+            return float(sums[done[0]])
+        total = float(sums[-1])
+    raise RuntimeError("oracle tail sum did not terminate")
 
 
 def _criterion6_instances():

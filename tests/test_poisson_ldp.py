@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from mixpois.errors import DomainError, InfeasibleTargetError
-from mixpois.poisson_ldp import ceil_count, compound_z, exact_count, poisson_rate
-from mixpois.rates import DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint
+from mixpois.errors import DomainError
+from mixpois.poisson_ldp import ceil_count, exact_count, poisson_rate
 from reference import poisson_log_pmf, poisson_tail
 
 
@@ -80,56 +79,3 @@ class TestExactTails:
                 for N in (50, 200, 800)]
         assert devs[-1] < devs[0]
         assert devs[-1] < 1e-3  # drift is O(1/N)
-
-
-class TestCompoundZ:
-    def test_exponential_closed_form(self):
-        z = compound_z(Exponential(2.5), 1.0)
-        assert math.exp(z.theta_star) == pytest.approx(1.0 * 3.5 / 2.0, rel=1e-11)
-        assert z.variance_at_tilt == pytest.approx(1.0 * (1.0 + 1.0), rel=1e-11)
-
-    @pytest.mark.parametrize("lam,a", [(2.5, 1.0), (1.0, 2.0), (0.7, 4.0)])
-    def test_exponential_tilt_identity(self, lam, a):
-        z = compound_z(Exponential(lam), a)
-        assert math.exp(z.theta_star) == pytest.approx(a * (1.0 + lam) / (1.0 + a), rel=1e-11)
-        assert z.variance_at_tilt == pytest.approx(a * (1.0 + a), rel=1e-10)
-
-    @pytest.mark.parametrize("dist", [Exponential(2.5), GammaRate(2.0, 1.0)],
-                             ids=lambda d: d.label())
-    @pytest.mark.parametrize("excess", [1e-1, 1e-3, 1e-5])
-    def test_gamma_closed_form_near_zero_tilt(self, dist, excess):
-        # u* = a(lam + 1)/(a + beta), rate = a log u* + beta log1p(-(u* - 1)/lam);
-        # the rate is O(excess^2), so the CGF must keep its relative accuracy
-        # as the tilt goes to zero
-        beta, lam = dist.beta, dist.lam
-        a = dist.mean + excess
-        u = a * (lam + 1.0) / (a + beta)
-        rate = a * math.log(u) + beta * math.log1p(-(u - 1.0) / lam)
-        assert compound_z(dist, a).rate == pytest.approx(rate, rel=1e-9, abs=0.0)
-
-    def test_deterministic_reduces_to_poisson(self):
-        z = compound_z(DeterministicRate(1.0), 2.0)
-        p = poisson_rate(2.0, 1.0)
-        assert z.rate == pytest.approx(p.rate, abs=1e-12)
-        assert z.theta_star == pytest.approx(p.theta_star, abs=1e-12)
-        assert z.variance_at_tilt == pytest.approx(2.0, abs=1e-11)
-
-    @pytest.mark.parametrize(
-        "dist,a",
-        [
-            (Exponential(2.5), 1.0),
-            (PoissonRate(2.0), 3.5),
-            (TwoPoint(0.75, 1.0, 5.0), 3.0),
-            (TwoPoint(0.75, 1.0, 5.0), 7.0),  # reachable: Pois(X) has unbounded support
-        ],
-    )
-    def test_duality(self, dist, a):
-        z = compound_z(dist, a)
-        assert z.theta_star * a - dist.cgf(math.expm1(z.theta_star))[0] - z.rate == pytest.approx(
-            0.0, abs=1e-10
-        )
-        assert z.variance_at_tilt > 0.0
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleTargetError):
-            compound_z(Exponential(2.5), 0.3)

@@ -16,8 +16,14 @@ from mixpois.errors import (
     ParseError,
     RarityError,
 )
-from mixpois.numerics import Interval, QuadratureSpec, find_root_increasing, integrate
-from mixpois.poisson_ldp import ceil_count, compound_z, poisson_rate
+from mixpois.numerics import (
+    Interval,
+    QuadratureSpec,
+    find_root_increasing,
+    gauss_legendre,
+    integrate,
+)
+from mixpois.poisson_ldp import ceil_count, poisson_rate
 from mixpois.queue import (
     DetService,
     ExpService,
@@ -39,7 +45,7 @@ from mixpois.rates import (
     spec_label,
 )
 from mixpois.sampling import Z_95, stream
-from mixpois.tail_asymptotics import DecayRate, approx_intermediate
+from mixpois.tail_asymptotics import DecayRate, approx_intermediate, log_asym_P
 from reference import occupancy_pmf, poisson_tail
 
 POIS2 = PoissonRate(2.0)
@@ -232,9 +238,9 @@ class TestQueueApprox:
         flags = []
         integrals = queue._integrals
 
-        def spy(dist, service, tau, checked=False):
+        def spy(dist, rules, tau, checked=False):
             flags.append(checked)
-            return integrals(dist, service, tau, checked)
+            return integrals(dist, rules, tau, checked)
 
         monkeypatch.setattr(queue, "_integrals", spy)
         queue_approx(POIS2, ExpService(0.5), 100.0, 1.3)
@@ -288,7 +294,7 @@ class TestOccupancyQuadrature:
         for tau in taus:
             gap = lam - tau  # exact: tau is within a factor 2 of lam
             exact = beta * E / tau * (math.log(gap - tau * math.expm1(-1.0 / E)) - math.log(gap))
-            _, slope, _ = queue._integrals(dist, service, tau, checked=True)
+            _, slope, _ = queue._integrals(dist, queue._rules(service), tau, checked=True)
             assert slope == pytest.approx(exact, rel=1e-12), gap / lam
 
     @pytest.mark.parametrize("dist", RATE_LAWS, ids=spec_label)
@@ -310,14 +316,15 @@ class TestOccupancyQuadrature:
             reference(lambda s: dist.cgf(tau * s)[1] * s),
             reference(lambda s: dist.cgf(tau * s)[2] * s * s),
         )
-        got = queue._integrals(dist, service, tau, checked=True)
+        got = queue._integrals(dist, queue._rules(service), tau, checked=True)
         for value, ref in zip(got, expected):
             assert value == pytest.approx(ref, rel=1e-10)
 
     def test_disagreeing_check_rule_raises(self, monkeypatch):
         service = ExpService(0.5)
         rule, _ = queue._rules(service)
-        crude = queue._Rule(service, [0.0, 1.0], 2)
+        nodes, weights = gauss_legendre([0.0, 1.0], 2)
+        crude = queue._Rule(weights, service.sf(nodes), service.sf_complement(nodes))
         monkeypatch.setattr(queue, "_rules", lambda s: (rule, crude))
         with pytest.raises(ConvergenceError, match="order"):
             queue_approx(POIS2, service, 100.0, 1.3)
@@ -432,23 +439,24 @@ class TestMcQ:
 def log_asym_Q(dist, service, alpha, a):
     """The paper's decay rate of the occupancy tail for any alpha > 0."""
     queue._check_rare(dist, service, a)
+    rules = queue._rules(service)
     if alpha > 1.0:
         return DecayRate(rate=poisson_rate(a, mean_load(dist, service)).rate, gamma=1.0)
     if alpha == 1.0:
         theta = theta_star_queue(dist, service, a)
-        integral = queue._integrals(dist, service, math.expm1(theta), checked=True)[0]
+        integral = queue._integrals(dist, rules, math.expm1(theta), checked=True)[0]
         return DecayRate(rate=theta * a - integral, gamma=1.0)
     # linear tilt: sup_t {t a - int CGF(t sf(x)) dx}
     sup = dist.mgf_domain_sup
     cap = math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
 
     def level(t):
-        _, slope, curvature = queue._integrals(dist, service, t)
+        _, slope, curvature = queue._integrals(dist, rules, t)
         return slope - a, curvature
 
     theta = find_root_increasing(level, Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0,
                                  hi_limit=cap)
-    integral = queue._integrals(dist, service, theta, checked=True)[0]
+    integral = queue._integrals(dist, rules, theta, checked=True)[0]
     return DecayRate(rate=theta * a - integral, gamma=alpha)
 
 
@@ -461,8 +469,9 @@ class TestLogAsymQ:
         assert decay.gamma == 1.0
 
     def test_balanced_flat_service_is_compound(self):
+        # the Gauss rule of DetService(1.0) against the one-node unit rule
         decay = log_asym_Q(Exponential(2.5), DetService(1.0), 1.0, 1.0)
-        assert decay.rate == pytest.approx(compound_z(Exponential(2.5), 1.0).rate, abs=1e-10)
+        assert decay.rate == pytest.approx(log_asym_P(Exponential(2.5), 1.0, 1.0).rate, abs=1e-10)
 
     def test_slow_matches_closed_form(self):
         # exp:2.5 rates and exp:0.5 service: the objective theta a - int_0^1

@@ -12,7 +12,6 @@ from mixpois.rates import (
     GammaRate,
     PoissonRate,
     TwoPoint,
-    _numeric_rate_function,
     bahadur_rao_constant,
     parse_rate,
     rate_function,
@@ -20,6 +19,7 @@ from mixpois.rates import (
 )
 from mixpois.queue import DetService, ExpService, Pareto2Service, parse_service
 from mixpois.sampling import _slot_sampler, stream
+from reference import numeric_rate_function
 
 # positive numbers of at most 6 significant digits, the precision of spec_label
 SIX_DIGITS = st.builds(lambda m, e: float(f"{m}e{e}"),
@@ -179,7 +179,7 @@ class TestRateFunction:
     def test_numeric_matches_auto(self, dist, targets):
         for a in targets:
             auto = rate_function(dist, a)
-            numeric = _numeric_rate_function(dist, a)
+            numeric = numeric_rate_function(dist, a)
             assert numeric.theta_star == pytest.approx(auto.theta_star, abs=1e-10)
             assert numeric.value == pytest.approx(auto.value, abs=1e-10)
 
@@ -211,6 +211,12 @@ class TestRateFunction:
         high = rate_function(tp, 5.0)
         assert high.value == pytest.approx(-math.log(0.25), rel=1e-12)
         assert high.theta_star == math.inf
+
+    def test_two_point_interior_is_continuous_into_the_atoms(self):
+        tp = TwoPoint(0.75, 1.0, 5.0)
+        assert rate_function(tp, 1.0 + 1e-9).value == pytest.approx(-math.log(0.75), abs=1e-7)
+        assert rate_function(tp, 5.0 - 1e-9).value == pytest.approx(-math.log1p(-0.75),
+                                                                     abs=1e-7)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleTargetError):

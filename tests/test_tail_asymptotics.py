@@ -9,10 +9,13 @@ from mixpois.errors import (
     LatticeError,
     RegimeError,
 )
-from mixpois.poisson_ldp import compound_z, poisson_rate
+from mixpois import queue
+from mixpois.poisson_ldp import poisson_rate
+from mixpois.queue import ExpService, approx_at_tilt
 from mixpois.rates import (
     DeterministicRate,
     Exponential,
+    GammaRate,
     PoissonRate,
     TwoPoint,
     bahadur_rao_constant,
@@ -31,6 +34,14 @@ from mixpois.tail_asymptotics import (
 EXP25 = Exponential(2.5)
 
 
+def compound_count(dist, a):
+    """Tilt and tilted variance of the compound count Pois(X) at level a,
+    from the one-node occupancy solve behind the balanced regime."""
+    theta, integrals = queue._solve_tilt(dist, queue._UNIT_RULES, a, queue._cold_hint(dist))
+    approx = queue._approx_from(1.0, theta, a, integrals, checked=True, hypothesis_violated=False)
+    return theta, approx[1].sigma2
+
+
 class TestLogAsym:
     def test_fast_rate_is_poisson_layer(self):
         decay = log_asym_P(PoissonRate(2.0), 2.0, 3.0)
@@ -44,8 +55,9 @@ class TestLogAsym:
 
     def test_balanced_rate_is_compound(self):
         decay = log_asym_P(EXP25, 1.0, 1.0)
-        z = compound_z(EXP25, 1.0)
-        assert decay.rate == pytest.approx(z.rate, rel=1e-13)
+        # exponential closed form: e^t = a(lam + 1)/(a + 1), rate = t a - CGF(e^t - 1)
+        u = 1.0 * 3.5 / 2.0
+        assert decay.rate == pytest.approx(math.log(u) + math.log1p(-(u - 1.0) / 2.5), rel=1e-13)
         # independent check: golden-section maximization of t*a - CGF(e^t - 1)
         objective = lambda t: t * 1.0 - EXP25.cgf(math.expm1(t))[0]
         lo, hi = 0.0, math.log1p(2.5 * (1.0 - 1e-9))
@@ -184,9 +196,9 @@ class TestApproxSlowCase2:
 class TestApproxIntermediate:
     def test_tail_point_ratio(self):
         tail, point = approx_intermediate(EXP25, 1.0, 50.0)
-        z = compound_z(EXP25, 1.0)
+        theta = math.log(1.0 * 3.5 / 2.0)  # the exponential closed form
         assert tail.log_value - point.log_value == pytest.approx(
-            -math.log(-math.expm1(-z.theta_star)), abs=1e-12
+            -math.log(-math.expm1(-theta)), abs=1e-12
         )
 
     def test_deterministic_reduces_to_fast_form(self):
@@ -238,3 +250,81 @@ class TestApproxAuto:
     def test_nan_or_infinite_value_is_a_numerical_failure(self, log_value):
         with pytest.raises(ConvergenceError):
             AsymptoticValue(log_value, "LogOnly", "Valid", 1.0)
+
+
+PER_REGIME_FORMS = {
+    "approx_fast": lambda N: approx_fast(EXP25, 5.0, 1.0, N),
+    "approx_slow_case1": lambda N: approx_slow_case1(EXP25, 0.2, 1.0, N),
+    "approx_slow_case2": lambda N: approx_slow_case2(1.0, 0.3, 2.0, 0.4, 0.5, 2.0, N),
+    "approx_intermediate": lambda N: approx_intermediate(EXP25, 1.0, N),
+    "approx_at_tilt": lambda N: approx_at_tilt(EXP25, ExpService(0.5), N, 0.5),
+    "DecayRate.at": lambda N: log_asym_P(EXP25, 0.75, 1.0).at(N),
+}
+
+
+@pytest.mark.parametrize("N", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("form", PER_REGIME_FORMS)
+def test_per_regime_forms_reject_N(form, N):
+    # these raised a bare math domain error (a TypeError on a complex log
+    # value for DecayRate.at), or at NaN a ConvergenceError (or a NaN value),
+    # or accepted N = 0, instead of naming the argument
+    with pytest.raises(DomainError, match="N must be positive"):
+        PER_REGIME_FORMS[form](N)
+
+
+class TestCompoundCount:
+    """The compound count Pois(X) of the balanced regime, solved as the
+    occupancy of one node at full retention."""
+
+    def test_exponential_closed_form(self):
+        theta, sigma2 = compound_count(Exponential(2.5), 1.0)
+        assert math.exp(theta) == pytest.approx(1.0 * 3.5 / 2.0, rel=1e-11)
+        assert sigma2 == pytest.approx(1.0 * (1.0 + 1.0), rel=1e-11)
+
+    @pytest.mark.parametrize("lam,a", [(2.5, 1.0), (1.0, 2.0), (0.7, 4.0)])
+    def test_exponential_tilt_identity(self, lam, a):
+        theta, sigma2 = compound_count(Exponential(lam), a)
+        assert math.exp(theta) == pytest.approx(a * (1.0 + lam) / (1.0 + a), rel=1e-11)
+        assert sigma2 == pytest.approx(a * (1.0 + a), rel=1e-10)
+
+    @pytest.mark.parametrize("dist", [Exponential(2.5), GammaRate(2.0, 1.0)],
+                             ids=lambda d: d.label())
+    @pytest.mark.parametrize("excess", [1e-1, 1e-3, 1e-5])
+    def test_gamma_closed_form_near_zero_tilt(self, dist, excess):
+        # u* = a(lam + 1)/(a + beta), rate = a log u* + beta log1p(-(u* - 1)/lam);
+        # the rate is O(excess^2), so the CGF must keep its relative accuracy
+        # as the tilt goes to zero
+        beta, lam = dist.beta, dist.lam
+        a = dist.mean + excess
+        u = a * (lam + 1.0) / (a + beta)
+        rate = a * math.log(u) + beta * math.log1p(-(u - 1.0) / lam)
+        assert log_asym_P(dist, 1.0, a).rate == pytest.approx(rate, rel=1e-9, abs=0.0)
+
+    def test_deterministic_reduces_to_poisson(self):
+        theta, sigma2 = compound_count(DeterministicRate(1.0), 2.0)
+        p = poisson_rate(2.0, 1.0)
+        assert log_asym_P(DeterministicRate(1.0), 1.0, 2.0).rate == pytest.approx(p.rate,
+                                                                                 abs=1e-12)
+        assert theta == pytest.approx(p.theta_star, abs=1e-12)
+        assert sigma2 == pytest.approx(2.0, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "dist,a",
+        [
+            (Exponential(2.5), 1.0),
+            (PoissonRate(2.0), 3.5),
+            (TwoPoint(0.75, 1.0, 5.0), 3.0),
+            (TwoPoint(0.75, 1.0, 5.0), 7.0),  # reachable: Pois(X) has unbounded support
+        ],
+    )
+    def test_duality(self, dist, a):
+        theta, sigma2 = compound_count(dist, a)
+        rate = log_asym_P(dist, 1.0, a).rate
+        assert theta * a - dist.cgf(math.expm1(theta))[0] - rate == pytest.approx(0.0, abs=1e-10)
+        assert sigma2 > 0.0
+
+    def test_infeasible(self):
+        with pytest.raises(InfeasibleTargetError):
+            log_asym_P(Exponential(2.5), 1.0, 0.3)
+        with pytest.raises(InfeasibleTargetError):
+            approx_intermediate(Exponential(2.5), 0.3, 50.0)
