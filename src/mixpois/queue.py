@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
 from .poisson_ldp import ceil_count
-from .rates import PoissonRate, RateDistribution, parse_spec, spec_label
+from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
+                    spec_label)
 from .sampling import EstimatorResult, _by_blocks, _count_mean, _run_chunked, _slot_reduce
 
 __all__ = [
@@ -294,13 +295,11 @@ def _solve_tilt(
     except DomainError:
         if cap == _THETA_MAX:
             raise DomainError(
-                f"occupancy level a={a} needs a tilt above {_THETA_MAX:g}, beyond "
-                "double precision"
+                f"level a={a} needs a tilt above {_THETA_MAX:g}, beyond double precision"
             ) from None
         raise MgfDomainError(
-            f"occupancy level a={a} is unreachable: tilts are confined to "
-            f"(0, {cap:.6g}] by the MGF domain, which only reaches mean occupancy "
-            f"{g(cap)[0] + a:.6g}"
+            f"level a={a} is unreachable: tilts are confined to (0, {cap:.6g}] by the "
+            f"MGF domain, which only reaches mean level {g(cap)[0] + a:.6g}"
         ) from None
     return theta, _integrals(dist, rules, math.expm1(theta), checked=True)
 
@@ -464,6 +463,88 @@ def _marked_occupancy(lam: float, omegas: np.ndarray):
     return lambda rng, m: _by_blocks(rng, m, y0 + 2, block)
 
 
+_ALL_LANES = np.uint64(2**64 - 1)
+
+
+def _bernoulli_words(q: float):
+    """Sampler ``draw(rng, n) -> n uint64 words`` whose 64 bit lanes are
+    i.i.d. Bernoulli(q), for 0 < q <= 1.
+
+    A lane is the indicator of U < q for a uniform U, decided at the first
+    bit of U that differs from the binary expansion b_1 ... b_L of q, exact
+    from ``q.as_integer_ratio()``; a lane that matches all L bits has U >= q
+    (Devroye, Non-Uniform Random Variate Generation, 1986, ch. XV), so a lane
+    is set with probability exactly q.  Each bit position takes one raw word
+    of the stream per lane word, shared by its 64 lanes.  The loop ends once
+    no lane is undecided: at q = 1/4, L = 2 and it draws both words, while at
+    a q with a long expansion its length, about 2 + log2 of the lane count,
+    depends on n.
+    """
+    numerator, denominator = q.as_integer_ratio()
+    length = denominator.bit_length() - 1  # q = numerator / 2^L
+    bits = [numerator >> (length - j) & 1 for j in range(1, length + 1)]
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        if q == 1.0:
+            return np.full(n, _ALL_LANES)
+        lanes = np.zeros(n, dtype=np.uint64)
+        undecided = np.full(n, _ALL_LANES)
+        for bit in bits:
+            r = rng.bit_generator.random_raw(n)
+            if bit:  # U < q where U has a 0 here
+                lanes |= undecided & ~r
+                undecided &= r
+            else:  # U > q where U has a 1 here
+                undecided &= ~r
+            if not undecided.any():
+                break
+        return lanes
+
+    return draw
+
+
+def _rate_sum(dist: RateDistribution, omegas: np.ndarray):
+    """Sampler ``draw(rng, m) -> m rate sums`` Lambda = sum_i omega_i X_i
+    over the N slot rates X_i, for rates other than Poisson.
+
+    Deterministic rates give the constant lam sum_i omega_i, with no draw.
+    Two-point rates give lam1 sum_i omega_i + (lam2 - lam1) sum_{i in B}
+    omega_i over the set B of slots at lam2, drawn as the lanes of
+    ceil(N/64) Bernoulli(1 - p) words per run (_bernoulli_words) and summed
+    by one table of partial sums per byte of lanes, 256 doubles per 8 slots
+    (26 KB at N = 100, 256 MB at N = 10^6).  The lanes of a block of runs
+    are drawn bit position by bit position, so the results depend on the
+    block size _BLOCK_SCALARS.  Gamma rates draw the slot rates
+    (_slot_reduce).
+    """
+    N = omegas.size
+    if isinstance(dist, DeterministicRate):
+        total = np.add.reduce(dist.lam * omegas)
+        return lambda rng, m: np.full(m, total)
+    if not isinstance(dist, TwoPoint):
+        return lambda rng, m: _slot_reduce(dist.sample, rng, m, N,
+                                           lambda x: (x * omegas).sum(axis=1))
+    words, byte_count = -(-N // 64), -(-N // 8)
+    padded = np.zeros(8 * byte_count)
+    padded[:N] = omegas
+    # [b, v]: the retention of the slots 8b + t summed over the set bits t of
+    # v, built by doubling: the columns v in [2^t, 2^(t+1)) add slot 8b + t
+    table = np.zeros((byte_count, 256))
+    for t in range(8):
+        np.add(table[:, :2**t], padded[t::8, None], out=table[:, 2**t:2**(t + 1)])
+    table = table.ravel()
+    byte = np.arange(byte_count)
+    word_of, shift, offset = byte // 8, (8 * (byte % 8)).astype(np.uint64), 256 * byte
+    low, spread = dist.lam1 * np.add.reduce(omegas), dist.lam2 - dist.lam1
+    lanes = _bernoulli_words(1.0 - dist.p)
+
+    def block(rng: np.random.Generator, n: int) -> np.ndarray:
+        bytes_ = (lanes(rng, n * words).reshape(n, words)[:, word_of] >> shift) & np.uint64(255)
+        return low + spread * np.add.reduce(table[bytes_.astype(np.intp) + offset], axis=1)
+
+    return lambda rng, m: _by_blocks(rng, m, byte_count, block)
+
+
 def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
          seed: int) -> EstimatorResult:
     """Crude Monte Carlo for the occupancy tail at level N*a.
@@ -471,25 +552,25 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
     A run hits when its occupancy reaches k = ceil(N a).  Poisson slot rates
     draw the occupancy itself, from the counts of units marked by the
     occupants they add (_marked_occupancy).  Other rates draw the rate sum
-    Lambda = sum_i omega_i X_i over the N slot rates X_i, and the hit of the
-    Pois(Lambda) occupancy as G <= Lambda with G ~ Gamma(k, 1), the k-th
-    epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k) =
-    P(G <= Lambda).
+    Lambda = sum_i omega_i X_i over the N slot rates X_i (_rate_sum), and the
+    hit of the Pois(Lambda) occupancy as G <= Lambda with G ~ Gamma(k, 1),
+    the k-th epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k)
+    = P(G <= Lambda).
     """
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
     k = ceil_count(N * a)
-    omegas = occupancy = None
+    marked = isinstance(dist, PoissonRate)
+    draw = None
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        nonlocal omegas, occupancy
-        if omegas is None:  # built on the first chunk, after the budget check
+        nonlocal draw
+        if draw is None:  # built on the first chunk, after the budget check
             omegas = omega_vector(N, service)
-            if isinstance(dist, PoissonRate):
-                occupancy = _marked_occupancy(dist.lam, omegas)
-        if occupancy is not None:
-            return (occupancy(rng, m) >= k).astype(np.float64)
-        lam = _slot_reduce(dist.sample, rng, m, N, lambda x: (x * omegas).sum(axis=1))
+            draw = _marked_occupancy(dist.lam, omegas) if marked else _rate_sum(dist, omegas)
+        if marked:
+            return (draw(rng, m) >= k).astype(np.float64)
+        lam = draw(rng, m)
         return (rng.standard_gamma(k, size=m) <= lam).astype(np.float64)
 
     # N + 1 per run for every law: the per-run cap then bounds N, and with it

@@ -4,8 +4,8 @@ Each distribution knows the supremum of its MGF domain and the bounds of its
 support, its cumulant generating function (CGF) through one method, ``cgf``,
 which returns the CGF and its first two derivatives at a scalar tilt or at an
 array of damped tilts, and its rate function in closed form.
-The gamma, two-point and deterministic laws sample slot rates for the
-occupancy simulation; the overflow estimators draw slot sums pooled.
+The gamma laws sample slot rates for the occupancy simulation; the overflow
+estimators draw slot sums pooled.
 Exponential rates are the gamma law of shape 1, built by ``Exponential(lam)``.
 Constructors reject non-finite parameters.
 
@@ -84,9 +84,6 @@ class RateDistribution:
         their wall as lam - tau*sf = (lam - tau) + tau*(1 - sf), a sum of
         nonnegative terms when 0 <= tau < lam; other kinds ignore it.
         """
-        raise NotImplementedError
-
-    def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
@@ -246,10 +243,6 @@ class TwoPoint(RateDistribution):
         w1, w2 = math.exp(b1), math.exp(b2)
         return w2 / (w1 + w2)
 
-    def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
-        u = stream.random(n)
-        return np.where(u < self.p, self.lam1, self.lam2)
-
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
         # the endpoints are atoms, reached by an infinite tilt
         if a == self.lam1:
@@ -303,9 +296,6 @@ class DeterministicRate(RateDistribution):
     def cgf(self, tau, sf=1.0, sf_complement=None):
         u = tau * sf
         return self.lam * u, np.full_like(u, self.lam), np.zeros_like(u)
-
-    def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.lam, dtype=np.float64)
 
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
         return RateFunctionPoint(a=a, value=0.0, theta_star=0.0, second_deriv=0.0)

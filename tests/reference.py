@@ -93,6 +93,34 @@ def occupancy_pmf(lam: float, omegas) -> np.ndarray:
     return pmf
 
 
+def twopoint_occupancy_pmf(p: float, lam1: float, lam2: float, omegas) -> np.ndarray:
+    """pmf of the occupancy sum_i Pois(omega_i X_i) with X_i i.i.d. two-point
+    rates, lam1 with probability p and lam2 otherwise.
+
+    Each term is the mixture p Pois(lam1 omega_i) + (1 - p) Pois(lam2 omega_i);
+    the terms are convolved.  The counts run 40 standard deviations past the
+    mean, and the pmf must hold all but 1e-12 of its mass there.  Slots of
+    zero retention add a point mass at 0 and are left out.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    omegas = omegas[omegas > 0.0]
+    mean_rate = p * lam1 + (1.0 - p) * lam2
+    rate_variance = p * (1.0 - p) * (lam2 - lam1) ** 2
+    mean = mean_rate * float(omegas.sum())
+    sd = math.sqrt(mean + rate_variance * float(np.sum(omegas**2)))
+    size = math.ceil(mean + 40.0 * sd + 40.0)
+    y = np.arange(size)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
+    pmf = np.array([1.0])
+    for omega in omegas:
+        low, high = lam1 * omega, lam2 * omega
+        term = (p * np.exp(y * math.log(low) - low - log_factorial)
+                + (1.0 - p) * np.exp(y * math.log(high) - high - log_factorial))
+        pmf = np.convolve(pmf, term)[:size]
+    assert abs(math.fsum(pmf) - 1.0) < 1e-12
+    return pmf
+
+
 def efficiency_ratios(estimate, N_grid) -> list[float]:
     """log E[w^2] over 2 log estimate for ``estimate(N)`` at each N.
 

@@ -517,7 +517,7 @@ class TestStaff:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: occupancy level")
+        assert err.startswith("error: level a=")
         assert "MgfDomainError:" not in err and err.count("error:") == 1
 
     @pytest.mark.parametrize("option", [["--verify-runs", "-5"], ["--seed", "-1"]],

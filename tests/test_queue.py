@@ -46,7 +46,7 @@ from mixpois.rates import (
 )
 from mixpois.sampling import Z_95, stream
 from mixpois.tail_asymptotics import DecayRate, approx_intermediate, log_asym_P
-from reference import occupancy_pmf, poisson_tail
+from reference import occupancy_pmf, poisson_tail, twopoint_occupancy_pmf
 
 POIS2 = PoissonRate(2.0)
 SERVICES = [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)]
@@ -404,6 +404,37 @@ class TestMcQ:
         pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
         assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
 
+    # two-point rates at q = 1 - p of 0.25 and 0.7 against the slot-by-slot
+    # convolution, pooled over 20 seeds as above
+    @pytest.mark.parametrize("service", SERVICES, ids=spec_label)
+    @pytest.mark.parametrize("p", [0.75, 0.3])
+    def test_twopoint_rates_pooled_over_seeds_match_convolution_oracle(self, p, service):
+        N = 10
+        pmf = twopoint_occupancy_pmf(p, 1.0, 5.0, omega_vector(N, service))
+        tails = np.cumsum(pmf[::-1])[::-1]
+        k = int(np.argmax(tails < 0.05))
+        exact = math.fsum(pmf[k:])
+        results = [mc_Q(TwoPoint(p, 1.0, 5.0), service, N, k / N, 20_000, seed)
+                   for seed in range(1000, 1020)]
+        pooled = math.fsum(r.estimate for r in results) / len(results)
+        pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
+        assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
+
+    # the byte tables sum the retention of the slots whose lanes are set,
+    # lane i being bit i % 64 of the run's word i // 64
+    @pytest.mark.parametrize("N", [1, 10, 64, 100, 130])
+    def test_twopoint_rate_sum_is_the_retention_of_the_set_lanes(self, N):
+        dist, m = TwoPoint(0.3, 1.0, 5.0), 50  # one block
+        omegas = omega_vector(N, ExpService(0.5))
+        got = queue._rate_sum(dist, omegas)(stream(8), m)
+        words = -(-N // 64)
+        lanes = queue._bernoulli_words(0.7)(stream(8), m * words).reshape(m, words)
+        bits = (lanes[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        in_b = bits.reshape(m, 64 * words)[:, :N] == 1
+        ref = [1.0 * omegas.sum() + 4.0 * omegas[row].sum() for row in in_b]
+        assert got == pytest.approx(ref, rel=1e-13)
+        assert 0 < in_b.sum() < in_b.size
+
     # the marks y of the slot-rate units: their mean counts add up to the
     # units that add any occupant and, weighed by y, to the mean load, and
     # the table ends where fewer than 2^-53 units are expected to add more
@@ -434,6 +465,34 @@ class TestMcQ:
             exact = poisson_tail(mu, k) if mu > 0.0 else 0.0
         se = math.sqrt(exact * (1.0 - exact) / draws)
         assert abs(hits / draws - exact) <= 4.0 * se
+
+
+class TestBernoulliWords:
+    """The lanes of queue._bernoulli_words are i.i.d. Bernoulli(q) bits."""
+
+    # q = 1 - p as the sampler takes it, with its last set bit at L;
+    # p = 1 - 2^-10 - 2^-40 and p = 2^-40 are exact in float64
+    @pytest.mark.parametrize("p,L", [(0.75, 2), (0.3, 52), (1.0 - 2.0**-10 - 2.0**-40, 40),
+                                     (2.0**-40, 40)])
+    def test_set_bit_frequency(self, p, L):
+        q, words = 1.0 - p, 2**14  # 64 * 2^14 = 1048576 lanes
+        assert q.as_integer_ratio()[1] == 2**L
+        lanes = queue._bernoulli_words(q)(stream(5), words)
+        n = 64 * words
+        ones = int(np.unpackbits(lanes.view(np.uint8)).sum())
+        assert abs(ones / n - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n)
+
+    def test_certain_lanes(self):
+        q = 1.0 - 1e-20
+        assert q == 1.0
+        lanes = queue._bernoulli_words(q)(stream(5), 100)
+        assert np.all(lanes == np.uint64(2**64 - 1))
+
+    def test_quarter_draws_two_words_per_lane_word(self):
+        rng, twin = stream(6), stream(6)
+        queue._bernoulli_words(0.25)(rng, 1000)
+        twin.bit_generator.random_raw(2000)
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
 
 
 def log_asym_Q(dist, service, alpha, a):

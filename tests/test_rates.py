@@ -265,19 +265,9 @@ class TestBahadurRaoConstant:
 
 
 class TestSampling:
-    def test_deterministic(self):
-        assert list(DeterministicRate(2.0).sample(rng(), 3)) == [2.0, 2.0, 2.0]
-
     def test_exponential_mean(self):
         x = Exponential(2.0).sample(rng(1), 10**6)
         assert abs(x.mean() - 0.5) < 5e-3
-
-    def test_two_point_fraction(self):
-        tp = TwoPoint(0.75, 1.0, 5.0)
-        x = tp.sample(rng(2), 10**6)
-        frac_high = float(np.mean(x == 5.0))
-        assert abs(frac_high - 0.25) < 3.3 * math.sqrt(0.25 * 0.75 / 10**6)
-        assert set(np.unique(x)) == {1.0, 5.0}
 
     def test_gamma_non_integer_shape(self):
         g = GammaRate(0.5, 1.0)

@@ -22,7 +22,7 @@ from mixpois.sampling import (
     stream,
 )
 from reference import (efficiency_ratios, occupancy_pmf, poisson_log_pmf, poisson_tail,
-                       pooled_poisson_tail, pooled_twopoint_tail)
+                       pooled_poisson_tail, pooled_twopoint_tail, twopoint_occupancy_pmf)
 
 EXP25 = Exponential(2.5)
 TP = TwoPoint(0.75, 1.0, 5.0)
@@ -326,7 +326,7 @@ class TestSlotBlocks:
     def test_sums_and_stream_match(self, width):
         m = min(_chunk_rows(width), 5000)
         block, whole = stream(4), stream(4)
-        sample = TwoPoint(0.75, 1.0, 5.0).sample
+        sample = GammaRate(2.0, 1.0).sample
         weights = np.linspace(0.1, 1.0, width)  # as mc_Q weighs slots by retention
         got = _slot_reduce(sample, block, m, width, lambda x: (x * weights).sum(axis=1))
         ref = _whole_chunk(sample, whole, m, width, lambda x: (x * weights).sum(axis=1))
@@ -358,8 +358,22 @@ class TestSlotBlocks:
         got = mc_Q(PoissonRate(12.0), service, N, k / N, runs, 11)
         assert abs(got.estimate - exact) <= 4.0 * got.ci_halfwidth_95 / Z_95
 
+    # two-point rates at q = 0.7 over runs past one chunk, against the exact
+    # occupancy tail; at this q the length of the lane loop depends on the block
+    @pytest.mark.parametrize("N", [1, 37, 100])
+    def test_mc_Q_twopoint_rates(self, N):
+        service = ExpService(0.5)
+        dist = TwoPoint(0.3, 1.0, 5.0)
+        runs = _chunk_rows(N) + 1000 + N
+        omegas = omega_vector(N, service)
+        k = ceil_count(1.05 * N * mean_load(dist, service))
+        exact = math.fsum(twopoint_occupancy_pmf(0.3, 1.0, 5.0, omegas)[k:])
+        got = mc_Q(dist, service, N, k / N, runs, 11)
+        assert abs(got.estimate - exact) <= 4.0 * got.ci_halfwidth_95 / Z_95
+
     # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
-    # draw marked counts, two-point rates draw slot rates
+    # draw marked counts, two-point rates words of Bernoulli lanes, summed by
+    # byte tables
     @pytest.mark.parametrize("dist,a", [(PoissonRate(0.1), 0.16), (TwoPoint(0.75, 1.0, 5.0), 1.4)],
                              ids=["pois", "twopoint"])
     def test_mc_Q_peak_memory(self, dist, a):
