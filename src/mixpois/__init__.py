@@ -6,7 +6,7 @@ sharp asymptotics, asymptotically efficient importance sampling, and a
 dimensioning routine, all behind one CLI (``mixpois``).
 """
 
-from . import errors, gamma_exact, numerics, poisson_ldp, queue, rates, sampling, staffing, tail_asymptotics
+from . import errors, gamma_exact, numerics, queue, rates, sampling, staffing, tail_asymptotics
 from .rates import (
     DeterministicRate,
     Exponential,
@@ -23,7 +23,6 @@ __all__ = [
     "errors",
     "numerics",
     "rates",
-    "poisson_ldp",
     "tail_asymptotics",
     "gamma_exact",
     "sampling",

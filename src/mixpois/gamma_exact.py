@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError, TruncationBoundaryWarning
-from .numerics import exp_or_inf, log_gamma
-from .poisson_ldp import ceil_count, exact_count
+from .numerics import ceil_count, exact_count, exp_or_inf, log_gamma
 from .tail_asymptotics import AsymptoticValue
 
 __all__ = [
@@ -48,8 +47,9 @@ _MAX_RISING_TERMS = 1_000_000  # largest count whose log rising factorial is sum
 class GammaCase:
     """One evaluation instance: slot shape beta, rate lam, exponent alpha,
     target level a and scale N.  N^alpha*beta is the pooled gamma shape and
-    need not be an integer; N*a must be a nonnegative integer for point
-    probabilities, and the tail rounds it up.  Both must be finite."""
+    need not be an integer, but must be positive in floating point; N*a must
+    be a nonnegative integer for point probabilities, and the tail rounds it
+    up.  Both must be finite."""
 
     beta: float
     lam: float
@@ -66,10 +66,11 @@ class GammaCase:
             raise DomainError("a must be nonnegative")
         if not self.N > 0.0:
             raise DomainError("N must be positive")
-        if not (math.isfinite(self.shape) and math.isfinite(self.N * self.a)):
+        if not (0.0 < self.shape < math.inf and math.isfinite(self.N * self.a)):
             raise DomainError(
-                f"the pooled shape N^alpha*beta and the count N*a must be finite, "
-                f"got alpha={self.alpha}, N={self.N}, beta={self.beta}, a={self.a}"
+                f"the pooled shape N^alpha*beta must be positive, and it and the count N*a "
+                f"must be finite, got alpha={self.alpha}, N={self.N}, beta={self.beta}, "
+                f"a={self.a}"
             )
 
     @property

@@ -1,5 +1,5 @@
-"""Numerical kernel: log-gamma, fixed-node quadrature and safeguarded root
-finding.
+"""Numerical kernel: the count conventions for a real threshold N*a,
+log-gamma, fixed-node quadrature and safeguarded root finding.
 
 Everything here is built from elementary functions only, so results are
 bit-stable across platforms.  All functions are pure.  The adaptive Simpson
@@ -23,6 +23,8 @@ __all__ = [
     "Interval",
     "QuadratureSpec",
     "exp_or_inf",
+    "ceil_count",
+    "exact_count",
     "log_gamma",
     "integrate",
     "gauss_legendre",
@@ -31,6 +33,7 @@ __all__ = [
 
 _LN_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
 _MAX_EXPANSIONS = 200  # bracket doublings allowed in each direction of a root search
+_INT_TOL = 1e-9
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
 # reconstructed gamma is below 1e-13 over the positive reals.
@@ -101,6 +104,34 @@ def exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def ceil_count(n_times_a: float) -> int:
+    """Smallest integer k with k >= n_times_a, snapping near-integers.
+
+    This is the shared convention for turning a real threshold N*a into the
+    integer count defining the event {count >= N*a}.
+    """
+    if not 0.0 <= n_times_a < math.inf:
+        raise DomainError(f"count threshold must be finite and nonnegative, got {n_times_a}")
+    nearest = round(n_times_a)
+    if abs(n_times_a - nearest) <= _INT_TOL:
+        return int(nearest)
+    return int(math.ceil(n_times_a))
+
+
+def exact_count(n_times_a: float) -> int:
+    """Integer value of N*a, erroring when it is fractional beyond 1e-9."""
+    if not math.isfinite(n_times_a):
+        raise DomainError(f"count must be finite, got N*a = {n_times_a}")
+    nearest = round(n_times_a)
+    if abs(n_times_a - nearest) > _INT_TOL:
+        raise DomainError(
+            f"point probabilities need an integer count, got N*a = {n_times_a}"
+        )
+    if nearest < 0:
+        raise DomainError(f"count must be nonnegative, got {n_times_a}")
+    return int(nearest)
 
 
 def log_gamma(x: float) -> float:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
-from .numerics import Interval, exp_or_inf, find_root_increasing, gauss_legendre
-from .poisson_ldp import ceil_count
+from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
 from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
                     spec_label)
 from .sampling import EstimatorResult, _by_blocks, _count_mean, _run_chunked, _slot_reduce
@@ -346,34 +345,34 @@ def approx_at_tilt(
     service: ServiceTime,
     N: float,
     theta: float,
-    a: float | None = None,
     checked: bool = False,
 ) -> tuple[float, QueueApprox]:
     """Occupancy level and sharp approximation at the tilt theta.
 
     The level is the mean occupancy a(theta) = e^theta int CGF'(tau sf) sf
-    under the tilt, unless ``a``, a level theta was solved for, is given.  No
-    HypothesisWarning is issued.  With ``checked``, the quadrature is checked
-    and a non-finite log-probability raises ConvergenceError.
+    under the tilt.  No HypothesisWarning is issued.  With ``checked``, the
+    quadrature is checked and a non-finite log-probability raises
+    ConvergenceError.
     """
     _check_scale(N)
     integrals = _integrals(dist, _rules(service), math.expm1(theta), checked)
-    return _approx_from(N, theta, a, integrals, checked, not service.twice_differentiable_on_01)
+    a = math.exp(theta) * integrals[1]
+    return a, _approx_from(N, theta, a, integrals, checked, not service.twice_differentiable_on_01)
 
 
 def _approx_from(
     N: float,
     theta: float,
-    a: float | None,
+    a: float,
     integrals: tuple[float, float, float],
     checked: bool,
     hypothesis_violated: bool,
-) -> tuple[float, QueueApprox]:
-    """approx_at_tilt from the integrals at theta, under any rule."""
-    integral_cgf, slope, curvature = integrals
-    if a is None:
-        a = math.exp(theta) * slope
-    sigma2 = a + curvature * exp_or_inf(2.0 * theta)
+) -> QueueApprox:
+    """The sharp approximation at the level a from the integrals at its tilt
+    theta, under any rule."""
+    integral_cgf, _, curvature = integrals
+    # a point-mass rate law has no curvature, also at tilts where e^(2 theta) overflows
+    sigma2 = a + (curvature * exp_or_inf(2.0 * theta) if curvature else 0.0)
     log_q = (
         -theta * N * a
         + N * integral_cgf
@@ -382,7 +381,7 @@ def _approx_from(
     )
     if checked and not math.isfinite(log_q):
         raise ConvergenceError(f"the sharp approximation at N={N}, a={a} overflows")
-    return a, QueueApprox(
+    return QueueApprox(
         theta_star=theta,
         sigma2=sigma2,
         log_q_check=log_q,
@@ -400,7 +399,7 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     _check_scale(N)
     _check_rare(dist, service, a)
     theta, integrals = _solve_tilt(dist, _rules(service), a, _cold_hint(dist))
-    _, approx = _approx_from(N, theta, a, integrals, True, not service.twice_differentiable_on_01)
+    approx = _approx_from(N, theta, a, integrals, True, not service.twice_differentiable_on_01)
     if approx.log_Q_check > 0.0:
         raise RarityError(
             f"the sharp approximation at a={a}, N={N} gives log Q = "

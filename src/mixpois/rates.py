@@ -338,7 +338,7 @@ def bahadur_rao_constant(dist: RateDistribution, a: float) -> float:
         raise DomainError(f"prefactor requires a > mean, got a={a}, mean={dist.mean}")
     point = rate_function(dist, a)
     scale = point.theta_star * math.sqrt(2.0 * math.pi * point.second_deriv)
-    if not scale > 0.0:  # theta* or CGF'' underflowed
+    if not 0.0 < scale < math.inf:  # theta* or CGF'' underflowed, or CGF'' overflowed
         raise ConvergenceError(f"the prefactor of {dist} at a={a} divides by {scale}")
     return 1.0 / scale
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
-from .numerics import exp_or_inf
-from .poisson_ldp import ceil_count, exact_count
+from .numerics import ceil_count, exact_count, exp_or_inf
 from .rates import GammaRate, PoissonRate, RateDistribution, TwoPoint, rate_function
 
 __all__ = [
@@ -274,9 +273,9 @@ def is_fast(
 
         def at_level(level: float, count: int) -> np.ndarray:
             z = rng.poisson(N * level, size=m)
+            # at an empty pooled rate the ratio is e^(N level) at z = 0 and 0 above
             with np.errstate(divide="ignore", invalid="ignore"):
-                logw = z * np.log(xbar / level) + N * (level - xbar)
-            logw = np.where(xbar > 0.0, logw, -np.inf)  # empty pooled rate: no mass at z >= 1
+                logw = np.where(z > 0, z * np.log(xbar / level), 0.0) + N * (level - xbar)
             hit = (z >= count) if quantity == "tail" else (z == count)
             return np.exp(logw) * hit
 

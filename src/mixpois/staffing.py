@@ -151,4 +151,4 @@ def _Q_at_servers(dist, service, N: int, servers: int, theta_eps: float, sigma2_
     hint = Interval(lo, hi) if lo < hi else _cold_hint(dist)
     theta, integrals = _solve_tilt(dist, _rules(service), a, hint)
     violated = not service.twice_differentiable_on_01
-    return _approx_from(N, theta, a, integrals, True, violated)[1].Q_check
+    return _approx_from(N, theta, a, integrals, True, violated).Q_check

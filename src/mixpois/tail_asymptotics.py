@@ -3,7 +3,8 @@
 For the scaled mixed Poisson count the module provides the exponential decay
 rate for every resampling exponent alpha, and the sharp (prefactor-level)
 approximations where they are available, tagged with their regime and
-validity status.
+validity status.  The fast regime and the Poisson factor of case II are the
+balanced regime's sharp form at a point-mass rate law, whose tilt is closed.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, InfeasibleTargetError, RegimeError
 from .numerics import exp_or_inf
-from .poisson_ldp import poisson_rate
 from .queue import _UNIT_RULES, _approx_from, _check_scale, _cold_hint, _solve_tilt
-from .rates import RateDistribution, bahadur_rao_constant, rate_function
+from .rates import DeterministicRate, RateDistribution, bahadur_rao_constant, rate_function
 
 __all__ = [
     "AsymptoticValue",
@@ -95,6 +95,13 @@ def _check_rare(dist: RateDistribution, a: float) -> None:
         )
 
 
+def _point_mass_count(mean: float, a: float) -> tuple[float, tuple[float, float, float]]:
+    """Tilt log(a/mean) of the count Pois(N mean) at level a, with its
+    one-node integrals: the compound count at the point-mass rate law."""
+    theta = math.log(a / mean)
+    return theta, _UNIT_RULES[0].integrals(DeterministicRate(mean), math.expm1(theta))
+
+
 def log_asym_P(dist: RateDistribution, alpha: float, a: float) -> DecayRate:
     """Decay rate of the overflow probability for any alpha > 0.
 
@@ -106,7 +113,8 @@ def log_asym_P(dist: RateDistribution, alpha: float, a: float) -> DecayRate:
         raise DomainError(f"alpha must be positive, got {alpha}")
     _check_rare(dist, a)
     if alpha > 1.0:
-        return DecayRate(rate=poisson_rate(a, dist.mean).rate, gamma=1.0)
+        theta, (cgf, _, _) = _point_mass_count(dist.mean, a)
+        return DecayRate(rate=theta * a - cgf, gamma=1.0)
     if alpha == 1.0:
         theta, (cgf, _, _) = _solve_tilt(dist, _UNIT_RULES, a, _cold_hint(dist))
         return DecayRate(rate=theta * a - cgf, gamma=1.0)
@@ -121,7 +129,8 @@ def log_asym_P(dist: RateDistribution, alpha: float, a: float) -> DecayRate:
 def approx_fast(
     dist: RateDistribution, alpha: float, a: float, N: float
 ) -> tuple[AsymptoticValue, AsymptoticValue]:
-    """Sharp approximation in the fast regime (tail, point).
+    """Sharp approximation in the fast regime (tail, point): that of the count
+    Pois(N mean).
 
     Proven as an equivalent for alpha > 3; for alpha in (2, 3] only the
     asymptotic lower bound is known, and the value is tagged accordingly.
@@ -130,14 +139,13 @@ def approx_fast(
         raise RegimeError(f"fast approximation needs alpha > 2, got {alpha}")
     _check_scale(N)
     _check_rare(dist, a)
-    ldp = poisson_rate(a, dist.mean)
-    log_P = -N * ldp.rate + math.log(ldp.prefactor) - 0.5 * math.log(N)
-    log_p = log_P + math.log(-math.expm1(-ldp.theta_star))
+    theta, integrals = _point_mass_count(dist.mean, a)
+    approx = _approx_from(N, theta, a, integrals, checked=False, hypothesis_violated=False)
     regime = "FastExact" if alpha > 3.0 else "FastLowerBound"
     validity = "Valid" if alpha > 3.0 else "LowerBoundOnly"
     return (
-        AsymptoticValue(log_P, regime, validity, 1.0),
-        AsymptoticValue(log_p, regime, validity, 1.0),
+        AsymptoticValue(approx.log_Q_check, regime, validity, 1.0),
+        AsymptoticValue(approx.log_q_check, regime, validity, 1.0),
     )
 
 
@@ -199,18 +207,17 @@ def approx_slow_case2(
     if not (0.0 < b_plus < a):
         raise DomainError(f"case II requires 0 < b_plus < a, got b_plus={b_plus}, a={a}")
 
-    ldp = poisson_rate(a, b_plus)
-    gamma_const = ldp.prefactor * C_X_at_b * Iprime_at_b
-    log_P = (
-        -N * ldp.rate
-        - (N**alpha) * I_at_b
-        - 0.5 * (alpha + 1.0) * math.log(N)
-        + math.log(gamma_const * b_plus / (a - b_plus))
+    theta, integrals = _point_mass_count(b_plus, a)
+    approx = _approx_from(N, theta, a, integrals, checked=False, hypothesis_violated=False)
+    # the rate law's own deviation to b_plus, on top of the count Pois(N b_plus)
+    shift = (
+        -(N**alpha) * I_at_b
+        - 0.5 * alpha * math.log(N)
+        + math.log(C_X_at_b * Iprime_at_b * b_plus / (a - b_plus))
     )
-    log_p = log_P + math.log(-math.expm1(-ldp.theta_star))
     return (
-        AsymptoticValue(log_P, "SlowIIExact", "Valid", min(alpha, 1.0)),
-        AsymptoticValue(log_p, "SlowIIExact", "Valid", min(alpha, 1.0)),
+        AsymptoticValue(approx.log_Q_check + shift, "SlowIIExact", "Valid", min(alpha, 1.0)),
+        AsymptoticValue(approx.log_q_check + shift, "SlowIIExact", "Valid", min(alpha, 1.0)),
     )
 
 
@@ -221,7 +228,7 @@ def approx_intermediate(
     _check_scale(N)
     _check_rare(dist, a)
     theta, integrals = _solve_tilt(dist, _UNIT_RULES, a, _cold_hint(dist))
-    approx = _approx_from(N, theta, a, integrals, checked=False, hypothesis_violated=False)[1]
+    approx = _approx_from(N, theta, a, integrals, checked=False, hypothesis_violated=False)
     return (
         AsymptoticValue(approx.log_Q_check, "Intermediate", "Valid", 1.0),
         AsymptoticValue(approx.log_q_check, "Intermediate", "Valid", 1.0),

@@ -16,8 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mixpois import gamma_exact, numerics, poisson_ldp, queue, sampling, staffing, tail_asymptotics
-from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint
+from mixpois import gamma_exact, numerics, queue, sampling, staffing, tail_asymptotics
+from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint, rate_function
 from mixpois.sampling import Z_95
 from reference import efficiency_ratios, poisson_tail, relative_ci
 
@@ -510,17 +510,23 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_prefactor_sign_resolution(self, acceptance_log):
-        ldp = poisson_ldp.poisson_rate(2.0, 1.0)
-        assert ldp.prefactor == pytest.approx(
+        # the constant exp(log P + N I + log(N) / 2) of the fast form for Pois(N) at level 2
+        rate = rate_function(PoissonRate(1.0), 2.0).value
+
+        def constant(N):
+            tail = tail_asymptotics.approx_fast(DeterministicRate(1.0), 5.0, 2.0, N)[0]
+            return math.exp(tail.log_value + N * rate + 0.5 * math.log(N))
+
+        assert constant(1.0) == pytest.approx(
             1.0 / ((1.0 - math.exp(-math.log(2.0))) * math.sqrt(4.0 * math.pi)), rel=1e-12
         )
 
         def scaled(N):
-            return poisson_tail(N, round(2.0 * N)) * math.exp(N * ldp.rate) * math.sqrt(N)
+            return poisson_tail(N, round(2.0 * N)) * math.exp(N * rate) * math.sqrt(N)
 
-        dev_500 = abs(scaled(500.0) / ldp.prefactor - 1.0)
-        dev_1000 = abs(scaled(1000.0) / ldp.prefactor - 1.0)
-        flipped = abs(-1.0 / math.expm1(ldp.theta_star) / math.sqrt(4.0 * math.pi))
+        dev_500 = abs(scaled(500.0) / constant(500.0) - 1.0)
+        dev_1000 = abs(scaled(1000.0) / constant(1000.0) - 1.0)
+        flipped = abs(-1.0 / math.expm1(math.log(2.0)) / math.sqrt(4.0 * math.pi))
         dev_flipped = abs(scaled(500.0) / flipped - 1.0)
         ok = dev_500 < 0.05 and dev_1000 < dev_500 and dev_flipped > dev_500
         acceptance_log(

@@ -161,6 +161,9 @@ REJECTED_INPUTS = {
                            "--N", "0"], 2, "N must be positive"),
     "exact-gamma shape": (["exact-gamma", "--dist", "exp:2.5", "--alpha", "3", "--a", "5",
                            "--N", "1e308"], 2, "must be finite"),
+    # N^alpha * beta underflows to 0 and used to reach log 0 ("math domain error")
+    "exact-gamma shape underflow": (["exact-gamma", "--dist", "exp:2.5", "--alpha", "5",
+                                     "--a", "1", "--N", "1e-300"], 2, "must be positive"),
     "exact-gamma log-pmf": (["exact-gamma", "--dist", "gamma:2,1", "--alpha", "1", "--a", "1e300",
                              "--N", "1e8"], 3, "log-pmf"),
     "exact-gamma series": (["exact-gamma", "--dist", "exp:1", "--alpha", "1.4",
@@ -175,6 +178,9 @@ REJECTED_INPUTS = {
     "approx prefactor underflow": (["approx", "--dist", "gamma:1.570442563591821e-298,2",
                                     "--alpha", "0.25", "--a", "1.570442563591821e-298",
                                     "--N", "1"], 3, "prefactor"),
+    # CGF'' = a^2/beta overflows, and the prefactor used to be 0 ("math domain error")
+    "approx prefactor overflow": (["approx", "--dist", "exp:2.5", "--alpha", "0.2", "--a", "1e200",
+                                   "--N", "100"], 3, "prefactor"),
     "queue-approx two-point spread": (["queue-approx", "--dist",
                                        "twopoint:0.5,1,1.3407807929942597e+154", "--service",
                                        "det:0.5", "--N", "1", "--a", "3.35195198248565e+153"], 2,

@@ -7,6 +7,8 @@ from mixpois.errors import ConvergenceError, DomainError
 from mixpois.numerics import (
     Interval,
     QuadratureSpec,
+    ceil_count,
+    exact_count,
     find_root_increasing,
     gauss_legendre,
     integrate,
@@ -14,6 +16,27 @@ from mixpois.numerics import (
 )
 
 UNIT = Interval(0.0, 1.0)
+
+
+class TestCountConventions:
+    def test_ceil(self):
+        assert ceil_count(0.0) == 0
+        assert ceil_count(3.0) == 3
+        assert ceil_count(3.2) == 4
+        assert ceil_count(3.0000000001) == 3  # snaps within 1e-9
+        assert ceil_count(2.9999999999) == 3
+
+    def test_exact(self):
+        assert exact_count(4.0) == 4
+        assert exact_count(4.0 + 5e-10) == 4
+        with pytest.raises(DomainError):
+            exact_count(4.3)
+
+    @pytest.mark.parametrize("count", [ceil_count, exact_count])
+    @pytest.mark.parametrize("n_times_a", [math.inf, math.nan, -1.0])
+    def test_rejects_non_finite_and_negative(self, count, n_times_a):
+        with pytest.raises(DomainError):
+            count(n_times_a)
 
 
 class TestLogGamma:

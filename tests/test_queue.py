@@ -19,11 +19,11 @@ from mixpois.errors import (
 from mixpois.numerics import (
     Interval,
     QuadratureSpec,
+    ceil_count,
     find_root_increasing,
     gauss_legendre,
     integrate,
 )
-from mixpois.poisson_ldp import ceil_count, poisson_rate
 from mixpois.queue import (
     DetService,
     ExpService,
@@ -42,6 +42,7 @@ from mixpois.rates import (
     GammaRate,
     PoissonRate,
     TwoPoint,
+    rate_function,
     spec_label,
 )
 from mixpois.sampling import Z_95, stream
@@ -500,7 +501,7 @@ def log_asym_Q(dist, service, alpha, a):
     queue._check_rare(dist, service, a)
     rules = queue._rules(service)
     if alpha > 1.0:
-        return DecayRate(rate=poisson_rate(a, mean_load(dist, service)).rate, gamma=1.0)
+        return DecayRate(rate=rate_function(PoissonRate(mean_load(dist, service)), a).value, gamma=1.0)
     if alpha == 1.0:
         theta = theta_star_queue(dist, service, a)
         integral = queue._integrals(dist, rules, math.expm1(theta), checked=True)[0]
@@ -524,7 +525,7 @@ class TestLogAsymQ:
         service = ExpService(0.5)
         decay = log_asym_Q(POIS2, service, 2.0, 1.5)
         load = mean_load(POIS2, service)
-        assert decay.rate == pytest.approx(poisson_rate(1.5, load).rate, rel=1e-12)
+        assert decay.rate == pytest.approx(rate_function(PoissonRate(load), 1.5).value, rel=1e-12)
         assert decay.gamma == 1.0
 
     def test_balanced_flat_service_is_compound(self):

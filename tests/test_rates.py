@@ -166,6 +166,7 @@ class TestRateFunction:
         point = rate_function(PoissonRate(2.0), 3.0)
         assert point.value == pytest.approx(3.0 * math.log(1.5) - 1.0, rel=1e-12)
         assert point.theta_star == pytest.approx(math.log(1.5), rel=1e-12)
+        assert rate_function(PoissonRate(2.0), 2.0).value == 0.0  # no deviation at the mean
 
     @pytest.mark.parametrize(
         "dist,targets",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mixpois.errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from mixpois.gamma_exact import GammaCase, P_exact, p_exact
-from mixpois.poisson_ldp import ceil_count
+from mixpois.numerics import ceil_count
 from mixpois.queue import ExpService, mc_Q, mean_load, omega_vector
 from mixpois.rates import (DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint,
                            rate_function)
@@ -283,6 +283,13 @@ class TestWeightFiniteness:
         dist = PoissonRate(lam)
         r = is_fast(dist, 2.0, lam * a_mult, 3.0, 2000, seed)
         assert math.isfinite(r.estimate)
+
+    @pytest.mark.parametrize("dist", [PoissonRate(2.0), EXP25], ids=lambda d: d.label())
+    def test_zero_threshold_count_at_an_empty_pooled_rate(self, dist):
+        # at N = 1e-12 the threshold count is 0, so P = 1; a run whose pooled
+        # rate is empty must keep its weight e^(N a) at z = 0
+        r = is_fast(dist, 2.0, 3.0, 1e-12, 100_000, 0)
+        assert r.estimate == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEfficiencyDiagnostic:

@@ -10,7 +10,6 @@ from mixpois.errors import (
     RegimeError,
 )
 from mixpois import queue
-from mixpois.poisson_ldp import poisson_rate
 from mixpois.queue import ExpService, approx_at_tilt
 from mixpois.rates import (
     DeterministicRate,
@@ -30,6 +29,7 @@ from mixpois.tail_asymptotics import (
     approx_slow_case2,
     log_asym_P,
 )
+from reference import poisson_log_pmf, poisson_tail
 
 EXP25 = Exponential(2.5)
 
@@ -39,13 +39,13 @@ def compound_count(dist, a):
     from the one-node occupancy solve behind the balanced regime."""
     theta, integrals = queue._solve_tilt(dist, queue._UNIT_RULES, a, queue._cold_hint(dist))
     approx = queue._approx_from(1.0, theta, a, integrals, checked=True, hypothesis_violated=False)
-    return theta, approx[1].sigma2
+    return theta, approx.sigma2
 
 
 class TestLogAsym:
     def test_fast_rate_is_poisson_layer(self):
         decay = log_asym_P(PoissonRate(2.0), 2.0, 3.0)
-        assert decay.rate == pytest.approx(poisson_rate(3.0, 2.0).rate, rel=1e-14)
+        assert decay.rate == pytest.approx(rate_function(PoissonRate(2.0), 3.0).value, rel=1e-14)
         assert decay.gamma == 1.0
 
     def test_slow_rate_is_rate_function(self):
@@ -111,6 +111,62 @@ class TestApproxFast:
         with pytest.raises(InfeasibleTargetError):
             approx_fast(EXP25, 5.0, 0.4, 40.0)
 
+    def test_tilt_where_e_2theta_overflows(self):
+        # theta = log(1e300) > 354.9: the point mass has no curvature term
+        # to multiply by e^(2 theta) = inf
+        a = 1e300
+        tail, _ = approx_fast(DeterministicRate(1.0), 5.0, a, 1.0)
+        expected = -(a * math.log(a) - a + 1.0) - 0.5 * math.log(2.0 * math.pi * a)
+        assert tail.log_value == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [1.0, 0.5, 0.0])
+    def test_upper_tail_only(self, a):
+        # the Poisson factor has no sharp form at or below its mean
+        with pytest.raises(InfeasibleTargetError):
+            approx_fast(DeterministicRate(1.0), 5.0, a, 40.0)
+
+
+def fast_constant(N):
+    """The constant the fast form implies for Pois(N) at level 2:
+    exp(log P + N I + log(N) / 2), with I the Poisson rate function."""
+    tail = approx_fast(DeterministicRate(1.0), 5.0, 2.0, N)[0]
+    rate = rate_function(PoissonRate(1.0), 2.0).value
+    return math.exp(tail.log_value + N * rate + 0.5 * math.log(N))
+
+
+class TestExactTails:
+    @pytest.mark.parametrize("mean,k,tail", [
+        # mpmath gammainc(k, 0, mean, regularized=True) at 40 digits
+        (10.0, 20, 0.003454341975856807682166258),
+        (1000.0, 2000, 3.058192080168756795018762e-170),
+    ])
+    def test_oracle_pins(self, mean, k, tail):
+        assert poisson_tail(mean, k) == pytest.approx(tail, rel=1e-12)
+
+    def test_sharp_constant_is_the_tail_limit(self):
+        # the tail scaled by e^{N I} sqrt(N) must settle on the constant of
+        # the fast form (positive form), not on its sign-flipped variant
+        rate = rate_function(PoissonRate(1.0), 2.0).value
+        ratios = []
+        for N in (125, 250, 500, 1000):
+            scaled = poisson_tail(N, 2 * N) * math.exp(N * rate) * math.sqrt(N)
+            ratios.append(scaled / fast_constant(N))
+        assert fast_constant(1.0) == pytest.approx(1.0 / (0.5 * math.sqrt(4.0 * math.pi)),
+                                                   rel=1e-12)
+        assert 0.95 < ratios[-2] < 1.05
+        assert abs(ratios[-1] - 1.0) < abs(ratios[-2] - 1.0)
+        flipped = -1.0 / math.expm1(math.log(2.0)) / math.sqrt(4.0 * math.pi)
+        assert abs(poisson_tail(500, 1000) * math.exp(500 * rate) * math.sqrt(500) / flipped - 1.0) > 0.4
+
+    def test_point_to_tail_ratio_limit(self):
+        # pmf/tail approaches the fast form's point/tail ratio 1 - e^{-theta*}
+        tail, point = approx_fast(DeterministicRate(1.0), 5.0, 2.0, 1.0)
+        limit = math.exp(point.log_value - tail.log_value)
+        devs = [abs(math.exp(poisson_log_pmf(N, 2 * N)) / poisson_tail(N, 2 * N) - limit)
+                for N in (50, 200, 800)]
+        assert devs[-1] < devs[0]
+        assert devs[-1] < 1e-3  # drift is O(1/N)
+
 
 class TestApproxSlowCase1:
     def test_formula(self):
@@ -166,7 +222,7 @@ class TestApproxSlowCase2:
 
     def test_scaling_decomposition(self):
         alpha, a = 0.5, 2.0
-        i_ab = poisson_rate(a, self.B_PLUS).rate
+        i_ab = rate_function(PoissonRate(self.B_PLUS), a).value
         t1 = approx_slow_case2(*self.args(), alpha, a, 100.0)[0].log_value
         t2 = approx_slow_case2(*self.args(), alpha, a, 200.0)[0].log_value
         expected_delta = (
@@ -177,7 +233,7 @@ class TestApproxSlowCase2:
         assert t2 - t1 == pytest.approx(expected_delta, abs=1e-10)
 
     def test_log_rate_dominates(self):
-        i_ab = poisson_rate(2.0, self.B_PLUS).rate
+        i_ab = rate_function(PoissonRate(self.B_PLUS), 2.0).value
         for N in (1e4, 1e6):
             log_p = approx_slow_case2(*self.args(), 0.5, 2.0, N)[0].log_value
             assert -log_p / N == pytest.approx(i_ab, rel=2e-2 if N == 1e4 else 2e-3)
@@ -205,12 +261,11 @@ class TestApproxIntermediate:
         # without mixing the balanced formula collapses to the plain sharp one
         lam, a, N = 1.0, 2.0, 30.0
         tail, point = approx_intermediate(DeterministicRate(lam), a, N)
-        ldp = poisson_rate(a, lam)
-        expected_tail = -N * ldp.rate + math.log(ldp.prefactor) - 0.5 * math.log(N)
+        rate = a * math.log(a / lam) - a + lam
+        expected_tail = (-N * rate - math.log(1.0 - lam / a)
+                         - 0.5 * math.log(2.0 * math.pi * a) - 0.5 * math.log(N))
         assert tail.log_value == pytest.approx(expected_tail, abs=1e-10)
-        assert point.log_value == pytest.approx(
-            expected_tail + math.log(-math.expm1(-ldp.theta_star)), abs=1e-10
-        )
+        assert point.log_value == pytest.approx(expected_tail + math.log(1.0 - lam / a), abs=1e-10)
 
 
 class TestApproxAuto:
@@ -302,8 +357,8 @@ class TestCompoundCount:
 
     def test_deterministic_reduces_to_poisson(self):
         theta, sigma2 = compound_count(DeterministicRate(1.0), 2.0)
-        p = poisson_rate(2.0, 1.0)
-        assert log_asym_P(DeterministicRate(1.0), 1.0, 2.0).rate == pytest.approx(p.rate,
+        p = rate_function(PoissonRate(1.0), 2.0)
+        assert log_asym_P(DeterministicRate(1.0), 1.0, 2.0).rate == pytest.approx(p.value,
                                                                                  abs=1e-12)
         assert theta == pytest.approx(p.theta_star, abs=1e-12)
         assert sigma2 == pytest.approx(2.0, abs=1e-11)
