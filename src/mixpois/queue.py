@@ -36,7 +36,6 @@ __all__ = [
     "mc_Q",
     "theta_star_queue",
     "queue_approx",
-    "approx_at_tilt",
     "load_and_variance",
 ]
 
@@ -267,6 +266,19 @@ def _cold_hint(dist: RateDistribution) -> Interval:
     return Interval(0.0, min(1.0, 0.5 * _tilt_cap_exp(dist)))
 
 
+def _beyond_cap(dist: RateDistribution, target: str, reach) -> DomainError:
+    """The error of a tilt search for ``target`` with no root below the cap:
+    beyond double precision at _THETA_MAX, or else at the MGF wall, where
+    ``reach(cap)`` names what the search reaches."""
+    cap = _tilt_cap_exp(dist)
+    if cap == _THETA_MAX:
+        return DomainError(f"{target} needs a tilt above {_THETA_MAX:g}, beyond double precision")
+    return MgfDomainError(
+        f"{target} is unreachable: tilts are confined to (0, {cap:.6g}] by the "
+        f"MGF domain, which only reaches {reach(cap)}"
+    )
+
+
 def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> None:
     """Check that the occupancy level a is finite and above the mean load."""
     if not math.isfinite(a):
@@ -292,14 +304,8 @@ def _solve_tilt(
     try:
         theta = find_root_increasing(g, hint, tol=1e-12, lo_limit=0.0, hi_limit=cap)
     except DomainError:
-        if cap == _THETA_MAX:
-            raise DomainError(
-                f"level a={a} needs a tilt above {_THETA_MAX:g}, beyond double precision"
-            ) from None
-        raise MgfDomainError(
-            f"level a={a} is unreachable: tilts are confined to (0, {cap:.6g}] by the "
-            f"MGF domain, which only reaches mean level {g(cap)[0] + a:.6g}"
-        ) from None
+        raise _beyond_cap(dist, f"level a={a}",
+                          lambda cap: f"mean level {g(cap)[0] + a:.6g}") from None
     return theta, _integrals(dist, rules, math.expm1(theta), checked=True)
 
 
@@ -307,7 +313,7 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
     """Tilt making the expected occupancy equal a.
 
     Solves int_0^1 CGF'(sf(x) (e^t - 1)) sf(x) e^t dx = a, which is strictly
-    increasing in t with slope sigma^2 of approx_at_tilt; requires a above
+    increasing in t with slope sigma^2 of queue_approx; requires a above
     the mean load and a tilt within the MGF domain.
     """
     _check_rare(dist, service, a)
@@ -316,18 +322,12 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
 
 @dataclass(frozen=True)
 class QueueApprox:
-    """Sharp occupancy-tail approximation at one (N, a).
-
-    ``hypothesis_violated`` flags service laws whose complementary cdf is not
-    twice differentiable on the unit interval (deterministic service); the
-    formula is still evaluated, matching how the reference tables are built.
-    """
+    """Sharp occupancy-tail approximation at one (N, a)."""
 
     theta_star: float
     sigma2: float
     log_q_check: float
     log_Q_check: float
-    hypothesis_violated: bool
 
     @property
     def Q_check(self) -> float:
@@ -340,36 +340,17 @@ def _check_scale(N: float) -> None:
         raise DomainError(f"N must be positive and finite, got {N}")
 
 
-def approx_at_tilt(
-    dist: RateDistribution,
-    service: ServiceTime,
-    N: float,
-    theta: float,
-    checked: bool = False,
-) -> tuple[float, QueueApprox]:
-    """Occupancy level and sharp approximation at the tilt theta.
-
-    The level is the mean occupancy a(theta) = e^theta int CGF'(tau sf) sf
-    under the tilt.  No HypothesisWarning is issued.  With ``checked``, the
-    quadrature is checked and a non-finite log-probability raises
-    ConvergenceError.
-    """
-    _check_scale(N)
-    integrals = _integrals(dist, _rules(service), math.expm1(theta), checked)
-    a = math.exp(theta) * integrals[1]
-    return a, _approx_from(N, theta, a, integrals, checked, not service.twice_differentiable_on_01)
-
-
 def _approx_from(
     N: float,
     theta: float,
     a: float,
     integrals: tuple[float, float, float],
     checked: bool,
-    hypothesis_violated: bool,
 ) -> QueueApprox:
     """The sharp approximation at the level a from the integrals at its tilt
-    theta, under any rule."""
+    theta, under any rule, for a finite count N*a."""
+    if not math.isfinite(N * a):
+        raise DomainError(f"the count N*a at N={N}, a={a} must be finite")
     integral_cgf, _, curvature = integrals
     # a point-mass rate law has no curvature, also at tilts where e^(2 theta) overflows
     sigma2 = a + (curvature * exp_or_inf(2.0 * theta) if curvature else 0.0)
@@ -386,7 +367,6 @@ def _approx_from(
         sigma2=sigma2,
         log_q_check=log_q,
         log_Q_check=log_q - math.log(-math.expm1(-theta)),
-        hypothesis_violated=hypothesis_violated,
     )
 
 
@@ -399,13 +379,13 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     _check_scale(N)
     _check_rare(dist, service, a)
     theta, integrals = _solve_tilt(dist, _rules(service), a, _cold_hint(dist))
-    approx = _approx_from(N, theta, a, integrals, True, not service.twice_differentiable_on_01)
+    approx = _approx_from(N, theta, a, integrals, checked=True)
     if approx.log_Q_check > 0.0:
         raise RarityError(
             f"the sharp approximation at a={a}, N={N} gives log Q = "
             f"{approx.log_Q_check:.6g} > 0, so the level is not rare enough for it"
         )
-    if approx.hypothesis_violated:
+    if not service.twice_differentiable_on_01:
         warnings.warn(
             f"{spec_label(service)}: the sharp occupancy formula assumes a twice "
             "differentiable complementary cdf; value computed anyway",

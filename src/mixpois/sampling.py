@@ -9,7 +9,6 @@ weight.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -230,19 +229,14 @@ def is_fast(
     runs: int,
     seed: int,
     quantity: str = "tail",
-    K: int | None = None,
 ) -> EstimatorResult:
     """Importance sampling tuned for fast resampling.
 
     The Poisson count is proposed with mean N*a and reweighted by the pmf
     ratio against the actually drawn pooled rate; ``quantity`` selects the
-    point mass ("point"), the tail ("tail"), or the tail assembled from the
-    point masses at counts k0..K ("tail_by_sum").  There each run draws one
-    pooled rate and one count per level j, proposed with mean j, and its
-    weight is the sum over the levels, so the reported variance includes
-    their covariance.
+    point mass ("point") or the tail ("tail").
     """
-    if quantity not in ("point", "tail", "tail_by_sum"):
+    if quantity not in ("point", "tail"):
         raise DomainError(f"unknown quantity {quantity!r}")
     if alpha <= 1.0:
         warnings.warn(
@@ -255,33 +249,19 @@ def is_fast(
         raise DomainError(f"target a={a} is below the mean {dist.mean}")
 
     draw, slot_count = _slot_sampler(dist, alpha, N)
-    if quantity == "tail_by_sum":
-        if K is None:
-            raise DomainError("tail_by_sum needs the cutoff count K")
-        k0 = ceil_count(N * a)
-        if K < k0:
-            raise DomainError(f"cutoff K={K} is below the threshold count {k0}")
-        counts = range(k0, K + 1)
-        levels = [j / N for j in counts]
-    else:
-        counts = [exact_count(N * a) if quantity == "point" else ceil_count(N * a)]
-        levels = [a]
-    _count_mean(N * levels[-1])  # the largest proposal mean, checked before any draw
+    count = exact_count(N * a) if quantity == "point" else ceil_count(N * a)
+    proposal_mean = _count_mean(N * a)  # checked before any draw
 
     def weights(rng: np.random.Generator, m: int) -> np.ndarray:
         xbar = draw(rng, m) / slot_count
+        z = rng.poisson(proposal_mean, size=m)
+        # at an empty pooled rate the ratio is e^(N a) at z = 0 and 0 above
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logw = np.where(z > 0, z * np.log(xbar / a), 0.0) + N * (a - xbar)
+        hit = (z >= count) if quantity == "tail" else (z == count)
+        return np.exp(logw) * hit
 
-        def at_level(level: float, count: int) -> np.ndarray:
-            z = rng.poisson(N * level, size=m)
-            # at an empty pooled rate the ratio is e^(N level) at z = 0 and 0 above
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logw = np.where(z > 0, z * np.log(xbar / level), 0.0) + N * (level - xbar)
-            hit = (z >= count) if quantity == "tail" else (z == count)
-            return np.exp(logw) * hit
-
-        return functools.reduce(np.add, map(at_level, levels, counts))
-
-    return _run_chunked(seed, runs, 1 + len(levels), weights)
+    return _run_chunked(seed, runs, 2, weights)
 
 
 def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,

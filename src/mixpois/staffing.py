@@ -6,18 +6,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, MgfDomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import Interval, find_root_increasing
 from .queue import (
-    _THETA_MAX,
     ServiceTime,
     _approx_from,
+    _beyond_cap,
     _check_rare,
     _cold_hint,
+    _integrals,
     _rules,
     _solve_tilt,
     _tilt_cap_exp,
-    approx_at_tilt,
     load_and_variance,
     mean_load,
 )
@@ -71,6 +71,7 @@ def solve_staffing(
     # value stop is the band, and the bracket stop a log-theta width of 1e-12
     log_eps = math.log(eps)
     scale = 1e-12 / (0.5 * math.log1p(tol / eps))
+    rules = _rules(service)
     previous = []  # theta and log sigma^2 of the last evaluation
 
     def g(u: float) -> tuple[float, float]:
@@ -78,8 +79,13 @@ def solve_staffing(
         # the last term needs a third CGF derivative, so it is taken from the
         # previous evaluation as a difference quotient
         theta = math.exp(u)
-        approx = approx_at_tilt(dist, service, N, theta)[1]
-        if math.isnan(approx.log_Q_check):  # the integrals overflow only above the root
+        integrals = _integrals(dist, rules, math.expm1(theta))
+        a = math.exp(theta) * integrals[1]
+        # the integrals overflow, and the count N*a leaves the float range, only above the root
+        if not math.isfinite(N * a):
+            return math.inf, math.nan
+        approx = _approx_from(N, theta, a, integrals, checked=False)
+        if math.isnan(approx.log_Q_check):
             return math.inf, math.nan
         log_sigma2 = math.log(approx.sigma2)
         slope = theta * N * approx.sigma2 + 1.0 / math.expm1(theta)
@@ -89,23 +95,19 @@ def solve_staffing(
         return (log_eps - approx.log_Q_check) * scale, theta * slope * scale
 
     # log theta keeps theta = 0, where Q is infinite, outside every bracket;
-    # the hint spans a factor e^3 in theta up to min(1, half the MGF wall)
-    cap = _tilt_cap_exp(dist)
-    top = math.log(min(1.0, 0.5 * cap))
+    # the hint spans a factor e^3 in theta up to the top of the cold bracket
+    top = math.log(_cold_hint(dist).hi)
     try:
-        u = find_root_increasing(g, Interval(top - 3.0, top), tol=1e-12, hi_limit=math.log(cap))
+        u = find_root_increasing(g, Interval(top - 3.0, top), tol=1e-12,
+                                 hi_limit=math.log(_tilt_cap_exp(dist)))
     except DomainError:
-        if cap == _THETA_MAX:
-            raise ConvergenceError(
-                f"staffing tilt search found no upper bracket below theta={_THETA_MAX:g}"
-            ) from None
-        raise MgfDomainError(
-            f"epsilon={eps} is unreachable: the approximation cannot be pushed "
-            f"below it within the MGF domain of {dist}"
-        ) from None
+        raise _beyond_cap(dist, f"epsilon={eps}", lambda cap: (
+            f"Q = {math.exp(log_eps - g(math.log(cap))[0] / scale):.6g}")) from None
 
     theta = math.exp(u)
-    a, approx = approx_at_tilt(dist, service, N, theta, checked=True)
+    integrals = _integrals(dist, rules, math.expm1(theta), checked=True)
+    a = math.exp(theta) * integrals[1]
+    approx = _approx_from(N, theta, a, integrals, checked=True)
     if not abs(approx.Q_check - eps) < tol:
         raise ConvergenceError(
             f"staffing tilt search stopped at theta={theta!r} with "
@@ -150,5 +152,4 @@ def _Q_at_servers(dist, service, N: int, servers: int, theta_eps: float, sigma2_
     # a prediction wholly below 0 or past the wall predicts nothing
     hint = Interval(lo, hi) if lo < hi else _cold_hint(dist)
     theta, integrals = _solve_tilt(dist, _rules(service), a, hint)
-    violated = not service.twice_differentiable_on_01
-    return _approx_from(N, theta, a, integrals, True, violated).Q_check
+    return _approx_from(N, theta, a, integrals, checked=True).Q_check

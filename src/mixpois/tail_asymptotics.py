@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError, InfeasibleTargetError, RegimeError
 from .numerics import exp_or_inf
 from .queue import _UNIT_RULES, _approx_from, _check_scale, _cold_hint, _solve_tilt
-from .rates import DeterministicRate, RateDistribution, bahadur_rao_constant, rate_function
+from .rates import RateDistribution, bahadur_rao_constant, rate_function
 
 __all__ = [
     "AsymptoticValue",
@@ -97,9 +97,10 @@ def _check_rare(dist: RateDistribution, a: float) -> None:
 
 def _point_mass_count(mean: float, a: float) -> tuple[float, tuple[float, float, float]]:
     """Tilt log(a/mean) of the count Pois(N mean) at level a, with its
-    one-node integrals: the compound count at the point-mass rate law."""
+    one-node integrals in closed form: the compound count at the point-mass
+    rate law, whose CGF is mean * tau."""
     theta = math.log(a / mean)
-    return theta, _UNIT_RULES[0].integrals(DeterministicRate(mean), math.expm1(theta))
+    return theta, (mean * math.expm1(theta), mean, 0.0)
 
 
 def log_asym_P(dist: RateDistribution, alpha: float, a: float) -> DecayRate:
@@ -140,7 +141,7 @@ def approx_fast(
     _check_scale(N)
     _check_rare(dist, a)
     theta, integrals = _point_mass_count(dist.mean, a)
-    approx = _approx_from(N, theta, a, integrals, checked=False, hypothesis_violated=False)
+    approx = _approx_from(N, theta, a, integrals, checked=False)
     regime = "FastExact" if alpha > 3.0 else "FastLowerBound"
     validity = "Valid" if alpha > 3.0 else "LowerBoundOnly"
     return (
@@ -208,7 +209,7 @@ def approx_slow_case2(
         raise DomainError(f"case II requires 0 < b_plus < a, got b_plus={b_plus}, a={a}")
 
     theta, integrals = _point_mass_count(b_plus, a)
-    approx = _approx_from(N, theta, a, integrals, checked=False, hypothesis_violated=False)
+    approx = _approx_from(N, theta, a, integrals, checked=False)
     # the rate law's own deviation to b_plus, on top of the count Pois(N b_plus)
     shift = (
         -(N**alpha) * I_at_b
@@ -228,7 +229,7 @@ def approx_intermediate(
     _check_scale(N)
     _check_rare(dist, a)
     theta, integrals = _solve_tilt(dist, _UNIT_RULES, a, _cold_hint(dist))
-    approx = _approx_from(N, theta, a, integrals, checked=False, hypothesis_violated=False)
+    approx = _approx_from(N, theta, a, integrals, checked=False)
     return (
         AsymptoticValue(approx.log_Q_check, "Intermediate", "Valid", 1.0),
         AsymptoticValue(approx.log_q_check, "Intermediate", "Valid", 1.0),

@@ -239,9 +239,24 @@ REJECTED_INPUTS = {
     "staff Q above the float range": (["staff", "--dist", "gamma:3.4676934119325283e+50,1",
                                        "--service", "det:1", "--N", "1", "--eps", "0.5",
                                        "--tol", "1e-6"], 3, "staffing tilt search"),
+    # staffing and the occupancy tilt search share one tilt cap and its error;
+    # this row exited 3 with "staffing tilt search found no upper bracket"
     "staff tilt above 354": (["staff", "--dist", "exp:1.6190082276456837e+191", "--service",
                               "det:93.95691743698264", "--N", "50", "--eps", "0.18",
-                              "--tol", "3.8e-07"], 3, "staffing tilt search"),
+                              "--tol", "3.8e-07"], 2, "needs a tilt above"),
+    "staff MGF wall": (["staff", "--dist", "exp:0.5", "--service", "pareto:0.5", "--N", "1",
+                        "--eps", "1e-30", "--tol", "1e-40"], 2,
+                       "tilts are confined to (0, 0.405465] by the MGF domain"),
+    # -theta*N*a + N*CGF evaluated to log nan (exit 3) once N*a overflowed
+    "approx count beyond the float range": (["approx", "--dist", "det:1", "--alpha", "1",
+                                             "--a", "1e10", "--N", "1e300"], 2,
+                                            "must be finite"),
+    "approx fast count beyond the float range": (["approx", "--dist", "det:1", "--alpha", "5",
+                                                  "--a", "1e10", "--N", "1e300"], 2,
+                                                 "must be finite"),
+    "queue-approx count beyond the float range": (["queue-approx", "--dist", "det:1",
+                                                   "--service", "exp:1", "--N", "1e300",
+                                                   "--a", "1e10"], 2, "must be finite"),
     # an unwritable --output raised a traceback once every row was computed
     "output in a missing directory": (["approx", "--dist", "exp:2.5", "--alpha", "5", "--a", "3",
                                        "--N", "100", "--output", "/nonexistent/x.csv"], 2,

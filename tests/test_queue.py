@@ -230,9 +230,10 @@ class TestQueueApprox:
 
     def test_hypothesis_flag(self):
         with pytest.warns(HypothesisWarning):
-            qa = queue_approx(POIS2, DetService(0.5), 100.0, 1.5)
-        assert qa.hypothesis_violated
-        assert not queue_approx(POIS2, ExpService(0.5), 100.0, 1.3).hypothesis_violated
+            queue_approx(POIS2, DetService(0.5), 100.0, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HypothesisWarning)
+            queue_approx(POIS2, ExpService(0.5), 100.0, 1.3)
 
     def test_one_checked_quadrature_pair(self, monkeypatch):
         # the tilt solve checks the integrals at its root and hands them on

@@ -114,34 +114,9 @@ class TestFastEstimator:
         r = is_fast(EXP25, 1.2, 1.0, 10.0, 10**6, PART, quantity="tail")
         assert joint_dev(r, exact) < 4.0
 
-    def test_tail_by_sum_matches_exact(self):
-        exact = P_exact(GammaCase(1.0, 2.5, 1.2, 1.0, 10.0))
-        r = is_fast(EXP25, 1.2, 1.0, 10.0, 10**5, PART, quantity="tail_by_sum", K=70)
-        assert joint_dev(r, exact) < 4.0
-
-    def test_tail_by_sum_ci_covers_level_covariance(self):
-        # the levels share each run's pooled rate, so the spread of the
-        # replicate estimates must match the reported standard errors
-        replicates, runs = 200, 1000
-        estimates, reported = [], []
-        for s in range(replicates):
-            r = is_fast(EXP25, 2.0, 1.0, 10.0, runs, 2026 + s, quantity="tail_by_sum", K=40)
-            estimates.append(r.estimate)
-            reported.append(r.ci_halfwidth_95 / Z_95)
-        ratio = np.std(estimates, ddof=1) / np.median(reported)
-        assert 0.85 <= ratio <= 1.15
-
-    def test_tail_by_sum_budget_counts_one_draw_per_level(self):
-        # 1 pooled gamma draw and 31 counts (levels 10..40) per run: one run
-        # more than 4e9 / 32 exceeds the budget, refused before any draw
-        with pytest.raises(BudgetError, match="125000001 runs x 32 draws/run"):
-            is_fast(EXP25, 2.0, 1.0, 10.0, 125_000_001, PART, quantity="tail_by_sum", K=40)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             is_fast(EXP25, 2.0, 0.2, 10.0, 100, PART)  # below the mean
-        with pytest.raises(DomainError):
-            is_fast(EXP25, 2.0, 1.0, 10.0, 100, PART, quantity="tail_by_sum", K=5)
         with pytest.raises(DomainError):
             is_fast(EXP25, 2.0, 1.0, 10.0, 100, PART, quantity="nope")
         with pytest.raises(DomainError):

@@ -125,8 +125,8 @@ class TestSolveStaffing:
         dist = Exponential(0.5)
         eps = queue_approx(dist, service, N, level).Q_check
         r = solve_staffing(dist, service, N, eps, eps * 1e-3)
-        theta = queue.theta_star_queue(dist, service, r.a_eps)
-        sigma2 = queue.approx_at_tilt(dist, service, N, theta)[1].sigma2
+        at_eps = queue_approx(dist, service, N, r.a_eps)
+        theta, sigma2 = at_eps.theta_star, at_eps.sigma2
         prediction = theta + 1.5 * (r.servers_ceil / N - r.a_eps) / sigma2 + 1e-9
         assert prediction > queue._tilt_cap_exp(dist)
         for servers, Q in ((r.servers_floor, r.Q_at_floor), (r.servers_ceil, r.Q_at_ceil)):
@@ -144,6 +144,15 @@ class TestSolveStaffing:
         with pytest.raises(MgfDomainError) as warm:
             solve_staffing(dist, service, 1, eps, eps * 1e-3)
         assert str(warm.value) == str(cold.value)
+
+    def test_unreachable_epsilon_names_the_mgf_bound(self):
+        # no tilt below the MGF wall of these rates, at log 1.5, pushes the
+        # approximation down to 1e-30: the staffing search itself stops there
+        dist = Exponential(0.5)
+        bound = f"{queue._tilt_cap_exp(dist):.6g}"
+        assert bound == f"{math.log(1.5):.6g}"
+        with pytest.raises(MgfDomainError, match=rf"confined to \(0, {bound}\] by the MGF domain"):
+            solve_staffing(dist, Pareto2Service(0.5), 1, 1e-30, 1e-40)
 
     def test_no_hypothesis_warning(self):
         with warnings.catch_warnings():

@@ -10,7 +10,6 @@ from mixpois.errors import (
     RegimeError,
 )
 from mixpois import queue
-from mixpois.queue import ExpService, approx_at_tilt
 from mixpois.rates import (
     DeterministicRate,
     Exponential,
@@ -28,6 +27,7 @@ from mixpois.tail_asymptotics import (
     approx_slow_case1,
     approx_slow_case2,
     log_asym_P,
+    _point_mass_count,
 )
 from reference import poisson_log_pmf, poisson_tail
 
@@ -38,7 +38,7 @@ def compound_count(dist, a):
     """Tilt and tilted variance of the compound count Pois(X) at level a,
     from the one-node occupancy solve behind the balanced regime."""
     theta, integrals = queue._solve_tilt(dist, queue._UNIT_RULES, a, queue._cold_hint(dist))
-    approx = queue._approx_from(1.0, theta, a, integrals, checked=True, hypothesis_violated=False)
+    approx = queue._approx_from(1.0, theta, a, integrals, checked=True)
     return theta, approx.sigma2
 
 
@@ -312,7 +312,6 @@ PER_REGIME_FORMS = {
     "approx_slow_case1": lambda N: approx_slow_case1(EXP25, 0.2, 1.0, N),
     "approx_slow_case2": lambda N: approx_slow_case2(1.0, 0.3, 2.0, 0.4, 0.5, 2.0, N),
     "approx_intermediate": lambda N: approx_intermediate(EXP25, 1.0, N),
-    "approx_at_tilt": lambda N: approx_at_tilt(EXP25, ExpService(0.5), N, 0.5),
     "DecayRate.at": lambda N: log_asym_P(EXP25, 0.75, 1.0).at(N),
 }
 
@@ -325,6 +324,16 @@ def test_per_regime_forms_reject_N(form, N):
     # or accepted N = 0, instead of naming the argument
     with pytest.raises(DomainError, match="N must be positive"):
         PER_REGIME_FORMS[form](N)
+
+
+@pytest.mark.parametrize("mean,a", [(1.0, 2.0), (2.5, 3.0), (0.4, 1e5), (1.0, 1.0000001), (3.0, 1e300)])
+def test_point_mass_count_is_the_unit_rule(mean, a):
+    # the closed-form integrals are bit-identical to the one-node rule's
+    # evaluation at the point-mass rate law, over tilts from 1e-7 to 690
+    theta, integrals = _point_mass_count(mean, a)
+    assert theta == math.log(a / mean)
+    rule = queue._UNIT_RULES[0].integrals(DeterministicRate(mean), math.expm1(theta))
+    assert integrals == tuple(float(x) for x in rule)
 
 
 class TestCompoundCount:
