@@ -395,12 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     with out as stream:
         try:
             _write_rows(stream, args.handler(args))
-        except ConvergenceError as exc:
+        except MixPoisError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return 3 if isinstance(exc, ConvergenceError) else 2
     return 0
 
 

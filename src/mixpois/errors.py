@@ -1,7 +1,8 @@
 """Exception and warning types shared across the package.
 
-Validation-type errors derive from ValueError so that callers (and the CLI)
-can distinguish bad inputs (exit 2) from numerical non-convergence (exit 3).
+Validation-type errors derive from ValueError so that callers can tell bad
+inputs from numerical non-convergence (ConvergenceError, a RuntimeError).  The
+CLI catches these errors only: ConvergenceError exits 3 and the others 2.
 """
 
 

@@ -249,7 +249,8 @@ def _tilt_cap_exp(dist: RateDistribution) -> float:
     """Upper limit for theta when the tilt enters through e^theta - 1: the
     linear tilt e^theta - 1 stays a gap of 1e-9 * max(1, sup) inside the MGF
     domain, at a logarithmic sliver of the reachable occupancy range, and
-    theta stays at most _THETA_MAX.
+    theta stays at most _THETA_MAX.  A domain of sup <= 1e-9 leaves no
+    positive tilt: MgfDomainError.
 
     At the cap the integrands have a boundary layer at x = 0 about 1e-9
     service means wide, which the panels graded down to _GRADING_FLOOR service
@@ -258,7 +259,11 @@ def _tilt_cap_exp(dist: RateDistribution) -> float:
     sup = dist.mgf_domain_sup
     if math.isinf(sup):
         return _THETA_MAX
-    return min(math.log1p(sup - 1e-9 * max(1.0, sup)), _THETA_MAX)
+    cap = math.log1p(sup - 1e-9 * max(1.0, sup))
+    if not cap > 0.0:
+        raise MgfDomainError(f"{spec_label(dist)}: the MGF is finite only below lam = {sup:.6g}, "
+                             f"within the gap of 1e-9 kept from it, so no tilt is positive")
+    return min(cap, _THETA_MAX)
 
 
 def _cold_hint(dist: RateDistribution) -> Interval:
@@ -414,28 +419,146 @@ def _mark_means(lam: float, omegas: np.ndarray) -> np.ndarray:
     return np.array(means)
 
 
+# Alias tables (Walker, ACM TOMS 3 (1977) 253; Vose, IEEE TSE 17 (1991) 972)
+# hold integer weights summing to 2^_WEIGHT_BITS, in at most 2^_TABLE_BITS_MAX
+# entries; a Poisson table ends where its law's upper tail falls below
+# _TABLE_TAIL.  The weights leave 64 - _WEIGHT_BITS bits of each raw word
+# unused, so that the running sums of up to 63 tables fit side by side in
+# one int64 search (_alias_tables); a sampler builds at most y0 + 2 of them.
+_WEIGHT_BITS = 56
+_TABLE_BITS_MAX = 12
+_TABLE_TAIL = 2.0**-60
+
+
+def _poisson_laws(means: np.ndarray) -> list[np.ndarray | None]:
+    """The pmfs of Poisson counts of ``means``, each unnormalised and cut at
+    the first count v above the mean with P(X >= v) < _TABLE_TAIL, or None
+    where that cut lies past 2^_TABLE_BITS_MAX counts (a mean above about
+    3560).
+
+    The pmf is taken relative to its mode m = floor(mean), as products of
+    the ratios mean / v above m and v / mean below it, so it neither
+    overflows nor loses digits to a log-factorial.  The tail is bounded by
+    the geometric series P(X >= v) <= pmf(v) (v + 1) / (v + 1 - mean).  The
+    counts run to top + 12 sqrt(top) + 32 for the largest mean top, past the
+    cut of every mean whose cut lies within 2^_TABLE_BITS_MAX counts.
+    """
+    top = float(np.max(means))
+    v = np.arange(min(2**_TABLE_BITS_MAX, math.ceil(top + 12.0 * math.sqrt(top)) + 32) + 1)
+    mean = means[:, None]
+    mode = np.floor(mean)
+    up = np.cumprod(np.where(v > mode, mean / np.maximum(v, 1), 1.0), axis=1)
+    # the ratios below the mode arise only at a mean of at least 1
+    below = np.where(v < mode, (v + 1) / np.maximum(mean, 1.0), 1.0)
+    ratio = up * np.cumprod(below[:, ::-1], axis=1)[:, ::-1]
+    total = np.add.reduce(ratio, axis=1)[:, None]
+    ends = (v + 1 > mean) & (ratio * (v + 1) < _TABLE_TAIL * total * (v + 1 - mean))
+    return [row[:np.argmax(end)] if end.any() else None for row, end in zip(ratio, ends)]
+
+
+def _alias_tables(laws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Alias tables of ``laws``, each given by unnormalised probabilities of
+    the values 0, 1, ..., as two int64 arrays of shape (len(laws), 2^bits):
+    the thresholds and the aliases of the entries.
+
+    Entry v of a table holds weight t_v of value v and 2^(_WEIGHT_BITS - bits)
+    - t_v of its alias.  Each law's integer weights sum to 2^_WEIGHT_BITS:
+    they are rounded cumulatively, so each is within one unit of its share,
+    and the mode takes up the rounding of the law's normalisation, at most
+    2^(_WEIGHT_BITS - 52) units; so each value's probability is within 2^-50
+    of the law's.  The entries are filled by the sweep of Huebschle-Schneider
+    and Sanders (Parallel weighted random sampling, ESA 2019): the entries
+    over capacity, in order, give their excess to the entries under it, in
+    order, each giving its last part with its own entry, so every entry is
+    placed by one search in the running sums of deficit and excess.
+    """
+    bits = max(1, (max(law.size for law in laws) - 1).bit_length())
+    size, capacity, total = 2**bits, 2**(_WEIGHT_BITS - bits), 2**_WEIGHT_BITS
+    p = np.zeros((len(laws), size))
+    for row, law in zip(p, laws):  # one table each
+        row[:law.size] = law / math.fsum(law.tolist())
+    x = p * float(total)
+    whole = np.floor(x)
+    cumulative = (np.cumsum(whole.astype(np.int64), axis=1)
+                  + np.rint(np.cumsum(x - whole, axis=1)).astype(np.int64))
+    weight = np.diff(cumulative, axis=1, prepend=0)
+    weight[np.arange(len(laws)), np.argmax(weight, axis=1)] += total - cumulative[:, -1]
+
+    light = weight <= capacity
+    deficit = np.where(light, capacity - weight, 0)
+    deficit_to = np.cumsum(deficit, axis=1)
+    deficit_before = deficit_to - deficit
+    excess_to = np.cumsum(np.where(light, 0, weight - capacity), axis=1)
+    # the running sums of each table stay below 2^(_WEIGHT_BITS + 1): offset
+    # by that much per table, one search serves all tables
+    offset = (np.arange(len(laws)) << (_WEIGHT_BITS + 1))[:, None]
+    excess_flat = (excess_to + offset).ravel()
+    start = (np.arange(len(laws)) * size)[:, None]
+    # a light entry's alias: the heavy entry whose running excess first passes
+    # its running deficit; a heavy entry's: the next heavy entry
+    alias = np.searchsorted(excess_flat, np.where(light, deficit_before, excess_to) + offset,
+                            side="right").reshape(light.shape) - start
+    # a heavy entry keeps what is left of its weight once the light entries
+    # before its running excess have taken theirs
+    taken = np.searchsorted((deficit_before + offset).ravel(), excess_to + offset, side="left")
+    threshold = np.where(light, weight,
+                         capacity + excess_to - deficit_to.ravel()[taken - 1])
+    # a search past a table's last heavy entry, for an entry of full
+    # threshold, whose alias is never read, lands in the next table
+    return threshold, np.minimum(alias, size - 1)
+
+
+def _alias_sampler(laws: list[np.ndarray]):
+    """Sampler ``draw(raw, rows) -> values``: one value of the law of table
+    ``rows`` (broadcast against ``raw``) per raw uint64 word, whose top bits
+    pick the entry and whose low _WEIGHT_BITS - bits bits are compared with
+    its threshold (_alias_tables)."""
+    threshold, alias = _alias_tables(laws)
+    bits = threshold.shape[1].bit_length() - 1
+    shift, low = np.uint64(64 - bits), np.uint64(2**(_WEIGHT_BITS - bits) - 1)
+    threshold, alias = threshold.ravel(), alias.ravel()
+
+    def draw(raw: np.ndarray, rows) -> np.ndarray:
+        # as int64, whose indexing and comparisons need no conversion
+        entry = (raw >> shift).view(np.int64)
+        at = entry + (np.asarray(rows) << bits)
+        return np.where((raw & low).view(np.int64) < threshold[at], entry, alias[at])
+
+    return draw
+
+
 def _marked_occupancy(lam: float, omegas: np.ndarray):
     """Sampler ``draw(rng, m) -> m occupancies`` for Poisson slot rates.
 
     Each run draws the counts of units that add y = 1..y0 occupants, and one
-    pooled count of those that add more, whose marks follow by inverse cdf
-    over the rest of the table; y0 is the smallest mark beyond which fewer
-    than one unit is expected per run.
+    pooled count of those that add more, whose marks follow from the rest of
+    the table; y0 is the smallest mark beyond which fewer than one unit is
+    expected per run.  Each count is its own Poisson draw and each pooled
+    mark its own draw from the mark law, one raw word each, from alias tables
+    built once per call (_alias_sampler).  A count whose table would pass
+    2^_TABLE_BITS_MAX entries is drawn by numpy's Poisson sampler instead.
     """
     means = _mark_means(lam, omegas)
     beyond = np.append(np.cumsum(means[:0:-1])[::-1], 0.0)  # [y]: mean units marked above y
     y0 = 1 + int(np.argmax(beyond[1:] < 1.0))
     count_means = _count_mean(np.append(means[1:y0 + 1], beyond[y0]))
     marks = np.append(np.arange(1, y0 + 1), 0)
-    tail_cdf = np.cumsum(means[y0 + 1:])
+    laws = _poisson_laws(count_means)
+    tabled = np.array([law is not None for law in laws])
+    rows = np.arange(np.count_nonzero(tabled))  # the pooled count, of mean below 1, comes last
+    big_means, big_marks, marks = count_means[~tabled], marks[~tabled], marks[tabled]
+    mark_law = means[y0 + 1:]
+    draw = _alias_sampler([law for law in laws if law is not None]
+                          + [mark_law if mark_law.any() else np.ones(1)])
 
     def block(rng: np.random.Generator, n: int) -> np.ndarray:
-        counts = rng.poisson(count_means, size=(n, y0 + 1))
+        counts = draw(rng.bit_generator.random_raw((n, rows.size)), rows)
         occupancy = counts @ marks
-        pooled = counts[:, y0]
+        if big_means.size:
+            occupancy = occupancy + rng.poisson(big_means, size=(n, big_means.size)) @ big_marks
+        pooled = counts[:, -1]
         if total := int(pooled.sum()):
-            at = np.searchsorted(tail_cdf, rng.random(total) * tail_cdf[-1], side="right")
-            tail = y0 + 1 + np.minimum(at, tail_cdf.size - 1)
+            tail = draw(rng.bit_generator.random_raw(total), rows.size) + (y0 + 1)
             occupancy = occupancy + np.bincount(np.repeat(np.arange(n), pooled), tail, n)
         return occupancy
 
@@ -454,10 +577,12 @@ def _bernoulli_words(q: float):
     from ``q.as_integer_ratio()``; a lane that matches all L bits has U >= q
     (Devroye, Non-Uniform Random Variate Generation, 1986, ch. XV), so a lane
     is set with probability exactly q.  Each bit position takes one raw word
-    of the stream per lane word, shared by its 64 lanes.  The loop ends once
-    no lane is undecided: at q = 1/4, L = 2 and it draws both words, while at
+    of the stream per lane word that still holds undecided lanes, shared by
+    its 64 lanes, in word order.  The loop ends once no lane is undecided: at
+    q = 1/4, L = 2 and it draws both words for every lane word (all 64 lanes
+    of a word are decided by the first bit with probability 2^-64), while at
     a q with a long expansion its length, about 2 + log2 of the lane count,
-    depends on n.
+    depends on n, and it draws about 7.3 words per lane word.
     """
     numerator, denominator = q.as_integer_ratio()
     length = denominator.bit_length() - 1  # q = numerator / 2^L
@@ -467,16 +592,21 @@ def _bernoulli_words(q: float):
         if q == 1.0:
             return np.full(n, _ALL_LANES)
         lanes = np.zeros(n, dtype=np.uint64)
-        undecided = np.full(n, _ALL_LANES)
+        # the words that hold undecided lanes, as a slice while that is all of them
+        words, undecided = slice(None), np.full(n, _ALL_LANES)
         for bit in bits:
-            r = rng.bit_generator.random_raw(n)
+            r = rng.bit_generator.random_raw(undecided.size)
             if bit:  # U < q where U has a 0 here
-                lanes |= undecided & ~r
+                lanes[words] |= undecided & ~r
                 undecided &= r
             else:  # U > q where U has a 1 here
                 undecided &= ~r
-            if not undecided.any():
-                break
+            if not undecided.all():
+                kept = np.flatnonzero(undecided)
+                words = kept if isinstance(words, slice) else words[kept]
+                undecided = undecided[kept]
+                if not kept.size:
+                    break
         return lanes
 
     return draw
@@ -530,7 +660,8 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
 
     A run hits when its occupancy reaches k = ceil(N a).  Poisson slot rates
     draw the occupancy itself, from the counts of units marked by the
-    occupants they add (_marked_occupancy).  Other rates draw the rate sum
+    occupants they add, each count one raw word read through an alias table
+    of its Poisson law (_marked_occupancy).  Other rates draw the rate sum
     Lambda = sum_i omega_i X_i over the N slot rates X_i (_rate_sum), and the
     hit of the Pois(Lambda) occupancy as G <= Lambda with G ~ Gamma(k, 1),
     the k-th epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k)

@@ -4,6 +4,7 @@ target, with the bracketing integer server counts."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -94,13 +95,19 @@ def solve_staffing(
         previous[:] = theta, log_sigma2
         return (log_eps - approx.log_Q_check) * scale, theta * slope * scale
 
-    # log theta keeps theta = 0, where Q is infinite, outside every bracket;
-    # the hint spans a factor e^3 in theta up to the top of the cold bracket
+    # log theta keeps theta = 0, where Q is infinite, outside every bracket,
+    # and the search stops at the smallest normal theta; the hint spans a
+    # factor e^3 in theta up to the top of the cold bracket
     top = math.log(_cold_hint(dist).hi)
+    bottom = math.log(sys.float_info.min)
     try:
-        u = find_root_increasing(g, Interval(top - 3.0, top), tol=1e-12,
+        u = find_root_increasing(g, Interval(top - 3.0, top), tol=1e-12, lo_limit=bottom,
                                  hi_limit=math.log(_tilt_cap_exp(dist)))
     except DomainError:
+        if g(bottom)[0] > 0.0:
+            raise DomainError(f"epsilon={eps} is not reached at any tilt down to "
+                              f"{sys.float_info.min:.6g}: the sharp approximation there is "
+                              "below it or not finite") from None
         raise _beyond_cap(dist, f"epsilon={eps}", lambda cap: (
             f"Q = {math.exp(log_eps - g(math.log(cap))[0] / scale):.6g}")) from None
 

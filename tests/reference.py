@@ -3,6 +3,7 @@
 No entry point of the package needs these, so they live beside the tests.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -26,6 +27,20 @@ def poisson_tail(mean: float, k: int) -> float:
         log_terms.append(log_terms[-1] + math.log(mean / j))
         top = max(top, log_terms[-1])
     return math.exp(top) * math.fsum(math.exp(t - top) for t in log_terms)
+
+
+def poisson_pmf_digits(mean: float, size: int) -> list[decimal.Decimal]:
+    """P(Pois(mean) = v) for v = 0..size-1 to 50 significant digits, by the
+    recurrence p_(v+1) = p_v mean / (v + 1) from e^-mean, in decimal
+    arithmetic on the float mean's exact value."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        mu = decimal.Decimal(mean)
+        term, pmf = (-mu).exp(), []
+        for v in range(size):
+            pmf.append(term)
+            term = term * mu / (v + 1)
+        return pmf
 
 
 def pooled_poisson_tail(lam: float, slots: int, N: float, k: int) -> float:

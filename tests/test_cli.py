@@ -247,6 +247,23 @@ REJECTED_INPUTS = {
     "staff MGF wall": (["staff", "--dist", "exp:0.5", "--service", "pareto:0.5", "--N", "1",
                         "--eps", "1e-30", "--tol", "1e-40"], 2,
                        "tilts are confined to (0, 0.405465] by the MGF domain"),
+    # the tilt cap log1p(lam - 1e-9) is 0 here, and its log used to raise a
+    # bare "math domain error"; below lam = 1e-9 the cap is negative, and
+    # queue-approx printed the empty bracket [0, -2.5e-10]
+    "staff MGF domain within the gap": (["staff", "--dist", "exp:1e-9", "--service", "exp:1",
+                                         "--N", "100", "--eps", "1e-3"], 2,
+                                        "finite only below lam = 1e-09"),
+    "queue-approx MGF domain within the gap": (["queue-approx", "--dist", "exp:5e-10",
+                                                "--service", "exp:1", "--N", "100",
+                                                "--a", "1e10"], 2,
+                                               "finite only below lam = 5e-10"),
+    # the integrals overflow at every tilt, and the staffing search in log
+    # theta ran down to theta = 0, where log(1 - e^-theta) raised a bare
+    # "math domain error"
+    "staff search down to theta = 0": (["staff", "--dist",
+                                        "twopoint:0.35372647044362493,5.061931154463175e-09,1e+200",
+                                        "--service", "det:1000000.0", "--N", "10", "--eps", "0.5",
+                                        "--tol", "1e-40"], 2, "is not reached at any tilt down to"),
     # -theta*N*a + N*CGF evaluated to log nan (exit 3) once N*a overflowed
     "approx count beyond the float range": (["approx", "--dist", "det:1", "--alpha", "1",
                                              "--a", "1e10", "--N", "1e300"], 2,

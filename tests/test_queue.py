@@ -1,3 +1,4 @@
+import decimal
 import math
 import subprocess
 import sys
@@ -47,7 +48,7 @@ from mixpois.rates import (
 )
 from mixpois.sampling import Z_95, stream
 from mixpois.tail_asymptotics import DecayRate, approx_intermediate, log_asym_P
-from reference import occupancy_pmf, poisson_tail, twopoint_occupancy_pmf
+from reference import occupancy_pmf, poisson_pmf_digits, poisson_tail, twopoint_occupancy_pmf
 
 POIS2 = PoissonRate(2.0)
 SERVICES = [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)]
@@ -406,6 +407,22 @@ class TestMcQ:
         pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
         assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
 
+    # 20 seeds x 2e5 runs at N = 100 against the exact occupancy tail: fig 4
+    # at a = 0.2 (8.2519e-4) and the Criterion-3 row of pois:2 rates at its
+    # tabulated level (7.2138e-4)
+    @pytest.mark.parametrize("lam,service,a", [(0.1, ExpService(1.0), 0.2),
+                                               (2.0, ExpService(0.5), 1.2602)],
+                             ids=["fig4", "criterion3"])
+    def test_poisson_rates_at_N_100_pooled_over_seeds_match_the_occupancy_pmf(self, lam,
+                                                                              service, a):
+        N = 100
+        exact = math.fsum(occupancy_pmf(lam, omega_vector(N, service))[ceil_count(N * a):])
+        results = [mc_Q(PoissonRate(lam), service, N, a, 200_000, seed)
+                   for seed in range(2000, 2020)]
+        pooled = math.fsum(r.estimate for r in results) / len(results)
+        pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
+        assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
+
     # two-point rates at q = 1 - p of 0.25 and 0.7 against the slot-by-slot
     # convolution, pooled over 20 seeds as above
     @pytest.mark.parametrize("service", SERVICES, ids=spec_label)
@@ -495,6 +512,117 @@ class TestBernoulliWords:
         queue._bernoulli_words(0.25)(rng, 1000)
         twin.bit_generator.random_raw(2000)
         assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+    # each bit lane of words decided after different numbers of bit
+    # positions is set with frequency q, independently of the next word's
+    @pytest.mark.parametrize("q", [0.7, 0.1])
+    def test_lane_frequencies(self, q):
+        words = 2**14
+        lanes = queue._bernoulli_words(q)(stream(7), words)
+        bits = np.unpackbits(lanes.view(np.uint8), bitorder="little").reshape(words, 64)
+        se = math.sqrt(q * (1.0 - q) / words)
+        assert np.all(np.abs(bits.mean(axis=0) - q) <= 4.5 * se)
+        both = (bits[:-1] & bits[1:]).mean()
+        assert abs(both - q * q) <= 4.0 * math.sqrt(q * q * (1.0 - q * q) / (64 * (words - 1)))
+
+    # after each bit position only the words that hold undecided lanes draw:
+    # a word draws at position j + 1 when one of its 64 lanes matched the
+    # first j bits of q, with probability 1 - (1 - 2^-j)^64
+    def test_draws_only_for_undecided_words(self):
+        q, words = 0.7, 2**12
+        rng, twin = stream(9), stream(9)
+        queue._bernoulli_words(q)(rng, words)
+        drawn = int(np.flatnonzero(twin.bit_generator.random_raw(30 * words)
+                                   == rng.bit_generator.random_raw())[0])
+        expected = words * math.fsum(1.0 - (1.0 - 2.0**-j) ** 64 for j in range(52))
+        assert abs(drawn - expected) <= 0.02 * expected
+
+
+class TestAliasTables:
+    """The alias tables of queue._marked_occupancy hold the Poisson law of
+    each marked count, and a draw reads its entry as the thresholds say."""
+
+    @staticmethod
+    def weights(threshold, alias):
+        """Each value's weight in the tables, exact in integers: its own
+        entry's threshold plus what the entries aliased to it leave over."""
+        capacity = 2**queue._WEIGHT_BITS // threshold.shape[1]
+        weight = threshold.copy()
+        for row, (t, a) in enumerate(zip(threshold, alias)):
+            np.add.at(weight[row], a, capacity - t)
+        return weight
+
+    # every count a run may draw at N = 100: the units of each mark y >= 1,
+    # and the units marked above y, which a pooled count holds
+    @pytest.mark.parametrize("service", [ExpService(0.5), ExpService(1.0)], ids=spec_label)
+    @pytest.mark.parametrize("lam", [0.1, 2.0, 20.0])
+    def test_poisson_tables_hold_the_pmf(self, lam, service):
+        means = queue._mark_means(lam, omega_vector(100, service))
+        count_means = np.append(means[1:], np.cumsum(means[:1:-1])[::-1])
+        laws = queue._poisson_laws(count_means)
+        weight = self.weights(*queue._alias_tables(laws))
+        total = 2**queue._WEIGHT_BITS
+        with decimal.localcontext() as context:
+            context.prec = 50
+            for mean, law, w in zip(count_means, laws, weight):
+                pmf = poisson_pmf_digits(mean, w.size)
+                assert int(w.sum()) == total and not w[law.size:].any()
+                error = max(abs(decimal.Decimal(int(x)) / total - p) for x, p in zip(w, pmf))
+                assert error <= decimal.Decimal(2.0**-50)
+                assert 1 - sum(pmf[:law.size]) < decimal.Decimal(2.0**-60)
+
+    # the weights of any law, zeros included, sum to 2^_WEIGHT_BITS and give
+    # each value its share within 2^-50
+    @pytest.mark.parametrize("size", [1, 2, 5, 64, 1000])
+    def test_tables_of_random_laws(self, size):
+        rng = np.random.default_rng(size)
+        laws = [rng.random(size) ** power * (rng.random(size) < 0.7) + (np.arange(size) == 0)
+                for power in (1, 4, 20)]
+        weight = self.weights(*queue._alias_tables(laws))
+        assert np.all(weight.sum(axis=1) == 2**queue._WEIGHT_BITS)
+        for law, w in zip(laws, weight):
+            share = law / math.fsum(law)
+            assert np.all(np.abs(w[:size] / 2.0**queue._WEIGHT_BITS - share) <= 2.0**-50)
+            assert not w[size:].any()
+
+    # a raw word picks its entry by its top bits and compares only its low
+    # bits with the entry's threshold; the bits between are ignored
+    def test_draw_reads_the_threshold_and_the_alias(self):
+        laws = [np.arange(1.0, 6.0), np.array([0.5, 0.5]), np.array([0.0, 0.0, 1.0])]
+        threshold, alias = queue._alias_tables(laws)
+        draw = queue._alias_sampler(laws)
+        size = threshold.shape[1]
+        capacity = 2**queue._WEIGHT_BITS // size
+        entry = np.arange(size, dtype=np.uint64)
+        top = entry << np.uint64(64 - (size.bit_length() - 1))
+        middle = np.uint64(2**64 // size - capacity)
+        for row, (t, a) in enumerate(zip(threshold.astype(np.uint64), alias)):
+            own, other = t > 0, t < capacity
+            assert np.array_equal(draw(top[own] | middle | (t[own] - np.uint64(1)), row),
+                                  entry[own])
+            assert np.array_equal(draw(top[other] | t[other], row), a[other])
+
+    # tables end at 2^12 entries: the mark-1 count of pois:200 under exp:1
+    # at N = 100, of mean 6486, keeps numpy's Poisson sampler
+    def test_table_size_bound(self):
+        below, above = queue._poisson_laws(np.array([3500.0, 3600.0]))
+        assert below.size <= 2**12 and above is None
+        pmf = poisson_pmf_digits(3500.0, below.size)
+        with decimal.localcontext() as context:
+            context.prec = 50
+            assert 1 - sum(pmf) < decimal.Decimal(2.0**-60)
+        means = queue._mark_means(200.0, omega_vector(100, ExpService(1.0)))
+        assert queue._poisson_laws(means[1:3])[0] is None
+
+    # with counts on both sides of the table bound, the occupancy keeps the
+    # mean lam sum omega_i and variance lam sum (omega_i + omega_i^2) of
+    # its Neyman type A terms
+    def test_occupancy_moments_across_the_table_bound(self):
+        lam, omegas, m = 200.0, omega_vector(100, ExpService(1.0)), 20_000
+        occupancy = queue._marked_occupancy(lam, omegas)(stream(12), m)
+        mean, variance = lam * omegas.sum(), lam * (omegas + omegas**2).sum()
+        assert abs(occupancy.mean() - mean) <= 4.0 * math.sqrt(variance / m)
+        assert abs(occupancy.var() / variance - 1.0) <= 4.0 * math.sqrt(2.0 / m)
 
 
 def log_asym_Q(dist, service, alpha, a):

@@ -355,9 +355,11 @@ class TestSlotBlocks:
 
     # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
     # draw marked counts, two-point rates words of Bernoulli lanes, summed by
-    # byte tables
-    @pytest.mark.parametrize("dist,a", [(PoissonRate(0.1), 0.16), (TwoPoint(0.75, 1.0, 5.0), 1.4)],
-                             ids=["pois", "twopoint"])
+    # byte tables.  At pois:200 the mark-1 count, of mean 6486, is past the
+    # 2^12-entry bound of the alias tables and the others are tabled
+    @pytest.mark.parametrize("dist,a", [(PoissonRate(0.1), 0.16), (PoissonRate(200.0), 128.0),
+                                        (TwoPoint(0.75, 1.0, 5.0), 1.4)],
+                             ids=["pois", "pois-beyond-the-table-bound", "twopoint"])
     def test_mc_Q_peak_memory(self, dist, a):
         tracemalloc.start()
         try:
