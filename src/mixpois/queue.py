@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
 from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
                     spec_label)
-from .sampling import EstimatorResult, _by_blocks, _count_mean, _run_chunked, _slot_reduce
+from .sampling import EstimatorResult, _count_mean, _run_chunked
 
 __all__ = [
     "ServiceTime",
@@ -176,20 +176,27 @@ def mean_load(dist: RateDistribution, service: ServiceTime) -> float:
 class _Rule:
     """Nodes of a count whose CGF is sum_j w_j CGF(tau c_j): the weights w_j,
     the retentions c_j = sf_j and their complements 1 - sf_j, as arrays, or as
-    scalars for one node.
+    scalars for one node, with the rule ``check`` that checks its integrals:
+    for a service law's rule, the rule of half the order on the same panels;
+    None for an exact rule and for a check rule itself.
 
     The weights come pre-multiplied by 1, sf and sf^2, the factors of the
     three integrands, so each integral is one product and one pairwise sum
     (np.add.reduce, no BLAS: the rounding never depends on the BLAS build).
     """
 
-    def __init__(self, weights, sf, sf_complement):
+    def __init__(self, weights, sf, sf_complement, check: _Rule | None):
         self.sf = sf
         self.sf_complement = sf_complement
         self.weighted = (weights, weights * sf, weights * sf * sf)
+        self.check = check
 
     def integrals(self, dist: RateDistribution, tau: float) -> tuple[float, float, float]:
-        with np.errstate(over="ignore"):  # an overflow shows as an infinite integral
+        """Sums over the nodes of CGF(tau sf), CGF'(tau sf) sf and CGF''(tau sf)
+        sf^2: for a service law's rule, integrals over [0, 1]."""
+        # an overflow shows as an infinite integral, and inf * 0 (a two-point
+        # curvature whose spread squared overflows) as a NaN one
+        with np.errstate(over="ignore", invalid="ignore"):
             k0, k1, k2 = dist.cgf(tau, self.sf, self.sf_complement)
             w0, w1, w2 = self.weighted
             return (
@@ -198,10 +205,23 @@ class _Rule:
                 float(np.add.reduce(w2 * k2, axis=None)),
             )
 
+    def checked(self, dist: RateDistribution, tau: float,
+                values: tuple[float, float, float]) -> tuple[float, float, float]:
+        """``values``, this rule's integrals at tau, once each agrees with the
+        check rule's to a relative _REL_TOL; ConvergenceError otherwise."""
+        if self.check is not None:
+            for value, estimate in zip(values, self.check.integrals(dist, tau)):
+                if not abs(value - estimate) <= _REL_TOL * abs(value):
+                    raise ConvergenceError(
+                        f"occupancy quadrature for {dist} at tau={tau:.12g}: rules of order "
+                        f"{_ORDER} and {_ORDER // 2} give {value!r} and {estimate!r}"
+                    )
+        return values
+
 
 # The compound count Pois(X) of the balanced overflow regime: the occupancy of
 # one node at full retention.  The rule is exact, so it has no check rule.
-_UNIT_RULES = (_Rule(1.0, 1.0, 0.0), None)
+_UNIT_RULE = _Rule(1.0, 1.0, 0.0, None)
 
 
 def _panel_edges(service: ServiceTime) -> list[float]:
@@ -215,34 +235,17 @@ def _panel_edges(service: ServiceTime) -> list[float]:
 
 
 @functools.lru_cache(maxsize=32)
-def _rules(service: ServiceTime) -> tuple[_Rule, _Rule]:
+def _rule(service: ServiceTime) -> _Rule:
     """The composite Gauss-Legendre rule of a service law on the unit interval,
-    with its complementary cdf at the nodes, and the half-order check rule,
+    with its complementary cdf at the nodes and its half-order check rule,
     built once."""
     edges = _panel_edges(service)
-    node_sets = (gauss_legendre(edges, order) for order in (_ORDER, _ORDER // 2))
-    return tuple(_Rule(w, service.sf(x), service.sf_complement(x)) for x, w in node_sets)
 
+    def rule(order: int, check: _Rule | None) -> _Rule:
+        x, w = gauss_legendre(edges, order)
+        return _Rule(w, service.sf(x), service.sf_complement(x), check)
 
-def _integrals(
-    dist: RateDistribution, rules: tuple[_Rule, _Rule | None], tau: float, checked: bool = False
-) -> tuple[float, float, float]:
-    """Sums over the nodes of CGF(tau sf), CGF'(tau sf) sf and CGF''(tau sf) sf^2
-    under the rule of ``rules``: for a service law's rules, integrals over [0, 1].
-
-    With ``checked``, each must agree with the check rule to a relative
-    _REL_TOL, or ConvergenceError is raised; an exact rule has no check rule.
-    """
-    rule, check_rule = rules
-    values = rule.integrals(dist, tau)
-    if checked and check_rule is not None:
-        for value, estimate in zip(values, check_rule.integrals(dist, tau)):
-            if not abs(value - estimate) <= _REL_TOL * abs(value):
-                raise ConvergenceError(
-                    f"occupancy quadrature for {dist} at tau={tau:.12g}: rules of order "
-                    f"{_ORDER} and {_ORDER // 2} give {value!r} and {estimate!r}"
-                )
-    return values
+    return rule(_ORDER, rule(_ORDER // 2, None))
 
 
 def _tilt_cap_exp(dist: RateDistribution) -> float:
@@ -293,15 +296,15 @@ def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> None:
         raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
 
 
-def _solve_tilt(
-    dist: RateDistribution, rules: tuple[_Rule, _Rule | None], a: float, hint: Interval
-) -> tuple[float, tuple[float, float, float]]:
-    """theta_star_queue under ``rules``, for a level a above the mean, searched
+def _solve_tilt(dist: RateDistribution, rule: _Rule, a: float,
+                hint: Interval) -> tuple[float, tuple[float, float, float]]:
+    """theta_star_queue under ``rule``, for a level a above the mean, searched
     from the bracket ``hint`` in [0, _tilt_cap_exp(dist)] and returned with
-    the checked integrals at the tilt (see _integrals)."""
+    the rule's checked integrals at the tilt (see _Rule.checked)."""
+    seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
 
     def g(theta: float) -> tuple[float, float]:
-        _, slope, curvature = _integrals(dist, rules, math.expm1(theta))
+        _, slope, curvature = seen[theta] = rule.integrals(dist, math.expm1(theta))
         level = math.exp(theta) * slope
         return level - a, level + curvature * exp_or_inf(2.0 * theta)
 
@@ -311,7 +314,7 @@ def _solve_tilt(
     except DomainError:
         raise _beyond_cap(dist, f"level a={a}",
                           lambda cap: f"mean level {g(cap)[0] + a:.6g}") from None
-    return theta, _integrals(dist, rules, math.expm1(theta), checked=True)
+    return theta, rule.checked(dist, math.expm1(theta), seen[theta])
 
 
 def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> float:
@@ -322,7 +325,7 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
     the mean load and a tilt within the MGF domain.
     """
     _check_rare(dist, service, a)
-    return _solve_tilt(dist, _rules(service), a, _cold_hint(dist))[0]
+    return _solve_tilt(dist, _rule(service), a, _cold_hint(dist))[0]
 
 
 @dataclass(frozen=True)
@@ -383,7 +386,7 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     """
     _check_scale(N)
     _check_rare(dist, service, a)
-    theta, integrals = _solve_tilt(dist, _rules(service), a, _cold_hint(dist))
+    theta, integrals = _solve_tilt(dist, _rule(service), a, _cold_hint(dist))
     approx = _approx_from(N, theta, a, integrals, checked=True)
     if approx.log_Q_check > 0.0:
         raise RarityError(
@@ -398,6 +401,25 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
             stacklevel=2,
         )
     return approx
+
+
+# slot draws, or marked counts, per block: 125 KiB of float64 stays in
+# cache and under malloc's 128 KiB mmap threshold, so the blocks reuse heap
+# memory; 1 MiB blocks were returned to the system and faulted in afresh, and
+# the fig 4 cells took 13 times the page faults of whole chunks
+_BLOCK_SCALARS = 16_000
+
+
+def _by_blocks(rng: np.random.Generator, m: int, width: int, block) -> np.ndarray:
+    """m per-run values, filled by ``block(rng, n) -> n values`` on blocks of
+    runs of ``width`` draws each, at most _BLOCK_SCALARS unless one run holds
+    more, so no chunk-sized array of draws is ever held."""
+    out = np.empty(m)
+    rows = max(1, _BLOCK_SCALARS // width)
+    for lo in range(0, m, rows):
+        n = min(rows, m - lo)
+        out[lo:lo + n] = block(rng, n)
+    return out
 
 
 def _mark_means(lam: float, omegas: np.ndarray) -> np.ndarray:
@@ -623,16 +645,18 @@ def _rate_sum(dist: RateDistribution, omegas: np.ndarray):
     by one table of partial sums per byte of lanes, 256 doubles per 8 slots
     (26 KB at N = 100, 256 MB at N = 10^6).  The lanes of a block of runs
     are drawn bit position by bit position, so the results depend on the
-    block size _BLOCK_SCALARS.  Gamma rates draw the slot rates
-    (_slot_reduce).
+    block size _BLOCK_SCALARS.  Gamma rates draw the N slot rates of each
+    run, so the results do not depend on it.
     """
     N = omegas.size
     if isinstance(dist, DeterministicRate):
         total = np.add.reduce(dist.lam * omegas)
         return lambda rng, m: np.full(m, total)
-    if not isinstance(dist, TwoPoint):
-        return lambda rng, m: _slot_reduce(dist.sample, rng, m, N,
-                                           lambda x: (x * omegas).sum(axis=1))
+    if not isinstance(dist, TwoPoint):  # gamma rates
+        def gamma_block(rng: np.random.Generator, n: int) -> np.ndarray:
+            return (rng.gamma(dist.beta, 1.0 / dist.lam, size=(n, N)) * omegas).sum(axis=1)
+
+        return lambda rng, m: _by_blocks(rng, m, N, gamma_block)
     words, byte_count = -(-N // 64), -(-N // 8)
     padded = np.zeros(8 * byte_count)
     padded[:N] = omegas

@@ -4,8 +4,6 @@ Each distribution knows the supremum of its MGF domain and the bounds of its
 support, its cumulant generating function (CGF) through one method, ``cgf``,
 which returns the CGF and its first two derivatives at a scalar tilt or at an
 array of damped tilts, and its rate function in closed form.
-The gamma laws sample slot rates for the occupancy simulation; the overflow
-estimators draw slot sums pooled.
 Exponential rates are the gamma law of shape 1, built by ``Exponential(lam)``.
 Constructors reject non-finite parameters.
 
@@ -129,9 +127,6 @@ class GammaRate(RateDistribution):
         # log1p keeps full relative accuracy as the tilt goes to zero; np.square
         # makes an underflowing scalar gap^2 give inf rather than raise
         return self.beta * np.log1p(tau * sf / gap), self.beta / gap, self.beta / np.square(gap)
-
-    def sample(self, stream: np.random.Generator, n: int) -> np.ndarray:
-        return stream.gamma(self.beta, 1.0 / self.lam, size=n)
 
     def _closed_rate_function(self, a: float) -> "RateFunctionPoint":
         theta = self.lam - self.beta / a

@@ -32,11 +32,6 @@ __all__ = [
 Z_95 = 1.959964  # standard normal 97.5% quantile, fixed CI level
 _OP_BUDGET = 4_000_000_000  # scalar draws allowed per estimator call
 _CHUNK_SCALARS = 4_000_000
-# slot draws, or marked counts, per block: 125 KiB of float64 stays in
-# cache and under malloc's 128 KiB mmap threshold, so the blocks reuse heap
-# memory; 1 MiB blocks were returned to the system and faulted in afresh, and
-# the fig 4 cells took 13 times the page faults of whole chunks
-_BLOCK_SCALARS = 16_000
 _POISSON_MEAN_MAX = 9.2e18  # numpy's Poisson sampler refuses means above about 9.22e18
 _BINOMIAL_COUNT_MAX = 2**63 - 1  # numpy's binomial sampler takes counts up to the int64 range
 
@@ -103,30 +98,6 @@ def _run_chunked(seed: int, runs: int, scalars_per_run: int, weights) -> Estimat
         sum_w += float(w.sum())
         sum_w2 += float((w * w).sum())
     return _finalize(runs, sum_w, sum_w2)
-
-
-def _by_blocks(rng: np.random.Generator, m: int, width: int, block) -> np.ndarray:
-    """m per-run values, filled by ``block(rng, n) -> n values`` on blocks of
-    runs of ``width`` draws each, at most _BLOCK_SCALARS unless one run holds
-    more, so no chunk-sized array of draws is ever held."""
-    out = np.empty(m)
-    rows = max(1, _BLOCK_SCALARS // width)
-    for lo in range(0, m, rows):
-        n = min(rows, m - lo)
-        out[lo:lo + n] = block(rng, n)
-    return out
-
-
-def _slot_reduce(sample, rng: np.random.Generator, m: int, width: int, reduce) -> np.ndarray:
-    """m per-run values, each ``reduce`` of the run's row of ``width`` slot
-    draws from ``sample(rng, n)``, drawn and reduced block by block.
-
-    The stream hands out the same draws as one call of m * width would, and
-    ``reduce`` works row by row, so each value is the one a reduction over
-    the whole chunk gives, to the bit.
-    """
-    return _by_blocks(rng, m, width,
-                      lambda rng, n: reduce(sample(rng, n * width).reshape(n, width)))
 
 
 def _count_mean(mean):

@@ -15,8 +15,7 @@ from .queue import (
     _beyond_cap,
     _check_rare,
     _cold_hint,
-    _integrals,
-    _rules,
+    _rule,
     _solve_tilt,
     _tilt_cap_exp,
     load_and_variance,
@@ -72,7 +71,8 @@ def solve_staffing(
     # value stop is the band, and the bracket stop a log-theta width of 1e-12
     log_eps = math.log(eps)
     scale = 1e-12 / (0.5 * math.log1p(tol / eps))
-    rules = _rules(service)
+    rule = _rule(service)
+    seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
     previous = []  # theta and log sigma^2 of the last evaluation
 
     def g(u: float) -> tuple[float, float]:
@@ -80,7 +80,7 @@ def solve_staffing(
         # the last term needs a third CGF derivative, so it is taken from the
         # previous evaluation as a difference quotient
         theta = math.exp(u)
-        integrals = _integrals(dist, rules, math.expm1(theta))
+        integrals = seen[theta] = rule.integrals(dist, math.expm1(theta))
         a = math.exp(theta) * integrals[1]
         # the integrals overflow, and the count N*a leaves the float range, only above the root
         if not math.isfinite(N * a):
@@ -112,9 +112,14 @@ def solve_staffing(
             f"Q = {math.exp(log_eps - g(math.log(cap))[0] / scale):.6g}")) from None
 
     theta = math.exp(u)
-    integrals = _integrals(dist, rules, math.expm1(theta), checked=True)
+    integrals = rule.checked(dist, math.expm1(theta), seen[theta])
     a = math.exp(theta) * integrals[1]
     approx = _approx_from(N, theta, a, integrals, checked=True)
+    if math.isinf(approx.Q_check):
+        raise DomainError(
+            f"epsilon={eps}: the staffing tilt search stopped at theta={theta!r}, where "
+            f"Q = exp({approx.log_Q_check:.6g}) lies beyond the float range"
+        )
     if not abs(approx.Q_check - eps) < tol:
         raise ConvergenceError(
             f"staffing tilt search stopped at theta={theta!r} with "
@@ -158,5 +163,5 @@ def _Q_at_servers(dist, service, N: int, servers: int, theta_eps: float, sigma2_
     lo, hi = (min(max(t, 0.0), top) for t in (theta0 - w, theta0 + w))
     # a prediction wholly below 0 or past the wall predicts nothing
     hint = Interval(lo, hi) if lo < hi else _cold_hint(dist)
-    theta, integrals = _solve_tilt(dist, _rules(service), a, hint)
+    theta, integrals = _solve_tilt(dist, _rule(service), a, hint)
     return _approx_from(N, theta, a, integrals, checked=True).Q_check

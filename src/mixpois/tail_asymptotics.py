@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, InfeasibleTargetError, RegimeError
 from .numerics import exp_or_inf
-from .queue import _UNIT_RULES, _approx_from, _check_scale, _cold_hint, _solve_tilt
+from .queue import _UNIT_RULE, _approx_from, _check_scale, _cold_hint, _solve_tilt
 from .rates import RateDistribution, bahadur_rao_constant, rate_function
 
 __all__ = [
@@ -117,7 +117,7 @@ def log_asym_P(dist: RateDistribution, alpha: float, a: float) -> DecayRate:
         theta, (cgf, _, _) = _point_mass_count(dist.mean, a)
         return DecayRate(rate=theta * a - cgf, gamma=1.0)
     if alpha == 1.0:
-        theta, (cgf, _, _) = _solve_tilt(dist, _UNIT_RULES, a, _cold_hint(dist))
+        theta, (cgf, _, _) = _solve_tilt(dist, _UNIT_RULE, a, _cold_hint(dist))
         return DecayRate(rate=theta * a - cgf, gamma=1.0)
     if not dist.support_sup > a:
         raise InfeasibleTargetError(
@@ -228,7 +228,7 @@ def approx_intermediate(
     """Sharp approximation in the balanced regime via the compound count."""
     _check_scale(N)
     _check_rare(dist, a)
-    theta, integrals = _solve_tilt(dist, _UNIT_RULES, a, _cold_hint(dist))
+    theta, integrals = _solve_tilt(dist, _UNIT_RULE, a, _cold_hint(dist))
     approx = _approx_from(N, theta, a, integrals, checked=False)
     return (
         AsymptoticValue(approx.log_Q_check, "Intermediate", "Valid", 1.0),

@@ -239,6 +239,12 @@ REJECTED_INPUTS = {
     "staff Q above the float range": (["staff", "--dist", "gamma:3.4676934119325283e+50,1",
                                        "--service", "det:1", "--N", "1", "--eps", "0.5",
                                        "--tol", "1e-6"], 3, "staffing tilt search"),
+    # Q overflows at the tilt the search stops at, and the error read
+    # "|Q - eps| = inf" (exit 3)
+    "staff Q overflows at the stopping tilt": (["staff", "--dist", "gamma:1e305,1",
+                                                "--service", "exp:1", "--N", "100",
+                                                "--eps", "1e-3"], 2,
+                                               "lies beyond the float range"),
     # staffing and the occupancy tilt search share one tilt cap and its error;
     # this row exited 3 with "staffing tilt search found no upper bracket"
     "staff tilt above 354": (["staff", "--dist", "exp:1.6190082276456837e+191", "--service",
@@ -283,7 +289,7 @@ REJECTED_INPUTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,status,message", REJECTED_INPUTS.values(),
                          ids=REJECTED_INPUTS.keys())
 def test_rejected_input_is_named(capsys, argv, status, message):

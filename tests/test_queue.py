@@ -236,18 +236,16 @@ class TestQueueApprox:
             warnings.simplefilter("error", HypothesisWarning)
             queue_approx(POIS2, ExpService(0.5), 100.0, 1.3)
 
-    def test_one_checked_quadrature_pair(self, monkeypatch):
-        # the tilt solve checks the integrals at its root and hands them on
-        flags = []
-        integrals = queue._integrals
-
-        def spy(dist, rules, tau, checked=False):
-            flags.append(checked)
-            return integrals(dist, rules, tau, checked)
-
-        monkeypatch.setattr(queue, "_integrals", spy)
-        queue_approx(POIS2, ExpService(0.5), 100.0, 1.3)
-        assert flags.count(True) == 1 and len(flags) > 1
+    def test_one_checked_quadrature_pair(self, rule_calls):
+        # the tilt solve checks the integrals its search found at the root,
+        # by one evaluation of the check rule, and hands them on
+        service = ExpService(0.5)
+        check = queue._rule(service).check
+        queue_approx(POIS2, service, 100.0, 1.3)
+        assert [rule for rule, _ in rule_calls].count(check) == 1
+        assert len(rule_calls) > 2
+        main_taus = [tau for rule, tau in rule_calls if rule is not check]
+        assert len(set(main_taus)) == len(main_taus)  # no tilt evaluated twice
 
     @pytest.mark.parametrize("service", [ExpService(0.5), Pareto2Service(0.5)])
     def test_sigma_matches_tilted_cgf_curvature(self, service):
@@ -297,7 +295,8 @@ class TestOccupancyQuadrature:
         for tau in taus:
             gap = lam - tau  # exact: tau is within a factor 2 of lam
             exact = beta * E / tau * (math.log(gap - tau * math.expm1(-1.0 / E)) - math.log(gap))
-            _, slope, _ = queue._integrals(dist, queue._rules(service), tau, checked=True)
+            rule = queue._rule(service)
+            _, slope, _ = rule.checked(dist, tau, rule.integrals(dist, tau))
             assert slope == pytest.approx(exact, rel=1e-12), gap / lam
 
     @pytest.mark.parametrize("dist", RATE_LAWS, ids=spec_label)
@@ -319,16 +318,17 @@ class TestOccupancyQuadrature:
             reference(lambda s: dist.cgf(tau * s)[1] * s),
             reference(lambda s: dist.cgf(tau * s)[2] * s * s),
         )
-        got = queue._integrals(dist, queue._rules(service), tau, checked=True)
+        rule = queue._rule(service)
+        got = rule.checked(dist, tau, rule.integrals(dist, tau))
         for value, ref in zip(got, expected):
             assert value == pytest.approx(ref, rel=1e-10)
 
     def test_disagreeing_check_rule_raises(self, monkeypatch):
         service = ExpService(0.5)
-        rule, _ = queue._rules(service)
+        rule = queue._rule(service)
         nodes, weights = gauss_legendre([0.0, 1.0], 2)
-        crude = queue._Rule(weights, service.sf(nodes), service.sf_complement(nodes))
-        monkeypatch.setattr(queue, "_rules", lambda s: (rule, crude))
+        crude = queue._Rule(weights, service.sf(nodes), service.sf_complement(nodes), None)
+        monkeypatch.setattr(rule, "check", crude)
         with pytest.raises(ConvergenceError, match="order"):
             queue_approx(POIS2, service, 100.0, 1.3)
 
@@ -341,10 +341,10 @@ class TestOccupancyQuadrature:
             "from mixpois import cli, queue, rates\n"
             "cli.build_parser()\n"
             "queue.parse_service('exp:0.5'); rates.parse_rate('pois:2')\n"
-            "assert queue._rules.cache_info().currsize == 0\n"
+            "assert queue._rule.cache_info().currsize == 0\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
             "queue.queue_approx(rates.PoissonRate(2.0), queue.ExpService(0.5), 100.0, 1.3)\n"
-            "assert queue._rules.cache_info().currsize == 1\n"
+            "assert queue._rule.cache_info().currsize == 1\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
             "assert 'numpy.ma' not in sys.modules\n"
         )
@@ -628,24 +628,25 @@ class TestAliasTables:
 def log_asym_Q(dist, service, alpha, a):
     """The paper's decay rate of the occupancy tail for any alpha > 0."""
     queue._check_rare(dist, service, a)
-    rules = queue._rules(service)
+    rule = queue._rule(service)
     if alpha > 1.0:
         return DecayRate(rate=rate_function(PoissonRate(mean_load(dist, service)), a).value, gamma=1.0)
     if alpha == 1.0:
         theta = theta_star_queue(dist, service, a)
-        integral = queue._integrals(dist, rules, math.expm1(theta), checked=True)[0]
+        tau = math.expm1(theta)
+        integral = rule.checked(dist, tau, rule.integrals(dist, tau))[0]
         return DecayRate(rate=theta * a - integral, gamma=1.0)
     # linear tilt: sup_t {t a - int CGF(t sf(x)) dx}
     sup = dist.mgf_domain_sup
     cap = math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
 
     def level(t):
-        _, slope, curvature = queue._integrals(dist, rules, t)
+        _, slope, curvature = rule.integrals(dist, t)
         return slope - a, curvature
 
     theta = find_root_increasing(level, Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0,
                                  hi_limit=cap)
-    integral = queue._integrals(dist, rules, theta, checked=True)[0]
+    integral = rule.checked(dist, theta, rule.integrals(dist, theta))[0]
     return DecayRate(rate=theta * a - integral, gamma=alpha)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixpois import queue
 from mixpois.errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from mixpois.gamma_exact import GammaCase, P_exact, p_exact
 from mixpois.numerics import ceil_count
@@ -15,7 +16,6 @@ from mixpois.rates import (DeterministicRate, Exponential, GammaRate, PoissonRat
 from mixpois.sampling import (
     _CHUNK_SCALARS,
     Z_95,
-    _slot_reduce,
     is_fast,
     is_slow,
     mc_P,
@@ -283,16 +283,11 @@ class TestEfficiencyDiagnostic:
         assert ratios[-1] > 0.9
 
 
-def _whole_chunk(sample, rng, m, width, reduce):
-    """Reference for _slot_reduce: all m * width slot draws of the chunk at
-    once, reduced in one call."""
-    return reduce(sample(rng, m * width).reshape(m, width))
-
-
 def _whole_chunk_result(monkeypatch, estimate):
-    """``estimate()`` with every chunk's slot draws drawn and reduced whole."""
+    """``estimate()`` with every chunk's slot draws drawn and reduced in one
+    block."""
     with monkeypatch.context() as patch:
-        patch.setattr("mixpois.queue._slot_reduce", _whole_chunk)
+        patch.setattr(queue, "_BLOCK_SCALARS", _CHUNK_SCALARS)
         return estimate()
 
 
@@ -301,25 +296,25 @@ def _chunk_rows(width):
 
 
 class TestSlotBlocks:
-    """Drawing and reducing the slot rates block by block gives the results
-    of the whole chunk, bit for bit."""
+    """Drawing and reducing gamma slot rates block by block gives the
+    results of the whole chunk, bit for bit.  Poisson and two-point rates
+    draw marked counts and Bernoulli lanes block by block, so their results
+    depend on the block size."""
 
     @pytest.mark.parametrize("width", [1, 10, 37, 1000, 2049, 10**5])
-    def test_sums_and_stream_match(self, width):
+    def test_sums_and_stream_match(self, monkeypatch, width):
         m = min(_chunk_rows(width), 5000)
         block, whole = stream(4), stream(4)
-        sample = GammaRate(2.0, 1.0).sample
         weights = np.linspace(0.1, 1.0, width)  # as mc_Q weighs slots by retention
-        got = _slot_reduce(sample, block, m, width, lambda x: (x * weights).sum(axis=1))
-        ref = _whole_chunk(sample, whole, m, width, lambda x: (x * weights).sum(axis=1))
+        draw = queue._rate_sum(GammaRate(2.0, 1.0), weights)
+        got = draw(block, m)
+        ref = _whole_chunk_result(monkeypatch, lambda: draw(whole, m))
         assert np.array_equal(got, ref)
         assert block.random() == whole.random()  # the same draws were consumed
 
-    # runs past one chunk, whose first and last chunks end in partial blocks;
-    # Poisson rates draw marked counts instead of slot rates (below)
-    @pytest.mark.parametrize("dist", [TwoPoint(0.75, 1.0, 5.0), DeterministicRate(2.0),
-                                      GammaRate(2.0, 1.0)],
-                             ids=["twopoint", "det", "gamma"])
+    # runs past one chunk, whose first and last chunks end in partial blocks
+    @pytest.mark.parametrize("dist", [DeterministicRate(2.0), GammaRate(2.0, 1.0)],
+                             ids=["det", "gamma"])
     @pytest.mark.parametrize("N", [1, 37, 100, 1000])
     def test_mc_Q(self, monkeypatch, dist, N):
         service = ExpService(0.5)

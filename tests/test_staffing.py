@@ -83,20 +83,17 @@ class TestSolveStaffing:
             assert abs(queue_approx(dist, service, 100.0, r.a_eps).Q_check - eps) < tol
 
     @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
-    def test_quadrature_calls_per_solve(self, monkeypatch, rate, service, eps):
-        # the tilt search, the level check and the two warm-started
-        # server-count solves together evaluate the occupancy integrals at
-        # most 22 times
-        calls = []
-        integrals = queue._integrals
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return integrals(*args, **kwargs)
-
-        monkeypatch.setattr(queue, "_integrals", counted)
-        solve_staffing(parse_rate(rate), parse_service(service), 100, eps)
-        assert len(calls) <= 22
+    def test_quadrature_calls_per_solve(self, rule_calls, rate, service, eps):
+        # the staffing tilt search and the two warm-started server-count
+        # solves evaluate the main rule at most 18 times, never twice at one
+        # tilt, and check the integrals each finds at its root once
+        service = parse_service(service)
+        check = queue._rule(service).check
+        solve_staffing(parse_rate(rate), service, 100, eps)
+        rules = [rule for rule, _ in rule_calls]
+        assert rules.count(check) == 3
+        assert len(rules) - 3 <= 18
+        assert len(set(rule_calls)) == len(rule_calls)
 
     @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
     def test_server_counts_match_cold_solves(self, rate, service, eps):

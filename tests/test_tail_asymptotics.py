@@ -37,7 +37,7 @@ EXP25 = Exponential(2.5)
 def compound_count(dist, a):
     """Tilt and tilted variance of the compound count Pois(X) at level a,
     from the one-node occupancy solve behind the balanced regime."""
-    theta, integrals = queue._solve_tilt(dist, queue._UNIT_RULES, a, queue._cold_hint(dist))
+    theta, integrals = queue._solve_tilt(dist, queue._UNIT_RULE, a, queue._cold_hint(dist))
     approx = queue._approx_from(1.0, theta, a, integrals, checked=True)
     return theta, approx.sigma2
 
@@ -332,7 +332,7 @@ def test_point_mass_count_is_the_unit_rule(mean, a):
     # evaluation at the point-mass rate law, over tilts from 1e-7 to 690
     theta, integrals = _point_mass_count(mean, a)
     assert theta == math.log(a / mean)
-    rule = queue._UNIT_RULES[0].integrals(DeterministicRate(mean), math.expm1(theta))
+    rule = queue._UNIT_RULE.integrals(DeterministicRate(mean), math.expm1(theta))
     assert integrals == tuple(float(x) for x in rule)
 
 
