@@ -312,17 +312,27 @@ class TestSlotBlocks:
         assert np.array_equal(got, ref)
         assert block.random() == whole.random()  # the same draws were consumed
 
-    # runs past one chunk, whose first and last chunks end in partial blocks
-    @pytest.mark.parametrize("dist", [DeterministicRate(2.0), GammaRate(2.0, 1.0)],
-                             ids=["det", "gamma"])
+    # runs past one chunk, whose first and last chunks end in partial blocks;
+    # two-point lanes are drawn block by block, so there the whole-chunk run
+    # is another stream of the same law: both meet the exact occupancy tail
+    @pytest.mark.parametrize("dist", [TwoPoint(0.75, 1.0, 5.0), DeterministicRate(2.0),
+                                      GammaRate(2.0, 1.0)],
+                             ids=["twopoint", "det", "gamma"])
     @pytest.mark.parametrize("N", [1, 37, 100, 1000])
     def test_mc_Q(self, monkeypatch, dist, N):
         service = ExpService(0.5)
         runs = _chunk_rows(N) + 1000 + N
         a = 1.05 * mean_load(dist, service)
         got = mc_Q(dist, service, N, a, runs, 11)
-        assert got == _whole_chunk_result(monkeypatch, lambda: mc_Q(dist, service, N, a, runs, 11))
+        whole = _whole_chunk_result(monkeypatch, lambda: mc_Q(dist, service, N, a, runs, 11))
         assert 0.0 < got.estimate < 1.0
+        if not isinstance(dist, TwoPoint):
+            assert got == whole
+            return
+        pmf = twopoint_occupancy_pmf(dist.p, dist.lam1, dist.lam2, omega_vector(N, service))
+        exact = math.fsum(pmf[ceil_count(N * a):])
+        for result in (got, whole):
+            assert abs(result.estimate - exact) <= 4.0 * result.ci_halfwidth_95 / Z_95
 
     # Poisson rates over runs past one chunk, against the exact occupancy tail
     @pytest.mark.parametrize("N", [1, 37, 100])
