@@ -1,6 +1,9 @@
 """Infinite-server layer: service-time laws, slot retention probabilities,
 sharp approximations of the occupancy tail, and crude simulation.
 
+The simulation draws through the draw layer of ``sampling``: cache-sized
+blocks of runs (_by_blocks) and alias tables of Poisson laws (_alias_sampler).
+
 Time is normalized so the observation epoch is 1 and arrivals in slot i of N
 get thinned by the retention probability omega_i(N), the chance that such an
 arrival is still in service at the observation epoch.  The logarithmic
@@ -22,7 +25,8 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
 from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
                     spec_label)
-from .sampling import EstimatorResult, _count_mean, _run_chunked
+from .sampling import (EstimatorResult, _alias_sampler, _by_blocks, _count_mean, _poisson_laws,
+                       _run_chunked)
 
 __all__ = [
     "ServiceTime",
@@ -403,25 +407,6 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     return approx
 
 
-# slot draws, or marked counts, per block: 125 KiB of float64 stays in
-# cache and under malloc's 128 KiB mmap threshold, so the blocks reuse heap
-# memory; 1 MiB blocks were returned to the system and faulted in afresh, and
-# the fig 4 cells took 13 times the page faults of whole chunks
-_BLOCK_SCALARS = 16_000
-
-
-def _by_blocks(rng: np.random.Generator, m: int, width: int, block) -> np.ndarray:
-    """m per-run values, filled by ``block(rng, n) -> n values`` on blocks of
-    runs of ``width`` draws each, at most _BLOCK_SCALARS unless one run holds
-    more, so no chunk-sized array of draws is ever held."""
-    out = np.empty(m)
-    rows = max(1, _BLOCK_SCALARS // width)
-    for lo in range(0, m, rows):
-        n = min(rows, m - lo)
-        out[lo:lo + n] = block(rng, n)
-    return out
-
-
 def _mark_means(lam: float, omegas: np.ndarray) -> np.ndarray:
     """Mean counts mu_y, y = 0..Y, of the slot-rate units that add y occupants.
 
@@ -441,114 +426,6 @@ def _mark_means(lam: float, omegas: np.ndarray) -> np.ndarray:
     return np.array(means)
 
 
-# Alias tables (Walker, ACM TOMS 3 (1977) 253; Vose, IEEE TSE 17 (1991) 972)
-# hold integer weights summing to 2^_WEIGHT_BITS, in at most 2^_TABLE_BITS_MAX
-# entries; a Poisson table ends where its law's upper tail falls below
-# _TABLE_TAIL.  The weights leave 64 - _WEIGHT_BITS bits of each raw word
-# unused, so that the running sums of up to 63 tables fit side by side in
-# one int64 search (_alias_tables); a sampler builds at most y0 + 2 of them.
-_WEIGHT_BITS = 56
-_TABLE_BITS_MAX = 12
-_TABLE_TAIL = 2.0**-60
-
-
-def _poisson_laws(means: np.ndarray) -> list[np.ndarray | None]:
-    """The pmfs of Poisson counts of ``means``, each unnormalised and cut at
-    the first count v above the mean with P(X >= v) < _TABLE_TAIL, or None
-    where that cut lies past 2^_TABLE_BITS_MAX counts (a mean above about
-    3560).
-
-    The pmf is taken relative to its mode m = floor(mean), as products of
-    the ratios mean / v above m and v / mean below it, so it neither
-    overflows nor loses digits to a log-factorial.  The tail is bounded by
-    the geometric series P(X >= v) <= pmf(v) (v + 1) / (v + 1 - mean).  The
-    counts run to top + 12 sqrt(top) + 32 for the largest mean top, past the
-    cut of every mean whose cut lies within 2^_TABLE_BITS_MAX counts.
-    """
-    top = float(np.max(means))
-    v = np.arange(min(2**_TABLE_BITS_MAX, math.ceil(top + 12.0 * math.sqrt(top)) + 32) + 1)
-    mean = means[:, None]
-    mode = np.floor(mean)
-    up = np.cumprod(np.where(v > mode, mean / np.maximum(v, 1), 1.0), axis=1)
-    # the ratios below the mode arise only at a mean of at least 1
-    below = np.where(v < mode, (v + 1) / np.maximum(mean, 1.0), 1.0)
-    ratio = up * np.cumprod(below[:, ::-1], axis=1)[:, ::-1]
-    total = np.add.reduce(ratio, axis=1)[:, None]
-    ends = (v + 1 > mean) & (ratio * (v + 1) < _TABLE_TAIL * total * (v + 1 - mean))
-    return [row[:np.argmax(end)] if end.any() else None for row, end in zip(ratio, ends)]
-
-
-def _alias_tables(laws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Alias tables of ``laws``, each given by unnormalised probabilities of
-    the values 0, 1, ..., as two int64 arrays of shape (len(laws), 2^bits):
-    the thresholds and the aliases of the entries.
-
-    Entry v of a table holds weight t_v of value v and 2^(_WEIGHT_BITS - bits)
-    - t_v of its alias.  Each law's integer weights sum to 2^_WEIGHT_BITS:
-    they are rounded cumulatively, so each is within one unit of its share,
-    and the mode takes up the rounding of the law's normalisation, at most
-    2^(_WEIGHT_BITS - 52) units; so each value's probability is within 2^-50
-    of the law's.  The entries are filled by the sweep of Huebschle-Schneider
-    and Sanders (Parallel weighted random sampling, ESA 2019): the entries
-    over capacity, in order, give their excess to the entries under it, in
-    order, each giving its last part with its own entry, so every entry is
-    placed by one search in the running sums of deficit and excess.
-    """
-    bits = max(1, (max(law.size for law in laws) - 1).bit_length())
-    size, capacity, total = 2**bits, 2**(_WEIGHT_BITS - bits), 2**_WEIGHT_BITS
-    p = np.zeros((len(laws), size))
-    for row, law in zip(p, laws):  # one table each
-        row[:law.size] = law / math.fsum(law.tolist())
-    x = p * float(total)
-    whole = np.floor(x)
-    cumulative = (np.cumsum(whole.astype(np.int64), axis=1)
-                  + np.rint(np.cumsum(x - whole, axis=1)).astype(np.int64))
-    weight = np.diff(cumulative, axis=1, prepend=0)
-    weight[np.arange(len(laws)), np.argmax(weight, axis=1)] += total - cumulative[:, -1]
-
-    light = weight <= capacity
-    deficit = np.where(light, capacity - weight, 0)
-    deficit_to = np.cumsum(deficit, axis=1)
-    deficit_before = deficit_to - deficit
-    excess_to = np.cumsum(np.where(light, 0, weight - capacity), axis=1)
-    # the running sums of each table stay below 2^(_WEIGHT_BITS + 1): offset
-    # by that much per table, one search serves all tables
-    offset = (np.arange(len(laws)) << (_WEIGHT_BITS + 1))[:, None]
-    excess_flat = (excess_to + offset).ravel()
-    start = (np.arange(len(laws)) * size)[:, None]
-    # a light entry's alias: the heavy entry whose running excess first passes
-    # its running deficit; a heavy entry's: the next heavy entry
-    alias = np.searchsorted(excess_flat, np.where(light, deficit_before, excess_to) + offset,
-                            side="right").reshape(light.shape) - start
-    # a heavy entry keeps what is left of its weight once the light entries
-    # before its running excess have taken theirs
-    taken = np.searchsorted((deficit_before + offset).ravel(), excess_to + offset, side="left")
-    threshold = np.where(light, weight,
-                         capacity + excess_to - deficit_to.ravel()[taken - 1])
-    # a search past a table's last heavy entry, for an entry of full
-    # threshold, whose alias is never read, lands in the next table
-    return threshold, np.minimum(alias, size - 1)
-
-
-def _alias_sampler(laws: list[np.ndarray]):
-    """Sampler ``draw(raw, rows) -> values``: one value of the law of table
-    ``rows`` (broadcast against ``raw``) per raw uint64 word, whose top bits
-    pick the entry and whose low _WEIGHT_BITS - bits bits are compared with
-    its threshold (_alias_tables)."""
-    threshold, alias = _alias_tables(laws)
-    bits = threshold.shape[1].bit_length() - 1
-    shift, low = np.uint64(64 - bits), np.uint64(2**(_WEIGHT_BITS - bits) - 1)
-    threshold, alias = threshold.ravel(), alias.ravel()
-
-    def draw(raw: np.ndarray, rows) -> np.ndarray:
-        # as int64, whose indexing and comparisons need no conversion
-        entry = (raw >> shift).view(np.int64)
-        at = entry + (np.asarray(rows) << bits)
-        return np.where((raw & low).view(np.int64) < threshold[at], entry, alias[at])
-
-    return draw
-
-
 def _marked_occupancy(lam: float, omegas: np.ndarray):
     """Sampler ``draw(rng, m) -> m occupancies`` for Poisson slot rates.
 
@@ -557,8 +434,8 @@ def _marked_occupancy(lam: float, omegas: np.ndarray):
     the table; y0 is the smallest mark beyond which fewer than one unit is
     expected per run.  Each count is its own Poisson draw and each pooled
     mark its own draw from the mark law, one raw word each, from alias tables
-    built once per call (_alias_sampler).  A count whose table would pass
-    2^_TABLE_BITS_MAX entries is drawn by numpy's Poisson sampler instead.
+    built once per call (sampling._alias_sampler).  A count whose table would
+    pass 2^12 entries is drawn by numpy's Poisson sampler instead.
     """
     means = _mark_means(lam, omegas)
     beyond = np.append(np.cumsum(means[:0:-1])[::-1], 0.0)  # [y]: mean units marked above y
@@ -645,8 +522,8 @@ def _rate_sum(dist: RateDistribution, omegas: np.ndarray):
     by one table of partial sums per byte of lanes, 256 doubles per 8 slots
     (26 KB at N = 100, 256 MB at N = 10^6).  The lanes of a block of runs
     are drawn bit position by bit position, so the results depend on the
-    block size _BLOCK_SCALARS.  Gamma rates draw the N slot rates of each
-    run, so the results do not depend on it.
+    block size sampling._BLOCK_SCALARS.  Gamma rates draw the N slot rates
+    of each run, so the results do not depend on it.
     """
     N = omegas.size
     if isinstance(dist, DeterministicRate):

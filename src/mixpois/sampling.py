@@ -1,10 +1,19 @@
-"""Monte Carlo estimators: crude, and the two importance-sampling schemes.
+"""Monte Carlo estimators: crude, and the two importance-sampling schemes,
+and the draw layer they share with the occupancy sampler ``queue.mc_Q``.
 
 Each estimator call draws from one counter-based stream, Philox keyed on
 (seed, 0), so results are reproducible bit-for-bit for a fixed seed and the
 streams of distinct seeds are independent by construction.  All weights are
 handled in log space; a valid configuration can never produce a non-finite
 weight.
+
+Draws are made block by block (_by_blocks).  A Poisson or binomial count of
+one law per call is one raw word read through an alias table (_alias_sampler)
+built once per call, and a hit of a Poisson count of per-run mean L at k is
+decided as G <= L for G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson
+process, since P(Pois(L) >= k) = P(G <= L).  numpy's Poisson and binomial
+samplers remain only for counts whose table would pass 2^_TABLE_BITS_MAX
+entries.
 """
 
 from __future__ import annotations
@@ -108,6 +117,176 @@ def _count_mean(mean):
     return mean
 
 
+# slot draws, or marked counts, per block: 125 KiB of float64 stays in
+# cache and under malloc's 128 KiB mmap threshold, so the blocks reuse heap
+# memory; 1 MiB blocks were returned to the system and faulted in afresh, and
+# the fig 4 cells took 13 times the page faults of whole chunks
+_BLOCK_SCALARS = 16_000
+
+
+def _by_blocks(rng: np.random.Generator, m: int, width: int, block) -> np.ndarray:
+    """m per-run values, filled by ``block(rng, n) -> n values`` on blocks of
+    runs of ``width`` draws each, at most _BLOCK_SCALARS unless one run holds
+    more, so no chunk-sized array of draws is ever held."""
+    out = np.empty(m)
+    rows = max(1, _BLOCK_SCALARS // width)
+    for lo in range(0, m, rows):
+        n = min(rows, m - lo)
+        out[lo:lo + n] = block(rng, n)
+    return out
+
+
+# Alias tables (Walker, ACM TOMS 3 (1977) 253; Vose, IEEE TSE 17 (1991) 972)
+# hold integer weights summing to 2^_WEIGHT_BITS, in at most 2^_TABLE_BITS_MAX
+# entries; a Poisson table ends where its law's upper tail falls below
+# _TABLE_TAIL.  The weights leave 64 - _WEIGHT_BITS bits of each raw word
+# unused, so that the running sums of up to 63 tables fit side by side in
+# one int64 search (_alias_tables); a sampler builds at most y0 + 2 of them
+# (queue._marked_occupancy).
+_WEIGHT_BITS = 56
+_TABLE_BITS_MAX = 12
+_TABLE_TAIL = 2.0**-60
+
+
+def _poisson_laws(means: np.ndarray) -> list[np.ndarray | None]:
+    """The pmfs of Poisson counts of ``means``, each unnormalised and cut at
+    the first count v above the mean with P(X >= v) < _TABLE_TAIL, or None
+    where that cut lies past 2^_TABLE_BITS_MAX counts (a mean above about
+    3560).
+
+    The pmf is taken relative to its mode m = floor(mean), as products of
+    the ratios mean / v above m and v / mean below it, so it neither
+    overflows nor loses digits to a log-factorial.  The tail is bounded by
+    the geometric series P(X >= v) <= pmf(v) (v + 1) / (v + 1 - mean).  The
+    counts run to top + 12 sqrt(top) + 32 for the largest mean top, past the
+    cut of every mean whose cut lies within 2^_TABLE_BITS_MAX counts.
+    """
+    top = float(np.max(means))
+    v = np.arange(min(2**_TABLE_BITS_MAX, math.ceil(top + 12.0 * math.sqrt(top)) + 32) + 1)
+    mean = means[:, None]
+    mode = np.floor(mean)
+    up = np.cumprod(np.where(v > mode, mean / np.maximum(v, 1), 1.0), axis=1)
+    # the ratios below the mode arise only at a mean of at least 1
+    below = np.where(v < mode, (v + 1) / np.maximum(mean, 1.0), 1.0)
+    ratio = up * np.cumprod(below[:, ::-1], axis=1)[:, ::-1]
+    total = np.add.reduce(ratio, axis=1)[:, None]
+    ends = (v + 1 > mean) & (ratio * (v + 1) < _TABLE_TAIL * total * (v + 1 - mean))
+    return [row[:np.argmax(end)] if end.any() else None for row, end in zip(ratio, ends)]
+
+
+def _alias_tables(laws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Alias tables of ``laws``, each given by unnormalised probabilities of
+    the values 0, 1, ..., as two int64 arrays of shape (len(laws), 2^bits):
+    the thresholds and the aliases of the entries.
+
+    Entry v of a table holds weight t_v of value v and 2^(_WEIGHT_BITS - bits)
+    - t_v of its alias.  Each law's integer weights sum to 2^_WEIGHT_BITS:
+    they are rounded cumulatively, so each is within one unit of its share,
+    and the mode takes up the rounding of the law's normalisation, at most
+    2^(_WEIGHT_BITS - 52) units; so each value's probability is within 2^-50
+    of the law's.  The entries are filled by the sweep of Huebschle-Schneider
+    and Sanders (Parallel weighted random sampling, ESA 2019): the entries
+    over capacity, in order, give their excess to the entries under it, in
+    order, each giving its last part with its own entry, so every entry is
+    placed by one search in the running sums of deficit and excess.
+    """
+    bits = max(1, (max(law.size for law in laws) - 1).bit_length())
+    size, capacity, total = 2**bits, 2**(_WEIGHT_BITS - bits), 2**_WEIGHT_BITS
+    p = np.zeros((len(laws), size))
+    for row, law in zip(p, laws):  # one table each
+        row[:law.size] = law / math.fsum(law.tolist())
+    x = p * float(total)
+    whole = np.floor(x)
+    cumulative = (np.cumsum(whole.astype(np.int64), axis=1)
+                  + np.rint(np.cumsum(x - whole, axis=1)).astype(np.int64))
+    weight = np.diff(cumulative, axis=1, prepend=0)
+    weight[np.arange(len(laws)), np.argmax(weight, axis=1)] += total - cumulative[:, -1]
+
+    light = weight <= capacity
+    deficit = np.where(light, capacity - weight, 0)
+    deficit_to = np.cumsum(deficit, axis=1)
+    deficit_before = deficit_to - deficit
+    excess_to = np.cumsum(np.where(light, 0, weight - capacity), axis=1)
+    # the running sums of each table stay below 2^(_WEIGHT_BITS + 1): offset
+    # by that much per table, one search serves all tables
+    offset = (np.arange(len(laws)) << (_WEIGHT_BITS + 1))[:, None]
+    excess_flat = (excess_to + offset).ravel()
+    start = (np.arange(len(laws)) * size)[:, None]
+    # a light entry's alias: the heavy entry whose running excess first passes
+    # its running deficit; a heavy entry's: the next heavy entry
+    alias = np.searchsorted(excess_flat, np.where(light, deficit_before, excess_to) + offset,
+                            side="right").reshape(light.shape) - start
+    # a heavy entry keeps what is left of its weight once the light entries
+    # before its running excess have taken theirs
+    taken = np.searchsorted((deficit_before + offset).ravel(), excess_to + offset, side="left")
+    threshold = np.where(light, weight,
+                         capacity + excess_to - deficit_to.ravel()[taken - 1])
+    # a search past a table's last heavy entry, for an entry of full
+    # threshold, whose alias is never read, lands in the next table
+    return threshold, np.minimum(alias, size - 1)
+
+
+def _alias_sampler(laws: list[np.ndarray]):
+    """Sampler ``draw(raw, rows) -> values``: one value of the law of table
+    ``rows`` (broadcast against ``raw``) per raw uint64 word, whose top bits
+    pick the entry and whose low _WEIGHT_BITS - bits bits are compared with
+    its threshold (_alias_tables)."""
+    threshold, alias = _alias_tables(laws)
+    bits = threshold.shape[1].bit_length() - 1
+    shift, low = np.uint64(64 - bits), np.uint64(2**(_WEIGHT_BITS - bits) - 1)
+    threshold, alias = threshold.ravel(), alias.ravel()
+
+    def draw(raw: np.ndarray, rows) -> np.ndarray:
+        # as int64, whose indexing and comparisons need no conversion
+        entry = (raw >> shift).view(np.int64)
+        at = entry + (np.asarray(rows) << bits)
+        return np.where((raw & low).view(np.int64) < threshold[at], entry, alias[at])
+
+    return draw
+
+
+def _binomial_law(n: int, q: float) -> np.ndarray:
+    """The pmf of Bin(n, q), unnormalised: taken relative to its mode
+    m = floor((n + 1) q) as products of the ratios (n - v + 1) q / (v (1 - q))
+    above m and of their inverses below it, so it neither overflows nor loses
+    digits to a log-factorial, as in _poisson_laws."""
+    v = np.arange(n + 1)
+    mode = min(n, math.floor((n + 1) * q))
+    # at q = 1 (a two-point weight p below 2^-53) the ratios above the mode
+    # divide by zero, and are not used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = np.where(v > mode, (n - v + 1) * q / (np.maximum(v, 1) * (1.0 - q)), 1.0)
+        below = np.where(v < mode, (v + 1) * (1.0 - q) / ((n - v) * q), 1.0)
+    return np.cumprod(up) * np.cumprod(below[::-1])[::-1]
+
+
+def _tabled(law: np.ndarray):
+    """Sampler ``draw(rng, n) -> n int64 values`` of ``law``, one raw word each
+    through its alias table (_alias_sampler)."""
+    draw = _alias_sampler([law])
+    return lambda rng, n: draw(rng.bit_generator.random_raw(n), 0)
+
+
+def _poisson_count(mean: float):
+    """Sampler ``draw(rng, n) -> n int64 counts`` of Pois(mean), tabled unless
+    its table would pass 2^_TABLE_BITS_MAX entries (_poisson_laws), and then
+    drawn by numpy's Poisson sampler, which refuses means above
+    _POISSON_MEAN_MAX."""
+    law = _poisson_laws(np.array([_count_mean(mean)]))[0]
+    if law is None:
+        return lambda rng, n: rng.poisson(mean, size=n)
+    return _tabled(law)
+
+
+def _binomial_count(n_trials: int, q: float):
+    """Sampler ``draw(rng, n) -> n int64 counts`` of Bin(n_trials, q), tabled
+    unless its n_trials + 1 values pass 2^_TABLE_BITS_MAX entries, and then
+    drawn by numpy's binomial sampler."""
+    if n_trials < 2**_TABLE_BITS_MAX:
+        return _tabled(_binomial_law(n_trials, q))
+    return lambda rng, n: rng.binomial(n_trials, q, size=n)
+
+
 def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float | None = None):
     """Sampler of the rate sum over the N^alpha slots, one pooled draw per
     run, twisted by ``theta`` if given.
@@ -115,12 +294,13 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     Returns (draw(rng, m) -> pooled sums, slot_count).  Gamma kinds
     (exponential included) draw one gamma of real shape N^alpha * beta.  The
     other kinds sum n = round(N^alpha) slots: Poisson rates as one Poisson
-    draw of mean n * lam * e^theta, two-point rates as n * lam1 plus
-    (lam2 - lam1) times a Bin(n, q) count of slots at lam2, q their twisted
-    weight, and deterministic rates as n * lam, with no draw.
+    count of mean n * lam * e^theta (_poisson_count), two-point rates as
+    n * lam1 plus (lam2 - lam1) times a Bin(n, q) count of slots at lam2, q
+    their twisted weight (_binomial_count), and deterministic rates as
+    n * lam, with no draw.
     Every estimator checks alpha and N, that N^alpha and the pooled gamma
-    shape are floats and that numpy can draw the pooled Poisson mean and the
-    binomial count, here.
+    shape are floats and that numpy can draw the untabled pooled Poisson mean
+    and binomial count, here.
     """
     if not (alpha > 0.0 and N > 0.0):
         raise DomainError(f"alpha and N must be positive, got alpha={alpha}, N={N}")
@@ -141,20 +321,20 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
 
     slots = max(1, round(n_alpha))
     if isinstance(dist, PoissonRate):
-        mean = _count_mean(slots * (dist.lam if theta is None else dist.lam * math.exp(theta)))
+        count = _poisson_count(slots * (dist.lam if theta is None else dist.lam * math.exp(theta)))
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-            return rng.poisson(mean, size=m).astype(np.float64)
+            return count(rng, m).astype(np.float64)
 
     elif isinstance(dist, TwoPoint):
         if slots > _BINOMIAL_COUNT_MAX:
             raise DomainError(f"N^alpha = {n_alpha:.6g} two-point slots exceed the binomial "
                               f"sampler's limit of 2^63 - 1")
         low, spread = slots * dist.lam1, dist.lam2 - dist.lam1
-        q = 1.0 - dist.p if theta is None else dist._twisted_q(theta)
+        count = _binomial_count(slots, 1.0 - dist.p if theta is None else dist._twisted_q(theta))
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-            return low + spread * rng.binomial(slots, q, size=m)
+            return low + spread * count(rng, m)
 
     else:  # deterministic rates
         total = slots * dist.lam
@@ -165,25 +345,33 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     return draw, float(slots)
 
 
+def _blocked(seed: int, runs: int, block) -> EstimatorResult:
+    """The overflow estimators' driver: 2 draws per run, with the weights
+    of each chunk filled by ``block(rng, n) -> n weights`` (_by_blocks)."""
+    return _run_chunked(seed, runs, 2, lambda rng, m: _by_blocks(rng, m, 2, block))
+
+
 def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
                   seed: int, theta: float | None) -> EstimatorResult:
     """The overflow probability P(count >= N*a) with the slot rates
     exponentially twisted by ``theta``: each run draws their pooled sum S and
-    the count, and weighs the overflow indicator by the likelihood ratio
-    exp(slot_count * CGF(theta) - theta * S).  Crude Monte Carlo is the
-    untilted case, ``theta=None``, where every run weighs its indicator alone."""
+    decides the hit of the Pois(N S / slot_count) count at k = ceil(N a) as
+    G <= N S / slot_count with G ~ Gamma(k, 1), as queue.mc_Q does, and
+    weighs it by the likelihood ratio exp(slot_count * CGF(theta) - theta * S).
+    Crude Monte Carlo is the untilted case, ``theta=None``, where every run
+    weighs its indicator alone."""
     cgf_at_twist = None if theta is None else float(dist.cgf(theta)[0])
     draw, slot_count = _slot_sampler(dist, alpha, N, theta=theta)
     k = ceil_count(N * a)
 
-    def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        pooled = draw(rng, m)
-        hit = rng.poisson(_count_mean(N * pooled / slot_count)) >= k
+    def block(rng: np.random.Generator, n: int) -> np.ndarray:
+        pooled = draw(rng, n)
+        hit = rng.standard_gamma(k, size=n) <= N * pooled / slot_count
         if theta is None:
-            return hit.astype(np.float64)
+            return hit
         return np.exp(slot_count * cgf_at_twist - theta * pooled) * hit
 
-    return _run_chunked(seed, runs, 2, weights)
+    return _blocked(seed, runs, block)
 
 
 def mc_P(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
@@ -205,7 +393,12 @@ def is_fast(
 
     The Poisson count is proposed with mean N*a and reweighted by the pmf
     ratio against the actually drawn pooled rate; ``quantity`` selects the
-    point mass ("point") or the tail ("tail").
+    point mass ("point") or the tail ("tail").  The proposal is read through
+    an alias table cut at the first count beyond which its own tail falls
+    below 2^-60 (_poisson_count), so no run proposes a count past the cut:
+    the estimate drops only the target's mass beyond it, and is unbiased for
+    the rest.  A proposal mean whose table would pass 2^12 entries is drawn
+    by numpy's Poisson sampler, uncut.
     """
     if quantity not in ("point", "tail"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -221,18 +414,18 @@ def is_fast(
 
     draw, slot_count = _slot_sampler(dist, alpha, N)
     count = exact_count(N * a) if quantity == "point" else ceil_count(N * a)
-    proposal_mean = _count_mean(N * a)  # checked before any draw
+    proposal = _poisson_count(N * a)  # checked before any draw
 
-    def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        xbar = draw(rng, m) / slot_count
-        z = rng.poisson(proposal_mean, size=m)
+    def block(rng: np.random.Generator, n: int) -> np.ndarray:
+        xbar = draw(rng, n) / slot_count
+        z = proposal(rng, n)
         # at an empty pooled rate the ratio is e^(N a) at z = 0 and 0 above
         with np.errstate(divide="ignore", invalid="ignore"):
             logw = np.where(z > 0, z * np.log(xbar / a), 0.0) + N * (a - xbar)
         hit = (z >= count) if quantity == "tail" else (z == count)
         return np.exp(logw) * hit
 
-    return _run_chunked(seed, runs, 2, weights)
+    return _blocked(seed, runs, block)
 
 
 def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,

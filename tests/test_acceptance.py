@@ -19,7 +19,7 @@ import pytest
 from mixpois import gamma_exact, numerics, queue, sampling, staffing, tail_asymptotics
 from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint, rate_function
 from mixpois.sampling import Z_95
-from reference import efficiency_ratios, poisson_tail, relative_ci
+from reference import efficiency_ratios, log_is_slow_second_moment, poisson_tail, relative_ci
 
 SEED = 20250809
 
@@ -325,31 +325,48 @@ def _compare_grid(dist, lam, alpha, a, grid, is_method, runs=10**6):
     return rows
 
 
+def _exact_z_scores(rows, runs):
+    """z-scores against the exact tail: each IS estimate over its reported
+    standard error, and each MC estimate with at least 100 hits over the
+    binomial standard error sqrt(P (1 - P) / runs) of the exact P."""
+    is_z = [(is_res.estimate - exact) / (is_res.ci_halfwidth_95 / Z_95)
+            for _, exact, is_res, _ in rows]
+    mc_z = [(mc_res.estimate - exact) / math.sqrt(exact * (1.0 - exact) / runs)
+            for _, exact, _, mc_res in rows if mc_res.estimate * runs >= 100]
+    return is_z, mc_z
+
+
 def _check_regime(rows, runs):
     span = rows[0][1] / rows[-1][1]
     assert span >= 1e4, f"grid spans only {span:.1f}x"
 
-    overlap_checked = 0
-    for N, exact, is_res, mc_res in rows:
-        if mc_res.estimate * runs >= 100:
-            joint = math.hypot(is_res.ci_halfwidth_95, mc_res.ci_halfwidth_95)
-            assert abs(is_res.estimate - mc_res.estimate) <= joint, f"N={N}"
-            overlap_checked += 1
-    assert overlap_checked >= 1
+    is_z, mc_z = _exact_z_scores(rows, runs)
+    for (N, *_), z in zip(rows, is_z):
+        assert abs(z) <= 4.0, f"IS at N={N}: z = {z:.2f} against the exact tail"
+    for (N, *_), z in zip(rows, mc_z):
+        assert abs(z) <= 4.0, f"MC at N={N}: z = {z:.2f} against the exact tail"
+    assert mc_z
 
     is_growth = relative_ci(rows[-1][2]) / relative_ci(rows[0][2])
     assert is_growth <= 3.0, f"IS relative CI grew {is_growth:.2f}x"
     mc_with_hits = [r for r in rows if r[3].estimate > 0.0]
     mc_growth = relative_ci(mc_with_hits[-1][3]) / relative_ci(rows[0][3])
     assert mc_growth >= 10.0, f"MC relative CI grew only {mc_growth:.2f}x"
-    return span, overlap_checked, is_growth, mc_growth
+    return span, max(map(abs, is_z + mc_z)), len(mc_z), is_growth, mc_growth
+
+
+def _exact_is_slow_relative_error(lam, alpha, a, N):
+    """Per-run relative error sqrt(E[w^2] - P^2) / P of is_slow on
+    exponential(lam) rates, from the closed-form second moment."""
+    p = _exact_P(lam, alpha, a, N)
+    return math.sqrt(math.exp(log_is_slow_second_moment(lam, alpha, a, N)) - p * p) / p
 
 
 class TestCriterion5:
     def test_fast_regime(self, acceptance_log):
         grid = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         rows = _compare_grid(Exponential(1.0), 1.0, 2.0, 2.0, grid, "is-fast")
-        span, overlaps, is_growth, mc_growth = _check_regime(rows, 10**6)
+        span, worst, mc_checked, is_growth, mc_growth = _check_regime(rows, 10**6)
         ratios = efficiency_ratios(
             lambda N: sampling.is_fast(Exponential(1.0), 2.0, 2.0, N, 10**6, SEED,
                                       quantity="point"),
@@ -359,7 +376,8 @@ class TestCriterion5:
         acceptance_log(
             "criterion 5 (fast)",
             "PASS" if passed else "FAIL",
-            f"span {span:.1e}x, {overlaps} CI overlaps, IS CI x{is_growth:.2f} (<=3), "
+            f"span {span:.1e}x, {len(rows)} IS and {mc_checked} MC estimates within 4 SE of "
+            f"exact (max |z| {worst:.2f}), IS CI x{is_growth:.2f} (<=3), "
             f"MC CI x{mc_growth:.0f} (>=10), diagnostic ratio {ratios[-1]:.4f} (>=0.9)",
         )
         assert passed
@@ -367,7 +385,9 @@ class TestCriterion5:
     def test_slow_regime(self, acceptance_log):
         grid = [8.0, 16.0, 25.0, 36.0, 49.0]
         rows = _compare_grid(Exponential(2.5), 2.5, 0.5, 2.0, grid, "is-slow")
-        span, overlaps, is_growth, mc_growth = _check_regime(rows, 10**6)
+        exact_growth = (_exact_is_slow_relative_error(2.5, 0.5, 2.0, grid[-1])
+                        / _exact_is_slow_relative_error(2.5, 0.5, 2.0, grid[0]))
+        span, worst, mc_checked, is_growth, mc_growth = _check_regime(rows, 10**6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ratios = efficiency_ratios(
@@ -379,8 +399,10 @@ class TestCriterion5:
         acceptance_log(
             "criterion 5 (slow)",
             "PASS" if passed and increasing else "FAIL",
-            f"span {span:.1e}x, {overlaps} CI overlaps, IS CI x{is_growth:.2f} (<=3), "
-            f"MC CI x{mc_growth:.0f} (>=10), diagnostic ratio {ratios[-1]:.4f} (>=0.9)",
+            f"span {span:.1e}x, {len(rows)} IS and {mc_checked} MC estimates within 4 SE of "
+            f"exact (max |z| {worst:.2f}), IS CI x{is_growth:.2f} (<=3; exact "
+            f"x{exact_growth:.2f}), MC CI x{mc_growth:.0f} (>=10), "
+            f"diagnostic ratio {ratios[-1]:.4f} (>=0.9)",
         )
         assert increasing
         assert passed

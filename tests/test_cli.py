@@ -317,6 +317,16 @@ def test_occupancy_count_has_no_poisson_mean_limit(capsys):
     assert float(parse_csv(out)[0]["estimate"]) == 0.0
 
 
+def test_overflow_count_has_no_poisson_mean_limit(capsys):
+    # the overflow estimators decide each run's hit from the k-th arrival
+    # epoch as well: a per-run count mean of about 1.4e21, past numpy's
+    # limit, lies far above k = 100, and every run hits
+    code, out, err = run_cli(["simulate", "--method", "mc", "--dist", "exp:1e-19", "--alpha", "1",
+                              "--a", "1", "--N", "100", "--runs", "1000", "--seed", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert float(parse_csv(out)[0]["estimate"]) == 1.0
+
+
 FINITE = st.one_of(st.floats(0.01, 100.0), st.floats(allow_nan=False, allow_infinity=False))
 
 

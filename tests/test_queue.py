@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import SUBPROCESS_ENV
-from mixpois import queue
+from mixpois import queue, sampling
 from mixpois.errors import (
     ConvergenceError,
     DomainError,
@@ -539,14 +539,15 @@ class TestBernoulliWords:
 
 
 class TestAliasTables:
-    """The alias tables of queue._marked_occupancy hold the Poisson law of
-    each marked count, and a draw reads its entry as the thresholds say."""
+    """The alias tables of queue._marked_occupancy (sampling._alias_sampler)
+    hold the Poisson law of each marked count, and a draw reads its entry as
+    the thresholds say."""
 
     @staticmethod
     def weights(threshold, alias):
         """Each value's weight in the tables, exact in integers: its own
         entry's threshold plus what the entries aliased to it leave over."""
-        capacity = 2**queue._WEIGHT_BITS // threshold.shape[1]
+        capacity = 2**sampling._WEIGHT_BITS // threshold.shape[1]
         weight = threshold.copy()
         for row, (t, a) in enumerate(zip(threshold, alias)):
             np.add.at(weight[row], a, capacity - t)
@@ -559,9 +560,9 @@ class TestAliasTables:
     def test_poisson_tables_hold_the_pmf(self, lam, service):
         means = queue._mark_means(lam, omega_vector(100, service))
         count_means = np.append(means[1:], np.cumsum(means[:1:-1])[::-1])
-        laws = queue._poisson_laws(count_means)
-        weight = self.weights(*queue._alias_tables(laws))
-        total = 2**queue._WEIGHT_BITS
+        laws = sampling._poisson_laws(count_means)
+        weight = self.weights(*sampling._alias_tables(laws))
+        total = 2**sampling._WEIGHT_BITS
         with decimal.localcontext() as context:
             context.prec = 50
             for mean, law, w in zip(count_means, laws, weight):
@@ -578,21 +579,21 @@ class TestAliasTables:
         rng = np.random.default_rng(size)
         laws = [rng.random(size) ** power * (rng.random(size) < 0.7) + (np.arange(size) == 0)
                 for power in (1, 4, 20)]
-        weight = self.weights(*queue._alias_tables(laws))
-        assert np.all(weight.sum(axis=1) == 2**queue._WEIGHT_BITS)
+        weight = self.weights(*sampling._alias_tables(laws))
+        assert np.all(weight.sum(axis=1) == 2**sampling._WEIGHT_BITS)
         for law, w in zip(laws, weight):
             share = law / math.fsum(law)
-            assert np.all(np.abs(w[:size] / 2.0**queue._WEIGHT_BITS - share) <= 2.0**-50)
+            assert np.all(np.abs(w[:size] / 2.0**sampling._WEIGHT_BITS - share) <= 2.0**-50)
             assert not w[size:].any()
 
     # a raw word picks its entry by its top bits and compares only its low
     # bits with the entry's threshold; the bits between are ignored
     def test_draw_reads_the_threshold_and_the_alias(self):
         laws = [np.arange(1.0, 6.0), np.array([0.5, 0.5]), np.array([0.0, 0.0, 1.0])]
-        threshold, alias = queue._alias_tables(laws)
-        draw = queue._alias_sampler(laws)
+        threshold, alias = sampling._alias_tables(laws)
+        draw = sampling._alias_sampler(laws)
         size = threshold.shape[1]
-        capacity = 2**queue._WEIGHT_BITS // size
+        capacity = 2**sampling._WEIGHT_BITS // size
         entry = np.arange(size, dtype=np.uint64)
         top = entry << np.uint64(64 - (size.bit_length() - 1))
         middle = np.uint64(2**64 // size - capacity)
@@ -605,14 +606,14 @@ class TestAliasTables:
     # tables end at 2^12 entries: the mark-1 count of pois:200 under exp:1
     # at N = 100, of mean 6486, keeps numpy's Poisson sampler
     def test_table_size_bound(self):
-        below, above = queue._poisson_laws(np.array([3500.0, 3600.0]))
+        below, above = sampling._poisson_laws(np.array([3500.0, 3600.0]))
         assert below.size <= 2**12 and above is None
         pmf = poisson_pmf_digits(3500.0, below.size)
         with decimal.localcontext() as context:
             context.prec = 50
             assert 1 - sum(pmf) < decimal.Decimal(2.0**-60)
         means = queue._mark_means(200.0, omega_vector(100, ExpService(1.0)))
-        assert queue._poisson_laws(means[1:3])[0] is None
+        assert sampling._poisson_laws(means[1:3])[0] is None
 
     # with counts on both sides of the table bound, the occupancy keeps the
     # mean lam sum omega_i and variance lam sum (omega_i + omega_i^2) of

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpois import queue
+from mixpois import queue, sampling
 from mixpois.errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from mixpois.gamma_exact import GammaCase, P_exact, p_exact
 from mixpois.numerics import ceil_count
@@ -196,8 +196,10 @@ class TestRepeatedSeedCoverage:
 
 
 class TestPooledSlotSums:
-    """Two-point slot sums drawn as one binomial count, twisted or not, and
-    deterministic ones formed without a draw, against the exact tails."""
+    """Poisson and two-point slot sums drawn as one tabled count, twisted or
+    not, gamma ones as one gamma draw and deterministic ones formed without a
+    draw, each run's hit decided from the k-th epoch, against the exact
+    tails."""
 
     def test_two_point_reference(self):
         assert pooled_twopoint_tail(0.75, 1.0, 5.0, 10, 100.0, 300) == pytest.approx(
@@ -216,8 +218,21 @@ class TestPooledSlotSums:
          poisson_tail(18.0, 27)),
         (lambda seed: mc_P(DeterministicRate(2.0), 1.0, 2.05, 1.0, 10**5, seed),
          poisson_tail(2.0, 3)),
+        (lambda seed: mc_P(PoissonRate(2.0), 0.5, 3.0, 100.0, 10**5, seed),
+         pooled_poisson_tail(2.0, 10, 100.0, 300)),
+        (lambda seed: is_slow(PoissonRate(2.0), 0.5, 3.0, 100.0, 10**5, seed),
+         pooled_poisson_tail(2.0, 10, 100.0, 300)),
+        (lambda seed: is_fast(PoissonRate(2.0), 2.0, 3.0, 4.0, 10**5, seed),
+         pooled_poisson_tail(2.0, 16, 4.0, 12)),
+        (lambda seed: mc_P(EXP25, 0.5, 2.0, 8.0, 10**5, seed),
+         P_exact(GammaCase(1.0, 2.5, 0.5, 2.0, 8.0))),
+        (lambda seed: is_slow(EXP25, 0.5, 2.0, 8.0, 10**5, seed),
+         P_exact(GammaCase(1.0, 2.5, 0.5, 2.0, 8.0))),
+        (lambda seed: is_fast(EXP25, 1.2, 1.0, 10.0, 10**5, seed),
+         P_exact(GammaCase(1.0, 2.5, 1.2, 1.0, 10.0))),
     ], ids=["mc-twopoint", "is-slow-twopoint", "is-fast-twopoint", "mc-twopoint-37-slots",
-            "mc-det", "mc-det-1-slot"])
+            "mc-det", "mc-det-1-slot", "mc-pois", "is-slow-pois", "is-fast-pois", "mc-exp",
+            "is-slow-exp", "is-fast-exp"])
     def test_within_four_se_pooled_over_twenty_seeds(self, runner, exact):
         results = [runner(seed) for seed in range(1000, 1020)]
         estimate = math.fsum(r.estimate for r in results) / len(results)
@@ -287,7 +302,7 @@ def _whole_chunk_result(monkeypatch, estimate):
     """``estimate()`` with every chunk's slot draws drawn and reduced in one
     block."""
     with monkeypatch.context() as patch:
-        patch.setattr(queue, "_BLOCK_SCALARS", _CHUNK_SCALARS)
+        patch.setattr(sampling, "_BLOCK_SCALARS", _CHUNK_SCALARS)
         return estimate()
 
 
@@ -373,3 +388,57 @@ class TestSlotBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def _binned_deviations(draws, pmf):
+    """z-scores of the frequencies of ``draws`` against ``pmf`` (over the
+    values 0, 1, ...), in bins of consecutive values each holding at least
+    1/64 of the mass, the last bin holding every value beyond."""
+    edges, mass = [0], 0.0
+    for v, p in enumerate(pmf):
+        mass += p
+        if mass >= 1.0 / 64:
+            edges.append(v + 1)
+            mass = 0.0
+    edges[-1] = max(len(pmf), int(draws.max()) + 1)
+    expected = np.array([math.fsum(pmf[lo:hi]) for lo, hi in zip(edges, edges[1:])])
+    observed = np.histogram(draws, bins=edges)[0] / draws.size
+    return (observed - expected) / np.sqrt(expected * (1.0 - expected) / draws.size)
+
+
+def _poisson_pmf(mean):
+    size = math.ceil(mean + 40.0 * math.sqrt(mean) + 40.0)
+    return [math.exp(poisson_log_pmf(mean, v)) for v in range(size)]
+
+
+def _binomial_pmf(n, q):
+    return [math.exp(math.lgamma(n + 1.0) - math.lgamma(v + 1.0) - math.lgamma(n - v + 1.0)
+                     + v * math.log(q) + (n - v) * math.log1p(-q)) for v in range(n + 1)]
+
+
+class TestTabledCounts:
+    """The pooled Poisson and binomial slot counts and the is_fast proposal
+    are one raw word each through an alias table, and numpy's sampler
+    draws them past the table bound of 2^12 entries: 2^20 draws of each law
+    meet its pmf within 4 SE in every bin."""
+
+    @pytest.mark.parametrize("mean,tabled", [(0.1, True), (16.0, True), (128.0, True),
+                                             (3500.0, True), (5000.0, False)])
+    def test_poisson(self, mean, tabled):
+        assert (sampling._poisson_laws(np.array([mean]))[0] is not None) == tabled
+        draws = sampling._poisson_count(mean)(stream(21), 2**20)
+        assert np.all(np.abs(_binned_deviations(draws, _poisson_pmf(mean))) <= 4.0)
+
+    @pytest.mark.parametrize("q", [0.25, 0.7])
+    @pytest.mark.parametrize("n", [1, 10, 4095, 4096])
+    def test_binomial(self, n, q):
+        draws = sampling._binomial_count(n, q)(stream(22), 2**20)
+        assert np.all(np.abs(_binned_deviations(draws, _binomial_pmf(n, q))) <= 4.0)
+
+    # at p below 2^-53 the weight 1 - p of lam2 rounds to 1: every slot is
+    # at lam2, with no warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_binomial_law_at_a_certain_weight(self):
+        assert np.array_equal(sampling._binomial_law(5, 1.0), [0, 0, 0, 0, 0, 1])
+        assert mc_P(TwoPoint(1e-17, 1.0, 5.0), 1.0, 5.0, 5.0, 1000, PART).estimate > 0.5
+
