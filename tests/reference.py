@@ -63,54 +63,6 @@ def pooled_twopoint_tail(p: float, lam1: float, lam2: float, slots: int, N: floa
                      for j in range(slots + 1))
 
 
-def _nb_params(lam: float, alpha: float, N: float) -> tuple[float, float, float]:
-    """Pooled gamma shape r and log odds of the negative binomial count of
-    N^alpha exponential(lam) slots."""
-    r = N**alpha
-    t = (1.0 - alpha) * math.log(N)
-    denom = math.log(lam + math.exp(t))
-    return r, t - denom, math.log(lam) - denom
-
-
-def _log_nb_pmf(r: float, log_q: float, log_1mq: float, k: int) -> float:
-    # log Gamma(k + r) - log Gamma(r) as a sum of logs: the difference of two
-    # lgamma values loses all digits once the pooled shape r is large
-    log_rising = math.fsum(math.log(r + j) for j in range(k))
-    return log_rising - math.lgamma(k + 1.0) + k * log_q + r * log_1mq
-
-
-def log_nb_tail(lam: float, alpha: float, N: float, k0: int) -> float:
-    """log P(count >= k0) for that negative binomial, by direct summation."""
-    if k0 == 0:
-        return 0.0
-    r, log_q, log_1mq = _nb_params(lam, alpha, N)
-    q = math.exp(log_q)
-    terms = [1.0]  # pmf(k) / pmf(k0)
-    total = 1.0
-    k = k0
-    # past the mode the terms decrease; stop once they are negligible
-    while not (len(terms) > 1 and terms[-1] < terms[-2] and terms[-1] < 1e-18 * total):
-        terms.append(terms[-1] * q * (k + r) / (k + 1.0))
-        total += terms[-1]
-        k += 1
-    return _log_nb_pmf(r, log_q, log_1mq, k0) + math.log(math.fsum(terms))
-
-
-def log_is_slow_second_moment(lam: float, alpha: float, a: float, N: float) -> float:
-    """log E[w^2] per run of the slow-regime importance sampler on
-    exponential(lam) slot rates pooled into one gamma draw.
-
-    The sampler twists the pooled rate X ~ Gamma(n, lam), n = N^alpha, by
-    theta = lam - 1/a and weights a run by L = (lam a)^n exp(-theta X) on
-    the event; E_twisted[L^2 1] = E[L 1] = (lam a)^n (lam / (lam + theta))^n
-    times the same negative binomial tail with rate lam + theta.
-    """
-    theta = lam - 1.0 / a
-    n = N**alpha
-    return (n * math.log(lam * a) + n * math.log(lam / (lam + theta))
-            + log_nb_tail(lam + theta, alpha, N, round(N * a)))
-
-
 def numeric_rate_function(dist, a: float) -> RateFunctionPoint:
     """The rate function of a rate law at a mean a strictly inside its
     support, by solving CGF'(theta) = a: an independent check of the closed
