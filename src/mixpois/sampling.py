@@ -7,13 +7,13 @@ streams of distinct seeds are independent by construction.  All weights are
 handled in log space; a valid configuration can never produce a non-finite
 weight.
 
-Draws are made block by block (_by_blocks).  A Poisson or binomial count of
-one law per call is one raw word read through an alias table (_alias_sampler)
-built once per call, and a hit of a Poisson count of per-run mean L at k is
+Draws are made block by block (_by_blocks), except is_fast's.  A pooled
+Poisson or binomial slot count is one raw word read through an alias table
+(_alias_sampler) built once per call, and a hit of a Poisson count of per-run mean L at k is
 decided as G <= L for G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson
 process, since P(Pois(L) >= k) = P(G <= L).  numpy's Poisson and binomial
-samplers remain only for counts whose table would pass 2^_TABLE_BITS_MAX
-entries.
+samplers remain for is_fast's proposal and for counts whose table would pass
+2^_TABLE_BITS_MAX entries.
 """
 
 from __future__ import annotations
@@ -345,12 +345,6 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     return draw, float(slots)
 
 
-def _blocked(seed: int, runs: int, block) -> EstimatorResult:
-    """The overflow estimators' driver: 2 draws per run, with the weights
-    of each chunk filled by ``block(rng, n) -> n weights`` (_by_blocks)."""
-    return _run_chunked(seed, runs, 2, lambda rng, m: _by_blocks(rng, m, 2, block))
-
-
 def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
                   seed: int, theta: float | None) -> EstimatorResult:
     """The overflow probability P(count >= N*a) with the slot rates
@@ -371,7 +365,7 @@ def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs
             return hit
         return np.exp(slot_count * cgf_at_twist - theta * pooled) * hit
 
-    return _blocked(seed, runs, block)
+    return _run_chunked(seed, runs, 2, lambda rng, m: _by_blocks(rng, m, 2, block))
 
 
 def mc_P(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
@@ -393,12 +387,11 @@ def is_fast(
 
     The Poisson count is proposed with mean N*a and reweighted by the pmf
     ratio against the actually drawn pooled rate; ``quantity`` selects the
-    point mass ("point") or the tail ("tail").  The proposal is read through
-    an alias table cut at the first count beyond which its own tail falls
-    below 2^-60 (_poisson_count), so no run proposes a count past the cut:
-    the estimate drops only the target's mass beyond it, and is unbiased for
-    the rest.  A proposal mean whose table would pass 2^12 entries is drawn
-    by numpy's Poisson sampler, uncut.
+    point mass ("point") or the tail ("tail").  Unlike the other overflow
+    estimators it draws whole chunks, and its proposal by numpy's Poisson
+    sampler: drawn in blocks and through an alias table, one raw word per
+    run, its time slowed more than numpy's Poisson draws on a loaded
+    machine, and its benchmark timings spread up to three times as wide.
     """
     if quantity not in ("point", "tail"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -414,18 +407,18 @@ def is_fast(
 
     draw, slot_count = _slot_sampler(dist, alpha, N)
     count = exact_count(N * a) if quantity == "point" else ceil_count(N * a)
-    proposal = _poisson_count(N * a)  # checked before any draw
+    proposal_mean = _count_mean(N * a)  # checked before any draw
 
-    def block(rng: np.random.Generator, n: int) -> np.ndarray:
-        xbar = draw(rng, n) / slot_count
-        z = proposal(rng, n)
+    def weights(rng: np.random.Generator, m: int) -> np.ndarray:
+        xbar = draw(rng, m) / slot_count
+        z = rng.poisson(proposal_mean, size=m)
         # at an empty pooled rate the ratio is e^(N a) at z = 0 and 0 above
         with np.errstate(divide="ignore", invalid="ignore"):
             logw = np.where(z > 0, z * np.log(xbar / a), 0.0) + N * (a - xbar)
         hit = (z >= count) if quantity == "tail" else (z == count)
         return np.exp(logw) * hit
 
-    return _blocked(seed, runs, block)
+    return _run_chunked(seed, runs, 2, weights)
 
 
 def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,

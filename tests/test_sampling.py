@@ -417,8 +417,8 @@ def _binomial_pmf(n, q):
 
 
 class TestTabledCounts:
-    """The pooled Poisson and binomial slot counts and the is_fast proposal
-    are one raw word each through an alias table, and numpy's sampler
+    """The pooled Poisson and binomial slot counts are one raw word each
+    through an alias table, and numpy's sampler
     draws them past the table bound of 2^12 entries: 2^20 draws of each law
     meet its pmf within 4 SE in every bin."""
 
