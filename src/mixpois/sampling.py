@@ -9,11 +9,11 @@ weight.
 
 Draws are made block by block (_by_blocks), except is_fast's.  A pooled
 Poisson or binomial slot count is one raw word read through an alias table
-(_alias_sampler) built once per call, and a hit of a Poisson count of per-run mean L at k is
-decided as G <= L for G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson
-process, since P(Pois(L) >= k) = P(G <= L).  numpy's Poisson and binomial
-samplers remain for is_fast's proposal and for counts whose table would pass
-2^_TABLE_BITS_MAX entries.
+(_alias_sampler) built once per call, and a hit of a Poisson count of
+per-run mean L at k is decided as G <= L for G ~ Gamma(k, 1), the k-th epoch
+of a unit-rate Poisson process, since P(Pois(L) >= k) = P(G <= L).  numpy's
+Poisson and binomial samplers remain for is_fast's proposal and for counts
+whose table would pass 2^_TABLE_BITS_MAX entries.
 """
 
 from __future__ import annotations
