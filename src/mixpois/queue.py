@@ -1,8 +1,9 @@
 """Infinite-server layer: service-time laws, slot retention probabilities,
 sharp approximations of the occupancy tail, and crude simulation.
 
-The simulation draws through the draw layer of ``sampling``: cache-sized
-blocks of runs (_by_blocks) and alias tables of Poisson laws (_alias_sampler).
+The simulation draws through the draw layer of ``sampling``: the estimator
+driver, which draws, scores and sums cache-sized blocks of runs
+(_run_blocks), and alias tables of Poisson laws (_alias_sampler).
 
 Time is normalized so the observation epoch is 1 and arrivals in slot i of N
 get thinned by the retention probability omega_i(N), the chance that such an
@@ -25,8 +26,7 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
 from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
                     spec_label)
-from .sampling import (EstimatorResult, _alias_sampler, _by_blocks, _count_mean, _poisson_laws,
-                       _run_chunked)
+from .sampling import EstimatorResult, _alias_sampler, _count_mean, _poisson_laws, _run_blocks
 
 __all__ = [
     "ServiceTime",
@@ -414,20 +414,22 @@ def _mark_means(lam: float, omegas: np.ndarray) -> np.ndarray:
     the counts of units by mark y are independent Poisson counts of means
     mu_y = lam sum_i e^-omega_i omega_i^y / y! (the marking theorem).  The
     table ends at the first Y >= 1 with N lam / (Y + 1)! < 2^-53, which bounds
-    the mean count of the units that add more, since omega_i <= 1.
+    the mean count of the units that add more, since omega_i <= 1.  The terms
+    e^-omega_i omega_i^y / y! are one running product over the marks.
     """
-    term = np.exp(-omegas)
-    means = [lam * np.add.reduce(term)]
-    bound = lam  # lam / (y + 1)!, against 2^-53 / N
-    while len(means) < 2 or bound >= 2.0**-53 / omegas.size:
-        term = term * omegas / len(means)
-        means.append(lam * np.add.reduce(term))
-        bound /= len(means)
-    return np.array(means)
+    Y, bound = 1, lam / 2.0  # lam / (Y + 1)!, against 2^-53 / N
+    while bound >= 2.0**-53 / omegas.size:
+        Y += 1
+        bound /= Y + 1
+    factors = np.empty((Y + 1, omegas.size))
+    factors[0] = np.exp(-omegas)
+    factors[1:] = omegas / np.arange(1, Y + 1)[:, None]
+    return lam * np.add.reduce(np.multiply.accumulate(factors, axis=0), axis=1)
 
 
 def _marked_occupancy(lam: float, omegas: np.ndarray):
-    """Sampler ``draw(rng, m) -> m occupancies`` for Poisson slot rates.
+    """Sampler (width, block) for Poisson slot rates: ``block(rng, n) -> n
+    occupancies``, of ``width`` draws per run.
 
     Each run draws the counts of units that add y = 1..y0 occupants, and one
     pooled count of those that add more, whose marks follow from the rest of
@@ -461,7 +463,7 @@ def _marked_occupancy(lam: float, omegas: np.ndarray):
             occupancy = occupancy + np.bincount(np.repeat(np.arange(n), pooled), tail, n)
         return occupancy
 
-    return lambda rng, m: _by_blocks(rng, m, y0 + 2, block)
+    return y0 + 2, block
 
 
 _ALL_LANES = np.uint64(2**64 - 1)
@@ -512,8 +514,9 @@ def _bernoulli_words(q: float):
 
 
 def _rate_sum(dist: RateDistribution, omegas: np.ndarray):
-    """Sampler ``draw(rng, m) -> m rate sums`` Lambda = sum_i omega_i X_i
-    over the N slot rates X_i, for rates other than Poisson.
+    """Sampler (width, block) for rates other than Poisson: ``block(rng, n)
+    -> n rate sums`` Lambda = sum_i omega_i X_i over the N slot rates X_i,
+    of ``width`` draws per run.
 
     Deterministic rates give the constant lam sum_i omega_i, with no draw.
     Two-point rates give lam1 sum_i omega_i + (lam2 - lam1) sum_{i in B}
@@ -521,19 +524,19 @@ def _rate_sum(dist: RateDistribution, omegas: np.ndarray):
     ceil(N/64) Bernoulli(1 - p) words per run (_bernoulli_words) and summed
     by one table of partial sums per byte of lanes, 256 doubles per 8 slots
     (26 KB at N = 100, 256 MB at N = 10^6).  The lanes of a block of runs
-    are drawn bit position by bit position, so the results depend on the
+    are drawn bit position by bit position, so the sums depend on the
     block size sampling._BLOCK_SCALARS.  Gamma rates draw the N slot rates
-    of each run, so the results do not depend on it.
+    of each run, so the sums do not depend on it.
     """
     N = omegas.size
     if isinstance(dist, DeterministicRate):
         total = np.add.reduce(dist.lam * omegas)
-        return lambda rng, m: np.full(m, total)
+        return 0, lambda rng, n: np.full(n, total)
     if not isinstance(dist, TwoPoint):  # gamma rates
         def gamma_block(rng: np.random.Generator, n: int) -> np.ndarray:
             return (rng.gamma(dist.beta, 1.0 / dist.lam, size=(n, N)) * omegas).sum(axis=1)
 
-        return lambda rng, m: _by_blocks(rng, m, N, gamma_block)
+        return N, gamma_block
     words, byte_count = -(-N // 64), -(-N // 8)
     padded = np.zeros(8 * byte_count)
     padded[:N] = omegas
@@ -552,7 +555,7 @@ def _rate_sum(dist: RateDistribution, omegas: np.ndarray):
         bytes_ = (lanes(rng, n * words).reshape(n, words)[:, word_of] >> shift) & np.uint64(255)
         return low + spread * np.add.reduce(table[bytes_.astype(np.intp) + offset], axis=1)
 
-    return lambda rng, m: _by_blocks(rng, m, byte_count, block)
+    return byte_count, block
 
 
 def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
@@ -566,27 +569,24 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
     Lambda = sum_i omega_i X_i over the N slot rates X_i (_rate_sum), and the
     hit of the Pois(Lambda) occupancy as G <= Lambda with G ~ Gamma(k, 1),
     the k-th epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k)
-    = P(G <= Lambda).
+    = P(G <= Lambda); each block of runs draws its rate sums, then its
+    epochs.
     """
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
     k = ceil_count(N * a)
-    marked = isinstance(dist, PoissonRate)
-    draw = None
 
-    def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        nonlocal draw
-        if draw is None:  # built on the first chunk, after the budget check
-            omegas = omega_vector(N, service)
-            draw = _marked_occupancy(dist.lam, omegas) if marked else _rate_sum(dist, omegas)
-        if marked:
-            return (draw(rng, m) >= k).astype(np.float64)
-        lam = draw(rng, m)
-        return (rng.standard_gamma(k, size=m) <= lam).astype(np.float64)
+    def sampler():  # built after the budget check
+        omegas = omega_vector(N, service)
+        if isinstance(dist, PoissonRate):
+            width, occupancy = _marked_occupancy(dist.lam, omegas)
+            return width, lambda rng, n: occupancy(rng, n) >= k
+        width, rate_sum = _rate_sum(dist, omegas)
+        return width + 1, lambda rng, n: rate_sum(rng, n) >= rng.standard_gamma(k, size=n)
 
     # N + 1 per run for every law: the per-run cap then bounds N, and with it
     # the retention vector, whatever the rates
-    return _run_chunked(seed, runs, N + 1, weights)
+    return _run_blocks(seed, runs, N + 1, sampler)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,17 @@ streams of distinct seeds are independent by construction.  All weights are
 handled in log space; a valid configuration can never produce a non-finite
 weight.
 
-Draws are made block by block (_by_blocks), except is_fast's.  A pooled
-Poisson or binomial slot count is one raw word read through an alias table
-(_alias_sampler) built once per call, and a hit of a Poisson count of
-per-run mean L at k is decided as G <= L for G ~ Gamma(k, 1), the k-th epoch
-of a unit-rate Poisson process, since P(Pois(L) >= k) = P(G <= L).  numpy's
-Poisson and binomial samplers remain for is_fast's proposal and for counts
-whose table would pass 2^_TABLE_BITS_MAX entries.
+Every estimator, queue.mc_Q included, runs through one driver
+(_run_blocks), which draws, scores and sums its runs block by block: each
+block's weights are folded into their sum and sum of squares, all the mean
+and the CI need, before the next is drawn, so an estimator's memory does not
+grow with its runs.  A pooled Poisson or binomial slot count is one raw word
+read through an alias table (_alias_sampler) built once per call, and a hit
+of a Poisson count of per-run mean L at k is decided as G <= L for
+G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson process, since
+P(Pois(L) >= k) = P(G <= L).  numpy's Poisson and binomial samplers remain
+for is_fast's proposal and for counts whose table would pass
+2^_TABLE_BITS_MAX entries.
 """
 
 from __future__ import annotations
@@ -40,7 +44,12 @@ __all__ = [
 
 Z_95 = 1.959964  # standard normal 97.5% quantile, fixed CI level
 _OP_BUDGET = 4_000_000_000  # scalar draws allowed per estimator call
-_CHUNK_SCALARS = 4_000_000
+_RUN_SCALARS_CAP = 4_000_000  # scalar draws allowed per run
+# scalar draws per block of runs: 125 KiB of float64 stays in cache and under
+# malloc's 128 KiB mmap threshold, so the blocks reuse heap memory; 1 MiB
+# blocks were returned to the system and faulted in afresh, and the fig 4
+# cells took 13 times the page faults of 4e6-scalar chunks
+_BLOCK_SCALARS = 16_000
 _POISSON_MEAN_MAX = 9.2e18  # numpy's Poisson sampler refuses means above about 9.22e18
 _BINOMIAL_COUNT_MAX = 2**63 - 1  # numpy's binomial sampler takes counts up to the int64 range
 
@@ -82,10 +91,14 @@ def _finalize(n: int, sum_w: float, sum_w2: float) -> EstimatorResult:
     )
 
 
-def _run_chunked(seed: int, runs: int, scalars_per_run: int, weights) -> EstimatorResult:
-    """The estimator driver: checks the draw budget and that one run fits in
-    a chunk, then runs ``weights(rng, m) -> m per-run weights`` on the stream
-    of ``seed`` in chunks of at most _CHUNK_SCALARS scalar draws."""
+def _run_blocks(seed: int, runs: int, scalars_per_run: int, sampler) -> EstimatorResult:
+    """The estimator driver: checks the draw budget and that one run stays
+    under the per-run cap, then builds ``sampler() -> (width, block)`` and
+    runs ``block(rng, n) -> n per-run weights`` on the stream of ``seed``, on
+    blocks of runs of ``width`` draws each, at most _BLOCK_SCALARS unless one
+    run holds more.  Each block's weights are folded into their sum and sum
+    of squares before the next block is drawn, so no array grows with
+    ``runs``."""
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
     total = runs * scalars_per_run
@@ -94,18 +107,19 @@ def _run_chunked(seed: int, runs: int, scalars_per_run: int, weights) -> Estimat
             f"{runs} runs x {scalars_per_run} draws/run = {total} scalar draws "
             f"exceed the operation budget {_OP_BUDGET}"
         )
-    if scalars_per_run > _CHUNK_SCALARS:
+    if scalars_per_run > _RUN_SCALARS_CAP:
         raise BudgetError(
             f"one run draws {scalars_per_run} scalars, above the per-run cap of "
-            f"{_CHUNK_SCALARS}"
+            f"{_RUN_SCALARS_CAP}"
         )
+    width, block = sampler()
     rng = stream(seed)
-    rows = _CHUNK_SCALARS // scalars_per_run
+    rows = max(1, _BLOCK_SCALARS // width)
     sum_w = sum_w2 = 0.0
     for done in range(0, runs, rows):
-        w = weights(rng, min(rows, runs - done))
-        sum_w += float(w.sum())
-        sum_w2 += float((w * w).sum())
+        w = block(rng, min(rows, runs - done))
+        sum_w += float(np.add.reduce(w))
+        sum_w2 += float(np.add.reduce(w * w))
     return _finalize(runs, sum_w, sum_w2)
 
 
@@ -115,25 +129,6 @@ def _count_mean(mean):
         raise DomainError(f"a Poisson count mean of {np.max(mean):.6g} exceeds the "
                           f"sampler's limit of {_POISSON_MEAN_MAX:.3g}")
     return mean
-
-
-# slot draws, or marked counts, per block: 125 KiB of float64 stays in
-# cache and under malloc's 128 KiB mmap threshold, so the blocks reuse heap
-# memory; 1 MiB blocks were returned to the system and faulted in afresh, and
-# the fig 4 cells took 13 times the page faults of whole chunks
-_BLOCK_SCALARS = 16_000
-
-
-def _by_blocks(rng: np.random.Generator, m: int, width: int, block) -> np.ndarray:
-    """m per-run values, filled by ``block(rng, n) -> n values`` on blocks of
-    runs of ``width`` draws each, at most _BLOCK_SCALARS unless one run holds
-    more, so no chunk-sized array of draws is ever held."""
-    out = np.empty(m)
-    rows = max(1, _BLOCK_SCALARS // width)
-    for lo in range(0, m, rows):
-        n = min(rows, m - lo)
-        out[lo:lo + n] = block(rng, n)
-    return out
 
 
 # Alias tables (Walker, ACM TOMS 3 (1977) 253; Vose, IEEE TSE 17 (1991) 972)
@@ -365,7 +360,7 @@ def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs
             return hit
         return np.exp(slot_count * cgf_at_twist - theta * pooled) * hit
 
-    return _run_chunked(seed, runs, 2, lambda rng, m: _by_blocks(rng, m, 2, block))
+    return _run_blocks(seed, runs, 2, lambda: (2, block))
 
 
 def mc_P(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
@@ -387,11 +382,11 @@ def is_fast(
 
     The Poisson count is proposed with mean N*a and reweighted by the pmf
     ratio against the actually drawn pooled rate; ``quantity`` selects the
-    point mass ("point") or the tail ("tail").  Unlike the other overflow
-    estimators it draws whole chunks, and its proposal by numpy's Poisson
-    sampler: drawn in blocks and through an alias table, one raw word per
-    run, its time slowed more than numpy's Poisson draws on a loaded
-    machine, and its benchmark timings spread up to three times as wide.
+    point mass ("point") or the tail ("tail").  Each block of runs draws its
+    pooled rates, then its proposals by numpy's Poisson sampler: through an
+    alias table, one raw word per run, its time slowed more than numpy's
+    Poisson draws on a loaded machine, and its benchmark timings spread up
+    to three times as wide.
     """
     if quantity not in ("point", "tail"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -409,16 +404,16 @@ def is_fast(
     count = exact_count(N * a) if quantity == "point" else ceil_count(N * a)
     proposal_mean = _count_mean(N * a)  # checked before any draw
 
-    def weights(rng: np.random.Generator, m: int) -> np.ndarray:
-        xbar = draw(rng, m) / slot_count
-        z = rng.poisson(proposal_mean, size=m)
+    def block(rng: np.random.Generator, n: int) -> np.ndarray:
+        xbar = draw(rng, n) / slot_count
+        z = rng.poisson(proposal_mean, size=n)
         # at an empty pooled rate the ratio is e^(N a) at z = 0 and 0 above
         with np.errstate(divide="ignore", invalid="ignore"):
             logw = np.where(z > 0, z * np.log(xbar / a), 0.0) + N * (a - xbar)
         hit = (z >= count) if quantity == "tail" else (z == count)
         return np.exp(logw) * hit
 
-    return _run_chunked(seed, runs, 2, weights)
+    return _run_blocks(seed, runs, 2, lambda: (2, block))
 
 
 def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,

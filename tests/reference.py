@@ -29,6 +29,28 @@ def poisson_tail(mean: float, k: int) -> float:
     return math.exp(top) * math.fsum(math.exp(t - top) for t in log_terms)
 
 
+def binomial_tails(n: int, p: float, x: int) -> tuple[float, float]:
+    """(P(X <= x), P(X >= x)) for X ~ Bin(n, p), 0 < p < 1: the pmf summed
+    from x away from it in log space, by the ratio of consecutive terms,
+    until past the mode the terms fall 40 e-folds below the largest."""
+    log_odds = math.log(p) - math.log1p(-p)
+    log_x = (math.lgamma(n + 1.0) - math.lgamma(x + 1.0) - math.lgamma(n - x + 1.0)
+             + x * math.log(p) + (n - x) * math.log1p(-p))
+    mode = (n + 1) * p
+
+    def tail(step: int) -> float:
+        log_terms, j = [log_x], x
+        top = log_x
+        while 0 <= j + step <= n and ((j - mode) * step <= 0 or log_terms[-1] > top - 40.0):
+            ratio = (n - j) / (j + 1) if step > 0 else j / (n - j + 1)
+            log_terms.append(log_terms[-1] + math.log(ratio) + step * log_odds)
+            top = max(top, log_terms[-1])
+            j += step
+        return math.exp(top) * math.fsum(math.exp(t - top) for t in log_terms)
+
+    return tail(-1), tail(1)
+
+
 def poisson_pmf_digits(mean: float, size: int) -> list[decimal.Decimal]:
     """P(Pois(mean) = v) for v = 0..size-1 to 50 significant digits, by the
     recurrence p_(v+1) = p_v mean / (v + 1) from e^-mean, in decimal

@@ -19,7 +19,7 @@ import pytest
 from mixpois import gamma_exact, numerics, queue, sampling, staffing, tail_asymptotics
 from mixpois.rates import DeterministicRate, Exponential, PoissonRate, TwoPoint, rate_function
 from mixpois.sampling import Z_95
-from reference import efficiency_ratios, poisson_tail, relative_ci
+from reference import binomial_tails, efficiency_ratios, poisson_tail, relative_ci
 
 SEED = 20250809
 
@@ -336,6 +336,10 @@ def _exact_z_scores(rows, runs):
     return is_z, mc_z
 
 
+# the one-sided normal tail beyond 4 SE
+_TAIL_4SE = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
+
+
 def _check_regime(rows, runs):
     span = rows[0][1] / rows[-1][1]
     assert span >= 1e4, f"grid spans only {span:.1f}x"
@@ -346,12 +350,25 @@ def _check_regime(rows, runs):
     for (N, *_), z in zip(rows, mc_z):
         assert abs(z) <= 4.0, f"MC at N={N}: z = {z:.2f} against the exact tail"
     assert mc_z
+    # every crude cell's hit count, none included, lies inside both 4-SE
+    # tails of the exact Bin(runs, P)
+    tails = []
+    for N, exact, _, mc_res in rows:
+        hits = round(mc_res.estimate * runs)
+        tails.append(min(binomial_tails(runs, exact, hits)))
+        assert tails[-1] >= _TAIL_4SE, f"MC at N={N}: {hits} hits, tail {tails[-1]:.3g}"
 
     is_growth = relative_ci(rows[-1][2]) / relative_ci(rows[0][2])
+    # the growth of the crude relative CI over the grid: sampled up to the
+    # last cell with hits, which depends on the seed, and exact,
+    # sqrt((1 - P) / (runs P)) from the first cell to the last
     mc_with_hits = [r for r in rows if r[3].estimate > 0.0]
     mc_growth = relative_ci(mc_with_hits[-1][3]) / relative_ci(rows[0][3])
-    assert mc_growth >= 10.0, f"MC relative CI grew only {mc_growth:.2f}x"
-    return span, max(map(abs, is_z + mc_z)), len(mc_z), is_growth, mc_growth
+    (_, first, *_), (_, last, *_) = rows[0], rows[-1]
+    exact_mc_growth = math.sqrt(first * (1.0 - last) / (last * (1.0 - first)))
+    assert exact_mc_growth >= 10.0, f"MC relative CI grows only {exact_mc_growth:.2f}x"
+    return (span, max(map(abs, is_z + mc_z)), len(mc_z), min(tails), is_growth, mc_growth,
+            exact_mc_growth)
 
 
 def _is_slow_log_second_moment(lam, alpha, a, N):
@@ -374,7 +391,8 @@ class TestCriterion5:
     def test_fast_regime(self, acceptance_log):
         grid = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         rows = _compare_grid(Exponential(1.0), 1.0, 2.0, 2.0, grid, "is-fast")
-        span, worst, mc_checked, is_growth, mc_growth = _check_regime(rows, 10**6)
+        span, worst, mc_checked, tail, is_growth, mc_growth, exact_mc_growth = _check_regime(
+            rows, 10**6)
         ratios = efficiency_ratios(
             lambda N: sampling.is_fast(Exponential(1.0), 2.0, 2.0, N, 10**6, SEED,
                                       quantity="point"),
@@ -385,8 +403,10 @@ class TestCriterion5:
             "criterion 5 (fast)",
             "PASS" if passed else "FAIL",
             f"span {span:.1e}x, {len(rows)} IS and {mc_checked} MC estimates within 4 SE of "
-            f"exact (max |z| {worst:.2f}), IS CI x{is_growth:.2f} (<=3), "
-            f"MC CI x{mc_growth:.0f} (>=10), diagnostic ratio {ratios[-1]:.4f} (>=0.9)",
+            f"exact (max |z| {worst:.2f}), {len(rows)} MC hit counts inside the exact "
+            f"binomial's 4-SE tails (min tail {tail:.2g}), IS CI x{is_growth:.2f} (<=3), "
+            f"MC CI x{mc_growth:.0f} (exact x{exact_mc_growth:.0f}, >=10), "
+            f"diagnostic ratio {ratios[-1]:.4f} (>=0.9)",
         )
         assert is_growth <= 3.0, f"IS relative CI grew {is_growth:.2f}x"
         assert passed
@@ -394,7 +414,8 @@ class TestCriterion5:
     def test_slow_regime(self, acceptance_log):
         grid = [8.0, 16.0, 25.0, 36.0, 49.0]
         rows = _compare_grid(Exponential(2.5), 2.5, 0.5, 2.0, grid, "is-slow")
-        span, worst, mc_checked, is_growth, mc_growth = _check_regime(rows, 10**6)
+        span, worst, mc_checked, tail, is_growth, mc_growth, exact_mc_growth = _check_regime(
+            rows, 10**6)
         # the sampled second moment at N = 49 has a relative SE of about 4
         # at 1e6 runs (E[w^4] / E[w^2]^2 = 1.8e7), so the growth reads
         # against the closed form: the exact efficiency ratio
@@ -417,9 +438,11 @@ class TestCriterion5:
             "criterion 5 (slow)",
             "PASS" if passed and rising else "FAIL",
             f"span {span:.1e}x, {len(rows)} IS and {mc_checked} MC estimates within 4 SE of "
-            f"exact (max |z| {worst:.2f}), IS CI x{is_growth:.2f} (exact x{exact_growth:.2f}; "
-            f"exact efficiency ratio {exact_ratios[0]:.3f} -> {exact_ratios[-1]:.3f}, rising), "
-            f"MC CI x{mc_growth:.0f} (>=10), diagnostic ratio {ratios[-1]:.4f} (>=0.9)",
+            f"exact (max |z| {worst:.2f}), {len(rows)} MC hit counts inside the exact "
+            f"binomial's 4-SE tails (min tail {tail:.2g}), IS CI x{is_growth:.2f} "
+            f"(exact x{exact_growth:.2f}; exact efficiency ratio {exact_ratios[0]:.3f} -> "
+            f"{exact_ratios[-1]:.3f}, rising), MC CI x{mc_growth:.0f} "
+            f"(exact x{exact_mc_growth:.0f}, >=10), diagnostic ratio {ratios[-1]:.4f} (>=0.9)",
         )
         assert exact_ratios == sorted(exact_ratios)
         assert ratios == sorted(ratios)

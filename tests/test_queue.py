@@ -445,7 +445,7 @@ class TestMcQ:
     def test_twopoint_rate_sum_is_the_retention_of_the_set_lanes(self, N):
         dist, m = TwoPoint(0.3, 1.0, 5.0), 50  # one block
         omegas = omega_vector(N, ExpService(0.5))
-        got = queue._rate_sum(dist, omegas)(stream(8), m)
+        got = queue._rate_sum(dist, omegas)[1](stream(8), m)
         words = -(-N // 64)
         lanes = queue._bernoulli_words(0.7)(stream(8), m * words).reshape(m, words)
         bits = (lanes[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
@@ -464,6 +464,13 @@ class TestMcQ:
         omegas = omega_vector(N, service)
         means = queue._mark_means(lam, omegas)
         Y = means.size - 1
+        # against the terms built one mark at a time: each differs in at most
+        # 2 roundings per mark
+        term, loop = np.exp(-omegas), []
+        for y in range(Y + 1):
+            term = term if y == 0 else term * omegas / y
+            loop.append(lam * np.add.reduce(term))
+        assert np.allclose(means, loop, rtol=2 * (Y + 1) * np.finfo(float).eps, atol=0.0)
         marking = N * lam * -np.expm1(-omegas).mean()
         assert math.fsum(means[1:]) == pytest.approx(marking, rel=1e-12)
         assert math.fsum(np.arange(Y + 1) * means) == pytest.approx(lam * omegas.sum(), rel=1e-12)
@@ -620,7 +627,7 @@ class TestAliasTables:
     # its Neyman type A terms
     def test_occupancy_moments_across_the_table_bound(self):
         lam, omegas, m = 200.0, omega_vector(100, ExpService(1.0)), 20_000
-        occupancy = queue._marked_occupancy(lam, omegas)(stream(12), m)
+        occupancy = queue._marked_occupancy(lam, omegas)[1](stream(12), m)
         mean, variance = lam * omegas.sum(), lam * (omegas + omegas**2).sum()
         assert abs(occupancy.mean() - mean) <= 4.0 * math.sqrt(variance / m)
         assert abs(occupancy.var() / variance - 1.0) <= 4.0 * math.sqrt(2.0 / m)

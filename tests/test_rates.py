@@ -269,7 +269,7 @@ class TestBahadurRaoConstant:
 def slot_rates(dist, rng, n):
     """n slot rates of ``dist``, as the occupancy simulation draws them: the
     rate sums of one slot at full retention."""
-    return queue._rate_sum(dist, np.ones(1))(rng, n)
+    return queue._rate_sum(dist, np.ones(1))[1](rng, n)
 
 
 class TestSampling:

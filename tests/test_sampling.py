@@ -10,11 +10,10 @@ from mixpois import queue, sampling
 from mixpois.errors import BudgetError, DomainError, InfeasibleTargetError, RegimeWarning
 from mixpois.gamma_exact import GammaCase, P_exact, p_exact
 from mixpois.numerics import ceil_count
-from mixpois.queue import ExpService, mc_Q, mean_load, omega_vector
+from mixpois.queue import DetService, ExpService, mc_Q, mean_load, omega_vector
 from mixpois.rates import (DeterministicRate, Exponential, GammaRate, PoissonRate, TwoPoint,
                            rate_function)
 from mixpois.sampling import (
-    _CHUNK_SCALARS,
     Z_95,
     is_fast,
     is_slow,
@@ -298,62 +297,92 @@ class TestEfficiencyDiagnostic:
         assert ratios[-1] > 0.9
 
 
-def _whole_chunk_result(monkeypatch, estimate):
-    """``estimate()`` with every chunk's slot draws drawn and reduced in one
-    block."""
+def _at_block_size(monkeypatch, scalars, estimate):
+    """``estimate()`` with blocks of at most ``scalars`` scalar draws."""
     with monkeypatch.context() as patch:
-        patch.setattr(sampling, "_BLOCK_SCALARS", _CHUNK_SCALARS)
+        patch.setattr(sampling, "_BLOCK_SCALARS", scalars)
         return estimate()
 
 
-def _chunk_rows(width):
-    return _CHUNK_SCALARS // (width + 1)
+def _driven(width, block, runs):
+    """The values ``block`` gives on ``runs`` runs of ``width`` draws driven
+    by one _run_blocks call, and the stream's next uniform after them."""
+    values, streams = [], []
+
+    def recorded(rng, n):
+        values.append(block(rng, n))
+        streams.append(rng)
+        return values[-1]
+
+    sampling._run_blocks(4, runs, width + 1, lambda: (width, recorded))
+    return np.concatenate(values), streams[-1].random()
+
+
+def _past_one_chunk(N):
+    """Runs of mc_Q at N slots past the 4e6-scalar chunks, of N + 1 scalars
+    a run, that the estimator driver once held whole, ending in partial
+    blocks."""
+    return sampling._RUN_SCALARS_CAP // (N + 1) + 1000 + N
+
+
+# block sizes: the default, one splitting the runs into blocks of other
+# sizes, and the per-run cap, which holds every run of these tests in one block
+_BLOCK_SIZES = [sampling._BLOCK_SCALARS, 999, sampling._RUN_SCALARS_CAP]
 
 
 class TestSlotBlocks:
-    """Drawing and reducing gamma slot rates block by block gives the
-    results of the whole chunk, bit for bit.  Poisson and two-point rates
-    draw marked counts and Bernoulli lanes block by block, so their results
-    depend on the block size."""
+    """The estimator driver draws, scores and sums its runs block by block.
+    Gamma slot rates are drawn and reduced row by row, so their sums are bit
+    for bit the same at every block size.  Poisson and two-point rates draw
+    marked counts and Bernoulli lanes block by block, and the hits of rate
+    sums follow each block's sums, so those results depend on the block size
+    and are checked against the exact occupancy tail."""
 
     @pytest.mark.parametrize("width", [1, 10, 37, 1000, 2049, 10**5])
     def test_sums_and_stream_match(self, monkeypatch, width):
-        m = min(_chunk_rows(width), 5000)
-        block, whole = stream(4), stream(4)
+        runs = min(sampling._RUN_SCALARS_CAP // (width + 1), 5000)
         weights = np.linspace(0.1, 1.0, width)  # as mc_Q weighs slots by retention
-        draw = queue._rate_sum(GammaRate(2.0, 1.0), weights)
-        got = draw(block, m)
-        ref = _whole_chunk_result(monkeypatch, lambda: draw(whole, m))
-        assert np.array_equal(got, ref)
-        assert block.random() == whole.random()  # the same draws were consumed
+        _, block = queue._rate_sum(GammaRate(2.0, 1.0), weights)
+        ref, ref_next = _driven(width, block, runs)
+        for scalars in _BLOCK_SIZES[1:]:
+            got, got_next = _at_block_size(monkeypatch, scalars,
+                                           lambda: _driven(width, block, runs))
+            assert np.array_equal(got, ref)
+            assert got_next == ref_next  # the same draws were consumed
 
-    # runs past one chunk, whose first and last chunks end in partial blocks;
-    # two-point lanes are drawn block by block, so there the whole-chunk run
-    # is another stream of the same law: both meet the exact occupancy tail
-    @pytest.mark.parametrize("dist", [TwoPoint(0.75, 1.0, 5.0), DeterministicRate(2.0),
-                                      GammaRate(2.0, 1.0)],
+    # runs past one chunk, at two block sizes, against the exact
+    # occupancy tail; deterministic rates draw only the epochs, so their
+    # results do not depend on the block size.  Under det:1 service every
+    # retention is 1, and the gamma occupancy is that of gamma_exact at alpha = 1
+    @pytest.mark.parametrize("dist,service", [(TwoPoint(0.75, 1.0, 5.0), ExpService(0.5)),
+                                              (DeterministicRate(2.0), ExpService(0.5)),
+                                              (GammaRate(2.0, 1.0), DetService(1.0))],
                              ids=["twopoint", "det", "gamma"])
     @pytest.mark.parametrize("N", [1, 37, 100, 1000])
-    def test_mc_Q(self, monkeypatch, dist, N):
-        service = ExpService(0.5)
-        runs = _chunk_rows(N) + 1000 + N
+    def test_mc_Q(self, monkeypatch, dist, service, N):
+        runs = _past_one_chunk(N)
         a = 1.05 * mean_load(dist, service)
+        k = ceil_count(N * a)
+        omegas = omega_vector(N, service)
+        if isinstance(dist, TwoPoint):
+            exact = math.fsum(twopoint_occupancy_pmf(dist.p, dist.lam1, dist.lam2, omegas)[k:])
+        elif isinstance(dist, DeterministicRate):
+            exact = poisson_tail(dist.lam * math.fsum(omegas), k)
+        else:
+            exact = P_exact(GammaCase(dist.beta, dist.lam, 1.0, a, N))
         got = mc_Q(dist, service, N, a, runs, 11)
-        whole = _whole_chunk_result(monkeypatch, lambda: mc_Q(dist, service, N, a, runs, 11))
-        assert 0.0 < got.estimate < 1.0
-        if not isinstance(dist, TwoPoint):
-            assert got == whole
-            return
-        pmf = twopoint_occupancy_pmf(dist.p, dist.lam1, dist.lam2, omega_vector(N, service))
-        exact = math.fsum(pmf[ceil_count(N * a):])
-        for result in (got, whole):
+        small = _at_block_size(monkeypatch, 999, lambda: mc_Q(dist, service, N, a, runs, 11))
+        for result in (got, small):
+            assert 0.0 < result.estimate < 1.0
             assert abs(result.estimate - exact) <= 4.0 * result.ci_halfwidth_95 / Z_95
+        if isinstance(dist, DeterministicRate):
+            assert got == small
 
     # Poisson rates over runs past one chunk, against the exact occupancy tail
     @pytest.mark.parametrize("N", [1, 37, 100])
     def test_mc_Q_poisson_rates(self, N):
         service = ExpService(0.5)
-        runs = _chunk_rows(N) + 1000 + N
+        runs = _past_one_chunk(N)
         omegas = omega_vector(N, service)
         k = ceil_count(1.05 * N * mean_load(PoissonRate(12.0), service))
         exact = math.fsum(occupancy_pmf(12.0, omegas)[k:])
@@ -366,7 +395,7 @@ class TestSlotBlocks:
     def test_mc_Q_twopoint_rates(self, N):
         service = ExpService(0.5)
         dist = TwoPoint(0.3, 1.0, 5.0)
-        runs = _chunk_rows(N) + 1000 + N
+        runs = _past_one_chunk(N)
         omegas = omega_vector(N, service)
         k = ceil_count(1.05 * N * mean_load(dist, service))
         exact = math.fsum(twopoint_occupancy_pmf(0.3, 1.0, 5.0, omegas)[k:])
@@ -376,18 +405,39 @@ class TestSlotBlocks:
     # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
     # draw marked counts, two-point rates words of Bernoulli lanes, summed by
     # byte tables.  At pois:200 the mark-1 count, of mean 6486, is past the
-    # 2^12-entry bound of the alias tables and the others are tabled
+    # 2^12-entry bound of the alias tables and the others are tabled; its
+    # peak is that of building the tables, whatever the runs
     @pytest.mark.parametrize("dist,a", [(PoissonRate(0.1), 0.16), (PoissonRate(200.0), 128.0),
                                         (TwoPoint(0.75, 1.0, 5.0), 1.4)],
                              ids=["pois", "pois-beyond-the-table-bound", "twopoint"])
     def test_mc_Q_peak_memory(self, dist, a):
-        tracemalloc.start()
-        try:
-            mc_Q(dist, ExpService(1.0), 100, a, 40000, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        assert _traced_peak(lambda: mc_Q(dist, ExpService(1.0), 100, a, 40000, 3)) < 8e6
+
+    # no array grows with the runs: at 2e6 runs, whole chunks of weights and
+    # their squares peaked at 30.5 MiB (mc_P, is_slow) and 63 MiB (is_fast);
+    # mc_Q runs 400,000 runs at N = 10, past one chunk of 4e6 scalars
+    @pytest.mark.parametrize("estimate", [
+        lambda: mc_P(EXP25, 1.2, 1.0, 10.0, 2 * 10**6, PART),
+        lambda: is_slow(EXP25, 0.5, 2.0, 25.0, 2 * 10**6, PART),
+        lambda: is_fast(EXP25, 1.2, 1.0, 10.0, 2 * 10**6, PART),
+        lambda: mc_Q(PoissonRate(0.1), ExpService(1.0), 10, 0.16, 400_000, PART),
+        lambda: mc_Q(TwoPoint(0.75, 1.0, 5.0), ExpService(1.0), 10, 1.4, 400_000, PART),
+        lambda: mc_Q(GammaRate(2.0, 1.0), ExpService(1.0), 10, 1.6, 400_000, PART),
+    ], ids=["mc_P", "is_slow", "is_fast", "mc_Q-pois", "mc_Q-twopoint", "mc_Q-gamma"])
+    def test_estimator_peak_memory(self, estimate):
+        assert _traced_peak(estimate) < 2**20
+
+
+def _traced_peak(run):
+    """The peak of the memory traced (tracemalloc) while ``run()`` runs, past
+    the import of numpy.random by the first stream."""
+    stream(0)
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _binned_deviations(draws, pmf):
