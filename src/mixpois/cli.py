@@ -26,8 +26,6 @@ __all__ = ["main", "build_parser"]
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

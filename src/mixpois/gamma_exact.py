@@ -215,9 +215,23 @@ def _truncation_index(x: float) -> int:
             f"series truncation index {x} lies on a jump boundary; "
             "the truncation uses its floor",
             TruncationBoundaryWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return int(math.floor(x))
+
+
+def _series_coefficients(case: GammaCase, name: str, index: float, leading, term
+                         ) -> SeriesCoefficients:
+    """The named series truncated at floor(index): the constant ``leading()``,
+    then (-1)^k term(k) for k = 1, ..., floor(index)."""
+    order = _truncation_index(index)
+    values = [leading()]
+    try:
+        for k in range(1, order + 1):
+            values.append((-1.0) ** k * term(k))
+    except OverflowError:
+        raise ConvergenceError(f"{name} series coefficient {k} overflows for {case}") from None
+    return SeriesCoefficients(order=order, values=tuple(values))
 
 
 def fast_series_coefficients(case: GammaCase) -> SeriesCoefficients:
@@ -227,20 +241,12 @@ def fast_series_coefficients(case: GammaCase) -> SeriesCoefficients:
     -a log(lam a) + a - 1/lam; values[k] multiplies N^{(1-alpha)k + 1}.
     """
     lam, a = case.lam, case.a
-    order = _truncation_index(1.0 / (case.alpha - 1.0))
-    values = [-a * math.log(lam * a) + a - 1.0 / lam]
-    try:
-        for k in range(1, order + 1):
-            values.append(
-                (-1.0) ** k
-                * (
-                    lam ** (-k) * (a / k - (1.0 / lam) / (k + 1.0))
-                    - a ** (k + 1) * (1.0 / k - 1.0 / (k + 1.0))
-                )
-            )
-    except OverflowError:
-        raise ConvergenceError(f"fast series coefficient {k} overflows for {case}") from None
-    return SeriesCoefficients(order=order, values=tuple(values))
+    return _series_coefficients(
+        case, "fast", 1.0 / (case.alpha - 1.0),
+        lambda: -a * math.log(lam * a) + a - 1.0 / lam,
+        lambda k: (lam ** (-k) * (a / k - (1.0 / lam) / (k + 1.0))
+                   - a ** (k + 1) * (1.0 / k - 1.0 / (k + 1.0))),
+    )
 
 
 def slow_series_coefficients(case: GammaCase) -> SeriesCoefficients:
@@ -250,20 +256,12 @@ def slow_series_coefficients(case: GammaCase) -> SeriesCoefficients:
     N^{(alpha-1)k + alpha}.
     """
     lam, a = case.lam, case.a
-    order = _truncation_index(case.alpha / (1.0 - case.alpha))
-    values = [math.log(lam * a) + 1.0 - lam * a]
-    try:
-        for k in range(1, order + 1):
-            values.append(
-                (-1.0) ** k
-                * (
-                    lam**k * (1.0 / k - a * lam / (k + 1.0))
-                    - a ** (-k) * (1.0 / k - 1.0 / (k + 1.0))
-                )
-            )
-    except OverflowError:
-        raise ConvergenceError(f"slow series coefficient {k} overflows for {case}") from None
-    return SeriesCoefficients(order=order, values=tuple(values))
+    return _series_coefficients(
+        case, "slow", case.alpha / (1.0 - case.alpha),
+        lambda: math.log(lam * a) + 1.0 - lam * a,
+        lambda k: (lam**k * (1.0 / k - a * lam / (k + 1.0))
+                   - a ** (-k) * (1.0 / k - 1.0 / (k + 1.0))),
+    )
 
 
 def _require_exponential_slots(case: GammaCase, what: str) -> None:
@@ -278,6 +276,14 @@ def _require_exponential_slots(case: GammaCase, what: str) -> None:
         )
 
 
+def _refined(coeff: SeriesCoefficients, log_p: float, N: float, slope: float, offset: float,
+             regime: str, gamma: float) -> AsymptoticValue:
+    """The leading log_p plus the correction sum of values[k] N^(slope k + offset)."""
+    for k in range(1, coeff.order + 1):
+        log_p += coeff.values[k] * N ** (slope * k + offset)
+    return AsymptoticValue(log_p, regime, "Valid", gamma)
+
+
 def p_asym_fast(case: GammaCase) -> AsymptoticValue:
     """Refined point-probability series for alpha > 1.
 
@@ -288,11 +294,9 @@ def p_asym_fast(case: GammaCase) -> AsymptoticValue:
         raise RegimeError(f"fast series needs alpha > 1, got alpha={case.alpha}")
     _require_exponential_slots(case, "the fast series")
     coeff = fast_series_coefficients(case)
-    N, alpha = case.N, case.alpha
+    N = case.N
     log_p = coeff.values[0] * N - 0.5 * math.log(2.0 * math.pi * case.a * N)
-    for k in range(1, coeff.order + 1):
-        log_p += coeff.values[k] * N ** ((1.0 - alpha) * k + 1.0)
-    return AsymptoticValue(log_p, "FastExact", "Valid", 1.0)
+    return _refined(coeff, log_p, N, 1.0 - case.alpha, 1.0, "FastExact", 1.0)
 
 
 def p_asym_slow(case: GammaCase) -> AsymptoticValue:
@@ -307,9 +311,7 @@ def p_asym_slow(case: GammaCase) -> AsymptoticValue:
         - math.log(math.sqrt(2.0 * math.pi) * case.a)
         + (0.5 * alpha - 1.0) * math.log(N)
     )
-    for k in range(1, coeff.order + 1):
-        log_p += coeff.values[k] * N ** ((alpha - 1.0) * k + alpha)
-    return AsymptoticValue(log_p, "SlowIExact", "Valid", alpha)
+    return _refined(coeff, log_p, N, alpha - 1.0, alpha, "SlowIExact", alpha)
 
 
 def p_asym_intermediate(case: GammaCase) -> AsymptoticValue:

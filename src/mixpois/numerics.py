@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
-_MAX_EXPANSIONS = 200  # bracket doublings allowed in each direction of a root search
+_ROOT_TOL = 1e-12  # |g| and bracket width at which a root search stops
 _INT_TOL = 1e-9
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
@@ -302,55 +302,45 @@ def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
 def find_root_increasing(
     g: Callable[[float], tuple[float, float]],
     bracket_hint: Interval,
-    tol: float = 1e-12,
-    lo_limit: float = -math.inf,
-    hi_limit: float = math.inf,
+    lo_limit: float,
+    hi_limit: float,
 ) -> float:
-    """Root of a continuous strictly increasing function; ``g(x)`` returns
-    its value and its slope at x.
+    """Root of a continuous strictly increasing function on the finite domain
+    [lo_limit, hi_limit]; ``g(x)`` returns its value and its slope at x.
 
-    The hint bracket is expanded by doubling, at most _MAX_EXPANSIONS times
-    and never past ``lo_limit`` / ``hi_limit``, until the sign changes.  Then
-    each step is a Newton step, the first from the bracket end where |g| is
-    smaller and the others from the latest iterate, if it lands strictly
-    inside the bracket, and a bisection otherwise (so a zero, negative,
-    infinite or NaN slope bisects), until ``|g(root)| <= tol`` or the bracket
-    width drops below ``tol``.  The slope only steers the steps: an
-    approximate one slows convergence but cannot move the root.
+    The hint bracket is expanded by doubling, never past the limits, until
+    the sign changes.  Then each step is a Newton step, the first from the
+    bracket end where |g| is smaller and the others from the latest iterate,
+    if it lands strictly inside the bracket, and a bisection otherwise (so a
+    zero, negative, infinite or NaN slope bisects), until
+    ``|g(root)| <= _ROOT_TOL`` or the bracket width drops below it.  The
+    slope only steers the steps: an approximate one slows convergence but
+    cannot move the root.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(lo_limit) and math.isfinite(hi_limit)):
+        raise DomainError(f"root search limits must be finite, got [{lo_limit}, {hi_limit}]")
     lo, hi = bracket_hint.lo, bracket_hint.hi
-    if lo == hi:
-        hi = lo + max(1.0, abs(lo)) * 1e-3
     glo, slo = g(lo)
     ghi, shi = g(hi)
 
+    # the step doubles from at least 1e-12, so it reaches either finite limit
     step = max(hi - lo, 1e-12)
-    for _ in range(_MAX_EXPANSIONS):
-        if glo <= 0.0:
-            break
+    while not glo <= 0.0:
         if lo <= lo_limit:
             raise DomainError(f"no sign change: g({lo}) = {glo} > 0 at the domain boundary")
         hi, ghi, shi = lo, glo, slo
         lo = max(lo_limit, lo - step)
         glo, slo = g(lo)
         step *= 2.0
-    else:
-        raise ConvergenceError("bracket expansion cap reached while moving down")
 
     step = max(hi - lo, 1e-12)
-    for _ in range(_MAX_EXPANSIONS):
-        if ghi >= 0.0:
-            break
+    while not ghi >= 0.0:
         if hi >= hi_limit:
             raise DomainError(f"no sign change: g({hi}) = {ghi} < 0 at the domain boundary")
         lo, glo, slo = hi, ghi, shi
         hi = min(hi_limit, hi + step)
         ghi, shi = g(hi)
         step *= 2.0
-    else:
-        raise ConvergenceError("bracket expansion cap reached while moving up")
 
     if glo == 0.0:
         return lo
@@ -365,7 +355,7 @@ def find_root_increasing(
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         gx, slope = g(x)
-        if abs(gx) <= tol or (hi - lo) <= tol:
+        if abs(gx) <= _ROOT_TOL or (hi - lo) <= _ROOT_TOL:
             return x
         if gx < 0.0:
             lo = x

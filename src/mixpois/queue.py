@@ -314,7 +314,7 @@ def _solve_tilt(dist: RateDistribution, rule: _Rule, a: float,
 
     cap = _tilt_cap_exp(dist)
     try:
-        theta = find_root_increasing(g, hint, tol=1e-12, lo_limit=0.0, hi_limit=cap)
+        theta = find_root_increasing(g, hint, lo_limit=0.0, hi_limit=cap)
     except DomainError:
         raise _beyond_cap(dist, f"level a={a}",
                           lambda cap: f"mean level {g(cap)[0] + a:.6g}") from None

@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .numerics import Interval, find_root_increasing
+from .numerics import _ROOT_TOL, Interval, find_root_increasing
 from .queue import (
     ServiceTime,
     _approx_from,
@@ -66,11 +66,11 @@ def solve_staffing(
         raise DomainError(f"N must be a positive integer, got {N}")
 
     # |log Q - log eps| below half of log1p(tol / eps) keeps Q within tol of
-    # eps.  The root finder stops at |g| <= 1e-12 or at a bracket narrower
-    # than that, so g measures log Q in units of that band over 1e12: the
-    # value stop is the band, and the bracket stop a log-theta width of 1e-12
+    # eps.  The root finder stops at |g| <= _ROOT_TOL or at a bracket narrower
+    # than that, so g measures log Q in units of that band over _ROOT_TOL: the
+    # value stop is the band, and the bracket stop a log-theta width of _ROOT_TOL
     log_eps = math.log(eps)
-    scale = 1e-12 / (0.5 * math.log1p(tol / eps))
+    scale = _ROOT_TOL / (0.5 * math.log1p(tol / eps))
     rule = _rule(service)
     seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
     previous = []  # theta and log sigma^2 of the last evaluation
@@ -101,7 +101,7 @@ def solve_staffing(
     top = math.log(_cold_hint(dist).hi)
     bottom = math.log(sys.float_info.min)
     try:
-        u = find_root_increasing(g, Interval(top - 3.0, top), tol=1e-12, lo_limit=bottom,
+        u = find_root_increasing(g, Interval(top - 3.0, top), lo_limit=bottom,
                                  hi_limit=math.log(_tilt_cap_exp(dist)))
     except DomainError:
         if g(bottom)[0] > 0.0:

@@ -30,15 +30,17 @@ __all__ = [
     "approx_auto",
 ]
 
-REGIMES = (
-    "FastExact",
-    "FastLowerBound",
-    "SlowIExact",
-    "SlowILowerBound",
-    "SlowIIExact",
-    "Intermediate",
-    "LogOnly",
-)
+# the validity of each sharp regime: the paper proves the formula as an
+# equivalent, or only as an asymptotic lower bound
+_SHARP_VALIDITY = {
+    "FastExact": "Valid",
+    "FastLowerBound": "LowerBoundOnly",
+    "SlowIExact": "Valid",
+    "SlowILowerBound": "LowerBoundOnly",
+    "SlowIIExact": "Valid",
+    "Intermediate": "Valid",
+}
+REGIMES = (*_SHARP_VALIDITY, "LogOnly")
 VALIDITIES = ("Valid", "LowerBoundOnly", "OutsideProvenRange")
 
 
@@ -86,6 +88,16 @@ class DecayRate:
             validity=validity,
             gamma_exponent=self.gamma,
         )
+
+
+def _sharp_pair(log_tail: float, log_point: float, regime: str,
+                gamma: float) -> tuple[AsymptoticValue, AsymptoticValue]:
+    """The (tail, point) values of a sharp regime, with its validity."""
+    validity = _SHARP_VALIDITY[regime]
+    return (
+        AsymptoticValue(log_tail, regime, validity, gamma),
+        AsymptoticValue(log_point, regime, validity, gamma),
+    )
 
 
 def _check_rare(dist: RateDistribution, a: float) -> None:
@@ -143,11 +155,7 @@ def approx_fast(
     theta, integrals = _point_mass_count(dist.mean, a)
     approx = _approx_from(N, theta, a, integrals, checked=False)
     regime = "FastExact" if alpha > 3.0 else "FastLowerBound"
-    validity = "Valid" if alpha > 3.0 else "LowerBoundOnly"
-    return (
-        AsymptoticValue(approx.log_Q_check, regime, validity, 1.0),
-        AsymptoticValue(approx.log_q_check, regime, validity, 1.0),
-    )
+    return _sharp_pair(approx.log_Q_check, approx.log_q_check, regime, 1.0)
 
 
 def approx_slow_case1(
@@ -177,11 +185,7 @@ def approx_slow_case1(
         - (1.0 - 0.5 * alpha) * math.log(N)
     )
     regime = "SlowIExact" if alpha < 1.0 / 3.0 else "SlowILowerBound"
-    validity = "Valid" if alpha < 1.0 / 3.0 else "LowerBoundOnly"
-    return (
-        AsymptoticValue(log_P, regime, validity, alpha),
-        AsymptoticValue(log_p, regime, validity, alpha),
-    )
+    return _sharp_pair(log_P, log_p, regime, alpha)
 
 
 def approx_slow_case2(
@@ -216,10 +220,8 @@ def approx_slow_case2(
         - 0.5 * alpha * math.log(N)
         + math.log(C_X_at_b * Iprime_at_b * b_plus / (a - b_plus))
     )
-    return (
-        AsymptoticValue(approx.log_Q_check + shift, "SlowIIExact", "Valid", min(alpha, 1.0)),
-        AsymptoticValue(approx.log_q_check + shift, "SlowIIExact", "Valid", min(alpha, 1.0)),
-    )
+    return _sharp_pair(approx.log_Q_check + shift, approx.log_q_check + shift, "SlowIIExact",
+                       min(alpha, 1.0))
 
 
 def approx_intermediate(
@@ -230,10 +232,7 @@ def approx_intermediate(
     _check_rare(dist, a)
     theta, integrals = _solve_tilt(dist, _UNIT_RULE, a, _cold_hint(dist))
     approx = _approx_from(N, theta, a, integrals, checked=False)
-    return (
-        AsymptoticValue(approx.log_Q_check, "Intermediate", "Valid", 1.0),
-        AsymptoticValue(approx.log_q_check, "Intermediate", "Valid", 1.0),
-    )
+    return _sharp_pair(approx.log_Q_check, approx.log_q_check, "Intermediate", 1.0)
 
 
 def approx_auto(

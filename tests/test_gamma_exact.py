@@ -47,6 +47,11 @@ class TestExactPoint:
         with pytest.raises(DomainError, match="must be finite"):
             case(alpha=alpha, a=a, N=N)
 
+    @pytest.mark.parametrize("beta,lam", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.5)])
+    def test_nonpositive_beta_or_lam_rejected(self, beta, lam):
+        with pytest.raises(DomainError, match="beta and lam must be positive"):
+            case(beta=beta, lam=lam)
+
     def test_non_finite_log_probability_raises(self):
         # log_gamma(k + r) overflows at k = 1e308, and the difference is NaN
         with pytest.raises(ConvergenceError):

@@ -139,6 +139,8 @@ class TestIntegrate:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_depth=0)
+        with pytest.raises(DomainError, match="noise_floor_rel"):
+            QuadratureSpec(noise_floor_rel=0.5)
         with pytest.raises(DomainError):
             Interval(1.0, 0.0)
         with pytest.raises(DomainError):
@@ -167,27 +169,32 @@ def _counted(g):
     return counted, points
 
 
+# finite search limits that the tests' roots and bracket expansions stay well inside
+LIMITS = (-1e3, 1e3)
+
+
 class TestFindRootIncreasing:
     def test_linear(self):
-        assert find_root_increasing(LINEAR, Interval(0.0, 2.0)) == pytest.approx(1.0, abs=1e-11)
+        assert find_root_increasing(LINEAR, Interval(0.0, 2.0), *LIMITS) == pytest.approx(
+            1.0, abs=1e-11)
 
     def test_exponential(self):
-        root = find_root_increasing(EXPONENTIAL, Interval(0.0, 1.0))
+        root = find_root_increasing(EXPONENTIAL, Interval(0.0, 1.0), *LIMITS)
         assert root == pytest.approx(math.log(3.0), abs=1e-11)
 
     def test_expansion_required(self):
-        root = find_root_increasing(CUBIC, Interval(0.0, 1.0))
+        root = find_root_increasing(CUBIC, Interval(0.0, 1.0), *LIMITS)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-11)
 
     def test_downward_expansion(self):
         g, points = _counted(_with_slope(lambda x: x + 10.0, lambda x: 1.0))
-        root = find_root_increasing(g, Interval(0.0, 1.0))
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
         assert root == pytest.approx(-10.0, abs=1e-9)
         assert min(points) < -10.0
 
     def test_upward_expansion(self):
         g, points = _counted(_with_slope(lambda x: x - 10.0, lambda x: 1.0))
-        root = find_root_increasing(g, Interval(0.0, 1.0))
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
         assert root == pytest.approx(10.0, abs=1e-9)
         assert max(points) > 10.0
 
@@ -201,8 +208,8 @@ class TestFindRootIncreasing:
         ],
     )
     def test_final_bracket_property(self, g, analytic):
-        tol = 1e-12
-        root = find_root_increasing(g, Interval(0.0, 1.0), tol=tol)
+        tol = 1e-12  # the finder's fixed tolerance
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
         w = 4.0 * max(tol, abs(root) * 1e-12)
         assert g(root - w)[0] <= tol
         assert g(root + w)[0] >= -tol
@@ -211,18 +218,18 @@ class TestFindRootIncreasing:
     def test_quadratic_convergence(self):
         # two bracket ends, then Newton steps whose residuals square
         g, points = _counted(EXPONENTIAL)
-        root = find_root_increasing(g, Interval(0.0, 2.0), tol=1e-13)
-        assert abs(root - math.log(3.0)) <= 1e-13
+        root = find_root_increasing(g, Interval(0.0, 2.0), *LIMITS)
+        assert abs(root - math.log(3.0)) <= 1e-12
         assert len(points) <= 8
         residuals = [abs(g(x)[0]) for x in points[2:]]
         for before, after in zip(residuals, residuals[1:]):
-            if after > 1e-13:
+            if after > 1e-12:
                 assert after <= 2.0 * before**2
 
     @pytest.mark.parametrize("bad_slope", [0.0, math.inf, math.nan, -1.0])
     def test_unusable_slope_bisects(self, bad_slope):
         g, points = _counted(_with_slope(lambda x: x - 0.3, lambda x: bad_slope))
-        root = find_root_increasing(g, Interval(0.0, 1.0), tol=1e-12)
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
         assert root == pytest.approx(0.3, abs=1e-12)
         # every step halves the bracket: 0.5, 0.25, 0.375, ...
         assert points[2:5] == [0.5, 0.25, 0.375]
@@ -230,21 +237,32 @@ class TestFindRootIncreasing:
     def test_newton_step_outside_bracket_bisects(self):
         # a slope ten times too small sends every Newton step out of [lo, hi]
         g, points = _counted(_with_slope(lambda x: x - 0.3, lambda x: 0.1))
-        root = find_root_increasing(g, Interval(0.0, 1.0), tol=1e-12)
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
         assert root == pytest.approx(0.3, abs=1e-12)
         assert points[2] == 0.5
 
     def test_domain_boundary_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="no sign change"):
             find_root_increasing(_with_slope(lambda x: x - 10.0, lambda x: 1.0),
-                                 Interval(0.0, 1.0), hi_limit=5.0)
-        with pytest.raises(DomainError):
+                                 Interval(0.0, 1.0), -1e3, 5.0)
+        with pytest.raises(DomainError, match="no sign change"):
             find_root_increasing(_with_slope(lambda x: x + 10.0, lambda x: 1.0),
-                                 Interval(0.0, 1.0), lo_limit=-5.0)
+                                 Interval(0.0, 1.0), -5.0, 1e3)
+
+    @pytest.mark.parametrize("limits", [(-math.inf, 1e3), (-1e3, math.inf), (math.nan, 1e3)])
+    def test_nonfinite_limit_rejected(self, limits):
+        g, points = _counted(LINEAR)
+        with pytest.raises(DomainError, match="limits must be finite"):
+            find_root_increasing(g, Interval(0.0, 2.0), *limits)
+        assert points == []
 
     def test_stall_raises(self):
-        # a step function is never within tol of zero, and once its bracket
-        # holds two adjacent floats it cannot narrow below tol = 1e-300
-        step = _with_slope(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, lambda x: 1.0)
+        # Newton steps that move x down by one ulp each keep |g| near 1/2 and
+        # the bracket near [0, 1], so neither stop is reached in 800 steps
+        g, points = _counted(_with_slope(lambda x: x - 0.5,
+                                         lambda x: abs(x - 0.5) / math.ulp(x)))
         with pytest.raises(ConvergenceError, match="stalled"):
-            find_root_increasing(step, Interval(0.0, 1.0), tol=1e-300)
+            find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
+        assert len(points) == 2 + 800
+        # from the hint's top end 1.0 on, each iterate is one ulp below the last
+        assert all(x == prev - math.ulp(prev) for prev, x in zip(points[1:], points[2:]))

@@ -645,15 +645,15 @@ def log_asym_Q(dist, service, alpha, a):
         integral = rule.checked(dist, tau, rule.integrals(dist, tau))[0]
         return DecayRate(rate=theta * a - integral, gamma=1.0)
     # linear tilt: sup_t {t a - int CGF(t sf(x)) dx}
+    # the root search takes finite limits; every tilt asked for here lies below 50
     sup = dist.mgf_domain_sup
-    cap = math.inf if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
+    cap = 50.0 if math.isinf(sup) else sup - 1e-9 * max(1.0, sup)
 
     def level(t):
         _, slope, curvature = rule.integrals(dist, t)
         return slope - a, curvature
 
-    theta = find_root_increasing(level, Interval(0.0, min(1.0, cap)), tol=1e-12, lo_limit=0.0,
-                                 hi_limit=cap)
+    theta = find_root_increasing(level, Interval(0.0, min(1.0, cap)), lo_limit=0.0, hi_limit=cap)
     integral = rule.checked(dist, theta, rule.integrals(dist, theta))[0]
     return DecayRate(rate=theta * a - integral, gamma=alpha)
 
@@ -732,6 +732,11 @@ class TestLoadVariance:
         # stationary mean depends on the service law only through its mean
         for service in SERVICES:
             assert load_and_variance(POIS2, service, 100).M_inf == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("N", [100.0, 2.5, 0])
+    def test_non_integer_or_nonpositive_N_rejected(self, N):
+        with pytest.raises(DomainError, match="N must be a positive integer"):
+            load_and_variance(POIS2, ExpService(0.5), N)
 
     @pytest.mark.parametrize("N", [1, 7, 100, 1000])
     def test_transient_mean_is_the_summed_retention(self, N):

@@ -65,3 +65,28 @@ def test_all_names_exist(path):
         "mixpois" if path.stem == "__init__" else f"mixpois.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+# the package's knobs: command-line options, environment reads and defaulted
+# function parameters.  A change that adds or removes one updates this pin.
+OPTION_BUDGET = {"add_argument calls": 37, "environment reads": 0, "defaulted parameters": 16}
+
+
+def _option_counts() -> dict[str, int]:
+    counts = dict.fromkeys(OPTION_BUDGET, 0)
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        counts["environment reads"] += sum(
+            name in ("environ", "environb", "getenv") for name in _names(tree))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                counts["add_argument calls"] += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                counts["defaulted parameters"] += len(node.args.defaults) + sum(
+                    default is not None for default in node.args.kw_defaults)
+    return counts
+
+
+def test_option_budget():
+    assert _option_counts() == OPTION_BUDGET

@@ -85,6 +85,11 @@ class TestLogAsym:
         with pytest.raises(InfeasibleTargetError):
             log_asym_P(EXP25, 2.0, 0.3)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_nonpositive_alpha_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            log_asym_P(EXP25, alpha, 1.0)
+
 
 class TestApproxFast:
     def test_formula(self):
