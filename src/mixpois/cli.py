@@ -4,6 +4,11 @@ One invocation, one CSV table on stdout (or --output).  All numbers are
 printed with 12 significant digits, log-space columns accompany linear ones,
 and identical invocations produce byte-identical output.  Exit status: 0 on
 success, 2 on validation errors, 3 on numerical non-convergence.
+
+The options several subcommands share (the rate and service laws, alpha,
+a, N, runs and seed) are declared once, in ``_SHARED``, with the same help
+in every command; ``_add_command`` registers a subcommand from their keys
+and its own options, in usage order, then --output.
 """
 
 from __future__ import annotations
@@ -56,12 +61,32 @@ def _finite_floats(text: str) -> list[float]:
     return [_finite_float(part) for part in text.split(",")]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# the options several subcommands share, each declared once: its flag and
+# its add_argument keywords.  The integer slot count is the "slots" entry.
+_SHARED = {
+    "dist": ("--dist", dict(required=True, help="rate law: exp:<lam> | gamma:<beta>,<lam> | "
+                            "pois:<lam> | twopoint:<p>,<lam1>,<lam2> | det:<lam>")),
+    "service": ("--service", dict(required=True,
+                                  help="service law: exp:<E> | det:<E> | pareto:<E>")),
+    "alpha": ("--alpha", dict(type=_finite_float, required=True, help="resampling exponent, > 0")),
+    "a": ("--a", dict(type=_finite_float, required=True, help="overflow level")),
+    "N": ("--N", dict(type=_finite_float, required=True, help="scale parameter, > 0")),
+    "slots": ("--N", dict(type=int, required=True, help="slot count, positive integer")),
+    "runs": ("--runs", dict(type=int, required=True, help="Monte Carlo runs, >= 1")),
+    "seed": ("--seed", dict(type=int, default=0, help="seed in [0, 2^64) (default 0)")),
+}
+
+
+def _add_command(sub, name: str, summary: str, description: str, options: tuple,
+                 handler) -> None:
+    """The subcommand ``name``: ``options`` in order, each a key of _SHARED or
+    a (flag, keywords) pair of the command's own, then --output."""
+    parser = sub.add_parser(name, help=summary, description=description)
+    for option in options:
+        flag, keywords = _SHARED[option] if isinstance(option, str) else option
+        parser.add_argument(flag, **keywords)
     parser.add_argument("--output", default=None, help="write CSV here instead of stdout")
-
-
-def _add_seeding(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed in [0, 2^64) (default 0)")
+    parser.set_defaults(handler=handler)
 
 
 @functools.cache
@@ -76,137 +101,74 @@ def build_parser() -> argparse.ArgumentParser:
         "periodically resampled arrival rates, and infinite-server staffing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "approx",
-        help="regime-dispatched sharp/log approximation of the overflow probability",
-        description="Requires a above the mean of the rate distribution. "
-        "Sharp values exist for alpha > 2 and alpha < 1/2 (with lower-bound "
-        "tagging on the partially proven bands) and at alpha = 1; other alpha "
-        "produce the rate-only value tagged OutsideProvenRange.",
-    )
-    p.add_argument("--dist", required=True,
-                   help="rate law: exp:<lam> | gamma:<beta>,<lam> | pois:<lam> | "
-                        "twopoint:<p>,<lam1>,<lam2> | det:<lam>")
-    p.add_argument("--alpha", type=_finite_float, required=True, help="resampling exponent, > 0")
-    p.add_argument("--a", type=_finite_float, required=True,
-                   help="overflow level, above the mean rate")
-    p.add_argument("--N", type=_finite_float, required=True, help="scale parameter, > 0")
-    p.add_argument("--quantity", choices=("p", "P"), default="P",
-                   help="point probability (p) or tail (P); default P")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_approx)
-
-    p = sub.add_parser(
-        "exact-gamma",
-        help="exact point/tail probabilities for exponential or gamma rates",
-        description="Requires an exp:<lam> or gamma:<beta>,<lam> rate law and "
-        "integer N*a.  The refined series column needs exponential rates "
-        "(beta = 1) and a > 1/lam; it is left empty otherwise.",
-    )
-    p.add_argument("--dist", required=True, help="exp:<lam> or gamma:<beta>,<lam>")
-    p.add_argument("--alpha", type=_finite_float, required=True, help="resampling exponent, > 0")
-    p.add_argument("--a", type=_finite_float, required=True, help="level with N*a integer")
-    p.add_argument("--N", type=_finite_float, required=True, help="scale parameter, > 0")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_exact_gamma)
-
-    p = sub.add_parser(
-        "simulate",
-        help="Monte Carlo estimation of the overflow probability",
-        description="Methods: mc (crude), is-fast (Poisson-count proposal; "
-        "quantity p needs integer N*a), is-slow (twisted rates; needs "
-        "mean < a < support supremum).  Estimates are reproducible for a "
-        "fixed seed.",
-    )
-    p.add_argument("--method", choices=("mc", "is-fast", "is-slow"), required=True)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--a", type=_finite_float, required=True)
-    p.add_argument("--N", type=_finite_float, required=True)
-    p.add_argument("--runs", type=int, required=True, help="Monte Carlo runs, >= 1")
-    p.add_argument("--quantity", choices=("p", "P"), default="P",
-                   help="is-fast only: point (p) or tail (P); default P")
-    _add_seeding(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser(
-        "queue-approx",
-        help="sharp infinite-server occupancy tail approximation",
-        description="Requires a above the mean load (mean rate times the "
-        "integrated complementary service cdf) and, for rate laws with a "
-        "finite MGF domain, a reachable tilt.  Levels where the approximation "
-        "exceeds 1 are rejected.",
-    )
-    p.add_argument("--dist", required=True)
-    p.add_argument("--service", required=True, help="exp:<E> | det:<E> | pareto:<E>")
-    p.add_argument("--N", type=_finite_float, required=True)
-    p.add_argument("--a", type=_finite_float, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_queue_approx)
-
-    p = sub.add_parser(
-        "queue-sim",
-        help="crude Monte Carlo for the infinite-server occupancy tail",
-        description="Draws N slot rates per run; the budget guard rejects "
-        "runs * (N + 1) above 4e9 scalar draws, and N + 1 above 4e6.",
-    )
-    p.add_argument("--dist", required=True)
-    p.add_argument("--service", required=True)
-    p.add_argument("--N", type=int, required=True, help="slot count, positive integer")
-    p.add_argument("--a", type=_finite_float, required=True)
-    p.add_argument("--runs", type=int, required=True)
-    _add_seeding(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_queue_sim)
-
-    p = sub.add_parser(
-        "omega",
-        help="slot retention probabilities of a service law",
-        description="Prints omega_i for i = 1..N.",
-    )
-    p.add_argument("--service", required=True)
-    p.add_argument("--N", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_omega)
-
-    p = sub.add_parser(
-        "staff",
-        help="dimensioning: smallest capacity meeting an overflow target",
-        description="Solves the sharp occupancy approximation for eps to "
-        "|Q - eps| < tol (default 1e-9).  --service and --eps accept "
-        "comma-separated lists; failures are reported per row.  With "
-        "--verify-runs > 0 each solution is audited by crude Monte Carlo.",
-    )
-    p.add_argument("--dist", required=True)
-    p.add_argument("--service", required=True,
-                   help="service law or comma-separated list of them")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--eps", type=_finite_floats, required=True,
-                   help="target level(s) in (0,1), comma-separated")
-    p.add_argument("--tol", type=_finite_float, default=1e-9,
-                   help="termination band on |Q - eps| (default 1e-9)")
-    p.add_argument("--verify-runs", type=int, default=0,
-                   help="crude MC audit runs at the solution (default 0 = off)")
-    _add_seeding(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_staff)
-
-    p = sub.add_parser(
-        "repro",
-        help="emit the invocations reproducing the reference figures and tables",
-        description="Targets: fig1, fig2, fig4, table1, table2, all.  --runs "
-        "scales the Monte Carlo budgets of the emitted commands.",
-    )
-    p.add_argument("--target", choices=("fig1", "fig2", "fig4", "table1", "table2", "all"),
-                   default="all")
-    p.add_argument("--runs", type=int, default=1_000_000,
-                   help="Monte Carlo budget used in the emitted commands (default 1e6)")
-    _add_seeding(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_repro)
-
+    _add_command(sub, "approx",
+                 "regime-dispatched sharp/log approximation of the overflow probability",
+                 "Requires a above the mean of the rate distribution. "
+                 "Sharp values exist for alpha > 2 and alpha < 1/2 (with lower-bound "
+                 "tagging on the partially proven bands) and at alpha = 1; other alpha "
+                 "produce the rate-only value tagged OutsideProvenRange.",
+                 ("dist", "alpha", "a", "N",
+                  ("--quantity", dict(choices=("p", "P"), default="P",
+                                      help="point probability (p) or tail (P); default P"))),
+                 _cmd_approx)
+    _add_command(sub, "exact-gamma",
+                 "exact point/tail probabilities for exponential or gamma rates",
+                 "Requires an exp:<lam> or gamma:<beta>,<lam> rate law and "
+                 "integer N*a.  The refined series column needs exponential rates "
+                 "(beta = 1) and a > 1/lam; it is left empty otherwise.",
+                 ("dist", "alpha", "a", "N"), _cmd_exact_gamma)
+    _add_command(sub, "simulate",
+                 "Monte Carlo estimation of the overflow probability",
+                 "Methods: mc (crude), is-fast (Poisson-count proposal; "
+                 "quantity p needs integer N*a), is-slow (twisted rates; needs "
+                 "mean < a < support supremum).  Estimates are reproducible for a "
+                 "fixed seed.",
+                 (("--method", dict(choices=("mc", "is-fast", "is-slow"), required=True)),
+                  "dist", "alpha", "a", "N", "runs",
+                  ("--quantity", dict(choices=("p", "P"), default="P",
+                                      help="is-fast only: point (p) or tail (P); default P")),
+                  "seed"), _cmd_simulate)
+    _add_command(sub, "queue-approx",
+                 "sharp infinite-server occupancy tail approximation",
+                 "Requires a above the mean load (mean rate times the "
+                 "integrated complementary service cdf) and, for rate laws with a "
+                 "finite MGF domain, a reachable tilt.  Levels where the approximation "
+                 "exceeds 1 are rejected.",
+                 ("dist", "service", "N", "a"), _cmd_queue_approx)
+    _add_command(sub, "queue-sim",
+                 "crude Monte Carlo for the infinite-server occupancy tail",
+                 "The budget guard charges each run N + 1 scalar draws, whatever the "
+                 "rate law, and rejects runs * (N + 1) above 4e9 and N + 1 above 4e6.",
+                 ("dist", "service", "slots", "a", "runs", "seed"), _cmd_queue_sim)
+    _add_command(sub, "omega",
+                 "slot retention probabilities of a service law",
+                 "Prints omega_i for i = 1..N.",
+                 ("service", "slots"), _cmd_omega)
+    _add_command(sub, "staff",
+                 "dimensioning: smallest capacity meeting an overflow target",
+                 "Solves the sharp occupancy approximation for eps to "
+                 "|Q - eps| < tol (default 1e-9).  --service and --eps accept "
+                 "comma-separated lists; failures are reported per row.  With "
+                 "--verify-runs > 0 each solution is audited by crude Monte Carlo.",
+                 ("dist", "service", "slots",
+                  ("--eps", dict(type=_finite_floats, required=True,
+                                 help="target level(s) in (0,1), comma-separated")),
+                  ("--tol", dict(type=_finite_float, default=1e-9,
+                                 help="termination band on |Q - eps| (default 1e-9)")),
+                  ("--verify-runs",
+                   dict(type=int, default=0,
+                        help="crude MC audit runs at the solution (default 0 = off)")),
+                  "seed"), _cmd_staff)
+    _add_command(sub, "repro",
+                 "emit the invocations reproducing the reference figures and tables",
+                 "Targets: fig1, fig2, fig4, table1, table2, all.  --runs "
+                 "scales the Monte Carlo budgets of the emitted commands.",
+                 (("--target", dict(choices=("fig1", "fig2", "fig4", "table1", "table2", "all"),
+                                    default="all")),
+                  ("--runs",
+                   dict(type=int, default=1_000_000,
+                        help="Monte Carlo budget used in the emitted commands (default 1e6)")),
+                  "seed"), _cmd_repro)
     return parser
 
 
@@ -301,6 +263,10 @@ def _check_runs(option: str, runs: int, least: int, seed: int) -> None:
     sampling.check_seed(seed)
 
 
+_STAFF_COLUMNS = ("a_eps", "servers_floor", "servers_ceil", "M1", "M_inf", "Q_floor_over_eps",
+                  "Q_ceil_over_eps", "Q_hat_over_eps", "Q_hat_ci_over_eps")
+
+
 def _cmd_staff(args) -> list[dict]:
     _check_runs("--verify-runs", args.verify_runs, 0, args.seed)
     dist = parse_rate(args.dist)
@@ -309,29 +275,21 @@ def _cmd_staff(args) -> list[dict]:
     errors = []
     for service in services:
         for eps in args.eps:
-            r = audit = error = None
+            values, error = (None,) * len(_STAFF_COLUMNS), None
             try:
                 r = staffing.solve_staffing(dist, service, args.N, eps, args.tol)
+                audit = (None, None)
                 if args.verify_runs > 0:
-                    audit = queue.mc_Q(dist, service, args.N, r.a_eps, args.verify_runs,
-                                       args.seed)
+                    result = queue.mc_Q(dist, service, args.N, r.a_eps, args.verify_runs,
+                                        args.seed)
+                    audit = (result.estimate / eps, result.ci_halfwidth_95 / eps)
+                values = (r.a_eps, r.servers_floor, r.servers_ceil, r.M1, r.M_inf,
+                          r.Q_at_floor / eps, r.Q_at_ceil / eps, *audit)
             except MixPoisError as exc:  # per-row error column instead of abort
                 errors.append(exc)
-                r = None
                 error = f"{type(exc).__name__}: {exc}"
-            rows_out.append({
-                "service": spec_label(service), "E": service.mean, "eps": eps,
-                "a_eps": r.a_eps if r else None,
-                "servers_floor": r.servers_floor if r else None,
-                "servers_ceil": r.servers_ceil if r else None,
-                "M1": r.M1 if r else None,
-                "M_inf": r.M_inf if r else None,
-                "Q_floor_over_eps": r.Q_at_floor / eps if r else None,
-                "Q_ceil_over_eps": r.Q_at_ceil / eps if r else None,
-                "Q_hat_over_eps": audit.estimate / eps if audit else None,
-                "Q_hat_ci_over_eps": audit.ci_halfwidth_95 / eps if audit else None,
-                "error": error,
-            })
+            rows_out.append({"service": spec_label(service), "E": service.mean, "eps": eps,
+                             **dict(zip(_STAFF_COLUMNS, values)), "error": error})
     if len(errors) == len(rows_out):
         # a fully failed invocation surfaces its first failure through the exit status
         raise errors[0]

@@ -373,7 +373,8 @@ def _approx_from(
         - 0.5 * math.log(sigma2)
     )
     if checked and not math.isfinite(log_q):
-        raise ConvergenceError(f"the sharp approximation at N={N}, a={a} overflows")
+        raise DomainError(f"the sharp approximation at N={N}, a={a}: log q = {log_q:.6g} "
+                          "lies beyond the float range")
     return QueueApprox(
         theta_star=theta,
         sigma2=sigma2,

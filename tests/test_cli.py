@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -281,10 +284,12 @@ REJECTED_INPUTS = {
                                                    "--service", "exp:1", "--N", "1e300",
                                                    "--a", "1e10"], 2, "must be finite"),
     # N*a = 1e308 is finite, but theta*N*a at the tilt log 100 is not, and
-    # the sharp approximation's log q is -inf
+    # the sharp approximation's log q is -inf: a Q below the float range,
+    # not a failure to converge (it exited 3, "overflows")
     "queue-approx log q beyond the float range": (["queue-approx", "--dist", "det:1",
                                                    "--service", "exp:1", "--N", "1e306",
-                                                   "--a", "100"], 3, "overflows"),
+                                                   "--a", "100"], 2,
+                                                  "log q = -inf lies beyond the float range"),
     # an unwritable --output raised a traceback once every row was computed
     "output in a missing directory": (["approx", "--dist", "exp:2.5", "--alpha", "5", "--a", "3",
                                        "--N", "100", "--output", "/nonexistent/x.csv"], 2,
@@ -647,8 +652,99 @@ class TestRepro:
             parser.parse_args(tokens[1:])  # must not raise
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
 COMMANDS = ("approx", "exact-gamma", "simulate", "queue-approx", "queue-sim", "omega", "staff",
             "repro")
+
+# each subcommand's options in registration order (the order of its usage
+# line): flag, dest, type, default, choices, required.  `--help` is left out.
+_REQ = (None, None, True)
+OPTIONS = {
+    "approx": [
+        ("--dist", "dist", None, *_REQ),
+        ("--alpha", "alpha", "_finite_float", *_REQ),
+        ("--a", "a", "_finite_float", *_REQ),
+        ("--N", "N", "_finite_float", *_REQ),
+        ("--quantity", "quantity", None, "P", ("p", "P"), False),
+        ("--output", "output", None, None, None, False),
+    ],
+    "exact-gamma": [
+        ("--dist", "dist", None, *_REQ),
+        ("--alpha", "alpha", "_finite_float", *_REQ),
+        ("--a", "a", "_finite_float", *_REQ),
+        ("--N", "N", "_finite_float", *_REQ),
+        ("--output", "output", None, None, None, False),
+    ],
+    "simulate": [
+        ("--method", "method", None, None, ("mc", "is-fast", "is-slow"), True),
+        ("--dist", "dist", None, *_REQ),
+        ("--alpha", "alpha", "_finite_float", *_REQ),
+        ("--a", "a", "_finite_float", *_REQ),
+        ("--N", "N", "_finite_float", *_REQ),
+        ("--runs", "runs", "int", *_REQ),
+        ("--quantity", "quantity", None, "P", ("p", "P"), False),
+        ("--seed", "seed", "int", 0, None, False),
+        ("--output", "output", None, None, None, False),
+    ],
+    "queue-approx": [
+        ("--dist", "dist", None, *_REQ),
+        ("--service", "service", None, *_REQ),
+        ("--N", "N", "_finite_float", *_REQ),
+        ("--a", "a", "_finite_float", *_REQ),
+        ("--output", "output", None, None, None, False),
+    ],
+    "queue-sim": [
+        ("--dist", "dist", None, *_REQ),
+        ("--service", "service", None, *_REQ),
+        ("--N", "N", "int", *_REQ),
+        ("--a", "a", "_finite_float", *_REQ),
+        ("--runs", "runs", "int", *_REQ),
+        ("--seed", "seed", "int", 0, None, False),
+        ("--output", "output", None, None, None, False),
+    ],
+    "omega": [
+        ("--service", "service", None, *_REQ),
+        ("--N", "N", "int", *_REQ),
+        ("--output", "output", None, None, None, False),
+    ],
+    "staff": [
+        ("--dist", "dist", None, *_REQ),
+        ("--service", "service", None, *_REQ),
+        ("--N", "N", "int", *_REQ),
+        ("--eps", "eps", "_finite_floats", *_REQ),
+        ("--tol", "tol", "_finite_float", 1e-9, None, False),
+        ("--verify-runs", "verify_runs", "int", 0, None, False),
+        ("--seed", "seed", "int", 0, None, False),
+        ("--output", "output", None, None, None, False),
+    ],
+    "repro": [
+        ("--target", "target", None, "all", ("fig1", "fig2", "fig4", "table1", "table2", "all"),
+         False),
+        ("--runs", "runs", "int", 1_000_000, None, False),
+        ("--seed", "seed", "int", 0, None, False),
+        ("--output", "output", None, None, None, False),
+    ],
+}
+
+
+def _subparsers(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_options_pinned(command):
+    subparsers = _subparsers(build_parser())
+    assert list(subparsers) == list(COMMANDS)
+    found = [
+        (*action.option_strings, action.dest, getattr(action.type, "__name__", action.type),
+         action.default, action.choices, action.required)
+        for action in subparsers[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    assert found == OPTIONS[command]
 
 
 class TestParserReuse:
@@ -672,6 +768,15 @@ class TestParserReuse:
         argvs = [row["command"].split()[1:] for row in parse_csv(out)]
         argvs += [pinned["argv"].split() for pinned in STDOUT_PIN]
         assert len(argvs) == 44 + len(STDOUT_PIN)
+        for argv in argvs:
+            assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+
+    def test_readme_invocations_parse(self):
+        # every `mixpois ...` line of README.md's sh blocks, continuations joined
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        argvs = [shlex.split(line)[1:] for line in lines if line.startswith("mixpois ")]
+        assert len(argvs) == 8
         for argv in argvs:
             assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
 
