@@ -39,11 +39,16 @@ def _fmt(value) -> str:
 
 
 def _write_rows(out, rows: list[dict]) -> None:
-    """The rows as CSV, under a header of the first row's keys."""
-    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
+    """The rows as CSV, under a header of the first row's keys, each row's
+    values in header order.  A row whose keys differ from the header's raises:
+    ValueError for another count of keys, KeyError for another key."""
+    header = list(rows[0])
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     for row in rows:
-        writer.writerow({k: _fmt(v) for k, v in row.items()})
+        if len(row) != len(header):
+            raise ValueError(f"row keys {list(row)} differ from the header {header}")
+        writer.writerow([_fmt(row[key]) for key in header])
 
 
 def _finite_float(text: str) -> float:
@@ -101,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "periodically resampled arrival rates, and infinite-server staffing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # the subcommand parsers by name, for _parse
     _add_command(sub, "approx",
                  "regime-dispatched sharp/log approximation of the overflow probability",
                  "Requires a above the mean of the rate distribution. "
@@ -336,10 +342,25 @@ def _cmd_repro(args) -> list[dict]:
     return rows
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass where argv starts with
+    a command word: that command's parser takes the rest, as the subparsers
+    action hands it on.  Any other argv, and a command that leaves arguments
+    over, takes the full parse, so help, usage and errors stay argparse's."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; may be called any number of times in one process."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
     try:  # before any row is computed, so an unwritable path costs nothing

@@ -117,7 +117,10 @@ def _log_pmf(case: GammaCase, k: int) -> float:
     else:
         log_rising = log_gamma(k + r) - log_gamma(r)
     value = log_rising - log_gamma(k + 1.0) + k * log_q + r * log_1mq
-    if not math.isfinite(value):
+    # a pmf is at most 1: at k = 0 the value is r log(1 - q) alone, which
+    # cannot round above 0, and at k >= 1 the pmf is at most 1/e, so a value
+    # above 0 is the rounding of terms far larger than it
+    if not (math.isfinite(value) and value <= 0.0):
         raise ConvergenceError(f"the negative binomial log-pmf at k={k:.6g} is {value} for {case}")
     return value
 

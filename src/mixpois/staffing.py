@@ -85,6 +85,10 @@ def solve_staffing(
         # the integrals overflow, and the count N*a leaves the float range, only above the root
         if not math.isfinite(N * a):
             return math.inf, math.nan
+        # the level rises with theta and is positive at the root: one that underflows to 0
+        # lies below it, where log sigma^2 may be -inf
+        if a == 0.0:
+            return -math.inf, math.nan
         approx = _approx_from(N, theta, a, integrals, checked=False)
         if math.isnan(approx.log_Q_check):
             return math.inf, math.nan

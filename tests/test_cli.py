@@ -169,6 +169,9 @@ REJECTED_INPUTS = {
                                      "--a", "1", "--N", "1e-300"], 2, "must be positive"),
     "exact-gamma log-pmf": (["exact-gamma", "--dist", "gamma:2,1", "--alpha", "1", "--a", "1e300",
                              "--N", "1e8"], 3, "log-pmf"),
+    # rounding in terms of about 2.5e22 gave log p = 4.6e6 and p = inf (exit 0)
+    "exact-gamma log-pmf above 0": (["exact-gamma", "--dist", "gamma:1e20,1", "--alpha", "3",
+                                     "--a", "1e20", "--N", "5"], 3, "log-pmf at k=5e+20 is"),
     "exact-gamma series": (["exact-gamma", "--dist", "exp:1", "--alpha", "1.4",
                             "--a", "1.3407807929942597e+154", "--N", "1"], 3, "overflows"),
     "simulate infinite count": (["simulate", "--method", "mc", "--dist", "det:1", "--alpha", "1",
@@ -253,6 +256,10 @@ REJECTED_INPUTS = {
     "staff tilt above 354": (["staff", "--dist", "exp:1.6190082276456837e+191", "--service",
                               "det:93.95691743698264", "--N", "50", "--eps", "0.18",
                               "--tol", "3.8e-07"], 2, "needs a tilt above"),
+    # the level a(theta) and sigma^2 underflow to 0, and log sigma^2 raised a
+    # bare "math domain error"
+    "staff level underflow": (["staff", "--dist", "det:1e-300", "--service", "exp:1e-300",
+                               "--N", "100", "--eps", "1e-3"], 2, "needs a tilt above 350"),
     "staff MGF wall": (["staff", "--dist", "exp:0.5", "--service", "pareto:0.5", "--N", "1",
                         "--eps", "1e-30", "--tol", "1e-40"], 2,
                        "tilts are confined to (0, 0.405465] by the MGF domain"),
@@ -834,3 +841,105 @@ STDOUT_PIN = json.loads((pathlib.Path(__file__).parent / "cli_stdout_pin.json").
 def test_stdout_pin(capsys, pinned):
     code, out, _ = run_cli(pinned["argv"].split(), capsys)
     assert (code, out) == (pinned["exit"], pinned["stdout"])
+
+
+# argvs that take a path of their own through the parse: no command, options
+# or help before it, unknown and abbreviated command words, arguments the
+# command leaves over, "--", the --opt=value form, abbreviated and repeated
+# options
+PARSE_EDGE_CASES = {
+    "no arguments": [],
+    "help before the command": ["-h", "omega"],
+    "option before the command": ["--N", "3", "omega", "--service", "exp:1"],
+    "unknown command": ["bogus", "--N", "3"],
+    "abbreviated command": ["omeg", "--service", "exp:1", "--N", "3"],
+    "command word only": ["omega"],
+    "unrecognised option": ["omega", "--service", "exp:1", "--N", "3", "--bogus", "1"],
+    "unrecognised positional": ["omega", "--service", "exp:1", "--N", "3", "extra"],
+    "command word twice": ["omega", "omega", "--service", "exp:1", "--N", "3"],
+    "double dash at the end": ["omega", "--service", "exp:1", "--N", "3", "--"],
+    "double dash before an option": ["omega", "--service", "exp:1", "--", "--N", "3"],
+    "double dash before the command": ["--", "omega", "--service", "exp:1", "--N", "3"],
+    "equals form": ["omega", "--service=exp:1", "--N=3"],
+    "equals form with a comma list": ["staff", "--dist=pois:2", "--service=exp:0.5,det:0.5",
+                                      "--N=100", "--eps=1e-3,1e-4"],
+    "abbreviated option": ["omega", "--serv", "exp:1", "--N", "3"],
+    "abbreviated help": ["omega", "--he"],
+    "ambiguous abbreviation": ["staff", "--dist", "pois:2", "--s", "exp:0.5", "--N", "100",
+                               "--eps", "1e-3"],
+    "repeated option": ["omega", "--service", "exp:1", "--N", "3", "--N", "4"],
+    "help among valid options": ["omega", "--service", "exp:1", "-h", "--N", "3"],
+}
+
+# every argv of this file: the stdout pins, the rejected and non-finite
+# inputs, help, the pinned options given without a value and with a bad one,
+# and the edge cases above
+PARSE_ARGVS = {
+    **{pinned["argv"]: pinned["argv"].split() for pinned in STDOUT_PIN},
+    **{name: argv for name, (argv, _, _) in REJECTED_INPUTS.items()},
+    **NON_FINITE_INPUTS,
+    "help": ["--help"],
+    **{f"{command} --help": [command, "--help"] for command in COMMANDS},
+    **{f"{command} {option[0]}{tail}": [command, option[0], *value]
+       for command, options in OPTIONS.items() for option in options
+       for tail, value in (("", ()), (" x", ("x",)))},
+    **PARSE_EDGE_CASES,
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS.values(), ids=PARSE_ARGVS.keys())
+def test_one_pass_parse_matches_full_parse(capsys, monkeypatch, tmp_path, argv):
+    # main dispatches on the command word; the full parse must give the same
+    # exit status, stdout and stderr.  "repro --output x" writes ./x
+    monkeypatch.chdir(tmp_path)
+    one_pass = run_cli(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert run_cli(argv, capsys) == one_pass
+
+
+def test_command_word_skips_the_top_level_parse(monkeypatch):
+    def full_parse(argv):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_args", full_parse)
+    argv = ["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100", "--eps", "1e-3"]
+    assert cli._parse(argv) == build_parser.__wrapped__().parse_args(argv)
+
+
+def _dict_writer_csv(rows):
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({key: cli._fmt(value) for key, value in row.items()})
+    return out.getvalue()
+
+
+class TestWriteRows:
+    ROWS = [
+        {"service": "twopoint:0.75,1,5", "E": 0.5, "eps": 1e-3, "servers": 127, "Q": None,
+         "error": "DomainError: tol must lie in (0, eps): the termination band |Q - eps| < tol "
+                  "is meaningless otherwise (got tol=1e-09, eps=1e-12)"},
+        {"service": 'say "hi"', "E": -0.0, "eps": 1.0 / 3.0, "servers": -5, "Q": math.inf,
+         "error": ""},
+        {"service": "line\nbreak", "E": 1e300, "eps": 0.1 + 0.2, "servers": 0, "Q": 2.5e-300,
+         "error": None},
+    ]
+
+    def test_bytes_match_dict_writer(self):
+        out = io.StringIO()
+        cli._write_rows(out, self.ROWS)
+        assert out.getvalue() == _dict_writer_csv(self.ROWS)
+        assert '"twopoint:0.75,1,5"' in out.getvalue() and '"say ""hi"""' in out.getvalue()
+
+    def test_row_lacking_a_header_key_raises(self):
+        # DictWriter wrote the missing value as an empty field
+        short = {key: value for key, value in self.ROWS[1].items() if key != "Q"}
+        with pytest.raises(ValueError, match="differ from the header"):
+            cli._write_rows(io.StringIO(), [self.ROWS[0], short])
+        with pytest.raises(KeyError, match="'Q'"):
+            cli._write_rows(io.StringIO(), [self.ROWS[0], {**short, "extra": 1}])
+
+    def test_row_with_a_key_more_raises(self):
+        with pytest.raises(ValueError, match="differ from the header"):
+            cli._write_rows(io.StringIO(), [self.ROWS[0], {**self.ROWS[1], "extra": 1}])
