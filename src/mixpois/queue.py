@@ -142,7 +142,10 @@ class Pareto2Service(ServiceTime):
         return (1.0 + x / self.mean) ** -2
 
     def sf_complement(self, x):
-        t = x / self.mean
+        # the form is 1.0 in floats from t = 1e16 on; capping t at 1e150 keeps
+        # its products inside the float range
+        E = self.mean
+        t = np.minimum(x, 1e150 * E) / E
         return t * (2.0 + t) / (1.0 + t) ** 2
 
     def sf_integral(self, u, h):
@@ -223,9 +226,18 @@ class _Rule:
         return values
 
 
-# The compound count Pois(X) of the balanced overflow regime: the occupancy of
-# one node at full retention.  The rule is exact, so it has no check rule.
-_UNIT_RULE = _Rule(1.0, 1.0, 0.0, None)
+class _UnitRule(_Rule):
+    """The compound count Pois(X) of the balanced overflow regime: the
+    occupancy of one node at full retention.  The rule is exact, so it has
+    no check rule, and its integrals are the CGF triple itself."""
+
+    def integrals(self, dist: RateDistribution, tau: float) -> tuple[float, float, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k0, k1, k2 = dist.cgf(tau, 1.0, 0.0)
+        return float(k0), float(k1), float(k2)
+
+
+_UNIT_RULE = _UnitRule(1.0, 1.0, 0.0, None)
 
 
 def _panel_edges(service: ServiceTime) -> list[float]:

@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .numerics import _ROOT_TOL, Interval, find_root_increasing
+from .numerics import _ROOT_TOL, Interval, exp_or_inf, find_root_increasing
 from .queue import (
     ServiceTime,
     _approx_from,
@@ -24,6 +24,10 @@ from .queue import (
 from .rates import RateDistribution
 
 __all__ = ["StaffingResult", "solve_staffing"]
+
+# level evaluations a server-count tilt gets from its prediction before the
+# bracketed search takes over
+_NEWTON_EVALS = 4
 
 
 @dataclass(frozen=True)
@@ -51,9 +55,11 @@ def solve_staffing(
 
     The approximation decreases along the tilt theta, and the level a(theta)
     it belongs to is one integral, so log eps - log Q(theta) = 0 is solved
-    by Newton steps in log theta until |Q - eps| < tol; the level found is
-    then re-evaluated at the two bracketing integer server counts, each
-    tilt searched from a Newton step off the staffing tilt.
+    by Newton steps in log theta until |Q - eps| < tol, from a bracket that
+    ends at the occupancy's central-limit tilt; the level found is then
+    re-evaluated at the two bracketing integer server counts, each tilt
+    predicted to second order from the staffing tilt and refined by Newton
+    steps on the level.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target epsilon must be in (0, 1), got {eps}")
@@ -73,7 +79,7 @@ def solve_staffing(
     scale = _ROOT_TOL / (0.5 * math.log1p(tol / eps))
     rule = _rule(service)
     seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
-    previous = []  # theta and log sigma^2 of the last evaluation
+    sigma2s = {}  # sigma^2 at each tilt where g reached the approximation, in evaluation order
 
     def g(u: float) -> tuple[float, float]:
         # d log Q / d theta = -theta N sigma^2 - 1/(e^theta - 1) - (log sigma^2)'/2;
@@ -92,20 +98,28 @@ def solve_staffing(
         approx = _approx_from(N, theta, a, integrals, checked=False)
         if math.isnan(approx.log_Q_check):
             return math.inf, math.nan
-        log_sigma2 = math.log(approx.sigma2)
         slope = theta * N * approx.sigma2 + 1.0 / math.expm1(theta)
-        if previous and previous[0] != theta:
-            slope += 0.5 * (log_sigma2 - previous[1]) / (theta - previous[0])
-        previous[:] = theta, log_sigma2
+        if sigma2s:
+            last, last_sigma2 = next(reversed(sigma2s.items()))
+            if last != theta:
+                slope += 0.5 * (math.log(approx.sigma2) - math.log(last_sigma2)) / (theta - last)
+        sigma2s[theta] = approx.sigma2
         return (log_eps - approx.log_Q_check) * scale, theta * slope * scale
 
     # log theta keeps theta = 0, where Q is infinite, outside every bracket,
-    # and the search stops at the smallest normal theta; the hint spans a
-    # factor e^3 in theta up to the top of the cold bracket
+    # and the search stops at the smallest normal theta.  The hint spans a
+    # factor e up to the central-limit tilt sqrt(2 log(1/eps) / Var), which
+    # lies above the root (by a factor 1.05 to 2.7 on the Table grids), or
+    # a factor e^3 up to the top of the cold bracket where that tilt is not
+    # finite or lies above it
+    loads = load_and_variance(dist, service, N)
     top = math.log(_cold_hint(dist).hi)
+    clt = (0.5 * math.log(-2.0 * log_eps / loads.var_total)
+           if 0.0 < loads.var_total < math.inf else math.inf)
+    hint = Interval(clt - 1.0, clt) if clt <= top else Interval(top - 3.0, top)
     bottom = math.log(sys.float_info.min)
     try:
-        u = find_root_increasing(g, Interval(top - 3.0, top), lo_limit=bottom,
+        u = find_root_increasing(g, hint, lo_limit=bottom,
                                  hi_limit=math.log(_tilt_cap_exp(dist)))
     except DomainError:
         if g(bottom)[0] > 0.0:
@@ -135,37 +149,70 @@ def solve_staffing(
             f"epsilon={eps} is met already at the rarity boundary a={boundary:.6g}; "
             "no dimensioning needed"
         )
+    # sigma^2 = da/dtheta changes along theta at a rate taken as a difference
+    # quotient against the nearest other iterate (with none, the server
+    # counts get a first-order prediction)
+    near = min(sigma2s.keys() - {theta}, key=lambda t: abs(t - theta), default=theta)
+    dsigma2 = (sigma2s[near] - approx.sigma2) / (near - theta) if near != theta else 0.0
+    staffing = (theta, a, approx.sigma2, dsigma2)
     servers_floor = math.floor(N * a)
     servers_ceil = math.ceil(N * a)
-    loads = load_and_variance(dist, service, N)
     return StaffingResult(
         a_eps=a,
         servers_floor=servers_floor,
         servers_ceil=servers_ceil,
-        Q_at_floor=_Q_at_servers(dist, service, N, servers_floor, theta, approx.sigma2, a),
-        Q_at_ceil=_Q_at_servers(dist, service, N, servers_ceil, theta, approx.sigma2, a),
+        Q_at_floor=_Q_at_servers(dist, service, N, servers_floor, staffing),
+        Q_at_ceil=_Q_at_servers(dist, service, N, servers_ceil, staffing),
         M1=loads.M1,
         M_inf=loads.M_inf,
         epsilon=eps,
     )
 
 
-def _Q_at_servers(dist, service, N: int, servers: int, theta_eps: float, sigma2_eps: float,
-                  a_eps: float) -> float:
-    """Q at the level a = servers / N, within 1/N of the staffing level a_eps.
+def _Q_at_servers(dist, service, N: int, servers: int,
+                  staffing: tuple[float, float, float, float]) -> float:
+    """Q at the level a = servers / N, within 1/N of the staffing level.
 
-    The tilt is searched from theta0 +- w: theta0 is the Newton step from the
-    staffing tilt theta_eps (da/dtheta = sigma^2) and w half its length plus
-    1e-9.
+    ``staffing`` is (theta_eps, a_eps, sigma^2, (sigma^2)') at the staffing
+    tilt.  The level a(theta) rises with slope sigma^2, so its second-order
+    expansion about theta_eps predicts the tilt, and Newton steps on the
+    level refine it.  Where an iterate leaves (0, cap), or a step vanishes
+    at the float resolution of theta, or _NEWTON_EVALS evaluations leave the
+    level unsettled, the tilt is searched in a bracket from theta0 +- w
+    instead: theta0 is the first-order prediction and w half its distance
+    from theta_eps plus 1e-9.  Zero servers are always busy: Q = 1.
     """
+    if servers == 0:
+        return 1.0
     a = servers / N
     _check_rare(dist, service, a)
-    theta0 = theta_eps + (a - a_eps) / sigma2_eps
-    w = 0.5 * abs(theta0 - theta_eps) + 1e-9
+    theta_eps, a_eps, sigma2_eps, dsigma2 = staffing
+    rule = _rule(service)
     # the search must stay below the MGF wall, where the CGF itself raises
     top = _tilt_cap_exp(dist)
+    da = a - a_eps
+    disc = sigma2_eps * sigma2_eps + 2.0 * dsigma2 * da
+    # the root of a_eps + sigma^2 d + (sigma^2)' d^2 / 2 = a nearest d = 0
+    theta = theta_eps + 2.0 * da / (sigma2_eps + math.sqrt(disc)) if disc >= 0.0 else math.nan
+    for _ in range(_NEWTON_EVALS):
+        if not 0.0 < theta < top:
+            break
+        tau = math.expm1(theta)
+        integrals = rule.integrals(dist, tau)
+        level = math.exp(theta) * integrals[1]
+        if abs(level - a) <= _ROOT_TOL:
+            integrals = rule.checked(dist, tau, integrals)
+            return _approx_from(N, theta, a, integrals, checked=True).Q_check
+        slope = level + integrals[2] * exp_or_inf(2.0 * theta)
+        dtheta = (a - level) / slope if slope > 0.0 else math.nan
+        # a step lost below the float resolution of theta settles nothing more
+        if theta + dtheta == theta:
+            break
+        theta += dtheta
+    theta0 = theta_eps + da / sigma2_eps
+    w = 0.5 * abs(theta0 - theta_eps) + 1e-9
     lo, hi = (min(max(t, 0.0), top) for t in (theta0 - w, theta0 + w))
     # a prediction wholly below 0 or past the wall predicts nothing
     hint = Interval(lo, hi) if lo < hi else _cold_hint(dist)
-    theta, integrals = _solve_tilt(dist, _rule(service), a, hint)
+    theta, integrals = _solve_tilt(dist, rule, a, hint)
     return _approx_from(N, theta, a, integrals, checked=True).Q_check

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SUBPROCESS_ENV
-from mixpois import cli
+from mixpois import cli, queue
 from mixpois.cli import build_parser, main
-from mixpois.rates import PoissonRate
+from mixpois.rates import DeterministicRate, PoissonRate
 
 
 def run_cli(args, capsys):
@@ -568,6 +568,22 @@ class TestStaff:
         rows = parse_csv(out)
         assert len(rows) == 6
         assert all(r["error"] == "" and float(r["a_eps"]) > 0.0 for r in rows)
+
+    def test_zero_server_floor(self, capsys):
+        # a staffing level below 1/N rounds down to zero servers, which are
+        # always busy (Q = 1, no tilt solve; it exited 2 with "occupancy level
+        # a=0.0 must exceed the mean load"); the upper count is solved as ever
+        code, out, _ = run_cli(
+            ["staff", "--dist", "det:1e-8", "--service", "exp:1", "--N", "100",
+             "--eps", "1e-3"],
+            capsys,
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert (row["servers_floor"], row["servers_ceil"], row["error"]) == ("0", "1", "")
+        assert float(row["Q_floor_over_eps"]) == 1e3
+        ceil = queue.queue_approx(DeterministicRate(1e-8), queue.ExpService(1.0), 100, 0.01)
+        assert float(row["Q_ceil_over_eps"]) == pytest.approx(ceil.Q_check / 1e-3, rel=1e-10)
 
     def test_nonconvergence_exit_code(self, capsys):
         # an empty termination band can never be met

@@ -73,6 +73,22 @@ class TestServiceLaws:
         quad = integrate(service.sf, Interval(0.0, 1.0), spec)
         assert service.sf_integral(0.0, 1.0) == pytest.approx(quad, abs=1e-11)
 
+    @pytest.mark.parametrize("E", [1.0, 1e-200])
+    def test_pareto_complement_stays_in_the_float_range(self, E):
+        # t (2 + t) / (1 + t)^2 at t = x / E overflowed above t = 1e154; the
+        # capped form raises no overflow, gives the same bits wherever that
+        # form is finite, and 1 beyond
+        t = np.logspace(-3.0, 300.0, 3031)
+        x = t * E
+        with np.errstate(all="raise"):
+            got = Pareto2Service(E).sf_complement(x)
+        with np.errstate(all="ignore"):
+            uncapped = (x / E) * (2.0 + x / E) / (1.0 + x / E) ** 2
+        finite = np.isfinite(uncapped)
+        assert finite[0] and not finite[-1]
+        assert np.array_equal(got[finite], uncapped[finite])
+        assert np.all(got[~finite] == 1.0)
+
     def test_sq_totals(self):
         assert ExpService(0.7).sf_sq_integral_total() == pytest.approx(0.35, abs=1e-12)
         assert DetService(0.7).sf_sq_integral_total() == pytest.approx(0.7, abs=1e-12)
@@ -322,6 +338,21 @@ class TestOccupancyQuadrature:
         got = rule.checked(dist, tau, rule.integrals(dist, tau))
         for value, ref in zip(got, expected):
             assert value == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("dist", RATE_LAWS, ids=spec_label)
+    def test_unit_rule_is_the_cgf_triple(self, dist):
+        # the one-node rule returns the CGF triple as floats, bit for bit the
+        # weighted sums of the generic rule, overflows and NaNs included
+        sup = dist.mgf_domain_sup
+        taus = [0.0, 1e-300, 1e-8, 0.3, math.expm1(0.7), 5.0, 50.0, 700.0, 1e300,
+                sup * (1.0 - 1e-3), sup * (1.0 - 1e-9)]
+        rule = queue._UNIT_RULE
+        for tau in taus:
+            if tau < sup:
+                got = rule.integrals(dist, tau)
+                assert all(type(value) is float for value in got)
+                assert ([value.hex() for value in got]
+                        == [value.hex() for value in queue._Rule.integrals(rule, dist, tau)]), tau
 
     def test_disagreeing_check_rule_raises(self, monkeypatch):
         service = ExpService(0.5)

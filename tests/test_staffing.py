@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from mixpois import queue
+from mixpois import queue, staffing
 from mixpois.errors import DomainError, HypothesisWarning, MgfDomainError
 from mixpois.queue import DetService, ExpService, Pareto2Service, mc_Q, parse_service, queue_approx
 from mixpois.rates import (
@@ -18,9 +18,26 @@ from mixpois.rates import (
 from mixpois.staffing import solve_staffing
 
 POIS2 = PoissonRate(2.0)
-# the staff-tables benchmark grid: N = 100 and service mean 0.5 throughout
-BENCH_ROWS = [(rate, f"{kind}:0.5", eps) for rate in ("pois:2", "twopoint:0.75,1,5", "exp:0.5")
-              for kind in ("exp", "det", "pareto") for eps in (1e-3, 1e-4)]
+# the Table grid at N = 100: three rate laws, three service laws at three
+# means, two targets; the staff-tables benchmark grid is its rows at mean 0.5
+GRID_ROWS = [(rate, f"{kind}:{E:g}", eps) for rate in ("pois:2", "twopoint:0.75,1,5", "exp:0.5")
+             for kind in ("exp", "det", "pareto") for E in (0.05, 0.5, 1.0)
+             for eps in (1e-3, 1e-4)]
+BENCH_ROWS = [row for row in GRID_ROWS if row[1].endswith(":0.5")]
+
+
+def _main_rule_evaluations(rule_calls, rate, service, eps):
+    """Main-rule evaluations of one solve_staffing call, after checking that
+    it checks the integrals at each of its three roots once and evaluates no
+    tilt twice."""
+    service = parse_service(service)
+    check = queue._rule(service).check
+    rule_calls.clear()
+    solve_staffing(parse_rate(rate), service, 100, eps)
+    rules = [rule for rule, _ in rule_calls]
+    assert rules.count(check) == 3
+    assert len(set(rule_calls)) == len(rule_calls)
+    return len(rules) - 3
 
 
 class TestSolveStaffing:
@@ -84,16 +101,16 @@ class TestSolveStaffing:
 
     @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
     def test_quadrature_calls_per_solve(self, rule_calls, rate, service, eps):
-        # the staffing tilt search and the two warm-started server-count
-        # solves evaluate the main rule at most 18 times, never twice at one
-        # tilt, and check the integrals each finds at its root once
-        service = parse_service(service)
-        check = queue._rule(service).check
-        solve_staffing(parse_rate(rate), service, 100, eps)
-        rules = [rule for rule, _ in rule_calls]
-        assert rules.count(check) == 3
-        assert len(rules) - 3 <= 18
-        assert len(set(rule_calls)) == len(rule_calls)
+        # the staffing tilt search from the central-limit bracket and the two
+        # server-count Newton solves evaluate the main rule at most 13 times
+        assert _main_rule_evaluations(rule_calls, rate, service, eps) <= 13
+
+    def test_quadrature_calls_on_the_table_grid(self, rule_calls):
+        # at most 17 on any row of the grid, and 11 on average over the
+        # benchmark rows
+        counts = {row: _main_rule_evaluations(rule_calls, *row) for row in GRID_ROWS}
+        assert max(counts.values()) <= 17
+        assert sum(counts[row] for row in BENCH_ROWS) <= 11 * len(BENCH_ROWS)
 
     @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
     def test_server_counts_match_cold_solves(self, rate, service, eps):
@@ -111,17 +128,26 @@ class TestSolveStaffing:
         (Pareto2Service(0.5), 2, 13.0),
         (ExpService(0.05), 1, 2.64),
     ], ids=["straddling-the-wall", "wholly-past-the-wall"])
-    def test_server_count_prediction_past_the_wall(self, service, N, level):
+    def test_server_count_prediction_past_the_wall(self, monkeypatch, service, N, level):
         # exponential rates near the level the MGF domain reaches: the Newton
-        # prediction for the upper server count lies past the wall, so its
-        # bracket is clipped there, or replaced by the cold bracket where
-        # nothing of it is left.  So close to the wall sigma^2 is large (7e7
-        # at the upper count of the first case), and the root finder's 1e-12
-        # bracket leaves Q settled only to about 1e-5, where the warm and the
-        # cold search stop at different points
+        # solve for the upper server count starts past the MGF wall or stalls
+        # below it, so the count is searched in the first-order prediction's
+        # bracket, clipped at the wall, or in the cold bracket where nothing
+        # of it is left.  So close to the wall sigma^2 is large (7e7 at the
+        # upper count of the first case), and the root finder's 1e-12 bracket
+        # leaves Q settled only to about 1e-5, where the warm and the cold
+        # search stop at different points
         dist = Exponential(0.5)
         eps = queue_approx(dist, service, N, level).Q_check
+        searched = []
+
+        def bracketed(dist, rule, a, hint):
+            searched.append(a)
+            return queue._solve_tilt(dist, rule, a, hint)
+
+        monkeypatch.setattr(staffing, "_solve_tilt", bracketed)
         r = solve_staffing(dist, service, N, eps, eps * 1e-3)
+        assert r.servers_ceil / N in searched
         at_eps = queue_approx(dist, service, N, r.a_eps)
         theta, sigma2 = at_eps.theta_star, at_eps.sigma2
         prediction = theta + 1.5 * (r.servers_ceil / N - r.a_eps) / sigma2 + 1e-9
