@@ -323,8 +323,10 @@ def p_asym_intermediate(case: GammaCase) -> AsymptoticValue:
         raise RegimeError(f"intermediate formula needs alpha = 1, got alpha={case.alpha}")
     _require_exponential_slots(case, "the intermediate formula")
     lam, a, N = case.lam, case.a, case.N
-    exponent = a * math.log(a * (1.0 + lam) / (1.0 + a)) + math.log(
-        (1.0 + lam) / (lam * (1.0 + a))
-    )
+    scaled_a, scaled_lam = a * (1.0 + lam), lam * (1.0 + a)
+    if not (math.isfinite(scaled_a) and math.isfinite(scaled_lam)):
+        raise DomainError(f"the intermediate formula at lam={lam:.6g}, a={a:.6g}: a (1 + lam) "
+                          "or lam (1 + a) lies beyond the float range")
+    exponent = a * math.log(scaled_a / (1.0 + a)) + math.log((1.0 + lam) / scaled_lam)
     log_p = -N * exponent - 0.5 * math.log(2.0 * math.pi * N * a * (a + 1.0))
     return AsymptoticValue(log_p, "Intermediate", "Valid", 1.0)

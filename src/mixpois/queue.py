@@ -44,10 +44,11 @@ __all__ = [
 ]
 
 # The occupancy integrals over the unit interval use one composite
-# Gauss-Legendre rule per service law: _UNIFORM_PANELS equal panels, split at
-# the law's kinks, with the first panel graded geometrically (ratio 1/2) toward
-# x = 0 down to _GRADING_FLOOR times the service mean.  Each result is checked
-# against the rule of half the order on the same panels.
+# Gauss-Legendre rule per smooth service law: _UNIFORM_PANELS equal panels,
+# with the first panel graded geometrically (ratio 1/2) toward x = 0 down to
+# _GRADING_FLOOR times the service mean.  Each result is checked against the
+# rule of half the order on the same panels.  Deterministic service takes one
+# exact node instead (see _rule).
 _UNIFORM_PANELS = 16
 _ORDER = 20
 _GRADING_FLOOR = 1e-12
@@ -84,11 +85,6 @@ class ServiceTime:
     def sf_sq_integral_total(self) -> float:
         """Exact integral of sf^2 over [0, infinity)."""
         raise NotImplementedError
-
-    @property
-    def breakpoints_in_unit(self) -> tuple[float, ...]:
-        """Kink locations of sf strictly inside (0, 1)."""
-        return ()
 
 
 class ExpService(ServiceTime):
@@ -127,10 +123,6 @@ class DetService(ServiceTime):
 
     def sf_sq_integral_total(self) -> float:
         return self.mean
-
-    @property
-    def breakpoints_in_unit(self) -> tuple[float, ...]:
-        return (self.mean,) if 0.0 < self.mean < 1.0 else ()
 
 
 class Pareto2Service(ServiceTime):
@@ -184,7 +176,7 @@ class _Rule:
     """Nodes of a count whose CGF is sum_j w_j CGF(tau c_j): the weights w_j,
     the retentions c_j = sf_j and their complements 1 - sf_j, as arrays, or as
     scalars for one node, with the rule ``check`` that checks its integrals:
-    for a service law's rule, the rule of half the order on the same panels;
+    for a composite rule, the rule of half the order on the same panels;
     None for an exact rule and for a check rule itself.
 
     The weights come pre-multiplied by 1, sf and sf^2, the factors of the
@@ -227,14 +219,15 @@ class _Rule:
 
 
 class _UnitRule(_Rule):
-    """The compound count Pois(X) of the balanced overflow regime: the
-    occupancy of one node at full retention.  The rule is exact, so it has
-    no check rule, and its integrals are the CGF triple itself."""
+    """One node at full retention, of weight w: its integrals are the CGF
+    triple times w.  At w = 1 it is the compound count Pois(X) of the
+    balanced overflow regime.  The rule is exact, so it has no check rule."""
 
     def integrals(self, dist: RateDistribution, tau: float) -> tuple[float, float, float]:
+        w0, w1, w2 = self.weighted
         with np.errstate(over="ignore", invalid="ignore"):
             k0, k1, k2 = dist.cgf(tau, 1.0, 0.0)
-        return float(k0), float(k1), float(k2)
+            return float(w0 * k0), float(w1 * k1), float(w2 * k2)
 
 
 _UNIT_RULE = _UnitRule(1.0, 1.0, 0.0, None)
@@ -247,14 +240,17 @@ def _panel_edges(service: ServiceTime) -> list[float]:
     depth = max(0, math.ceil(math.log2(first / floor)))
     uniform = [k * first for k in range(_UNIFORM_PANELS + 1)]
     graded = [first * 0.5**j for j in range(1, depth + 1)]
-    return sorted({*uniform, *graded, *service.breakpoints_in_unit})
+    return sorted({*uniform, *graded})
 
 
 @functools.lru_cache(maxsize=32)
 def _rule(service: ServiceTime) -> _Rule:
-    """The composite Gauss-Legendre rule of a service law on the unit interval,
-    with its complementary cdf at the nodes and its half-order check rule,
-    built once."""
+    """The occupancy rule of a service law on the unit interval, built once:
+    for deterministic service of mean E, whose sf is 1 on [0, E) and 0 after,
+    the exact node of weight min(E, 1), as CGF(0) = 0; for the others the
+    composite Gauss-Legendre rule, with its half-order check rule."""
+    if isinstance(service, DetService):
+        return _UnitRule(min(service.mean, 1.0), 1.0, 0.0, None)
     edges = _panel_edges(service)
 
     def rule(order: int, check: _Rule | None) -> _Rule:
@@ -322,14 +318,15 @@ def _solve_tilt(dist: RateDistribution, rule: _Rule, a: float,
     def g(theta: float) -> tuple[float, float]:
         _, slope, curvature = seen[theta] = rule.integrals(dist, math.expm1(theta))
         level = math.exp(theta) * slope
-        return level - a, level + curvature * exp_or_inf(2.0 * theta)
+        # relative to a: the stop at |g| <= _ROOT_TOL holds at any scale of the rates
+        return (level - a) / a, (level + curvature * exp_or_inf(2.0 * theta)) / a
 
     cap = _tilt_cap_exp(dist)
     try:
         theta = find_root_increasing(g, hint, lo_limit=0.0, hi_limit=cap)
     except DomainError:
         raise _beyond_cap(dist, f"level a={a}",
-                          lambda cap: f"mean level {g(cap)[0] + a:.6g}") from None
+                          lambda cap: f"mean level {(g(cap)[0] + 1.0) * a:.6g}") from None
     return theta, rule.checked(dist, math.expm1(theta), seen[theta])
 
 
@@ -618,12 +615,14 @@ def load_and_variance(dist: RateDistribution, service: ServiceTime, N: int) -> L
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
     m_inf = N * dist.mean * service.mean
+    if math.isinf(m_inf):
+        raise DomainError(f"the stationary mean N * mean rate * mean service = {N} * "
+                          f"{dist.mean:.6g} * {service.mean:.6g} lies beyond the float range")
     var_over = N * dist.variance * service.sf_sq_integral_total()
-    var_pois = N * dist.mean * service.mean
     return LoadVariance(
         M1=N * mean_load(dist, service),
         M_inf=m_inf,
-        var_total=var_over + var_pois,
+        var_total=var_over + m_inf,
         var_overdispersion=var_over,
-        var_poisson=var_pois,
+        var_poisson=m_inf,
     )

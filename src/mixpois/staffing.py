@@ -200,7 +200,9 @@ def _Q_at_servers(dist, service, N: int, servers: int,
         tau = math.expm1(theta)
         integrals = rule.integrals(dist, tau)
         level = math.exp(theta) * integrals[1]
-        if abs(level - a) <= _ROOT_TOL:
+        # within _ROOT_TOL of a both absolutely and relative to a, so tiny
+        # rates stop as their scaled twins do
+        if abs(level - a) <= _ROOT_TOL * min(a, 1.0):
             integrals = rule.checked(dist, tau, integrals)
             return _approx_from(N, theta, a, integrals, checked=True).Q_check
         slope = level + integrals[2] * exp_or_inf(2.0 * theta)

@@ -15,15 +15,21 @@ _ACCEPTANCE_LINES: dict[str, str] = {}
 
 @pytest.fixture
 def rule_calls(monkeypatch):
-    """The (rule, tau) of each occupancy-rule evaluation, in call order."""
+    """The (rule, tau) of each occupancy-rule evaluation, in call order, by
+    the composite rules and by the one-node rules."""
     calls = []
-    integrals = queue._Rule.integrals
 
-    def counted(rule, dist, tau):
-        calls.append((rule, tau))
-        return integrals(rule, dist, tau)
+    def count(cls):
+        integrals = cls.integrals
 
-    monkeypatch.setattr(queue._Rule, "integrals", counted)
+        def counted(rule, dist, tau):
+            calls.append((rule, tau))
+            return integrals(rule, dist, tau)
+
+        monkeypatch.setattr(cls, "integrals", counted)
+
+    count(queue._Rule)
+    count(queue._UnitRule)
     return calls
 
 

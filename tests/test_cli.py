@@ -172,6 +172,11 @@ REJECTED_INPUTS = {
     # rounding in terms of about 2.5e22 gave log p = 4.6e6 and p = inf (exit 0)
     "exact-gamma log-pmf above 0": (["exact-gamma", "--dist", "gamma:1e20,1", "--alpha", "3",
                                      "--a", "1e20", "--N", "5"], 3, "log-pmf at k=5e+20 is"),
+    # lam (1 + a) overflowed in the intermediate formula, and log 0 raised a
+    # bare "math domain error" (exit 1)
+    "exact-gamma intermediate overflow": (["exact-gamma", "--dist", "exp:1e308", "--alpha", "1",
+                                           "--a", "3", "--N", "100"], 2,
+                                          "lam (1 + a) lies beyond the float range"),
     "exact-gamma series": (["exact-gamma", "--dist", "exp:1", "--alpha", "1.4",
                             "--a", "1.3407807929942597e+154", "--N", "1"], 3, "overflows"),
     "simulate infinite count": (["simulate", "--method", "mc", "--dist", "det:1", "--alpha", "1",
@@ -187,10 +192,12 @@ REJECTED_INPUTS = {
     # CGF'' = a^2/beta overflows, and the prefactor used to be 0 ("math domain error")
     "approx prefactor overflow": (["approx", "--dist", "exp:2.5", "--alpha", "0.2", "--a", "1e200",
                                    "--N", "100"], 3, "prefactor"),
+    # the tilt is 4.5e-13, and the two-point spread squared overflows in the
+    # curvature, so log q is NaN (the composite rule's error blamed the tilt)
     "queue-approx two-point spread": (["queue-approx", "--dist",
                                        "twopoint:0.5,1,1.3407807929942597e+154", "--service",
                                        "det:0.5", "--N", "1", "--a", "3.35195198248565e+153"], 2,
-                                      "needs a tilt above"),
+                                      "beyond the float range"),
     "queue-approx tiny service mean": (["queue-approx", "--dist", "det:1",
                                         "--service", "det:5e-324", "--N", "1", "--a", "1"], 2,
                                        "needs a tilt above"),
@@ -241,10 +248,16 @@ REJECTED_INPUTS = {
     "repro seed above 64 bits": (["repro", "--seed", str(2**64)], 2,
                                  "seed must lie in [0, 2^64)"),
     # Q above the float range and the tilted variance e^(2 theta) beyond it
-    # raised OverflowError inside the staffing tilt search
+    # raised OverflowError inside the staffing tilt search.  Under the exact
+    # one-node rule of deterministic service the tilt resolves to about
+    # 5e-26, and a_eps lies within 1e-25 of the mean load; the exponential
+    # service twin still stops short of the band
     "staff Q above the float range": (["staff", "--dist", "gamma:3.4676934119325283e+50,1",
                                        "--service", "det:1", "--N", "1", "--eps", "0.5",
-                                       "--tol", "1e-6"], 3, "staffing tilt search"),
+                                       "--tol", "1e-6"], 2, "met already at the rarity boundary"),
+    "staff Q above the float range, exponential service": (
+        ["staff", "--dist", "gamma:3.4676934119325283e+50,1", "--service", "exp:1", "--N", "1",
+         "--eps", "0.5", "--tol", "1e-6"], 3, "staffing tilt search"),
     # Q overflows at the tilt the search stops at, and the error read
     # "|Q - eps| = inf" (exit 3)
     "staff Q overflows at the stopping tilt": (["staff", "--dist", "gamma:1e305,1",
@@ -260,6 +273,10 @@ REJECTED_INPUTS = {
     # bare "math domain error"
     "staff level underflow": (["staff", "--dist", "det:1e-300", "--service", "exp:1e-300",
                                "--N", "100", "--eps", "1e-3"], 2, "needs a tilt above 350"),
+    # the stationary mean M_inf printed as inf (exit 0)
+    "staff stationary mean beyond the float range": (
+        ["staff", "--dist", "pois:2", "--service", "exp:1e308", "--N", "100", "--eps", "1e-3"], 2,
+        "N * mean rate * mean service = 100 * 2 * 1e+308 lies beyond the float range"),
     "staff MGF wall": (["staff", "--dist", "exp:0.5", "--service", "pareto:0.5", "--N", "1",
                         "--eps", "1e-30", "--tol", "1e-40"], 2,
                        "tilts are confined to (0, 0.405465] by the MGF domain"),

@@ -54,6 +54,14 @@ POIS2 = PoissonRate(2.0)
 SERVICES = [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)]
 
 
+def kinks_in_unit(service):
+    """Where the complementary cdf jumps inside (0, 1): the breakpoints an
+    adaptive reference quadrature needs."""
+    if isinstance(service, DetService) and 0.0 < service.mean < 1.0:
+        return (service.mean,)
+    return ()
+
+
 def quiet_queue_approx(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HypothesisWarning)
@@ -69,7 +77,7 @@ class TestServiceLaws:
 
     @pytest.mark.parametrize("service", SERVICES + [ExpService(1.0), DetService(1.0), Pareto2Service(0.05)])
     def test_integrals_match_quadrature(self, service):
-        spec = QuadratureSpec(breakpoints=service.breakpoints_in_unit)
+        spec = QuadratureSpec(breakpoints=kinks_in_unit(service))
         quad = integrate(service.sf, Interval(0.0, 1.0), spec)
         assert service.sf_integral(0.0, 1.0) == pytest.approx(quad, abs=1e-11)
 
@@ -93,11 +101,6 @@ class TestServiceLaws:
         assert ExpService(0.7).sf_sq_integral_total() == pytest.approx(0.35, abs=1e-12)
         assert DetService(0.7).sf_sq_integral_total() == pytest.approx(0.7, abs=1e-12)
         assert Pareto2Service(0.6).sf_sq_integral_total() == pytest.approx(0.2, abs=1e-12)
-
-    def test_breakpoints(self):
-        assert DetService(0.5).breakpoints_in_unit == (0.5,)
-        assert DetService(1.0).breakpoints_in_unit == ()
-        assert ExpService(0.5).breakpoints_in_unit == ()
 
     def test_parse(self):
         assert parse_service("exp:0.5") == ExpService(0.5)
@@ -268,7 +271,7 @@ class TestQueueApprox:
         # finite-difference second derivative of the integrated CGF at the tilt
         a = 1.3
         qa = queue_approx(POIS2, service, 100.0, a)
-        spec = QuadratureSpec(breakpoints=service.breakpoints_in_unit)
+        spec = QuadratureSpec(breakpoints=kinks_in_unit(service))
 
         def psi(theta):
             tau = math.expm1(theta)
@@ -290,6 +293,25 @@ class TestQueueApprox:
         assert logs == sorted(logs)
         assert all(l < 0.0 for l in logs)
         assert thetas[-1] < 0.2
+
+    @pytest.mark.parametrize("law", [PoissonRate, DeterministicRate], ids=lambda law: law.__name__)
+    @pytest.mark.parametrize("service", SERVICES, ids=spec_label)
+    def test_rate_scaling_twins(self, law, service):
+        # the CGFs of Poisson and point-mass rate laws are linear in lam, so
+        # rates c lam, levels c a and scales N / c leave every tilt and log
+        # value unchanged; a tilt search that stopped at an absolute level
+        # gap gave theta = 0.5 at c = 1e-13 for det rates at det service,
+        # whose tilt is log 1.5
+        def logs(c):
+            dist = law(2.0 * c)
+            qa = quiet_queue_approx(dist, service, 1000.0 / c, 1.7 * c)
+            P, p = approx_intermediate(dist, 3.0 * c, 1000.0 / c)
+            return [theta_star_queue(dist, service, 1.5 * c), qa.theta_star, qa.log_Q_check,
+                    qa.log_q_check, math.log(qa.sigma2 / c), P.log_value, p.log_value]
+
+        expected = logs(1.0)
+        for c in (1e-6, 1e-13, 1e-100, 1e-200):
+            assert logs(c) == pytest.approx(expected, rel=1e-12, abs=0.0), c
 
 
 RATE_LAWS = [Exponential(2.5), GammaRate(2.0, 1.5), POIS2, TwoPoint(0.75, 1.0, 5.0),
@@ -316,14 +338,14 @@ class TestOccupancyQuadrature:
             assert slope == pytest.approx(exact, rel=1e-12), gap / lam
 
     @pytest.mark.parametrize("dist", RATE_LAWS, ids=spec_label)
-    @pytest.mark.parametrize("service", [ExpService(0.5), DetService(0.5), Pareto2Service(0.05)],
-                             ids=spec_label)
+    @pytest.mark.parametrize("service", [ExpService(0.5), DetService(0.5), DetService(0.05),
+                                         Pareto2Service(0.05)], ids=spec_label)
     def test_matches_adaptive_quadrature_away_from_the_wall(self, dist, service):
         theta = theta_star_queue(dist, service, 1.5 * mean_load(dist, service))
         tau = math.expm1(theta)
         if math.isfinite(dist.mgf_domain_sup):
             assert (dist.mgf_domain_sup - tau) / dist.mgf_domain_sup >= 0.1
-        spec = QuadratureSpec(breakpoints=service.breakpoints_in_unit, abs_tol=1e-16,
+        spec = QuadratureSpec(breakpoints=kinks_in_unit(service), abs_tol=1e-16,
                               rel_tol=1e-12)
 
         def reference(f):
@@ -341,18 +363,24 @@ class TestOccupancyQuadrature:
 
     @pytest.mark.parametrize("dist", RATE_LAWS, ids=spec_label)
     def test_unit_rule_is_the_cgf_triple(self, dist):
-        # the one-node rule returns the CGF triple as floats, bit for bit the
-        # weighted sums of the generic rule, overflows and NaNs included
+        # the one-node rules, of the balanced regime and of deterministic
+        # service, return the CGF triple times their weight as floats, bit
+        # for bit the weighted sums of the generic rule, overflows and NaNs
+        # included
         sup = dist.mgf_domain_sup
         taus = [0.0, 1e-300, 1e-8, 0.3, math.expm1(0.7), 5.0, 50.0, 700.0, 1e300,
                 sup * (1.0 - 1e-3), sup * (1.0 - 1e-9)]
-        rule = queue._UNIT_RULE
-        for tau in taus:
-            if tau < sup:
-                got = rule.integrals(dist, tau)
-                assert all(type(value) is float for value in got)
-                assert ([value.hex() for value in got]
-                        == [value.hex() for value in queue._Rule.integrals(rule, dist, tau)]), tau
+        weights = {queue._UNIT_RULE: 1.0,
+                   **{queue._rule(DetService(E)): min(E, 1.0) for E in (0.05, 0.5, 1.0, 2.0)}}
+        for rule, weight in weights.items():
+            assert isinstance(rule, queue._UnitRule) and rule.check is None
+            assert rule.weighted == (weight, weight, weight)
+            for tau in taus:
+                if tau < sup:
+                    got = rule.integrals(dist, tau)
+                    assert all(type(value) is float for value in got)
+                    generic = queue._Rule.integrals(rule, dist, tau)
+                    assert [value.hex() for value in got] == [value.hex() for value in generic], tau
 
     def test_disagreeing_check_rule_raises(self, monkeypatch):
         service = ExpService(0.5)

@@ -28,16 +28,18 @@ BENCH_ROWS = [row for row in GRID_ROWS if row[1].endswith(":0.5")]
 
 def _main_rule_evaluations(rule_calls, rate, service, eps):
     """Main-rule evaluations of one solve_staffing call, after checking that
-    it checks the integrals at each of its three roots once and evaluates no
-    tilt twice."""
+    it checks the integrals at each of its three roots once, where its rule
+    has a check rule (deterministic service has none), and evaluates no tilt
+    twice."""
     service = parse_service(service)
     check = queue._rule(service).check
+    checks = 0 if check is None else 3
     rule_calls.clear()
     solve_staffing(parse_rate(rate), service, 100, eps)
     rules = [rule for rule, _ in rule_calls]
-    assert rules.count(check) == 3
+    assert rules.count(check) == checks
     assert len(set(rule_calls)) == len(rule_calls)
-    return len(rules) - 3
+    return len(rules) - checks
 
 
 class TestSolveStaffing:
@@ -98,6 +100,24 @@ class TestSolveStaffing:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisWarning)
             assert abs(queue_approx(dist, service, 100.0, r.a_eps).Q_check - eps) < tol
+
+    @pytest.mark.parametrize("law", [PoissonRate, DeterministicRate], ids=lambda law: law.__name__)
+    @pytest.mark.parametrize("service", [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)],
+                             ids=spec_label)
+    def test_rate_scaling_twins(self, law, service):
+        # rates c lam and N / c slots keep N a, the server counts and Q at
+        # them: below a = 1 the server-count Newton steps stop at a level gap
+        # relative to a; an absolute gap moved log Q by up to 0.5% at c = 1e-200
+        def result(c):
+            r = solve_staffing(law(2.0 * c), service, round(100 / c), 1e-3)
+            return ((r.servers_floor, r.servers_ceil),
+                    [r.a_eps / c, math.log(r.Q_at_floor), math.log(r.Q_at_ceil), r.M1, r.M_inf])
+
+        counts, expected = result(1.0)
+        for c in (1e-6, 1e-13, 1e-100, 1e-200):
+            twin_counts, values = result(c)
+            assert twin_counts == counts
+            assert values == pytest.approx(expected, rel=1e-12, abs=0.0), c
 
     @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
     def test_quadrature_calls_per_solve(self, rule_calls, rate, service, eps):
