@@ -324,9 +324,11 @@ def p_asym_intermediate(case: GammaCase) -> AsymptoticValue:
     _require_exponential_slots(case, "the intermediate formula")
     lam, a, N = case.lam, case.a, case.N
     scaled_a, scaled_lam = a * (1.0 + lam), lam * (1.0 + a)
-    if not (math.isfinite(scaled_a) and math.isfinite(scaled_lam)):
-        raise DomainError(f"the intermediate formula at lam={lam:.6g}, a={a:.6g}: a (1 + lam) "
-                          "or lam (1 + a) lies beyond the float range")
+    spread = 2.0 * math.pi * N * a * (a + 1.0)
+    if not (math.isfinite(scaled_a) and 0.0 < spread < math.inf and math.isfinite(scaled_lam)):
+        raise DomainError(f"the intermediate formula at lam={lam:.6g}, a={a:.6g}, N={N:.6g}: "
+                          "a (1 + lam), 2 pi N a (a + 1) or lam (1 + a) lies beyond the float "
+                          "range")
     exponent = a * math.log(scaled_a / (1.0 + a)) + math.log((1.0 + lam) / scaled_lam)
-    log_p = -N * exponent - 0.5 * math.log(2.0 * math.pi * N * a * (a + 1.0))
+    log_p = -N * exponent - 0.5 * math.log(spread)
     return AsymptoticValue(log_p, "Intermediate", "Valid", 1.0)

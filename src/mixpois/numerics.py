@@ -114,6 +114,9 @@ def ceil_count(n_times_a: float) -> int:
     """
     if not 0.0 <= n_times_a < math.inf:
         raise DomainError(f"count threshold must be finite and nonnegative, got {n_times_a}")
+    if 0.0 < n_times_a <= _INT_TOL:
+        raise DomainError(f"count threshold N*a = {n_times_a:.6g} is positive but within "
+                          f"{_INT_TOL:g} of 0, where it would snap to the count 0")
     nearest = round(n_times_a)
     if abs(n_times_a - nearest) <= _INT_TOL:
         return int(nearest)

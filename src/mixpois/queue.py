@@ -3,7 +3,7 @@ sharp approximations of the occupancy tail, and crude simulation.
 
 The simulation draws through the draw layer of ``sampling``: the estimator
 driver, which draws, scores and sums cache-sized blocks of runs
-(_run_blocks), and alias tables of Poisson laws (_alias_sampler).
+(_run_blocks), and alias tables of discrete laws (_alias_sampler).
 
 Time is normalized so the observation epoch is 1 and arrivals in slot i of N
 get thinned by the retention probability omega_i(N), the chance that such an
@@ -26,7 +26,8 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
 from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
                     spec_label)
-from .sampling import EstimatorResult, _alias_sampler, _count_mean, _poisson_laws, _run_blocks
+from .sampling import (_TABLE_BITS_MAX, _TABLE_TAIL, EstimatorResult, _alias_sampler, _count_mean,
+                       _poisson_laws, _run_blocks)
 
 __all__ = [
     "ServiceTime",
@@ -437,43 +438,81 @@ def _mark_means(lam: float, omegas: np.ndarray) -> np.ndarray:
     return lam * np.add.reduce(np.multiply.accumulate(factors, axis=0), axis=1)
 
 
+def _stretched(law: np.ndarray, mark: int) -> np.ndarray:
+    """``law``, the pmf of a count C, as the pmf of mark * C."""
+    if mark == 1:
+        return law
+    out = np.zeros(mark * (law.size - 1) + 1)
+    out[::mark] = law
+    return out
+
+
+def _sum_tables(count_means: np.ndarray) -> tuple[list[tuple[np.ndarray, int]], list[int]]:
+    """The laws of the marked counts y C_y, y = 1..Y, for independent
+    C_y ~ Pois(count_means[y - 1]), merged into as few tables as fit: a list
+    of (law, mark), each a law of values that add mark occupants apiece, and
+    the marks y whose counts are past the table bound (_poisson_laws).
+
+    From the highest mark down, each count's law, stretched by its mark, is
+    convolved into the table before it while the sum keeps within
+    2^_TABLE_BITS_MAX entries, tested before convolving, and otherwise starts
+    a table of its own at its own mark.  Each sum is cut where its upper
+    tail falls below _TABLE_TAIL.  The convolution is direct: an FFT's
+    rounding, about 1e-16 of the peak, would swamp the entries of the tail.
+    """
+    tables, untabled = [], []
+    for y, law in reversed(list(enumerate(_poisson_laws(count_means), start=1))):
+        if law is None:
+            untabled.append(y)
+        elif tables and (tables[-1][1] * (tables[-1][0].size - 1) + y * (law.size - 1)
+                         < 2**_TABLE_BITS_MAX):
+            total = np.convolve(_stretched(*tables[-1]), _stretched(law, y))
+            tail = np.cumsum(total[::-1])[::-1]
+            tables[-1] = total[:np.count_nonzero(tail >= _TABLE_TAIL * tail[0])], 1
+        else:
+            tables.append((law, y))
+    return tables, untabled
+
+
 def _marked_occupancy(lam: float, omegas: np.ndarray):
     """Sampler (width, block) for Poisson slot rates: ``block(rng, n) -> n
     occupancies``, of ``width`` draws per run.
 
-    Each run draws the counts of units that add y = 1..y0 occupants, and one
-    pooled count of those that add more, whose marks follow from the rest of
-    the table; y0 is the smallest mark beyond which fewer than one unit is
-    expected per run.  Each count is its own Poisson draw and each pooled
-    mark its own draw from the mark law, one raw word each, from alias tables
-    built once per call (sampling._alias_sampler).  A count whose table would
-    pass 2^12 entries is drawn by numpy's Poisson sampler instead.
+    The occupancy is sum_y y C_y over the independent Poisson counts C_y of
+    the units that add y occupants (_mark_means).  The marked counts y C_y,
+    y = 1..y0, are drawn as their sum, one raw word per run read through an
+    alias table of its law, the convolution of their stretched Poisson laws
+    (_sum_tables, sampling._alias_sampler); y0 is the smallest mark beyond
+    which fewer than one unit is expected per run.  Where one table would
+    pass 2^12 entries the sum takes more, and a count whose own table would
+    pass it is drawn by numpy's Poisson sampler.  The units marked above y0,
+    of mean beta below 1 per run, are drawn per block of n runs: a Poisson
+    total of mean n beta, each unit placed in a uniform run with a mark from
+    the rest of the table, so by Poisson splitting each run holds an
+    independent compound Pois(beta) remainder.
     """
     means = _mark_means(lam, omegas)
     beyond = np.append(np.cumsum(means[:0:-1])[::-1], 0.0)  # [y]: mean units marked above y
     y0 = 1 + int(np.argmax(beyond[1:] < 1.0))
-    count_means = _count_mean(np.append(means[1:y0 + 1], beyond[y0]))
-    marks = np.append(np.arange(1, y0 + 1), 0)
-    laws = _poisson_laws(count_means)
-    tabled = np.array([law is not None for law in laws])
-    rows = np.arange(np.count_nonzero(tabled))  # the pooled count, of mean below 1, comes last
-    big_means, big_marks, marks = count_means[~tabled], marks[~tabled], marks[tabled]
-    mark_law = means[y0 + 1:]
-    draw = _alias_sampler([law for law in laws if law is not None]
-                          + [mark_law if mark_law.any() else np.ones(1)])
+    tables, untabled = _sum_tables(_count_mean(means[1:y0 + 1]))
+    rows = np.arange(len(tables))[:, None]
+    scales = np.array([mark for _, mark in tables], dtype=np.int64)[:, None]
+    plain = scales.tolist() == [[1]]  # one table of unit mark: no product and no sum
+    big_means, big_marks = means[untabled], np.array(untabled, dtype=np.int64)
+    beta, mark_law = beyond[y0], means[y0 + 1:]
+    draw = _alias_sampler([law for law, _ in tables] + [mark_law if mark_law.any() else np.ones(1)])
 
     def block(rng: np.random.Generator, n: int) -> np.ndarray:
-        counts = draw(rng.bit_generator.random_raw((n, rows.size)), rows)
-        occupancy = counts @ marks
+        counts = draw(rng.bit_generator.random_raw((rows.size, n)), rows)
+        occupancy = counts[0] if plain else np.add.reduce(counts * scales, axis=0)
         if big_means.size:
             occupancy = occupancy + rng.poisson(big_means, size=(n, big_means.size)) @ big_marks
-        pooled = counts[:, -1]
-        if total := int(pooled.sum()):
-            tail = draw(rng.bit_generator.random_raw(total), rows.size) + (y0 + 1)
-            occupancy = occupancy + np.bincount(np.repeat(np.arange(n), pooled), tail, n)
+        if units := int(rng.poisson(n * beta)):
+            tail = draw(rng.bit_generator.random_raw(units), rows.size) + (y0 + 1)
+            occupancy = occupancy + np.bincount(rng.integers(n, size=units), tail, n)
         return occupancy
 
-    return y0 + 2, block
+    return rows.size + big_means.size + 1, block
 
 
 _ALL_LANES = np.uint64(2**64 - 1)
@@ -573,9 +612,12 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
     """Crude Monte Carlo for the occupancy tail at level N*a.
 
     A run hits when its occupancy reaches k = ceil(N a).  Poisson slot rates
-    draw the occupancy itself, from the counts of units marked by the
-    occupants they add, each count one raw word read through an alias table
-    of its Poisson law (_marked_occupancy).  Other rates draw the rate sum
+    draw the occupancy itself, the marked counts of the units by the
+    occupants they add: the sum of the counts of marks 1..y0 as one raw word
+    per run read through an alias table of its law, and the fewer than one
+    unit per run marked above y0 per block of runs (_marked_occupancy).  The
+    runs are i.i.d. draws of the occupancy, and the estimate is the fraction
+    that hit.  Other rates draw the rate sum
     Lambda = sum_i omega_i X_i over the N slot rates X_i (_rate_sum), and the
     hit of the Pois(Lambda) occupancy as G <= Lambda with G ~ Gamma(k, 1),
     the k-th epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k)

@@ -136,7 +136,7 @@ def _count_mean(mean):
 # entries; a Poisson table ends where its law's upper tail falls below
 # _TABLE_TAIL.  The weights leave 64 - _WEIGHT_BITS bits of each raw word
 # unused, so that the running sums of up to 63 tables fit side by side in
-# one int64 search (_alias_tables); a sampler builds at most y0 + 2 of them
+# one int64 search (_alias_tables); a sampler builds at most y0 + 1 of them
 # (queue._marked_occupancy).
 _WEIGHT_BITS = 56
 _TABLE_BITS_MAX = 12
@@ -293,15 +293,17 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     n * lam1 plus (lam2 - lam1) times a Bin(n, q) count of slots at lam2, q
     their twisted weight (_binomial_count), and deterministic rates as
     n * lam, with no draw.
-    Every estimator checks alpha and N, that N^alpha and the pooled gamma
-    shape are floats and that numpy can draw the untabled pooled Poisson mean
-    and binomial count, here.
+    Every estimator checks alpha and N, that N^alpha is a positive float and
+    the pooled gamma shape a float, and that numpy can draw the untabled
+    pooled Poisson mean and binomial count, here.
     """
     if not (alpha > 0.0 and N > 0.0):
         raise DomainError(f"alpha and N must be positive, got alpha={alpha}, N={N}")
     n_alpha = exp_or_inf(alpha * math.log(N))
     if n_alpha == math.inf:
         raise DomainError(f"N^alpha exceeds the float range at alpha={alpha}, N={N}")
+    if n_alpha == 0.0:
+        raise DomainError(f"N^alpha underflows to 0 at alpha={alpha}, N={N}")
     if isinstance(dist, GammaRate):
         lam = dist.lam if theta is None else dist.lam - theta
         shape = n_alpha * dist.beta

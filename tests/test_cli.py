@@ -177,6 +177,11 @@ REJECTED_INPUTS = {
     "exact-gamma intermediate overflow": (["exact-gamma", "--dist", "exp:1e308", "--alpha", "1",
                                            "--a", "3", "--N", "100"], 2,
                                           "lam (1 + a) lies beyond the float range"),
+    # 2 pi N a (a + 1) overflowed, and p_asym printed 0 with log -inf (exit 0)
+    "exact-gamma intermediate spread overflow": (["exact-gamma", "--dist", "exp:2.5", "--alpha",
+                                                  "1", "--a", "1e300", "--N", "100"], 2,
+                                                 "2 pi N a (a + 1) or lam (1 + a) lies beyond "
+                                                 "the float range"),
     "exact-gamma series": (["exact-gamma", "--dist", "exp:1", "--alpha", "1.4",
                             "--a", "1.3407807929942597e+154", "--N", "1"], 3, "overflows"),
     "simulate infinite count": (["simulate", "--method", "mc", "--dist", "det:1", "--alpha", "1",
@@ -224,6 +229,17 @@ REJECTED_INPUTS = {
     "queue-sim Poisson mean": (["queue-sim", "--dist", "pois:1e19", "--service", "exp:1",
                                 "--N", "10", "--a", "1e20", "--runs", "1"], 2,
                                "Poisson count mean"),
+    # N^alpha = 1e-750 underflows to 0: the pooled gamma had shape 0, and the
+    # estimate printed nan (exit 0)
+    "is-fast N^alpha underflow": (["simulate", "--method", "is-fast", "--dist", "exp:2.5",
+                                   "--alpha", "2.5", "--a", "3", "--N", "1e-300", "--runs",
+                                   "1000"], 2, "N^alpha underflows to 0"),
+    # N*a = 3e-300 snapped to the count 0, and every run hit: estimate 1 with
+    # CI 0 (exit 0)
+    "is-slow count threshold snapping to 0": (["simulate", "--method", "is-slow", "--dist",
+                                               "exp:2.5", "--alpha", "0.5", "--a", "3", "--N",
+                                               "1e-300", "--runs", "1000"], 2,
+                                              "N*a = 3e-300 is positive but within 1e-09 of 0"),
     "simulate N^alpha overflow": (["simulate", "--method", "mc", "--dist", "exp:1", "--alpha",
                                    "400", "--a", "2", "--N", "10", "--runs", "1"], 2,
                                   "exceeds the float range"),

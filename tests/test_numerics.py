@@ -26,6 +26,13 @@ class TestCountConventions:
         assert ceil_count(3.0000000001) == 3  # snaps within 1e-9
         assert ceil_count(2.9999999999) == 3
 
+    # a positive threshold within the snap of 0 would count every run a hit
+    @pytest.mark.parametrize("n_times_a", [5e-324, 3e-300, 1e-9])
+    def test_ceil_refuses_a_positive_threshold_snapping_to_zero(self, n_times_a):
+        with pytest.raises(DomainError, match="positive but within 1e-09 of 0"):
+            ceil_count(n_times_a)
+        assert ceil_count(2e-9) == 1
+
     def test_exact(self):
         assert exact_count(4.0) == 4
         assert exact_count(4.0 + 5e-10) == 4

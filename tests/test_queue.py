@@ -619,24 +619,41 @@ class TestAliasTables:
             np.add.at(weight[row], a, capacity - t)
         return weight
 
-    # every count a run may draw at N = 100: the units of each mark y >= 1,
-    # and the units marked above y, which a pooled count holds
+    @staticmethod
+    def tabled_marks(means):
+        """y0, the smallest mark y >= 1 above which fewer than one unit is
+        expected per run."""
+        return next(y for y in range(1, means.size) if math.fsum(means[y + 1:]) < 1.0)
+
+    # at N = 100 one table holds the sum of the marked counts y C_y,
+    # y = 1..y0: its weights are the convolution of their Poisson pmfs, each
+    # stretched by its mark, and it leaves out a mass below 2^-60 for each
+    # count cut and the cut of the sum
     @pytest.mark.parametrize("service", [ExpService(0.5), ExpService(1.0)], ids=spec_label)
     @pytest.mark.parametrize("lam", [0.1, 2.0, 20.0])
-    def test_poisson_tables_hold_the_pmf(self, lam, service):
+    def test_sum_table_holds_the_convolved_pmfs(self, lam, service):
         means = queue._mark_means(lam, omega_vector(100, service))
-        count_means = np.append(means[1:], np.cumsum(means[:1:-1])[::-1])
-        laws = sampling._poisson_laws(count_means)
-        weight = self.weights(*sampling._alias_tables(laws))
+        y0 = self.tabled_marks(means)
+        tables, untabled = queue._sum_tables(means[1:y0 + 1])
+        assert len(tables) == 1 and tables[0][1] == 1 and untabled == []
+        law = tables[0][0]
+        (weight,) = self.weights(*sampling._alias_tables([law]))
         total = 2**sampling._WEIGHT_BITS
+        assert int(weight.sum()) == total and not weight[law.size:].any()
         with decimal.localcontext() as context:
             context.prec = 50
-            for mean, law, w in zip(count_means, laws, weight):
-                pmf = poisson_pmf_digits(mean, w.size)
-                assert int(w.sum()) == total and not w[law.size:].any()
-                error = max(abs(decimal.Decimal(int(x)) / total - p) for x, p in zip(w, pmf))
-                assert error <= decimal.Decimal(2.0**-50)
-                assert 1 - sum(pmf[:law.size]) < decimal.Decimal(2.0**-60)
+            pmf = np.zeros(law.size, dtype=object)
+            pmf[0] = decimal.Decimal(1)
+            for y in range(1, y0 + 1):  # convolved residue class by residue class mod y
+                count = poisson_pmf_digits(means[y], -(-law.size // y))
+                # terms below 1e-40 past the largest change no entry by 2^-100
+                count = np.array(count[:1 + max(v for v, p in enumerate(count) if p >= 1e-40)],
+                                 dtype=object)
+                for r in range(y):
+                    pmf[r::y] = np.convolve(pmf[r::y], count)[:pmf[r::y].size]
+            error = max(abs(decimal.Decimal(int(x)) / total - p) for x, p in zip(weight, pmf))
+            assert error <= decimal.Decimal(2.0**-50)
+            assert 1 - sum(pmf) < (y0 + 1) * decimal.Decimal(2.0**-60)
 
     # the weights of any law, zeros included, sum to 2^_WEIGHT_BITS and give
     # each value its share within 2^-50
@@ -682,10 +699,17 @@ class TestAliasTables:
         assert sampling._poisson_laws(means[1:3])[0] is None
 
     # with counts on both sides of the table bound, the occupancy keeps the
-    # mean lam sum omega_i and variance lam sum (omega_i + omega_i^2) of
-    # its Neyman type A terms
-    def test_occupancy_moments_across_the_table_bound(self):
-        lam, omegas, m = 200.0, omega_vector(100, ExpService(1.0)), 20_000
+    # mean lam sum omega_i and variance lam sum (omega_i + omega_i^2) of its
+    # Neyman type A terms: at lam N = 2e4 under exp:1 the mark-1 count is
+    # past the bound, and the mark-2 count, whose law stretched by 2 would
+    # pass 2^12 entries, takes a table of its own beside the sum of marks
+    # 3..y0
+    @pytest.mark.parametrize("lam,N", [(200.0, 100), (2.0, 10**4), (20.0, 1000)])
+    def test_occupancy_moments_across_the_table_bound(self, lam, N):
+        omegas, m = omega_vector(N, ExpService(1.0)), 20_000
+        means = queue._mark_means(lam, omegas)
+        tables, untabled = queue._sum_tables(means[1:self.tabled_marks(means) + 1])
+        assert [mark for _, mark in tables] == [1, 2] and untabled == [1]
         occupancy = queue._marked_occupancy(lam, omegas)[1](stream(12), m)
         mean, variance = lam * omegas.sum(), lam * (omegas + omegas**2).sum()
         assert abs(occupancy.mean() - mean) <= 4.0 * math.sqrt(variance / m)

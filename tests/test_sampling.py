@@ -275,10 +275,14 @@ class TestWeightFiniteness:
 
     @pytest.mark.parametrize("dist", [PoissonRate(2.0), EXP25], ids=lambda d: d.label())
     def test_zero_threshold_count_at_an_empty_pooled_rate(self, dist):
-        # at N = 1e-12 the threshold count is 0, so P = 1; a run whose pooled
-        # rate is empty must keep its weight e^(N a) at z = 0
-        r = is_fast(dist, 2.0, 3.0, 1e-12, 100_000, 0)
+        # at N = 1e-12 the point count is 0, so P(count = 0) is 1 within
+        # 1e-11; a run whose pooled rate is empty must keep its weight
+        # e^(N a) at z = 0.  The tail threshold N a = 3e-12 is positive, so
+        # its count is 1, not the 0 it would snap to: refused
+        r = is_fast(dist, 2.0, 3.0, 1e-12, 100_000, 0, quantity="point")
         assert r.estimate == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(DomainError, match="positive but within"):
+            is_fast(dist, 2.0, 3.0, 1e-12, 100_000, 0)
 
 
 class TestEfficiencyDiagnostic:
