@@ -153,14 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "staff",
                  "dimensioning: smallest capacity meeting an overflow target",
                  "Solves the sharp occupancy approximation for eps to "
-                 "|Q - eps| < tol (default 1e-9).  --service and --eps accept "
+                 "|Q / eps - 1| < 1e-6.  --service and --eps accept "
                  "comma-separated lists; failures are reported per row.  With "
                  "--verify-runs > 0 each solution is audited by crude Monte Carlo.",
                  ("dist", "service", "slots",
                   ("--eps", dict(type=_finite_floats, required=True,
                                  help="target level(s) in (0,1), comma-separated")),
-                  ("--tol", dict(type=_finite_float, default=1e-9,
-                                 help="termination band on |Q - eps| (default 1e-9)")),
                   ("--verify-runs",
                    dict(type=int, default=0,
                         help="crude MC audit runs at the solution (default 0 = off)")),
@@ -283,7 +281,7 @@ def _cmd_staff(args) -> list[dict]:
         for eps in args.eps:
             values, error = (None,) * len(_STAFF_COLUMNS), None
             try:
-                r = staffing.solve_staffing(dist, service, args.N, eps, args.tol)
+                r = staffing.solve_staffing(dist, service, args.N, eps)
                 audit = (None, None)
                 if args.verify_runs > 0:
                     result = queue.mc_Q(dist, service, args.N, r.a_eps, args.verify_runs,

@@ -116,10 +116,10 @@ def _log_pmf(case: GammaCase, k: int) -> float:
                       + (1.0 / (r + k) - 1.0 / r) / 12.0)
     else:
         log_rising = log_gamma(k + r) - log_gamma(r)
-    value = log_rising - log_gamma(k + 1.0) + k * log_q + r * log_1mq
-    # a pmf is at most 1: at k = 0 the value is r log(1 - q) alone, which
-    # cannot round above 0, and at k >= 1 the pmf is at most 1/e, so a value
-    # above 0 is the rounding of terms far larger than it
+    # a pmf is at most 1: at k = 0 the value is r log(1 - q) alone (log_gamma(1)
+    # is -8.9e-16), which cannot round above 0, and at k >= 1 the pmf is at
+    # most 1/e, so a value above 0 is the rounding of terms far larger than it
+    value = r * log_1mq if k == 0 else log_rising - log_gamma(k + 1.0) + k * log_q + r * log_1mq
     if not (math.isfinite(value) and value <= 0.0):
         raise ConvergenceError(f"the negative binomial log-pmf at k={k:.6g} is {value} for {case}")
     return value

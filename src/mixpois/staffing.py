@@ -28,6 +28,8 @@ __all__ = ["StaffingResult", "solve_staffing"]
 # level evaluations a server-count tilt gets from its prediction before the
 # bracketed search takes over
 _NEWTON_EVALS = 4
+# the staffing tilt search stops at |Q / eps - 1| < _BAND
+_BAND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -49,34 +51,28 @@ def solve_staffing(
     service: ServiceTime,
     N: int,
     eps: float,
-    tol: float = 1e-9,
 ) -> StaffingResult:
     """Smallest a with the occupancy-tail approximation at most eps.
 
     The approximation decreases along the tilt theta, and the level a(theta)
     it belongs to is one integral, so log eps - log Q(theta) = 0 is solved
-    by Newton steps in log theta until |Q - eps| < tol, from a bracket that
-    ends at the occupancy's central-limit tilt; the level found is then
+    by Newton steps in log theta until |Q / eps - 1| < _BAND, from a bracket
+    that ends at the occupancy's central-limit tilt; the level found is then
     re-evaluated at the two bracketing integer server counts, each tilt
     predicted to second order from the staffing tilt and refined by Newton
     steps on the level.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target epsilon must be in (0, 1), got {eps}")
-    if not 0.0 < tol < eps:
-        raise DomainError(
-            f"tol must lie in (0, eps): the termination band |Q - eps| < tol is "
-            f"meaningless otherwise (got tol={tol}, eps={eps})"
-        )
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
 
-    # |log Q - log eps| below half of log1p(tol / eps) keeps Q within tol of
-    # eps.  The root finder stops at |g| <= _ROOT_TOL or at a bracket narrower
+    # |log Q - log eps| below half of log1p(_BAND) keeps Q / eps within _BAND
+    # of 1.  The root finder stops at |g| <= _ROOT_TOL or at a bracket narrower
     # than that, so g measures log Q in units of that band over _ROOT_TOL: the
     # value stop is the band, and the bracket stop a log-theta width of _ROOT_TOL
     log_eps = math.log(eps)
-    scale = _ROOT_TOL / (0.5 * math.log1p(tol / eps))
+    scale = _ROOT_TOL / (0.5 * math.log1p(_BAND))
     rule = _rule(service)
     seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
     sigma2s = {}  # sigma^2 at each tilt where g reached the approximation, in evaluation order
@@ -138,16 +134,21 @@ def solve_staffing(
             f"epsilon={eps}: the staffing tilt search stopped at theta={theta!r}, where "
             f"Q = exp({approx.log_Q_check:.6g}) lies beyond the float range"
         )
-    if not abs(approx.Q_check - eps) < tol:
-        raise ConvergenceError(
-            f"staffing tilt search stopped at theta={theta!r} with "
-            f"|Q - eps| = {abs(approx.Q_check - eps):.3e}, not below {tol}"
-        )
+    # a bad input is named before a band left unmet
     boundary = mean_load(dist, service) * (1.0 + 1e-6)
     if a < boundary:
         raise DomainError(
             f"epsilon={eps} is met already at the rarity boundary a={boundary:.6g}; "
             "no dimensioning needed"
+        )
+    if approx.log_Q_check > 0.0:
+        raise DomainError(f"epsilon={eps}: Q = {approx.Q_check:.6g} > 1 at theta={theta!r}; "
+                          "the level crosses epsilon within the float resolution of "
+                          "theta, which is beyond double precision")
+    if not abs(approx.Q_check / eps - 1.0) < _BAND:
+        raise ConvergenceError(
+            f"staffing tilt search stopped at theta={theta!r} with "
+            f"|Q / eps - 1| = {abs(approx.Q_check / eps - 1.0):.3e}, not below {_BAND}"
         )
     # sigma^2 = da/dtheta changes along theta at a rate taken as a difference
     # quotient against the nearest other iterate (with none, the server

@@ -266,14 +266,22 @@ REJECTED_INPUTS = {
     # Q above the float range and the tilted variance e^(2 theta) beyond it
     # raised OverflowError inside the staffing tilt search.  Under the exact
     # one-node rule of deterministic service the tilt resolves to about
-    # 5e-26, and a_eps lies within 1e-25 of the mean load; the exponential
-    # service twin still stops short of the band
+    # 5e-26, and a_eps lies within 1e-25 of the mean load.  The exponential
+    # service twin stops at a level at the composite rule's rounding error
+    # above the mean load, where Q is noise: the rarity boundary is checked
+    # before the band, so it too is a bad input (it exited 3, "|Q - eps|")
     "staff Q above the float range": (["staff", "--dist", "gamma:3.4676934119325283e+50,1",
-                                       "--service", "det:1", "--N", "1", "--eps", "0.5",
-                                       "--tol", "1e-6"], 2, "met already at the rarity boundary"),
+                                       "--service", "det:1", "--N", "1", "--eps", "0.5"], 2,
+                                      "met already at the rarity boundary"),
     "staff Q above the float range, exponential service": (
         ["staff", "--dist", "gamma:3.4676934119325283e+50,1", "--service", "exp:1", "--N", "1",
-         "--eps", "0.5", "--tol", "1e-6"], 3, "staffing tilt search"),
+         "--eps", "0.5"], 2, "met already at the rarity boundary"),
+    # the level a(theta) jumps from 0 past the float range within one tilt
+    # step, so the search stops where Q exceeds 1 (it exited 3, "|Q - eps| =
+    # 1.117e+143")
+    "staff Q above 1 at the stopping tilt": (["staff", "--dist", "pois:1e-300", "--service",
+                                              "exp:1e-300", "--N", "100", "--eps", "1e-3"], 2,
+                                             "beyond double precision"),
     # Q overflows at the tilt the search stops at, and the error read
     # "|Q - eps| = inf" (exit 3)
     "staff Q overflows at the stopping tilt": (["staff", "--dist", "gamma:1e305,1",
@@ -283,8 +291,8 @@ REJECTED_INPUTS = {
     # staffing and the occupancy tilt search share one tilt cap and its error;
     # this row exited 3 with "staffing tilt search found no upper bracket"
     "staff tilt above 354": (["staff", "--dist", "exp:1.6190082276456837e+191", "--service",
-                              "det:93.95691743698264", "--N", "50", "--eps", "0.18",
-                              "--tol", "3.8e-07"], 2, "needs a tilt above"),
+                              "det:93.95691743698264", "--N", "50", "--eps", "0.18"], 2,
+                             "needs a tilt above"),
     # the level a(theta) and sigma^2 underflow to 0, and log sigma^2 raised a
     # bare "math domain error"
     "staff level underflow": (["staff", "--dist", "det:1e-300", "--service", "exp:1e-300",
@@ -294,7 +302,7 @@ REJECTED_INPUTS = {
         ["staff", "--dist", "pois:2", "--service", "exp:1e308", "--N", "100", "--eps", "1e-3"], 2,
         "N * mean rate * mean service = 100 * 2 * 1e+308 lies beyond the float range"),
     "staff MGF wall": (["staff", "--dist", "exp:0.5", "--service", "pareto:0.5", "--N", "1",
-                        "--eps", "1e-30", "--tol", "1e-40"], 2,
+                        "--eps", "1e-30"], 2,
                        "tilts are confined to (0, 0.405465] by the MGF domain"),
     # the tilt cap log1p(lam - 1e-9) is 0 here, and its log used to raise a
     # bare "math domain error"; below lam = 1e-9 the cap is negative, and
@@ -311,8 +319,8 @@ REJECTED_INPUTS = {
     # "math domain error"
     "staff search down to theta = 0": (["staff", "--dist",
                                         "twopoint:0.35372647044362493,5.061931154463175e-09,1e+200",
-                                        "--service", "det:1000000.0", "--N", "10", "--eps", "0.5",
-                                        "--tol", "1e-40"], 2, "is not reached at any tilt down to"),
+                                        "--service", "det:1000000.0", "--N", "10", "--eps", "0.5"],
+                                       2, "is not reached at any tilt down to"),
     # -theta*N*a + N*CGF evaluated to log nan (exit 3) once N*a overflowed
     "approx count beyond the float range": (["approx", "--dist", "det:1", "--alpha", "1",
                                              "--a", "1e10", "--N", "1e300"], 2,
@@ -459,16 +467,15 @@ class TestErrorContractProperty:
                           f"--a={a!r}", f"--runs={runs}", f"--seed={seed}"])
 
     # at most 50 slots, two services, two levels and 20 audit runs per row;
-    # eps and tol are drawn in range part of the time, so that rows get solved
+    # eps is drawn in range part of the time, so that rows get solved
     @given(dist=RATE_SPECS, services=st.lists(SERVICE_SPECS, min_size=1, max_size=2),
            N=st.integers(-2, 50),
            eps=st.lists(st.one_of(st.floats(1e-12, 0.5), FINITE), min_size=1, max_size=2),
-           tol=st.one_of(st.floats(1e-15, 1e-6), FINITE), verify_runs=st.integers(-2, 20),
-           seed=SEEDS)
+           verify_runs=st.integers(-2, 20), seed=SEEDS)
     @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_staff(self, dist, services, N, eps, tol, verify_runs, seed):
+    def test_staff(self, dist, services, N, eps, verify_runs, seed):
         _assert_contract(["staff", f"--dist={dist}", f"--service={','.join(services)}",
-                          f"--N={N}", f"--eps={','.join(map(repr, eps))}", f"--tol={tol!r}",
+                          f"--N={N}", f"--eps={','.join(map(repr, eps))}",
                           f"--verify-runs={verify_runs}", f"--seed={seed}"])
 
 
@@ -489,8 +496,9 @@ NON_FINITE_INPUTS = {
                     "--a", "nan", "--runs", "10"],
     "staff eps": ["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100",
                   "--eps", "1e-3,nan"],
+    # staffing's band is fixed relative to eps: --tol is no option
     "staff tol": ["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100",
-                  "--eps", "1e-3", "--tol", "inf"],
+                  "--eps", "1e-3", "--tol", "1e-9"],
     "approx malformed alpha": ["approx", "--dist", "exp:2.5", "--alpha", "x", "--a", "1",
                                "--N", "40"],
 }
@@ -580,7 +588,7 @@ class TestStaff:
     def test_batch_with_error_rows(self, capsys):
         code, out, _ = run_cli(
             ["staff", "--dist", "pois:2", "--service", "exp:0.5,pareto:0.5", "--N", "100",
-             "--eps", "1e-3,1e-12"],
+             "--eps", "1e-3,1.0"],
             capsys,
         )
         assert code == 0
@@ -589,7 +597,8 @@ class TestStaff:
         good = [r for r in rows if r["error"] == ""]
         bad = [r for r in rows if r["error"] != ""]
         assert len(good) == 2 and len(bad) == 2
-        assert all(r["error"].startswith("DomainError: tol must lie in (0, eps)") for r in bad)
+        assert all(r["error"].startswith("DomainError: target epsilon must be in (0, 1)")
+                   for r in bad)
 
     def test_grid_has_no_error_rows(self, capsys):
         code, out, _ = run_cli(
@@ -618,11 +627,12 @@ class TestStaff:
         ceil = queue.queue_approx(DeterministicRate(1e-8), queue.ExpService(1.0), 100, 0.01)
         assert float(row["Q_ceil_over_eps"]) == pytest.approx(ceil.Q_check / 1e-3, rel=1e-10)
 
-    def test_nonconvergence_exit_code(self, capsys):
-        # an empty termination band can never be met
+    def test_nonconvergence_exit_code(self, capsys, monkeypatch):
+        # a band below the float resolution of Q can never be met
+        monkeypatch.setattr("mixpois.staffing._BAND", 1e-300)
         code, _, err = run_cli(
             ["staff", "--dist", "pois:2", "--service", "exp:0.5", "--N", "100",
-             "--eps", "1e-3", "--tol", "1e-30"],
+             "--eps", "1e-3"],
             capsys,
         )
         assert code == 3
@@ -634,7 +644,7 @@ class TestStaff:
         # of exponential rates
         code, out, err = run_cli(
             ["staff", "--dist", "exp:2.5", "--service", "exp:0.5", "--N", "1",
-             "--eps", "1e-12", "--tol", "1e-14"],
+             "--eps", "1e-12"],
             capsys,
         )
         assert code == 2
@@ -769,7 +779,6 @@ OPTIONS = {
         ("--service", "service", None, *_REQ),
         ("--N", "N", "int", *_REQ),
         ("--eps", "eps", "_finite_floats", *_REQ),
-        ("--tol", "tol", "_finite_float", 1e-9, None, False),
         ("--verify-runs", "verify_runs", "int", 0, None, False),
         ("--seed", "seed", "int", 0, None, False),
         ("--output", "output", None, None, None, False),
@@ -967,8 +976,8 @@ def _dict_writer_csv(rows):
 class TestWriteRows:
     ROWS = [
         {"service": "twopoint:0.75,1,5", "E": 0.5, "eps": 1e-3, "servers": 127, "Q": None,
-         "error": "DomainError: tol must lie in (0, eps): the termination band |Q - eps| < tol "
-                  "is meaningless otherwise (got tol=1e-09, eps=1e-12)"},
+         "error": "DomainError: level a=15.0 is unreachable: tilts are confined to (0, 1.25276] "
+                  "by the MGF domain, which only reaches mean level 14.4045"},
         {"service": 'say "hi"', "E": -0.0, "eps": 1.0 / 3.0, "servers": -5, "Q": math.inf,
          "error": ""},
         {"service": "line\nbreak", "E": 1e300, "eps": 0.1 + 0.2, "servers": 0, "Q": 2.5e-300,
