@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
-_ROOT_TOL = 1e-12  # |g| and bracket width at which a root search stops
+_ROOT_TOL = 1e-12  # |g| at which a root search stops
 _INT_TOL = 1e-9
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
@@ -315,10 +315,11 @@ def find_root_increasing(
     the sign changes.  Then each step is a Newton step, the first from the
     bracket end where |g| is smaller and the others from the latest iterate,
     if it lands strictly inside the bracket, and a bisection otherwise (so a
-    zero, negative, infinite or NaN slope bisects), until
-    ``|g(root)| <= _ROOT_TOL`` or the bracket width drops below it.  The
-    slope only steers the steps: an approximate one slows convergence but
-    cannot move the root.
+    zero, negative, infinite or NaN slope bisects), until the latest point,
+    the starting end included, has ``|g| <= _ROOT_TOL``, or until no float
+    lies strictly inside the bracket, where the end with the smaller |g| is
+    the root.  The slope only steers the steps: an approximate one slows
+    convergence but cannot move the root.
     """
     if not (math.isfinite(lo_limit) and math.isfinite(hi_limit)):
         raise DomainError(f"root search limits must be finite, got [{lo_limit}, {hi_limit}]")
@@ -345,23 +346,20 @@ def find_root_increasing(
         ghi, shi = g(hi)
         step *= 2.0
 
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-
     # starting from the smaller |g| keeps the first step away from a pole of
     # g just beyond the bracket, where Newton steps only creep
     x, gx, slope = (lo, glo, slo) if -glo < ghi else (hi, ghi, shi)
     for _ in range(800):
+        if abs(gx) <= _ROOT_TOL:
+            return x
         x = x - gx / slope if slope > 0.0 else math.nan
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # the bracket ends are adjacent floats
+                return lo if -glo < ghi else hi
         gx, slope = g(x)
-        if abs(gx) <= _ROOT_TOL or (hi - lo) <= _ROOT_TOL:
-            return x
         if gx < 0.0:
-            lo = x
+            lo, glo = x, gx
         else:
-            hi = x
+            hi, ghi = x, gx
     raise ConvergenceError(f"root refinement stalled on [{lo}, {hi}]")

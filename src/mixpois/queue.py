@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
-from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
+from .numerics import (_ROOT_TOL, Interval, ceil_count, exp_or_inf, find_root_increasing,
+                       gauss_legendre)
 from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
                     spec_label)
 from .sampling import (_TABLE_BITS_MAX, _TABLE_TAIL, EstimatorResult, _alias_sampler, _count_mean,
@@ -56,6 +57,8 @@ _GRADING_FLOOR = 1e-12
 _REL_TOL = 1e-10
 # largest tilt whose factors e^theta and e^(2 theta) stay finite
 _THETA_MAX = 350.0
+# level evaluations a tilt gets from a guess before the bracketed search takes over
+_NEWTON_EVALS = 4
 
 
 @dataclass(frozen=True)
@@ -309,25 +312,54 @@ def _check_rare(dist: RateDistribution, service: ServiceTime, a: float) -> None:
         raise RarityError(f"occupancy level a={a} must exceed the mean load {load}")
 
 
+def _level(theta: float, integrals: tuple[float, float, float]) -> float:
+    """a(theta) = e^theta I1, from a rule's integrals (I0, I1, I2) at the tilt theta."""
+    return math.exp(theta) * integrals[1]
+
+
+def _sigma2(theta: float, level: float, curvature: float) -> float:
+    """sigma^2 = da/dtheta = level + e^(2 theta) I2 at the tilt theta."""
+    # a point-mass rate law has no curvature, also at tilts where e^(2 theta) overflows
+    return level + (curvature * exp_or_inf(2.0 * theta) if curvature else 0.0)
+
+
 def _solve_tilt(dist: RateDistribution, rule: _Rule, a: float,
-                hint: Interval) -> tuple[float, tuple[float, float, float]]:
-    """theta_star_queue under ``rule``, for a level a above the mean, searched
-    from the bracket ``hint`` in [0, _tilt_cap_exp(dist)] and returned with
-    the rule's checked integrals at the tilt (see _Rule.checked)."""
+                guess: float) -> tuple[float, tuple[float, float, float]]:
+    """theta_star_queue under ``rule``, for a level a above the mean, returned
+    with the rule's checked integrals at the tilt (see _Rule.checked).
+
+    Every level solve stops on one residual, g(theta) = ((a(theta) - a) / s,
+    sigma^2 / s) with s = min(a, 1), at |g| <= _ROOT_TOL: within 1e-12 of a
+    both absolutely and relative to a, so tiny rates stop as their scaled
+    twins do.  Up to _NEWTON_EVALS Newton steps on g from a ``guess`` of the
+    tilt (NaN for none) come first; where one leaves (0, cap) or vanishes at
+    the float resolution of theta, or none meets the stop, the tilt is
+    searched from the cold bracket in [0, cap], cap = _tilt_cap_exp(dist)."""
     seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
+    s, cap = min(a, 1.0), _tilt_cap_exp(dist)
 
     def g(theta: float) -> tuple[float, float]:
-        _, slope, curvature = seen[theta] = rule.integrals(dist, math.expm1(theta))
-        level = math.exp(theta) * slope
-        # relative to a: the stop at |g| <= _ROOT_TOL holds at any scale of the rates
-        return (level - a) / a, (level + curvature * exp_or_inf(2.0 * theta)) / a
+        integrals = seen[theta] = rule.integrals(dist, math.expm1(theta))
+        level = _level(theta, integrals)
+        return (level - a) / s, _sigma2(theta, level, integrals[2]) / s
 
-    cap = _tilt_cap_exp(dist)
+    theta = guess
+    for _ in range(_NEWTON_EVALS):
+        if not 0.0 < theta < cap:
+            break
+        value, slope = g(theta)
+        if abs(value) <= _ROOT_TOL:
+            return theta, rule.checked(dist, math.expm1(theta), seen[theta])
+        step = value / slope if slope > 0.0 else math.nan
+        # a step lost below the float resolution of theta settles nothing more
+        if theta - step == theta:
+            break
+        theta -= step
     try:
-        theta = find_root_increasing(g, hint, lo_limit=0.0, hi_limit=cap)
+        theta = find_root_increasing(g, _cold_hint(dist), lo_limit=0.0, hi_limit=cap)
     except DomainError:
         raise _beyond_cap(dist, f"level a={a}",
-                          lambda cap: f"mean level {(g(cap)[0] + 1.0) * a:.6g}") from None
+                          lambda cap: f"mean level {a + g(cap)[0] * s:.6g}") from None
     return theta, rule.checked(dist, math.expm1(theta), seen[theta])
 
 
@@ -339,7 +371,7 @@ def theta_star_queue(dist: RateDistribution, service: ServiceTime, a: float) -> 
     the mean load and a tilt within the MGF domain.
     """
     _check_rare(dist, service, a)
-    return _solve_tilt(dist, _rule(service), a, _cold_hint(dist))[0]
+    return _solve_tilt(dist, _rule(service), a, math.nan)[0]
 
 
 @dataclass(frozen=True)
@@ -373,12 +405,10 @@ def _approx_from(
     theta, under any rule, for a finite count N*a."""
     if not math.isfinite(N * a):
         raise DomainError(f"the count N*a at N={N}, a={a} must be finite")
-    integral_cgf, _, curvature = integrals
-    # a point-mass rate law has no curvature, also at tilts where e^(2 theta) overflows
-    sigma2 = a + (curvature * exp_or_inf(2.0 * theta) if curvature else 0.0)
+    sigma2 = _sigma2(theta, a, integrals[2])
     log_q = (
         -theta * N * a
-        + N * integral_cgf
+        + N * integrals[0]
         - 0.5 * math.log(2.0 * math.pi * N)
         - 0.5 * math.log(sigma2)
     )
@@ -401,7 +431,7 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     """
     _check_scale(N)
     _check_rare(dist, service, a)
-    theta, integrals = _solve_tilt(dist, _rule(service), a, _cold_hint(dist))
+    theta, integrals = _solve_tilt(dist, _rule(service), a, math.nan)
     approx = _approx_from(N, theta, a, integrals, checked=True)
     if approx.log_Q_check > 0.0:
         raise RarityError(

@@ -8,13 +8,14 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .numerics import _ROOT_TOL, Interval, exp_or_inf, find_root_increasing
+from .numerics import _ROOT_TOL, Interval, find_root_increasing
 from .queue import (
     ServiceTime,
     _approx_from,
     _beyond_cap,
     _check_rare,
     _cold_hint,
+    _level,
     _rule,
     _solve_tilt,
     _tilt_cap_exp,
@@ -25,9 +26,6 @@ from .rates import RateDistribution
 
 __all__ = ["StaffingResult", "solve_staffing"]
 
-# level evaluations a server-count tilt gets from its prediction before the
-# bracketed search takes over
-_NEWTON_EVALS = 4
 # the staffing tilt search stops at |Q / eps - 1| < _BAND
 _BAND = 1e-6
 
@@ -59,8 +57,7 @@ def solve_staffing(
     by Newton steps in log theta until |Q / eps - 1| < _BAND, from a bracket
     that ends at the occupancy's central-limit tilt; the level found is then
     re-evaluated at the two bracketing integer server counts, each tilt
-    predicted to second order from the staffing tilt and refined by Newton
-    steps on the level.
+    predicted to second order from the staffing tilt and solved from there.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target epsilon must be in (0, 1), got {eps}")
@@ -68,9 +65,9 @@ def solve_staffing(
         raise DomainError(f"N must be a positive integer, got {N}")
 
     # |log Q - log eps| below half of log1p(_BAND) keeps Q / eps within _BAND
-    # of 1.  The root finder stops at |g| <= _ROOT_TOL or at a bracket narrower
-    # than that, so g measures log Q in units of that band over _ROOT_TOL: the
-    # value stop is the band, and the bracket stop a log-theta width of _ROOT_TOL
+    # of 1.  The root finder stops at |g| <= _ROOT_TOL, so g measures log Q in
+    # units of that band over _ROOT_TOL: its stop is the band, or else a
+    # bracket with no float of log theta inside
     log_eps = math.log(eps)
     scale = _ROOT_TOL / (0.5 * math.log1p(_BAND))
     rule = _rule(service)
@@ -83,7 +80,7 @@ def solve_staffing(
         # previous evaluation as a difference quotient
         theta = math.exp(u)
         integrals = seen[theta] = rule.integrals(dist, math.expm1(theta))
-        a = math.exp(theta) * integrals[1]
+        a = _level(theta, integrals)
         # the integrals overflow, and the count N*a leaves the float range, only above the root
         if not math.isfinite(N * a):
             return math.inf, math.nan
@@ -127,7 +124,7 @@ def solve_staffing(
 
     theta = math.exp(u)
     integrals = rule.checked(dist, math.expm1(theta), seen[theta])
-    a = math.exp(theta) * integrals[1]
+    a = _level(theta, integrals)
     approx = _approx_from(N, theta, a, integrals, checked=True)
     if math.isinf(approx.Q_check):
         raise DomainError(
@@ -176,46 +173,19 @@ def _Q_at_servers(dist, service, N: int, servers: int,
 
     ``staffing`` is (theta_eps, a_eps, sigma^2, (sigma^2)') at the staffing
     tilt.  The level a(theta) rises with slope sigma^2, so its second-order
-    expansion about theta_eps predicts the tilt, and Newton steps on the
-    level refine it.  Where an iterate leaves (0, cap), or a step vanishes
-    at the float resolution of theta, or _NEWTON_EVALS evaluations leave the
-    level unsettled, the tilt is searched in a bracket from theta0 +- w
-    instead: theta0 is the first-order prediction and w half its distance
-    from theta_eps plus 1e-9.  Zero servers are always busy: Q = 1.
+    expansion about theta_eps predicts the tilt.  From that guess the level
+    solve of queue_approx (queue._solve_tilt) takes Newton steps on its
+    residual, and searches the cold bracket where they leave the level
+    unsettled.  Zero servers are always busy: Q = 1.
     """
     if servers == 0:
         return 1.0
     a = servers / N
     _check_rare(dist, service, a)
     theta_eps, a_eps, sigma2_eps, dsigma2 = staffing
-    rule = _rule(service)
-    # the search must stay below the MGF wall, where the CGF itself raises
-    top = _tilt_cap_exp(dist)
     da = a - a_eps
     disc = sigma2_eps * sigma2_eps + 2.0 * dsigma2 * da
     # the root of a_eps + sigma^2 d + (sigma^2)' d^2 / 2 = a nearest d = 0
     theta = theta_eps + 2.0 * da / (sigma2_eps + math.sqrt(disc)) if disc >= 0.0 else math.nan
-    for _ in range(_NEWTON_EVALS):
-        if not 0.0 < theta < top:
-            break
-        tau = math.expm1(theta)
-        integrals = rule.integrals(dist, tau)
-        level = math.exp(theta) * integrals[1]
-        # within _ROOT_TOL of a both absolutely and relative to a, so tiny
-        # rates stop as their scaled twins do
-        if abs(level - a) <= _ROOT_TOL * min(a, 1.0):
-            integrals = rule.checked(dist, tau, integrals)
-            return _approx_from(N, theta, a, integrals, checked=True).Q_check
-        slope = level + integrals[2] * exp_or_inf(2.0 * theta)
-        dtheta = (a - level) / slope if slope > 0.0 else math.nan
-        # a step lost below the float resolution of theta settles nothing more
-        if theta + dtheta == theta:
-            break
-        theta += dtheta
-    theta0 = theta_eps + da / sigma2_eps
-    w = 0.5 * abs(theta0 - theta_eps) + 1e-9
-    lo, hi = (min(max(t, 0.0), top) for t in (theta0 - w, theta0 + w))
-    # a prediction wholly below 0 or past the wall predicts nothing
-    hint = Interval(lo, hi) if lo < hi else _cold_hint(dist)
-    theta, integrals = _solve_tilt(dist, rule, a, hint)
+    theta, integrals = _solve_tilt(dist, _rule(service), a, theta)
     return _approx_from(N, theta, a, integrals, checked=True).Q_check

@@ -283,11 +283,15 @@ REJECTED_INPUTS = {
                                               "exp:1e-300", "--N", "100", "--eps", "1e-3"], 2,
                                              "beyond double precision"),
     # Q overflows at the tilt the search stops at, and the error read
-    # "|Q - eps| = inf" (exit 3)
+    # "|Q - eps| = inf" (exit 3).  The search bisects to adjacent floats of
+    # log theta and stops at the end nearer the band, whose level lies within
+    # the rule's rounding error of the mean load, below the rarity boundary,
+    # as in the two rows above (it read "lies beyond the float range" while
+    # the search stopped on a bracket 1e-12 wide)
     "staff Q overflows at the stopping tilt": (["staff", "--dist", "gamma:1e305,1",
                                                 "--service", "exp:1", "--N", "100",
                                                 "--eps", "1e-3"], 2,
-                                               "lies beyond the float range"),
+                                               "met already at the rarity boundary"),
     # staffing and the occupancy tilt search share one tilt cap and its error;
     # this row exited 3 with "staffing tilt search found no upper bracket"
     "staff tilt above 354": (["staff", "--dist", "exp:1.6190082276456837e+191", "--service",
@@ -890,8 +894,9 @@ class TestOutputFormat:
 
 # stdout and exit status of a fixed set of commands: all three simulate
 # methods on the pooled slot sums of each rate law, the point variant,
-# queue-sim, a verified staff row and omega.  A refactoring leaves them byte-identical; a change of results
-# re-records the file and says why.
+# queue-sim, a verified staff row, omega, and the staff commands of repro's
+# table1 and table2 targets without the audit.  A refactoring leaves them
+# byte-identical; a change of results re-records the file and says why.
 STDOUT_PIN = json.loads((pathlib.Path(__file__).parent / "cli_stdout_pin.json").read_text())
 
 

@@ -163,6 +163,10 @@ LINEAR = _with_slope(lambda x: x - 1.0, lambda x: 1.0)
 EXPONENTIAL = _with_slope(lambda x: math.exp(x) - 3.0, math.exp)
 CUBIC = _with_slope(lambda x: x**3 - 2.0, lambda x: 3.0 * x * x)
 ARCTAN = _with_slope(lambda x: math.atan(x) - 1.0, lambda x: 1.0 / (1.0 + x * x))
+# a pole 1e-6 past the bracket [0, 1], as the occupancy level has at the MGF
+# wall: the slope at the root is 4e10, so g moves by 4.4e-6 per float of x
+# there and never reaches |g| <= 1e-12
+POLE = _with_slope(lambda x: 1.0 / (1.0 + 1e-6 - x) - 2e5, lambda x: (1.0 + 1e-6 - x) ** -2)
 
 
 def _counted(g):
@@ -212,6 +216,7 @@ class TestFindRootIncreasing:
             (EXPONENTIAL, math.log(3.0)),
             (CUBIC, 2.0 ** (1.0 / 3.0)),
             (ARCTAN, math.tan(1.0)),
+            (POLE, 1.0 + 1e-6 - 1.0 / 2e5),
         ],
     )
     def test_final_bracket_property(self, g, analytic):
@@ -221,6 +226,10 @@ class TestFindRootIncreasing:
         assert g(root - w)[0] <= tol
         assert g(root + w)[0] >= -tol
         assert root == pytest.approx(analytic, abs=1e-9)
+        # the root meets the tolerance, or no float next to it has a smaller
+        # |g|: a stop on the bracket width left |g| = 1.2e-4 at the pole
+        neighbours = (math.nextafter(root, -math.inf), math.nextafter(root, math.inf))
+        assert abs(g(root)[0]) <= max(tol, min(abs(g(x)[0]) for x in neighbours))
 
     def test_quadratic_convergence(self):
         # two bracket ends, then Newton steps whose residuals square
@@ -265,7 +274,8 @@ class TestFindRootIncreasing:
 
     def test_stall_raises(self):
         # Newton steps that move x down by one ulp each keep |g| near 1/2 and
-        # the bracket near [0, 1], so neither stop is reached in 800 steps
+        # the bracket near [0, 1], so neither stop (|g| <= 1e-12, or adjacent
+        # floats as the bracket ends) is reached in 800 steps
         g, points = _counted(_with_slope(lambda x: x - 0.5,
                                          lambda x: abs(x - 0.5) / math.ulp(x)))
         with pytest.raises(ConvergenceError, match="stalled"):

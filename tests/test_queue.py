@@ -294,6 +294,25 @@ class TestQueueApprox:
         assert all(l < 0.0 for l in logs)
         assert thetas[-1] < 0.2
 
+    def test_settles_at_the_mgf_wall(self):
+        # exponential rates at a level near the one their MGF domain reaches
+        # (15.54): sigma^2 is 3.8e7, so the level moves by about 4e-9 per float
+        # of theta, and the solve runs to adjacent floats.  A stop on a tilt
+        # bracket 1e-12 wide left Q 9.3e-6 off the value at the bisected tilt
+        dist, service, N, a = Exponential(0.5), Pareto2Service(0.5), 2.0, 13.0
+        rule = queue._rule(service)
+
+        def level(theta):
+            return math.exp(theta) * rule.integrals(dist, math.expm1(theta))[1]
+
+        lo, hi = 0.0, queue._tilt_cap_exp(dist)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if level(mid) < a else (lo, mid)
+        tau = math.expm1(lo)
+        bisected = queue._approx_from(N, lo, a, rule.integrals(dist, tau), checked=True)
+        assert queue_approx(dist, service, N, a).Q_check == pytest.approx(bisected.Q_check,
+                                                                            rel=1e-8, abs=0.0)
+
     @pytest.mark.parametrize("law", [PoissonRate, DeterministicRate], ids=lambda law: law.__name__)
     @pytest.mark.parametrize("service", SERVICES, ids=spec_label)
     def test_rate_scaling_twins(self, law, service):

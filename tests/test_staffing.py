@@ -3,8 +3,9 @@ import warnings
 
 import pytest
 
-from mixpois import queue, staffing
+from mixpois import queue
 from mixpois.errors import DomainError, HypothesisWarning, MgfDomainError
+from mixpois.numerics import find_root_increasing
 from mixpois.queue import DetService, ExpService, Pareto2Service, mc_Q, parse_service, queue_approx
 from mixpois.rates import (
     DeterministicRate,
@@ -24,6 +25,16 @@ GRID_ROWS = [(rate, f"{kind}:{E:g}", eps) for rate in ("pois:2", "twopoint:0.75,
              for kind in ("exp", "det", "pareto") for E in (0.05, 0.5, 1.0)
              for eps in (1e-3, 1e-4)]
 BENCH_ROWS = [row for row in GRID_ROWS if row[1].endswith(":0.5")]
+# exponential rates near the level their MGF domain reaches (15.54 at
+# pareto:0.5 service): (service, N, level) of rows whose target is Q at a
+# level just below an upper server count whose predicted tilt lies past the
+# MGF wall
+WALL_ROWS = {"straddling-the-wall": ("pareto:0.5", 2, 13.02),
+             "wholly-past-the-wall": ("exp:0.05", 1, 2.64)}
+
+
+def _wall_eps(service, N, level):
+    return queue_approx(Exponential(0.5), parse_service(service), N, level).Q_check
 
 
 def _main_rule_evaluations(rule_calls, rate, service, eps):
@@ -135,53 +146,53 @@ class TestSolveStaffing:
         assert max(counts.values()) <= 17
         assert sum(counts[row] for row in BENCH_ROWS) <= 11 * len(BENCH_ROWS)
 
-    @pytest.mark.parametrize("rate,service,eps", BENCH_ROWS)
-    def test_server_counts_match_cold_solves(self, rate, service, eps):
+    @pytest.mark.parametrize("rate,service,N,eps", [
+        pytest.param(rate, service, 100, eps, id=f"{rate}-{service}-{eps}")
+        for rate, service, eps in BENCH_ROWS
+    ] + [pytest.param("exp:0.5", service, N, _wall_eps(service, N, level), id=name)
+         for name, (service, N, level) in WALL_ROWS.items()])
+    def test_server_counts_match_cold_solves(self, rate, service, N, eps):
         # the warm-started server-count solves agree with queue_approx, which
-        # searches each tilt from the cold bracket
+        # searches each tilt from the cold bracket, also where sigma^2 is 7e7
+        # at the MGF wall: each level solve stops on the same residual
         dist, service = parse_rate(rate), parse_service(service)
-        r = solve_staffing(dist, service, 100, eps)
+        r = solve_staffing(dist, service, N, eps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisWarning)
             for servers, Q in ((r.servers_floor, r.Q_at_floor), (r.servers_ceil, r.Q_at_ceil)):
                 assert Q == pytest.approx(
-                    queue_approx(dist, service, 100, servers / 100).Q_check, rel=1e-10)
+                    queue_approx(dist, service, N, servers / N).Q_check, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("service,N,level", [
-        (Pareto2Service(0.5), 2, 13.02),
-        (ExpService(0.05), 1, 2.64),
-    ], ids=["straddling-the-wall", "wholly-past-the-wall"])
+    @pytest.mark.parametrize("service,N,level", WALL_ROWS.values(), ids=WALL_ROWS.keys())
     def test_server_count_prediction_past_the_wall(self, monkeypatch, service, N, level):
-        # exponential rates near the level the MGF domain reaches: the Newton
-        # solve for the upper server count starts past the MGF wall or stalls
-        # below it, so the count is searched in the first-order prediction's
-        # bracket, clipped at the wall, or in the cold bracket where nothing
-        # of it is left.  So close to the wall sigma^2 is large (7e7 at the
-        # upper count of the first case), and the root finder's 1e-12 bracket
-        # leaves Q settled only to about 1e-5, where the warm and the cold
-        # search stop at different points
-        dist = Exponential(0.5)
-        eps = queue_approx(dist, service, N, level).Q_check
+        # the Newton steps for the upper server count start past the MGF wall
+        # or stall below it, so its tilt is searched from the cold bracket,
+        # as queue_approx searches it, to the same Q to the bit.  The root
+        # finder bisects to adjacent floats where sigma^2 (7e7 at the upper
+        # count of the first row) keeps |g| above its stop; a stop on a tilt
+        # bracket 1e-12 wide left Q settled only to about 1e-5 there
+        eps = _wall_eps(service, N, level)
+        dist, service = Exponential(0.5), parse_service(service)
         searched = []
 
-        def bracketed(dist, rule, a, hint):
-            searched.append(a)
-            return queue._solve_tilt(dist, rule, a, hint)
+        def bracketed(*args, **kwargs):
+            searched.append(find_root_increasing(*args, **kwargs))
+            return searched[-1]
 
-        monkeypatch.setattr(staffing, "_solve_tilt", bracketed)
+        monkeypatch.setattr(queue, "find_root_increasing", bracketed)
         r = solve_staffing(dist, service, N, eps)
-        assert r.servers_ceil / N in searched
+        monkeypatch.undo()
+        at_ceil = queue_approx(dist, service, N, r.servers_ceil / N)
+        assert at_ceil.theta_star in searched
         at_eps = queue_approx(dist, service, N, r.a_eps)
         theta, sigma2 = at_eps.theta_star, at_eps.sigma2
         prediction = theta + 1.5 * (r.servers_ceil / N - r.a_eps) / sigma2 + 1e-9
         assert prediction > queue._tilt_cap_exp(dist)
-        for servers, Q in ((r.servers_floor, r.Q_at_floor), (r.servers_ceil, r.Q_at_ceil)):
-            assert Q == pytest.approx(queue_approx(dist, service, N, servers / N).Q_check,
-                                      rel=1e-4)
+        assert r.Q_at_ceil == at_ceil.Q_check
 
     def test_unreachable_server_count_same_error_as_cold(self):
         # the upper server count of this row lies beyond the level the MGF
-        # domain reaches (15.54): the clipped warm search raises what a cold
+        # domain reaches (15.54): its level solve raises what a cold
         # theta_star_queue raises, with the same message
         dist, service = Exponential(0.5), Pareto2Service(0.5)
         eps = queue_approx(dist, service, 1, 15.5).Q_check

@@ -37,7 +37,7 @@ EXP25 = Exponential(2.5)
 def compound_count(dist, a):
     """Tilt and tilted variance of the compound count Pois(X) at level a,
     from the one-node occupancy solve behind the balanced regime."""
-    theta, integrals = queue._solve_tilt(dist, queue._UNIT_RULE, a, queue._cold_hint(dist))
+    theta, integrals = queue._solve_tilt(dist, queue._UNIT_RULE, a, math.nan)
     approx = queue._approx_from(1.0, theta, a, integrals, checked=True)
     return theta, approx.sigma2
 
