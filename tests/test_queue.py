@@ -296,7 +296,7 @@ class TestQueueApprox:
 
     def test_settles_at_the_mgf_wall(self):
         # exponential rates at a level near the one their MGF domain reaches
-        # (15.54): sigma^2 is 3.8e7, so the level moves by about 4e-9 per float
+        # (15.54): sigma^2 is 3.8e7, so the level moves by about 1e-9 per float
         # of theta, and the solve runs to adjacent floats.  A stop on a tilt
         # bracket 1e-12 wide left Q 9.3e-6 off the value at the bisected tilt
         dist, service, N, a = Exponential(0.5), Pareto2Service(0.5), 2.0, 13.0
