@@ -331,10 +331,11 @@ def _solve_tilt(dist: RateDistribution, rule: _Rule, a: float,
     Every level solve stops on one residual, g(theta) = ((a(theta) - a) / s,
     sigma^2 / s) with s = min(a, 1), at |g| <= _ROOT_TOL: within 1e-12 of a
     both absolutely and relative to a, so tiny rates stop as their scaled
-    twins do.  Up to _NEWTON_EVALS Newton steps on g from a ``guess`` of the
-    tilt (NaN for none) come first; where one leaves (0, cap) or vanishes at
-    the float resolution of theta, or none meets the stop, the tilt is
-    searched from the cold bracket in [0, cap], cap = _tilt_cap_exp(dist)."""
+    twins do, and large levels, whose a(theta) rounds by more, mostly at
+    adjacent floats.  Up to _NEWTON_EVALS Newton steps on g from a ``guess``
+    of the tilt (NaN for none) come first; where one leaves (0, cap) or
+    vanishes at the float resolution of theta, or none meets the stop, the
+    tilt is searched from the cold bracket in [0, cap = _tilt_cap_exp(dist)]."""
     seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
     s, cap = min(a, 1.0), _tilt_cap_exp(dist)
 
@@ -360,6 +361,9 @@ def _solve_tilt(dist: RateDistribution, rule: _Rule, a: float,
     except DomainError:
         raise _beyond_cap(dist, f"level a={a}",
                           lambda cap: f"mean level {a + g(cap)[0] * s:.6g}") from None
+    if theta == 0.0:  # where the approximations are infinite
+        raise RarityError(f"level a={a} lies within rounding of the mean level "
+                          f"{_level(0.0, seen[0.0])!r}, at tilt 0")
     return theta, rule.checked(dist, math.expm1(theta), seen[theta])
 
 

@@ -342,6 +342,16 @@ REJECTED_INPUTS = {
                                                    "--service", "exp:1", "--N", "1e306",
                                                    "--a", "100"], 2,
                                                   "log q = -inf lies beyond the float range"),
+    # the level lies 1e-13 above the mean load 1, within the level solve's
+    # stop of it, so the tilt is 0, where log(1 - e^-theta) raised a bare
+    # "math domain error" (exit 1)
+    "queue-approx level within rounding of the mean": (["queue-approx", "--dist", "pois:2",
+                                                        "--service", "det:0.5", "--N", "100",
+                                                        "--a", "1.0000000000001"], 2,
+                                                       "within rounding of the mean level 1.0"),
+    "approx level within rounding of the mean": (["approx", "--dist", "pois:2", "--alpha", "1",
+                                                  "--a", "2.0000000000001", "--N", "100"], 2,
+                                                 "within rounding of the mean level 2.0"),
     # an unwritable --output raised a traceback once every row was computed
     "output in a missing directory": (["approx", "--dist", "exp:2.5", "--alpha", "5", "--a", "3",
                                        "--N", "100", "--output", "/nonexistent/x.csv"], 2,

@@ -320,7 +320,8 @@ class TestQueueApprox:
         # rates c lam, levels c a and scales N / c leave every tilt and log
         # value unchanged; a tilt search that stopped at an absolute level
         # gap gave theta = 0.5 at c = 1e-13 for det rates at det service,
-        # whose tilt is log 1.5
+        # whose tilt is log 1.5.  From c = 1e6 on the level gap of 1e-12 is
+        # below one ulp of the level, and the search runs to adjacent floats
         def logs(c):
             dist = law(2.0 * c)
             qa = quiet_queue_approx(dist, service, 1000.0 / c, 1.7 * c)
@@ -329,7 +330,7 @@ class TestQueueApprox:
                     qa.log_q_check, math.log(qa.sigma2 / c), P.log_value, p.log_value]
 
         expected = logs(1.0)
-        for c in (1e-6, 1e-13, 1e-100, 1e-200):
+        for c in (1e-6, 1e-13, 1e-100, 1e-200, 1e6, 1e100):
             assert logs(c) == pytest.approx(expected, rel=1e-12, abs=0.0), c
 
 
