@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
-_ROOT_TOL = 1e-12  # |g| at which a root search stops
 _INT_TOL = 1e-9
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
@@ -307,6 +306,7 @@ def find_root_increasing(
     bracket_hint: Interval,
     lo_limit: float,
     hi_limit: float,
+    tol: float,
 ) -> float:
     """Root of a continuous strictly increasing function on the finite domain
     [lo_limit, hi_limit]; ``g(x)`` returns its value and its slope at x.
@@ -316,10 +316,10 @@ def find_root_increasing(
     bracket end where |g| is smaller and the others from the latest iterate,
     if it lands strictly inside the bracket, and a bisection otherwise (so a
     zero, negative, infinite or NaN slope bisects), until the latest point,
-    the starting end included, has ``|g| <= _ROOT_TOL``, or until no float
-    lies strictly inside the bracket, where the end with the smaller |g| is
-    the root.  The slope only steers the steps: an approximate one slows
-    convergence but cannot move the root.
+    the starting end included, has ``|g| <= tol``, the caller's stop in g's
+    units, or until no float lies strictly inside the bracket, where the end
+    with the smaller |g| is the root.  The slope only steers the steps: an
+    approximate one slows convergence but cannot move the root.
     """
     if not (math.isfinite(lo_limit) and math.isfinite(hi_limit)):
         raise DomainError(f"root search limits must be finite, got [{lo_limit}, {hi_limit}]")
@@ -350,7 +350,7 @@ def find_root_increasing(
     # g just beyond the bracket, where Newton steps only creep
     x, gx, slope = (lo, glo, slo) if -glo < ghi else (hi, ghi, shi)
     for _ in range(800):
-        if abs(gx) <= _ROOT_TOL:
+        if abs(gx) <= tol:
             return x
         x = x - gx / slope if slope > 0.0 else math.nan
         if not lo < x < hi:

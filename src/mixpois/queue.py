@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
-from .numerics import (_ROOT_TOL, Interval, ceil_count, exp_or_inf, find_root_increasing,
-                       gauss_legendre)
+from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
 from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
                     spec_label)
 from .sampling import (_TABLE_BITS_MAX, _TABLE_TAIL, EstimatorResult, _alias_sampler, _count_mean,
@@ -328,28 +327,29 @@ def _solve_tilt(dist: RateDistribution, rule: _Rule, a: float,
     """theta_star_queue under ``rule``, for a level a above the mean, returned
     with the rule's checked integrals at the tilt (see _Rule.checked).
 
-    Every level solve stops on one residual, g(theta) = ((a(theta) - a) / s,
-    sigma^2 / s) with s = min(a, 1), at |g| <= _ROOT_TOL: within 1e-12 of a
-    both absolutely and relative to a, so tiny rates stop as their scaled
-    twins do, and large levels, whose a(theta) rounds by more, mostly at
-    adjacent floats.  Up to _NEWTON_EVALS Newton steps on g from a ``guess``
-    of the tilt (NaN for none) come first; where one leaves (0, cap) or
-    vanishes at the float resolution of theta, or none meets the stop, the
-    tilt is searched from the cold bracket in [0, cap = _tilt_cap_exp(dist)]."""
+    Every level solve stops on one residual, the level gap a(theta) - a with
+    slope sigma^2, at |a(theta) - a| <= max(1e-12 min(a, 1), 1e-14 a): up to
+    a = 100 within 1e-12 of a both absolutely and relative to a, so tiny rates
+    stop as their scaled twins do, and above it 1e-14 relative, never below
+    the rule's rounding of a(theta), about 8e-15 relative.  Up to
+    _NEWTON_EVALS Newton steps from a ``guess`` of the tilt (NaN for none)
+    come first; where one leaves (0, cap) or vanishes at the float resolution
+    of theta, or none meets the stop, the tilt is searched from the cold
+    bracket in [0, cap = _tilt_cap_exp(dist)]."""
     seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
-    s, cap = min(a, 1.0), _tilt_cap_exp(dist)
+    tol, cap = max(1e-12 * min(a, 1.0), 1e-14 * a), _tilt_cap_exp(dist)
 
     def g(theta: float) -> tuple[float, float]:
         integrals = seen[theta] = rule.integrals(dist, math.expm1(theta))
         level = _level(theta, integrals)
-        return (level - a) / s, _sigma2(theta, level, integrals[2]) / s
+        return level - a, _sigma2(theta, level, integrals[2])
 
     theta = guess
     for _ in range(_NEWTON_EVALS):
         if not 0.0 < theta < cap:
             break
         value, slope = g(theta)
-        if abs(value) <= _ROOT_TOL:
+        if abs(value) <= tol:
             return theta, rule.checked(dist, math.expm1(theta), seen[theta])
         step = value / slope if slope > 0.0 else math.nan
         # a step lost below the float resolution of theta settles nothing more
@@ -357,10 +357,10 @@ def _solve_tilt(dist: RateDistribution, rule: _Rule, a: float,
             break
         theta -= step
     try:
-        theta = find_root_increasing(g, _cold_hint(dist), lo_limit=0.0, hi_limit=cap)
+        theta = find_root_increasing(g, _cold_hint(dist), lo_limit=0.0, hi_limit=cap, tol=tol)
     except DomainError:
         raise _beyond_cap(dist, f"level a={a}",
-                          lambda cap: f"mean level {a + g(cap)[0] * s:.6g}") from None
+                          lambda cap: f"mean level {a + g(cap)[0]:.6g}") from None
     if theta == 0.0:  # where the approximations are infinite
         raise RarityError(f"level a={a} lies within rounding of the mean level "
                           f"{_level(0.0, seen[0.0])!r}, at tilt 0")

@@ -7,8 +7,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
-from .numerics import _ROOT_TOL, Interval, find_root_increasing
+from .errors import ConvergenceError, DomainError, RarityError
+from .numerics import Interval, find_root_increasing
 from .queue import (
     ServiceTime,
     _approx_from,
@@ -54,8 +54,10 @@ def solve_staffing(
 
     The approximation decreases along the tilt theta, and the level a(theta)
     it belongs to is one integral, so log eps - log Q(theta) = 0 is solved
-    by Newton steps in log theta until |Q / eps - 1| < _BAND, from a bracket
-    that ends at the occupancy's central-limit tilt; the level found is then
+    by Newton steps in log theta, from a bracket that ends at the occupancy's
+    central-limit tilt, until |log eps - log Q| <= log1p(_BAND) / 2, so Q / eps
+    lies within _BAND of 1, or until a level below the rarity boundary, mean
+    load (1 + 1e-6), meets eps, a RarityError.  The level found is then
     re-evaluated at the two bracketing integer server counts, each tilt
     predicted to second order from the staffing tilt and solved from there.
     """
@@ -64,15 +66,16 @@ def solve_staffing(
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
 
-    # |log Q - log eps| below half of log1p(_BAND) keeps Q / eps within _BAND
-    # of 1.  The root finder stops at |g| <= _ROOT_TOL, so g measures log Q in
-    # units of that band over _ROOT_TOL: its stop is the band, or else a
-    # bracket with no float of log theta inside
     log_eps = math.log(eps)
-    scale = _ROOT_TOL / (0.5 * math.log1p(_BAND))
+    boundary = mean_load(dist, service) * (1.0 + 1e-6)
     rule = _rule(service)
     seen = {}  # the integrals at each tilt evaluated, by tilt; the root is one of them
     sigma2s = {}  # sigma^2 at each tilt where g reached the approximation, in evaluation order
+
+    def check_boundary(a: float) -> None:
+        if a < boundary:
+            raise RarityError(f"epsilon={eps} is met already at the rarity boundary "
+                              f"a={boundary:.6g}; no dimensioning needed")
 
     def g(u: float) -> tuple[float, float]:
         # d log Q / d theta = -theta N sigma^2 - 1/(e^theta - 1) - (log sigma^2)'/2;
@@ -89,6 +92,9 @@ def solve_staffing(
         if a == 0.0:
             return -math.inf, math.nan
         approx = _approx_from(N, theta, a, integrals, checked=False)
+        # Q falls along theta, so eps met at a level below the boundary is met below it
+        if approx.log_Q_check <= log_eps:
+            check_boundary(a)
         if math.isnan(approx.log_Q_check):
             return math.inf, math.nan
         slope = theta * N * approx.sigma2 + 1.0 / math.expm1(theta)
@@ -97,7 +103,7 @@ def solve_staffing(
             if last != theta:
                 slope += 0.5 * (math.log(approx.sigma2) - math.log(last_sigma2)) / (theta - last)
         sigma2s[theta] = approx.sigma2
-        return (log_eps - approx.log_Q_check) * scale, theta * slope * scale
+        return log_eps - approx.log_Q_check, theta * slope
 
     # log theta keeps theta = 0, where Q is infinite, outside every bracket,
     # and the search stops at the smallest normal theta.  The hint spans a
@@ -110,17 +116,15 @@ def solve_staffing(
     clt = (0.5 * math.log(-2.0 * log_eps / loads.var_total)
            if 0.0 < loads.var_total < math.inf else math.inf)
     hint = Interval(clt - 1.0, clt) if clt <= top else Interval(top - 3.0, top)
-    bottom = math.log(sys.float_info.min)
     try:
-        u = find_root_increasing(g, hint, lo_limit=bottom,
-                                 hi_limit=math.log(_tilt_cap_exp(dist)))
+        u = find_root_increasing(g, hint, lo_limit=math.log(sys.float_info.min),
+                                 hi_limit=math.log(_tilt_cap_exp(dist)),
+                                 tol=0.5 * math.log1p(_BAND))
+    except RarityError:
+        raise
     except DomainError:
-        if g(bottom)[0] > 0.0:
-            raise DomainError(f"epsilon={eps} is not reached at any tilt down to "
-                              f"{sys.float_info.min:.6g}: the sharp approximation there is "
-                              "below it or not finite") from None
         raise _beyond_cap(dist, f"epsilon={eps}", lambda cap: (
-            f"Q = {math.exp(log_eps - g(math.log(cap))[0] / scale):.6g}")) from None
+            f"Q = {math.exp(log_eps - g(math.log(cap))[0]):.6g}")) from None
 
     theta = math.exp(u)
     integrals = rule.checked(dist, math.expm1(theta), seen[theta])
@@ -131,13 +135,7 @@ def solve_staffing(
             f"epsilon={eps}: the staffing tilt search stopped at theta={theta!r}, where "
             f"Q = exp({approx.log_Q_check:.6g}) lies beyond the float range"
         )
-    # a bad input is named before a band left unmet
-    boundary = mean_load(dist, service) * (1.0 + 1e-6)
-    if a < boundary:
-        raise DomainError(
-            f"epsilon={eps} is met already at the rarity boundary a={boundary:.6g}; "
-            "no dimensioning needed"
-        )
+    check_boundary(a)  # a bad input is named before a band left unmet
     if approx.log_Q_check > 0.0:
         raise DomainError(f"epsilon={eps}: Q = {approx.Q_check:.6g} > 1 at theta={theta!r}; "
                           "the level crosses epsilon within the float resolution of "

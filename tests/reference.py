@@ -97,7 +97,8 @@ def numeric_rate_function(dist, a: float) -> RateFunctionPoint:
         _, k1, k2 = dist.cgf(t)
         return float(k1) - a, float(k2)
 
-    theta = find_root_increasing(g, Interval(-1.0, min(1.0, hi_limit)), -50.0, hi_limit)
+    theta = find_root_increasing(g, Interval(-1.0, min(1.0, hi_limit)), -50.0, hi_limit,
+                                 tol=1e-12)
     k0, _, k2 = dist.cgf(theta)
     return RateFunctionPoint(a=a, value=theta * a - float(k0), theta_star=theta,
                              second_deriv=float(k2))

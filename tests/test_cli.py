@@ -197,12 +197,15 @@ REJECTED_INPUTS = {
     # CGF'' = a^2/beta overflows, and the prefactor used to be 0 ("math domain error")
     "approx prefactor overflow": (["approx", "--dist", "exp:2.5", "--alpha", "0.2", "--a", "1e200",
                                    "--N", "100"], 3, "prefactor"),
-    # the tilt is 4.5e-13, and the two-point spread squared overflows in the
-    # curvature, so log q is NaN (the composite rule's error blamed the tilt)
+    # the level lies one ulp above the mean level 3.3519519824856493e+153,
+    # within the level solve's stop of 1e-14 a, so the tilt is 0.  An absolute
+    # stop found the tilt 4.5e-13, where the two-point spread squared
+    # overflowed in the curvature ("beyond the float range"), and before that
+    # the composite rule's error blamed the tilt
     "queue-approx two-point spread": (["queue-approx", "--dist",
                                        "twopoint:0.5,1,1.3407807929942597e+154", "--service",
                                        "det:0.5", "--N", "1", "--a", "3.35195198248565e+153"], 2,
-                                      "beyond the float range"),
+                                      "within rounding of the mean level"),
     "queue-approx tiny service mean": (["queue-approx", "--dist", "det:1",
                                         "--service", "det:5e-324", "--N", "1", "--a", "1"], 2,
                                        "needs a tilt above"),
@@ -318,13 +321,16 @@ REJECTED_INPUTS = {
                                                 "--service", "exp:1", "--N", "100",
                                                 "--a", "1e10"], 2,
                                                "finite only below lam = 5e-10"),
-    # the integrals overflow at every tilt, and the staffing search in log
-    # theta ran down to theta = 0, where log(1 - e^-theta) raised a bare
-    # "math domain error"
-    "staff search down to theta = 0": (["staff", "--dist",
-                                        "twopoint:0.35372647044362493,5.061931154463175e-09,1e+200",
-                                        "--service", "det:1000000.0", "--N", "10", "--eps", "0.5"],
-                                       2, "is not reached at any tilt down to"),
+    # the two-point spread squared overflows in the curvature, so sigma^2 is
+    # infinite, or NaN, at every tilt, and Q is 0 where the level lies within
+    # rounding of the mean load: eps is met below the rarity boundary.  The
+    # staffing search in log theta ran down to theta = 0, where log(1 -
+    # e^-theta) raised a bare "math domain error", and then down to the
+    # smallest normal tilt ("is not reached at any tilt down to")
+    "staff spread overflows at the mean load": (
+        ["staff", "--dist", "twopoint:0.35372647044362493,5.061931154463175e-09,1e+200",
+         "--service", "det:1000000.0", "--N", "10", "--eps", "0.5"], 2,
+        "met already at the rarity boundary"),
     # -theta*N*a + N*CGF evaluated to log nan (exit 3) once N*a overflowed
     "approx count beyond the float range": (["approx", "--dist", "det:1", "--alpha", "1",
                                              "--a", "1e10", "--N", "1e300"], 2,

@@ -182,30 +182,31 @@ def _counted(g):
 
 # finite search limits that the tests' roots and bracket expansions stay well inside
 LIMITS = (-1e3, 1e3)
+TOL = 1e-12  # the stop |g| <= TOL, in the units of each test's g
 
 
 class TestFindRootIncreasing:
     def test_linear(self):
-        assert find_root_increasing(LINEAR, Interval(0.0, 2.0), *LIMITS) == pytest.approx(
-            1.0, abs=1e-11)
+        root = find_root_increasing(LINEAR, Interval(0.0, 2.0), *LIMITS, tol=TOL)
+        assert root == pytest.approx(1.0, abs=1e-11)
 
     def test_exponential(self):
-        root = find_root_increasing(EXPONENTIAL, Interval(0.0, 1.0), *LIMITS)
+        root = find_root_increasing(EXPONENTIAL, Interval(0.0, 1.0), *LIMITS, tol=TOL)
         assert root == pytest.approx(math.log(3.0), abs=1e-11)
 
     def test_expansion_required(self):
-        root = find_root_increasing(CUBIC, Interval(0.0, 1.0), *LIMITS)
+        root = find_root_increasing(CUBIC, Interval(0.0, 1.0), *LIMITS, tol=TOL)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-11)
 
     def test_downward_expansion(self):
         g, points = _counted(_with_slope(lambda x: x + 10.0, lambda x: 1.0))
-        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS, tol=TOL)
         assert root == pytest.approx(-10.0, abs=1e-9)
         assert min(points) < -10.0
 
     def test_upward_expansion(self):
         g, points = _counted(_with_slope(lambda x: x - 10.0, lambda x: 1.0))
-        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS, tol=TOL)
         assert root == pytest.approx(10.0, abs=1e-9)
         assert max(points) > 10.0
 
@@ -220,21 +221,28 @@ class TestFindRootIncreasing:
         ],
     )
     def test_final_bracket_property(self, g, analytic):
-        tol = 1e-12  # the finder's fixed tolerance
-        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
-        w = 4.0 * max(tol, abs(root) * 1e-12)
-        assert g(root - w)[0] <= tol
-        assert g(root + w)[0] >= -tol
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS, tol=TOL)
+        w = 4.0 * max(TOL, abs(root) * 1e-12)
+        assert g(root - w)[0] <= TOL
+        assert g(root + w)[0] >= -TOL
         assert root == pytest.approx(analytic, abs=1e-9)
         # the root meets the tolerance, or no float next to it has a smaller
         # |g|: a stop on the bracket width left |g| = 1.2e-4 at the pole
         neighbours = (math.nextafter(root, -math.inf), math.nextafter(root, math.inf))
-        assert abs(g(root)[0]) <= max(tol, min(abs(g(x)[0]) for x in neighbours))
+        assert abs(g(root)[0]) <= max(TOL, min(abs(g(x)[0]) for x in neighbours))
+        # the stop is in g's units: g and TOL scaled alike by a power of 2
+        # take the same steps to the same root, bit for bit
+        for k in (-40, 40):
+            def scaled(x, k=k):
+                return tuple(math.ldexp(v, k) for v in g(x))
+
+            assert find_root_increasing(scaled, Interval(0.0, 1.0), *LIMITS,
+                                        tol=math.ldexp(TOL, k)) == root
 
     def test_quadratic_convergence(self):
         # two bracket ends, then Newton steps whose residuals square
         g, points = _counted(EXPONENTIAL)
-        root = find_root_increasing(g, Interval(0.0, 2.0), *LIMITS)
+        root = find_root_increasing(g, Interval(0.0, 2.0), *LIMITS, tol=TOL)
         assert abs(root - math.log(3.0)) <= 1e-12
         assert len(points) <= 8
         residuals = [abs(g(x)[0]) for x in points[2:]]
@@ -245,7 +253,7 @@ class TestFindRootIncreasing:
     @pytest.mark.parametrize("bad_slope", [0.0, math.inf, math.nan, -1.0])
     def test_unusable_slope_bisects(self, bad_slope):
         g, points = _counted(_with_slope(lambda x: x - 0.3, lambda x: bad_slope))
-        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS, tol=TOL)
         assert root == pytest.approx(0.3, abs=1e-12)
         # every step halves the bracket: 0.5, 0.25, 0.375, ...
         assert points[2:5] == [0.5, 0.25, 0.375]
@@ -253,23 +261,23 @@ class TestFindRootIncreasing:
     def test_newton_step_outside_bracket_bisects(self):
         # a slope ten times too small sends every Newton step out of [lo, hi]
         g, points = _counted(_with_slope(lambda x: x - 0.3, lambda x: 0.1))
-        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
+        root = find_root_increasing(g, Interval(0.0, 1.0), *LIMITS, tol=TOL)
         assert root == pytest.approx(0.3, abs=1e-12)
         assert points[2] == 0.5
 
     def test_domain_boundary_error(self):
         with pytest.raises(DomainError, match="no sign change"):
             find_root_increasing(_with_slope(lambda x: x - 10.0, lambda x: 1.0),
-                                 Interval(0.0, 1.0), -1e3, 5.0)
+                                 Interval(0.0, 1.0), -1e3, 5.0, TOL)
         with pytest.raises(DomainError, match="no sign change"):
             find_root_increasing(_with_slope(lambda x: x + 10.0, lambda x: 1.0),
-                                 Interval(0.0, 1.0), -5.0, 1e3)
+                                 Interval(0.0, 1.0), -5.0, 1e3, TOL)
 
     @pytest.mark.parametrize("limits", [(-math.inf, 1e3), (-1e3, math.inf), (math.nan, 1e3)])
     def test_nonfinite_limit_rejected(self, limits):
         g, points = _counted(LINEAR)
         with pytest.raises(DomainError, match="limits must be finite"):
-            find_root_increasing(g, Interval(0.0, 2.0), *limits)
+            find_root_increasing(g, Interval(0.0, 2.0), *limits, tol=TOL)
         assert points == []
 
     def test_stall_raises(self):
@@ -279,7 +287,7 @@ class TestFindRootIncreasing:
         g, points = _counted(_with_slope(lambda x: x - 0.5,
                                          lambda x: abs(x - 0.5) / math.ulp(x)))
         with pytest.raises(ConvergenceError, match="stalled"):
-            find_root_increasing(g, Interval(0.0, 1.0), *LIMITS)
+            find_root_increasing(g, Interval(0.0, 1.0), *LIMITS, tol=TOL)
         assert len(points) == 2 + 800
         # from the hint's top end 1.0 on, each iterate is one ulp below the last
         assert all(x == prev - math.ulp(prev) for prev, x in zip(points[1:], points[2:]))

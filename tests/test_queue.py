@@ -43,6 +43,7 @@ from mixpois.rates import (
     GammaRate,
     PoissonRate,
     TwoPoint,
+    parse_rate,
     rate_function,
     spec_label,
 )
@@ -214,6 +215,19 @@ class TestThetaStar:
         with pytest.raises(DomainError, match="finite"):
             theta_star_queue(POIS2, ExpService(0.5), a)
 
+    @pytest.mark.parametrize("factor", [1.2, 2.0, 4.0])
+    @pytest.mark.parametrize("rate,service", [("gamma:2,1e-4", "pareto:0.5"),
+                                              ("exp:1e-3", "exp:1"), ("pois:1e4", "exp:1")])
+    def test_cold_solve_evaluations_at_large_levels(self, rule_calls, rate, service, factor):
+        # at mean loads in the hundreds to thousands the level stop, 1e-14 a,
+        # lies above the rule's rounding of a(theta); an absolute stop of
+        # 1e-12 lay below it, so the search bisected to adjacent floats (38
+        # main-rule evaluations at 4 x the first law's mean load)
+        dist, service = parse_rate(rate), parse_service(service)
+        check = queue._rule(service).check
+        theta_star_queue(dist, service, factor * mean_load(dist, service))
+        assert sum(rule is not check for rule, _ in rule_calls) <= 15
+
 
 class TestQueueApprox:
     def test_flat_service_matches_compound_route(self):
@@ -320,8 +334,8 @@ class TestQueueApprox:
         # rates c lam, levels c a and scales N / c leave every tilt and log
         # value unchanged; a tilt search that stopped at an absolute level
         # gap gave theta = 0.5 at c = 1e-13 for det rates at det service,
-        # whose tilt is log 1.5.  From c = 1e6 on the level gap of 1e-12 is
-        # below one ulp of the level, and the search runs to adjacent floats
+        # whose tilt is log 1.5.  At c = 1e6 and 1e100 the search stops at a
+        # gap of 1e-14 relative to the level, above the rounding of a(theta)
         def logs(c):
             dist = law(2.0 * c)
             qa = quiet_queue_approx(dist, service, 1000.0 / c, 1.7 * c)
@@ -756,7 +770,8 @@ def log_asym_Q(dist, service, alpha, a):
         _, slope, curvature = rule.integrals(dist, t)
         return slope - a, curvature
 
-    theta = find_root_increasing(level, Interval(0.0, min(1.0, cap)), lo_limit=0.0, hi_limit=cap)
+    theta = find_root_increasing(level, Interval(0.0, min(1.0, cap)), lo_limit=0.0, hi_limit=cap,
+                                 tol=1e-12)
     integral = rule.checked(dist, theta, rule.integrals(dist, theta))[0]
     return DecayRate(rate=theta * a - integral, gamma=alpha)
 

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from mixpois import queue
-from mixpois.errors import DomainError, HypothesisWarning, MgfDomainError
+from mixpois.errors import DomainError, HypothesisWarning, MgfDomainError, RarityError
 from mixpois.numerics import find_root_increasing
 from mixpois.queue import DetService, ExpService, Pareto2Service, mc_Q, parse_service, queue_approx
 from mixpois.rates import (
@@ -145,6 +145,18 @@ class TestSolveStaffing:
         counts = {row: _main_rule_evaluations(rule_calls, *row) for row in GRID_ROWS}
         assert max(counts.values()) <= 17
         assert sum(counts[row] for row in BENCH_ROWS) <= 11 * len(BENCH_ROWS)
+
+    @pytest.mark.parametrize("rate,N,eps", [("gamma:1e305,1", 100, 1e-3),
+                                            ("gamma:3.4676934119325283e+50,1", 1, 0.5)])
+    def test_rarity_boundary_named_where_met(self, rule_calls, rate, N, eps):
+        # the level at eps lies at the rule's rounding error above the mean
+        # load, where log Q is noise.  The search names the boundary at the
+        # first tilt whose level lies below it with Q at most eps; it bisected
+        # to adjacent floats of log theta first, in 64 and 49 main-rule
+        # evaluations
+        with pytest.raises(RarityError, match="met already at the rarity boundary"):
+            solve_staffing(parse_rate(rate), ExpService(1.0), N, eps)
+        assert len(rule_calls) <= 17
 
     @pytest.mark.parametrize("rate,service,N,eps", [
         pytest.param(rate, service, 100, eps, id=f"{rate}-{service}-{eps}")
