@@ -26,8 +26,9 @@ from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainE
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
 from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
                     spec_label)
-from .sampling import (_TABLE_BITS_MAX, _TABLE_TAIL, EstimatorResult, _alias_sampler, _count_mean,
-                       _poisson_laws, _run_blocks)
+from .sampling import (_BLOCK_SCALARS, _TABLE_BITS_MAX, _TABLE_TAIL, EstimatorResult,
+                       _alias_sampler, _count_mean, _poisson_laws, _poisson_ratios, _poisson_span,
+                       _run_blocks, _tabled)
 
 __all__ = [
     "ServiceTime",
@@ -481,6 +482,14 @@ def _stretched(law: np.ndarray, mark: int) -> np.ndarray:
     return out
 
 
+def _cut(laws: np.ndarray) -> np.ndarray:
+    """``laws``, rows of unnormalised pmfs of the values 0, 1, ..., cut past
+    the last value at which the upper tail of some row still holds
+    _TABLE_TAIL of its total."""
+    tail = np.cumsum(laws[:, ::-1], axis=1)[:, ::-1]
+    return laws[:, :np.max(np.count_nonzero(tail >= _TABLE_TAIL * tail[:, :1], axis=1))]
+
+
 def _sum_tables(count_means: np.ndarray) -> tuple[list[tuple[np.ndarray, int]], list[int]]:
     """The laws of the marked counts y C_y, y = 1..Y, for independent
     C_y ~ Pois(count_means[y - 1]), merged into as few tables as fit: a list
@@ -500,9 +509,7 @@ def _sum_tables(count_means: np.ndarray) -> tuple[list[tuple[np.ndarray, int]], 
             untabled.append(y)
         elif tables and (tables[-1][1] * (tables[-1][0].size - 1) + y * (law.size - 1)
                          < 2**_TABLE_BITS_MAX):
-            total = np.convolve(_stretched(*tables[-1]), _stretched(law, y))
-            tail = np.cumsum(total[::-1])[::-1]
-            tables[-1] = total[:np.count_nonzero(tail >= _TABLE_TAIL * tail[0])], 1
+            tables[-1] = _cut(np.convolve(_stretched(*tables[-1]), _stretched(law, y))[None])[0], 1
         else:
             tables.append((law, y))
     return tables, untabled
@@ -547,6 +554,59 @@ def _marked_occupancy(lam: float, omegas: np.ndarray):
         return occupancy
 
     return rows.size + big_means.size + 1, block
+
+
+def _pair_sums(laws: np.ndarray) -> np.ndarray:
+    """The convolutions of the rows 2j and 2j + 1 of ``laws``, pmfs of width
+    w, as rows of width 2w - 1, after a row of a point mass at 0 is added to
+    an odd count.  Each entry is a direct sum over a sliding window (einsum,
+    no BLAS): an FFT's rounding, about 1e-16 of the peak, would swamp the
+    entries of the tail."""
+    if laws.shape[0] % 2:
+        laws = np.vstack([laws, np.eye(1, laws.shape[1])])
+    w = laws.shape[1]
+    padded = np.zeros((laws.shape[0] // 2, 3 * w - 2))
+    padded[:, w - 1:2 * w - 1] = laws[1::2]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
+    return np.einsum("ivu,iu->iv", windows, np.ascontiguousarray(laws[0::2, ::-1]))
+
+
+def _twopoint_occupancy(dist: TwoPoint, omegas: np.ndarray) -> np.ndarray | None:
+    """The pmf of the occupancy sum_i Pois(omega_i X_i) for two-point slot
+    rates X_i, unnormalised, on the values 0, 1, ...: the convolution of the
+    slot laws p Pois(lam1 omega_i) + (1 - p) Pois(lam2 omega_i) over the
+    slots with omega_i > 0.  None where a Poisson count of mean
+    lam2 sum_i omega_i, which dominates the occupancy stochastically, is past
+    the table bound (sampling._poisson_laws); where it is not, the
+    occupancy's table ends within the bound too.
+
+    The slots are taken widest first, in batches whose matrix of Poisson
+    pmfs (sampling._poisson_ratios), as wide as the span of the batch's
+    first slot at lam2 (sampling._poisson_span), holds at most
+    sampling._BLOCK_SCALARS values, or one slot: so no matrix grows with N,
+    and a few wide slots do not widen the many narrow ones.  A batch's slot
+    laws are convolved pairwise, level by level (_pair_sums), and the batch
+    sums in turn; every sum is cut where its upper tail falls below
+    _TABLE_TAIL (_cut), so each value keeps its share within far less than
+    the 2^-50 of the alias table.
+    """
+    omegas = np.sort(omegas[omegas > 0.0])[::-1]
+    # a Poisson count of mean 2^12 or more, infinite included, is past the bound
+    dominant = dist.lam2 * math.fsum(omegas)
+    if not dominant < 2**_TABLE_BITS_MAX or _poisson_laws(np.array([dominant]))[0] is None:
+        return None
+    spans = _poisson_span(dist.lam2 * omegas)
+    occupancy, start = np.ones(1), 0
+    while start < omegas.size:
+        slots = omegas[start:start + max(1, int(_BLOCK_SCALARS // (2 * spans[start])))]
+        start += slots.size
+        ratio = _poisson_ratios(np.concatenate([dist.lam1 * slots, dist.lam2 * slots]))
+        pmfs = ratio / np.add.reduce(ratio, axis=1)[:, None]
+        laws = _cut(dist.p * pmfs[:slots.size] + (1.0 - dist.p) * pmfs[slots.size:])
+        while laws.shape[0] > 1:
+            laws = _cut(_pair_sums(laws))
+        occupancy = _cut(np.convolve(occupancy, laws[0])[None])[0]
+    return occupancy
 
 
 _ALL_LANES = np.uint64(2**64 - 1)
@@ -602,14 +662,15 @@ def _rate_sum(dist: RateDistribution, omegas: np.ndarray):
     of ``width`` draws per run.
 
     Deterministic rates give the constant lam sum_i omega_i, with no draw.
-    Two-point rates give lam1 sum_i omega_i + (lam2 - lam1) sum_{i in B}
-    omega_i over the set B of slots at lam2, drawn as the lanes of
-    ceil(N/64) Bernoulli(1 - p) words per run (_bernoulli_words) and summed
-    by one table of partial sums per byte of lanes, 256 doubles per 8 slots
-    (26 KB at N = 100, 256 MB at N = 10^6).  The lanes of a block of runs
-    are drawn bit position by bit position, so the sums depend on the
-    block size sampling._BLOCK_SCALARS.  Gamma rates draw the N slot rates
-    of each run, so the sums do not depend on it.
+    Two-point rates, which mc_Q draws this way only where their occupancy
+    has no table (_twopoint_occupancy), give lam1 sum_i omega_i
+    + (lam2 - lam1) sum_{i in B} omega_i over the set B of slots at lam2,
+    drawn as the lanes of ceil(N/64) Bernoulli(1 - p) words per run
+    (_bernoulli_words) and summed by one table of partial sums per byte of
+    lanes, 256 doubles per 8 slots (26 KB at N = 100, 256 MB at N = 10^6).
+    The lanes of a block of runs are drawn bit position by bit position, so
+    the sums depend on the block size sampling._BLOCK_SCALARS.  Gamma rates
+    draw the N slot rates of each run, so the sums do not depend on it.
     """
     N = omegas.size
     if isinstance(dist, DeterministicRate):
@@ -649,14 +710,18 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
     draw the occupancy itself, the marked counts of the units by the
     occupants they add: the sum of the counts of marks 1..y0 as one raw word
     per run read through an alias table of its law, and the fewer than one
-    unit per run marked above y0 per block of runs (_marked_occupancy).  The
-    runs are i.i.d. draws of the occupancy, and the estimate is the fraction
-    that hit.  Other rates draw the rate sum
-    Lambda = sum_i omega_i X_i over the N slot rates X_i (_rate_sum), and the
-    hit of the Pois(Lambda) occupancy as G <= Lambda with G ~ Gamma(k, 1),
-    the k-th epoch of a unit-rate Poisson process, since P(Pois(Lambda) >= k)
-    = P(G <= Lambda); each block of runs draws its rate sums, then its
-    epochs.
+    unit per run marked above y0 per block of runs (_marked_occupancy).
+    Two-point slot rates draw the occupancy itself too, one raw word per run
+    read through an alias table of its law, the convolution of the slot laws
+    built once per call (_twopoint_occupancy), wherever a Poisson count of
+    mean lam2 sum_i omega_i would be tabled; so their results do not depend
+    on the block size.  The runs are i.i.d. draws of the occupancy, and the
+    estimate is the fraction that hit.  Other rates, and two-point rates past
+    that bound, draw the rate sum Lambda = sum_i omega_i X_i over the N slot
+    rates X_i (_rate_sum), and the hit of the Pois(Lambda) occupancy as
+    G <= Lambda with G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson
+    process, since P(Pois(Lambda) >= k) = P(G <= Lambda); each block of runs
+    draws its rate sums, then its epochs.
     """
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
@@ -667,6 +732,9 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
         if isinstance(dist, PoissonRate):
             width, occupancy = _marked_occupancy(dist.lam, omegas)
             return width, lambda rng, n: occupancy(rng, n) >= k
+        if isinstance(dist, TwoPoint) and (law := _twopoint_occupancy(dist, omegas)) is not None:
+            occupancy = _tabled(law)
+            return 1, lambda rng, n: occupancy(rng, n) >= k
         width, rate_sum = _rate_sum(dist, omegas)
         return width + 1, lambda rng, n: rate_sum(rng, n) >= rng.standard_gamma(k, size=n)
 

@@ -143,27 +143,41 @@ _TABLE_BITS_MAX = 12
 _TABLE_TAIL = 2.0**-60
 
 
-def _poisson_laws(means: np.ndarray) -> list[np.ndarray | None]:
-    """The pmfs of Poisson counts of ``means``, each unnormalised and cut at
-    the first count v above the mean with P(X >= v) < _TABLE_TAIL, or None
-    where that cut lies past 2^_TABLE_BITS_MAX counts (a mean above about
-    3560).
+def _poisson_span(mean):
+    """The last count of the pmf of a Poisson count of ``mean`` that
+    _poisson_ratios forms: mean + 12 sqrt(mean) + 32, rounded up, and at most
+    2^_TABLE_BITS_MAX."""
+    return np.minimum(2**_TABLE_BITS_MAX, np.ceil(mean + 12.0 * np.sqrt(mean)) + 32)
 
-    The pmf is taken relative to its mode m = floor(mean), as products of
-    the ratios mean / v above m and v / mean below it, so it neither
-    overflows nor loses digits to a log-factorial.  The tail is bounded by
-    the geometric series P(X >= v) <= pmf(v) (v + 1) / (v + 1 - mean).  The
-    counts run to top + 12 sqrt(top) + 32 for the largest mean top, past the
-    cut of every mean whose cut lies within 2^_TABLE_BITS_MAX counts.
-    """
-    top = float(np.max(means))
-    v = np.arange(min(2**_TABLE_BITS_MAX, math.ceil(top + 12.0 * math.sqrt(top)) + 32) + 1)
+
+def _poisson_ratios(means: np.ndarray) -> np.ndarray:
+    """[i, v]: the pmf of a Poisson count of mean means[i] at v, relative to
+    its value at its mode m = floor(mean), as products of the ratios mean / v
+    above m and v / mean below it, so it neither overflows nor loses digits
+    to a log-factorial.  The counts v run to the span of the largest mean
+    (_poisson_span)."""
+    v = np.arange(int(_poisson_span(np.max(means))) + 1)
     mean = means[:, None]
     mode = np.floor(mean)
     up = np.cumprod(np.where(v > mode, mean / np.maximum(v, 1), 1.0), axis=1)
     # the ratios below the mode arise only at a mean of at least 1
     below = np.where(v < mode, (v + 1) / np.maximum(mean, 1.0), 1.0)
-    ratio = up * np.cumprod(below[:, ::-1], axis=1)[:, ::-1]
+    return up * np.cumprod(below[:, ::-1], axis=1)[:, ::-1]
+
+
+def _poisson_laws(means: np.ndarray) -> list[np.ndarray | None]:
+    """The pmfs of Poisson counts of ``means`` (_poisson_ratios), each
+    unnormalised and cut at the first count v above the mean with
+    P(X >= v) < _TABLE_TAIL, or None where that cut lies past
+    2^_TABLE_BITS_MAX counts (a mean above about 3560).
+
+    The tail is bounded by the geometric series P(X >= v) <= pmf(v) (v + 1)
+    / (v + 1 - mean).  The counts run past the cut of every mean whose cut
+    lies within 2^_TABLE_BITS_MAX counts.
+    """
+    ratio = _poisson_ratios(means)
+    v = np.arange(ratio.shape[1])
+    mean = means[:, None]
     total = np.add.reduce(ratio, axis=1)[:, None]
     ends = (v + 1 > mean) & (ratio * (v + 1) < _TABLE_TAIL * total * (v + 1 - mean))
     return [row[:np.argmax(end)] if end.any() else None for row, end in zip(ratio, ends)]

@@ -532,6 +532,72 @@ class TestMcQ:
         pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
         assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
 
+    # the two-point occupancy law that mc_Q tables, the convolution of the
+    # slot mixtures, normalised, against the slot-by-slot convolution within
+    # 2^-50 per value, the alias table's own bound; the largest difference on
+    # this grid, 5.4e-16 at det:0.5 service, N = 100 and p = 0.3, is the
+    # oracle's, whose values lie 5.5e-16 from the exact binomial mixture of
+    # Poisson pmfs there, against 1e-17 for the tabled law's
+    @pytest.mark.parametrize("N", [1, 37, 100])
+    @pytest.mark.parametrize("service", SERVICES + [ExpService(0.05)], ids=spec_label)
+    @pytest.mark.parametrize("p", [0.75, 0.3])
+    def test_twopoint_occupancy_law_is_the_convolution_of_the_slot_laws(self, p, service, N):
+        omegas = omega_vector(N, service)
+        law = queue._twopoint_occupancy(TwoPoint(p, 1.0, 5.0), omegas)
+        law = law / math.fsum(law)
+        ref = twopoint_occupancy_pmf(p, 1.0, 5.0, omegas)
+        assert law.size <= ref.size and np.all(ref[law.size:] < 2.0**-50)
+        assert np.all(np.abs(law - ref[:law.size]) <= 2.0**-50)
+
+    # 20 seeds x 2e5 runs of the tabled law at the Criterion-3 row of
+    # two-point rates, k = 130, against its exact tail (9.0089e-4)
+    def test_twopoint_rates_at_N_100_pooled_over_seeds_match_the_convolution_oracle(self):
+        N, service = 100, ExpService(0.5)
+        exact = math.fsum(twopoint_occupancy_pmf(0.75, 1.0, 5.0, omega_vector(N, service))[130:])
+        results = [mc_Q(TwoPoint(0.75, 1.0, 5.0), service, N, 1.2991, 200_000, seed)
+                   for seed in range(2000, 2020)]
+        pooled = math.fsum(r.estimate for r in results) / len(results)
+        pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
+        assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
+
+    # slots without retention add nothing: with none left the occupancy is 0
+    def test_twopoint_occupancy_without_retention(self):
+        law = queue._twopoint_occupancy(TwoPoint(0.75, 1.0, 5.0), np.zeros(3))
+        assert np.array_equal(law, [1.0])
+
+    # the table is built where a Poisson count of mean lam2 sum omega_i, which
+    # dominates the occupancy, is tabled: under exp:0.5 service up to N = 1600
+    # (lam2 sum omega_i = 3459), not at N = 2000 (4323)
+    @pytest.mark.parametrize("N,mean,tabled", [(1600, 3459.0, True), (2000, 4323.0, False)])
+    def test_twopoint_occupancy_table_bound(self, N, mean, tabled):
+        omegas = omega_vector(N, ExpService(0.5))
+        assert 5.0 * omegas.sum() == pytest.approx(mean, abs=0.5)
+        law = queue._twopoint_occupancy(TwoPoint(0.75, 1.0, 5.0), omegas)
+        assert (law is not None) == tabled
+        assert law is None or law.size <= 2**sampling._TABLE_BITS_MAX
+
+    # lam2 sum omega_i past the float range declines the table, and the
+    # bound's own arithmetic warns of no overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_twopoint_occupancy_declines_an_infinite_bound(self):
+        omegas = omega_vector(10, ExpService(1.0))
+        assert queue._twopoint_occupancy(TwoPoint(0.5, 1.0, 1e308), omegas) is None
+
+    # where the builder declines the table, the rate sums of the Bernoulli
+    # lanes and the k-th epochs still meet the exact occupancy tail
+    @pytest.mark.parametrize("p", [0.75, 0.3])
+    def test_twopoint_rates_past_the_table_bound_draw_rate_sums(self, monkeypatch, p):
+        N, service, dist = 100, ExpService(0.5), TwoPoint(p, 1.0, 5.0)
+        omegas = omega_vector(N, service)
+        pmf = twopoint_occupancy_pmf(p, 1.0, 5.0, omegas)
+        k = int(np.argmax(np.cumsum(pmf[::-1])[::-1] < 0.05))
+        declined = []
+        monkeypatch.setattr(queue, "_twopoint_occupancy",
+                            lambda *args: declined.append(args) or None)
+        r = mc_Q(dist, service, N, k / N, 200_000, 5)
+        assert len(declined) == 1
+        assert abs(r.estimate - math.fsum(pmf[k:])) <= 4.0 * (r.ci_halfwidth_95 / Z_95)
+
     # the byte tables sum the retention of the slots whose lanes are set,
     # lane i being bit i % 64 of the run's word i // 64
     @pytest.mark.parametrize("N", [1, 10, 64, 100, 130])

@@ -337,8 +337,11 @@ _BLOCK_SIZES = [sampling._BLOCK_SCALARS, 999, sampling._RUN_SCALARS_CAP]
 class TestSlotBlocks:
     """The estimator driver draws, scores and sums its runs block by block.
     Gamma slot rates are drawn and reduced row by row, so their sums are bit
-    for bit the same at every block size.  Poisson and two-point rates draw
-    marked counts and Bernoulli lanes block by block, and the hits of rate
+    for bit the same at every block size.  Two-point rates draw one raw word
+    per run through the table of their occupancy law, so their results are
+    the same at every block size too, up to the table bound.  Poisson rates
+    draw the units marked above y0 block by block, two-point rates past the
+    table bound draw Bernoulli lanes block by block, and the hits of rate
     sums follow each block's sums, so those results depend on the block size
     and are checked against the exact occupancy tail."""
 
@@ -379,7 +382,7 @@ class TestSlotBlocks:
         for result in (got, small):
             assert 0.0 < result.estimate < 1.0
             assert abs(result.estimate - exact) <= 4.0 * result.ci_halfwidth_95 / Z_95
-        if isinstance(dist, DeterministicRate):
+        if isinstance(dist, (DeterministicRate, TwoPoint)):
             assert got == small
 
     # Poisson rates over runs past one chunk, against the exact occupancy tail
@@ -393,8 +396,8 @@ class TestSlotBlocks:
         got = mc_Q(PoissonRate(12.0), service, N, k / N, runs, 11)
         assert abs(got.estimate - exact) <= 4.0 * got.ci_halfwidth_95 / Z_95
 
-    # two-point rates at q = 0.7 over runs past one chunk, against the exact
-    # occupancy tail; at this q the length of the lane loop depends on the block
+    # two-point rates at q = 1 - p = 0.7 over runs past one chunk, against
+    # the exact occupancy tail
     @pytest.mark.parametrize("N", [1, 37, 100])
     def test_mc_Q_twopoint_rates(self, N):
         service = ExpService(0.5)
@@ -406,16 +409,52 @@ class TestSlotBlocks:
         got = mc_Q(dist, service, N, k / N, runs, 11)
         assert abs(got.estimate - exact) <= 4.0 * got.ci_halfwidth_95 / Z_95
 
+    # a two-point run reads one raw word of the stream, in every block: n runs
+    # advance the stream by exactly n words
+    def test_twopoint_runs_read_one_raw_word_each(self, monkeypatch):
+        streams = []
+
+        def recorded(seed):
+            streams.append(stream(seed))
+            return streams[-1]
+
+        monkeypatch.setattr(sampling, "stream", recorded)
+        runs = 3 * sampling._BLOCK_SCALARS + 17  # ending in a partial block
+        mc_Q(TwoPoint(0.75, 1.0, 5.0), ExpService(0.5), 100, 1.2991, runs, 11)
+        twin = stream(11)
+        twin.bit_generator.random_raw(runs)
+        assert streams[0].bit_generator.random_raw() == twin.bit_generator.random_raw()
+
     # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
-    # draw marked counts, two-point rates words of Bernoulli lanes, summed by
-    # byte tables.  At pois:200 the mark-1 count, of mean 6486, is past the
-    # 2^12-entry bound of the alias tables and the others are tabled; its
-    # peak is that of building the tables, whatever the runs
+    # draw marked counts, two-point rates one word per run through the
+    # table of their occupancy law.  At pois:200 the mark-1 count, of mean
+    # 6486, is past the 2^12-entry bound of the alias tables and the others
+    # are tabled; its peak is that of building the tables, whatever the runs
     @pytest.mark.parametrize("dist,a", [(PoissonRate(0.1), 0.16), (PoissonRate(200.0), 128.0),
                                         (TwoPoint(0.75, 1.0, 5.0), 1.4)],
                              ids=["pois", "pois-beyond-the-table-bound", "twopoint"])
     def test_mc_Q_peak_memory(self, dist, a):
         assert _traced_peak(lambda: mc_Q(dist, ExpService(1.0), 100, a, 40000, 3)) < 8e6
+
+    # the slot laws are convolved widest first, in batches of at most
+    # _BLOCK_SCALARS Poisson pmf values: one batch of all slots peaked at
+    # 127 MB traced where a few wide slots sit beside many narrow ones
+    # (lam2 = 3000 under exp:0.001, N = 1000: the retention falls by a
+    # factor e per slot over 739 slots), and at 47 MB for 20,000 narrow
+    # slots; the law keeps the occupancy's mean and variance
+    @pytest.mark.parametrize("dist,service,N",
+                             [(TwoPoint(0.5, 1000.0, 3000.0), ExpService(0.001), 1000),
+                              (TwoPoint(0.75, 0.01, 0.05), ExpService(0.5), 20_000)],
+                             ids=["unequal-slots", "many-slots"])
+    def test_twopoint_occupancy_build_peak_memory(self, dist, service, N):
+        omegas = omega_vector(N, service)
+        assert _traced_peak(lambda: queue._twopoint_occupancy(dist, omegas)) < 8e6
+        law = queue._twopoint_occupancy(dist, omegas)
+        law, v = law / math.fsum(law), np.arange(law.size)
+        mean = math.fsum(v * law)
+        assert mean == pytest.approx(dist.mean * omegas.sum(), rel=1e-12)
+        assert math.fsum((v - mean) ** 2 * law) == pytest.approx(
+            dist.mean * omegas.sum() + dist.variance * (omegas**2).sum(), rel=1e-12)
 
     # no array grows with the runs: at 2e6 runs, whole chunks of weights and
     # their squares peaked at 30.5 MiB (mc_P, is_slow) and 63 MiB (is_fast);
