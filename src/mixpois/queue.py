@@ -103,8 +103,10 @@ class ExpService(ServiceTime):
         return -np.expm1(-x / self.mean)
 
     def sf_integral(self, u, h):
+        # u / E and h / E past 1e300, where the factors are 0 and 1, are capped
+        # there, so a subnormal mean E does not overflow them
         E = self.mean
-        return E * np.exp(-u / E) * -np.expm1(-h / E)
+        return E * np.exp(-np.minimum(u, 1e300 * E) / E) * -np.expm1(-np.minimum(h, 1e300 * E) / E)
 
     def sf_sq_integral_total(self) -> float:
         return 0.5 * self.mean
@@ -146,7 +148,11 @@ class Pareto2Service(ServiceTime):
 
     def sf_integral(self, u, h):
         E = self.mean
-        return h / ((1.0 + u / E) * (1.0 + (u + h) / E))
+        with np.errstate(over="ignore"):
+            scale = (1.0 + u / E) * (1.0 + (u + h) / E)
+        # where that overflows, as at a mean below about 1e-300, the same value
+        # as E times two factors of at most 1
+        return np.where(scale < np.inf, h / scale, E * (h / (E + u + h)) * (E / (E + u)))
 
     def sf_sq_integral_total(self) -> float:
         return self.mean / 3.0
@@ -538,14 +544,17 @@ def _marked_occupancy(lam: float, omegas: np.ndarray):
     tables, untabled = _sum_tables(_count_mean(means[1:y0 + 1]))
     rows = np.arange(len(tables))[:, None]
     scales = np.array([mark for _, mark in tables], dtype=np.int64)[:, None]
-    plain = scales.tolist() == [[1]]  # one table of unit mark: no product and no sum
+    plain = scales.tolist() == [[1]]  # one table of unit mark: no row offset, product or sum
     big_means, big_marks = means[untabled], np.array(untabled, dtype=np.int64)
     beta, mark_law = beyond[y0], means[y0 + 1:]
     draw = _alias_sampler([law for law, _ in tables] + [mark_law if mark_law.any() else np.ones(1)])
 
     def block(rng: np.random.Generator, n: int) -> np.ndarray:
-        counts = draw(rng.bit_generator.random_raw((rows.size, n)), rows)
-        occupancy = counts[0] if plain else np.add.reduce(counts * scales, axis=0)
+        if plain:
+            occupancy = draw(rng.bit_generator.random_raw(n), None)
+        else:
+            counts = draw(rng.bit_generator.random_raw((rows.size, n)), rows)
+            occupancy = np.add.reduce(counts * scales, axis=0)
         if big_means.size:
             occupancy = occupancy + rng.poisson(big_means, size=(n, big_means.size)) @ big_marks
         if units := int(rng.poisson(n * beta)):

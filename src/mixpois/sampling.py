@@ -15,8 +15,11 @@ grow with its runs.  A pooled Poisson or binomial slot count is one raw word
 read through an alias table (_alias_sampler) built once per call, and a hit
 of a Poisson count of per-run mean L at k is decided as G <= L for
 G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson process, since
-P(Pois(L) >= k) = P(G <= L).  numpy's Poisson and binomial samplers remain
-for is_fast's proposal and for counts whose table would pass
+P(Pois(L) >= k) = P(G <= L).  With gamma slot rates the overflow count
+itself, negative binomial, is one raw word through the table of its law
+(_negbin_law), and only the hit runs of is_slow draw their pooled rate,
+from its law given the count.  numpy's Poisson, binomial and gamma samplers
+remain for is_fast's proposal and for counts whose table would pass
 2^_TABLE_BITS_MAX entries.
 """
 
@@ -150,6 +153,15 @@ def _poisson_span(mean):
     return np.minimum(2**_TABLE_BITS_MAX, np.ceil(mean + 12.0 * np.sqrt(mean)) + 32)
 
 
+def _from_mode(up: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """A pmf along the last axis relative to its value at its mode, from the
+    ratios up[v] = pmf(v) / pmf(v - 1) above the mode and below[v] =
+    pmf(v) / pmf(v + 1) below it, each 1 elsewhere: every value is a product
+    of ratios of at most 1, so it neither overflows nor loses digits to a
+    log-factorial."""
+    return np.cumprod(up, axis=-1) * np.cumprod(below[..., ::-1], axis=-1)[..., ::-1]
+
+
 def _poisson_ratios(means: np.ndarray) -> np.ndarray:
     """[i, v]: the pmf of a Poisson count of mean means[i] at v, relative to
     its value at its mode m = floor(mean), as products of the ratios mean / v
@@ -159,10 +171,9 @@ def _poisson_ratios(means: np.ndarray) -> np.ndarray:
     v = np.arange(int(_poisson_span(np.max(means))) + 1)
     mean = means[:, None]
     mode = np.floor(mean)
-    up = np.cumprod(np.where(v > mode, mean / np.maximum(v, 1), 1.0), axis=1)
     # the ratios below the mode arise only at a mean of at least 1
-    below = np.where(v < mode, (v + 1) / np.maximum(mean, 1.0), 1.0)
-    return up * np.cumprod(below[:, ::-1], axis=1)[:, ::-1]
+    return _from_mode(np.where(v > mode, mean / np.maximum(v, 1), 1.0),
+                      np.where(v < mode, (v + 1) / np.maximum(mean, 1.0), 1.0))
 
 
 def _poisson_laws(means: np.ndarray) -> list[np.ndarray | None]:
@@ -237,9 +248,10 @@ def _alias_tables(laws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _alias_sampler(laws: list[np.ndarray]):
     """Sampler ``draw(raw, rows) -> values``: one value of the law of table
-    ``rows`` (broadcast against ``raw``) per raw uint64 word, whose top bits
-    pick the entry and whose low _WEIGHT_BITS - bits bits are compared with
-    its threshold (_alias_tables)."""
+    ``rows`` (broadcast against ``raw``; None reads the first table)
+    per raw uint64 word, whose top bits pick the entry and whose low
+    _WEIGHT_BITS - bits bits are compared with its threshold (_alias_tables).
+    The low bits are taken in place, so ``raw`` is overwritten."""
     threshold, alias = _alias_tables(laws)
     bits = threshold.shape[1].bit_length() - 1
     shift, low = np.uint64(64 - bits), np.uint64(2**(_WEIGHT_BITS - bits) - 1)
@@ -248,8 +260,9 @@ def _alias_sampler(laws: list[np.ndarray]):
     def draw(raw: np.ndarray, rows) -> np.ndarray:
         # as int64, whose indexing and comparisons need no conversion
         entry = (raw >> shift).view(np.int64)
-        at = entry + (np.asarray(rows) << bits)
-        return np.where((raw & low).view(np.int64) < threshold[at], entry, alias[at])
+        at = entry if rows is None else entry + (np.asarray(rows) << bits)
+        np.bitwise_and(raw, low, out=raw)
+        return np.where(raw.view(np.int64) < threshold[at], entry, alias[at])
 
     return draw
 
@@ -266,14 +279,55 @@ def _binomial_law(n: int, q: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         up = np.where(v > mode, (n - v + 1) * q / (np.maximum(v, 1) * (1.0 - q)), 1.0)
         below = np.where(v < mode, (v + 1) * (1.0 - q) / ((n - v) * q), 1.0)
-    return np.cumprod(up) * np.cumprod(below[::-1])[::-1]
+    return _from_mode(up, below)
+
+
+def _negbin_law(shape: float, q: float) -> np.ndarray | None:
+    """The pmf of the negative binomial count C of real shape ``shape`` and
+    weight ``q``, P(C = v) proportional to Gamma(shape + v) / v! q^v,
+    unnormalised: relative to its mode m = floor((shape - 1) q / (1 - q)) as
+    products of the ratios (shape + v - 1) q / v above m and of their
+    inverses below it (_from_mode), as in _poisson_ratios.
+
+    The law is cut at the first count v above its mean shape q / (1 - q)
+    whose Chernoff bound P(C >= v) <= exp(-I(v)), at the optimal tilt,
+    falls below _TABLE_TAIL:
+    I(v) = v log(v / (q (shape + v))) + shape log(shape / ((1 - q) (shape + v))),
+    which increases above the mean, so the cut is found by bisection.  It is
+    None, decided before any array is formed, where q is not inside (0, 1),
+    the mean is not finite or the cut passes 2^_TABLE_BITS_MAX counts.
+    """
+    if not 0.0 < q < 1.0:
+        return None
+    odds = q / (1.0 - q)
+    mean, size = shape * odds, 2**_TABLE_BITS_MAX
+    log_q, log_p = math.log(q), math.log1p(-q)
+
+    def beyond(v: int) -> bool:  # whether the bound on P(C >= v) is below _TABLE_TAIL
+        # log((shape + v) / shape), apart where v / shape passes the float range
+        ratio = v / shape
+        log_ratio = math.log1p(ratio) if ratio < math.inf else math.log(v) - math.log(shape)
+        rate = -v * (math.log1p(shape / v) + log_q) - shape * (log_ratio + log_p)
+        return rate > -math.log(_TABLE_TAIL)
+
+    if not (mean < size and beyond(size)):
+        return None
+    short, cut = math.floor(mean), size  # a count short of the cut, and one at or past it
+    while cut - short > 1:
+        mid = (short + cut) // 2
+        short, cut = (short, mid) if beyond(mid) else (mid, cut)
+    v = np.arange(cut)
+    mode = max(0, math.floor(mean - odds))
+    # the ratios below the mode arise only where (shape + v) q >= v + 1 >= 1
+    return _from_mode(np.where(v > mode, (shape + v - 1) * q / np.maximum(v, 1), 1.0),
+                      np.where(v < mode, (v + 1) / np.maximum((shape + v) * q, 1.0), 1.0))
 
 
 def _tabled(law: np.ndarray):
     """Sampler ``draw(rng, n) -> n int64 values`` of ``law``, one raw word each
     through its alias table (_alias_sampler)."""
     draw = _alias_sampler([law])
-    return lambda rng, n: draw(rng.bit_generator.random_raw(n), 0)
+    return lambda rng, n: draw(rng.bit_generator.random_raw(n), None)
 
 
 def _poisson_count(mean: float):
@@ -359,29 +413,67 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
 def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
                   seed: int, theta: float | None) -> EstimatorResult:
     """The overflow probability P(count >= N*a) with the slot rates
-    exponentially twisted by ``theta``: each run draws their pooled sum S and
-    decides the hit of the Pois(N S / slot_count) count at k = ceil(N a) as
-    G <= N S / slot_count with G ~ Gamma(k, 1), as queue.mc_Q does, and
-    weighs it by the likelihood ratio exp(slot_count * CGF(theta) - theta * S).
+    exponentially twisted by ``theta``, each run weighed by the likelihood
+    ratio exp(slot_count * CGF(theta) - theta * S) of its pooled rate S.
     Crude Monte Carlo is the untilted case, ``theta=None``, where every run
-    weighs its indicator alone."""
+    weighs its indicator alone.
+
+    With gamma slot rates the count, Pois(c S) given S ~ Gamma(s, rate)
+    with s = slot_count * beta, c = N / slot_count and rate lam - theta, is
+    negative binomial of shape s and weight q = c / (rate + c).  Each run
+    draws the count itself, one raw word through an alias table of its law
+    (_negbin_law) built once per call, and hits when it reaches
+    k = ceil(N a); a twisted run draws S only where it hits, from its law
+    given the count C, Gamma(s + C, rate + c), so (S, C) keep their joint
+    law.  Crude results then do not depend on the block size, twisted ones
+    do.  Other rates, and gamma rates whose table would pass
+    2^_TABLE_BITS_MAX entries, draw S (_slot_sampler) and decide the hit as
+    G <= c S with G ~ Gamma(k, 1), as queue.mc_Q does.
+    """
     cgf_at_twist = None if theta is None else float(dist.cgf(theta)[0])
     draw, slot_count = _slot_sampler(dist, alpha, N, theta=theta)
     k = ceil_count(N * a)
 
-    def block(rng: np.random.Generator, n: int) -> np.ndarray:
+    def pooled_block(rng: np.random.Generator, n: int) -> np.ndarray:
         pooled = draw(rng, n)
         hit = rng.standard_gamma(k, size=n) <= N * pooled / slot_count
         if theta is None:
             return hit
         return np.exp(slot_count * cgf_at_twist - theta * pooled) * hit
 
-    return _run_blocks(seed, runs, 2, lambda: (2, block))
+    def sampler():  # the count's table is built after the budget check
+        if not isinstance(dist, GammaRate):
+            return 2, pooled_block
+        rate = dist.lam if theta is None else dist.lam - theta
+        shape, c = slot_count * dist.beta, N / slot_count
+        law = _negbin_law(shape, c / (rate + c))
+        if law is None:
+            return 2, pooled_block
+        count = _tabled(law)
+
+        def count_block(rng: np.random.Generator, n: int) -> np.ndarray:
+            counts = count(rng, n)
+            hit = counts >= k
+            if theta is None:
+                return hit
+            # the pooled rates of the hit runs, from their laws given the counts
+            pooled = rng.standard_gamma(shape + counts[hit]) / (rate + c)
+            weight = np.zeros(n)
+            weight[hit] = np.exp(slot_count * cgf_at_twist - theta * pooled)
+            return weight
+
+        return 2, count_block
+
+    return _run_blocks(seed, runs, 2, sampler)
 
 
 def mc_P(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
          seed: int) -> EstimatorResult:
-    """Crude Monte Carlo for the overflow probability P(count >= N*a)."""
+    """Crude Monte Carlo for the overflow probability P(count >= N*a).
+
+    With gamma slot rates each run draws the negative binomial count itself,
+    one raw word through the table of its law, so the results do not depend
+    on the block size (_tail_at_tilt)."""
     return _tail_at_tilt(dist, alpha, a, N, runs, seed, None)
 
 
@@ -439,7 +531,11 @@ def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,
     The slot rates are exponentially twisted so their mean becomes a; each
     run draws their pooled sum under the twist, is reweighted by the product
     likelihood ratio, a function of that sum, and is scored on the overflow
-    indicator.
+    indicator.  With gamma slot rates a run draws its count first, from the
+    table of its negative binomial law under the twist, and its pooled sum
+    only where it hits, from its law given the count; the hit runs of a block
+    draw theirs together, so these results depend on the block size
+    (_tail_at_tilt).
     """
     if alpha >= 1.0:
         warnings.warn(

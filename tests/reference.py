@@ -17,6 +17,14 @@ def poisson_log_pmf(mean: float, k: int) -> float:
     return k * math.log(mean) - mean - math.lgamma(k + 1.0)
 
 
+def negbin_log_pmf(shape: float, q: float, v: int) -> float:
+    """log P(C = v) for C negative binomial of real shape ``shape`` > 0 and
+    weight 0 < q < 1, the Poisson count mixed over a gamma rate:
+    log Gamma(shape + v) - log Gamma(shape) - log v! + shape log(1 - q) + v log q."""
+    return (math.lgamma(shape + v) - math.lgamma(shape) - math.lgamma(v + 1.0)
+            + shape * math.log1p(-q) + v * math.log(q))
+
+
 def poisson_tail(mean: float, k: int) -> float:
     """P(Pois(mean) >= k) for mean > 0: the pmf summed upward from k in log
     space, until past the mode the terms fall 40 e-folds below the largest."""

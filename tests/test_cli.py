@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from conftest import SUBPROCESS_ENV
 from mixpois import cli, queue
 from mixpois.cli import build_parser, main
-from mixpois.rates import DeterministicRate, PoissonRate
+from mixpois.gamma_exact import GammaCase, P_exact, log_P_exact
+from mixpois.rates import DeterministicRate, PoissonRate, parse_rate, rate_function
 
 
 def run_cli(args, capsys):
@@ -584,6 +585,19 @@ class TestQueueCommands:
         assert float(rows[0]["omega_i"]) == pytest.approx(1.0)
         assert float(rows[-1]["omega_i"]) == 0.0
 
+    # at a mean E below about 1e-300 the service integrals once overflowed:
+    # a RuntimeWarning on stderr, and omega_1 = 0 for pareto:1e-310.  The
+    # first slot retains N E, the others about E^2 or less, which underflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("service,mean", [("pareto:1e-310", 1e-310), ("exp:1e-310", 1e-310),
+                                              ("pareto:1e-300", 1e-300)])
+    def test_omega_at_a_subnormal_mean(self, capsys, service, mean):
+        code, out, err = run_cli(["omega", "--service", service, "--N", "3"], capsys)
+        assert (code, err) == (0, "")
+        omegas = [float(row["omega_i"]) for row in parse_csv(out)]
+        assert omegas[0] == pytest.approx(3.0 * mean, rel=1e-9)
+        assert omegas[1:] == [0.0, 0.0]
+
     @pytest.mark.parametrize("N", ["0", "-3"])
     def test_omega_needs_a_slot(self, capsys, N):
         code, out, err = run_cli(["omega", "--service", "exp:0.5", "--N", N], capsys)
@@ -920,6 +934,35 @@ STDOUT_PIN = json.loads((pathlib.Path(__file__).parent / "cli_stdout_pin.json").
 def test_stdout_pin(capsys, pinned):
     code, out, _ = run_cli(pinned["argv"].split(), capsys)
     assert (code, out) == (pinned["exit"], pinned["stdout"])
+
+
+# the crude and slow-regime simulate pins on gamma slot rates, whose overflow
+# count is negative binomial, lie within 4 SE of the exact tail.  The SE is
+# exact too: binomial for crude rows, and for is-slow rows that of the
+# weight L = (lam / (lam - theta))^s exp(-theta S) on the event, with pooled
+# shape s, whose second moment under the twist is E[L 1] =
+# (lam^2 / ((lam - theta) (lam + theta)))^s times the tail at rate
+# lam + theta.  The sample SE of these heavy-tailed weights shrinks with the
+# estimate when the rare large weights are missing
+GAMMA_PINS = [pinned for pinned in STDOUT_PIN
+              if re.match(r"simulate --method (mc|is-slow) --dist (exp|gamma):", pinned["argv"])]
+
+
+@pytest.mark.parametrize("pinned", GAMMA_PINS, ids=[p["argv"] for p in GAMMA_PINS])
+def test_gamma_pin_matches_exact(pinned):
+    args = build_parser().parse_args(pinned["argv"].split())
+    dist = parse_rate(args.dist)
+    case = GammaCase(dist.beta, dist.lam, args.alpha, args.a, args.N)
+    exact = P_exact(case)
+    if args.method == "mc":
+        second_moment = exact
+    else:
+        theta = rate_function(dist, args.a).theta_star
+        twisted = GammaCase(dist.beta, dist.lam + theta, args.alpha, args.a, args.N)
+        second_moment = math.exp(case.shape * math.log(
+            dist.lam**2 / ((dist.lam - theta) * (dist.lam + theta))) + log_P_exact(twisted))
+    estimate = float(parse_csv(pinned["stdout"])[0]["estimate"])
+    assert abs(estimate - exact) <= 4.0 * math.sqrt((second_moment - exact**2) / args.runs)
 
 
 # argvs that take a path of their own through the parse: no command, options

@@ -20,8 +20,9 @@ from mixpois.sampling import (
     mc_P,
     stream,
 )
-from reference import (efficiency_ratios, occupancy_pmf, poisson_log_pmf, poisson_tail,
-                       pooled_poisson_tail, pooled_twopoint_tail, twopoint_occupancy_pmf)
+from reference import (efficiency_ratios, negbin_log_pmf, occupancy_pmf, poisson_log_pmf,
+                       poisson_tail, pooled_poisson_tail, pooled_twopoint_tail,
+                       twopoint_occupancy_pmf)
 
 EXP25 = Exponential(2.5)
 TP = TwoPoint(0.75, 1.0, 5.0)
@@ -196,9 +197,9 @@ class TestRepeatedSeedCoverage:
 
 class TestPooledSlotSums:
     """Poisson and two-point slot sums drawn as one tabled count, twisted or
-    not, gamma ones as one gamma draw and deterministic ones formed without a
-    draw, each run's hit decided from the k-th epoch, against the exact
-    tails."""
+    not, and deterministic ones formed without a draw, each run's hit
+    decided from the k-th epoch, and gamma ones as the tabled negative
+    binomial overflow count, against the exact tails."""
 
     def test_two_point_reference(self):
         assert pooled_twopoint_tail(0.75, 1.0, 5.0, 10, 100.0, 300) == pytest.approx(
@@ -334,6 +335,24 @@ def _past_one_chunk(N):
 _BLOCK_SIZES = [sampling._BLOCK_SCALARS, 999, sampling._RUN_SCALARS_CAP]
 
 
+def _raw_words_read(monkeypatch, estimate, runs):
+    """Whether ``estimate(runs)`` advances its stream, seed 11, by exactly
+    ``runs`` raw words: the next word after it is the twin stream's after
+    ``runs`` words."""
+    streams = []
+
+    def recorded(seed):
+        streams.append(stream(seed))
+        return streams[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "stream", recorded)
+        estimate(runs)
+    twin = stream(11)
+    twin.bit_generator.random_raw(runs)
+    return streams[0].bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+
 class TestSlotBlocks:
     """The estimator driver draws, scores and sums its runs block by block.
     Gamma slot rates are drawn and reduced row by row, so their sums are bit
@@ -412,18 +431,9 @@ class TestSlotBlocks:
     # a two-point run reads one raw word of the stream, in every block: n runs
     # advance the stream by exactly n words
     def test_twopoint_runs_read_one_raw_word_each(self, monkeypatch):
-        streams = []
-
-        def recorded(seed):
-            streams.append(stream(seed))
-            return streams[-1]
-
-        monkeypatch.setattr(sampling, "stream", recorded)
         runs = 3 * sampling._BLOCK_SCALARS + 17  # ending in a partial block
-        mc_Q(TwoPoint(0.75, 1.0, 5.0), ExpService(0.5), 100, 1.2991, runs, 11)
-        twin = stream(11)
-        twin.bit_generator.random_raw(runs)
-        assert streams[0].bit_generator.random_raw() == twin.bit_generator.random_raw()
+        assert _raw_words_read(
+            monkeypatch, lambda n: mc_Q(TP, ExpService(0.5), 100, 1.2991, n, 11), runs)
 
     # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
     # draw marked counts, two-point rates one word per run through the
@@ -535,3 +545,90 @@ class TestTabledCounts:
         assert np.array_equal(sampling._binomial_law(5, 1.0), [0, 0, 0, 0, 0, 1])
         assert mc_P(TwoPoint(1e-17, 1.0, 5.0), 1.0, 5.0, 5.0, 1000, PART).estimate > 0.5
 
+
+
+class TestNegbinCounts:
+    """With gamma slot rates the overflow count is negative binomial, and
+    mc_P and is_slow draw it as one raw word per run through an alias table
+    of its law (sampling._negbin_law), up to the table bound of 2^12
+    entries; past it they draw the pooled rate and the k-th epoch."""
+
+    # the oracle's lgamma rounding grows with the count, to 2.5e-12 relative
+    # at counts past 1000 where the law itself stays within 3e-14 of 40-digit
+    # values, so the grid keeps its counts below 700
+    @pytest.mark.parametrize("shape,q", [(0.3, 0.6), (1.0, 0.9), (5.0, 5.0 / 5.5),
+                                         (10**1.2, 0.2015), (30.0, 0.5)])
+    def test_law_against_lgamma(self, shape, q):
+        law = sampling._negbin_law(shape, q)
+        law = law / math.fsum(law)
+        exact = np.array([math.exp(negbin_log_pmf(shape, q, v)) for v in range(law.size)])
+        shown = exact >= 1e-300
+        assert np.all(np.abs(law[shown] / exact[shown] - 1.0) <= 1e-12)
+        # the cut drops less than 2^-60 of the mass
+        assert math.fsum(math.exp(negbin_log_pmf(shape, q, v))
+                         for v in range(law.size, law.size + 20_000)) < 2.0**-60
+        v = np.arange(law.size)
+        mean = math.fsum(v * law)
+        assert mean == pytest.approx(shape * q / (1.0 - q), rel=1e-12)
+        assert math.fsum((v - mean) ** 2 * law) == pytest.approx(shape * q / (1.0 - q) ** 2,
+                                                                 rel=1e-12)
+
+    # crude runs at exp:1, alpha = 0.5 read one raw word each, in every
+    # block, where the count of shape and scale sqrt(N) is tabled (mean N);
+    # at N = 10^4 its table would pass 2^12 entries, and the runs draw the
+    # pooled rate and the epoch
+    @pytest.mark.parametrize("N,tabled", [(49.0, True), (10.0**4, False)])
+    def test_crude_runs_read_one_raw_word_each(self, monkeypatch, N, tabled):
+        c = math.sqrt(N)
+        assert (sampling._negbin_law(c, c / (1.0 + c)) is not None) == tabled
+        runs = 3 * sampling._BLOCK_SCALARS + 17  # ending in a partial block
+        assert _raw_words_read(
+            monkeypatch, lambda n: mc_P(Exponential(1.0), 0.5, 1.1, N, n, 11), runs) == tabled
+
+    # is_slow at exp:2.5, alpha = 0.5, a = 2 twists the rate to 0.5: the
+    # count has shape and scale sqrt(N) and mean 2 N, tabled at N = 49 and
+    # past the bound at N = 900, the last point of Criterion 5's grid
+    @pytest.mark.parametrize("N,tabled", [(49.0, True), (900.0, False)])
+    def test_table_bound(self, N, tabled):
+        c = math.sqrt(N)
+        law = sampling._negbin_law(c, c / (0.5 + c))
+        assert (law is not None) == tabled
+        assert law is None or law.size <= 2**sampling._TABLE_BITS_MAX
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_warning_at_a_certain_weight_or_an_infinite_mean(self):
+        assert sampling._negbin_law(5.0, 1.0 - 1e-17) is None  # q rounds to 1
+        assert sampling._negbin_law(1.0, 1.0 - 2.0**-52) is None  # mean 4.5e15
+        assert sampling._negbin_law(1e308, 0.9) is None  # the mean overflows
+        assert sampling._negbin_law(1e-320, 0.5)[1:].sum() == 0.0  # a count of 0, surely
+        # N^alpha = 1e-24 slots: c = 1e21 rounds q to 1, and the runs draw
+        # the pooled rate and the epoch
+        assert mc_P(Exponential(1.0), 8.0, 1.0, 1e-3, 1000, PART).estimate < 0.01
+        with pytest.warns(RegimeWarning):
+            r = is_slow(Exponential(1.0), 8.0, 2.0, 1e-3, 1000, PART)
+        assert math.isfinite(r.estimate)
+
+    # pooled over 20 seeds of 1e5 runs, against the exact tail: crude runs
+    # by the exact binomial SE, twisted runs by their pooled sample SE.  The
+    # grid holds fig2's crude cells, Criterion 5's slow grid, the gamma:2,1
+    # pin and cells past the table bound; is_slow at alpha = 2, a fast
+    # regime, has weights too heavy-tailed for 1e5 runs and is left out
+    @pytest.mark.filterwarnings("ignore::mixpois.errors.RegimeWarning")
+    @pytest.mark.parametrize("estimator,dist,alpha,a,N", [
+        *[(mc_P, Exponential(1.0), 2.0, 2.0, N) for N in (2.0, 16.0, 64.0)],
+        *[(estimator, EXP25, 0.5, 2.0, N) for estimator in (mc_P, is_slow)
+          for N in (8.0, 25.0, 49.0)],
+        (mc_P, GammaRate(2.0, 1.0), 0.3, 4.0, 30.0),
+        (is_slow, GammaRate(2.0, 1.0), 0.3, 4.0, 30.0),
+        (mc_P, Exponential(1.0), 0.5, 1.1, 10.0**4),
+        (is_slow, EXP25, 0.5, 2.0, 900.0),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_within_four_se_pooled_over_twenty_seeds(self, estimator, dist, alpha, a, N):
+        exact = P_exact(GammaCase(dist.beta, dist.lam, alpha, a, N))
+        results = [estimator(dist, alpha, a, N, 10**5, seed) for seed in range(1000, 1020)]
+        estimate = math.fsum(r.estimate for r in results) / len(results)
+        if estimator is mc_P:
+            se = math.sqrt(exact * (1.0 - exact) / (10**5 * len(results)))
+        else:
+            se = math.sqrt(math.fsum(r.sample_variance / r.runs for r in results)) / len(results)
+        assert abs(estimate - exact) <= 4.0 * se
