@@ -18,9 +18,10 @@ G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson process, since
 P(Pois(L) >= k) = P(G <= L).  With gamma slot rates the overflow count
 itself, negative binomial, is one raw word through the table of its law
 (_negbin_law), and only the hit runs of is_slow draw their pooled rate,
-from its law given the count.  numpy's Poisson, binomial and gamma samplers
-remain for is_fast's proposal and for counts whose table would pass
-2^_TABLE_BITS_MAX entries.
+from its law given the count.  is_fast's Pois(N a) proposal is one raw word
+through its table too, and only its hit runs draw their pooled rate.
+numpy's Poisson and binomial samplers remain for counts whose table would
+pass 2^_TABLE_BITS_MAX entries.
 """
 
 from __future__ import annotations
@@ -491,10 +492,15 @@ def is_fast(
     The Poisson count is proposed with mean N*a and reweighted by the pmf
     ratio against the actually drawn pooled rate; ``quantity`` selects the
     point mass ("point") or the tail ("tail").  Each block of runs draws its
-    pooled rates, then its proposals by numpy's Poisson sampler: through an
-    alias table, one raw word per run, its time slowed more than numpy's
-    Poisson draws on a loaded machine, and its benchmark timings spread up
-    to three times as wide.
+    proposals first, one raw word per run through the alias table of
+    Pois(N*a) (_poisson_count), then the pooled rates of its hit runs only,
+    together: the pooled rate is independent of the proposal, so each run
+    keeps the paper's joint law, but these results depend on the block
+    size, as is_slow's do.  The table drops the counts past its 2^-60 upper
+    tail, which biases the estimate by the relative amount
+    P(count >= cut) / P(count >= N*a) of the counts at or past the cut: at
+    most 2.3e-12 on the fig 2 grid, at N = 2, and held below 1e-9 there and
+    on the pinned cells by the tests.
     """
     if quantity not in ("point", "tail"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -510,18 +516,25 @@ def is_fast(
 
     draw, slot_count = _slot_sampler(dist, alpha, N)
     count = exact_count(N * a) if quantity == "point" else ceil_count(N * a)
-    proposal_mean = _count_mean(N * a)  # checked before any draw
 
-    def block(rng: np.random.Generator, n: int) -> np.ndarray:
-        xbar = draw(rng, n) / slot_count
-        z = rng.poisson(proposal_mean, size=n)
-        # at an empty pooled rate the ratio is e^(N a) at z = 0 and 0 above
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = np.where(z > 0, z * np.log(xbar / a), 0.0) + N * (a - xbar)
-        hit = (z >= count) if quantity == "tail" else (z == count)
-        return np.exp(logw) * hit
+    def sampler():  # the proposal's table is built after the budget check
+        proposal = _poisson_count(N * a)
 
-    return _run_blocks(seed, runs, 2, lambda: (2, block))
+        def block(rng: np.random.Generator, n: int) -> np.ndarray:
+            z = proposal(rng, n)
+            hit = (z >= count) if quantity == "tail" else (z == count)
+            z = z[hit]
+            xbar = draw(rng, z.size) / slot_count
+            # at an empty pooled rate the ratio is e^(N a) at z = 0 and 0 above
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logw = np.where(z > 0, z * np.log(xbar / a), 0.0) + N * (a - xbar)
+            weight = np.zeros(n)
+            weight[hit] = np.exp(logw)
+            return weight
+
+        return 2, block
+
+    return _run_blocks(seed, runs, 2, sampler)
 
 
 def is_slow(dist: RateDistribution, alpha: float, a: float, N: float, runs: int,

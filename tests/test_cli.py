@@ -11,15 +11,17 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SUBPROCESS_ENV
-from mixpois import cli, queue
+from mixpois import cli, queue, sampling
 from mixpois.cli import build_parser, main
-from mixpois.gamma_exact import GammaCase, P_exact, log_P_exact
-from mixpois.rates import DeterministicRate, PoissonRate, parse_rate, rate_function
+from mixpois.gamma_exact import GammaCase, P_exact, log_P_exact, p_exact
+from mixpois.rates import DeterministicRate, GammaRate, PoissonRate, parse_rate, rate_function
+from reference import poisson_log_pmf, pooled_poisson_tail
 
 
 def run_cli(args, capsys):
@@ -961,6 +963,58 @@ def test_gamma_pin_matches_exact(pinned):
         twisted = GammaCase(dist.beta, dist.lam + theta, args.alpha, args.a, args.N)
         second_moment = math.exp(case.shape * math.log(
             dist.lam**2 / ((dist.lam - theta) * (dist.lam + theta))) + log_P_exact(twisted))
+    estimate = float(parse_csv(pinned["stdout"])[0]["estimate"])
+    assert abs(estimate - exact) <= 4.0 * math.sqrt((second_moment - exact**2) / args.runs)
+
+
+# the is-fast pins lie within 4 exact SE of their exact values.  A run that
+# proposes z from Pois(N a) and draws the pooled rate X weighs
+# (X / a)^z e^(N (a - X)), so the second moment of the weight sums
+# Pois(N a)(z) E[(X / a)^(2z) e^(2 N (a - X))] over the hit counts z: a
+# gamma moment for gamma slot rates, X ~ Gamma(s, rate lam N^alpha), and a
+# sum over the pooled count for Poisson ones.  Over every z >= k that sum
+# diverges, but the proposal's table holds only the counts below its cut
+# (sampling._poisson_laws), and the tail rows sum to there
+IS_FAST_PINS = [pinned for pinned in STDOUT_PIN
+                if pinned["argv"].startswith("simulate --method is-fast")]
+
+
+def _is_fast_pin_exact(args) -> tuple[float, float]:
+    """(exact value, second moment of the weight) of an is-fast pin."""
+    dist = parse_rate(args.dist)
+    N, a, k = args.N, args.a, round(args.N * args.a)
+    if args.quantity == "p":
+        hits = [k]
+    else:
+        hits = range(k, sampling._poisson_laws(np.array([N * a]))[0].size)
+    if isinstance(dist, GammaRate):
+        case = GammaCase(dist.beta, dist.lam, args.alpha, a, N)
+        exact = p_exact(case) if args.quantity == "p" else P_exact(case)
+        rate = dist.lam * N**args.alpha
+
+        def log_moment(z):  # log E[X^(2z) e^(-2 N X)]
+            return (case.shape * math.log(rate) + math.lgamma(case.shape + 2 * z)
+                    - math.lgamma(case.shape) - (case.shape + 2 * z) * math.log(rate + 2 * N))
+
+        moments = [math.exp(log_moment(z) - 2 * z * math.log(a)) for z in hits]
+    else:
+        slots = round(N**args.alpha)
+        tail = lambda count: pooled_poisson_tail(dist.lam, slots, N, count)
+        exact = tail(k) - tail(k + 1) if args.quantity == "p" else tail(k)
+        mean = slots * dist.lam
+        js = range(1, math.ceil(mean + 40.0 * math.sqrt(mean) + 40.0))
+        moments = [math.fsum(math.exp(poisson_log_pmf(mean, j) - 2 * N * j / slots
+                                      + 2 * z * math.log(j / (slots * a))) for j in js)
+                   for z in hits]
+    second_moment = math.exp(2 * N * a) * math.fsum(
+        math.exp(poisson_log_pmf(N * a, z)) * moment for z, moment in zip(hits, moments))
+    return exact, second_moment
+
+
+@pytest.mark.parametrize("pinned", IS_FAST_PINS, ids=[p["argv"] for p in IS_FAST_PINS])
+def test_is_fast_pin_matches_exact(pinned):
+    args = build_parser().parse_args(pinned["argv"].split())
+    exact, second_moment = _is_fast_pin_exact(args)
     estimate = float(parse_csv(pinned["stdout"])[0]["estimate"])
     assert abs(estimate - exact) <= 4.0 * math.sqrt((second_moment - exact**2) / args.runs)
 

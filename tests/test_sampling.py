@@ -114,6 +114,29 @@ class TestFastEstimator:
         r = is_fast(EXP25, 1.2, 1.0, 10.0, 10**6, PART, quantity="tail")
         assert joint_dev(r, exact) < 4.0
 
+    # the proposal's table drops the counts at or past its cut, which moves
+    # the tail by the relative amount P(count >= cut) / P(count >= k): on the
+    # fig 2 grid, whose N = 8 cell is the benchmark's determinism probe, and
+    # on the pinned cell
+    @pytest.mark.parametrize("dist,alpha,a,N", [
+        *[(Exponential(1.0), 2.0, 2.0, float(N)) for N in (2, 4, 8, 16, 32, 64)],
+        (EXP25, 1.2, 1.0, 10.0),
+    ], ids=[*[f"fig2-N{N}" for N in (2, 4, 8, 16, 32, 64)], "exp2.5-pin"])
+    def test_proposal_table_cut_bias(self, dist, alpha, a, N):
+        cut = sampling._poisson_laws(np.array([N * a]))[0].size
+        tail = lambda level: P_exact(GammaCase(dist.beta, dist.lam, alpha, level, N))
+        assert tail(cut / N) / tail(a) <= 1e-9
+
+    def test_untabled_proposal_matches_exact(self):
+        # a proposal mean of 3675 passes the table bound, so numpy's Poisson
+        # sampler draws it; the pooled rate of 3500^2 unit slots is 1
+        assert sampling._poisson_laws(np.array([3675.0]))[0] is None
+        results = [is_fast(DeterministicRate(1.0), 2.0, 1.05, 3500.0, 10**4, seed)
+                   for seed in range(1000, 1020)]
+        estimate = math.fsum(r.estimate for r in results) / len(results)
+        se = math.sqrt(math.fsum(r.sample_variance / r.runs for r in results)) / len(results)
+        assert abs(estimate - poisson_tail(3500.0, 3675)) <= 4.0 * se
+
     def test_validation(self):
         with pytest.raises(DomainError):
             is_fast(EXP25, 2.0, 0.2, 10.0, 100, PART)  # below the mean
