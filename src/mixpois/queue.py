@@ -3,7 +3,7 @@ sharp approximations of the occupancy tail, and crude simulation.
 
 The simulation draws through the draw layer of ``sampling``: the estimator
 driver, which draws, scores and sums cache-sized blocks of runs
-(_run_blocks), and alias tables of discrete laws (_alias_sampler).
+(_run_blocks), and alias tables of discrete laws (_tabled).
 
 Time is normalized so the observation epoch is 1 and arrivals in slot i of N
 get thinned by the retention probability omega_i(N), the chance that such an
@@ -24,11 +24,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
-from .rates import (DeterministicRate, PoissonRate, RateDistribution, TwoPoint, parse_spec,
-                    spec_label)
-from .sampling import (_BLOCK_SCALARS, _TABLE_BITS_MAX, _TABLE_TAIL, EstimatorResult,
-                       _alias_sampler, _count_mean, _poisson_laws, _poisson_ratios, _poisson_span,
-                       _run_blocks, _tabled)
+from .rates import GammaRate, PoissonRate, RateDistribution, TwoPoint, parse_spec, spec_label
+from .sampling import (_BLOCK_SCALARS, _TABLE_TAIL, EstimatorResult, _count_mean, _negbin_law,
+                       _poisson_laws, _poisson_ratios, _poisson_span, _run_blocks, _tabled)
 
 __all__ = [
     "ServiceTime",
@@ -59,6 +57,9 @@ _REL_TOL = 1e-10
 _THETA_MAX = 350.0
 # level evaluations a tilt gets from a guess before the bracketed search takes over
 _NEWTON_EVALS = 4
+# mc_Q draws from the table of the occupancy law up to 2^_OCCUPANCY_BITS
+# values: at that size one alias table's two int64 arrays take 1 MiB
+_OCCUPANCY_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -496,75 +497,6 @@ def _cut(laws: np.ndarray) -> np.ndarray:
     return laws[:, :np.max(np.count_nonzero(tail >= _TABLE_TAIL * tail[:, :1], axis=1))]
 
 
-def _sum_tables(count_means: np.ndarray) -> tuple[list[tuple[np.ndarray, int]], list[int]]:
-    """The laws of the marked counts y C_y, y = 1..Y, for independent
-    C_y ~ Pois(count_means[y - 1]), merged into as few tables as fit: a list
-    of (law, mark), each a law of values that add mark occupants apiece, and
-    the marks y whose counts are past the table bound (_poisson_laws).
-
-    From the highest mark down, each count's law, stretched by its mark, is
-    convolved into the table before it while the sum keeps within
-    2^_TABLE_BITS_MAX entries, tested before convolving, and otherwise starts
-    a table of its own at its own mark.  Each sum is cut where its upper
-    tail falls below _TABLE_TAIL.  The convolution is direct: an FFT's
-    rounding, about 1e-16 of the peak, would swamp the entries of the tail.
-    """
-    tables, untabled = [], []
-    for y, law in reversed(list(enumerate(_poisson_laws(count_means), start=1))):
-        if law is None:
-            untabled.append(y)
-        elif tables and (tables[-1][1] * (tables[-1][0].size - 1) + y * (law.size - 1)
-                         < 2**_TABLE_BITS_MAX):
-            tables[-1] = _cut(np.convolve(_stretched(*tables[-1]), _stretched(law, y))[None])[0], 1
-        else:
-            tables.append((law, y))
-    return tables, untabled
-
-
-def _marked_occupancy(lam: float, omegas: np.ndarray):
-    """Sampler (width, block) for Poisson slot rates: ``block(rng, n) -> n
-    occupancies``, of ``width`` draws per run.
-
-    The occupancy is sum_y y C_y over the independent Poisson counts C_y of
-    the units that add y occupants (_mark_means).  The marked counts y C_y,
-    y = 1..y0, are drawn as their sum, one raw word per run read through an
-    alias table of its law, the convolution of their stretched Poisson laws
-    (_sum_tables, sampling._alias_sampler); y0 is the smallest mark beyond
-    which fewer than one unit is expected per run.  Where one table would
-    pass 2^12 entries the sum takes more, and a count whose own table would
-    pass it is drawn by numpy's Poisson sampler.  The units marked above y0,
-    of mean beta below 1 per run, are drawn per block of n runs: a Poisson
-    total of mean n beta, each unit placed in a uniform run with a mark from
-    the rest of the table, so by Poisson splitting each run holds an
-    independent compound Pois(beta) remainder.
-    """
-    means = _mark_means(lam, omegas)
-    beyond = np.append(np.cumsum(means[:0:-1])[::-1], 0.0)  # [y]: mean units marked above y
-    y0 = 1 + int(np.argmax(beyond[1:] < 1.0))
-    tables, untabled = _sum_tables(_count_mean(means[1:y0 + 1]))
-    rows = np.arange(len(tables))[:, None]
-    scales = np.array([mark for _, mark in tables], dtype=np.int64)[:, None]
-    plain = scales.tolist() == [[1]]  # one table of unit mark: no row offset, product or sum
-    big_means, big_marks = means[untabled], np.array(untabled, dtype=np.int64)
-    beta, mark_law = beyond[y0], means[y0 + 1:]
-    draw = _alias_sampler([law for law, _ in tables] + [mark_law if mark_law.any() else np.ones(1)])
-
-    def block(rng: np.random.Generator, n: int) -> np.ndarray:
-        if plain:
-            occupancy = draw(rng.bit_generator.random_raw(n), None)
-        else:
-            counts = draw(rng.bit_generator.random_raw((rows.size, n)), rows)
-            occupancy = np.add.reduce(counts * scales, axis=0)
-        if big_means.size:
-            occupancy = occupancy + rng.poisson(big_means, size=(n, big_means.size)) @ big_marks
-        if units := int(rng.poisson(n * beta)):
-            tail = draw(rng.bit_generator.random_raw(units), rows.size) + (y0 + 1)
-            occupancy = occupancy + np.bincount(rng.integers(n, size=units), tail, n)
-        return occupancy
-
-    return rows.size + big_means.size + 1, block
-
-
 def _pair_sums(laws: np.ndarray) -> np.ndarray:
     """The convolutions of the rows 2j and 2j + 1 of ``laws``, pmfs of width
     w, as rows of width 2w - 1, after a row of a point mass at 0 is added to
@@ -580,154 +512,134 @@ def _pair_sums(laws: np.ndarray) -> np.ndarray:
     return np.einsum("ivu,iu->iv", windows, np.ascontiguousarray(laws[0::2, ::-1]))
 
 
-def _twopoint_occupancy(dist: TwoPoint, omegas: np.ndarray) -> np.ndarray | None:
-    """The pmf of the occupancy sum_i Pois(omega_i X_i) for two-point slot
-    rates X_i, unnormalised, on the values 0, 1, ...: the convolution of the
-    slot laws p Pois(lam1 omega_i) + (1 - p) Pois(lam2 omega_i) over the
-    slots with omega_i > 0.  None where a Poisson count of mean
-    lam2 sum_i omega_i, which dominates the occupancy stochastically, is past
-    the table bound (sampling._poisson_laws); where it is not, the
-    occupancy's table ends within the bound too.
+def _convolved(params: np.ndarray, width, slot_laws) -> np.ndarray:
+    """The convolution of the slot laws, on the values 0, 1, ..., of the
+    slots of parameters ``params``, widest first: ``slot_laws(batch)`` gives
+    the pmfs of a batch of slots as the rows of a matrix, ``width(param)``
+    values a slot at the batch's first parameter.
 
-    The slots are taken widest first, in batches whose matrix of Poisson
-    pmfs (sampling._poisson_ratios), as wide as the span of the batch's
-    first slot at lam2 (sampling._poisson_span), holds at most
-    sampling._BLOCK_SCALARS values, or one slot: so no matrix grows with N,
-    and a few wide slots do not widen the many narrow ones.  A batch's slot
-    laws are convolved pairwise, level by level (_pair_sums), and the batch
-    sums in turn; every sum is cut where its upper tail falls below
-    _TABLE_TAIL (_cut), so each value keeps its share within far less than
-    the 2^-50 of the alias table.
+    Each batch holds at most sampling._BLOCK_SCALARS values, or one slot: so
+    no matrix grows with N, and a few wide slots do not widen the many
+    narrow ones.  A batch's slot laws are convolved pairwise, level by level
+    (_pair_sums), and the batch sums in turn; every sum is cut where its
+    upper tail falls below _TABLE_TAIL (_cut), so each value keeps its share
+    within far less than the 2^-50 of the alias table.
     """
-    omegas = np.sort(omegas[omegas > 0.0])[::-1]
-    # a Poisson count of mean 2^12 or more, infinite included, is past the bound
-    dominant = dist.lam2 * math.fsum(omegas)
-    if not dominant < 2**_TABLE_BITS_MAX or _poisson_laws(np.array([dominant]))[0] is None:
-        return None
-    spans = _poisson_span(dist.lam2 * omegas)
     occupancy, start = np.ones(1), 0
-    while start < omegas.size:
-        slots = omegas[start:start + max(1, int(_BLOCK_SCALARS // (2 * spans[start])))]
-        start += slots.size
-        ratio = _poisson_ratios(np.concatenate([dist.lam1 * slots, dist.lam2 * slots]))
-        pmfs = ratio / np.add.reduce(ratio, axis=1)[:, None]
-        laws = _cut(dist.p * pmfs[:slots.size] + (1.0 - dist.p) * pmfs[slots.size:])
+    while start < params.size:
+        batch = params[start:start + max(1, int(_BLOCK_SCALARS // width(params[start])))]
+        start += batch.size
+        laws = _cut(slot_laws(batch))
         while laws.shape[0] > 1:
             laws = _cut(_pair_sums(laws))
         occupancy = _cut(np.convolve(occupancy, laws[0])[None])[0]
     return occupancy
 
 
-_ALL_LANES = np.uint64(2**64 - 1)
+def _twopoint_occupancy(dist: TwoPoint, omegas: np.ndarray) -> np.ndarray:
+    """The occupancy pmf for two-point slot rates X_i over the retentions
+    ``omegas``, positive and largest first: the convolution (_convolved) of
+    the slot laws p Pois(lam1 omega_i) + (1 - p) Pois(lam2 omega_i), each
+    batch's Poisson pmfs a matrix as wide as the span of its first slot at
+    lam2 (sampling._poisson_ratios, sampling._poisson_span)."""
+
+    def slot_laws(slots: np.ndarray) -> np.ndarray:
+        ratio = _poisson_ratios(np.concatenate([dist.lam1 * slots, dist.lam2 * slots]))
+        pmfs = ratio / np.add.reduce(ratio, axis=1)[:, None]
+        return dist.p * pmfs[:slots.size] + (1.0 - dist.p) * pmfs[slots.size:]
+
+    return _convolved(omegas, lambda omega: 2 * _poisson_span(dist.lam2 * omega), slot_laws)
 
 
-def _bernoulli_words(q: float):
-    """Sampler ``draw(rng, n) -> n uint64 words`` whose 64 bit lanes are
-    i.i.d. Bernoulli(q), for 0 < q <= 1.
+def _gamma_occupancy(dist: GammaRate, q: np.ndarray) -> np.ndarray:
+    """The occupancy pmf for gamma slot rates: the convolution (_convolved)
+    of the slot counts, each negative binomial of shape beta and weight
+    q_i = omega_i / (lam + omega_i) (sampling._negbin_law), for the weights
+    ``q``, positive and largest first, whose laws are all tabled."""
 
-    A lane is the indicator of U < q for a uniform U, decided at the first
-    bit of U that differs from the binary expansion b_1 ... b_L of q, exact
-    from ``q.as_integer_ratio()``; a lane that matches all L bits has U >= q
-    (Devroye, Non-Uniform Random Variate Generation, 1986, ch. XV), so a lane
-    is set with probability exactly q.  Each bit position takes one raw word
-    of the stream per lane word that still holds undecided lanes, shared by
-    its 64 lanes, in word order.  The loop ends once no lane is undecided: at
-    q = 1/4, L = 2 and it draws both words for every lane word (all 64 lanes
-    of a word are decided by the first bit with probability 2^-64), while at
-    a q with a long expansion its length, about 2 + log2 of the lane count,
-    depends on n, and it draws about 7.3 words per lane word.
+    def slot_laws(batch: np.ndarray) -> np.ndarray:
+        laws = [_negbin_law(dist.beta, q_i) for q_i in batch]
+        rows = np.zeros((batch.size, max(law.size for law in laws)))
+        for row, law in zip(rows, laws):
+            row[:law.size] = law / np.add.reduce(law)
+        return rows
+
+    return _convolved(q, lambda q_i: _negbin_law(dist.beta, q_i).size, slot_laws)
+
+
+def _occupancy_law(dist: RateDistribution, omegas: np.ndarray) -> np.ndarray | None:
+    """The pmf of the occupancy sum_i Pois(omega_i X_i) over the slot rates
+    X_i, unnormalised and cut where its upper tail falls below _TABLE_TAIL,
+    on the values 0, 1, ...; or None where no table is built.
+
+    The table is declined before any convolution where the occupancy's mean
+    m = E[X] sum omega_i and variance s^2 = m + Var(X) sum omega_i^2 put
+    m + 12 s + 32 past 2^_OCCUPANCY_BITS values, or where a slot's own law
+    has no table (sampling._poisson_laws, sampling._negbin_law), and after
+    it where the cut law is wider than that.
+      - Poisson rates: the occupancy is sum_y y C_y over the independent
+        Poisson counts C_y of the units that add y occupants (_mark_means),
+        the convolution of their laws, each stretched by its mark.
+      - Two-point rates: the convolution of the slot laws
+        (_twopoint_occupancy).
+      - Gamma rates: the convolution of the negative binomial slot counts
+        (_gamma_occupancy).
+      - Deterministic rates: one Poisson law of mean lam sum omega_i.
+    Every convolution is direct: an FFT's rounding, about 1e-16 of the peak,
+    would swamp the entries of the tail (Jongbloed and Koole, Appl. Stoch.
+    Models Bus. Ind. 17 (2001) 307-318, build the same laws slot by slot).
     """
-    numerator, denominator = q.as_integer_ratio()
-    length = denominator.bit_length() - 1  # q = numerator / 2^L
-    bits = [numerator >> (length - j) & 1 for j in range(1, length + 1)]
+    total = math.fsum(omegas)
+    mean = dist.mean * total
+    variance = mean + dist.variance * math.fsum(omegas * omegas)
+    if not mean + 12.0 * math.sqrt(variance) + 32.0 <= 2**_OCCUPANCY_BITS:
+        return None
+    positive = np.sort(omegas[omegas > 0.0])[::-1]  # the slots that add occupants, widest first
+    if isinstance(dist, PoissonRate):
+        laws = _poisson_laws(_mark_means(dist.lam, omegas)[1:])
+        if any(law is None for law in laws):
+            return None
+        law = np.ones(1)
+        for y, count in enumerate(laws, start=1):
+            law = _cut(np.convolve(law, _stretched(count, y))[None])[0]
+    elif isinstance(dist, TwoPoint):
+        if positive.size and _poisson_laws(np.array([dist.lam2 * positive[0]]))[0] is None:
+            return None
+        law = _twopoint_occupancy(dist, positive)
+    elif isinstance(dist, GammaRate):
+        q = positive / (dist.lam + positive)
+        q = q[q > 0.0]
+        if q.size and _negbin_law(dist.beta, q[0]) is None:
+            return None
+        law = _gamma_occupancy(dist, q)
+    else:  # deterministic rates
+        law = _poisson_laws(np.array([dist.lam * total]))[0]
+    return law if law is not None and law.size <= 2**_OCCUPANCY_BITS else None
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        if q == 1.0:
-            return np.full(n, _ALL_LANES)
-        lanes = np.zeros(n, dtype=np.uint64)
-        # the words that hold undecided lanes, as a slice while that is all of them
-        words, undecided = slice(None), np.full(n, _ALL_LANES)
-        for bit in bits:
-            r = rng.bit_generator.random_raw(undecided.size)
-            if bit:  # U < q where U has a 0 here
-                lanes[words] |= undecided & ~r
-                undecided &= r
-            else:  # U > q where U has a 1 here
-                undecided &= ~r
-            if not undecided.all():
-                kept = np.flatnonzero(undecided)
-                words = kept if isinstance(words, slice) else words[kept]
-                undecided = undecided[kept]
-                if not kept.size:
-                    break
-        return lanes
 
-    return draw
-
-
-def _rate_sum(dist: RateDistribution, omegas: np.ndarray):
-    """Sampler (width, block) for rates other than Poisson: ``block(rng, n)
-    -> n rate sums`` Lambda = sum_i omega_i X_i over the N slot rates X_i,
-    of ``width`` draws per run.
-
-    Deterministic rates give the constant lam sum_i omega_i, with no draw.
-    Two-point rates, which mc_Q draws this way only where their occupancy
-    has no table (_twopoint_occupancy), give lam1 sum_i omega_i
-    + (lam2 - lam1) sum_{i in B} omega_i over the set B of slots at lam2,
-    drawn as the lanes of ceil(N/64) Bernoulli(1 - p) words per run
-    (_bernoulli_words) and summed by one table of partial sums per byte of
-    lanes, 256 doubles per 8 slots (26 KB at N = 100, 256 MB at N = 10^6).
-    The lanes of a block of runs are drawn bit position by bit position, so
-    the sums depend on the block size sampling._BLOCK_SCALARS.  Gamma rates
-    draw the N slot rates of each run, so the sums do not depend on it.
-    """
-    N = omegas.size
-    if isinstance(dist, DeterministicRate):
-        total = np.add.reduce(dist.lam * omegas)
-        return 0, lambda rng, n: np.full(n, total)
-    if not isinstance(dist, TwoPoint):  # gamma rates
-        def gamma_block(rng: np.random.Generator, n: int) -> np.ndarray:
-            return (rng.gamma(dist.beta, 1.0 / dist.lam, size=(n, N)) * omegas).sum(axis=1)
-
-        return N, gamma_block
-    words, byte_count = -(-N // 64), -(-N // 8)
-    padded = np.zeros(8 * byte_count)
-    padded[:N] = omegas
-    # [b, v]: the retention of the slots 8b + t summed over the set bits t of
-    # v, built by doubling: the columns v in [2^t, 2^(t+1)) add slot 8b + t
-    table = np.zeros((byte_count, 256))
-    for t in range(8):
-        np.add(table[:, :2**t], padded[t::8, None], out=table[:, 2**t:2**(t + 1)])
-    table = table.ravel()
-    byte = np.arange(byte_count)
-    word_of, shift, offset = byte // 8, (8 * (byte % 8)).astype(np.uint64), 256 * byte
-    low, spread = dist.lam1 * np.add.reduce(omegas), dist.lam2 - dist.lam1
-    lanes = _bernoulli_words(1.0 - dist.p)
-
-    def block(rng: np.random.Generator, n: int) -> np.ndarray:
-        bytes_ = (lanes(rng, n * words).reshape(n, words)[:, word_of] >> shift) & np.uint64(255)
-        return low + spread * np.add.reduce(table[bytes_.astype(np.intp) + offset], axis=1)
-
-    return byte_count, block
+def _slot_rates(dist: RateDistribution):
+    """Sampler ``draw(rng, shape) -> slot rates`` of ``dist`` for rates other
+    than Poisson: two-point rates lam1 where a uniform falls below p and lam2
+    elsewhere, gamma rates numpy's gamma draws, deterministic rates lam."""
+    if isinstance(dist, TwoPoint):
+        return lambda rng, shape: np.where(rng.random(shape) < dist.p, dist.lam1, dist.lam2)
+    if isinstance(dist, GammaRate):
+        return lambda rng, shape: rng.gamma(dist.beta, 1.0 / dist.lam, size=shape)
+    return lambda rng, shape: np.full(shape, dist.lam)
 
 
 def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
          seed: int) -> EstimatorResult:
     """Crude Monte Carlo for the occupancy tail at level N*a.
 
-    A run hits when its occupancy reaches k = ceil(N a).  Poisson slot rates
-    draw the occupancy itself, the marked counts of the units by the
-    occupants they add: the sum of the counts of marks 1..y0 as one raw word
-    per run read through an alias table of its law, and the fewer than one
-    unit per run marked above y0 per block of runs (_marked_occupancy).
-    Two-point slot rates draw the occupancy itself too, one raw word per run
-    read through an alias table of its law, the convolution of the slot laws
-    built once per call (_twopoint_occupancy), wherever a Poisson count of
-    mean lam2 sum_i omega_i would be tabled; so their results do not depend
-    on the block size.  The runs are i.i.d. draws of the occupancy, and the
-    estimate is the fraction that hit.  Other rates, and two-point rates past
-    that bound, draw the rate sum Lambda = sum_i omega_i X_i over the N slot
-    rates X_i (_rate_sum), and the hit of the Pois(Lambda) occupancy as
+    A run hits when its occupancy reaches k = ceil(N a).  Each run draws its
+    occupancy as one raw word read through the alias table of its law, built
+    once per call (_occupancy_law, sampling._tabled), so the results do not
+    depend on the block size.  Where that law has no table, Poisson slot
+    rates draw the occupancy as sum_y y C_y over the counts C_y of the units
+    of mark y (_mark_means) with numpy's Poisson sampler, and other rates
+    draw the N slot rates X_i of a run (_slot_rates), their sum
+    Lambda = sum_i omega_i X_i, and the hit of the Pois(Lambda) occupancy as
     G <= Lambda with G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson
     process, since P(Pois(Lambda) >= k) = P(G <= Lambda); each block of runs
     draws its rate sums, then its epochs.
@@ -738,14 +650,20 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
 
     def sampler():  # built after the budget check
         omegas = omega_vector(N, service)
-        if isinstance(dist, PoissonRate):
-            width, occupancy = _marked_occupancy(dist.lam, omegas)
-            return width, lambda rng, n: occupancy(rng, n) >= k
-        if isinstance(dist, TwoPoint) and (law := _twopoint_occupancy(dist, omegas)) is not None:
+        if (law := _occupancy_law(dist, omegas)) is not None:
             occupancy = _tabled(law)
             return 1, lambda rng, n: occupancy(rng, n) >= k
-        width, rate_sum = _rate_sum(dist, omegas)
-        return width + 1, lambda rng, n: rate_sum(rng, n) >= rng.standard_gamma(k, size=n)
+        if isinstance(dist, PoissonRate):
+            means = _count_mean(_mark_means(dist.lam, omegas)[1:])
+            marks = np.arange(1, means.size + 1)
+            return means.size, lambda rng, n: rng.poisson(means, size=(n, means.size)) @ marks >= k
+        rates = _slot_rates(dist)
+
+        def block(rng: np.random.Generator, n: int) -> np.ndarray:
+            rate_sums = np.add.reduce(rates(rng, (n, N)) * omegas, axis=1)
+            return rate_sums >= rng.standard_gamma(k, size=n)
+
+        return N + 1, block
 
     # N + 1 per run for every law: the per-run cap then bounds N, and with it
     # the retention vector, whatever the rates

@@ -11,11 +11,11 @@ Every estimator, queue.mc_Q included, runs through one driver
 (_run_blocks), which draws, scores and sums its runs block by block: each
 block's weights are folded into their sum and sum of squares, all the mean
 and the CI need, before the next is drawn, so an estimator's memory does not
-grow with its runs.  A pooled Poisson or binomial slot count is one raw word
-read through an alias table (_alias_sampler) built once per call, and a hit
-of a Poisson count of per-run mean L at k is decided as G <= L for
-G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson process, since
-P(Pois(L) >= k) = P(G <= L).  With gamma slot rates the overflow count
+grow with its runs.  A pooled Poisson or binomial slot count, like the
+occupancy of a queue.mc_Q run, is one raw word read through the alias table
+of its law (_tabled) built once per call, and a hit of a Poisson count of
+per-run mean L at k is decided as G <= L for G ~ Gamma(k, 1), the k-th
+epoch of a unit-rate Poisson process, since P(Pois(L) >= k) = P(G <= L).  With gamma slot rates the overflow count
 itself, negative binomial, is one raw word through the table of its law
 (_negbin_law), and only the hit runs of is_slow draw their pooled rate,
 from its law given the count.  is_fast's Pois(N a) proposal is one raw word
@@ -136,12 +136,13 @@ def _count_mean(mean):
 
 
 # Alias tables (Walker, ACM TOMS 3 (1977) 253; Vose, IEEE TSE 17 (1991) 972)
-# hold integer weights summing to 2^_WEIGHT_BITS, in at most 2^_TABLE_BITS_MAX
-# entries; a Poisson table ends where its law's upper tail falls below
-# _TABLE_TAIL.  The weights leave 64 - _WEIGHT_BITS bits of each raw word
-# unused, so that the running sums of up to 63 tables fit side by side in
-# one int64 search (_alias_tables); a sampler builds at most y0 + 1 of them
-# (queue._marked_occupancy).
+# hold integer weights summing to 2^_WEIGHT_BITS, and a Poisson, binomial or
+# negative binomial count is tabled in at most 2^_TABLE_BITS_MAX entries; a
+# table ends where its law's upper tail falls below _TABLE_TAIL.  The top
+# bits of a raw word pick the entry and its low _WEIGHT_BITS - bits bits are
+# compared with the entry's threshold: 40 bits at queue.mc_Q's largest table
+# of 2^16 entries.  Every table's thresholds, and so every seeded estimate,
+# depend on the value of _WEIGHT_BITS.
 _WEIGHT_BITS = 56
 _TABLE_BITS_MAX = 12
 _TABLE_TAIL = 2.0**-60
@@ -195,75 +196,65 @@ def _poisson_laws(means: np.ndarray) -> list[np.ndarray | None]:
     return [row[:np.argmax(end)] if end.any() else None for row, end in zip(ratio, ends)]
 
 
-def _alias_tables(laws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Alias tables of ``laws``, each given by unnormalised probabilities of
-    the values 0, 1, ..., as two int64 arrays of shape (len(laws), 2^bits):
-    the thresholds and the aliases of the entries.
+def _alias_tables(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The alias table of ``law``, given by unnormalised probabilities of the
+    values 0, 1, ..., as two int64 arrays of 2^bits entries: the thresholds
+    and the aliases of the entries.
 
-    Entry v of a table holds weight t_v of value v and 2^(_WEIGHT_BITS - bits)
-    - t_v of its alias.  Each law's integer weights sum to 2^_WEIGHT_BITS:
-    they are rounded cumulatively, so each is within one unit of its share,
-    and the mode takes up the rounding of the law's normalisation, at most
-    2^(_WEIGHT_BITS - 52) units; so each value's probability is within 2^-50
-    of the law's.  The entries are filled by the sweep of Huebschle-Schneider
-    and Sanders (Parallel weighted random sampling, ESA 2019): the entries
-    over capacity, in order, give their excess to the entries under it, in
-    order, each giving its last part with its own entry, so every entry is
-    placed by one search in the running sums of deficit and excess.
+    Entry v holds weight t_v of value v and 2^(_WEIGHT_BITS - bits) - t_v of
+    its alias.  The integer weights sum to 2^_WEIGHT_BITS: they are rounded
+    cumulatively, so each is within one unit of its share, and the mode takes
+    up the rounding of the law's normalisation, at most 2^(_WEIGHT_BITS - 52)
+    units; so each value's probability is within 2^-50 of the law's.  The
+    entries are filled by the sweep of Huebschle-Schneider and Sanders
+    (Parallel weighted random sampling, ESA 2019): the entries over capacity,
+    in order, give their excess to the entries under it, in order, each
+    giving its last part with its own entry, so every entry is placed by one
+    search in the running sums of deficit and excess.
     """
-    bits = max(1, (max(law.size for law in laws) - 1).bit_length())
+    bits = max(1, (law.size - 1).bit_length())
     size, capacity, total = 2**bits, 2**(_WEIGHT_BITS - bits), 2**_WEIGHT_BITS
-    p = np.zeros((len(laws), size))
-    for row, law in zip(p, laws):  # one table each
-        row[:law.size] = law / math.fsum(law.tolist())
+    p = np.zeros(size)
+    p[:law.size] = law / math.fsum(law.tolist())
     x = p * float(total)
     whole = np.floor(x)
-    cumulative = (np.cumsum(whole.astype(np.int64), axis=1)
-                  + np.rint(np.cumsum(x - whole, axis=1)).astype(np.int64))
-    weight = np.diff(cumulative, axis=1, prepend=0)
-    weight[np.arange(len(laws)), np.argmax(weight, axis=1)] += total - cumulative[:, -1]
+    cumulative = (np.cumsum(whole.astype(np.int64))
+                  + np.rint(np.cumsum(x - whole)).astype(np.int64))
+    weight = np.diff(cumulative, prepend=0)
+    weight[np.argmax(weight)] += total - cumulative[-1]
 
     light = weight <= capacity
     deficit = np.where(light, capacity - weight, 0)
-    deficit_to = np.cumsum(deficit, axis=1)
+    deficit_to = np.cumsum(deficit)
     deficit_before = deficit_to - deficit
-    excess_to = np.cumsum(np.where(light, 0, weight - capacity), axis=1)
-    # the running sums of each table stay below 2^(_WEIGHT_BITS + 1): offset
-    # by that much per table, one search serves all tables
-    offset = (np.arange(len(laws)) << (_WEIGHT_BITS + 1))[:, None]
-    excess_flat = (excess_to + offset).ravel()
-    start = (np.arange(len(laws)) * size)[:, None]
+    excess_to = np.cumsum(np.where(light, 0, weight - capacity))
     # a light entry's alias: the heavy entry whose running excess first passes
     # its running deficit; a heavy entry's: the next heavy entry
-    alias = np.searchsorted(excess_flat, np.where(light, deficit_before, excess_to) + offset,
-                            side="right").reshape(light.shape) - start
+    alias = np.searchsorted(excess_to, np.where(light, deficit_before, excess_to), side="right")
     # a heavy entry keeps what is left of its weight once the light entries
     # before its running excess have taken theirs
-    taken = np.searchsorted((deficit_before + offset).ravel(), excess_to + offset, side="left")
-    threshold = np.where(light, weight,
-                         capacity + excess_to - deficit_to.ravel()[taken - 1])
-    # a search past a table's last heavy entry, for an entry of full
-    # threshold, whose alias is never read, lands in the next table
+    taken = np.searchsorted(deficit_before, excess_to, side="left")
+    threshold = np.where(light, weight, capacity + excess_to - deficit_to[taken - 1])
+    # a search past the last heavy entry, for an entry of full threshold,
+    # whose alias is never read, lands past the table
     return threshold, np.minimum(alias, size - 1)
 
 
-def _alias_sampler(laws: list[np.ndarray]):
-    """Sampler ``draw(raw, rows) -> values``: one value of the law of table
-    ``rows`` (broadcast against ``raw``; None reads the first table)
-    per raw uint64 word, whose top bits pick the entry and whose low
-    _WEIGHT_BITS - bits bits are compared with its threshold (_alias_tables).
-    The low bits are taken in place, so ``raw`` is overwritten."""
-    threshold, alias = _alias_tables(laws)
-    bits = threshold.shape[1].bit_length() - 1
+def _alias_sampler(law: np.ndarray):
+    """Sampler ``draw(raw) -> values``: one value of ``law`` per raw uint64
+    word, whose top bits pick the entry of its alias table and whose low
+    _WEIGHT_BITS - bits bits are compared with the entry's threshold
+    (_alias_tables).  The low bits are taken in place, so ``raw`` is
+    overwritten."""
+    threshold, alias = _alias_tables(law)
+    bits = threshold.size.bit_length() - 1
     shift, low = np.uint64(64 - bits), np.uint64(2**(_WEIGHT_BITS - bits) - 1)
-    threshold, alias = threshold.ravel(), alias.ravel()
 
-    def draw(raw: np.ndarray, rows) -> np.ndarray:
+    def draw(raw: np.ndarray) -> np.ndarray:
         # as int64, whose indexing and comparisons need no conversion
         entry = (raw >> shift).view(np.int64)
-        at = entry if rows is None else entry + (np.asarray(rows) << bits)
         np.bitwise_and(raw, low, out=raw)
-        return np.where(raw.view(np.int64) < threshold[at], entry, alias[at])
+        return np.where(raw.view(np.int64) < threshold[entry], entry, alias[entry])
 
     return draw
 
@@ -327,8 +318,8 @@ def _negbin_law(shape: float, q: float) -> np.ndarray | None:
 def _tabled(law: np.ndarray):
     """Sampler ``draw(rng, n) -> n int64 values`` of ``law``, one raw word each
     through its alias table (_alias_sampler)."""
-    draw = _alias_sampler([law])
-    return lambda rng, n: draw(rng.bit_generator.random_raw(n), None)
+    draw = _alias_sampler(law)
+    return lambda rng, n: draw(rng.bit_generator.random_raw(n))
 
 
 def _poisson_count(mean: float):

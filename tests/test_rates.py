@@ -267,9 +267,9 @@ class TestBahadurRaoConstant:
 
 
 def slot_rates(dist, rng, n):
-    """n slot rates of ``dist``, as the occupancy simulation draws them: the
-    rate sums of one slot at full retention."""
-    return queue._rate_sum(dist, np.ones(1))[1](rng, n)
+    """n slot rates of ``dist``, as the occupancy simulation draws them past
+    the table bound of its law."""
+    return queue._slot_rates(dist)(rng, n)
 
 
 class TestSampling:

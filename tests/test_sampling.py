@@ -379,19 +379,21 @@ def _raw_words_read(monkeypatch, estimate, runs):
 class TestSlotBlocks:
     """The estimator driver draws, scores and sums its runs block by block.
     Gamma slot rates are drawn and reduced row by row, so their sums are bit
-    for bit the same at every block size.  Two-point rates draw one raw word
-    per run through the table of their occupancy law, so their results are
-    the same at every block size too, up to the table bound.  Poisson rates
-    draw the units marked above y0 block by block, two-point rates past the
-    table bound draw Bernoulli lanes block by block, and the hits of rate
-    sums follow each block's sums, so those results depend on the block size
-    and are checked against the exact occupancy tail."""
+    for bit the same at every block size.  Every tabled occupancy law is one
+    raw word per run through its table, so mc_Q's results are the same at
+    every block size too.  Past the table bound the hits of rate sums follow
+    each block's sums, so those results depend on the block size and are
+    checked against the exact occupancy tail."""
 
     @pytest.mark.parametrize("width", [1, 10, 37, 1000, 2049, 10**5])
     def test_sums_and_stream_match(self, monkeypatch, width):
         runs = min(sampling._RUN_SCALARS_CAP // (width + 1), 5000)
         weights = np.linspace(0.1, 1.0, width)  # as mc_Q weighs slots by retention
-        _, block = queue._rate_sum(GammaRate(2.0, 1.0), weights)
+        rates = queue._slot_rates(GammaRate(2.0, 1.0))
+
+        def block(rng, n):
+            return np.add.reduce(rates(rng, (n, width)) * weights, axis=1)
+
         ref, ref_next = _driven(width, block, runs)
         for scalars in _BLOCK_SIZES[1:]:
             got, got_next = _at_block_size(monkeypatch, scalars,
@@ -399,8 +401,8 @@ class TestSlotBlocks:
             assert np.array_equal(got, ref)
             assert got_next == ref_next  # the same draws were consumed
 
-    # runs past one chunk, at two block sizes, against the exact
-    # occupancy tail; deterministic rates draw only the epochs, so their
+    # runs past one chunk, at two block sizes, against the exact occupancy
+    # tail; each run reads one word through the table of its law, so the
     # results do not depend on the block size.  Under det:1 service every
     # retention is 1, and the gamma occupancy is that of gamma_exact at alpha = 1
     @pytest.mark.parametrize("dist,service", [(TwoPoint(0.75, 1.0, 5.0), ExpService(0.5)),
@@ -424,8 +426,7 @@ class TestSlotBlocks:
         for result in (got, small):
             assert 0.0 < result.estimate < 1.0
             assert abs(result.estimate - exact) <= 4.0 * result.ci_halfwidth_95 / Z_95
-        if isinstance(dist, (DeterministicRate, TwoPoint)):
-            assert got == small
+        assert got == small
 
     # Poisson rates over runs past one chunk, against the exact occupancy tail
     @pytest.mark.parametrize("N", [1, 37, 100])
@@ -451,38 +452,54 @@ class TestSlotBlocks:
         got = mc_Q(dist, service, N, k / N, runs, 11)
         assert abs(got.estimate - exact) <= 4.0 * got.ci_halfwidth_95 / Z_95
 
-    # a two-point run reads one raw word of the stream, in every block: n runs
-    # advance the stream by exactly n words
-    def test_twopoint_runs_read_one_raw_word_each(self, monkeypatch):
+    # a run of any tabled law reads one raw word of the stream, in every
+    # block: n runs advance the stream by exactly n words
+    @pytest.mark.parametrize("dist,a", [(PoissonRate(2.0), 1.2602), (TP, 1.2991),
+                                        (GammaRate(2.0, 1.0), 1.3), (DeterministicRate(2.0), 1.0)],
+                             ids=["pois", "twopoint", "gamma", "det"])
+    def test_runs_read_one_raw_word_each(self, monkeypatch, dist, a):
         runs = 3 * sampling._BLOCK_SCALARS + 17  # ending in a partial block
+        assert queue._occupancy_law(dist, omega_vector(100, ExpService(0.5))) is not None
         assert _raw_words_read(
-            monkeypatch, lambda n: mc_Q(TP, ExpService(0.5), 100, 1.2991, n, 11), runs)
+            monkeypatch, lambda n: mc_Q(dist, ExpService(0.5), 100, a, n, 11), runs)
 
-    # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; Poisson rates
-    # draw marked counts, two-point rates one word per run through the
-    # table of their occupancy law.  At pois:200 the mark-1 count, of mean
-    # 6486, is past the 2^12-entry bound of the alias tables and the others
-    # are tabled; its peak is that of building the tables, whatever the runs
+    # the whole 4e6-scalar chunk of slot rates peaked at 63 MB; each run
+    # reads one word through the table of its occupancy law.  At pois:200 the
+    # mark-1 count, of mean 6486, is past the 2^12-entry bound of a count's
+    # table, so the runs draw the marked counts with numpy; the peak is that
+    # of the retention vector and the laws, whatever the runs
     @pytest.mark.parametrize("dist,a", [(PoissonRate(0.1), 0.16), (PoissonRate(200.0), 128.0),
                                         (TwoPoint(0.75, 1.0, 5.0), 1.4)],
                              ids=["pois", "pois-beyond-the-table-bound", "twopoint"])
     def test_mc_Q_peak_memory(self, dist, a):
         assert _traced_peak(lambda: mc_Q(dist, ExpService(1.0), 100, a, 40000, 3)) < 8e6
 
+    # past the table bound two-point runs draw their N slot rates plainly:
+    # at N = 10^6 the peak is the retention vector's, 32 MB traced, where
+    # a table of partial sums per byte of Bernoulli lanes peaked at 276 MB
+    def test_mc_Q_past_the_table_bound_peak_memory(self):
+        assert queue._occupancy_law(TP, omega_vector(10**6, ExpService(0.5))) is None
+        assert _traced_peak(lambda: mc_Q(TP, ExpService(0.5), 10**6, 0.9, 2, 3)) < 64e6
+
     # the slot laws are convolved widest first, in batches of at most
-    # _BLOCK_SCALARS Poisson pmf values: one batch of all slots peaked at
+    # _BLOCK_SCALARS pmf values: one batch of all two-point slots peaked at
     # 127 MB traced where a few wide slots sit beside many narrow ones
     # (lam2 = 3000 under exp:0.001, N = 1000: the retention falls by a
     # factor e per slot over 739 slots), and at 47 MB for 20,000 narrow
-    # slots; the law keeps the occupancy's mean and variance
+    # slots; the law keeps the occupancy's mean and variance, for gamma
+    # slot rates too
     @pytest.mark.parametrize("dist,service,N",
                              [(TwoPoint(0.5, 1000.0, 3000.0), ExpService(0.001), 1000),
-                              (TwoPoint(0.75, 0.01, 0.05), ExpService(0.5), 20_000)],
-                             ids=["unequal-slots", "many-slots"])
-    def test_twopoint_occupancy_build_peak_memory(self, dist, service, N):
+                              (TwoPoint(0.75, 0.01, 0.05), ExpService(0.5), 20_000),
+                              (GammaRate(2.0, 1.0), ExpService(0.5), 100),
+                              (GammaRate(0.5, 0.01), ExpService(0.001), 1000),
+                              (GammaRate(0.5, 10.0), ExpService(0.5), 5000)],
+                             ids=["unequal-slots", "many-slots", "gamma", "gamma-unequal-slots",
+                                  "gamma-many-slots"])
+    def test_occupancy_law_build_peak_memory(self, dist, service, N):
         omegas = omega_vector(N, service)
-        assert _traced_peak(lambda: queue._twopoint_occupancy(dist, omegas)) < 8e6
-        law = queue._twopoint_occupancy(dist, omegas)
+        assert _traced_peak(lambda: queue._occupancy_law(dist, omegas)) < 8e6
+        law = queue._occupancy_law(dist, omegas)
         law, v = law / math.fsum(law), np.arange(law.size)
         mean = math.fsum(v * law)
         assert mean == pytest.approx(dist.mean * omegas.sum(), rel=1e-12)
