@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
 from .rates import GammaRate, PoissonRate, RateDistribution, TwoPoint, parse_spec, spec_label
-from .sampling import (_BLOCK_SCALARS, _TABLE_TAIL, EstimatorResult, _count_mean, _negbin_law,
-                       _poisson_laws, _poisson_ratios, _poisson_span, _run_blocks, _tabled)
+from .sampling import (_BLOCK_SCALARS, _TABLE_TAIL, EstimatorResult, _count_cut, _count_law,
+                       _count_mean, _count_rows, _count_span, _run_blocks, _tabled)
 
 __all__ = [
     "ServiceTime",
@@ -47,8 +47,9 @@ __all__ = [
 # Gauss-Legendre rule per smooth service law: _UNIFORM_PANELS equal panels,
 # with the first panel graded geometrically (ratio 1/2) toward x = 0 down to
 # _GRADING_FLOOR times the service mean.  Each result is checked against the
-# rule of half the order on the same panels.  Deterministic service takes one
-# exact node instead (see _rule).
+# rule of half the order on the same panels, and where they disagree, against
+# the rule of the full order on halved panels.  Deterministic service takes
+# one exact node instead (see _rule).
 _UNIFORM_PANELS = 16
 _ORDER = 20
 _GRADING_FLOOR = 1e-12
@@ -186,20 +187,22 @@ def mean_load(dist: RateDistribution, service: ServiceTime) -> float:
 class _Rule:
     """Nodes of a count whose CGF is sum_j w_j CGF(tau c_j): the weights w_j,
     the retentions c_j = sf_j and their complements 1 - sf_j, as arrays, or as
-    scalars for one node, with the rule ``check`` that checks its integrals:
-    for a composite rule, the rule of half the order on the same panels;
-    None for an exact rule and for a check rule itself.
+    scalars for one node, with the rule ``check`` that checks its integrals
+    and ``finer() -> rule`` that settles a disagreement: for a composite
+    rule, the rule of half the order on the same panels and the full order
+    on halved panels; None for an exact rule and for those rules themselves.
 
     The weights come pre-multiplied by 1, sf and sf^2, the factors of the
     three integrands, so each integral is one product and one pairwise sum
     (np.add.reduce, no BLAS: the rounding never depends on the BLAS build).
     """
 
-    def __init__(self, weights, sf, sf_complement, check: _Rule | None):
+    def __init__(self, weights, sf, sf_complement, check: _Rule | None, finer):
         self.sf = sf
         self.sf_complement = sf_complement
         self.weighted = (weights, weights * sf, weights * sf * sf)
         self.check = check
+        self.finer = finer
 
     def integrals(self, dist: RateDistribution, tau: float) -> tuple[float, float, float]:
         """Sums over the nodes of CGF(tau sf), CGF'(tau sf) sf and CGF''(tau sf)
@@ -218,15 +221,19 @@ class _Rule:
     def checked(self, dist: RateDistribution, tau: float,
                 values: tuple[float, float, float]) -> tuple[float, float, float]:
         """``values``, this rule's integrals at tau, once each agrees with the
-        check rule's to a relative _REL_TOL; ConvergenceError otherwise."""
-        if self.check is not None:
-            for value, estimate in zip(values, self.check.integrals(dist, tau)):
-                if not abs(value - estimate) <= _REL_TOL * abs(value):
-                    raise ConvergenceError(
-                        f"occupancy quadrature for {dist} at tau={tau:.12g}: rules of order "
-                        f"{_ORDER} and {_ORDER // 2} give {value!r} and {estimate!r}"
-                    )
-        return values
+        check rule's to a relative _REL_TOL, or else with the finer rule's,
+        which settles a false alarm of a coarse check rule; ConvergenceError
+        otherwise."""
+        if self.check is None:
+            return values
+        for rule in (lambda: self.check, self.finer):  # the finer rule only where needed
+            estimates = rule().integrals(dist, tau)
+            if all(abs(value - estimate) <= _REL_TOL * abs(value)
+                   for value, estimate in zip(values, estimates)):
+                return values
+        raise ConvergenceError(
+            f"occupancy quadrature for {dist} at tau={tau:.12g}: rules of order {_ORDER} on the "
+            f"panels and on halved panels give {values!r} and {estimates!r}")
 
 
 class _UnitRule(_Rule):
@@ -241,7 +248,7 @@ class _UnitRule(_Rule):
             return float(w0 * k0), float(w1 * k1), float(w2 * k2)
 
 
-_UNIT_RULE = _UnitRule(1.0, 1.0, 0.0, None)
+_UNIT_RULE = _UnitRule(1.0, 1.0, 0.0, None, None)
 
 
 def _panel_edges(service: ServiceTime) -> list[float]:
@@ -259,16 +266,19 @@ def _rule(service: ServiceTime) -> _Rule:
     """The occupancy rule of a service law on the unit interval, built once:
     for deterministic service of mean E, whose sf is 1 on [0, E) and 0 after,
     the exact node of weight min(E, 1), as CGF(0) = 0; for the others the
-    composite Gauss-Legendre rule, with its half-order check rule."""
+    composite Gauss-Legendre rule, with its half-order check rule and the
+    full-order rule on halved panels, built on first need, once."""
     if isinstance(service, DetService):
-        return _UnitRule(min(service.mean, 1.0), 1.0, 0.0, None)
+        return _UnitRule(min(service.mean, 1.0), 1.0, 0.0, None, None)
     edges = _panel_edges(service)
 
-    def rule(order: int, check: _Rule | None) -> _Rule:
+    def rule(edges: list[float], order: int, check: _Rule | None, finer) -> _Rule:
         x, w = gauss_legendre(edges, order)
-        return _Rule(w, service.sf(x), service.sf_complement(x), check)
+        return _Rule(w, service.sf(x), service.sf_complement(x), check, finer)
 
-    return rule(_ORDER, rule(_ORDER // 2, None))
+    halved = sorted(edges + [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])])
+    return rule(edges, _ORDER, rule(edges, _ORDER // 2, None, None),
+                functools.cache(lambda: rule(halved, _ORDER, None, None)))
 
 
 def _tilt_cap_exp(dist: RateDistribution) -> float:
@@ -540,31 +550,32 @@ def _twopoint_occupancy(dist: TwoPoint, omegas: np.ndarray) -> np.ndarray:
     """The occupancy pmf for two-point slot rates X_i over the retentions
     ``omegas``, positive and largest first: the convolution (_convolved) of
     the slot laws p Pois(lam1 omega_i) + (1 - p) Pois(lam2 omega_i), each
-    batch's Poisson pmfs a matrix as wide as the span of its first slot at
-    lam2 (sampling._poisson_ratios, sampling._poisson_span)."""
+    batch's Poisson pmfs the rows of one matrix (sampling._count_rows) over
+    the span of its first slot at lam2 (sampling._count_span)."""
 
     def slot_laws(slots: np.ndarray) -> np.ndarray:
-        ratio = _poisson_ratios(np.concatenate([dist.lam1 * slots, dist.lam2 * slots]))
-        pmfs = ratio / np.add.reduce(ratio, axis=1)[:, None]
+        means = np.concatenate([dist.lam1 * slots, dist.lam2 * slots])[:, None]
+        rows = _count_rows(0.0, means, _count_span(0.0, dist.lam2 * slots[0]))
+        pmfs = rows / np.add.reduce(rows, axis=1)[:, None]
         return dist.p * pmfs[:slots.size] + (1.0 - dist.p) * pmfs[slots.size:]
 
-    return _convolved(omegas, lambda omega: 2 * _poisson_span(dist.lam2 * omega), slot_laws)
+    return _convolved(omegas, lambda omega: 2 * _count_span(0.0, dist.lam2 * omega), slot_laws)
 
 
 def _gamma_occupancy(dist: GammaRate, q: np.ndarray) -> np.ndarray:
     """The occupancy pmf for gamma slot rates: the convolution (_convolved)
-    of the slot counts, each negative binomial of shape beta and weight
-    q_i = omega_i / (lam + omega_i) (sampling._negbin_law), for the weights
-    ``q``, positive and largest first, whose laws are all tabled."""
+    of the slot counts NB(beta, q_i), q_i = omega_i / (lam + omega_i), for
+    the weights ``q``, positive and largest first, whose first law is
+    tabled, each batch's pmfs the rows of one matrix (sampling._count_rows)
+    over the span of its first slot (sampling._count_span), the widest."""
+    def span(q_i: float) -> int:
+        return _count_span(q_i, (dist.beta - 1.0) * q_i)
 
     def slot_laws(batch: np.ndarray) -> np.ndarray:
-        laws = [_negbin_law(dist.beta, q_i) for q_i in batch]
-        rows = np.zeros((batch.size, max(law.size for law in laws)))
-        for row, law in zip(rows, laws):
-            row[:law.size] = law / np.add.reduce(law)
-        return rows
+        rows = _count_rows(batch[:, None], (dist.beta - 1.0) * batch[:, None], span(batch[0]))
+        return rows / np.add.reduce(rows, axis=1)[:, None]
 
-    return _convolved(q, lambda q_i: _negbin_law(dist.beta, q_i).size, slot_laws)
+    return _convolved(q, lambda q_i: span(q_i) + 1, slot_laws)
 
 
 def _occupancy_law(dist: RateDistribution, omegas: np.ndarray) -> np.ndarray | None:
@@ -574,9 +585,9 @@ def _occupancy_law(dist: RateDistribution, omegas: np.ndarray) -> np.ndarray | N
 
     The table is declined before any convolution where the occupancy's mean
     m = E[X] sum omega_i and variance s^2 = m + Var(X) sum omega_i^2 put
-    m + 12 s + 32 past 2^_OCCUPANCY_BITS values, or where a slot's own law
-    has no table (sampling._poisson_laws, sampling._negbin_law), and after
-    it where the cut law is wider than that.
+    m + 12 s + 32 past 2^_OCCUPANCY_BITS values, or where the widest slot
+    count's own law is declined (sampling._count_law), and after it where
+    the cut law is wider than that.
       - Poisson rates: the occupancy is sum_y y C_y over the independent
         Poisson counts C_y of the units that add y occupants (_mark_means),
         the convolution of their laws, each stretched by its mark.
@@ -596,24 +607,29 @@ def _occupancy_law(dist: RateDistribution, omegas: np.ndarray) -> np.ndarray | N
         return None
     positive = np.sort(omegas[omegas > 0.0])[::-1]  # the slots that add occupants, widest first
     if isinstance(dist, PoissonRate):
-        laws = _poisson_laws(_mark_means(dist.lam, omegas)[1:])
-        if any(law is None for law in laws):
+        means = _mark_means(dist.lam, omegas)[1:]
+        if (span := _count_span(0.0, float(np.max(means)))) is None:
+            return None
+        # every mark's law, over the span of the largest mean, cut by its own rule
+        rows = _count_rows(0.0, means[:, None], span)
+        cuts = _count_cut(rows, 0.0, means[:, None])
+        if not cuts.all():
             return None
         law = np.ones(1)
-        for y, count in enumerate(laws, start=1):
-            law = _cut(np.convolve(law, _stretched(count, y))[None])[0]
+        for y, (row, cut) in enumerate(zip(rows, cuts), start=1):
+            law = _cut(np.convolve(law, _stretched(row[:cut], y))[None])[0]
     elif isinstance(dist, TwoPoint):
-        if positive.size and _poisson_laws(np.array([dist.lam2 * positive[0]]))[0] is None:
+        if positive.size and _count_law(0.0, dist.lam2 * positive[0]) is None:
             return None
         law = _twopoint_occupancy(dist, positive)
     elif isinstance(dist, GammaRate):
         q = positive / (dist.lam + positive)
         q = q[q > 0.0]
-        if q.size and _negbin_law(dist.beta, q[0]) is None:
+        if q.size and _count_law(q[0], (dist.beta - 1.0) * q[0]) is None:
             return None
         law = _gamma_occupancy(dist, q)
     else:  # deterministic rates
-        law = _poisson_laws(np.array([dist.lam * total]))[0]
+        law = _count_law(0.0, dist.lam * total)
     return law if law is not None and law.size <= 2**_OCCUPANCY_BITS else None
 
 

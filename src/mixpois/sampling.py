@@ -15,13 +15,14 @@ grow with its runs.  A pooled Poisson or binomial slot count, like the
 occupancy of a queue.mc_Q run, is one raw word read through the alias table
 of its law (_tabled) built once per call, and a hit of a Poisson count of
 per-run mean L at k is decided as G <= L for G ~ Gamma(k, 1), the k-th
-epoch of a unit-rate Poisson process, since P(Pois(L) >= k) = P(G <= L).  With gamma slot rates the overflow count
-itself, negative binomial, is one raw word through the table of its law
-(_negbin_law), and only the hit runs of is_slow draw their pooled rate,
-from its law given the count.  is_fast's Pois(N a) proposal is one raw word
-through its table too, and only its hit runs draw their pooled rate.
-numpy's Poisson and binomial samplers remain for counts whose table would
-pass 2^_TABLE_BITS_MAX entries.
+epoch of a unit-rate Poisson process, since P(Pois(L) >= k) = P(G <= L).
+With gamma slot rates the overflow count itself, negative binomial, is one
+raw word through the table of its law, and only the hit runs of is_slow
+draw their pooled rate, from its law given the count.  is_fast's Pois(N a)
+proposal is one raw word through its table too, and only its hit runs draw
+their pooled rate.  Each such count is one (a, b, 0) law (_count_law), whose
+rows are queue.mc_Q's slot laws too; numpy's Poisson and binomial samplers
+remain for counts whose law is declined.
 """
 
 from __future__ import annotations
@@ -136,23 +137,37 @@ def _count_mean(mean):
 
 
 # Alias tables (Walker, ACM TOMS 3 (1977) 253; Vose, IEEE TSE 17 (1991) 972)
-# hold integer weights summing to 2^_WEIGHT_BITS, and a Poisson, binomial or
-# negative binomial count is tabled in at most 2^_TABLE_BITS_MAX entries; a
-# table ends where its law's upper tail falls below _TABLE_TAIL.  The top
-# bits of a raw word pick the entry and its low _WEIGHT_BITS - bits bits are
-# compared with the entry's threshold: 40 bits at queue.mc_Q's largest table
-# of 2^16 entries.  Every table's thresholds, and so every seeded estimate,
-# depend on the value of _WEIGHT_BITS.
+# hold integer weights summing to 2^_WEIGHT_BITS.  The top bits of a raw word
+# pick the entry and its low _WEIGHT_BITS - bits bits are compared with the
+# entry's threshold: 40 bits at queue.mc_Q's largest table of 2^16 entries.
+# Every table's thresholds, and so every seeded estimate, depend on the value
+# of _WEIGHT_BITS.
+#
+# Every tabled count is an (a, b, 0) law, P(X = v) = (a + b / v) P(X = v - 1)
+# (Panjer, ASTIN Bull. 12 (1981) 22-26), of mean (a + b) / (1 - a) and
+# variance (a + b) / (1 - a)^2: Poisson(m) is (0, m), Bin(n, q) is
+# (-q / (1 - q), (n + 1) q / (1 - q)) and NB(r, q) is (q, (r - 1) q).  One
+# count's table holds at most 2^_TABLE_BITS_MAX entries, and ends where its
+# law's upper tail falls below _TABLE_TAIL of its total.
 _WEIGHT_BITS = 56
 _TABLE_BITS_MAX = 12
 _TABLE_TAIL = 2.0**-60
 
 
-def _poisson_span(mean):
-    """The last count of the pmf of a Poisson count of ``mean`` that
-    _poisson_ratios forms: mean + 12 sqrt(mean) + 32, rounded up, and at most
-    2^_TABLE_BITS_MAX."""
-    return np.minimum(2**_TABLE_BITS_MAX, np.ceil(mean + 12.0 * np.sqrt(mean)) + 32)
+def _count_span(a: float, b: float) -> int | None:
+    """The last value the pmf of the (a, b, 0) law is formed to: mean + 12 sd
+    + 32, rounded up, plus for a > 0 the geometric allowance
+    log(_TABLE_TAIL (1 - rho)) / log(rho), where rho = max(a, a + b / (v + 1))
+    bounds the ratios past that value v; at most 2^_TABLE_BITS_MAX.  None,
+    the law declined, where a is not below 1 or the mean is not in
+    [0, 2^_TABLE_BITS_MAX), as at a weight q outside (0, 1)."""
+    if not (a < 1.0 and 0.0 <= a + b < 2**_TABLE_BITS_MAX * (1.0 - a)):
+        return None
+    v = math.ceil((a + b) / (1.0 - a) + 12.0 * (math.sqrt(a + b) / (1.0 - a))) + 32
+    if a > 0.0:
+        rho = max(a, a + b / (v + 1))
+        v += math.ceil(math.log(_TABLE_TAIL * (1.0 - rho)) / math.log(rho))
+    return min(v, 2**_TABLE_BITS_MAX)
 
 
 def _from_mode(up: np.ndarray, below: np.ndarray) -> np.ndarray:
@@ -164,36 +179,44 @@ def _from_mode(up: np.ndarray, below: np.ndarray) -> np.ndarray:
     return np.cumprod(up, axis=-1) * np.cumprod(below[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _poisson_ratios(means: np.ndarray) -> np.ndarray:
-    """[i, v]: the pmf of a Poisson count of mean means[i] at v, relative to
-    its value at its mode m = floor(mean), as products of the ratios mean / v
-    above m and v / mean below it, so it neither overflows nor loses digits
-    to a log-factorial.  The counts v run to the span of the largest mean
-    (_poisson_span)."""
-    v = np.arange(int(_poisson_span(np.max(means))) + 1)
-    mean = means[:, None]
-    mode = np.floor(mean)
-    # the ratios below the mode arise only at a mean of at least 1
-    return _from_mode(np.where(v > mode, mean / np.maximum(v, 1), 1.0),
-                      np.where(v < mode, (v + 1) / np.maximum(mean, 1.0), 1.0))
+def _count_rows(a, b, span: int) -> np.ndarray:
+    """The pmfs of (a, b, 0) laws at the values 0, 1, ..., span, unnormalised:
+    one row for floats a and b, the rows of a matrix for columns, each
+    relative to its mode (_from_mode) from the ratios (a v + b) / v and
+    their inverses, each capped at 1, as the laws are unimodal.  a v + b is
+    clipped at 0, where a binomial law ends: exactly at v = n + 1, as
+    b = -a (n + 1)."""
+    v = np.arange(span + 2)
+    scaled = np.maximum(a * v + b, 0.0)  # v pmf(v) / pmf(v - 1)
+    v = v[:-1]
+    up = np.minimum(scaled[..., :-1] / np.maximum(v, 1), 1.0)
+    up[..., 0] = 1.0
+    # where a ratio (v + 1) / (a (v + 1) + b) is below 1 its divisor is at least 1
+    return _from_mode(up, np.minimum((v + 1) / np.maximum(scaled[..., 1:], 1.0), 1.0))
 
 
-def _poisson_laws(means: np.ndarray) -> list[np.ndarray | None]:
-    """The pmfs of Poisson counts of ``means`` (_poisson_ratios), each
-    unnormalised and cut at the first count v above the mean with
-    P(X >= v) < _TABLE_TAIL, or None where that cut lies past
-    2^_TABLE_BITS_MAX counts (a mean above about 3560).
+def _count_cut(laws: np.ndarray, a, b):
+    """The count of values that the single-law cut keeps of each of ``laws``
+    (_count_rows, of the same a and b), or 0 where the cut lies past it: the
+    first v with P(X >= v) < _TABLE_TAIL of the total, by the geometric bound
+    P(X >= v) <= pmf(v) / (1 - rho) with rho = a + max(b, 0) / (v + 1), the
+    largest ratio past v (never at v = 0, where rho < 1 makes 0 the mode)."""
+    v = np.arange(1, laws.shape[-1] + 1)  # v + 1 at the value v
+    total = np.add.reduce(laws, axis=-1, keepdims=True)
+    return np.argmax(laws * v < _TABLE_TAIL * total * ((1.0 - a) * v - np.maximum(b, 0.0)),
+                     axis=-1)
 
-    The tail is bounded by the geometric series P(X >= v) <= pmf(v) (v + 1)
-    / (v + 1 - mean).  The counts run past the cut of every mean whose cut
-    lies within 2^_TABLE_BITS_MAX counts.
-    """
-    ratio = _poisson_ratios(means)
-    v = np.arange(ratio.shape[1])
-    mean = means[:, None]
-    total = np.add.reduce(ratio, axis=1)[:, None]
-    ends = (v + 1 > mean) & (ratio * (v + 1) < _TABLE_TAIL * total * (v + 1 - mean))
-    return [row[:np.argmax(end)] if end.any() else None for row, end in zip(ratio, ends)]
+
+def _count_law(a: float, b: float) -> np.ndarray | None:
+    """The pmf of the (a, b, 0) law, unnormalised and cut (_count_cut); or
+    None where the law is declined before any array is formed (_count_span)
+    or its cut lies past its span."""
+    span = _count_span(a, b)
+    if span is None:
+        return None
+    law = _count_rows(a, b, span)
+    cut = _count_cut(law, a, b)
+    return law[:cut] if cut else None
 
 
 def _alias_tables(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,62 +282,6 @@ def _alias_sampler(law: np.ndarray):
     return draw
 
 
-def _binomial_law(n: int, q: float) -> np.ndarray:
-    """The pmf of Bin(n, q), unnormalised: taken relative to its mode
-    m = floor((n + 1) q) as products of the ratios (n - v + 1) q / (v (1 - q))
-    above m and of their inverses below it, so it neither overflows nor loses
-    digits to a log-factorial, as in _poisson_laws."""
-    v = np.arange(n + 1)
-    mode = min(n, math.floor((n + 1) * q))
-    # at q = 1 (a two-point weight p below 2^-53) the ratios above the mode
-    # divide by zero, and are not used
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(v > mode, (n - v + 1) * q / (np.maximum(v, 1) * (1.0 - q)), 1.0)
-        below = np.where(v < mode, (v + 1) * (1.0 - q) / ((n - v) * q), 1.0)
-    return _from_mode(up, below)
-
-
-def _negbin_law(shape: float, q: float) -> np.ndarray | None:
-    """The pmf of the negative binomial count C of real shape ``shape`` and
-    weight ``q``, P(C = v) proportional to Gamma(shape + v) / v! q^v,
-    unnormalised: relative to its mode m = floor((shape - 1) q / (1 - q)) as
-    products of the ratios (shape + v - 1) q / v above m and of their
-    inverses below it (_from_mode), as in _poisson_ratios.
-
-    The law is cut at the first count v above its mean shape q / (1 - q)
-    whose Chernoff bound P(C >= v) <= exp(-I(v)), at the optimal tilt,
-    falls below _TABLE_TAIL:
-    I(v) = v log(v / (q (shape + v))) + shape log(shape / ((1 - q) (shape + v))),
-    which increases above the mean, so the cut is found by bisection.  It is
-    None, decided before any array is formed, where q is not inside (0, 1),
-    the mean is not finite or the cut passes 2^_TABLE_BITS_MAX counts.
-    """
-    if not 0.0 < q < 1.0:
-        return None
-    odds = q / (1.0 - q)
-    mean, size = shape * odds, 2**_TABLE_BITS_MAX
-    log_q, log_p = math.log(q), math.log1p(-q)
-
-    def beyond(v: int) -> bool:  # whether the bound on P(C >= v) is below _TABLE_TAIL
-        # log((shape + v) / shape), apart where v / shape passes the float range
-        ratio = v / shape
-        log_ratio = math.log1p(ratio) if ratio < math.inf else math.log(v) - math.log(shape)
-        rate = -v * (math.log1p(shape / v) + log_q) - shape * (log_ratio + log_p)
-        return rate > -math.log(_TABLE_TAIL)
-
-    if not (mean < size and beyond(size)):
-        return None
-    short, cut = math.floor(mean), size  # a count short of the cut, and one at or past it
-    while cut - short > 1:
-        mid = (short + cut) // 2
-        short, cut = (short, mid) if beyond(mid) else (mid, cut)
-    v = np.arange(cut)
-    mode = max(0, math.floor(mean - odds))
-    # the ratios below the mode arise only where (shape + v) q >= v + 1 >= 1
-    return _from_mode(np.where(v > mode, (shape + v - 1) * q / np.maximum(v, 1), 1.0),
-                      np.where(v < mode, (v + 1) / np.maximum((shape + v) * q, 1.0), 1.0))
-
-
 def _tabled(law: np.ndarray):
     """Sampler ``draw(rng, n) -> n int64 values`` of ``law``, one raw word each
     through its alias table (_alias_sampler)."""
@@ -322,24 +289,12 @@ def _tabled(law: np.ndarray):
     return lambda rng, n: draw(rng.bit_generator.random_raw(n))
 
 
-def _poisson_count(mean: float):
-    """Sampler ``draw(rng, n) -> n int64 counts`` of Pois(mean), tabled unless
-    its table would pass 2^_TABLE_BITS_MAX entries (_poisson_laws), and then
-    drawn by numpy's Poisson sampler, which refuses means above
-    _POISSON_MEAN_MAX."""
-    law = _poisson_laws(np.array([_count_mean(mean)]))[0]
-    if law is None:
-        return lambda rng, n: rng.poisson(mean, size=n)
-    return _tabled(law)
-
-
-def _binomial_count(n_trials: int, q: float):
-    """Sampler ``draw(rng, n) -> n int64 counts`` of Bin(n_trials, q), tabled
-    unless its n_trials + 1 values pass 2^_TABLE_BITS_MAX entries, and then
-    drawn by numpy's binomial sampler."""
-    if n_trials < 2**_TABLE_BITS_MAX:
-        return _tabled(_binomial_law(n_trials, q))
-    return lambda rng, n: rng.binomial(n_trials, q, size=n)
+def _count_sampler(a: float, b: float, untabled):
+    """Sampler ``draw(rng, n) -> n int64 counts`` of the (a, b, 0) law, one raw
+    word each through the alias table of its law (_count_law), or
+    ``untabled``, numpy's sampler, where that law is declined."""
+    law = _count_law(a, b)
+    return untabled if law is None else _tabled(law)
 
 
 def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float | None = None):
@@ -349,10 +304,10 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
     Returns (draw(rng, m) -> pooled sums, slot_count).  Gamma kinds
     (exponential included) draw one gamma of real shape N^alpha * beta.  The
     other kinds sum n = round(N^alpha) slots: Poisson rates as one Poisson
-    count of mean n * lam * e^theta (_poisson_count), two-point rates as
-    n * lam1 plus (lam2 - lam1) times a Bin(n, q) count of slots at lam2, q
-    their twisted weight (_binomial_count), and deterministic rates as
-    n * lam, with no draw.
+    count of mean n * lam * e^theta, two-point rates as n * lam1 plus
+    (lam2 - lam1) times a Bin(n, q) count of slots at lam2, q their twisted
+    weight, each tabled unless its law is declined (_count_sampler), and
+    deterministic rates as n * lam, with no draw.
     Every estimator checks alpha and N, that N^alpha is a positive float and
     the pooled gamma shape a float, and that numpy can draw the untabled
     pooled Poisson mean and binomial count, here.
@@ -378,7 +333,8 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
 
     slots = max(1, round(n_alpha))
     if isinstance(dist, PoissonRate):
-        count = _poisson_count(slots * (dist.lam if theta is None else dist.lam * math.exp(theta)))
+        mean = _count_mean(slots * (dist.lam if theta is None else dist.lam * math.exp(theta)))
+        count = _count_sampler(0.0, mean, lambda rng, m: rng.poisson(mean, size=m))
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             return count(rng, m).astype(np.float64)
@@ -388,7 +344,10 @@ def _slot_sampler(dist: RateDistribution, alpha: float, N: float, theta: float |
             raise DomainError(f"N^alpha = {n_alpha:.6g} two-point slots exceed the binomial "
                               f"sampler's limit of 2^63 - 1")
         low, spread = slots * dist.lam1, dist.lam2 - dist.lam1
-        count = _binomial_count(slots, 1.0 - dist.p if theta is None else dist._twisted_q(theta))
+        q = 1.0 - dist.p if theta is None else dist._twisted_q(theta)
+        odds = q / (1.0 - q) if q < 1.0 else math.inf  # a certain weight is declined
+        count = _count_sampler(-odds, (slots + 1) * odds,
+                               lambda rng, m: rng.binomial(slots, q, size=m))
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             return low + spread * count(rng, m)
@@ -414,7 +373,7 @@ def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs
     with s = slot_count * beta, c = N / slot_count and rate lam - theta, is
     negative binomial of shape s and weight q = c / (rate + c).  Each run
     draws the count itself, one raw word through an alias table of its law
-    (_negbin_law) built once per call, and hits when it reaches
+    (_count_law) built once per call, and hits when it reaches
     k = ceil(N a); a twisted run draws S only where it hits, from its law
     given the count C, Gamma(s + C, rate + c), so (S, C) keep their joint
     law.  Crude results then do not depend on the block size, twisted ones
@@ -438,7 +397,8 @@ def _tail_at_tilt(dist: RateDistribution, alpha: float, a: float, N: float, runs
             return 2, pooled_block
         rate = dist.lam if theta is None else dist.lam - theta
         shape, c = slot_count * dist.beta, N / slot_count
-        law = _negbin_law(shape, c / (rate + c))
+        q = c / (rate + c)
+        law = _count_law(q, (shape - 1.0) * q)
         if law is None:
             return 2, pooled_block
         count = _tabled(law)
@@ -484,7 +444,7 @@ def is_fast(
     ratio against the actually drawn pooled rate; ``quantity`` selects the
     point mass ("point") or the tail ("tail").  Each block of runs draws its
     proposals first, one raw word per run through the alias table of
-    Pois(N*a) (_poisson_count), then the pooled rates of its hit runs only,
+    Pois(N*a) (_count_sampler), then the pooled rates of its hit runs only,
     together: the pooled rate is independent of the proposal, so each run
     keeps the paper's joint law, but these results depend on the block
     size, as is_slow's do.  The table drops the counts past its 2^-60 upper
@@ -509,7 +469,8 @@ def is_fast(
     count = exact_count(N * a) if quantity == "point" else ceil_count(N * a)
 
     def sampler():  # the proposal's table is built after the budget check
-        proposal = _poisson_count(N * a)
+        mean = _count_mean(N * a)
+        proposal = _count_sampler(0.0, mean, lambda rng, m: rng.poisson(mean, size=m))
 
         def block(rng: np.random.Generator, n: int) -> np.ndarray:
             z = proposal(rng, n)

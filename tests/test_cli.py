@@ -548,6 +548,17 @@ class TestQueueCommands:
         assert float(row["log_Q"]) == pytest.approx(math.log(1e-3), rel=1e-3)
         assert float(row["sigma2"]) > float(row["a"])
 
+    # where the order-10 check rule is off by 1.5e-9 and 2.2e-6, the rule of
+    # order 20 on halved panels settles the check: exit 0, not 3
+    @pytest.mark.parametrize("argv", [
+        "--dist twopoint:0.385462,96.73,174.408 --service exp:0.0307138 --N 30 --a 21.888745",
+        "--dist twopoint:0.298245,500.635,783.518 --service pareto:1.22193 --N 10 --a 2672.3991",
+    ], ids=["exp", "pareto"])
+    def test_queue_approx_check_rule_false_alarm_exits_0(self, capsys, argv):
+        code, out, err = run_cli(["queue-approx", *argv.split()], capsys)
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)) == 1
+
     @pytest.mark.parametrize("N,a", [("100", "0.87"), ("0.5", "1.3")])
     def test_queue_approx_above_one_exits_2(self, capsys, N, a):
         # just above the mean load 0.8647, or at a tiny N, the formula exceeds 1
@@ -974,7 +985,7 @@ def test_gamma_pin_matches_exact(pinned):
 # gamma moment for gamma slot rates, X ~ Gamma(s, rate lam N^alpha), and a
 # sum over the pooled count for Poisson ones.  Over every z >= k that sum
 # diverges, but the proposal's table holds only the counts below its cut
-# (sampling._poisson_laws), and the tail rows sum to there
+# (sampling._count_law), and the tail rows sum to there
 IS_FAST_PINS = [pinned for pinned in STDOUT_PIN
                 if pinned["argv"].startswith("simulate --method is-fast")]
 
@@ -986,7 +997,7 @@ def _is_fast_pin_exact(args) -> tuple[float, float]:
     if args.quantity == "p":
         hits = [k]
     else:
-        hits = range(k, sampling._poisson_laws(np.array([N * a]))[0].size)
+        hits = range(k, sampling._count_law(0.0, N * a).size)
     if isinstance(dist, GammaRate):
         case = GammaCase(dist.beta, dist.lam, args.alpha, a, N)
         exact = p_exact(case) if args.quantity == "p" else P_exact(case)

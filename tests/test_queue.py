@@ -417,14 +417,55 @@ class TestOccupancyQuadrature:
                     generic = queue._Rule.integrals(rule, dist, tau)
                     assert [value.hex() for value in got] == [value.hex() for value in generic], tau
 
+    # two-point rates at moderate tilts, where the order-10 check rule is off
+    # by more than _REL_TOL, up to 8e-4 relative, and the main rule on halved
+    # panels agrees with the main rule: the two commands of the FOUND line in
+    # CHANGES.md (1.5e-9 and 2.2e-6 in the curvature integral), and more cells
+    # with large lam2 tau at N = 30
+    FALSE_ALARMS = [(TwoPoint(0.385462, 96.73, 174.408), ExpService(0.0307138), 30, 21.888745),
+                    (TwoPoint(0.298245, 500.635, 783.518), Pareto2Service(1.22193), 10, 2672.3991),
+                    (TwoPoint(0.891, 216.4, 503.7), ExpService(0.0114509), 30, 6.96171),
+                    (TwoPoint(0.114, 771.7, 1947.0), ExpService(0.483737), 30, 2739.91),
+                    (TwoPoint(0.388, 915.0, 2234.0), ExpService(0.746514), 30, 3093.85),
+                    (TwoPoint(0.857, 292.8, 874.7), ExpService(0.0267065), 30, 35.2957),
+                    (TwoPoint(0.157, 848.3, 1560.0), Pareto2Service(1.06376), 30, 2922.07),
+                    (TwoPoint(0.064, 774.1, 965.6), ExpService(0.0134496), 30, 48.0955)]
+
     def test_disagreeing_check_rule_raises(self, monkeypatch):
+        # a main rule of order 4 disagrees with its check rule and with itself
+        # on halved panels
+        dist, service, _, a = self.FALSE_ALARMS[0]
+        monkeypatch.setattr(queue, "_ORDER", 4)
+        rule = queue._rule.__wrapped__(service)
+        with pytest.raises(ConvergenceError, match="order 4"):
+            queue._solve_tilt(dist, rule, a, math.nan)
+
+    @pytest.mark.parametrize("dist,service,N,a", FALSE_ALARMS, ids=[
+        f"{spec_label(d)}-{spec_label(s)}" for d, s, _, _ in FALSE_ALARMS])
+    def test_check_rule_false_alarm_settled_on_halved_panels(self, rule_calls, dist, service,
+                                                              N, a):
+        approx = queue_approx(dist, service, N, a)
+        rule = queue._rule(service)
+        (tau,) = [tau for called, tau in rule_calls if called is rule.check]
+        assert [called for called, _ in rule_calls].count(rule.finer()) == 1
+        main = rule.integrals(dist, tau)
+        check, finer = rule.check.integrals(dist, tau), rule.finer().integrals(dist, tau)
+        assert any(abs(c / m - 1.0) > queue._REL_TOL for c, m in zip(check, main))
+        assert all(abs(f / m - 1.0) <= 1e-12 for f, m in zip(finer, main))
+        # the values are the main rule's at the root
+        assert math.expm1(approx.theta_star) == tau
+        assert approx == queue._approx_from(N, approx.theta_star, a, main, checked=True)
+
+    def test_crude_check_rule_does_not_reject_the_main_rule(self, monkeypatch, rule_calls):
         service = ExpService(0.5)
+        expected = queue_approx(POIS2, service, 100.0, 1.3)
         rule = queue._rule(service)
         nodes, weights = gauss_legendre([0.0, 1.0], 2)
-        crude = queue._Rule(weights, service.sf(nodes), service.sf_complement(nodes), None)
+        crude = queue._Rule(weights, service.sf(nodes), service.sf_complement(nodes), None, None)
         monkeypatch.setattr(rule, "check", crude)
-        with pytest.raises(ConvergenceError, match="order"):
-            queue_approx(POIS2, service, 100.0, 1.3)
+        rule_calls.clear()
+        assert queue_approx(POIS2, service, 100.0, 1.3) == expected
+        assert [called for called, _ in rule_calls].count(rule.finer()) == 1
 
     def test_rules_built_on_first_use_only(self):
         # parsing specifications must not build quadrature rules, and no
@@ -552,8 +593,9 @@ class TestMcQ:
 
     # under det:1 service every retention is 1, and the gamma-rate occupancy
     # is the negative binomial count of gamma_exact at alpha = 1: the tails
-    # of its law, the convolution of the slot counts, are the exact ones
-    @pytest.mark.parametrize("N", [1, 37, 100])
+    # of its law, the convolution of the slot counts, are the exact ones.  At
+    # N = 1000 the slot counts are built in several batches
+    @pytest.mark.parametrize("N", [1, 37, 100, 1000])
     def test_gamma_occupancy_law_has_the_exact_tails(self, N):
         dist = GammaRate(2.0, 1.0)
         law = queue._occupancy_law(dist, omega_vector(N, DetService(1.0)))
@@ -747,7 +789,7 @@ class TestAliasTables:
     # N = 10^4 and pois:20, N = 1000; their runs draw the marked counts with
     # numpy
     def test_table_size_bound(self):
-        below, above = sampling._poisson_laws(np.array([3500.0, 3600.0]))
+        below, above = sampling._count_law(0.0, 3500.0), sampling._count_law(0.0, 3600.0)
         assert below.size <= 2**12 and above is None
         pmf = poisson_pmf_digits(3500.0, below.size)
         with decimal.localcontext() as context:
@@ -755,7 +797,7 @@ class TestAliasTables:
             assert 1 - sum(pmf) < decimal.Decimal(2.0**-60)
         for lam, N in [(200.0, 100), (2.0, 10**4), (20.0, 1000)]:
             omegas = omega_vector(N, ExpService(1.0))
-            assert sampling._poisson_laws(queue._mark_means(lam, omegas)[1:2])[0] is None
+            assert sampling._count_law(0.0, queue._mark_means(lam, omegas)[1]) is None
             assert queue._occupancy_law(PoissonRate(lam), omegas) is None
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 
@@ -21,8 +22,8 @@ from mixpois.sampling import (
     stream,
 )
 from reference import (efficiency_ratios, negbin_log_pmf, occupancy_pmf, poisson_log_pmf,
-                       poisson_tail, pooled_poisson_tail, pooled_twopoint_tail,
-                       twopoint_occupancy_pmf)
+                       poisson_pmf_digits, poisson_tail, pooled_poisson_tail,
+                       pooled_twopoint_tail, twopoint_occupancy_pmf)
 
 EXP25 = Exponential(2.5)
 TP = TwoPoint(0.75, 1.0, 5.0)
@@ -123,14 +124,14 @@ class TestFastEstimator:
         (EXP25, 1.2, 1.0, 10.0),
     ], ids=[*[f"fig2-N{N}" for N in (2, 4, 8, 16, 32, 64)], "exp2.5-pin"])
     def test_proposal_table_cut_bias(self, dist, alpha, a, N):
-        cut = sampling._poisson_laws(np.array([N * a]))[0].size
+        cut = sampling._count_law(0.0, N * a).size
         tail = lambda level: P_exact(GammaCase(dist.beta, dist.lam, alpha, level, N))
         assert tail(cut / N) / tail(a) <= 1e-9
 
     def test_untabled_proposal_matches_exact(self):
         # a proposal mean of 3675 passes the table bound, so numpy's Poisson
         # sampler draws it; the pooled rate of 3500^2 unit slots is 1
-        assert sampling._poisson_laws(np.array([3675.0]))[0] is None
+        assert sampling._count_law(0.0, 3675.0) is None
         results = [is_fast(DeterministicRate(1.0), 2.0, 1.05, 3500.0, 10**4, seed)
                    for seed in range(1000, 1020)]
         estimate = math.fsum(r.estimate for r in results) / len(results)
@@ -555,63 +556,112 @@ def _poisson_pmf(mean):
 
 
 def _binomial_pmf(n, q):
+    size = min(n + 1, math.ceil(n * q + 40.0 * math.sqrt(n * q) + 40.0))
     return [math.exp(math.lgamma(n + 1.0) - math.lgamma(v + 1.0) - math.lgamma(n - v + 1.0)
-                     + v * math.log(q) + (n - v) * math.log1p(-q)) for v in range(n + 1)]
+                     + v * math.log(q) + (n - v) * math.log1p(-q)) for v in range(size)]
+
+
+# the (a, b, 0) parameters of each law, as the samplers give them
+def _poisson_ab(mean):
+    return 0.0, mean
+
+
+def _binomial_ab(n, q):
+    odds = q / (1.0 - q) if q < 1.0 else math.inf
+    return -odds, (n + 1) * odds
+
+
+def _negbin_ab(shape, q):
+    return q, (shape - 1.0) * q
+
+
+AB = {"poisson": _poisson_ab, "binomial": _binomial_ab, "negbin": _negbin_ab}
+
+
+# each law's pmf to 40 digits or more, where lgamma would round the large
+# counts' values by more than 1e-12, and the lgamma form below 700
+def _reference_pmf(family, params, size):
+    if family == "poisson":
+        return [float(p) for p in poisson_pmf_digits(*params, size)]
+    if family == "binomial":  # from p^n by the term ratio (n - v) q / ((v + 1) p)
+        n, q = params
+        with decimal.localcontext() as context:
+            context.prec = 40
+            q, p = decimal.Decimal(q), 1 - decimal.Decimal(q)
+            pmf = [p**n]
+            for v in range(n):
+                pmf.append(pmf[-1] * (n - v) * q / ((v + 1) * p))
+        return ([float(term) for term in pmf] + [0.0] * size)[:size]
+    return [math.exp(negbin_log_pmf(*params, v)) for v in range(size)]
 
 
 class TestTabledCounts:
     """The pooled Poisson and binomial slot counts are one raw word each
-    through an alias table, and numpy's sampler
-    draws them past the table bound of 2^12 entries: 2^20 draws of each law
-    meet its pmf within 4 SE in every bin."""
+    through an alias table of their (a, b, 0) law, and numpy's sampler draws
+    them where that law is declined: 2^20 draws of each law meet its pmf
+    within 4 SE in every bin."""
+
+    # one span rule, cut and decline rule for the three families: the
+    # values within 1e-12, the dropped mass below 2^-60, and the mean and
+    # variance those of the closed forms (a + b) / (1 - a) and
+    # (a + b) / (1 - a)^2.  The negative binomial grid keeps its counts below
+    # 700, where the lgamma form stays within 1e-12
+    @pytest.mark.parametrize("family,params", [
+        *[("poisson", (m,)) for m in (0.1, 16.0, 128.0)],
+        *[("binomial", (n, q)) for n in (10, 4095) for q in (0.25, 0.7)],
+        *[("negbin", (r, q))
+          for r, q in [(0.3, 0.6), (1.0, 0.9), (5.0, 5.0 / 5.5), (10**1.2, 0.2015), (30.0, 0.5)]],
+    ], ids=lambda x: x if isinstance(x, str) else "-".join(f"{p:.4g}" for p in x))
+    def test_law_against_reference(self, family, params):
+        a, b = AB[family](*params)
+        mean, variance = (a + b) / (1.0 - a), (a + b) / (1.0 - a) ** 2
+        law = sampling._count_law(a, b)
+        law = law / math.fsum(law)
+        exact = np.array(_reference_pmf(family, params, law.size + 20_000))
+        shown = exact[:law.size] >= 1e-300
+        assert np.all(np.abs(law[shown] / exact[:law.size][shown] - 1.0) <= 1e-12)
+        assert math.fsum(exact[law.size:]) < 2.0**-60  # the dropped mass
+        v = np.arange(law.size)
+        m = math.fsum(v * law)
+        assert m == pytest.approx(mean, rel=1e-12)
+        assert math.fsum((v - m) ** 2 * law) == pytest.approx(variance, rel=1e-12)
 
     @pytest.mark.parametrize("mean,tabled", [(0.1, True), (16.0, True), (128.0, True),
                                              (3500.0, True), (5000.0, False)])
     def test_poisson(self, mean, tabled):
-        assert (sampling._poisson_laws(np.array([mean]))[0] is not None) == tabled
-        draws = sampling._poisson_count(mean)(stream(21), 2**20)
+        assert (sampling._count_law(*_poisson_ab(mean)) is not None) == tabled
+        draw, _ = sampling._slot_sampler(PoissonRate(mean), 1.0, 1.0)
+        draws = draw(stream(21), 2**20)
         assert np.all(np.abs(_binned_deviations(draws, _poisson_pmf(mean))) <= 4.0)
 
-    @pytest.mark.parametrize("q", [0.25, 0.7])
-    @pytest.mark.parametrize("n", [1, 10, 4095, 4096])
-    def test_binomial(self, n, q):
-        draws = sampling._binomial_count(n, q)(stream(22), 2**20)
+    # n two-point slots of rates 1 and 2 pool n plus the count at 2.
+    # Bin(10^6, 1e-4), of mean 100, is tabled; Bin(10^5, 0.04), of mean 4000,
+    # is declined, as its cut passes 2^12
+    @pytest.mark.parametrize("n,q,tabled", [
+        *[(n, q, True) for n in (1, 10, 4095, 4096) for q in (0.25, 0.7)],
+        (10**6, 1e-4, True), (10**5, 0.04, False)])
+    def test_binomial(self, n, q, tabled):
+        assert (sampling._count_law(*_binomial_ab(n, q)) is not None) == tabled
+        draw, slots = sampling._slot_sampler(TwoPoint(1.0 - q, 1.0, 2.0), 1.0, float(n))
+        assert slots == n
+        draws = draw(stream(22), 2**20) - n
         assert np.all(np.abs(_binned_deviations(draws, _binomial_pmf(n, q))) <= 4.0)
 
-    # at p below 2^-53 the weight 1 - p of lam2 rounds to 1: every slot is
-    # at lam2, with no warning
+    # at p below 2^-53 the weight 1 - p of lam2 rounds to 1: its law is
+    # declined, and numpy's sampler puts every slot at lam2, with no warning
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_binomial_law_at_a_certain_weight(self):
-        assert np.array_equal(sampling._binomial_law(5, 1.0), [0, 0, 0, 0, 0, 1])
+        assert sampling._count_law(*_binomial_ab(5, 1.0 - 1e-17)) is None
+        draw, _ = sampling._slot_sampler(TwoPoint(1e-17, 1.0, 5.0), 1.0, 5.0)
+        assert np.array_equal(draw(stream(23), 4), [25.0] * 4)
         assert mc_P(TwoPoint(1e-17, 1.0, 5.0), 1.0, 5.0, 5.0, 1000, PART).estimate > 0.5
-
 
 
 class TestNegbinCounts:
     """With gamma slot rates the overflow count is negative binomial, and
     mc_P and is_slow draw it as one raw word per run through an alias table
-    of its law (sampling._negbin_law), up to the table bound of 2^12
+    of its law (sampling._count_law), up to the table bound of 2^12
     entries; past it they draw the pooled rate and the k-th epoch."""
-
-    # the oracle's lgamma rounding grows with the count, to 2.5e-12 relative
-    # at counts past 1000 where the law itself stays within 3e-14 of 40-digit
-    # values, so the grid keeps its counts below 700
-    @pytest.mark.parametrize("shape,q", [(0.3, 0.6), (1.0, 0.9), (5.0, 5.0 / 5.5),
-                                         (10**1.2, 0.2015), (30.0, 0.5)])
-    def test_law_against_lgamma(self, shape, q):
-        law = sampling._negbin_law(shape, q)
-        law = law / math.fsum(law)
-        exact = np.array([math.exp(negbin_log_pmf(shape, q, v)) for v in range(law.size)])
-        shown = exact >= 1e-300
-        assert np.all(np.abs(law[shown] / exact[shown] - 1.0) <= 1e-12)
-        # the cut drops less than 2^-60 of the mass
-        assert math.fsum(math.exp(negbin_log_pmf(shape, q, v))
-                         for v in range(law.size, law.size + 20_000)) < 2.0**-60
-        v = np.arange(law.size)
-        mean = math.fsum(v * law)
-        assert mean == pytest.approx(shape * q / (1.0 - q), rel=1e-12)
-        assert math.fsum((v - mean) ** 2 * law) == pytest.approx(shape * q / (1.0 - q) ** 2,
-                                                                 rel=1e-12)
 
     # crude runs at exp:1, alpha = 0.5 read one raw word each, in every
     # block, where the count of shape and scale sqrt(N) is tabled (mean N);
@@ -620,7 +670,7 @@ class TestNegbinCounts:
     @pytest.mark.parametrize("N,tabled", [(49.0, True), (10.0**4, False)])
     def test_crude_runs_read_one_raw_word_each(self, monkeypatch, N, tabled):
         c = math.sqrt(N)
-        assert (sampling._negbin_law(c, c / (1.0 + c)) is not None) == tabled
+        assert (sampling._count_law(*_negbin_ab(c, c / (1.0 + c))) is not None) == tabled
         runs = 3 * sampling._BLOCK_SCALARS + 17  # ending in a partial block
         assert _raw_words_read(
             monkeypatch, lambda n: mc_P(Exponential(1.0), 0.5, 1.1, N, n, 11), runs) == tabled
@@ -631,16 +681,17 @@ class TestNegbinCounts:
     @pytest.mark.parametrize("N,tabled", [(49.0, True), (900.0, False)])
     def test_table_bound(self, N, tabled):
         c = math.sqrt(N)
-        law = sampling._negbin_law(c, c / (0.5 + c))
+        law = sampling._count_law(*_negbin_ab(c, c / (0.5 + c)))
         assert (law is not None) == tabled
         assert law is None or law.size <= 2**sampling._TABLE_BITS_MAX
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_warning_at_a_certain_weight_or_an_infinite_mean(self):
-        assert sampling._negbin_law(5.0, 1.0 - 1e-17) is None  # q rounds to 1
-        assert sampling._negbin_law(1.0, 1.0 - 2.0**-52) is None  # mean 4.5e15
-        assert sampling._negbin_law(1e308, 0.9) is None  # the mean overflows
-        assert sampling._negbin_law(1e-320, 0.5)[1:].sum() == 0.0  # a count of 0, surely
+        assert sampling._count_law(*_negbin_ab(5.0, 1.0 - 1e-17)) is None  # q rounds to 1
+        assert sampling._count_law(*_negbin_ab(1.0, 1.0 - 2.0**-52)) is None  # mean 4.5e15
+        assert sampling._count_law(*_negbin_ab(1e308, 0.9)) is None  # the mean overflows
+        # a count of 0, surely: one entry
+        assert np.array_equal(sampling._count_law(*_negbin_ab(1e-320, 0.5)), [1.0])
         # N^alpha = 1e-24 slots: c = 1e21 rounds q to 1, and the runs draw
         # the pooled rate and the epoch
         assert mc_P(Exponential(1.0), 8.0, 1.0, 1e-3, 1000, PART).estimate < 0.01
