@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
-from .rates import GammaRate, PoissonRate, RateDistribution, TwoPoint, parse_spec, spec_label
+from .rates import (DeterministicRate, GammaRate, PoissonRate, RateDistribution, TwoPoint,
+                    parse_spec, spec_label)
 from .sampling import (_BLOCK_SCALARS, _TABLE_TAIL, EstimatorResult, _count_cut, _count_law,
                        _count_mean, _count_rows, _count_span, _run_blocks, _tabled)
 
@@ -522,11 +523,11 @@ def _pair_sums(laws: np.ndarray) -> np.ndarray:
     return np.einsum("ivu,iu->iv", windows, np.ascontiguousarray(laws[0::2, ::-1]))
 
 
-def _convolved(params: np.ndarray, width, slot_laws) -> np.ndarray:
-    """The convolution of the slot laws, on the values 0, 1, ..., of the
-    slots of parameters ``params``, widest first: ``slot_laws(batch)`` gives
-    the pmfs of a batch of slots as the rows of a matrix, ``width(param)``
-    values a slot at the batch's first parameter.
+def _convolved(slots: int, width, slot_laws) -> np.ndarray:
+    """The convolution of the laws of ``slots`` slots, widest first, on the
+    values 0, 1, ...: ``slot_laws(start, stop)`` gives the pmfs of the slots
+    start, ..., stop - 1 as the rows of a matrix, ``width(start)`` the values
+    it forms per slot for a batch from slot ``start``.
 
     Each batch holds at most sampling._BLOCK_SCALARS values, or one slot: so
     no matrix grows with N, and a few wide slots do not widen the many
@@ -536,46 +537,14 @@ def _convolved(params: np.ndarray, width, slot_laws) -> np.ndarray:
     within far less than the 2^-50 of the alias table.
     """
     occupancy, start = np.ones(1), 0
-    while start < params.size:
-        batch = params[start:start + max(1, int(_BLOCK_SCALARS // width(params[start])))]
-        start += batch.size
-        laws = _cut(slot_laws(batch))
+    while start < slots:
+        stop = min(slots, start + max(1, int(_BLOCK_SCALARS // width(start))))
+        laws = _cut(slot_laws(start, stop))
+        start = stop
         while laws.shape[0] > 1:
             laws = _cut(_pair_sums(laws))
         occupancy = _cut(np.convolve(occupancy, laws[0])[None])[0]
     return occupancy
-
-
-def _twopoint_occupancy(dist: TwoPoint, omegas: np.ndarray) -> np.ndarray:
-    """The occupancy pmf for two-point slot rates X_i over the retentions
-    ``omegas``, positive and largest first: the convolution (_convolved) of
-    the slot laws p Pois(lam1 omega_i) + (1 - p) Pois(lam2 omega_i), each
-    batch's Poisson pmfs the rows of one matrix (sampling._count_rows) over
-    the span of its first slot at lam2 (sampling._count_span)."""
-
-    def slot_laws(slots: np.ndarray) -> np.ndarray:
-        means = np.concatenate([dist.lam1 * slots, dist.lam2 * slots])[:, None]
-        rows = _count_rows(0.0, means, _count_span(0.0, dist.lam2 * slots[0]))
-        pmfs = rows / np.add.reduce(rows, axis=1)[:, None]
-        return dist.p * pmfs[:slots.size] + (1.0 - dist.p) * pmfs[slots.size:]
-
-    return _convolved(omegas, lambda omega: 2 * _count_span(0.0, dist.lam2 * omega), slot_laws)
-
-
-def _gamma_occupancy(dist: GammaRate, q: np.ndarray) -> np.ndarray:
-    """The occupancy pmf for gamma slot rates: the convolution (_convolved)
-    of the slot counts NB(beta, q_i), q_i = omega_i / (lam + omega_i), for
-    the weights ``q``, positive and largest first, whose first law is
-    tabled, each batch's pmfs the rows of one matrix (sampling._count_rows)
-    over the span of its first slot (sampling._count_span), the widest."""
-    def span(q_i: float) -> int:
-        return _count_span(q_i, (dist.beta - 1.0) * q_i)
-
-    def slot_laws(batch: np.ndarray) -> np.ndarray:
-        rows = _count_rows(batch[:, None], (dist.beta - 1.0) * batch[:, None], span(batch[0]))
-        return rows / np.add.reduce(rows, axis=1)[:, None]
-
-    return _convolved(q, lambda q_i: span(q_i) + 1, slot_laws)
 
 
 def _occupancy_law(dist: RateDistribution, omegas: np.ndarray) -> np.ndarray | None:
@@ -591,10 +560,12 @@ def _occupancy_law(dist: RateDistribution, omegas: np.ndarray) -> np.ndarray | N
       - Poisson rates: the occupancy is sum_y y C_y over the independent
         Poisson counts C_y of the units that add y occupants (_mark_means),
         the convolution of their laws, each stretched by its mark.
-      - Two-point rates: the convolution of the slot laws
-        (_twopoint_occupancy).
-      - Gamma rates: the convolution of the negative binomial slot counts
-        (_gamma_occupancy).
+      - Two-point and gamma rates: the convolution (_convolved) of the slot
+        counts, each a mixture of (a, b, 0) laws, widest law last: two-point
+        slots p Pois(lam1 omega_i) + (1 - p) Pois(lam2 omega_i), gamma slots
+        NB(beta, q_i), q_i = omega_i / (lam + omega_i).  Each batch's pmfs
+        are the rows of one matrix (sampling._count_rows) over the span of
+        its first slot's widest law (sampling._count_span), the widest.
       - Deterministic rates: one Poisson law of mean lam sum omega_i.
     Every convolution is direct: an FFT's rounding, about 1e-16 of the peak,
     would swamp the entries of the tail (Jongbloed and Koole, Appl. Stoch.
@@ -618,30 +589,43 @@ def _occupancy_law(dist: RateDistribution, omegas: np.ndarray) -> np.ndarray | N
         law = np.ones(1)
         for y, (row, cut) in enumerate(zip(rows, cuts), start=1):
             law = _cut(np.convolve(law, _stretched(row[:cut], y))[None])[0]
-    elif isinstance(dist, TwoPoint):
-        if positive.size and _count_law(0.0, dist.lam2 * positive[0]) is None:
+    elif isinstance(dist, (TwoPoint, GammaRate)):
+        # slot i's count mixes, with the weights w, the (a, b, 0) laws of
+        # column i of b and of a, or of a = 0 as a scalar (a column of zeros
+        # would add a product over every entry of a batch's Poisson rows)
+        if isinstance(dist, TwoPoint):
+            w, a, b = (dist.p, 1.0 - dist.p), 0.0, np.outer([dist.lam1, dist.lam2], positive)
+        else:
+            q = positive / (dist.lam + positive)
+            w, a = (1.0,), q[q > 0.0][None]
+            b = (dist.beta - 1.0) * a
+
+        def widest(i: int) -> tuple[float, float]:  # slot i's widest law
+            return (a[-1, i] if np.ndim(a) else a), b[-1, i]
+
+        def slot_laws(start: int, stop: int) -> np.ndarray:
+            # the (component, slot) pairs stacked into one column of rows
+            a_col = a[:, start:stop].reshape(-1, 1) if np.ndim(a) else a
+            rows = _count_rows(a_col, b[:, start:stop].reshape(-1, 1), _count_span(*widest(start)))
+            pmfs = (rows / np.add.reduce(rows, axis=1)[:, None]).reshape(len(w), stop - start, -1)
+            return pmfs[0] if len(w) == 1 else sum(c * pmf for c, pmf in zip(w, pmfs))
+
+        if b.shape[1] and _count_law(*widest(0)) is None:
             return None
-        law = _twopoint_occupancy(dist, positive)
-    elif isinstance(dist, GammaRate):
-        q = positive / (dist.lam + positive)
-        q = q[q > 0.0]
-        if q.size and _count_law(q[0], (dist.beta - 1.0) * q[0]) is None:
-            return None
-        law = _gamma_occupancy(dist, q)
+        law = _convolved(b.shape[1], lambda start: len(w) * (_count_span(*widest(start)) + 1),
+                         slot_laws)
     else:  # deterministic rates
         law = _count_law(0.0, dist.lam * total)
     return law if law is not None and law.size <= 2**_OCCUPANCY_BITS else None
 
 
-def _slot_rates(dist: RateDistribution):
-    """Sampler ``draw(rng, shape) -> slot rates`` of ``dist`` for rates other
-    than Poisson: two-point rates lam1 where a uniform falls below p and lam2
-    elsewhere, gamma rates numpy's gamma draws, deterministic rates lam."""
+def _slot_rates(dist: TwoPoint | GammaRate):
+    """Sampler ``draw(rng, shape) -> slot rates`` of two-point or gamma
+    rates: lam1 where a uniform falls below p and lam2 elsewhere, or numpy's
+    gamma draws."""
     if isinstance(dist, TwoPoint):
         return lambda rng, shape: np.where(rng.random(shape) < dist.p, dist.lam1, dist.lam2)
-    if isinstance(dist, GammaRate):
-        return lambda rng, shape: rng.gamma(dist.beta, 1.0 / dist.lam, size=shape)
-    return lambda rng, shape: np.full(shape, dist.lam)
+    return lambda rng, shape: rng.gamma(dist.beta, 1.0 / dist.lam, size=shape)
 
 
 def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
@@ -653,12 +637,13 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
     once per call (_occupancy_law, sampling._tabled), so the results do not
     depend on the block size.  Where that law has no table, Poisson slot
     rates draw the occupancy as sum_y y C_y over the counts C_y of the units
-    of mark y (_mark_means) with numpy's Poisson sampler, and other rates
-    draw the N slot rates X_i of a run (_slot_rates), their sum
-    Lambda = sum_i omega_i X_i, and the hit of the Pois(Lambda) occupancy as
+    of mark y (_mark_means) with numpy's Poisson sampler, and the hit of the
+    Pois(Lambda) occupancy, Lambda = sum_i omega_i X_i, is drawn as
     G <= Lambda with G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson
-    process, since P(Pois(Lambda) >= k) = P(G <= Lambda); each block of runs
-    draws its rate sums, then its epochs.
+    process, since P(Pois(Lambda) >= k) = P(G <= Lambda): deterministic rates
+    draw only the epochs, against the one Lambda = lam sum omega_i, and
+    two-point and gamma rates draw the N slot rates X_i of a run
+    (_slot_rates), each block of runs its rate sums, then its epochs.
     """
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
@@ -673,6 +658,9 @@ def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: i
             means = _count_mean(_mark_means(dist.lam, omegas)[1:])
             marks = np.arange(1, means.size + 1)
             return means.size, lambda rng, n: rng.poisson(means, size=(n, means.size)) @ marks >= k
+        if isinstance(dist, DeterministicRate):
+            rate_sum = np.add.reduce(dist.lam * omegas)
+            return 1, lambda rng, n: rate_sum >= rng.standard_gamma(k, size=n)
         rates = _slot_rates(dist)
 
         def block(rng: np.random.Generator, n: int) -> np.ndarray:

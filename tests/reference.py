@@ -167,6 +167,31 @@ def twopoint_occupancy_pmf(p: float, lam1: float, lam2: float, omegas) -> np.nda
     return pmf
 
 
+def gamma_occupancy_pmf(beta: float, lam: float, omegas) -> np.ndarray:
+    """pmf of the occupancy sum_i Pois(omega_i X_i) with X_i i.i.d. gamma
+    rates of shape beta and rate lam.
+
+    Slot i's count is negative binomial of shape beta and weight
+    omega_i / (lam + omega_i), each value from its log-gamma form
+    (negbin_log_pmf); the counts are convolved.  The counts run 40 standard
+    deviations past the mean, and the pmf must hold all but 1e-12 of its
+    mass there.  Slots of zero retention add a point mass at 0 and are left
+    out.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    omegas = omegas[omegas > 0.0]
+    mean = beta / lam * float(omegas.sum())
+    sd = math.sqrt(mean + beta / lam**2 * float(np.sum(omegas**2)))
+    size = math.ceil(mean + 40.0 * sd + 40.0)
+    pmf = np.array([1.0])
+    for omega in omegas:
+        q = omega / (lam + omega)
+        term = np.exp([negbin_log_pmf(beta, q, v) for v in range(size)])
+        pmf = np.convolve(pmf, term)[:size]
+    assert abs(math.fsum(pmf) - 1.0) < 1e-12
+    return pmf
+
+
 def efficiency_ratios(estimate, N_grid) -> list[float]:
     """log E[w^2] over 2 log estimate for ``estimate(N)`` at each N.
 

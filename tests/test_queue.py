@@ -50,10 +50,16 @@ from mixpois.rates import (
 )
 from mixpois.sampling import Z_95, stream
 from mixpois.tail_asymptotics import DecayRate, approx_intermediate, log_asym_P
-from reference import occupancy_pmf, poisson_pmf_digits, poisson_tail, twopoint_occupancy_pmf
+from reference import (gamma_occupancy_pmf, occupancy_pmf, poisson_pmf_digits, poisson_tail,
+                       twopoint_occupancy_pmf)
 
 POIS2 = PoissonRate(2.0)
 SERVICES = [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)]
+
+
+def _no_slot_rates(dist):
+    """A stand-in for queue._slot_rates where no slot rate may be drawn."""
+    raise AssertionError(f"slot rates of {spec_label(dist)} drawn")
 
 
 def kinks_in_unit(service):
@@ -574,22 +580,57 @@ class TestMcQ:
         pooled_se = math.sqrt(math.fsum((r.ci_halfwidth_95 / Z_95) ** 2 for r in results))
         assert abs(pooled - exact) <= 4.0 * pooled_se / len(results)
 
-    # the two-point occupancy law that mc_Q tables, the convolution of the
-    # slot mixtures, normalised, against the slot-by-slot convolution within
-    # 2^-50 per value, the alias table's own bound; the largest difference on
-    # this grid, 5.4e-16 at det:0.5 service, N = 100 and p = 0.3, is the
-    # oracle's, whose values lie 5.5e-16 from the exact binomial mixture of
-    # Poisson pmfs there, against 1e-17 for the tabled law's
+    # the two-point and gamma occupancy laws that mc_Q tables, the
+    # convolution of the slot mixtures, normalised, against the slot-by-slot
+    # convolution within 2^-50 per value, the alias table's own bound; the
+    # largest difference on this grid, 5.4e-16 at det:0.5 service, N = 100
+    # and p = 0.3, is the oracle's, whose values lie 5.5e-16 from the exact
+    # binomial mixture of Poisson pmfs there, against 1e-17 for the tabled
+    # law's; the gamma rows, whose slot weights q_i differ wherever the
+    # retentions do, lie within 6.7e-16 of the oracle, whose values lie
+    # 5.6e-16 from a 40-digit convolution at gamma:0.5,10, exp:0.05 and
+    # N = 37, against 1.1e-16 for the tabled law's
     @pytest.mark.parametrize("N", [1, 37, 100])
-    @pytest.mark.parametrize("service", SERVICES + [ExpService(0.05)], ids=spec_label)
-    @pytest.mark.parametrize("p", [0.75, 0.3])
-    def test_twopoint_occupancy_law_is_the_convolution_of_the_slot_laws(self, p, service, N):
+    @pytest.mark.parametrize("service", SERVICES + [Pareto2Service(1.0), ExpService(0.05)],
+                             ids=spec_label)
+    @pytest.mark.parametrize("dist", [TwoPoint(0.75, 1.0, 5.0), TwoPoint(0.3, 1.0, 5.0),
+                                      GammaRate(2.0, 1.0), GammaRate(0.5, 10.0), Exponential(2.5)],
+                             ids=spec_label)
+    def test_occupancy_law_is_the_convolution_of_the_slot_laws(self, dist, service, N):
         omegas = omega_vector(N, service)
-        law = queue._occupancy_law(TwoPoint(p, 1.0, 5.0), omegas)
+        law = queue._occupancy_law(dist, omegas)
         law = law / math.fsum(law)
-        ref = twopoint_occupancy_pmf(p, 1.0, 5.0, omegas)
+        if isinstance(dist, TwoPoint):
+            ref = twopoint_occupancy_pmf(dist.p, dist.lam1, dist.lam2, omegas)
+        else:
+            ref = gamma_occupancy_pmf(dist.beta, dist.lam, omegas)
         assert law.size <= ref.size and np.all(ref[law.size:] < 2.0**-50)
         assert np.all(np.abs(law - ref[:law.size]) <= 2.0**-50)
+
+    # every tabled occupancy law keeps the occupancy's mean m = E[X] sum
+    # omega_i and variance m + Var(X) sum omega_i^2 within 1e-12, the laws
+    # built in several batches past N = 100 included (worst 1.8e-14 on this
+    # grid); pois:20 at N = 1000 is declined, as its mark-1 count is
+    @pytest.mark.parametrize("N", [1, 37, 100, 1000])
+    @pytest.mark.parametrize("service", [ExpService(0.5), DetService(1.0), Pareto2Service(1.0),
+                                         ExpService(0.05), DetService(0.5)], ids=spec_label)
+    @pytest.mark.parametrize("dist", [PoissonRate(0.1), POIS2, PoissonRate(20.0),
+                                      TwoPoint(0.75, 1.0, 5.0), TwoPoint(0.3, 1.0, 5.0),
+                                      GammaRate(2.0, 1.0), GammaRate(0.5, 10.0),
+                                      DeterministicRate(2.0)], ids=spec_label)
+    def test_occupancy_law_moments(self, dist, service, N):
+        omegas = omega_vector(N, service)
+        law = queue._occupancy_law(dist, omegas)
+        if law is None:
+            assert isinstance(dist, PoissonRate)
+            assert sampling._count_law(0.0, queue._mark_means(dist.lam, omegas)[1]) is None
+            return
+        law, v = law / math.fsum(law), np.arange(law.size)
+        mean = math.fsum(v * law)
+        m = dist.mean * math.fsum(omegas)
+        assert mean == pytest.approx(m, rel=1e-12)
+        assert math.fsum((v - mean) ** 2 * law) == pytest.approx(
+            m + dist.variance * math.fsum(omegas * omegas), rel=1e-12)
 
     # under det:1 service every retention is 1, and the gamma-rate occupancy
     # is the negative binomial count of gamma_exact at alpha = 1: the tails
@@ -644,17 +685,20 @@ class TestMcQ:
         assert queue._occupancy_law(TwoPoint(0.5, 1.0, 1e308), omegas) is None
 
     # where no table is built, Poisson rates draw their marked counts with
-    # numpy, and other rates their slot rates and the k-th epoch: both meet
-    # the exact occupancy tail
-    @pytest.mark.parametrize("dist,service", [
-        (PoissonRate(12.0), ExpService(0.5)), (TwoPoint(0.75, 1.0, 5.0), ExpService(0.5)),
-        (TwoPoint(0.3, 1.0, 5.0), ExpService(0.5)), (GammaRate(2.0, 1.0), DetService(1.0)),
-        (DeterministicRate(2.0), ExpService(0.5))],
-        ids=["pois", "twopoint-0.75", "twopoint-0.3", "gamma", "det"])
-    def test_rates_past_the_table_bound(self, monkeypatch, dist, service):
-        N = 100
+    # numpy, two-point and gamma rates their slot rates and the k-th epoch,
+    # and deterministic rates the epoch alone: each meets the exact occupancy
+    # tail at 0.5 / sqrt(N) above the mean load, 1.05 times it at N = 100.
+    # det:1 under exp:1 at N = 10^4 is past the count bound (lam sum omega_i
+    # = 6321) without the stand-in
+    @pytest.mark.parametrize("dist,service,N", [
+        (PoissonRate(12.0), ExpService(0.5), 100), (TwoPoint(0.75, 1.0, 5.0), ExpService(0.5), 100),
+        (TwoPoint(0.3, 1.0, 5.0), ExpService(0.5), 100), (GammaRate(2.0, 1.0), DetService(1.0), 100),
+        (DeterministicRate(2.0), ExpService(0.5), 100),
+        (DeterministicRate(1.0), ExpService(1.0), 10**4)],
+        ids=["pois", "twopoint-0.75", "twopoint-0.3", "gamma", "det", "det-past-the-count-bound"])
+    def test_rates_past_the_table_bound(self, monkeypatch, dist, service, N):
         omegas = omega_vector(N, service)
-        a = 1.05 * mean_load(dist, service)
+        a = (1.0 + 0.5 / math.sqrt(N)) * mean_load(dist, service)
         k = ceil_count(N * a)
         if isinstance(dist, PoissonRate):
             exact = math.fsum(occupancy_pmf(dist.lam, omegas)[k:])
@@ -664,12 +708,16 @@ class TestMcQ:
             exact = P_exact(GammaCase(dist.beta, dist.lam, 1.0, a, N))
         else:
             exact = poisson_tail(dist.lam * math.fsum(omegas), k)
+            if N > 100:
+                assert queue._occupancy_law(dist, omegas) is None
+            monkeypatch.setattr(queue, "_slot_rates", _no_slot_rates)
         declined = []
         monkeypatch.setattr(queue, "_occupancy_law", lambda *args: declined.append(args) or None)
         r = mc_Q(dist, service, N, a, 200_000, 5)
         assert len(declined) == 1
         assert abs(r.estimate - exact) <= 4.0 * (r.ci_halfwidth_95 / Z_95)
-        if isinstance(dist, PoissonRate):  # the marked counts are drawn in run order
+        # the marked counts, and the epochs of deterministic rates, are drawn in run order
+        if isinstance(dist, (PoissonRate, DeterministicRate)):
             monkeypatch.setattr(sampling, "_BLOCK_SCALARS", 999)
             assert mc_Q(dist, service, N, a, 200_000, 5) == r
 
