@@ -1,10 +1,6 @@
 """Infinite-server layer: service-time laws, slot retention probabilities,
 sharp approximations of the occupancy tail, and crude simulation.
 
-The simulation draws through the draw layer of ``sampling``: the estimator
-driver, which draws, scores and sums cache-sized blocks of runs
-(_run_blocks), and alias tables of discrete laws (_tabled).
-
 Time is normalized so the observation epoch is 1 and arrivals in slot i of N
 get thinned by the retention probability omega_i(N), the chance that such an
 arrival is still in service at the observation epoch.  The logarithmic
@@ -24,10 +20,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, HypothesisWarning, MgfDomainError, RarityError
 from .numerics import Interval, ceil_count, exp_or_inf, find_root_increasing, gauss_legendre
-from .rates import (DeterministicRate, GammaRate, PoissonRate, RateDistribution, TwoPoint,
-                    parse_spec, spec_label)
-from .sampling import (_BLOCK_SCALARS, _TABLE_TAIL, EstimatorResult, _count_cut, _count_law,
-                       _count_mean, _count_rows, _count_span, _run_blocks, _tabled)
+from .rates import RateDistribution, parse_spec, spec_label
+from .sampling import EstimatorResult, _occupancy_sampler, _run_blocks
 
 __all__ = [
     "ServiceTime",
@@ -59,9 +53,6 @@ _REL_TOL = 1e-10
 _THETA_MAX = 350.0
 # level evaluations a tilt gets from a guess before the bracketed search takes over
 _NEWTON_EVALS = 4
-# mc_Q draws from the table of the occupancy law up to 2^_OCCUPANCY_BITS
-# values: at that size one alias table's two int64 arrays take 1 MiB
-_OCCUPANCY_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -471,207 +462,18 @@ def queue_approx(dist: RateDistribution, service: ServiceTime, N: float, a: floa
     return approx
 
 
-def _mark_means(lam: float, omegas: np.ndarray) -> np.ndarray:
-    """Mean counts mu_y, y = 0..Y, of the slot-rate units that add y occupants.
-
-    With X_i ~ Pois(lam) units in slot i, each adding Pois(omega_i) occupants,
-    the counts of units by mark y are independent Poisson counts of means
-    mu_y = lam sum_i e^-omega_i omega_i^y / y! (the marking theorem).  The
-    table ends at the first Y >= 1 with N lam / (Y + 1)! < 2^-53, which bounds
-    the mean count of the units that add more, since omega_i <= 1.  The terms
-    e^-omega_i omega_i^y / y! are one running product over the marks.
-    """
-    Y, bound = 1, lam / 2.0  # lam / (Y + 1)!, against 2^-53 / N
-    while bound >= 2.0**-53 / omegas.size:
-        Y += 1
-        bound /= Y + 1
-    factors = np.empty((Y + 1, omegas.size))
-    factors[0] = np.exp(-omegas)
-    factors[1:] = omegas / np.arange(1, Y + 1)[:, None]
-    return lam * np.add.reduce(np.multiply.accumulate(factors, axis=0), axis=1)
-
-
-def _stretched(law: np.ndarray, mark: int) -> np.ndarray:
-    """``law``, the pmf of a count C, as the pmf of mark * C."""
-    if mark == 1:
-        return law
-    out = np.zeros(mark * (law.size - 1) + 1)
-    out[::mark] = law
-    return out
-
-
-def _cut(laws: np.ndarray) -> np.ndarray:
-    """``laws``, rows of unnormalised pmfs of the values 0, 1, ..., cut past
-    the last value at which the upper tail of some row still holds
-    _TABLE_TAIL of its total."""
-    tail = np.cumsum(laws[:, ::-1], axis=1)[:, ::-1]
-    return laws[:, :np.max(np.count_nonzero(tail >= _TABLE_TAIL * tail[:, :1], axis=1))]
-
-
-def _pair_sums(laws: np.ndarray) -> np.ndarray:
-    """The convolutions of the rows 2j and 2j + 1 of ``laws``, pmfs of width
-    w, as rows of width 2w - 1, after a row of a point mass at 0 is added to
-    an odd count.  Each entry is a direct sum over a sliding window (einsum,
-    no BLAS): an FFT's rounding, about 1e-16 of the peak, would swamp the
-    entries of the tail."""
-    if laws.shape[0] % 2:
-        laws = np.vstack([laws, np.eye(1, laws.shape[1])])
-    w = laws.shape[1]
-    padded = np.zeros((laws.shape[0] // 2, 3 * w - 2))
-    padded[:, w - 1:2 * w - 1] = laws[1::2]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
-    return np.einsum("ivu,iu->iv", windows, np.ascontiguousarray(laws[0::2, ::-1]))
-
-
-def _convolved(slots: int, width, slot_laws) -> np.ndarray:
-    """The convolution of the laws of ``slots`` slots, widest first, on the
-    values 0, 1, ...: ``slot_laws(start, stop)`` gives the pmfs of the slots
-    start, ..., stop - 1 as the rows of a matrix, ``width(start)`` the values
-    it forms per slot for a batch from slot ``start``.
-
-    Each batch holds at most sampling._BLOCK_SCALARS values, or one slot: so
-    no matrix grows with N, and a few wide slots do not widen the many
-    narrow ones.  A batch's slot laws are convolved pairwise, level by level
-    (_pair_sums), and the batch sums in turn; every sum is cut where its
-    upper tail falls below _TABLE_TAIL (_cut), so each value keeps its share
-    within far less than the 2^-50 of the alias table.
-    """
-    occupancy, start = np.ones(1), 0
-    while start < slots:
-        stop = min(slots, start + max(1, int(_BLOCK_SCALARS // width(start))))
-        laws = _cut(slot_laws(start, stop))
-        start = stop
-        while laws.shape[0] > 1:
-            laws = _cut(_pair_sums(laws))
-        occupancy = _cut(np.convolve(occupancy, laws[0])[None])[0]
-    return occupancy
-
-
-def _occupancy_law(dist: RateDistribution, omegas: np.ndarray) -> np.ndarray | None:
-    """The pmf of the occupancy sum_i Pois(omega_i X_i) over the slot rates
-    X_i, unnormalised and cut where its upper tail falls below _TABLE_TAIL,
-    on the values 0, 1, ...; or None where no table is built.
-
-    The table is declined before any convolution where the occupancy's mean
-    m = E[X] sum omega_i and variance s^2 = m + Var(X) sum omega_i^2 put
-    m + 12 s + 32 past 2^_OCCUPANCY_BITS values, or where the widest slot
-    count's own law is declined (sampling._count_law), and after it where
-    the cut law is wider than that.
-      - Poisson rates: the occupancy is sum_y y C_y over the independent
-        Poisson counts C_y of the units that add y occupants (_mark_means),
-        the convolution of their laws, each stretched by its mark.
-      - Two-point and gamma rates: the convolution (_convolved) of the slot
-        counts, each a mixture of (a, b, 0) laws, widest law last: two-point
-        slots p Pois(lam1 omega_i) + (1 - p) Pois(lam2 omega_i), gamma slots
-        NB(beta, q_i), q_i = omega_i / (lam + omega_i).  Each batch's pmfs
-        are the rows of one matrix (sampling._count_rows) over the span of
-        its first slot's widest law (sampling._count_span), the widest.
-      - Deterministic rates: one Poisson law of mean lam sum omega_i.
-    Every convolution is direct: an FFT's rounding, about 1e-16 of the peak,
-    would swamp the entries of the tail (Jongbloed and Koole, Appl. Stoch.
-    Models Bus. Ind. 17 (2001) 307-318, build the same laws slot by slot).
-    """
-    total = math.fsum(omegas)
-    mean = dist.mean * total
-    variance = mean + dist.variance * math.fsum(omegas * omegas)
-    if not mean + 12.0 * math.sqrt(variance) + 32.0 <= 2**_OCCUPANCY_BITS:
-        return None
-    positive = np.sort(omegas[omegas > 0.0])[::-1]  # the slots that add occupants, widest first
-    if isinstance(dist, PoissonRate):
-        means = _mark_means(dist.lam, omegas)[1:]
-        if (span := _count_span(0.0, float(np.max(means)))) is None:
-            return None
-        # every mark's law, over the span of the largest mean, cut by its own rule
-        rows = _count_rows(0.0, means[:, None], span)
-        cuts = _count_cut(rows, 0.0, means[:, None])
-        if not cuts.all():
-            return None
-        law = np.ones(1)
-        for y, (row, cut) in enumerate(zip(rows, cuts), start=1):
-            law = _cut(np.convolve(law, _stretched(row[:cut], y))[None])[0]
-    elif isinstance(dist, (TwoPoint, GammaRate)):
-        # slot i's count mixes, with the weights w, the (a, b, 0) laws of
-        # column i of b and of a, or of a = 0 as a scalar (a column of zeros
-        # would add a product over every entry of a batch's Poisson rows)
-        if isinstance(dist, TwoPoint):
-            w, a, b = (dist.p, 1.0 - dist.p), 0.0, np.outer([dist.lam1, dist.lam2], positive)
-        else:
-            q = positive / (dist.lam + positive)
-            w, a = (1.0,), q[q > 0.0][None]
-            b = (dist.beta - 1.0) * a
-
-        def widest(i: int) -> tuple[float, float]:  # slot i's widest law
-            return (a[-1, i] if np.ndim(a) else a), b[-1, i]
-
-        def slot_laws(start: int, stop: int) -> np.ndarray:
-            # the (component, slot) pairs stacked into one column of rows
-            a_col = a[:, start:stop].reshape(-1, 1) if np.ndim(a) else a
-            rows = _count_rows(a_col, b[:, start:stop].reshape(-1, 1), _count_span(*widest(start)))
-            pmfs = (rows / np.add.reduce(rows, axis=1)[:, None]).reshape(len(w), stop - start, -1)
-            return pmfs[0] if len(w) == 1 else sum(c * pmf for c, pmf in zip(w, pmfs))
-
-        if b.shape[1] and _count_law(*widest(0)) is None:
-            return None
-        law = _convolved(b.shape[1], lambda start: len(w) * (_count_span(*widest(start)) + 1),
-                         slot_laws)
-    else:  # deterministic rates
-        law = _count_law(0.0, dist.lam * total)
-    return law if law is not None and law.size <= 2**_OCCUPANCY_BITS else None
-
-
-def _slot_rates(dist: TwoPoint | GammaRate):
-    """Sampler ``draw(rng, shape) -> slot rates`` of two-point or gamma
-    rates: lam1 where a uniform falls below p and lam2 elsewhere, or numpy's
-    gamma draws."""
-    if isinstance(dist, TwoPoint):
-        return lambda rng, shape: np.where(rng.random(shape) < dist.p, dist.lam1, dist.lam2)
-    return lambda rng, shape: rng.gamma(dist.beta, 1.0 / dist.lam, size=shape)
-
-
 def mc_Q(dist: RateDistribution, service: ServiceTime, N: int, a: float, runs: int,
          seed: int) -> EstimatorResult:
-    """Crude Monte Carlo for the occupancy tail at level N*a.
-
-    A run hits when its occupancy reaches k = ceil(N a).  Each run draws its
-    occupancy as one raw word read through the alias table of its law, built
-    once per call (_occupancy_law, sampling._tabled), so the results do not
-    depend on the block size.  Where that law has no table, Poisson slot
-    rates draw the occupancy as sum_y y C_y over the counts C_y of the units
-    of mark y (_mark_means) with numpy's Poisson sampler, and the hit of the
-    Pois(Lambda) occupancy, Lambda = sum_i omega_i X_i, is drawn as
-    G <= Lambda with G ~ Gamma(k, 1), the k-th epoch of a unit-rate Poisson
-    process, since P(Pois(Lambda) >= k) = P(G <= Lambda): deterministic rates
-    draw only the epochs, against the one Lambda = lam sum omega_i, and
-    two-point and gamma rates draw the N slot rates X_i of a run
-    (_slot_rates), each block of runs its rate sums, then its epochs.
-    """
+    """Crude Monte Carlo for the occupancy tail at level N*a: the share of
+    runs whose occupancy reaches k = ceil(N a).  Tabled occupancy laws give
+    the same results at every block size (sampling._occupancy_sampler)."""
     if not (isinstance(N, int) and N >= 1):
         raise DomainError(f"N must be a positive integer, got {N}")
     k = ceil_count(N * a)
-
-    def sampler():  # built after the budget check
-        omegas = omega_vector(N, service)
-        if (law := _occupancy_law(dist, omegas)) is not None:
-            occupancy = _tabled(law)
-            return 1, lambda rng, n: occupancy(rng, n) >= k
-        if isinstance(dist, PoissonRate):
-            means = _count_mean(_mark_means(dist.lam, omegas)[1:])
-            marks = np.arange(1, means.size + 1)
-            return means.size, lambda rng, n: rng.poisson(means, size=(n, means.size)) @ marks >= k
-        if isinstance(dist, DeterministicRate):
-            rate_sum = np.add.reduce(dist.lam * omegas)
-            return 1, lambda rng, n: rate_sum >= rng.standard_gamma(k, size=n)
-        rates = _slot_rates(dist)
-
-        def block(rng: np.random.Generator, n: int) -> np.ndarray:
-            rate_sums = np.add.reduce(rates(rng, (n, N)) * omegas, axis=1)
-            return rate_sums >= rng.standard_gamma(k, size=n)
-
-        return N + 1, block
-
     # N + 1 per run for every law: the per-run cap then bounds N, and with it
     # the retention vector, whatever the rates
-    return _run_blocks(seed, runs, N + 1, sampler)
+    return _run_blocks(seed, runs, N + 1,
+                       lambda: _occupancy_sampler(dist, omega_vector(N, service), k))
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ def log_asym_P(dist: RateDistribution, alpha: float, a: float) -> DecayRate:
     (alpha < 1, unbounded support above a) is governed by the rate law's own
     deviations; the balanced case goes through the compound count Pois(X).
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     _check_rare(dist, a)
     if alpha > 1.0:
@@ -148,7 +148,7 @@ def approx_fast(
     Proven as an equivalent for alpha > 3; for alpha in (2, 3] only the
     asymptotic lower bound is known, and the value is tagged accordingly.
     """
-    if alpha <= 2.0:
+    if not alpha > 2.0:
         raise RegimeError(f"fast approximation needs alpha > 2, got {alpha}")
     _check_scale(N)
     _check_rare(dist, a)
@@ -167,8 +167,8 @@ def approx_slow_case1(
     Lattice rate laws are rejected because the non-lattice prefactor does not
     apply to them.
     """
-    if not alpha < 0.5:
-        raise RegimeError(f"slow case-I approximation needs alpha < 1/2, got {alpha}")
+    if not 0.0 < alpha < 0.5:
+        raise RegimeError(f"slow case-I approximation needs 0 < alpha < 1/2, got {alpha}")
     _check_scale(N)
     _check_rare(dist, a)
     if not dist.support_sup > a:
@@ -203,8 +203,8 @@ def approx_slow_case2(
     derivative, and non-lattice prefactor there) are supplied by the caller;
     all three must be finite and positive for the formula to apply.
     """
-    if not alpha < 1.0:
-        raise RegimeError(f"slow case-II approximation needs alpha < 1, got {alpha}")
+    if not 0.0 < alpha < 1.0:
+        raise RegimeError(f"slow case-II approximation needs 0 < alpha < 1, got {alpha}")
     _check_scale(N)
     for name, val in (("I_at_b", I_at_b), ("Iprime_at_b", Iprime_at_b), ("C_X_at_b", C_X_at_b)):
         if not (math.isfinite(val) and val > 0.0):
@@ -220,8 +220,7 @@ def approx_slow_case2(
         - 0.5 * alpha * math.log(N)
         + math.log(C_X_at_b * Iprime_at_b * b_plus / (a - b_plus))
     )
-    return _sharp_pair(approx.log_Q_check + shift, approx.log_q_check + shift, "SlowIIExact",
-                       min(alpha, 1.0))
+    return _sharp_pair(approx.log_Q_check + shift, approx.log_q_check + shift, "SlowIIExact", alpha)
 
 
 def approx_intermediate(
@@ -243,7 +242,7 @@ def approx_auto(
     Exponents with no proven sharp form return the rate-only value tagged
     OutsideProvenRange for both the tail and the point probability.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     _check_scale(N)
     _check_rare(dist, a)

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ SERVICES = [ExpService(0.5), DetService(0.5), Pareto2Service(0.5)]
 
 
 def _no_slot_rates(dist):
-    """A stand-in for queue._slot_rates where no slot rate may be drawn."""
+    """A stand-in for sampling._slot_rates where no slot rate may be drawn."""
     raise AssertionError(f"slot rates of {spec_label(dist)} drawn")
 
 
@@ -598,7 +599,7 @@ class TestMcQ:
                              ids=spec_label)
     def test_occupancy_law_is_the_convolution_of_the_slot_laws(self, dist, service, N):
         omegas = omega_vector(N, service)
-        law = queue._occupancy_law(dist, omegas)
+        law = sampling._occupancy_law(dist, omegas)
         law = law / math.fsum(law)
         if isinstance(dist, TwoPoint):
             ref = twopoint_occupancy_pmf(dist.p, dist.lam1, dist.lam2, omegas)
@@ -620,10 +621,10 @@ class TestMcQ:
                                       DeterministicRate(2.0)], ids=spec_label)
     def test_occupancy_law_moments(self, dist, service, N):
         omegas = omega_vector(N, service)
-        law = queue._occupancy_law(dist, omegas)
+        law = sampling._occupancy_law(dist, omegas)
         if law is None:
             assert isinstance(dist, PoissonRate)
-            assert sampling._count_law(0.0, queue._mark_means(dist.lam, omegas)[1]) is None
+            assert sampling._count_law(0.0, sampling._mark_means(dist.lam, omegas)[1]) is None
             return
         law, v = law / math.fsum(law), np.arange(law.size)
         mean = math.fsum(v * law)
@@ -639,7 +640,7 @@ class TestMcQ:
     @pytest.mark.parametrize("N", [1, 37, 100, 1000])
     def test_gamma_occupancy_law_has_the_exact_tails(self, N):
         dist = GammaRate(2.0, 1.0)
-        law = queue._occupancy_law(dist, omega_vector(N, DetService(1.0)))
+        law = sampling._occupancy_law(dist, omega_vector(N, DetService(1.0)))
         law = law / math.fsum(law)
         for a in (1.05 * dist.mean, 1.25 * dist.mean):
             exact = P_exact(GammaCase(dist.beta, dist.lam, 1.0, a, N))
@@ -660,7 +661,7 @@ class TestMcQ:
     @pytest.mark.parametrize("dist", [POIS2, TwoPoint(0.75, 1.0, 5.0), GammaRate(2.0, 1.0),
                                       DeterministicRate(2.0)], ids=spec_label)
     def test_occupancy_without_retention(self, dist):
-        assert np.array_equal(queue._occupancy_law(dist, np.zeros(3)), [1.0])
+        assert np.array_equal(sampling._occupancy_law(dist, np.zeros(3)), [1.0])
 
     # the table is declined where the occupancy's mean m and standard
     # deviation s put m + 12 s + 32 past 2^16 values: under exp:0.5 service
@@ -673,16 +674,16 @@ class TestMcQ:
         ids=["twopoint-2000", "twopoint-1e5", "gamma-2000", "gamma-1e5"])
     def test_occupancy_table_bound(self, dist, N, tabled):
         omegas = omega_vector(N, ExpService(0.5))
-        law = queue._occupancy_law(dist, omegas)
+        law = sampling._occupancy_law(dist, omegas)
         assert (law is not None) == tabled
-        assert law is None or law.size <= 2**queue._OCCUPANCY_BITS
+        assert law is None or law.size <= 2**sampling._OCCUPANCY_BITS
 
     # an occupancy mean past the float range declines the table, and the
     # bound's own arithmetic warns of no overflow
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_occupancy_law_declines_an_infinite_bound(self):
         omegas = omega_vector(10, ExpService(1.0))
-        assert queue._occupancy_law(TwoPoint(0.5, 1.0, 1e308), omegas) is None
+        assert sampling._occupancy_law(TwoPoint(0.5, 1.0, 1e308), omegas) is None
 
     # where no table is built, Poisson rates draw their marked counts with
     # numpy, two-point and gamma rates their slot rates and the k-th epoch,
@@ -709,10 +710,10 @@ class TestMcQ:
         else:
             exact = poisson_tail(dist.lam * math.fsum(omegas), k)
             if N > 100:
-                assert queue._occupancy_law(dist, omegas) is None
-            monkeypatch.setattr(queue, "_slot_rates", _no_slot_rates)
+                assert sampling._occupancy_law(dist, omegas) is None
+            monkeypatch.setattr(sampling, "_slot_rates", _no_slot_rates)
         declined = []
-        monkeypatch.setattr(queue, "_occupancy_law", lambda *args: declined.append(args) or None)
+        monkeypatch.setattr(sampling, "_occupancy_law", lambda *args: declined.append(args) or None)
         r = mc_Q(dist, service, N, a, 200_000, 5)
         assert len(declined) == 1
         assert abs(r.estimate - exact) <= 4.0 * (r.ci_halfwidth_95 / Z_95)
@@ -729,7 +730,7 @@ class TestMcQ:
     @pytest.mark.parametrize("lam", [0.1, 2.0, 20.0])
     def test_mark_table(self, lam, N, service):
         omegas = omega_vector(N, service)
-        means = queue._mark_means(lam, omegas)
+        means = sampling._mark_means(lam, omegas)
         Y = means.size - 1
         # against the terms built one mark at a time: each differs in at most
         # 2 roundings per mark
@@ -781,8 +782,8 @@ class TestAliasTables:
     @pytest.mark.parametrize("lam", [0.1, 2.0, 20.0])
     def test_sum_table_holds_the_convolved_pmfs(self, lam, service):
         omegas = omega_vector(100, service)
-        means = queue._mark_means(lam, omegas)
-        law = queue._occupancy_law(PoissonRate(lam), omegas)
+        means = sampling._mark_means(lam, omegas)
+        law = sampling._occupancy_law(PoissonRate(lam), omegas)
         weight = self.weights(*sampling._alias_tables(law))
         total = 2**sampling._WEIGHT_BITS
         assert int(weight.sum()) == total and not weight[law.size:].any()
@@ -815,12 +816,18 @@ class TestAliasTables:
             assert not weight[size:].any()
 
     # a raw word picks its entry by its top bits and compares only its low
-    # bits with the entry's threshold; the bits between are ignored
+    # bits with the entry's threshold; the bits between are ignored.  The
+    # words reach the sampler through a stand-in generator that yields them
     @pytest.mark.parametrize("law", [np.arange(1.0, 6.0), np.array([0.5, 0.5]),
                                      np.array([0.0, 0.0, 1.0])], ids=["ramp", "coin", "point"])
     def test_draw_reads_the_threshold_and_the_alias(self, law):
         threshold, alias = sampling._alias_tables(law)
-        draw = sampling._alias_sampler(law)
+        tabled = sampling._tabled(law)
+
+        def draw(raw):
+            return tabled(SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda n: raw)),
+                          raw.size)
+
         size = threshold.size
         capacity = 2**sampling._WEIGHT_BITS // size
         entry = np.arange(size, dtype=np.uint64)
@@ -845,8 +852,8 @@ class TestAliasTables:
             assert 1 - sum(pmf) < decimal.Decimal(2.0**-60)
         for lam, N in [(200.0, 100), (2.0, 10**4), (20.0, 1000)]:
             omegas = omega_vector(N, ExpService(1.0))
-            assert sampling._count_law(0.0, queue._mark_means(lam, omegas)[1]) is None
-            assert queue._occupancy_law(PoissonRate(lam), omegas) is None
+            assert sampling._count_law(0.0, sampling._mark_means(lam, omegas)[1]) is None
+            assert sampling._occupancy_law(PoissonRate(lam), omegas) is None
 
 
 def log_asym_Q(dist, service, alpha, a):

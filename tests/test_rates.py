@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixpois import queue
 from mixpois.errors import DomainError, InfeasibleTargetError, LatticeError, ParseError
 from mixpois.rates import (
     DeterministicRate,
@@ -19,7 +18,7 @@ from mixpois.rates import (
     spec_label,
 )
 from mixpois.queue import DetService, ExpService, Pareto2Service, parse_service
-from mixpois.sampling import _slot_sampler, stream
+from mixpois.sampling import _slot_rates, _slot_sampler, stream
 from reference import numeric_rate_function
 
 # positive numbers of at most 6 significant digits, the precision of spec_label
@@ -269,7 +268,7 @@ class TestBahadurRaoConstant:
 def slot_rates(dist, rng, n):
     """n slot rates of ``dist``, as the occupancy simulation draws them past
     the table bound of its law."""
-    return queue._slot_rates(dist)(rng, n)
+    return _slot_rates(dist)(rng, n)
 
 
 class TestSampling:

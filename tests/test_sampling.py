@@ -95,6 +95,39 @@ def test_estimators_reject_nonpositive_alpha_and_N(estimator, alpha, N):
         estimator(Exponential(1.0), alpha, 2.0, N, 10, PART)
 
 
+def _built_before_the_check(name):
+    """A stand-in for a table or retention-vector builder that must not run."""
+    def stand_in(*args):
+        raise AssertionError(f"{name} called")
+    return stand_in
+
+
+# no table and no retention vector is built before the budget check: over
+# the budget, or for mc_Q at N + 1 past the per-run cap, each call is refused
+# with every builder replaced by a stand-in that raises; a run within both
+# reaches a stand-in, so each stand-in lies on that call's build path
+_PAST_THE_BUDGET = sampling._OP_BUDGET // 2 + 1
+
+
+@pytest.mark.parametrize("estimate,over,within", [
+    (lambda runs: mc_P(EXP25, 0.5, 1.1, 49.0, runs, PART), _PAST_THE_BUDGET, 1),
+    (lambda runs: is_slow(EXP25, 0.5, 2.0, 49.0, runs, PART), _PAST_THE_BUDGET, 1),
+    (lambda runs: is_fast(EXP25, 1.2, 1.0, 10.0, runs, PART), _PAST_THE_BUDGET, 1),
+    (lambda runs: mc_Q(PoissonRate(2.0), ExpService(0.5), 100, 1.3, runs, PART),
+     sampling._OP_BUDGET // 101 + 1, 1),
+    (lambda runs: mc_Q(TP, ExpService(0.5), sampling._RUN_SCALARS_CAP, 1.3, runs, PART), 1, None),
+], ids=["mc_P-gamma", "is_slow-gamma", "is_fast", "mc_Q", "mc_Q-per-run-cap"])
+def test_budget_is_checked_before_any_build(monkeypatch, estimate, over, within):
+    for module, name in [(sampling, "_count_law"), (sampling, "_alias_tables"),
+                         (sampling, "_occupancy_law"), (queue, "omega_vector")]:
+        monkeypatch.setattr(module, name, _built_before_the_check(name))
+    with pytest.raises(BudgetError):
+        estimate(over)
+    if within is not None:
+        with pytest.raises(AssertionError, match="called"):
+            estimate(within)
+
+
 class TestFastEstimator:
     def test_unit_weights_without_mixing(self):
         # point estimate at the deterministic rate itself: weights are all one
@@ -390,7 +423,7 @@ class TestSlotBlocks:
     def test_sums_and_stream_match(self, monkeypatch, width):
         runs = min(sampling._RUN_SCALARS_CAP // (width + 1), 5000)
         weights = np.linspace(0.1, 1.0, width)  # as mc_Q weighs slots by retention
-        rates = queue._slot_rates(GammaRate(2.0, 1.0))
+        rates = sampling._slot_rates(GammaRate(2.0, 1.0))
 
         def block(rng, n):
             return np.add.reduce(rates(rng, (n, width)) * weights, axis=1)
@@ -460,7 +493,7 @@ class TestSlotBlocks:
                              ids=["pois", "twopoint", "gamma", "det"])
     def test_runs_read_one_raw_word_each(self, monkeypatch, dist, a):
         runs = 3 * sampling._BLOCK_SCALARS + 17  # ending in a partial block
-        assert queue._occupancy_law(dist, omega_vector(100, ExpService(0.5))) is not None
+        assert sampling._occupancy_law(dist, omega_vector(100, ExpService(0.5))) is not None
         assert _raw_words_read(
             monkeypatch, lambda n: mc_Q(dist, ExpService(0.5), 100, a, n, 11), runs)
 
@@ -479,7 +512,7 @@ class TestSlotBlocks:
     # at N = 10^6 the peak is the retention vector's, 32 MB traced, where
     # a table of partial sums per byte of Bernoulli lanes peaked at 276 MB
     def test_mc_Q_past_the_table_bound_peak_memory(self):
-        assert queue._occupancy_law(TP, omega_vector(10**6, ExpService(0.5))) is None
+        assert sampling._occupancy_law(TP, omega_vector(10**6, ExpService(0.5))) is None
         assert _traced_peak(lambda: mc_Q(TP, ExpService(0.5), 10**6, 0.9, 2, 3)) < 64e6
 
     # the slot laws are convolved widest first, in batches of at most
@@ -499,8 +532,8 @@ class TestSlotBlocks:
                                   "gamma-many-slots"])
     def test_occupancy_law_build_peak_memory(self, dist, service, N):
         omegas = omega_vector(N, service)
-        assert _traced_peak(lambda: queue._occupancy_law(dist, omegas)) < 8e6
-        law = queue._occupancy_law(dist, omegas)
+        assert _traced_peak(lambda: sampling._occupancy_law(dist, omegas)) < 8e6
+        law = sampling._occupancy_law(dist, omegas)
         law, v = law / math.fsum(law), np.arange(law.size)
         mean = math.fsum(v * law)
         assert mean == pytest.approx(dist.mean * omegas.sum(), rel=1e-12)

@@ -97,3 +97,26 @@ def _option_counts() -> dict[str, int]:
 
 def test_option_budget():
     assert _option_counts() == OPTION_BUDGET
+
+
+# the draw layer lives in sampling: queue takes from it the result type, the
+# estimator driver and the occupancy sampler, and names no rate-law class;
+# no other module names its table policy or its count helpers.  A change
+# that moves a law out of sampling updates this pin.
+QUEUE_FROM_SAMPLING = {"EstimatorResult", "_occupancy_sampler", "_run_blocks"}
+TABLE_POLICY = {"_TABLE_TAIL", "_BLOCK_SCALARS", "_OCCUPANCY_BITS", "_TABLE_BITS_MAX"}
+RATE_LAWS = {"PoissonRate", "TwoPoint", "GammaRate", "DeterministicRate", "Exponential"}
+
+
+def test_draw_layer_lives_in_sampling():
+    sampling = ROOT / "src" / "mixpois" / "sampling.py"
+    queue = ast.parse((ROOT / "src" / "mixpois" / "queue.py").read_text())
+    assert {alias.name for node in ast.walk(queue)
+            if isinstance(node, ast.ImportFrom) and node.module == "sampling"
+            for alias in node.names} == QUEUE_FROM_SAMPLING
+    assert RATE_LAWS.isdisjoint(_names(queue))
+    count_helpers = {node.name for node in ast.parse(sampling.read_text()).body
+                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_count_")}
+    named = {path.stem: (TABLE_POLICY | count_helpers) & set(_names(ast.parse(path.read_text())))
+             for path in CALLERS if path != sampling}
+    assert {stem: names for stem, names in named.items() if names} == {}

@@ -331,6 +331,25 @@ def test_per_regime_forms_reject_N(form, N):
         PER_REGIME_FORMS[form](N)
 
 
+ALPHA_ENTRIES = {
+    "log_asym_P": lambda alpha: log_asym_P(EXP25, alpha, 1.0),
+    "approx_fast": lambda alpha: approx_fast(EXP25, alpha, 1.0, 40.0),
+    "approx_slow_case1": lambda alpha: approx_slow_case1(EXP25, alpha, 1.0, 100.0),
+    "approx_slow_case2": lambda alpha: approx_slow_case2(1.0, 0.3, 2.0, 0.4, alpha, 2.0, 100.0),
+    "approx_auto": lambda alpha: approx_auto(EXP25, alpha, 1.0, 100.0),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ALPHA_ENTRIES)
+def test_entries_reject_alpha(entry, alpha):
+    # library calls returned a Valid value (log P = +0.97 for case I at
+    # alpha = -1), a FastLowerBound value at NaN, a NaN decay exponent, or
+    # from approx_auto at NaN a ConvergenceError, instead of naming the input
+    with pytest.raises(DomainError, match="alpha"):
+        ALPHA_ENTRIES[entry](alpha)
+
+
 @pytest.mark.parametrize("mean,a", [(1.0, 2.0), (2.5, 3.0), (0.4, 1e5), (1.0, 1.0000001), (3.0, 1e300)])
 def test_point_mass_count_is_the_unit_rule(mean, a):
     # the closed-form integrals are bit-identical to the one-node rule's
